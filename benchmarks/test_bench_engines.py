@@ -45,13 +45,14 @@ def test_bench_batch_engine_umr_per_run(benchmark, platform, model):
     # Amortized per-run cost of the vectorized batch simulator: simulate
     # 500 repetitions per call; compare Mean/500 against the scalar rows.
     from repro.core.umr import solve_umr
-    from repro.sim.batch import simulate_static_batch
+    from repro.sim.batch import StaticCell, compile_static_plan, simulate_static_cells
 
     plan = solve_umr(platform, W).to_chunk_plan()
-    seeds = list(range(500))
+    seeds = tuple(range(500))
 
     def run():
-        return simulate_static_batch(platform, plan, error=0.3, seeds=seeds)
+        cell = StaticCell(platform, compile_static_plan(platform, plan), 0.3, seeds)
+        return simulate_static_cells([cell])[0]
 
     spans = benchmark(run)
     assert spans.shape == (500,)
@@ -80,13 +81,13 @@ def test_bench_compiled_batch_umr_per_run(benchmark, platform):
     # The sweep fast path proper: plan compiled once, then re-simulated —
     # this is what each (platform, error) cell costs after compilation.
     from repro.core.umr import solve_umr
-    from repro.sim.batch import compile_static_plan, simulate_static_batch
+    from repro.sim.batch import StaticCell, compile_static_plan, simulate_static_cells
 
     compiled = compile_static_plan(platform, solve_umr(platform, W).to_chunk_plan())
-    seeds = list(range(500))
+    cell = StaticCell(platform, compiled, 0.3, tuple(range(500)))
 
     def run():
-        return simulate_static_batch(platform, compiled, 0.3, seeds)
+        return simulate_static_cells([cell])[0]
 
     spans = benchmark(run)
     assert spans.shape == (500,)

@@ -217,14 +217,6 @@ def _parser() -> argparse.ArgumentParser:
         "(e.g. 'crash:p=0.3,tmax=100')",
     )
     m.add_argument(
-        "--fault-frame",
-        default="stream",
-        choices=("stream", "job"),
-        help="'stream' (default): one fault timeline on the absolute "
-        "stream clock — crashes persist across jobs; 'job': legacy "
-        "per-job re-realization (a crashed worker resurrects)",
-    )
-    m.add_argument(
         "--failure-policy",
         default="drop",
         metavar="SPEC",
@@ -683,7 +675,7 @@ def _cmd_multijob(args: argparse.Namespace) -> int:
     stream = simulate_stream(
         platform, arrivals, scheduler=args.scheduler, error=args.error,
         seed=args.seed, policy=args.policy, engine=args.engine,
-        faults=args.fault, fault_frame=args.fault_frame,
+        faults=args.fault,
         failure_policy=args.failure_policy,
     )
     print(f"{'job':>4} {'arrival':>10} {'start':>10} {'finish':>10} "

@@ -235,14 +235,14 @@ class Scheduler:
     #: (independent of observed completions *and* of the error magnitude).
     #: Static schedulers additionally implement :meth:`static_plan` and are
     #: eligible for the vectorized batch engine
-    #: (:func:`repro.sim.batch.simulate_static_batch`); dynamic schedulers
+    #: (:func:`repro.sim.batch.simulate_static_cells`); dynamic schedulers
     #: go through a scalar engine — or, when they also declare
     #: :attr:`is_batch_dynamic`, through the lockstep batch engine.
     is_static: bool = False
 
     #: Whether the scheduler's *decision rule* is pure arithmetic over
     #: master-observable state, so many runs can advance in lockstep as
-    #: array operations (:func:`repro.sim.dynbatch.simulate_dynamic_batch`).
+    #: array operations (:func:`repro.sim.dynbatch.simulate_dynamic_cells`).
     #: Such schedulers additionally implement :meth:`batch_kernel`.  The
     #: lockstep trajectory must match the scalar engine bit-for-bit when
     #: fed the same perturbation factors.

@@ -22,8 +22,9 @@ minimal but complete enough to express arbitrary master-worker protocols:
     serialized network interface card).
 ``Store``
     an unbounded FIFO message queue (used for worker inboxes).
-``Monitor``
-    an append-only trace recorder with simple querying.
+
+Run traces are not the kernel's concern: the simulators emit typed
+events into a :class:`repro.obs.Tracer`.
 
 Determinism: event ordering is (time, priority, insertion order).  Two runs
 of the same model with the same random seeds produce identical traces.
@@ -31,7 +32,6 @@ of the same model with the same random seeds produce identical traces.
 
 from repro.des.environment import Environment
 from repro.des.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.des.monitor import Monitor, TraceRecord
 from repro.des.process import Process
 from repro.des.resources import Request, Resource, Store
 
@@ -41,11 +41,9 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "Monitor",
     "Process",
     "Request",
     "Resource",
     "Store",
     "Timeout",
-    "TraceRecord",
 ]

@@ -194,11 +194,7 @@ class StreamFaultSchedule:
     — on the absolute clock, for the full star — and then *projected*
     into each job's frame: crash/pause/slowdown state carries across
     jobs, and a worker that died during job ``k`` stays dead for every
-    job ``j > k``.  The legacy behavior (each per-job ``simulate()``
-    call re-realizing the model relative to its own start, so a crashed
-    worker resurrects for the next job) is kept behind the
-    ``fault_frame="job"`` escape hatch of
-    :func:`~repro.sim.multijob.simulate_stream`.
+    job ``j > k``.
 
     :meth:`realize` samples the model exactly like the single-run
     engines do — from the *third spawned child* of the (stream) seed

@@ -132,10 +132,15 @@ class ExperimentGrid:
         # Validate the fault and topology specs eagerly so a typo fails at
         # grid build time, not platforms-deep into a sweep.
         from repro.errors.faults import make_fault_model
-        from repro.platform.topology import make_topology
+        from repro.platform.topology import TopologyError, make_topology
 
         make_fault_model(self.fault)
         topo = make_topology(self.topology)
+        if topo.n is not None and set(self.Ns) != {topo.n}:
+            raise TopologyError(
+                f"topology {self.topology!r} declares n={topo.n} workers but "
+                f"the grid's platforms have N in {self.Ns}"
+            )
         if topo.kind == "sharedbw" and self.fault.strip() not in ("", "none"):
             raise ValueError(
                 "sharedbw topologies do not support fault injection "

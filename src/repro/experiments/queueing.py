@@ -26,7 +26,7 @@ taken over the *completed* jobs — a failed job has no meaningful sojourn
 time.  Fault-free streams complete every job, so their metrics (and
 their golden bytes) are unchanged.
 
-Streams run under an active stream-frame fault plane additionally carry
+Streams run under an active fault plane additionally carry
 a :class:`StreamHealthStats` block: failure/resubmission counts, the
 exclusion count, **goodput** (completed jobs' requested work per second
 — work delivered to failed jobs is wasted, not good), and the
@@ -65,9 +65,8 @@ __all__ = [
 class StreamHealthStats:
     """Fault-plane summary of one stream (see module docstring).
 
-    Present only for streams run under an active ``fault_frame="stream"``
-    plane; fault-free metrics carry ``health=None`` and serialize without
-    the block.
+    Present only for streams run with a fault model; fault-free metrics
+    carry ``health=None`` and serialize without the block.
     """
 
     jobs_failed: int
@@ -116,7 +115,7 @@ def _health_stats(
     stream: MultiJobResult, horizon: float, busy: float
 ) -> "StreamHealthStats | None":
     """The fault-plane block, or ``None`` without an active plane."""
-    if stream.fault_frame != "stream" or stream.fault_spec == "none":
+    if stream.fault_spec == "none":
         return None
     n = stream.platform.N
     deaths = dict(stream.excluded)
@@ -242,7 +241,6 @@ def run_queueing_sweep(
     seed: int | None = 0,
     engine: str = "fast",
     faults: "typing.Any | None" = None,
-    fault_frame: str = "stream",
     failure_policy: "typing.Any" = "drop",
     stats: "typing.Any | None" = None,
 ) -> QueueingSweepResults:
@@ -251,7 +249,7 @@ def run_queueing_sweep(
     Every cell re-realizes its arrival process from the same ``seed``,
     so policies are compared on *identical* job streams — the queueing
     analogue of the sweep harness's common-random-numbers discipline.
-    ``fault_frame``/``failure_policy`` forward to every cell's
+    ``faults``/``failure_policy`` forward to every cell's
     :func:`~repro.sim.multijob.simulate_stream`; ``stats``, when given a
     :class:`~repro.obs.stats.SweepStats`, accumulates the cells' stream
     health counters for ``repro stats``.
@@ -269,7 +267,6 @@ def run_queueing_sweep(
                 policy=policy,
                 engine=engine,
                 faults=faults,
-                fault_frame=fault_frame,
                 failure_policy=failure_policy,
             )
             metrics[(arrival_spec, policy)] = queueing_metrics(stream)

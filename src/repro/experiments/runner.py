@@ -143,9 +143,9 @@ class SweepResults:
 def _grid_topology(spec: str):
     """Parse a grid's topology spec once; ``None`` for the star baseline.
 
-    ``None`` keeps every star cell on the exact legacy code paths (the
-    bitwise-compatibility contract); a non-``None`` topology reroutes the
-    scalar rung and disqualifies the batch engines.
+    The batch engines model exactly the paper's star, so ``None`` keeps a
+    grid batch-eligible; a non-``None`` topology reroutes the scalar rung
+    and disqualifies the batch engines.
     """
     topo = make_topology(spec)
     return None if topo.kind == "star" else topo
@@ -182,7 +182,7 @@ def _cell_seeds(grid: ExperimentGrid, p_idx: int, e_idx: int) -> list[int]:
     """The per-repetition stream keys of one (platform, error) cell.
 
     One seed per repetition, shared by all algorithms (paired comparisons)
-    and by both engines; simulate_fast and simulate_static_batch spawn the
+    and by every engine; simulate_fast and simulate_static_cells spawn the
     same independent comm/comp streams from it.  Memoized on the grid's
     seed coordinates — every engine path re-derives the same cell seeds,
     and spawning the underlying PCG64 streams dominates an otherwise

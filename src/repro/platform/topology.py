@@ -8,9 +8,9 @@ bandwidth contention (Wu/Cao/Robertazzi) — so this module makes the
 interconnect a pluggable axis:
 
 ``star``
-    The degenerate case.  Binding a :class:`StarTopology` leaves both
-    engines on their legacy code paths, so a star-topology run is
-    *bitwise identical* to a run with no topology at all.
+    The degenerate case, and the default (``None`` parses to it): every
+    worker's path is its own link with no relay hops and no tail, so a
+    chunk arrives ``tLat`` after its link release — the paper's model.
 ``chain:n=8,relay=sf|ct``
     A linear daisy chain: the master feeds worker 0, worker 0 forwards
     to worker 1, and so on.  ``relay=sf`` (store-and-forward, the

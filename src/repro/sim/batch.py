@@ -26,13 +26,13 @@ the same two spawned streams as the scalar engines, in chunk order, so
   the (rare) below-floor entries afterwards.  The test suite checks exact
   equality where defined and statistical agreement elsewhere.
 
-Beyond one plan at a time, :func:`simulate_static_cells` stacks a whole
-*grid* of static cells — every (platform, error, algorithm) combination,
-padded to a common chunk count — into one (rows × chunks) tensor, so the
-sequential chunk loop is amortized over every repetition of every cell
-at once.  Fault cells ride along: each cell realizes all of its rows'
-schedules in one :meth:`~repro.errors.faults.FaultModel.sample_batch`
-call — a :class:`~repro.errors.faults.FaultPlane` of stacked arrays,
+:func:`simulate_static_cells` stacks a whole *grid* of static cells —
+every (platform, error, algorithm) combination, padded to a common chunk
+count — into one (rows × chunks) tensor, so the sequential chunk loop is
+amortized over every repetition of every cell at once.  Fault cells ride
+along: each cell realizes all of its rows' schedules in one
+:meth:`~repro.errors.faults.FaultModel.sample_batch` call — a
+:class:`~repro.errors.faults.FaultPlane` of stacked arrays,
 bit-identical to sampling row by row from each seed's third stream —
 then link spikes perturb the link chain before the cumsum, pause /
 slowdown windows reshape compute durations inside the chunk loop, and
@@ -70,9 +70,7 @@ __all__ = [
     "CompiledStaticPlan",
     "StaticCell",
     "compile_static_plan",
-    "draw_factor_matrices",
     "factor_stream",
-    "simulate_static_batch",
     "simulate_static_cells",
 ]
 
@@ -81,7 +79,7 @@ __all__ = [
 class CompiledStaticPlan:
     """A static plan lowered to per-chunk prediction arrays.
 
-    Everything :func:`simulate_static_batch` needs that depends only on
+    Everything :func:`simulate_static_cells` needs that depends only on
     ``(platform, plan)`` — worker indices, predicted link/compute times,
     pipeline latencies — extracted once so repeated calls (one per error
     level in a sweep) skip the per-chunk Python loop over the platform.
@@ -246,41 +244,6 @@ def factor_stream(
     return entry
 
 
-def draw_factor_matrices(
-    seeds: "np.ndarray | list[int]",
-    k: int,
-    error: float,
-    min_ratio: float = MIN_RATIO,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(comm, comp) perturbation-factor matrices of shape (len(seeds), k).
-
-    Stream identity with the scalar engines is preserved: seed ``s`` feeds
-    ``SeedSequence(s).spawn(2)`` exactly like
-    :func:`repro.errors.rng.spawn_rngs`, and factors come out in chunk
-    order.  Draws come from the per-seed :func:`factor_stream` cache, so
-    repeated calls under the same seeds — every algorithm of a cell, every
-    fault scenario of a grid, every retry — reuse one spawn-and-draw.
-
-    Because every stream emits factors in chunk order, a matrix drawn for
-    the *largest* chunk count can be column-sliced and reused for any
-    smaller static plan under the same seeds — the sweep harness draws one
-    matrix pair per (platform, error) cell and shares it across all static
-    algorithms, exactly as the scalar engines share the per-cell streams.
-    """
-    r = len(seeds)
-    comm = np.empty((r, k))
-    comp = np.empty((r, k))
-    if error == 0.0:
-        comm[...] = 1.0
-        comp[...] = 1.0
-        return comm, comp
-    for i, seed in enumerate(seeds):
-        stream = factor_stream(int(seed), error, k, min_ratio)
-        comm[i] = stream.comm[:k]
-        comp[i] = stream.comp[:k]
-    return comm, comp
-
-
 @dataclasses.dataclass(frozen=True)
 class StaticCell:
     """One static (platform, plan, error) cell and its repetition seeds.
@@ -304,11 +267,61 @@ class StaticCell:
             raise ValueError("a cell needs at least one seed")
 
 
+def _traced_rows(cells, tracers) -> list:
+    """``(cell index, seed index, tracer)`` of every traced repetition."""
+    if tracers is None:
+        return []
+    traced = []
+    for i, (cell, cell_tracers) in enumerate(zip(cells, tracers)):
+        for s, tracer in enumerate(cell_tracers or ()):
+            if tracer is None:
+                continue
+            if cell.faults is not None:
+                raise ValueError(
+                    "fault cells cannot be traced; use the scalar engine "
+                    "for traced fault runs"
+                )
+            traced.append((i, s, tracer))
+    return traced
+
+
+def _emit_static_trace(tracer, plan, send_end, comp_dur, starts, gidx) -> None:
+    """Emit one traced row's event stream in dispatch order.
+
+    ``send_end``/``comp_dur`` are the row's per-chunk link releases and
+    compute durations; ``starts`` holds its compute starts in the
+    (workers, depth) gather layout ``gidx`` of the recurrence.
+    """
+    k = plan.num_chunks
+    comp_start = np.empty(k)
+    real = gidx < k
+    comp_start[gidx[real]] = starts.reshape(-1)[real]
+    sizes = plan.sizes if plan.sizes is not None else np.zeros(k)
+    phases = plan.phases if plan.phases else ("",) * k
+    last_phase: str | None = None
+    for j in range(k):
+        w = int(plan.workers[j])
+        ph = phases[j]
+        sz = float(sizes[j])
+        ss = float(send_end[j - 1]) if j else 0.0
+        if ph != last_phase:
+            tracer.emit(ss, "round_boundary", -1, chunk=j, phase=ph)
+            last_phase = ph
+        tracer.emit(ss, "dispatch_start", w, chunk=j, size=sz, phase=ph)
+        tracer.emit(float(send_end[j]), "dispatch_end", w, chunk=j, size=sz, phase=ph)
+        cs = float(comp_start[j])
+        tracer.emit(cs, "comp_start", w, chunk=j, size=sz, phase=ph)
+        tracer.emit(
+            cs + float(comp_dur[j]), "comp_end", w, chunk=j, size=sz, phase=ph
+        )
+
+
 def simulate_static_cells(
     cells: "typing.Sequence[StaticCell]",
     mode: str = "multiply",
     min_ratio: float = MIN_RATIO,
     perf=None,
+    tracers=None,
 ) -> list:
     """Simulate a whole grid of static cells in one stacked pass.
 
@@ -322,15 +335,22 @@ def simulate_static_cells(
     the scalar engines re-deriving identical streams from the seed.
 
     Deterministic fault-free cells (``error == 0`` and no faults)
-    collapse to a single simulated row broadcast over their seeds,
-    mirroring :func:`simulate_static_batch`'s shortcut.  Fault cells
-    keep one row per seed — their schedules differ — and follow the
-    scalar fault semantics vectorized (see the module docstring).
+    collapse to a single simulated row broadcast over their seeds (no
+    RNG is spawned for them).  Fault cells keep one row per seed — their
+    schedules differ — and follow the scalar fault semantics vectorized
+    (see the module docstring).
 
     ``perf``, when given, is a mutable mapping accumulating fault-engine
     wall-time counters across calls: ``fault_sample_s`` plus the
     per-kind transform times ``fault_crash_s`` / ``fault_pause_s`` /
     ``fault_slow_s`` / ``fault_spike_s``.
+
+    ``tracers``, when given, parallels ``cells``: each entry is ``None``
+    or a sequence of one :class:`repro.obs.Tracer` (or ``None``) per seed
+    of that cell, receiving that repetition's event stream.  Phase labels
+    come from the compiled plan's round indices (``"round{r}"``) rather
+    than scheduler-specific names, and timelines are extracted only for
+    traced rows.  Fault cells cannot be traced (use the scalar engine).
 
     Returns one makespan array per cell, in input order, each of shape
     ``(len(cell.seeds),)``.
@@ -340,6 +360,7 @@ def simulate_static_cells(
     cells = list(cells)
     if not cells:
         return []
+    traced = _traced_rows(cells, tracers)
     # Clean deterministic cells need only one representative row.
     row_counts = [
         1 if (c.error == 0.0 and c.faults is None) else len(c.seeds) for c in cells
@@ -350,6 +371,8 @@ def simulate_static_cells(
     n_max = max(c.plan.num_workers for c in cells)
     if k_max == 0:
         return [np.zeros(len(c.seeds)) for c in cells]
+    # Grid rows of the traced repetitions (a collapsed cell's one row).
+    trace_rows = [int(offsets[i]) + min(s, row_counts[i] - 1) for i, s, _ in traced]
 
     # Per-cell padded prediction arrays, row-expanded over repetitions.
     link_pred = np.zeros((len(cells), k_max))
@@ -471,6 +494,8 @@ def simulate_static_cells(
     dur_g = np.take_along_axis(dur_pad, gidx, axis=1).reshape(rows, n_max, d_max)
 
     busy = np.zeros((rows, n_max))
+    # Compute starts of the traced rows, in the (workers, depth) layout.
+    starts_g = np.empty((len(trace_rows), n_max, d_max)) if traced else None
     if not (any_crash or any_pause or any_slow):
         # Clean recurrence — also taken by fault grids whose rows need
         # no compute-side transform (e.g. spike-only, already folded
@@ -478,6 +503,8 @@ def simulate_static_cells(
         # delivered chunks equals the busy-chain max bitwise.
         for d in range(d_max):
             np.maximum(busy, arr_g[:, :, d], out=busy)
+            if starts_g is not None:
+                starts_g[:, :, d] = busy[trace_rows]
             busy += dur_g[:, :, d]
         # Worker chain ends are monotone, so the final busy time per
         # worker is its chain maximum and the row max is the makespan.
@@ -488,6 +515,8 @@ def simulate_static_cells(
         for d in range(d_max):
             v = vmask[:, :, d]
             start = np.maximum(busy, arr_g[:, :, d])
+            if starts_g is not None:
+                starts_g[:, :, d] = start[trace_rows]
             dur = dur_g[:, :, d]
             if any_pause:
                 # Pause window first, then slowdown onset — the scalar
@@ -541,6 +570,17 @@ def simulate_static_cells(
         perf["fault_pause_s"] = perf.get("fault_pause_s", 0.0) + t_pause
         perf["fault_slow_s"] = perf.get("fault_slow_s", 0.0) + t_slow
 
+    if traced:
+        # send_start_j is exactly send_end_{j-1} (the scalar engines' link
+        # chain), not send_end_j - link_j: (a + b) - b != a in floats.
+        send_end = np.cumsum(link_eff[trace_rows], axis=1)
+        for (i, _, tracer), r, row, starts in zip(
+            traced, trace_rows, send_end, starts_g
+        ):
+            _emit_static_trace(
+                tracer, cells[i].plan, row, dur_pad[r], starts, gidx[r]
+            )
+
     out = []
     for i, c in enumerate(cells):
         part = mspan[offsets[i] : offsets[i + 1]]
@@ -549,184 +589,3 @@ def simulate_static_cells(
         else:
             out.append(part.copy())
     return out
-
-
-def simulate_static_batch(
-    platform: PlatformSpec,
-    plan: "ChunkPlan | CompiledStaticPlan",
-    error: float,
-    seeds: "np.ndarray | list[int]",
-    min_ratio: float = MIN_RATIO,
-    mode: str = "multiply",
-    factors: tuple[np.ndarray, np.ndarray] | None = None,
-    tracers: "typing.Sequence | None" = None,
-    faults: "FaultModel | None" = None,
-) -> np.ndarray:
-    """Makespans of one static plan under R independent error draws.
-
-    Parameters
-    ----------
-    platform:
-        The master-worker platform.
-    plan:
-        A static dispatch sequence (e.g. ``solve_umr(...).to_chunk_plan()``),
-        or its :func:`compile_static_plan` lowering when the same plan is
-        simulated at many error levels.
-    error:
-        Truncated-normal error magnitude (0 = deterministic).
-    seeds:
-        One seed per repetition; each spawns the same (comm, comp) stream
-        pair the scalar engines use.
-    mode:
-        ``"multiply"`` (default) or ``"divide"`` perturbation direction.
-    factors:
-        Optional precomputed ``(comm, comp)`` matrices from
-        :func:`draw_factor_matrices` with at least ``K`` columns (extra
-        columns are ignored); lets callers share one draw across several
-        plans under the same seeds.  The ``mode`` inversion is applied
-        here, so pass raw factors.
-    tracers:
-        Optional sequence of one :class:`repro.obs.Tracer` (or ``None``)
-        per seed; each non-None entry receives its repetition's event
-        stream.  Phase labels come from the compiled plan's round indices
-        (``"round{r}"``) rather than scheduler-specific names, and timeline
-        values are extracted from the batch arrays only for traced rows —
-        the untraced path allocates nothing extra.
-    faults:
-        Optional fault model; the call is delegated to
-        :func:`simulate_static_cells` as a one-cell grid (so each seed
-        realizes its own schedule from its third spawned stream, exactly
-        like the scalar engine).  Incompatible with ``factors`` and
-        ``tracers``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Makespan per seed, shape ``(len(seeds),)``.
-    """
-    if mode not in ("multiply", "divide"):
-        raise ValueError(f"unknown perturbation mode {mode!r}")
-    if not isinstance(plan, CompiledStaticPlan):
-        plan = compile_static_plan(platform, plan)
-    if faults is not None:
-        if factors is not None:
-            raise ValueError(
-                "faults= cannot be combined with shared factor matrices: "
-                "fault cells are never factor-shared (each row's schedule "
-                "realization is seed-specific)"
-            )
-        if tracers is not None and any(t is not None for t in tracers):
-            raise ValueError(
-                "faults= does not support tracing; use the scalar engine "
-                "for traced fault runs"
-            )
-        cell = StaticCell(
-            platform=platform,
-            plan=plan,
-            error=error,
-            seeds=tuple(int(s) for s in seeds),
-            faults=faults,
-        )
-        return simulate_static_cells([cell], mode=mode, min_ratio=min_ratio)[0]
-    k = plan.num_chunks
-    if k == 0:
-        return np.zeros(len(seeds))
-    workers = plan.workers
-    link_pred = plan.link_pred
-    comp_pred = plan.comp_pred
-    tlat = plan.tlat
-
-    if error == 0.0:
-        # Deterministic: every repetition is the same run.  Simulate one
-        # row (no RNG is spawned at all) and broadcast.
-        comm_factors = np.ones((1, k))
-        comp_factors = comm_factors
-    else:
-        if factors is not None:
-            comm_factors, comp_factors = factors
-            if comm_factors.shape[0] != len(seeds):
-                raise ValueError(
-                    f"shared factor matrices have {comm_factors.shape[0]} "
-                    f"rows but {len(seeds)} seeds were given — one row "
-                    "per repetition seed is required"
-                )
-            if comm_factors.shape[1] < k:
-                raise ValueError(
-                    f"shared factor matrices have {comm_factors.shape[1]} "
-                    f"columns < plan's {k} chunks"
-                )
-            comm_factors = comm_factors[:, :k]
-            comp_factors = comp_factors[:, :k]
-        else:
-            comm_factors, comp_factors = draw_factor_matrices(
-                seeds, k, error, min_ratio
-            )
-        if mode == "divide":
-            comm_factors = 1.0 / comm_factors
-            comp_factors = 1.0 / comp_factors
-    r = comm_factors.shape[0]
-
-    tracing = tracers is not None and any(t is not None for t in tracers)
-
-    link_eff = link_pred[None, :] * comm_factors
-    send_end = np.cumsum(link_eff, axis=1)
-    arrival = send_end + tlat[None, :]
-    comp_dur = comp_pred[None, :] * comp_factors
-
-    busy = np.zeros((r, plan.num_workers))
-    if tracing:
-        makespan = np.zeros(r)
-        comp_starts = np.empty((r, k))
-        for j in range(k):
-            w = workers[j]
-            start = np.maximum(arrival[:, j], busy[:, w])
-            end = start + comp_dur[:, j]
-            busy[:, w] = end
-            np.maximum(makespan, end, out=makespan)
-            comp_starts[:, j] = start
-    else:
-        # Depth-major recurrence (see _worker_layout): worker chains are
-        # independent, so the loop needs only max-chunks-per-worker steps.
-        bw = plan.worker_layout
-        idx = np.where(bw >= 0, bw, k)
-        arr_g = np.concatenate([arrival, np.full((r, 1), -np.inf)], axis=1)[:, idx]
-        dur_g = np.concatenate([comp_dur, np.zeros((r, 1))], axis=1)[:, idx]
-        for d in range(bw.shape[1]):
-            np.maximum(busy, arr_g[:, :, d], out=busy)
-            busy += dur_g[:, :, d]
-        makespan = busy.max(axis=1)
-
-    if tracing:
-        # send_start_j is exactly send_end_{j-1} (the scalar engines' link
-        # chain), not send_end_j - link_j: (a + b) - b != a in floats.
-        send_start = np.concatenate([np.zeros((r, 1)), send_end[:, :-1]], axis=1)
-        sizes = plan.sizes if plan.sizes is not None else np.zeros(k)
-        phases = plan.phases if plan.phases else ("",) * k
-        for i, tracer in enumerate(tracers):
-            if tracer is None:
-                continue
-            # At error 0 only one broadcast row was simulated.
-            row = min(i, r - 1)
-            last_phase: str | None = None
-            for j in range(k):
-                w = int(workers[j])
-                ph = phases[j]
-                sz = float(sizes[j])
-                ss = float(send_start[row, j])
-                if ph != last_phase:
-                    tracer.emit(ss, "round_boundary", -1, chunk=j, phase=ph)
-                    last_phase = ph
-                tracer.emit(ss, "dispatch_start", w, chunk=j, size=sz, phase=ph)
-                tracer.emit(
-                    float(send_end[row, j]), "dispatch_end", w,
-                    chunk=j, size=sz, phase=ph,
-                )
-                cs = float(comp_starts[row, j])
-                tracer.emit(cs, "comp_start", w, chunk=j, size=sz, phase=ph)
-                tracer.emit(
-                    cs + float(comp_dur[row, j]), "comp_end", w,
-                    chunk=j, size=sz, phase=ph,
-                )
-    if r == 1 and len(seeds) != 1:
-        return np.full(len(seeds), makespan[0])
-    return makespan

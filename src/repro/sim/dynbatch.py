@@ -94,7 +94,6 @@ from repro.sim.fastsim import simulate_fast
 __all__ = [
     "BatchArena",
     "DynamicCell",
-    "simulate_dynamic_batch",
     "simulate_dynamic_cells",
 ]
 
@@ -992,38 +991,3 @@ def simulate_dynamic_cells(
             batch.append((idx, spec))
             batch_rows += rows
     return outputs
-
-
-def simulate_dynamic_batch(
-    platform: PlatformSpec,
-    scheduler: Scheduler,
-    total_work: float,
-    error: float,
-    seeds,
-    mode: str = "multiply",
-    min_ratio: float = MIN_RATIO,
-    tracers=None,
-    faults: "FaultModel | None" = None,
-) -> np.ndarray:
-    """Makespans of one batch-dynamic scheduler under R paired error draws.
-
-    The single-cell entry point: one (platform, error) cell, one seed per
-    repetition, same stream contract as the scalar engine (see the module
-    docstring).  ``tracers`` is one :class:`repro.obs.Tracer` (or ``None``)
-    per seed; ``faults`` injects a fault scenario into every repetition.
-    Returns an array of shape ``(len(seeds),)``.
-    """
-    cell = DynamicCell(
-        platform=platform,
-        scheduler=scheduler,
-        total_work=total_work,
-        error=error,
-        seeds=tuple(int(s) for s in seeds),
-        faults=faults,
-    )
-    return simulate_dynamic_cells(
-        [cell],
-        mode=mode,
-        min_ratio=min_ratio,
-        tracers=None if tracers is None else [tracers],
-    )[0]

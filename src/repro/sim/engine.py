@@ -28,11 +28,14 @@ at the exact crash float) reports chunks already queued on the worker, and
 a per-chunk announcer riding the ``tLat`` tail reports chunks still in
 flight.
 
-Non-star topologies (:mod:`repro.platform.topology`) extend the process
-graph honestly.  Chains and trees add one *relay* process per serialized
-relay link: a FIFO inbox feeds it chunks (in dispatch order, because the
-master link upstream is serialized), it holds the link for the hop time,
-emits a ``link_hop`` event, and forwards to the next hop or the terminal
+Every transfer follows its worker's
+:class:`~repro.platform.topology.LinkPath`
+(:mod:`repro.platform.topology`); the paper's star is the zero-hop path,
+whose chunks go straight from link release to the ``tLat`` delivery.
+Chains and trees add one *relay* process per serialized relay link: a
+FIFO inbox feeds it chunks (in dispatch order, because the master link
+upstream is serialized), it holds the link for the hop time, emits a
+``link_hop`` event, and forwards to the next hop or the terminal
 delivery stage.  The master still predicts the whole timeline at
 dispatch via the same :meth:`~repro.platform.topology.LinkPath.traverse`
 arithmetic the fast engine uses — relay ``max``/``+`` chains realize the
@@ -68,12 +71,12 @@ from repro.core.base import (
     Scheduler,
 )
 from repro.core.chunks import DispatchRecord
-from repro.des import Environment, Event, Monitor, Store
+from repro.des import Environment, Event, Store
 from repro.errors.faults import FaultModel, FaultSchedule
 from repro.errors.models import ErrorModel
 from repro.errors.rng import spawn_rngs
 from repro.platform.spec import PlatformSpec
-from repro.platform.topology import RelayHop, StarTopology, make_topology
+from repro.platform.topology import LinkPath, RelayHop, make_topology
 from repro.sim.result import SimResult
 
 __all__ = ["simulate_des"]
@@ -315,7 +318,6 @@ def simulate_des(
     scheduler: Scheduler,
     error_model: ErrorModel,
     seed: int | None = None,
-    trace: Monitor | None = None,
     faults: FaultModel | None = None,
     tracer=None,
     topology=None,
@@ -323,7 +325,7 @@ def simulate_des(
     """Simulate one run with the DES engine (see module docstring).
 
     ``faults`` matches :func:`repro.sim.fastsim.simulate_fast`: ``None``
-    keeps the legacy two-stream path; a model spawns a third stream,
+    keeps the fault-free two-stream path; a model spawns a third stream,
     realizes one :class:`FaultSchedule`, and injects it.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) receives the run's typed
@@ -332,24 +334,16 @@ def simulate_des(
     that realizes it (workers, delivery tails, crash watchers), so the
     stream certifies the DES kernel's actual execution; the two engines'
     *canonical* streams are equal exactly when their trajectories are.
-    ``trace`` is the legacy low-level :class:`Monitor` hook, kept for the
-    kernel's own regression tests.
 
     ``topology`` (a spec string or :class:`~repro.platform.topology.
-    Topology`) routes transfers through a non-star interconnect: chains
-    and trees add relay processes, ``sharedbw`` replaces the serialized
-    link with a :class:`_SharedLink`.  ``None`` or a star keeps the
-    exact legacy code path.  ``sharedbw`` with ``faults`` raises (see
-    the module docstring).
+    Topology`) picks the interconnect; ``None`` means the paper's star.
+    Chains and trees add relay processes, ``sharedbw`` replaces the
+    serialized link with a :class:`_SharedLink`.  ``sharedbw`` with
+    ``faults`` raises (see the module docstring).
     """
-    topo = None
-    if topology is not None:
-        topo = make_topology(topology)
-        if isinstance(topo, StarTopology):
-            topo.bind(platform)  # validate n=..., then take the legacy path
-            topo = None
-    bound = topo.bind(platform) if topo is not None else None
-    sharedbw = bound is not None and bound.kind == "sharedbw"
+    topo = make_topology(topology)
+    bound = topo.bind(platform)
+    sharedbw = bound.kind == "sharedbw"
     if sharedbw and faults is not None:
         raise ValueError(
             "fault injection is not supported on sharedbw topologies: loss "
@@ -363,11 +357,8 @@ def simulate_des(
             schedule = None
     else:
         rng_comm, rng_comp = spawn_rngs(seed, 2)
-    source = scheduler.create_source(
-        platform if topo is None else topo.effective_platform(platform), total_work
-    )
+    source = scheduler.create_source(topo.effective_platform(platform), total_work)
     env = Environment()
-    monitor = trace if trace is not None else Monitor(enabled=False)
     tr = tracer if tracer is not None else _NullTracer()
     n = platform.N
 
@@ -375,9 +366,8 @@ def simulate_des(
     completions = Store(env)
     view = _DesView(env, n, schedule.crash_times if schedule is not None else None)
     records: list[DispatchRecord | None] = []
-    deliveries: list = []  # delivery processes, joined before shutdown
     # Chunks dispatched but not yet announced complete or lost (deadlock
-    # detection).
+    # detection and the final drain).
     outstanding = [0]
     work_lost = [0.0]
     # Mirror of the fast engine's busy-until chain: lets the master price a
@@ -392,10 +382,8 @@ def simulate_des(
     watch_fired = [False] * n
     # Topology plumbing: one FIFO inbox per serialized relay link, plus the
     # master-side prediction mirror of the relay busy chains (the analogue
-    # of pred_busy for links).  Empty on the legacy star path.
-    relay_inboxes: list[Store] = (
-        [Store(env) for _ in range(bound.num_relay_links)] if bound is not None else []
-    )
+    # of pred_busy for links).  Empty on the star.
+    relay_inboxes: list[Store] = [Store(env) for _ in range(bound.num_relay_links)]
     relay_busy: list[float] = [0.0] * len(relay_inboxes)
     shared_link = _SharedLink(env, bound.cap) if sharedbw else None
 
@@ -405,14 +393,12 @@ def simulate_des(
             if msg is _POISON:
                 return
             comp_start = env.now
-            monitor.record(comp_start, "compute_start", index, chunk=msg.index, size=msg.size)
             tr.emit(
                 comp_start, "comp_start", index,
                 chunk=msg.index, size=msg.size, phase=msg.phase,
             )
             yield env.timeout(msg.comp_time)
             comp_end = env.now
-            monitor.record(comp_end, "compute_end", index, chunk=msg.index, size=msg.size)
             tr.emit(
                 comp_end, "comp_end", index,
                 chunk=msg.index, size=msg.size, phase=msg.phase,
@@ -427,7 +413,6 @@ def simulate_des(
     def delivery_proc(worker: int, msg: _ChunkMsg, t_lat: float):
         if t_lat > 0:
             yield env.timeout(t_lat)
-        monitor.record(env.now, "arrival", worker, chunk=msg.index, size=msg.size)
         rec = records[msg.index]
         assert rec is not None
         records[msg.index] = dataclasses.replace(rec, arrival=env.now)
@@ -438,7 +423,6 @@ def simulate_des(
         # the (would-have-been) arrival instant, send_end + tLat.
         if t_lat > 0:
             yield env.timeout(t_lat)
-        monitor.record(env.now, "chunk_lost", worker, chunk=idx, size=size)
         tr.emit(env.now, "fault", worker, chunk=idx, size=size, phase=phase, detail="loss")
         completions.put(("lost", worker, idx, size, env.now))
 
@@ -468,7 +452,6 @@ def simulate_des(
                 return
             hop = rmsg.hops[rmsg.hop_idx]
             yield env.timeout(hop.hop_time(rmsg.size))
-            monitor.record(env.now, "link_hop", rmsg.worker, chunk=rmsg.index, size=rmsg.size)
             tr.emit(
                 env.now, "link_hop", rmsg.worker,
                 chunk=rmsg.index, size=rmsg.size, phase=rmsg.phase,
@@ -489,7 +472,6 @@ def simulate_des(
         # ordinary tLat delivery.
         yield done
         send_end = env.now
-        monitor.record(send_end, "send_end", worker, chunk=index, size=size)
         tr.emit(
             send_end, "dispatch_end", worker, chunk=index, size=size, phase=phase
         )
@@ -499,8 +481,19 @@ def simulate_des(
         msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=phase)
         yield from delivery_proc(worker, msg, t_lat)
 
-    def route_relay(rmsg: _RelayMsg) -> None:
-        # First hop's inbox, or straight to the tail for hop-free paths.
+    def route_relay(
+        path: LinkPath, worker: int, index: int, size: float, phase: str,
+        t_lat: float, terminal: str, chunk_msg: "_ChunkMsg | None" = None,
+    ) -> None:
+        # First hop's inbox, or straight to the tail for hop-free paths
+        # (the star, cut-through chains, tree roots).
+        rmsg = _RelayMsg(
+            worker=worker, index=index, size=size, phase=phase,
+            hops=path.hops, hop_idx=0,
+            tail_time=path.tail_time(size) if path.has_tail else 0.0,
+            has_tail=path.has_tail, t_lat=t_lat,
+            terminal=terminal, chunk_msg=chunk_msg,
+        )
         if rmsg.hops:
             relay_inboxes[rmsg.hops[0].resource].put(rmsg)
         else:
@@ -511,11 +504,9 @@ def simulate_des(
         # float; its early insertion sequence also makes it run before any
         # master activity at the same timestamp.
         yield env.timeout(t_crash)
-        monitor.record(env.now, "crash", worker)
         tr.emit(t_crash, "fault", worker, detail="crash")
         watch_fired[worker] = True
         for idx, size, phase in crash_pending[worker]:
-            monitor.record(env.now, "chunk_lost", worker, chunk=idx, size=size)
             tr.emit(
                 t_crash, "fault", worker, chunk=idx, size=size, phase=phase, detail="loss"
             )
@@ -589,9 +580,6 @@ def simulate_des(
                 error_model.advance()
                 index = len(records)
                 send_start = env.now
-                monitor.record(
-                    send_start, "send_start", action.worker, chunk=index, size=size
-                )
                 tr.emit(
                     send_start, "dispatch_start", action.worker,
                     chunk=index, size=size, phase=action.phase,
@@ -622,11 +610,8 @@ def simulate_des(
                     )
                 )
                 continue
-            path = bound.paths[action.worker] if bound is not None else None
-            if path is None:
-                link_time = error_model.perturb(spec.link_time(size), rng_comm)
-            else:
-                link_time = error_model.perturb(path.occupancy_time(size), rng_comm)
+            path = bound.paths[action.worker]
+            link_time = error_model.perturb(path.occupancy_time(size), rng_comm)
             if schedule is not None:
                 link_time += schedule.link_extra(rng_fault)
             comp_time = error_model.perturb(spec.compute_time(size), rng_comp)
@@ -638,11 +623,7 @@ def simulate_des(
             # the same `a + b` float operations (relay hops included: the
             # relay processes realize traverse()'s max/+ chains exactly).
             send_end_pred = send_start + link_time
-            if path is None:
-                arrival_pred = send_end_pred + spec.tLat
-            else:
-                relay_end_pred = path.traverse(size, send_end_pred, relay_busy)
-                arrival_pred = relay_end_pred + spec.tLat
+            arrival_pred = path.traverse(size, send_end_pred, relay_busy) + spec.tLat
             comp_start_pred = max(arrival_pred, pred_busy[action.worker])
             if schedule is not None:
                 comp_time = schedule.compute_duration(
@@ -657,7 +638,6 @@ def simulate_des(
             loss_time = (
                 max(schedule.crash_times[action.worker], arrival_pred) if lost else -1.0
             )
-            monitor.record(send_start, "send_start", action.worker, chunk=index, size=size)
             tr.emit(
                 send_start, "dispatch_start", action.worker,
                 chunk=index, size=size, phase=action.phase,
@@ -685,29 +665,12 @@ def simulate_des(
                 if arrival_pred > t_crash:
                     # Still in flight at the crash: announced at arrival.
                     yield env.timeout(link_time)
-                    monitor.record(env.now, "send_end", action.worker, chunk=index, size=size)
                     tr.emit(
                         env.now, "dispatch_end", action.worker,
                         chunk=index, size=size, phase=action.phase,
                     )
-                    if path is None:
-                        deliveries.append(
-                            env.process(
-                                loss_announce_proc(
-                                    action.worker, index, size, action.phase, spec.tLat
-                                )
-                            )
-                        )
-                    else:
-                        route_relay(
-                            _RelayMsg(
-                                worker=action.worker, index=index, size=size,
-                                phase=action.phase, hops=path.hops, hop_idx=0,
-                                tail_time=path.tail_time(size) if path.has_tail else 0.0,
-                                has_tail=path.has_tail, t_lat=spec.tLat,
-                                terminal="loss", chunk_msg=None,
-                            )
-                        )
+                    route_relay(path, action.worker, index, size, action.phase,
+                                spec.tLat, "loss")
                 else:
                     # Queued on the worker at the crash: announced by the
                     # crash watch at the crash instant itself (or now, in
@@ -722,27 +685,18 @@ def simulate_des(
                     else:
                         crash_pending[action.worker].append((index, size, action.phase))
                     yield env.timeout(link_time)
-                    monitor.record(env.now, "send_end", action.worker, chunk=index, size=size)
                     tr.emit(
                         env.now, "dispatch_end", action.worker,
                         chunk=index, size=size, phase=action.phase,
                     )
-                    if path is not None:
+                    if path.hops:
                         # Ghost ride: the chunk was priced through the relay
                         # busy chains, so it must still occupy them.
-                        route_relay(
-                            _RelayMsg(
-                                worker=action.worker, index=index, size=size,
-                                phase=action.phase, hops=path.hops, hop_idx=0,
-                                tail_time=path.tail_time(size) if path.has_tail else 0.0,
-                                has_tail=path.has_tail, t_lat=spec.tLat,
-                                terminal="drop", chunk_msg=None,
-                            )
-                        )
+                        route_relay(path, action.worker, index, size, action.phase,
+                                    spec.tLat, "drop")
                 continue
             yield env.timeout(link_time)
             send_end = env.now
-            monitor.record(send_end, "send_end", action.worker, chunk=index, size=size)
             tr.emit(
                 send_end, "dispatch_end", action.worker,
                 chunk=index, size=size, phase=action.phase,
@@ -751,34 +705,15 @@ def simulate_des(
             assert rec is not None
             records[index] = dataclasses.replace(rec, send_end=send_end)
             msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=action.phase)
-            if path is None:
-                deliveries.append(env.process(delivery_proc(action.worker, msg, spec.tLat)))
-            else:
-                route_relay(
-                    _RelayMsg(
-                        worker=action.worker, index=index, size=size,
-                        phase=action.phase, hops=path.hops, hop_idx=0,
-                        tail_time=path.tail_time(size) if path.has_tail else 0.0,
-                        has_tail=path.has_tail, t_lat=spec.tLat,
-                        terminal="deliver", chunk_msg=msg,
-                    )
-                )
-        if bound is None:
-            # All work dispatched.  Deliveries may still be riding their tLat
-            # pipeline tails — poisoning the inboxes now would overtake them,
-            # so join every delivery first, then let the workers drain and
-            # stop.
-            for delivery in deliveries:
-                if not delivery.processed:
-                    yield delivery
-        else:
-            # Topology runs realize deliveries inside relay/shared-link
-            # processes the master holds no handles to; every chunk
-            # eventually announces done or lost, so drain the outstanding
-            # count instead.
-            while outstanding[0] > 0:
-                msg = yield completions.get()
-                apply_note(*msg)
+            route_relay(path, action.worker, index, size, action.phase,
+                        spec.tLat, "deliver", msg)
+        # All work dispatched.  Deliveries may still be riding their paths
+        # and tLat tails — poisoning the inboxes now would overtake them.
+        # Every chunk eventually announces done or lost, so drain the
+        # outstanding count, then let the workers stop.
+        while outstanding[0] > 0:
+            msg = yield completions.get()
+            apply_note(*msg)
         for inbox in inboxes:
             inbox.put(_POISON)
         for inbox in relay_inboxes:
@@ -807,5 +742,5 @@ def simulate_des(
         scheduler_name=scheduler.name,
         seed=seed,
         work_lost=work_lost[0],
-        topology=str(topo) if topo is not None else "star",
+        topology=str(topo),
     )

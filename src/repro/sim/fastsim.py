@@ -17,14 +17,16 @@ their worker's crash are *lost* — they free the pending set at
 ``max(crash_time, arrival)`` via a :class:`~repro.core.base.LossNote`,
 deliver no work, and do not extend the makespan.
 
-Non-star topologies (see :mod:`repro.platform.topology`) ride the same
-loop: because relay links are deterministic FIFO resources fed in
+Every transfer follows its worker's
+:class:`~repro.platform.topology.LinkPath` (see
+:mod:`repro.platform.topology`): the master-link occupancy, then the
+relay hops.  Because relay links are deterministic FIFO resources fed in
 dispatch order, each chunk's whole relay traversal has a closed form —
 :meth:`~repro.platform.topology.LinkPath.traverse` advances per-resource
 busy chains exactly like ``worker_busy_until`` advances workers.  The
-star topology bypasses all of it (bitwise-identical legacy path), and
-``sharedbw`` is declined: fluid bandwidth sharing has no closed-form
-recurrence, so it lives in the DES engine only.
+paper's star is the zero-hop path.  ``sharedbw`` is declined: fluid
+bandwidth sharing has no closed-form recurrence, so it lives in the DES
+engine only.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.errors.faults import FaultModel, FaultSchedule
 from repro.errors.models import ErrorModel
 from repro.errors.rng import spawn_rngs
 from repro.platform.spec import PlatformSpec
-from repro.platform.topology import StarTopology, TopologyError, make_topology
+from repro.platform.topology import TopologyError, make_topology
 from repro.sim.result import SimResult
 
 __all__ = ["simulate_fast"]
@@ -203,31 +205,25 @@ def simulate_fast(
     ``faults`` enables fault injection: a third RNG stream realizes the
     model's :class:`FaultSchedule` before the first dispatch.  Passing
     ``None`` (not merely :class:`~repro.errors.faults.NoFaults`) keeps the
-    run on the exact legacy code path with two streams.
+    run on the fault-free code path with two streams.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) receives the run's event
     stream; ``None`` (the default) skips all emission work.
 
     ``topology`` (a spec string or :class:`~repro.platform.topology.
-    Topology`) routes transfers through a non-star interconnect; ``None``
-    or a star keeps the exact legacy code path.  Chains and trees have
-    closed-form relay recurrences handled here; ``sharedbw`` raises
-    :class:`TopologyError` (DES only — :func:`repro.sim.result.simulate`
-    routes it automatically).
+    Topology`) picks the interconnect; ``None`` means the paper's star.
+    Chains and trees have closed-form relay recurrences handled here;
+    ``sharedbw`` raises :class:`TopologyError` (DES only —
+    :func:`repro.sim.result.simulate` routes it automatically).
     """
-    topo = None
-    if topology is not None:
-        topo = make_topology(topology)
-        if isinstance(topo, StarTopology):
-            topo.bind(platform)  # validate n=..., then take the legacy path
-            topo = None
-        elif topo.kind == "sharedbw":
-            raise TopologyError(
-                "shared-bandwidth topologies have no closed-form recurrence; "
-                "use the DES engine (simulate(..., engine='des') routes this)"
-            )
-    bound = topo.bind(platform) if topo is not None else None
-    relay_busy: list[float] = [0.0] * (bound.num_relay_links if bound else 0)
+    topo = make_topology(topology)
+    if topo.kind == "sharedbw":
+        raise TopologyError(
+            "shared-bandwidth topologies have no closed-form recurrence; "
+            "use the DES engine (simulate(..., engine='des') routes this)"
+        )
+    bound = topo.bind(platform)
+    relay_busy: list[float] = [0.0] * bound.num_relay_links
     schedule: FaultSchedule | None = None
     if faults is not None:
         rng_comm, rng_comp, rng_fault = spawn_rngs(seed, 3)
@@ -236,10 +232,9 @@ def simulate_fast(
             schedule = None
     else:
         rng_comm, rng_comp = spawn_rngs(seed, 2)
-    source = scheduler.create_source(
-        platform if topo is None else topo.effective_platform(platform), total_work
-    )
+    source = scheduler.create_source(topo.effective_platform(platform), total_work)
     workers = platform.workers
+    paths = bound.paths
     n = platform.N
 
     view = _FastView(n, schedule.crash_times if schedule is not None else None)
@@ -307,22 +302,13 @@ def simulate_fast(
         last_phase = action.phase
 
         send_start = now
-        path = None if bound is None else bound.paths[action.worker]
-        if path is None:
-            link_time = error_model.perturb(spec.link_time(size), rng_comm)
-        else:
-            link_time = error_model.perturb(path.occupancy_time(size), rng_comm)
+        path = paths[action.worker]
+        link_time = error_model.perturb(path.occupancy_time(size), rng_comm)
         if schedule is not None:
             link_time += schedule.link_extra(rng_fault)
         send_end = send_start + link_time
-        if path is None:
-            arrival = send_end + spec.tLat
-        else:
-            hop_ends: list[tuple[int, float]] | None = (
-                [] if tracer is not None else None
-            )
-            relay_end = path.traverse(size, send_end, relay_busy, hop_ends)
-            arrival = relay_end + spec.tLat
+        hop_ends: list[tuple[int, float]] | None = [] if tracer is not None else None
+        arrival = path.traverse(size, send_end, relay_busy, hop_ends) + spec.tLat
 
         comp_start = max(arrival, worker_busy_until[action.worker])
         comp_time = error_model.perturb(spec.compute_time(size), rng_comp)
@@ -358,7 +344,7 @@ def simulate_fast(
                 send_end, "dispatch_end", action.worker,
                 chunk=num_dispatched, size=size, phase=action.phase,
             )
-            if path is not None and hop_ends:
+            if hop_ends:
                 for res, t_hop in hop_ends:
                     tracer.emit(
                         t_hop, "link_hop", action.worker,
@@ -407,5 +393,5 @@ def simulate_fast(
         scheduler_name=scheduler.name,
         seed=seed,
         work_lost=work_lost,
-        topology=str(topo) if topo is not None else "star",
+        topology=str(topo),
     )

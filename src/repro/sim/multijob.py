@@ -48,26 +48,18 @@ bitwise conformance of the degenerate cases).
 
 Faults in streams
 -----------------
-Under the default ``fault_frame="stream"`` the fault model is realized
-**once** on the absolute stream clock (a :class:`~repro.errors.faults.
-StreamFaultSchedule`, sampled from the stream seed's third spawned RNG
-child) and each service grant sees the *projection* of that one timeline
-into its own frame: crash/pause/slowdown state carries across jobs, and
-a worker that crashed during job ``k`` dispatches zero chunks to any job
-``j > k``.  A :class:`PlatformHealth` tracker observes the per-grant
-loss ledgers (and the master's crash watchers) and excludes dead workers
-at admission; a job whose candidate set is wholly dead is *failed* —
-never deadlocked — under a pluggable :class:`JobFailurePolicy`
-(``drop`` / ``retry`` with deterministic backoff / ``resubmit`` the
-undelivered remainder to the surviving workers).
-
-The legacy behavior — each per-job ``simulate()`` call re-realizing the
-fault model relative to its *own* start, so a permanently crashed worker
-resurrects for the next job, and (with ``policy="partitioned"``) worker
-indices are sampled against the per-job *subset* so "worker 3" names a
-different machine per job — is kept behind the explicit
-``fault_frame="job"`` escape hatch.  Fault-free streams take the exact
-pre-fault-plane code path and stay bitwise identical either way.
+The fault model is realized **once** on the absolute stream clock (a
+:class:`~repro.errors.faults.StreamFaultSchedule`, sampled from the
+stream seed's third spawned RNG child) and each service grant sees the
+*projection* of that one timeline into its own frame:
+crash/pause/slowdown state carries across jobs, and a worker that
+crashed during job ``k`` dispatches zero chunks to any job ``j > k``.  A
+:class:`PlatformHealth` tracker observes the per-grant loss ledgers (and
+the master's crash watchers) and excludes dead workers at admission; a
+job whose candidate set is wholly dead is *failed* — never deadlocked —
+under a pluggable :class:`JobFailurePolicy` (``drop`` / ``retry`` with
+deterministic backoff / ``resubmit`` the undelivered remainder to the
+surviving workers).  Fault-free streams build no plane at all.
 """
 
 from __future__ import annotations
@@ -206,7 +198,6 @@ class MultiJobResult:
     engine: str
     seed: int | None
     jobs: tuple[JobRecord, ...]
-    fault_frame: str = "stream"
     failure_policy: str = "drop"
     fault_spec: str = "none"
     stream_events: tuple[SimEvent, ...] = ()
@@ -620,8 +611,8 @@ class _StreamRuntime:
 
     Bundles the realized stream timeline, the health tracker, and the
     failure policy; collects the job-level stream-fault events.  With no
-    plane (fault-free streams, or ``fault_frame="job"``) it is inert and
-    the policies take the exact legacy code path.
+    plane (fault-free streams) it is inert and the policies take the
+    fault-free code path.
     """
 
     def __init__(
@@ -680,7 +671,7 @@ def _serve_exclusive(
     filtering, delivery-shortfall detection, and the failure policy's
     retry/resubmit machinery.  Returns the record plus the instant the
     candidate set becomes free again.  Without an active fault plane
-    this is exactly the legacy single-grant path.
+    this is exactly one grant on the whole candidate set.
     """
     if rt is None or not rt.active:
         result = run_job(job, job.work, candidates, seed0, start)
@@ -760,8 +751,7 @@ class StreamPolicy:
     and returns one :class:`JobRecord` per job; all simulation goes
     through the callback, so policies never touch engines directly.
     ``stream`` carries the fault-plane runtime (health tracker + failure
-    policy); ``None`` or an inactive runtime selects the exact legacy
-    fault-free path.
+    policy); ``None`` or an inactive runtime selects the fault-free path.
     """
 
     #: Spec-style name (used as the ``phase`` label of job events).
@@ -1129,7 +1119,6 @@ def simulate_stream(
     policy: "StreamPolicy | str" = "fcfs",
     engine: str = "fast",
     faults: "typing.Any | None" = None,
-    fault_frame: str = "stream",
     failure_policy: "JobFailurePolicy | str" = "drop",
     topology: "typing.Any | None" = None,
     error_model_factory: "typing.Callable[[], ErrorModel] | None" = None,
@@ -1153,14 +1142,13 @@ def simulate_stream(
     error:
         Prediction-error magnitude: each job slice runs under a fresh
         ``make_error_model("normal", error)`` (0 keeps the exact
-        :class:`~repro.errors.NoError` legacy path), and registry
+        :class:`~repro.errors.NoError` path), and registry
         schedulers receive it as their error estimate.
     seed:
         Stream-level seed: realizes an :class:`ArrivalProcess`, derives
-        the per-job seeds of arrivals that carry ``seed=None``, and —
-        under ``fault_frame="stream"`` — realizes the one stream fault
-        timeline (from its third spawned RNG child, the engines' fault
-        stream discipline).
+        the per-job seeds of arrivals that carry ``seed=None``, and
+        realizes the one stream fault timeline (from its third spawned
+        RNG child, the engines' fault stream discipline).
     policy:
         Inter-job policy (see :func:`make_stream_policy`).
     engine:
@@ -1168,23 +1156,15 @@ def simulate_stream(
         call.
     faults:
         Fault model or spec (see :func:`~repro.errors.faults.
-        make_fault_model`).  How it is realized depends on
-        ``fault_frame``.
-    fault_frame:
-        ``"stream"`` (default): realize **one** timeline on the absolute
-        stream clock and project it into every grant — crashes persist
+        make_fault_model`), realized as **one** timeline on the absolute
+        stream clock and projected into every grant — crashes persist
         across jobs, the health tracker excludes dead workers at
         admission, and ``failure_policy`` governs jobs that cannot
-        finish.  ``"job"``: the legacy escape hatch — every per-job
-        ``simulate()`` re-realizes the model relative to its own start,
-        so a crashed worker resurrects for the next job; with subset
-        policies the realization samples indices against the *subset*,
-        so "worker 3" names a different machine per job.  Fault-free
-        streams are bitwise identical under both frames.
+        finish.
     failure_policy:
         What to do with a grant that cannot run or falls short (see
         :func:`make_failure_policy`); only consulted under an active
-        ``fault_frame="stream"`` plane.
+        fault plane.
     topology:
         Interconnect spec forwarded to every per-job ``simulate()``;
         ``sharedbw`` is rejected with ``faults`` (matching the
@@ -1205,10 +1185,6 @@ def simulate_stream(
     from repro.platform.topology import make_topology
     from repro.sim.result import simulate
 
-    if fault_frame not in ("stream", "job"):
-        raise ValueError(
-            f"fault_frame must be 'stream' or 'job', got {fault_frame!r}"
-        )
     fault_model = make_fault_model(faults) if faults is not None else None
     if isinstance(fault_model, NoFaults):
         fault_model = None
@@ -1235,7 +1211,7 @@ def simulate_stream(
             return make_error_model("normal", error)
 
     plane: StreamFaultSchedule | None = None
-    if fault_model is not None and fault_frame == "stream":
+    if fault_model is not None:
         plane = StreamFaultSchedule.realize(fault_model, platform, seed)
         if not plane.any_faults:
             plane = None
@@ -1244,12 +1220,10 @@ def simulate_stream(
 
     def run_job(job, work, workers, job_run_seed, start):
         sub = platform if len(workers) == platform.N else platform.subset(workers)
-        job_faults = faults
-        if plane is not None:
-            job_faults = FrozenFaults(plane.project(workers, start))
-        elif fault_model is not None and fault_frame == "stream":
-            # The stream timeline realized all-clear: authoritative.
-            job_faults = None
+        # An all-clear stream timeline (plane None) is authoritative too.
+        job_faults = (
+            None if plane is None else FrozenFaults(plane.project(workers, start))
+        )
         return simulate(
             sub, work, sched, error_model_factory(), seed=job_run_seed,
             engine=engine, faults=job_faults, topology=topology,
@@ -1268,7 +1242,6 @@ def simulate_stream(
         engine=engine,
         seed=seed,
         jobs=records,
-        fault_frame=fault_frame,
         failure_policy=failure.name,
         fault_spec=fault_model.spec if fault_model is not None else "none",
         stream_events=tuple(health.events) + tuple(runtime.events),

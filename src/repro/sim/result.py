@@ -102,7 +102,6 @@ def simulate(
     error_model: ErrorModel | None = None,
     seed: int | None = None,
     engine: str = "fast",
-    trace: "typing.Any | None" = None,
     faults: "typing.Any | None" = None,
     tracer: "typing.Any | None" = None,
     topology: "typing.Any | None" = None,
@@ -124,9 +123,7 @@ def simulate(
         :class:`~repro.errors.NoError`.
     engine:
         ``"fast"`` (default) or ``"des"`` — identical results, different
-        machinery; the DES engine additionally fills ``trace`` if given.
-    trace:
-        Optional :class:`repro.des.Monitor` (DES engine only).
+        machinery.
     tracer:
         Optional :class:`repro.obs.Tracer`; both engines emit the run's
         typed event stream into it (see :mod:`repro.obs`).
@@ -138,8 +135,8 @@ def simulate(
     topology:
         Optional interconnect shape — a :class:`~repro.platform.topology.
         Topology` or a spec string like ``"chain:relay=sf"`` (see
-        :func:`repro.platform.make_topology`).  ``None`` or ``"star"``
-        keeps the legacy star path.  ``sharedbw`` shapes have no
+        :func:`repro.platform.make_topology`).  ``None`` means the paper's
+        star, the zero-hop path.  ``sharedbw`` shapes have no
         closed-form recurrence, so ``engine="fast"`` transparently routes
         them to the DES engine.
     """
@@ -159,25 +156,14 @@ def simulate(
 
         if isinstance(fault_model, NoFaults):
             fault_model = None
-    topo = make_topology(topology) if topology is not None else None
-    if engine == "fast":
-        if topo is not None and topo.kind == "sharedbw":
-            return simulate_des(
-                platform, total_work, scheduler, error_model, seed, trace,
-                faults=fault_model, tracer=tracer, topology=topo,
-            )
-        if trace is not None:
-            raise ValueError("trace monitors require engine='des'")
-        return simulate_fast(
-            platform, total_work, scheduler, error_model, seed,
-            faults=fault_model, tracer=tracer, topology=topo,
-        )
-    if engine == "des":
-        return simulate_des(
-            platform, total_work, scheduler, error_model, seed, trace,
-            faults=fault_model, tracer=tracer, topology=topo,
-        )
-    raise ValueError(f"unknown engine {engine!r}")
+    if engine not in ("fast", "des"):
+        raise ValueError(f"unknown engine {engine!r}")
+    topo = make_topology(topology)
+    run = simulate_des if engine == "des" or topo.kind == "sharedbw" else simulate_fast
+    return run(
+        platform, total_work, scheduler, error_model, seed,
+        faults=fault_model, tracer=tracer, topology=topo,
+    )
 
 
 def validate_schedule(result: SimResult, rel_tol: float = 1e-9) -> None:

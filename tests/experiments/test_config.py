@@ -10,6 +10,7 @@ from repro.experiments.config import (
     small_grid,
     smoke_grid,
 )
+from repro.platform.topology import TopologyError
 
 
 class TestPaperGrid:
@@ -91,6 +92,19 @@ class TestGridMechanics:
             )
         with pytest.raises(ValueError):
             smoke_grid().restrict(repetitions=0)
+
+    @pytest.mark.parametrize("kind", ("star", "chain"))
+    @pytest.mark.parametrize("n", (7, 10))
+    def test_topology_worker_count_must_match_grid(self, kind, n):
+        # A topology's n= names the platform size; a grid of N=10
+        # platforms must reject any other n at build time, on every path.
+        spec = f"{kind}:n={n}"
+        base = preset_grid("bench").restrict(Ns=(10,))
+        if n == 10:
+            assert base.restrict(topology=spec).topology == spec
+        else:
+            with pytest.raises(TopologyError, match="n=7"):
+                base.restrict(topology=spec)
 
     def test_paper_algorithms_are_seven(self):
         assert len(PAPER_ALGORITHMS) == 7

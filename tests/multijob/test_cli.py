@@ -43,11 +43,10 @@ def test_multijob_trace_file_replay(tmp_path, capsys):
     assert "3 jobs" in capsys.readouterr().out
 
 
-def test_multijob_under_faults_legacy_frame(capsys):
-    # The legacy job frame re-realizes crashes per job, so losses recur.
+def test_multijob_reports_work_lost_to_crashes(capsys):
     assert main([
         "multijob", "--n", "4", "--work", "150", "--seed", "5",
-        "--fault", "crash:p=0.8,tmax=20", "--fault-frame", "job",
+        "--fault", "crash:p=0.5,tmax=300",
     ]) == 0
     assert "work lost to faults" in capsys.readouterr().out
 

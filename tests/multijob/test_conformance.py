@@ -55,15 +55,15 @@ def one_job_stream(platform, scheduler, faults=None, engine="fast", policy="fcfs
 @pytest.mark.parametrize("scheduler", available_schedulers())
 @pytest.mark.parametrize("faults", FAULT_SPECS, ids=lambda s: s or "none")
 def test_one_job_stream_bitwise_equals_simulate(platform, scheduler, faults):
-    # The legacy job frame: every per-job simulate() re-realizes the
-    # fault model in its own frame, so a 1-job stream is exactly a
-    # single run.  Fault-free streams take this path under both frames.
+    # With the stream seed equal to the job seed, the stream timeline is
+    # realized from the same third spawned RNG child a single run samples
+    # its schedule from, and its projection at t=0 over the whole star is
+    # that schedule: a 1-job stream is exactly a single run.
     direct = simulate(
         platform, WORK, make_scheduler(scheduler, 0.0), NoError(),
         seed=SEED, faults=faults,
     )
-    kwargs = {} if faults is None else {"fault_frame": "job"}
-    stream = one_job_stream(platform, scheduler, faults=faults, **kwargs)
+    stream = one_job_stream(platform, scheduler, faults=faults, seed=SEED)
     assert stream.num_jobs == 1
     (rec,) = stream.jobs
     assert len(rec.results) == 1
@@ -73,31 +73,30 @@ def test_one_job_stream_bitwise_equals_simulate(platform, scheduler, faults):
     assert rec.work_lost == direct.work_lost
 
 
+@pytest.mark.parametrize("scheduler", available_schedulers())
 @pytest.mark.parametrize("engine", ("fast", "des"))
 @pytest.mark.parametrize(
     "faults", [s for s in FAULT_SPECS if s is not None], ids=lambda s: s
 )
 def test_one_job_stream_frame_bitwise_equals_projected_simulate(
-    platform, engine, faults
+    platform, engine, faults, scheduler
 ):
-    # The stream frame: the one stream timeline (realized from the
-    # *stream* seed's third spawned RNG child) is projected into the
-    # job's frame; a single run handed that exact frozen projection must
-    # be bitwise what the stream recorded — for every fault kind, on
-    # both engines.
+    # The one stream timeline (realized from the *stream* seed's third
+    # spawned RNG child) is projected into the job's frame; a single run
+    # handed that exact frozen projection must be bitwise what the stream
+    # recorded — for every scheduler and fault kind, on both engines.
     stream_seed = 11
     plane = StreamFaultSchedule.realize(
         make_fault_model(faults), platform, stream_seed
     )
     direct = simulate(
-        platform, WORK, make_scheduler("RUMR", 0.0), NoError(),
+        platform, WORK, make_scheduler(scheduler, 0.0), NoError(),
         seed=SEED, engine=engine,
         faults=FrozenFaults(plane.project(range(platform.N), 0.0)),
     )
     stream = one_job_stream(
-        platform, "RUMR", faults=faults, engine=engine, seed=stream_seed
+        platform, scheduler, faults=faults, engine=engine, seed=stream_seed
     )
-    assert stream.fault_frame == "stream"
     (rec,) = stream.jobs
     assert rec.results[0] == direct
     assert rec.work_lost == direct.work_lost

@@ -2,10 +2,8 @@
 
 The acceptance core of the fault plane: a worker that crashes
 permanently during job ``k`` dispatches **zero** chunks to any job
-``j > k`` under the default ``fault_frame="stream"`` — the health
-tracker excludes it at every later admission — while the legacy
-``fault_frame="job"`` escape hatch keeps the old per-job re-realization
-(the crashed worker resurrects).  Around that: the
+``j > k`` — the health tracker excludes it at every later admission.
+Around that: the
 :class:`~repro.errors.StreamFaultSchedule` projection arithmetic, the
 three :class:`~repro.sim.multijob.JobFailurePolicy` flavors, the
 stream-level event kinds, the guards, and the ``SweepStats`` /
@@ -80,7 +78,6 @@ class TestCrashPersistence:
             platform, jobs_at(0.0, 60.0, 120.0, 180.0), seed=9, policy=policy,
             faults="crash:worker=2,at=5",
         )
-        assert stream.fault_frame == "stream"
         assert 2 in stream.workers_excluded
         for job_id, worker, send_start in global_dispatches(stream):
             if job_id > 0:
@@ -109,23 +106,6 @@ class TestCrashPersistence:
                 assert worker != 0
         assert stream.jobs_failed == 0  # three survivors carry job 1
 
-    def test_job_frame_escape_hatch_resurrects_the_worker(self, platform):
-        # Legacy frame: the deterministic crash re-realizes at t=5 of
-        # *every* job's own clock, so worker 2 is hit in each job and is
-        # never excluded — the documented legacy behavior.
-        stream = simulate_stream(
-            platform, jobs_at(0.0, 60.0, 120.0), seed=9,
-            faults="crash:worker=2,at=5", fault_frame="job",
-        )
-        assert stream.fault_frame == "job"
-        assert stream.workers_excluded == ()
-        for rec in stream.jobs:
-            assert rec.work_lost > 0  # every job re-loses to the resurrected crash
-
-    def test_fault_free_stream_is_bitwise_identical_across_frames(self, platform):
-        a = simulate_stream(platform, jobs_at(0.0, 40.0), seed=3)
-        b = simulate_stream(platform, jobs_at(0.0, 40.0), seed=3, fault_frame="job")
-        assert a.jobs == b.jobs
 
 
 # -- projection arithmetic ----------------------------------------------------
@@ -356,10 +336,6 @@ class TestSpecsAndGuards:
             engine="des",
         )
         assert stream.jobs[0].results[0].topology.startswith("sharedbw")
-
-    def test_stream_rejects_unknown_fault_frame(self, platform):
-        with pytest.raises(ValueError, match="fault_frame"):
-            simulate_stream(platform, jobs_at(0.0), seed=1, fault_frame="relative")
 
 
 # -- metrics and stats surfaces -----------------------------------------------

@@ -10,15 +10,16 @@ compiled plan, the lockstep engine does not track phases at all).
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core import RUMR, UMR, Factoring, MultiInstallment, WeightedFactoring
-from repro.errors import NoError
+from repro.errors import NoError, NormalErrorModel
 from repro.obs import Tracer, first_divergence
 from repro.platform import homogeneous_platform
 from repro.sim import simulate_fast
-from repro.sim.batch import simulate_static_batch
-from repro.sim.dynbatch import simulate_dynamic_batch
+from repro.sim.batch import StaticCell, compile_static_plan, simulate_static_cells
+from tests.cells import dynamic_cell, static_cell
 
 W = 500.0
 
@@ -54,7 +55,7 @@ class TestStaticBatchTraces:
         scalar = simulate_fast(platform, W, scheduler, NoError(), seed=0,
                                tracer=scalar_tracer)
         batch_tracer = Tracer()
-        spans = simulate_static_batch(
+        spans = static_cell(
             platform, plan, 0.0, [0], tracers=[batch_tracer]
         )
         assert spans[0] == scalar.makespan
@@ -63,7 +64,7 @@ class TestStaticBatchTraces:
     def test_per_seed_tracers_are_independent(self, platform):
         plan = UMR().static_plan(platform, W)
         tracers = [Tracer(), None, Tracer()]
-        simulate_static_batch(platform, plan, 0.0, [0, 1, 2], tracers=tracers)
+        static_cell(platform, plan, 0.0, [0, 1, 2], tracers=tracers)
         # error=0 rows are identical, so both traced rows carry the same
         # stream; the None slot must simply be skipped.
         assert len(tracers[0]) == len(tracers[2]) > 0
@@ -72,9 +73,43 @@ class TestStaticBatchTraces:
     def test_round_boundaries_come_from_plan(self, platform):
         plan = UMR().static_plan(platform, W)
         tracer = Tracer()
-        simulate_static_batch(platform, plan, 0.0, [0], tracers=[tracer])
+        static_cell(platform, plan, 0.0, [0], tracers=[tracer])
         rounds = {c.round_index for c in plan}
         assert len(tracer.of_kind("round_boundary")) == len(rounds)
+
+    def test_grid_pass_traces_padded_rows(self, platform):
+        # A multi-cell pass pads every row to the longest plan (and the
+        # widest platform); each traced row must still carry exactly its
+        # own plan's stream, and tracing must not perturb any makespan.
+        small = homogeneous_platform(3, S=1.0, bandwidth_factor=1.2, cLat=0.1, nLat=0.2)
+        specs = [
+            # (platform, scheduler, error, seeds, per-seed tracers)
+            (platform, UMR(), 0.05, (3, 4), [Tracer(), None]),
+            (small, MultiInstallment(1), 0.0, (0, 1, 2), [None, Tracer(), None]),
+            (platform, MultiInstallment(3), 0.05, (5,), None),
+        ]
+        cells, plans = [], []
+        for plat, sched, error, seeds, _ in specs:
+            plans.append(sched.static_plan(plat, W))
+            cells.append(
+                StaticCell(plat, compile_static_plan(plat, plans[-1]), error, seeds)
+            )
+        assert len({c.plan.num_chunks for c in cells}) == 3
+        tracers = [tr for *_, tr in specs]
+        traced = simulate_static_cells(cells, tracers=tracers)
+        plain = simulate_static_cells(cells)
+        assert all(np.array_equal(a, b) for a, b in zip(traced, plain))
+
+        for (plat, sched, error, seeds, cell_tracers), plan in zip(specs, plans):
+            for seed, tracer in zip(seeds, cell_tracers or ()):
+                if tracer is None:
+                    continue
+                model = NormalErrorModel(error) if error else NoError()
+                scalar_tracer = Tracer()
+                simulate_fast(plat, W, sched, model, seed=seed, tracer=scalar_tracer)
+                assert_streams_match(tracer, scalar_tracer)
+                rounds = {c.round_index for c in plan}
+                assert len(tracer.of_kind("round_boundary")) == len(rounds)
 
 
 class TestDynamicBatchTraces:
@@ -88,7 +123,7 @@ class TestDynamicBatchTraces:
         scalar = simulate_fast(platform, W, scheduler, NoError(), seed=7,
                                tracer=scalar_tracer)
         batch_tracer = Tracer()
-        spans = simulate_dynamic_batch(
+        spans = dynamic_cell(
             platform, scheduler, W, 0.0, [7], tracers=[batch_tracer]
         )
         assert spans[0] == scalar.makespan

@@ -199,11 +199,11 @@ class TestBatchSimulatorProperty:
     )
     @settings(max_examples=25)
     def test_batch_equals_scalar_at_zero_error(self, platform, work, seeds):
-        from repro.sim.batch import simulate_static_batch
+        from tests.cells import static_cell
 
         plan = solve_umr(platform, work).to_chunk_plan()
         scalar = simulate(platform, work, UMR(), NoError()).makespan
-        batch = simulate_static_batch(platform, plan, error=0.0, seeds=seeds)
+        batch = static_cell(platform, plan, error=0.0, seeds=seeds)
         assert all(b == scalar for b in batch)
 
     @given(
@@ -216,11 +216,11 @@ class TestBatchSimulatorProperty:
         # At magnitude 0.05 the truncation floor (0.01) is ~19 sigma away:
         # no resampling ever fires, so the block draw consumes the streams
         # identically and results are bitwise equal.
-        from repro.sim.batch import simulate_static_batch
+        from tests.cells import static_cell
 
         plan = solve_umr(platform, work).to_chunk_plan()
         scalar = simulate(platform, work, UMR(), NormalErrorModel(0.05), seed=seed)
-        batch = simulate_static_batch(platform, plan, error=0.05, seeds=[seed])
+        batch = static_cell(platform, plan, error=0.05, seeds=[seed])
         assert batch[0] == scalar.makespan
 
 

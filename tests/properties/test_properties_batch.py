@@ -16,8 +16,9 @@ from repro.core import UMR, MultiInstallment, OneRound
 from repro.core.base import Dispatch, Scheduler, StaticPlanSource
 from repro.core.chunks import ChunkPlan, PlannedChunk
 from repro.errors import NoError, make_error_model
-from repro.sim.batch import compile_static_plan, simulate_static_batch
+from repro.sim.batch import compile_static_plan
 from repro.sim.fastsim import simulate_fast
+from tests.cells import static_cell
 from tests.properties.strategies import finite, homogeneous_platforms, workloads as make_workloads
 
 pytestmark = pytest.mark.property
@@ -68,7 +69,7 @@ class TestBatchScalarEquivalence:
         scheduler = factory()
         plan = scheduler.static_plan(platform, work)
         scalar = simulate_fast(platform, work, scheduler, NoError(), seed=0)
-        batch = simulate_static_batch(platform, plan, 0.0, [0, 1, 2])
+        batch = static_cell(platform, plan, 0.0, [0, 1, 2])
         assert batch.shape == (3,)
         assert np.all(batch == scalar.makespan)
 
@@ -82,7 +83,7 @@ class TestBatchScalarEquivalence:
         scheduler = _PlanScheduler(plan)
         work = plan.total_work
         scalar = simulate_fast(platform, work, scheduler, NoError(), seed=seed)
-        batch = simulate_static_batch(platform, plan, 0.0, [seed])
+        batch = static_cell(platform, plan, 0.0, [seed])
         assert batch[0] == scalar.makespan
 
     @given(
@@ -103,7 +104,7 @@ class TestBatchScalarEquivalence:
         scalar = simulate_fast(
             platform, plan.total_work, scheduler, model, seed=seed
         )
-        batch = simulate_static_batch(platform, plan, error, [seed])
+        batch = static_cell(platform, plan, error, [seed])
         assert batch[0] == pytest.approx(scalar.makespan, rel=0.2)
 
 
@@ -115,7 +116,7 @@ class TestBatchInvariants:
     )
     def test_makespans_positive_finite(self, platform, data, error):
         plan = data.draw(arbitrary_plans(platform.N))
-        out = simulate_static_batch(platform, plan, error, [0, 1, 2, 3])
+        out = static_cell(platform, plan, error, [0, 1, 2, 3])
         assert out.shape == (4,)
         assert np.all(np.isfinite(out))
         assert np.all(out > 0.0)
@@ -133,14 +134,14 @@ class TestBatchInvariants:
             PlannedChunk(worker=c.worker, size=c.size * scale, round_index=0)
             for c in plan
         )
-        base = simulate_static_batch(platform, plan, 0.0, [0])
-        grown = simulate_static_batch(platform, bigger, 0.0, [0])
+        base = static_cell(platform, plan, 0.0, [0])
+        grown = static_cell(platform, bigger, 0.0, [0])
         assert grown[0] >= base[0]
 
     @given(platform=platforms, data=st.data())
     def test_compiled_plan_equals_chunk_plan(self, platform, data):
         plan = data.draw(arbitrary_plans(platform.N))
         compiled = compile_static_plan(platform, plan)
-        a = simulate_static_batch(platform, plan, 0.0, [0])
-        b = simulate_static_batch(platform, compiled, 0.0, [0])
+        a = static_cell(platform, plan, 0.0, [0])
+        b = static_cell(platform, compiled, 0.0, [0])
         assert a[0] == b[0]

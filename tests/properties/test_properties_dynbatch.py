@@ -24,10 +24,10 @@ from repro.platform import homogeneous_platform
 from repro.sim.dynbatch import (
     BatchArena,
     DynamicCell,
-    simulate_dynamic_batch,
     simulate_dynamic_cells,
 )
 from repro.sim.fastsim import simulate_fast
+from tests.cells import dynamic_cell
 from tests.properties.strategies import finite, homogeneous_platforms, workloads as make_workloads
 
 pytestmark = pytest.mark.property
@@ -72,7 +72,7 @@ class TestLockstepScalarEquivalence:
     def test_bitwise_equal_at_zero_error(self, platform, work, factory, seed):
         scheduler = factory(0.0)
         scalar = scalar_makespan(platform, work, scheduler, 0.0, seed)
-        batch = simulate_dynamic_batch(platform, scheduler, work, 0.0, [seed, seed + 1])
+        batch = dynamic_cell(platform, scheduler, work, 0.0, [seed, seed + 1])
         assert batch.shape == (2,)
         assert batch[0] == scalar
 
@@ -91,7 +91,7 @@ class TestLockstepScalarEquivalence:
         # trips.
         scheduler = factory(error)
         scalar = scalar_makespan(platform, work, scheduler, error, seed)
-        batch = simulate_dynamic_batch(platform, scheduler, work, error, [seed])
+        batch = dynamic_cell(platform, scheduler, work, error, [seed])
         assert batch[0] == pytest.approx(scalar, rel=0.2)
 
 
@@ -111,7 +111,7 @@ class TestRUMRPhaseCoverage:
         scalar = np.array(
             [scalar_makespan(platform, work, scheduler, error, s) for s in seeds]
         )
-        batch = simulate_dynamic_batch(platform, scheduler, work, error, seeds)
+        batch = dynamic_cell(platform, scheduler, work, error, seeds)
         assert np.array_equal(scalar, batch)
 
     def test_phase2_active_condition_bitwise_equal(self):
@@ -129,7 +129,7 @@ class TestRUMRPhaseCoverage:
         scalar = np.array(
             [scalar_makespan(platform, work, scheduler, error, s) for s in seeds]
         )
-        batch = simulate_dynamic_batch(platform, scheduler, work, error, seeds)
+        batch = dynamic_cell(platform, scheduler, work, error, seeds)
         assert np.array_equal(scalar, batch)
 
 
@@ -221,7 +221,7 @@ class TestBatchedFaultProperties:
         # surviving workers: delivered work conserves the full workload.
         assert result.delivered_work == pytest.approx(work)
         assert result.work_lost == pytest.approx(lost)
-        batch = simulate_dynamic_batch(
+        batch = dynamic_cell(
             platform, scheduler, work, 0.0, [seed], faults=faults
         )
         assert batch[0] == result.makespan
@@ -241,6 +241,6 @@ class TestStatisticalConsistency:
             scalar = np.array(
                 [scalar_makespan(platform, work, scheduler, error, s) for s in seeds]
             )
-            batch = simulate_dynamic_batch(platform, scheduler, work, error, seeds)
+            batch = dynamic_cell(platform, scheduler, work, error, seeds)
             assert batch.mean() == pytest.approx(scalar.mean(), rel=2e-3)
             assert np.mean(scalar == batch) > 0.5

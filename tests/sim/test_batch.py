@@ -8,7 +8,7 @@ from repro.core.umr import solve_umr
 from repro.errors import NoError, NormalErrorModel
 from repro.platform import homogeneous_platform
 from repro.sim import simulate
-from repro.sim.batch import simulate_static_batch
+from tests.cells import static_cell
 
 W = 1000.0
 
@@ -24,7 +24,7 @@ class TestExactAgreement:
     def test_zero_error_matches_scalar_engine_exactly(self, setup):
         p, plan = setup
         scalar = simulate(p, W, UMR(), NoError()).makespan
-        batch = simulate_static_batch(p, plan, error=0.0, seeds=[0, 1, 2])
+        batch = static_cell(p, plan, error=0.0, seeds=[0, 1, 2])
         assert np.all(batch == scalar)
 
     def test_zero_error_matches_mi(self, setup):
@@ -32,14 +32,14 @@ class TestExactAgreement:
         mi = MultiInstallment(3)
         plan = mi.schedule(p, W).to_chunk_plan()
         scalar = simulate(p, W, mi, NoError()).makespan
-        batch = simulate_static_batch(p, plan, error=0.0, seeds=[7])
+        batch = static_cell(p, plan, error=0.0, seeds=[7])
         assert batch[0] == pytest.approx(scalar, rel=1e-12)
 
     def test_empty_plan(self, setup):
         p, _ = setup
         from repro.core.chunks import ChunkPlan
 
-        assert np.all(simulate_static_batch(p, ChunkPlan([]), 0.2, [1, 2]) == 0.0)
+        assert np.all(static_cell(p, ChunkPlan([]), 0.2, [1, 2]) == 0.0)
 
 
 class TestStatisticalAgreement:
@@ -48,7 +48,7 @@ class TestStatisticalAgreement:
         # differs, so compare distributions, not bits.
         p, plan = setup
         seeds = list(range(150))
-        batch = simulate_static_batch(p, plan, error=0.3, seeds=seeds)
+        batch = static_cell(p, plan, error=0.3, seeds=seeds)
         scalar = np.array(
             [simulate(p, W, UMR(), NormalErrorModel(0.3), seed=s).makespan for s in seeds]
         )
@@ -60,7 +60,7 @@ class TestStatisticalAgreement:
         # draw consumes the stream identically to the scalar loop.
         p, plan = setup
         seeds = [11, 12, 13]
-        batch = simulate_static_batch(p, plan, error=0.05, seeds=seeds)
+        batch = static_cell(p, plan, error=0.05, seeds=seeds)
         for i, s in enumerate(seeds):
             scalar = simulate(p, W, UMR(), NormalErrorModel(0.05), seed=s).makespan
             assert batch[i] == scalar
@@ -68,7 +68,7 @@ class TestStatisticalAgreement:
     def test_divide_mode(self, setup):
         p, plan = setup
         seeds = [3, 4]
-        batch = simulate_static_batch(p, plan, error=0.05, seeds=seeds, mode="divide")
+        batch = static_cell(p, plan, error=0.05, seeds=seeds, mode="divide")
         for i, s in enumerate(seeds):
             scalar = simulate(
                 p, W, UMR(), NormalErrorModel(0.05, mode="divide"), seed=s
@@ -78,7 +78,7 @@ class TestStatisticalAgreement:
     def test_unknown_mode_rejected(self, setup):
         p, plan = setup
         with pytest.raises(ValueError):
-            simulate_static_batch(p, plan, 0.1, [1], mode="sideways")
+            static_cell(p, plan, 0.1, [1], mode="sideways")
 
 
 class TestThroughput:
@@ -88,7 +88,7 @@ class TestThroughput:
         p, plan = setup
         seeds = list(range(400))
         t0 = time.perf_counter()
-        simulate_static_batch(p, plan, error=0.3, seeds=seeds)
+        static_cell(p, plan, error=0.3, seeds=seeds)
         batch_time = time.perf_counter() - t0
         t0 = time.perf_counter()
         for s in seeds[:20]:

@@ -255,8 +255,7 @@ def test_engines_identical_faults_heterogeneous(hetero_platform):
 
 from repro.core import AdaptiveRUMR  # noqa: E402 — grouped with its tests
 from repro.errors.faults import make_fault_model  # noqa: E402
-from repro.sim.batch import simulate_static_batch  # noqa: E402
-from repro.sim.dynbatch import simulate_dynamic_batch  # noqa: E402
+from tests.cells import dynamic_cell, static_cell  # noqa: E402
 
 BATCH_FAULT_SPECS = (
     "crash:worker=1,at=25",
@@ -289,7 +288,7 @@ def _des_makespans(platform, scheduler, fault, seeds, work=W):
 )
 def test_batched_fault_static_grid_matches_des(scheduler, fault, small_platform):
     plan = scheduler.static_plan(small_platform, W)
-    batch = simulate_static_batch(
+    batch = static_cell(
         small_platform, plan, 0.0, seeds=BATCH_SEEDS,
         faults=make_fault_model(fault),
     )
@@ -310,7 +309,7 @@ def test_batched_fault_static_grid_matches_des(scheduler, fault, small_platform)
     ids=lambda s: s.name,
 )
 def test_batched_fault_lockstep_matches_des(scheduler, fault, small_platform):
-    batch = simulate_dynamic_batch(
+    batch = dynamic_cell(
         small_platform, scheduler, W, 0.0, BATCH_SEEDS,
         faults=make_fault_model(fault),
     )
@@ -497,42 +496,6 @@ TOPOLOGY_MATRIX_SCHEDULERS = [
 def test_topology_matrix_engines_identical(topology, scheduler, error, small_platform):
     model = NoError() if error == 0.0 else NormalErrorModel(error)
     assert_identical(small_platform, scheduler, model, 31, topology=topology)
-
-
-@pytest.mark.topology
-@pytest.mark.parametrize("scheduler", ALL_SCHEDULERS, ids=lambda s: s.name)
-def test_star_topology_bitwise_identical_to_legacy(scheduler, small_platform):
-    # The compatibility contract: topology="star" must take the exact
-    # legacy code path in both engines — same floats, same records.
-    for engine in ("fast", "des"):
-        legacy = simulate(
-            small_platform, W, scheduler, NormalErrorModel(0.2), seed=9, engine=engine
-        )
-        star = simulate(
-            small_platform, W, scheduler, NormalErrorModel(0.2), seed=9,
-            engine=engine, topology="star",
-        )
-        assert legacy.makespan == star.makespan
-        assert legacy.records == star.records
-
-
-@pytest.mark.topology
-@pytest.mark.parametrize("fault", ("crash:worker=1,at=25", "crash:p=0.5,tmax=120"))
-def test_star_topology_bitwise_identical_to_legacy_under_faults(
-    fault, small_platform
-):
-    for engine in ("fast", "des"):
-        legacy = simulate(
-            small_platform, W, RUMR(known_error=0.3), NormalErrorModel(0.2),
-            seed=9, engine=engine, faults=fault,
-        )
-        star = simulate(
-            small_platform, W, RUMR(known_error=0.3), NormalErrorModel(0.2),
-            seed=9, engine=engine, faults=fault, topology="star",
-        )
-        assert legacy.makespan == star.makespan
-        assert legacy.records == star.records
-        assert legacy.work_lost == star.work_lost
 
 
 @pytest.mark.topology

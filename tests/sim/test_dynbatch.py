@@ -6,13 +6,9 @@ import pytest
 from repro.core.registry import is_batch_dynamic_algorithm, make_scheduler
 from repro.errors import NormalErrorModel
 from repro.platform import PlatformSpec, WorkerSpec, homogeneous_platform
-from repro.sim.batch import simulate_static_batch
-from repro.sim.dynbatch import (
-    DynamicCell,
-    simulate_dynamic_batch,
-    simulate_dynamic_cells,
-)
+from repro.sim.dynbatch import DynamicCell, simulate_dynamic_cells
 from repro.sim.fastsim import simulate_fast
+from tests.cells import dynamic_cell
 
 W = 1000.0
 SEEDS = tuple(range(20, 26))
@@ -59,7 +55,7 @@ class TestExactAgreement:
     def test_zero_error_bitwise_equal(self, hom_platform, name):
         scheduler = make_scheduler(name, 0.0)
         scalar = scalar_makespans(hom_platform, scheduler, 0.0, SEEDS)
-        batch = simulate_dynamic_batch(hom_platform, scheduler, W, 0.0, SEEDS)
+        batch = dynamic_cell(hom_platform, scheduler, W, 0.0, SEEDS)
         assert np.array_equal(scalar, batch)
 
     @pytest.mark.parametrize("name", BATCHABLE)
@@ -69,14 +65,14 @@ class TestExactAgreement:
         # trajectory matches bit for bit.
         scheduler = make_scheduler(name, 0.05)
         scalar = scalar_makespans(hom_platform, scheduler, 0.05, SEEDS)
-        batch = simulate_dynamic_batch(hom_platform, scheduler, W, 0.05, SEEDS)
+        batch = dynamic_cell(hom_platform, scheduler, W, 0.05, SEEDS)
         assert np.array_equal(scalar, batch)
 
     @pytest.mark.parametrize("name", BATCHABLE)
     def test_heterogeneous_platform_bitwise_equal(self, het_platform, name):
         scheduler = make_scheduler(name, 0.05)
         scalar = scalar_makespans(het_platform, scheduler, 0.05, SEEDS)
-        batch = simulate_dynamic_batch(het_platform, scheduler, W, 0.05, SEEDS)
+        batch = dynamic_cell(het_platform, scheduler, W, 0.05, SEEDS)
         assert np.array_equal(scalar, batch)
 
     def test_registry_flags(self):
@@ -168,7 +164,7 @@ class TestStatisticalAgreement:
         seeds = list(range(200))
         scheduler = make_scheduler("Factoring", 0.3)
         scalar = scalar_makespans(hom_platform, scheduler, 0.3, seeds)
-        batch = simulate_dynamic_batch(hom_platform, scheduler, W, 0.3, seeds)
+        batch = dynamic_cell(hom_platform, scheduler, W, 0.3, seeds)
         assert batch.mean() == pytest.approx(scalar.mean(), rel=2e-3)
         # Most paired seeds never resample and stay bitwise identical.
         assert np.mean(scalar == batch) > 0.5
@@ -191,7 +187,7 @@ class TestMerging:
                         )
                     )
                     solo.append(
-                        simulate_dynamic_batch(platform, scheduler, W, error, SEEDS)
+                        dynamic_cell(platform, scheduler, W, error, SEEDS)
                     )
         merged = simulate_dynamic_cells(cells)
         assert all(np.array_equal(m, s) for m, s in zip(merged, solo))
@@ -265,16 +261,3 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="max_rows"):
             simulate_dynamic_cells([cell], max_rows=0)
-
-    def test_static_batch_factor_row_mismatch_rejected(self, hom_platform):
-        # Satellite of the same PR: shared factor matrices must carry one
-        # row per repetition seed.
-        from repro.core.umr import solve_umr
-        from repro.sim.batch import draw_factor_matrices
-
-        plan = solve_umr(hom_platform, W).to_chunk_plan()
-        factors = draw_factor_matrices([1, 2, 3], len(plan), 0.2)
-        with pytest.raises(ValueError, match="rows but 2 seeds"):
-            simulate_static_batch(
-                hom_platform, plan, 0.2, seeds=[1, 2], factors=factors
-            )

@@ -1,30 +1,33 @@
-"""DES trace-monitor checks.
+"""DES event-stream checks.
 
 The fast-vs-DES trajectory-equality suite lives in
 ``tests/sim/test_differential.py`` (curated cases plus a seeded randomized
 harness over schedulers, errors and fault scenarios).  What remains here
-are the monitor-specific checks that only the DES engine can provide.
+checks the DES engine's live :class:`~repro.obs.Tracer` stream against
+its own records: the engine emits each event from the process that
+realizes it, so the stream certifies the kernel's actual execution.
 """
 
 from repro.core import UMR
-from repro.des import Monitor
 from repro.errors import NoError
+from repro.obs import Tracer
 from repro.sim import simulate
 
 W = 1000.0
 
 
-def test_des_trace_monitor_is_populated(paper_platform):
-    mon = Monitor()
-    simulate(paper_platform, W, UMR(), NoError(), engine="des", trace=mon)
-    kinds = {r.kind for r in mon}
-    assert {"send_start", "send_end", "arrival", "compute_start", "compute_end"} <= kinds
-    sends = mon.of_kind("send_start")
-    assert len(sends) == len(mon.of_kind("compute_end"))
+def test_des_tracer_is_populated(paper_platform):
+    tracer = Tracer()
+    result = simulate(paper_platform, W, UMR(), NoError(), engine="des", tracer=tracer)
+    kinds = {e.kind for e in tracer.events()}
+    assert {"dispatch_start", "dispatch_end", "comp_start", "comp_end"} <= kinds
+    sends = tracer.of_kind("dispatch_start")
+    assert len(sends) == len(tracer.of_kind("comp_end")) == result.num_chunks
 
 
 def test_des_trace_times_match_records(small_platform):
-    mon = Monitor()
-    result = simulate(small_platform, W, UMR(), NoError(), engine="des", trace=mon)
-    ends = sorted(r.time for r in mon.of_kind("compute_end"))
-    assert ends[-1] == result.makespan
+    tracer = Tracer()
+    result = simulate(small_platform, W, UMR(), NoError(), engine="des", tracer=tracer)
+    ends = {e.chunk: e.time for e in tracer.of_kind("comp_end")}
+    assert ends == {r.index: r.comp_end for r in result.records}
+    assert max(ends.values()) == result.makespan

@@ -181,12 +181,6 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             simulate(single_worker(), 1.0, ListScheduler([]), engine="quantum")
 
-    def test_trace_requires_des(self):
-        from repro.des import Monitor
-
-        with pytest.raises(ValueError):
-            simulate(single_worker(), 1.0, ListScheduler([]), trace=Monitor())
-
     def test_simulate_fast_entry_point(self):
         p = single_worker()
         result = simulate_fast(p, 2.0, ListScheduler([Dispatch(worker=0, size=2.0)]), NoError())
