@@ -8,14 +8,14 @@ random numbers) — the same trick the paper needs for its paired
 Fast path: algorithms that declare :attr:`~repro.core.base.Scheduler.
 is_static` (UMR, MI-x, one-round) have a fixed dispatch sequence, so
 *every* one of their cells — the whole (platform × error × repetition)
-grid — stacks into a single :func:`~repro.sim.batch.simulate_static_cells`
-pass: one (rows × chunks) tensor, NumPy array math instead of the
-per-run Python loop, two orders of magnitude faster.  Each plan is
-solved once per platform and shared across every error level and
-repetition.  Batch-dynamic algorithms — every in-tree dynamic scheduler:
-Factoring, WeightedFactoring, FSC, RUMR and its variants, AdaptiveRUMR —
-have no fixed plan but a pure-arithmetic decision rule, so *their*
-repetition axes advance in lockstep through
+grid — goes into a single :func:`~repro.sim.batch.simulate_static_cells`
+call: one (rows × chunks) tensor per plan-length class, NumPy array
+math instead of the per-run Python loop, two orders of magnitude
+faster.  Each plan is solved once per platform and shared across every
+error level and repetition.  Batch-dynamic algorithms — every in-tree
+dynamic scheduler: Factoring, WeightedFactoring, FSC, RUMR and its
+variants, AdaptiveRUMR — have no fixed plan but a pure-arithmetic
+decision rule, so *their* repetition axes advance in lockstep through
 :func:`~repro.sim.dynbatch.simulate_dynamic_cells` — one global pass
 merging every (platform, error) cell, reusing one grow-only
 :class:`~repro.sim.dynbatch.BatchArena` across the merged calls.  Fault
@@ -491,8 +491,9 @@ def _run_static_batch_pass(
     Solves and compiles each plan once per (platform, algorithm), builds
     one :class:`~repro.sim.batch.StaticCell` per (platform, error,
     algorithm) with the *same* per-cell seeds the scalar path would use
-    — fault model included — and hands the entire grid to
-    :func:`simulate_static_cells` as a single stacked tensor.
+    — fault model included — and hands the entire grid to one
+    :func:`simulate_static_cells` call, which stacks the cells into one
+    tensor per plan-length class.
 
     With a ``supervisor``, the merged pass is retried per the policy; if
     it keeps failing, the pass degrades to per-cell grid calls — the
