@@ -1,10 +1,13 @@
 """Tests for the sweep runner and its seeding discipline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.experiments.config import smoke_grid
+from repro.experiments.config import PAPER_ALGORITHMS, smoke_grid
 from repro.experiments.runner import SweepResults, run_sweep
+from repro.sim import batch
 
 ALGOS = ("RUMR", "UMR", "Factoring")
 
@@ -128,6 +131,29 @@ class TestFastPath:
             assert np.array_equal(
                 batched.makespans[algo], scalar.makespans[algo]
             )
+
+
+class TestCompanionIndependence:
+    """An algorithm's tensor does not depend on which others share its sweep.
+
+    Every algorithm draws its error > 0 factors from the same cached
+    per-seed streams; the streams grow in fixed blocks, so the values do
+    not depend on the longest plan (or dynamic run) that grew them first.
+    """
+
+    @pytest.mark.parametrize(
+        "alone, together",
+        [(("RUMR",), PAPER_ALGORITHMS), (("MI-1",), ("UMR", "MI-1"))],
+        ids=["RUMR-with-paper-algorithms", "MI-1-with-UMR"],
+    )
+    def test_tensor_independent_of_companions(self, alone, together):
+        grid = dataclasses.replace(smoke_grid(), seed=7)
+        batch._FACTOR_STREAMS.clear()
+        single = run_sweep(grid, algorithms=alone)
+        batch._FACTOR_STREAMS.clear()
+        shared = run_sweep(grid, algorithms=together)
+        name = alone[0]
+        assert np.array_equal(single.makespans[name], shared.makespans[name])
 
 
 class TestSweepResults:
