@@ -192,8 +192,7 @@ class AdaptiveRUMRSource(DispatchSource):
                 self._round_cursor += 1
                 continue
             ordered = sorted(pending)
-            idle = [i for i in ordered if view.is_idle(i)]
-            worker = idle[0] if idle else ordered[0]
+            worker = next((i for i in ordered if view.is_idle(i)), ordered[0])
             size = pending.pop(worker)
             self._chunk_sizes[self._next_index] = size
             self._next_index += 1

@@ -175,13 +175,12 @@ class RUMRSource(DispatchSource):
 
     def _pick_phase1_worker(self, view: MasterView, pending: dict[int, float]) -> int:
         ordered = sorted(pending)
-        if not self._out_of_order:
-            return ordered[0]
-        idle = [i for i in ordered if view.is_idle(i)]
-        if idle:
-            # Prefer the idle worker with the least outstanding work (all
-            # zero by definition of idle) — lowest index for determinism.
-            return idle[0]
+        if self._out_of_order:
+            # Prefer an idle worker (no outstanding work) — the lowest
+            # index for determinism, so the scan stops at the first one.
+            for i in ordered:
+                if view.is_idle(i):
+                    return i
         return ordered[0]
 
     def _make_recovery_tail(self, pool: float, live: "list[int]") -> FactoringSource:

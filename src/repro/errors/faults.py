@@ -42,6 +42,7 @@ the experiment grid, the sweep cache key and the CLI unchanged::
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import typing
@@ -54,6 +55,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "NO_FAULT_SPEC",
     "FaultPlane",
+    "FaultPlaneCache",
     "FaultSchedule",
     "FaultModel",
     "FrozenFaults",
@@ -373,6 +375,43 @@ class FaultPlane:
             ),
             spike_prob=float(self.spike_prob[row]),
             spike_delay=float(self.spike_delay[row]),
+        )
+
+
+class FaultPlaneCache:
+    """Fault planes realized once and shared by several batch passes.
+
+    A sweep simulates every algorithm of a (platform, error) cell on the
+    same seeds, so every algorithm's copy of a fault cell would realize
+    the same plane.  :meth:`realize` samples each distinct (model,
+    platform, seeds) plane once.  The cached arrays are read-only: the
+    batch engines only copy them into their own stacks.  Every call
+    returns fresh copies of the spike generators, positioned after the
+    schedule draws, because each consumer draws from them in its own
+    dispatch order.  The cache lives as long as its owner keeps it (one
+    :func:`~repro.experiments.runner.run_sweep` call).
+    """
+
+    def __init__(self) -> None:
+        self._planes: dict = {}
+
+    def realize(self, model: FaultModel, platform: "PlatformSpec", seeds) -> FaultPlane:
+        """``model.sample_batch(platform, seeds)``, sampled at most once.
+
+        Planes are keyed by value, so ``model`` and ``platform`` must be
+        hashable (every in-tree model and platform is).
+        """
+        key = (model, platform, tuple(int(s) for s in seeds))
+        plane = self._planes.get(key)
+        if plane is None:
+            plane = model.sample_batch(platform, seeds)
+            for field in dataclasses.fields(plane):
+                value = getattr(plane, field.name)
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            self._planes[key] = plane
+        return dataclasses.replace(
+            plane, rngs=[None if g is None else copy.deepcopy(g) for g in plane.rngs]
         )
 
 

@@ -21,7 +21,10 @@ merging every (platform, error) cell, reusing one grow-only
 :class:`~repro.sim.dynbatch.BatchArena` across the merged calls.  Fault
 grids ride the same passes: both batch engines realize per-repetition
 fault schedules with the scalar engine's exact semantics, gated per
-scheduler by :attr:`~repro.core.base.Scheduler.batch_supports_faults`.
+scheduler by :attr:`~repro.core.base.Scheduler.batch_supports_faults`,
+and one :class:`~repro.errors.faults.FaultPlaneCache` per sweep realizes
+each (platform, seeds) fault plane once for every algorithm of both
+passes.
 All paths use *the same per-cell seeds*, so the cross-algorithm pairing
 is untouched.  At ``error = 0`` the batch paths agree with the scalar
 engine bit-for-bit; at ``error > 0`` their makespans are
@@ -64,7 +67,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.registry import is_batch_dynamic_algorithm, make_scheduler
-from repro.errors.faults import make_fault_model
+from repro.errors.faults import FaultPlaneCache, make_fault_model
 from repro.errors.models import make_error_model
 from repro.errors.rng import stream_for
 from repro.experiments.config import (
@@ -485,6 +488,7 @@ def _run_static_batch_pass(
     tensors: dict[str, np.ndarray],
     supervisor: CellSupervisor | None = None,
     stats=None,
+    planes: FaultPlaneCache | None = None,
 ) -> None:
     """Fill the static algorithms' tensors via one whole-grid pass.
 
@@ -493,7 +497,8 @@ def _run_static_batch_pass(
     algorithm) with the *same* per-cell seeds the scalar path would use
     — fault model included — and hands the entire grid to one
     :func:`simulate_static_cells` call, which stacks the cells into one
-    tensor per plan-length class.
+    tensor per plan-length class.  Fault planes come from ``planes``,
+    shared with the lockstep pass.
 
     With a ``supervisor``, the merged pass is retried per the policy; if
     it keeps failing, the pass degrades to per-cell grid calls — the
@@ -540,10 +545,14 @@ def _run_static_batch_pass(
                 targets.append((name, p_idx, e_idx, error))
     perf = {} if stats is not None else None
     if supervisor is None:
-        results = simulate_static_cells(cells, mode=grid.error_mode, perf=perf)
+        results = simulate_static_cells(
+            cells, mode=grid.error_mode, perf=perf, planes=planes
+        )
     else:
         results, exc = supervisor.attempt(
-            lambda: simulate_static_cells(cells, mode=grid.error_mode, perf=perf),
+            lambda: simulate_static_cells(
+                cells, mode=grid.error_mode, perf=perf, planes=planes
+            ),
             grid.seed,
         )
         if exc is not None:
@@ -606,6 +615,7 @@ def _run_dynamic_batch_pass(
     supervisor: CellSupervisor | None = None,
     arena: BatchArena | None = None,
     stats=None,
+    planes: FaultPlaneCache | None = None,
 ) -> None:
     """Fill the batch-dynamic algorithms' tensors via one lockstep pass.
 
@@ -613,7 +623,8 @@ def _run_dynamic_batch_pass(
     error, algorithm) with the *same* per-cell seeds the scalar path
     would use — fault model included — then lets
     :func:`simulate_dynamic_cells` merge compatible cells into shared
-    lockstep calls drawing their state tensors from ``arena``.
+    lockstep calls drawing their state tensors from ``arena`` and their
+    fault planes from ``planes``.
 
     With a ``supervisor``, the merged pass is retried per the policy;
     if it keeps failing, the pass degrades to per-cell lockstep calls —
@@ -644,12 +655,13 @@ def _run_dynamic_batch_pass(
     perf = {} if stats is not None else None
     if supervisor is None:
         results = simulate_dynamic_cells(
-            cells, mode=grid.error_mode, arena=arena, perf=perf
+            cells, mode=grid.error_mode, arena=arena, perf=perf, planes=planes
         )
     else:
         results, exc = supervisor.attempt(
             lambda: simulate_dynamic_cells(
-                cells, mode=grid.error_mode, arena=arena, perf=perf
+                cells, mode=grid.error_mode, arena=arena, perf=perf,
+                planes=planes,
             ),
             grid.seed,
         )
@@ -926,6 +938,11 @@ def run_sweep(
             )
             on_block(p_idx, block)
 
+    # Both batch passes simulate every algorithm of a (platform, error)
+    # cell on the same seeds, so each fault plane is realized once and
+    # shared; the cache dies with this call.
+    planes = FaultPlaneCache() if grid.has_faults else None
+
     # -- the static whole-grid pass ----------------------------------------
     if static_batch_names:
         if staticgrid_resumed is not None:
@@ -939,7 +956,7 @@ def run_sweep(
             t0 = time.perf_counter()
             _run_static_batch_pass(
                 grid, platforms, static_batch_names, tensors,
-                supervisor=supervisor, stats=stats,
+                supervisor=supervisor, stats=stats, planes=planes,
             )
             if stats is not None:
                 stats.staticgrid_wall_s += time.perf_counter() - t0
@@ -965,6 +982,7 @@ def run_sweep(
             _run_dynamic_batch_pass(
                 grid, platforms, dyn_batch_names, tensors,
                 supervisor=supervisor, arena=_SWEEP_ARENA, stats=stats,
+                planes=planes,
             )
             if stats is not None:
                 stats.lockstep_wall_s += time.perf_counter() - t0

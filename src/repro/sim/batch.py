@@ -65,7 +65,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.chunks import ChunkPlan
-from repro.errors.faults import FaultModel
+from repro.errors.faults import FaultModel, FaultPlaneCache
 from repro.errors.models import MIN_RATIO
 from repro.platform.spec import PlatformSpec
 
@@ -336,6 +336,7 @@ def simulate_static_cells(
     min_ratio: float = MIN_RATIO,
     perf=None,
     tracers=None,
+    planes=None,
 ) -> list:
     """Simulate a whole grid of static cells in a few stacked passes.
 
@@ -374,6 +375,10 @@ def simulate_static_cells(
     than scheduler-specific names, and timelines are extracted only for
     traced rows.  Fault cells cannot be traced (use the scalar engine).
 
+    ``planes``, a :class:`~repro.errors.faults.FaultPlaneCache`, shares
+    fault planes with other passes over the same cells; by default cells
+    of this call that share a fault model, platform and seeds share one.
+
     Returns one makespan array per cell, in input order, each of shape
     ``(len(cell.seeds),)``.
     """
@@ -382,6 +387,8 @@ def simulate_static_cells(
     cells = list(cells)
     # Reject traced fault cells before any class is simulated or traced.
     _traced_rows(cells, tracers)
+    if planes is None:
+        planes = FaultPlaneCache()
     classes: dict[int, list[int]] = {}
     for i, c in enumerate(cells):
         classes.setdefault(c.plan.num_chunks.bit_length(), []).append(i)
@@ -389,14 +396,14 @@ def simulate_static_cells(
     for members in classes.values():
         results = _simulate_stack(
             [cells[i] for i in members], mode, min_ratio, perf,
-            None if tracers is None else [tracers[i] for i in members],
+            None if tracers is None else [tracers[i] for i in members], planes,
         )
         for i, makespans in zip(members, results):
             out[i] = makespans
     return out
 
 
-def _simulate_stack(cells, mode, min_ratio, perf, tracers) -> list:
+def _simulate_stack(cells, mode, min_ratio, perf, tracers, planes) -> list:
     """One (rows × chunks) pass over ``cells``, padded to their longest plan."""
     traced = _traced_rows(cells, tracers)
     # Clean deterministic cells need only one representative row.
@@ -464,7 +471,7 @@ def _simulate_stack(cells, mode, min_ratio, perf, tracers) -> list:
             if c.faults is None:
                 r += count
                 continue
-            plane = c.faults.sample_batch(c.platform, c.seeds[:count])
+            plane = planes.realize(c.faults, c.platform, c.seeds)
             sl = slice(r, r + count)
             n = plane.num_workers
             crash_t[sl, :n] = plane.crash_time

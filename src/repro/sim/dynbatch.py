@@ -11,20 +11,32 @@ and wait wake-ups at once.  Rows follow their own trajectories — each has
 its own clock, queue state, and decision state — only the *stepping* is
 shared.
 
-Per iteration:
+Per iteration, each a method of one explicit state object
+(:class:`_Lockstep`):
 
 1. **Observe.**  Pop every per-(row, worker) FIFO queue head whose
    realized completion time has passed the row's clock, accumulating
    completed chunk counts and work in pop order (bit-identical to the
    scalar view's prefix-sum difference).
-2. **Decide.**  The merged :class:`~repro.core.lockstep.LockstepKernel`
+2. **Contexts.**  Collect the crash masks and the newly observable
+   losses and completions each kernel group must see.
+3. **Decide.**  The merged :class:`~repro.core.lockstep.LockstepKernel`
    fills per-row action/worker/size from the observed pending state,
    using the exact scalar tie-breaks and size formulas.
-3. **Apply.**  Dispatching rows advance through the standard timeline
+4. **Retire.**  Rows that turned DONE are harvested; once half the rows
+   have finished, the survivors are compacted to the front.
+5. **Apply.**  Dispatching rows advance through the standard timeline
    arithmetic (link occupancy → arrival → FIFO compute start →
-   completion), perturbed by each row's own pre-drawn factor columns at
-   the row's own dispatch counter; waiting rows jump to their earliest
-   outstanding completion; finished rows freeze.
+   completion, then the fault transforms), perturbed by each row's own
+   pre-drawn factor columns at the row's own dispatch counter; waiting
+   rows jump to their earliest outstanding completion; finished rows
+   freeze.
+
+The state is flat: every (row, worker) and (row, worker, slot) array is
+C-contiguous, and each step gathers and scatters through one
+``row * n_max + worker`` index into a 1-D alias of it rather than through
+2-D or 3-D fancy indexing.  The per-worker queues are rings that only
+hold outstanding chunks.
 
 Equivalence contract (mirrors the static engine's): perturbation factors
 come from the same two spawned streams per seed, consumed in dispatch
@@ -64,7 +76,9 @@ are merged into shared calls — grouped by kernel family and padded to a
 common worker count — because lockstep efficiency comes from row count:
 the per-iteration NumPy overhead is amortized over every row that is
 still running.  A :class:`BatchArena` lets consecutive calls reuse the
-dense state buffers instead of reallocating them.  Only the
+dense state buffers instead of reallocating them, and a
+:class:`~repro.errors.faults.FaultPlaneCache` lets a sweep realize each
+fault plane once for every algorithm of a cell.  Only the
 truncated-normal (``"normal"``/``"none"``) error model is supported;
 other kinds stay on the scalar engine.
 """
@@ -72,6 +86,7 @@ other kinds stay on the scalar engine.
 from __future__ import annotations
 
 import dataclasses
+import math
 from time import perf_counter
 
 import numpy as np
@@ -85,7 +100,7 @@ from repro.core.lockstep import (
     KernelStepContext,
     LockstepKernel,
 )
-from repro.errors.faults import FaultModel
+from repro.errors.faults import FaultModel, FaultPlaneCache
 from repro.errors.models import MIN_RATIO, make_error_model
 from repro.platform.spec import PlatformSpec
 from repro.sim.batch import factor_stream
@@ -107,6 +122,10 @@ MAX_ROWS = 4096
 
 #: Initial factor-bank column capacity; grown by doubling on demand.
 _INITIAL_COLUMNS = 160
+
+#: Initial per-(row, worker) ring capacity (a power of two); doubled when
+#: one worker's outstanding chunks would overflow it.
+_INITIAL_SLOTS = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,32 +170,37 @@ class BatchArena:
     A sweep makes many lockstep calls — one per merged batch per grid
     pass — and without reuse each call allocates ~20 dense arrays (the
     (rows × workers × capacity) queue slabs dominating) only to free
-    them microseconds later.  The arena keeps one growable buffer per
-    array role and hands out views that are re-initialized *in full*
-    before use, so calls through one arena are pure: results depend only
-    on the call's arguments, never on what a previous call left behind
-    (property-tested in ``tests/properties/test_properties_dynbatch.py``).
+    them microseconds later.  The arena keeps one growable 1-D buffer
+    per array role and hands out C-contiguous views of its leading
+    prefix, re-initialized *in full* before use.  Contiguity holds
+    whatever shape a previous call requested, so the engine may address
+    every view through flat ``row * n_max + worker`` aliases, and calls
+    through one arena are pure: results depend only on the call's
+    arguments, never on what a previous call left behind (both
+    property-tested in ``tests/properties/test_properties_dynbatch.py``).
+    Compaction moves survivors to the front of these same views, so a
+    call allocates no second copy of its state.
     """
 
     def __init__(self) -> None:
         self._buffers: dict = {}
 
     def take(self, name: str, shape: tuple, dtype=np.float64, fill=None) -> np.ndarray:
-        """Return a ``shape``-sized view of buffer ``name``, refilled.
+        """Return a C-contiguous ``shape`` view of buffer ``name``, refilled.
 
-        The backing buffer grows monotonically (element-wise max of every
-        requested shape); ``fill`` overwrites the whole view so no state
-        leaks between calls.
+        The backing buffer is one flat array that only grows (to the
+        largest element count ever requested), and every view is its
+        leading prefix reshaped — contiguous whatever shapes earlier calls
+        asked for, which the engine's flat ``row * n_max + worker``
+        indexing relies on.  ``fill`` overwrites the whole view so no
+        state leaks between calls.
         """
+        size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.ndim != len(shape) or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype=dtype)
+        if buf is None or buf.dtype != np.dtype(dtype) or buf.size < size:
+            buf = np.empty(size, dtype=dtype)
             self._buffers[name] = buf
-        elif any(have < want for have, want in zip(buf.shape, shape)):
-            grown = tuple(max(have, want) for have, want in zip(buf.shape, shape))
-            buf = np.empty(grown, dtype=dtype)
-            self._buffers[name] = buf
-        view = buf[tuple(slice(0, s) for s in shape)]
+        view = buf[:size].reshape(shape)
         if fill is not None:
             view[...] = fill
         return view
@@ -238,6 +262,11 @@ class _FactorBank:
         self.comp = comp
         self._cols = target
 
+    def gather(self, rows, cols):
+        """``(comm, comp)`` factors of ``rows`` at column ``cols`` each."""
+        flat = rows * self.comm.shape[1] + cols
+        return self.comm.reshape(-1)[flat], self.comp.reshape(-1)[flat]
+
 
 class _SpikeBank:
     """Pre-drawn per-dispatch link-spike uniforms, one column per dispatch.
@@ -273,51 +302,50 @@ class _SpikeBank:
         self.draws = draws
         self._cols = target
 
+    def gather(self, rows, cols) -> np.ndarray:
+        """The draws of ``rows`` at column ``cols`` each."""
+        return self.draws.reshape(-1)[rows * self.draws.shape[1] + cols]
+
     def compact(self, keep) -> None:
         self._rngs = [self._rngs[int(r)] for r in keep]
         self.draws = self.draws[keep]
 
 
-def _worker_arrays(cells, reps, n_max):
-    """Per-row padded (S, B, cLat, nLat, tLat) matrices."""
-    shape = (len(cells), n_max)
-    S = np.ones(shape)
-    B = np.ones(shape)
-    cl = np.zeros(shape)
-    nl = np.zeros(shape)
-    tl = np.zeros(shape)
-    for i, cell in enumerate(cells):
-        for j, w in enumerate(cell.platform.workers):
-            S[i, j] = w.S
-            B[i, j] = w.B
-            cl[i, j] = w.cLat
-            nl[i, j] = w.nLat
-            tl[i, j] = w.tLat
-    rep = lambda a: np.repeat(a, reps, axis=0)  # noqa: E731
-    return rep(S), rep(B), rep(cl), rep(nl), rep(tl)
+#: The fault plane's per-(row, worker) arrays: engine name, plane field,
+#: and the neutral value that makes its transform a bitwise no-op.
+_FAULT_FIELDS = (
+    ("crash_t", "crash_time", np.inf),
+    ("pause_s", "pause_start", 0.0),
+    ("pause_l", "pause_len", 0.0),
+    ("slow_s", "slow_start", 0.0),
+    ("slow_f", "slow_factor", 1.0),
+)
+
+#: Per-(row, worker) platform parameters, in ``WorkerSpec`` field order.
+_WORKER_FIELDS = ("S", "B", "cLat", "nLat", "tLat")
 
 
-def _simulate_rows(
-    cells, specs, mode: str, min_ratio: float, row_tracers=None, arena=None,
-    perf=None,
-) -> list:
-    """Run one merged batch of cells to completion; makespans per cell.
+class _Lockstep:
+    """One merged lockstep call: explicit state, advanced in stages.
 
     ``cells``/``specs`` must be ordered so that equal ``group_key`` runs
     are contiguous: each run becomes one kernel deciding a contiguous row
     slice, while the engine state (clocks, queues, dispatch arithmetic)
-    is shared across all rows — one iteration advances every still-active
-    row of every family.
+    is shared across all rows.  :meth:`run` repeats the stages of the
+    module docstring until no row is active.
 
-    Fault cells ride along: each cell's :class:`FaultPlane` is realized
-    in one :meth:`~repro.errors.faults.FaultModel.sample_batch` call and
-    block-copied into the batch's fault arrays, whose neutral defaults
-    (``inf`` crash, zero-length pause, factor-1 slowdown, zero spike
-    probability) make the fault transforms bitwise no-ops for clean rows
-    sharing the batch.  Rows the cell's kernel spec reports through
-    :meth:`~repro.core.lockstep.KernelSpec.deferred_rows` are simulated
-    by :func:`repro.sim.fastsim.simulate_fast` up front and excluded
-    from the lockstep state.
+    Layout: every piece of per-row state is one arena array registered
+    by :meth:`_state` — ``(R,)`` per row, ``(R, n_max)`` per (row,
+    worker), ``(R, n_max, cap)`` per queue slot.  Each multi-axis array
+    has a flat alias ``<name>_f``; a queue slot is ``pair * cap + slot``
+    in it.  Compaction and queue growth replace arrays; both rebuild the
+    aliases (:meth:`_reflatten`) so no alias outlives its array.
+
+    Fault cells ride along: each cell's :class:`FaultPlane` comes from
+    ``planes``, a :class:`~repro.errors.faults.FaultPlaneCache` that
+    realizes it in one :meth:`~repro.errors.faults.FaultModel.sample_batch`
+    call, and is block-copied into the batch's fault arrays (see
+    :meth:`_realize_faults`).
 
     ``perf``, when given, is a mutable mapping accumulating engine
     counters across calls: ``rows_deferred_scalar`` plus wall-time
@@ -332,73 +360,182 @@ def _simulate_rows(
     events use ``phase=""``, emit no ``round_boundary``, and fault rows
     emit no ``recovery_decision``).
     """
-    reps = [len(c.seeds) for c in cells]
-    offsets = np.cumsum([0] + reps)
-    rows = int(offsets[-1])
-    n_max = max(c.platform.N for c in cells)
-    if arena is None:
-        arena = BatchArena()
 
-    # (kernel, row slice, wants_notes) per contiguous group-key run.
-    kernels = []
-    i = 0
-    while i < len(cells):
-        j = i
-        while j < len(cells) and specs[j].group_key == specs[i].group_key:
-            j += 1
-        kernels.append(
-            (
-                specs[i].make_kernel(specs[i:j], reps[i:j], n_max),
-                slice(int(offsets[i]), int(offsets[j])),
-                specs[i].wants_notes,
+    def __init__(
+        self, cells, specs, mode, min_ratio, row_tracers, arena, perf, planes
+    ) -> None:
+        self.cells = cells
+        self.row_tracers = row_tracers
+        self.perf = perf
+        self.timing = perf is not None
+        self.arena = arena
+        self._fields: list = []
+        reps = [len(c.seeds) for c in cells]
+        self.offsets = np.cumsum([0] + reps)
+        rows = self.rows = int(self.offsets[-1])
+        n = self.n = max(c.platform.N for c in cells)
+
+        # (kernel, row slice, wants_notes) per contiguous group-key run.
+        self.kernels = []
+        i = 0
+        while i < len(cells):
+            j = i
+            while j < len(cells) and specs[j].group_key == specs[i].group_key:
+                j += 1
+            self.kernels.append(
+                (
+                    specs[i].make_kernel(specs[i:j], reps[i:j], n),
+                    slice(int(self.offsets[i]), int(self.offsets[j])),
+                    specs[i].wants_notes,
+                )
             )
+            i = j
+
+        self.seeds = [s for c in cells for s in c.seeds]
+        self.bank = _FactorBank(
+            self.seeds, np.repeat([c.error for c in cells], reps), mode, min_ratio
         )
-        i = j
+        # Pad worker slots keep S = B = 1 and zero latencies.
+        params = np.zeros((len(cells), n, len(_WORKER_FIELDS)))
+        params[:, :, :2] = 1.0
+        for ci, cell in enumerate(cells):
+            for j, w in enumerate(cell.platform.workers):
+                params[ci, j] = [getattr(w, name) for name in _WORKER_FIELDS]
+        for k, name in enumerate(_WORKER_FIELDS):
+            self._state(name, (rows, n))[:] = np.repeat(params[:, :, k], reps, axis=0)
+        self._state("orig", (rows,), np.int64)[:] = np.arange(rows)
+        cell_of_row = self._state("cell_of_row", (rows,), np.int64)
+        cell_of_row[:] = np.repeat(np.arange(len(cells)), reps)
+        kernel_of_row = self._state("kernel_of_row", (rows,), np.int64)
+        for ki, (_, sl, _) in enumerate(self.kernels):
+            kernel_of_row[sl] = ki
+        self._state("active", (rows,), bool, fill=True)
 
-    # Stacked (S, B, cLat, nLat, tLat) so each dispatch gathers all five
-    # per-worker parameters in one fancy-index operation.
-    wp = np.stack(_worker_arrays(cells, reps, n_max))
-    seeds = [s for c in cells for s in c.seeds]
-    sigmas = np.repeat([c.error for c in cells], reps)
-    bank = _FactorBank(seeds, sigmas, mode, min_ratio)
-    cell_of_row = np.repeat(np.arange(len(cells)), reps)
+        notes_mode = any(s.wants_notes for s in specs)
+        self.fault_mode = False
+        self.any_crash = self.any_pause = self.any_slow = False
+        self.spikes = None
+        self.deferred: list = []
+        self.defer_makespans: dict = {}
+        if any(c.faults is not None for c in cells):
+            self._realize_faults(specs, planes, mode, min_ratio)
+        # Losses exist only where crashes do: the collect machinery (chunk
+        # indices, loss flags, per-step contexts) is needed for crash rows
+        # and note-consuming kernels, not for pause/slowdown/spike rows —
+        # those kernels' end-of-run drain is makespan-neutral without
+        # losses, because the running makespan maximum is already complete
+        # at dispatch-apply time.
+        self.collect = self.any_crash or notes_mode
+        self.need_mask = bool(self.deferred)
+        # Per-kind fault-transform wall time, billed to ``perf`` at the end.
+        self.fault_s = dict.fromkeys(
+            ("fault_crash_s", "fault_pause_s", "fault_slow_s", "fault_spike_s"), 0.0
+        )
 
-    # Realize every fault cell's schedules in one batched draw from the
-    # per-seed third streams (streams 0/1 stay with the factor bank),
-    # block-copied into the batch arrays.  Each transform's static
-    # any-flag records whether any row needs it at all, so a crash-only
-    # batch never pays for pause/slowdown arithmetic and vice versa.
-    notes_mode = any(s.wants_notes for s in specs)
-    fault_mode = False
-    any_crash = any_pause = any_slow = spike_any = False
-    fault_rngs: list = [None] * rows
-    deferred: list = []
-    defer_makespans: dict = {}
-    timing = perf is not None
-    active = arena.take("active", (rows,), dtype=bool, fill=True)
-    t_sample = perf_counter() if timing else 0.0
-    if any(c.faults is not None for c in cells):
-        crash_t = arena.take("crash_t", (rows, n_max), fill=np.inf)
-        pause_s = arena.take("pause_s", (rows, n_max), fill=0.0)
-        pause_l = arena.take("pause_l", (rows, n_max), fill=0.0)
-        slow_s = arena.take("slow_s", (rows, n_max), fill=0.0)
-        slow_f = arena.take("slow_f", (rows, n_max), fill=1.0)
-        spike_p = arena.take("spike_p", (rows,), fill=0.0)
-        spike_d = arena.take("spike_d", (rows,), fill=0.0)
-        fault_row = arena.take("fault_row", (rows,), dtype=bool, fill=False)
-        mspan = arena.take("mspan", (rows,), fill=0.0)
+        # FIFO queues of realized completions, one ring per (row, worker):
+        # entry ``c`` (a running per-worker counter) sits in slot
+        # ``c & (cap - 1)``, so slots are reused once popped and ``cap``
+        # only has to hold the outstanding chunks, not every chunk ever
+        # sent.  The head element is mirrored into dense
+        # ``head_end``/``head_size`` arrays (inf/0 for an empty queue) so
+        # the observe step never gathers from the slot arrays.
+        cap = _INITIAL_SLOTS
+        self._state("q_end", (rows, n, cap), fill=np.inf)
+        self._state("q_size", (rows, n, cap))
+        self._state("q_head", (rows, n), np.int64)
+        self._state("q_tail", (rows, n), np.int64)
+        self._state("head_end", (rows, n), fill=np.inf)
+        self._state("head_size", (rows, n))
+        # Each row's earliest outstanding completion, maintained
+        # incrementally so the observe step and wait wake-ups are O(rows)
+        # instead of scanning the full (rows × workers) head matrix.
+        self._state("head_min", (rows,), fill=np.inf)
+        if self.collect:
+            # Chunk indices give the scalar (time, chunk_index) event
+            # order; loss flags mark entries announcing a LossNote instead
+            # of a completion.
+            self._state("q_idx", (rows, n, cap), np.int64)
+            self._state("q_lost", (rows, n, cap), bool, fill=False)
+            self._state("head_idx", (rows, n), np.int64)
+            self._state("head_lost", (rows, n), bool, fill=False)
+            wants_row = self._state("wants_row", (rows,), bool, fill=False)
+            for _, sl, wants in self.kernels:
+                wants_row[sl] = wants
+
+        # Pending chunk counts are maintained incrementally (integers, so
+        # the running value is exact); pending work stays a sent − done
+        # difference because that is bitwise-identical to the scalar
+        # view's bookkeeping.  Padded worker slots report a huge pending
+        # count so no kernel ever selects them or sees them idle.
+        counts = self._state("counts", (rows, n), np.int64)
+        n_per_row = np.repeat([c.platform.N for c in cells], reps)
+        counts[np.arange(n)[None, :] >= n_per_row[:, None]] = PAD_PENDING
+        self._state("sent_work", (rows, n))
+        self._state("done_work", (rows, n))
+        self._state("busy", (rows, n))
+        self._state("now", (rows,))
+        self._state("kdisp", (rows,), np.int64)
+        self._state("action", (rows,), np.int64, fill=DONE)
+        self._state("worker", (rows,), np.int64)
+        self._state("size", (rows,))
+        # Reused difference buffer for the kernels' pending-work view.
+        self._state("works", (rows, n))
+
+        # Liveness as integer counters (global and per kernel group): the
+        # loop condition and the per-group decide guards then cost O(1)
+        # instead of re-reducing the ``active`` mask every iteration.
+        self.n_active = int(self.active.sum())
+        self.group_alive = [int(self.active[sl].sum()) for _, sl, _ in self.kernels]
+        self.final = np.empty(rows)
+        self.can_compact = all(
+            type(k).compact is not LockstepKernel.compact for k, _, _ in self.kernels
+        )
+        self._reflatten()
+
+    # -- set-up ---------------------------------------------------------------
+    def _state(self, name, shape, dtype=np.float64, fill=0):
+        """Take ``name`` from the arena as per-row state, filled with ``fill``.
+
+        Registered state is compacted with the rows, and every multi-axis
+        array gets a flat alias ``<name>_f``.
+        """
+        array = self.arena.take(name, shape, dtype=dtype, fill=fill)
+        setattr(self, name, array)
+        self._fields.append(name)
+        return array
+
+    def _realize_faults(self, specs, planes, mode, min_ratio) -> None:
+        """Copy every fault cell's plane into the batch's fault arrays.
+
+        Each cell's schedules come from one batched draw from the per-seed
+        third streams (streams 0/1 stay with the factor bank).  Neutral
+        defaults (``inf`` crash, zero-length pause, factor-1 slowdown,
+        zero spike probability) keep the transforms bitwise no-ops for
+        clean rows sharing the batch, and each transform's any-flag
+        records whether any row needs it at all, so a crash-only batch
+        never pays for pause/slowdown arithmetic and vice versa.  Rows a
+        spec reports through ``deferred_rows`` run on the scalar engine
+        here and are frozen in the lockstep state.
+        """
+        rows, n_max, cells = self.rows, self.n, self.cells
+        perf, timing = self.perf, self.timing
+        t_sample = perf_counter() if timing else 0.0
+        for name, _, neutral in _FAULT_FIELDS:
+            self._state(name, (rows, n_max), fill=neutral)
+        spike_p = self._state("spike_p", (rows,))
+        spike_d = self._state("spike_d", (rows,))
+        fault_row = self._state("fault_row", (rows,), bool, fill=False)
+        self._state("mspan", (rows,))
+        fault_rngs: list = [None] * rows
+        deferred = self.deferred
         for ci, cell in enumerate(cells):
             if cell.faults is None:
                 continue
-            plane = cell.faults.sample_batch(cell.platform, cell.seeds)
-            lo = int(offsets[ci])
-            sl = slice(lo, int(offsets[ci + 1]))
-            n = cell.platform.N
-            crash_t[sl, :n] = plane.crash_time
-            pause_s[sl, :n] = plane.pause_start
-            pause_l[sl, :n] = plane.pause_len
-            slow_s[sl, :n] = plane.slow_start
-            slow_f[sl, :n] = plane.slow_factor
+            plane = planes.realize(cell.faults, cell.platform, cell.seeds)
+            lo = int(self.offsets[ci])
+            sl = slice(lo, int(self.offsets[ci + 1]))
+            for name, field, _ in _FAULT_FIELDS:
+                getattr(self, name)[sl, : cell.platform.N] = getattr(plane, field)
             spike_p[sl] = plane.spike_prob
             spike_d[sl] = plane.spike_delay
             fault_row[sl] = plane.fault_row
@@ -408,515 +545,473 @@ def _simulate_rows(
             defer = specs[ci].deferred_rows(plane.crash_time)
             if defer is not None and defer.any():
                 # Crash patterns this kernel cannot replay bitwise: the
-                # rows run on the scalar engine (the reference
-                # semantics) and their lockstep slots are frozen, with
-                # their fault entries reset to neutral.
-                for local in map(int, np.flatnonzero(defer)):
-                    r = lo + local
+                # rows run on the scalar engine (the reference semantics)
+                # and their lockstep slots are frozen, with their fault
+                # entries reset to neutral.
+                for r in (lo + np.flatnonzero(defer)).tolist():
                     deferred.append(r)
                     fault_rngs[r] = None
-                    bank.mute_row(r)
+                    self.bank.mute_row(r)
                     fault_row[r] = False
-                    crash_t[r] = np.inf
-                    pause_s[r] = 0.0
-                    pause_l[r] = 0.0
-                    slow_s[r] = 0.0
-                    slow_f[r] = 1.0
                     spike_p[r] = 0.0
-        fault_mode = bool(fault_row.any())
-        any_crash = bool(np.isfinite(crash_t).any())
-        any_pause = bool((pause_l > 0.0).any())
-        any_slow = bool((slow_f > 1.0).any())
-        spike_any = any(g is not None for g in fault_rngs)
+                    for name, _, neutral in _FAULT_FIELDS:
+                        getattr(self, name)[r] = neutral
+        self.fault_mode = bool(fault_row.any())
+        self.any_crash = bool(np.isfinite(self.crash_t).any())
+        self.any_pause = bool((self.pause_l > 0.0).any())
+        self.any_slow = bool((self.slow_f > 1.0).any())
+        if any(g is not None for g in fault_rngs):
+            self.spikes = _SpikeBank(fault_rngs)
         if timing:
             now_t = perf_counter()
-            perf["fault_sample_s"] = (
-                perf.get("fault_sample_s", 0.0) + now_t - t_sample
-            )
+            perf["fault_sample_s"] = perf.get("fault_sample_s", 0.0) + now_t - t_sample
             perf["rows_deferred_scalar"] = (
                 perf.get("rows_deferred_scalar", 0) + len(deferred)
             )
             t_sample = now_t
+        row_tracers = self.row_tracers
         for r in deferred:
-            cell = cells[int(cell_of_row[r])]
+            cell = cells[int(self.cell_of_row[r])]
             result = simulate_fast(
                 cell.platform,
                 cell.total_work,
                 cell.scheduler,
                 make_error_model("normal", cell.error, min_ratio=min_ratio, mode=mode),
-                seeds[r],
+                self.seeds[r],
                 collect_records=False,
                 faults=cell.faults,
                 tracer=None if row_tracers is None else row_tracers[r],
             )
-            defer_makespans[r] = result.makespan
-            active[r] = False
+            self.defer_makespans[r] = result.makespan
+            self.active[r] = False
         if timing and deferred:
             perf["fault_defer_s"] = (
                 perf.get("fault_defer_s", 0.0) + perf_counter() - t_sample
             )
         if row_tracers is not None:
-            # Crash instants are known once the plane is realized;
-            # emitting them upfront matches the scalar engine's stream
-            # (deferred rows already emitted theirs inside simulate_fast).
+            # Crash instants are known once the plane is realized; emitting
+            # them upfront matches the scalar engine's stream (deferred rows
+            # already emitted theirs inside simulate_fast).
+            crash_t = self.crash_t
             for r in range(rows):
                 tracer = row_tracers[r]
                 if tracer is not None and fault_row[r]:
-                    for wi in map(int, np.flatnonzero(np.isfinite(crash_t[r]))):
+                    for wi in np.flatnonzero(np.isfinite(crash_t[r])).tolist():
                         tracer.emit(float(crash_t[r, wi]), "fault", wi, detail="crash")
-    # Losses exist only where crashes do: the collect machinery (chunk
-    # indices, loss flags, per-step contexts) is needed for crash rows
-    # and note-consuming kernels, not for pause/slowdown/spike rows —
-    # those kernels' end-of-run drain is makespan-neutral without
-    # losses, because the running makespan maximum is already complete
-    # at dispatch-apply time.
-    collect = any_crash or notes_mode
-    spikes = _SpikeBank(fault_rngs) if spike_any else None
-    need_mask = bool(deferred)
-    t_crash = t_pause = t_slow = t_spike = 0.0
 
-    # Append-only FIFO queues of realized completions, one per
-    # (row, worker), with the head element mirrored into dense
-    # ``head_end``/``head_size`` arrays (inf/0 for an empty queue) so the
-    # observe step never gathers from the 3-d slot arrays.
-    cap = 8
-    q_end = arena.take("q_end", (rows, n_max, cap), fill=np.inf)
-    q_size = arena.take("q_size", (rows, n_max, cap), fill=0.0)
-    q_head = arena.take("q_head", (rows, n_max), dtype=np.int64, fill=0)
-    q_tail = arena.take("q_tail", (rows, n_max), dtype=np.int64, fill=0)
-    head_end = arena.take("head_end", (rows, n_max), fill=np.inf)
-    head_size = arena.take("head_size", (rows, n_max), fill=0.0)
-    # Each row's earliest outstanding completion, maintained incrementally
-    # so the observe step and wait wake-ups are O(rows) instead of
-    # scanning the full (rows × workers) head matrix every iteration.
-    head_min = arena.take("head_min", (rows,), fill=np.inf)
-    kernel_of_row = np.empty(rows, dtype=np.int64)
-    for ki, (_, sl, _) in enumerate(kernels):
-        kernel_of_row[sl] = ki
-    if collect:
-        # Chunk indices give the scalar (time, chunk_index) event order;
-        # loss flags mark entries announcing a LossNote instead of a
-        # completion.
-        q_idx = arena.take("q_idx", (rows, n_max, cap), dtype=np.int64, fill=0)
-        q_lost = arena.take("q_lost", (rows, n_max, cap), dtype=bool, fill=False)
-        head_idx = arena.take("head_idx", (rows, n_max), dtype=np.int64, fill=0)
-        head_lost = arena.take("head_lost", (rows, n_max), dtype=bool, fill=False)
-        wants_row = np.zeros(rows, dtype=bool)
-        for ki, (_, sl, wants) in enumerate(kernels):
-            if wants:
-                wants_row[sl] = True
+    def _reflatten(self) -> None:
+        """Rebind every ``<name>_f`` alias to its array's current buffer.
 
-    # Pending chunk counts are maintained incrementally (integers, so the
-    # running value is exact); pending work stays a sent − done difference
-    # because that is bitwise-identical to the scalar view's bookkeeping.
-    counts = arena.take("counts", (rows, n_max), dtype=np.int64, fill=0)
-    sent_work = arena.take("sent_work", (rows, n_max), fill=0.0)
-    done_work = arena.take("done_work", (rows, n_max), fill=0.0)
-    # Padded worker slots report a huge pending count so no kernel ever
-    # selects them or sees them idle.
-    n_per_row = np.repeat([c.platform.N for c in cells], reps)
-    counts[np.arange(n_max)[None, :] >= n_per_row[:, None]] = PAD_PENDING
+        ``copy=False`` makes a non-contiguous array fail loudly here
+        instead of yielding an alias whose writes go nowhere.
+        """
+        for name in self._fields:
+            array = getattr(self, name)
+            if array.ndim > 1:
+                setattr(self, name + "_f", array.reshape(-1, copy=False))
 
-    busy = arena.take("busy", (rows, n_max), fill=0.0)
-    now = arena.take("now", (rows,), fill=0.0)
-    kdisp = arena.take("kdisp", (rows,), dtype=np.int64, fill=0)
-    action = arena.take("action", (rows,), dtype=np.int64, fill=DONE)
-    worker = arena.take("worker", (rows,), dtype=np.int64, fill=0)
-    size = arena.take("size", (rows,), fill=0.0)
-    # Reused difference buffer for the kernels' pending-work view.
-    works = arena.take("works", (rows, n_max), fill=0.0)
+    # -- stages ---------------------------------------------------------------
+    def observe(self) -> list:
+        """Pop every queue head whose completion has passed its row's clock.
 
-    # Liveness as integer counters (global and per kernel group): the loop
-    # condition and the per-group decide guards then cost O(1) instead of
-    # re-reducing the ``active`` mask every iteration.
-    n_active = int(active.sum())
-    group_alive = [int(active[sl].sum()) for _, sl, _ in kernels]
-
-    # Rows finish at very different iteration counts (platform size and
-    # error level set the dispatch count), so late iterations would pay
-    # full-width array ops for mostly-dead rows.  Instead each finished
-    # row's makespan is harvested the moment it turns DONE (its state is
-    # final), and once at most half the rows remain alive the engine
-    # compacts every per-row array — and each kernel's state — down to
-    # the survivors.  Compaction only re-indexes rows (their relative
-    # order is preserved), so every remaining trajectory is bitwise
-    # unchanged.
-    final = np.empty(rows)
-    orig = np.arange(rows)
-    can_compact = all(
-        type(k).compact is not LockstepKernel.compact for k, _, _ in kernels
-    )
-
-    while n_active:
-        # 1. Observe: pop queue heads whose completion has passed each
-        # row's clock — only rows whose earliest outstanding completion
-        # (head_min) is due participate.  One head per (row, worker) per
-        # pass, in FIFO order, so done_work accumulates exactly like the
-        # scalar view's completed-work prefix sums.
+        Only rows whose earliest outstanding completion (``head_min``) is
+        due take part.  One head per (row, worker) per pass, in FIFO
+        order, so ``done_work`` accumulates exactly like the scalar view's
+        completed-work prefix sums.  Only a pair that just popped can pop
+        again, so passes after the first re-test just those pairs.
+        Returns the popped entries (when the kernels need notes or
+        losses) for :meth:`contexts`.
+        """
         pops: list = []
-        rdy = np.flatnonzero(head_min <= now)
-        while rdy.size:
-            ready = head_end[rdy] <= now[rdy, None]
-            lr, ww = np.nonzero(ready)
-            if lr.size == 0:
-                break
-            rr = rdy[lr]
-            counts[rr, ww] -= 1
-            done_work[rr, ww] += head_size[rr, ww]
+        now = self.now
+        rdy = np.flatnonzero(self.head_min <= now)
+        if not rdy.size:
+            return pops
+        n, collect = self.n, self.collect
+        cap = self.q_end.shape[2]
+        block = self.head_end.take(rdy, axis=0)
+        due = np.flatnonzero(block <= now.take(rdy)[:, None])
+        lr, ww = np.divmod(due, n)
+        rr = rdy[lr]
+        f = rr * n + ww
+        while f.size:
+            size = self.head_size_f[f]
+            self.counts_f[f] -= 1
+            self.done_work_f[f] += size
             if collect:
                 pops.append(
-                    (
-                        rr,
-                        ww,
-                        head_end[rr, ww],
-                        head_size[rr, ww],
-                        head_lost[rr, ww],
-                        head_idx[rr, ww],
+                    (rr, ww, self.head_end_f[f], size,
+                     self.head_lost_f[f], self.head_idx_f[f])
+                )
+            nh = self.q_head_f[f] + 1
+            self.q_head_f[f] = nh
+            has_more = nh < self.q_tail_f[f]
+            slot = f * cap + (nh & (cap - 1))
+            head_end = np.where(has_more, self.q_end_f[slot], np.inf)
+            self.head_end_f[f] = head_end
+            self.head_size_f[f] = np.where(has_more, self.q_size_f[slot], 0.0)
+            if collect:
+                self.head_lost_f[f] = np.where(has_more, self.q_lost_f[slot], False)
+                self.head_idx_f[f] = np.where(has_more, self.q_idx_f[slot], 0)
+            again = np.flatnonzero(head_end <= now[rr])
+            rr, ww, f = rr[again], ww[again], f[again]
+        # Row minima over the worker axis run much faster on the
+        # worker-major copy (a reduction over the long axis).
+        block = self.head_end.take(rdy, axis=0)
+        self.head_min[rdy] = np.ascontiguousarray(block.T).min(axis=0)
+        return pops
+
+    def contexts(self, pops) -> "list | None":
+        """Each group's step context: what a scalar view would report.
+
+        That is the crash state at the row's clock plus the losses and
+        completions that just became observable, delivered in scalar
+        ``(time, chunk_index)`` order per row.
+        """
+        if not self.collect:
+            return None
+        kernels = self.kernels
+        crashed_now = (self.crash_t <= self.now[:, None]) if self.any_crash else None
+        ctxs = [None] * len(kernels)
+        for ki, (_, sl, wants) in enumerate(kernels):
+            if self.fault_mode or wants:
+                ctxs[ki] = KernelStepContext(
+                    crashed=None if crashed_now is None else crashed_now[sl],
+                    fault_rows=self.fault_row[sl] if self.fault_mode else None,
+                )
+        if not pops:
+            return ctxs
+        prr, pww, pend, psz, plost, pidx = (np.concatenate(p) for p in zip(*pops))
+        sel = np.flatnonzero(plost | self.wants_row[prr])
+        if not sel.size:
+            return ctxs
+        # Stable sort of the kept events: the same order as sorting every
+        # pop and filtering afterwards.
+        sel = sel[np.lexsort((pidx[sel], pend[sel], prr[sel]))]
+        row = prr[sel]
+        group = self.kernel_of_row[row]
+        lost = plost[sel]
+        for ki, (_, sl, _) in enumerate(kernels):
+            ctx = ctxs[ki]
+            if ctx is None:
+                continue
+            mine = group == ki
+            if not mine.any():
+                continue
+            local = row - sl.start
+            hit = mine & lost
+            ctx.losses.extend(zip(local[hit].tolist(), psz[sel[hit]].tolist()))
+            hit = mine & ~lost
+            if hit.any():
+                at = sel[hit]
+                ctx.notes.extend(
+                    zip(
+                        local[hit].tolist(), pend[at].tolist(),
+                        pww[at].tolist(), psz[at].tolist(),
                     )
                 )
-            nh = q_head[rr, ww] + 1
-            q_head[rr, ww] = nh
-            has_more = nh < q_tail[rr, ww]
-            idx = np.minimum(nh, q_end.shape[2] - 1)
-            head_end[rr, ww] = np.where(has_more, q_end[rr, ww, idx], np.inf)
-            head_size[rr, ww] = np.where(has_more, q_size[rr, ww, idx], 0.0)
-            if collect:
-                head_lost[rr, ww] = np.where(has_more, q_lost[rr, ww, idx], False)
-                head_idx[rr, ww] = np.where(has_more, q_idx[rr, ww, idx], 0)
-        if rdy.size:
-            head_min[rdy] = head_end[rdy].min(axis=1)
+        return ctxs
 
-        # 1b. Build each group's step context: the crash state a scalar
-        # view would report at the row's clock, plus the losses and
-        # completions that just became observable, delivered in scalar
-        # (time, chunk_index) order per row.
-        ctxs = None
-        if collect:
-            crashed_now = (crash_t <= now[:, None]) if any_crash else None
-            ctxs = [None] * len(kernels)
-            for ki, (_, sl, wants) in enumerate(kernels):
-                if fault_mode or wants:
-                    ctxs[ki] = KernelStepContext(
-                        crashed=None if crashed_now is None else crashed_now[sl],
-                        fault_rows=None if not fault_mode else fault_row[sl],
-                    )
-            if pops:
-                prr = np.concatenate([p[0] for p in pops])
-                pww = np.concatenate([p[1] for p in pops])
-                pend = np.concatenate([p[2] for p in pops])
-                psz = np.concatenate([p[3] for p in pops])
-                plost = np.concatenate([p[4] for p in pops])
-                pidx = np.concatenate([p[5] for p in pops])
-                keep = plost | wants_row[prr]
-                if keep.any():
-                    order = np.lexsort((pidx, pend, prr))
-                    for pos in order[keep[order]]:
-                        row = int(prr[pos])
-                        ki = int(kernel_of_row[row])
-                        ctx = ctxs[ki]
-                        if ctx is None:
-                            continue
-                        local = row - kernels[ki][1].start
-                        if plost[pos]:
-                            ctx.losses.append((local, float(psz[pos])))
-                        else:
-                            ctx.notes.append(
-                                (
-                                    local,
-                                    float(pend[pos]),
-                                    int(pww[pos]),
-                                    float(psz[pos]),
-                                )
-                            )
-
-        # 2. Decide: each family's kernel fills its contiguous row slice.
-        for ki, (kernel, sl, _) in enumerate(kernels):
-            if group_alive[ki]:
-                np.subtract(sent_work[sl], done_work[sl], out=works[sl])
+    def decide(self, ctxs) -> None:
+        """Each family's kernel fills its contiguous row slice."""
+        for ki, (kernel, sl, _) in enumerate(self.kernels):
+            if self.group_alive[ki]:
+                np.subtract(self.sent_work[sl], self.done_work[sl], out=self.works[sl])
                 kernel.decide(
-                    counts[sl],
-                    works[sl],
-                    action[sl],
-                    worker[sl],
-                    size[sl],
-                    mask=active[sl] if need_mask else None,
+                    self.counts[sl],
+                    self.works[sl],
+                    self.action[sl],
+                    self.worker[sl],
+                    self.size[sl],
+                    mask=self.active[sl] if self.need_mask else None,
                     ctx=None if ctxs is None else ctxs[ki],
                 )
 
-        done_rows = np.flatnonzero(active & (action == DONE))
-        if done_rows.size:
-            if fault_mode:
-                final[orig[done_rows]] = mspan[done_rows]
-            else:
-                final[orig[done_rows]] = busy[done_rows].max(axis=1)
-            active[done_rows] = False
-            n_active -= int(done_rows.size)
-            for ki in kernel_of_row[done_rows]:
-                group_alive[ki] -= 1
-            if n_active == 0:
-                break
-            if can_compact and rows - n_active >= 128 and n_active <= rows // 2:
-                keep = np.flatnonzero(active)
-                new_kernels = []
-                start = 0
-                for ki, (kernel, sl, wants) in enumerate(kernels):
-                    loc = keep[(keep >= sl.start) & (keep < sl.stop)] - sl.start
-                    kernel.compact(loc)
-                    new_kernels.append(
-                        (kernel, slice(start, start + loc.size), wants)
-                    )
-                    group_alive[ki] = int(loc.size)
-                    start += loc.size
-                kernels = new_kernels
-                orig = orig[keep]
-                counts = counts[keep]
-                sent_work = sent_work[keep]
-                done_work = done_work[keep]
-                busy = busy[keep]
-                now = now[keep]
-                kdisp = kdisp[keep]
-                action = action[keep]
-                worker = worker[keep]
-                size = size[keep]
-                works = works[: keep.size]
-                q_end = q_end[keep]
-                q_size = q_size[keep]
-                q_head = q_head[keep]
-                q_tail = q_tail[keep]
-                head_end = head_end[keep]
-                head_size = head_size[keep]
-                head_min = head_min[keep]
-                wp = wp[:, keep]
-                bank.compact(keep)
-                kernel_of_row = kernel_of_row[keep]
-                cell_of_row = cell_of_row[keep]
-                active = active[keep]
-                if collect:
-                    q_idx = q_idx[keep]
-                    q_lost = q_lost[keep]
-                    head_idx = head_idx[keep]
-                    head_lost = head_lost[keep]
-                    wants_row = wants_row[keep]
-                if fault_mode:
-                    crash_t = crash_t[keep]
-                    pause_s = pause_s[keep]
-                    pause_l = pause_l[keep]
-                    slow_s = slow_s[keep]
-                    slow_f = slow_f[keep]
-                    spike_p = spike_p[keep]
-                    spike_d = spike_d[keep]
-                    fault_row = fault_row[keep]
-                    mspan = mspan[keep]
-                    if spikes is not None:
-                        spikes.compact(keep)
-                        spike_any = spikes.any_live
-                    # Survivors may no longer need every transform (the
-                    # rows that did may all have finished).
-                    fault_mode = bool(fault_row.any())
-                    any_crash = any_crash and bool(np.isfinite(crash_t).any())
-                    any_pause = any_pause and bool((pause_l > 0.0).any())
-                    any_slow = any_slow and bool((slow_f > 1.0).any())
-                if row_tracers is not None:
-                    row_tracers = [row_tracers[int(r)] for r in keep]
-                # Deferred rows were inactive from the start, so the
-                # survivors are all live: the mask is no longer needed.
-                need_mask = False
-                rows = int(keep.size)
+    def retire(self) -> None:
+        """Harvest rows that turned DONE; compact once half have finished.
 
-        # 3a. Apply dispatches.
-        disp = np.flatnonzero(active & (action == DISPATCH))
+        A finished row's state is final, so its makespan is taken the
+        moment it turns DONE.  Rows finish at very different iteration
+        counts, so once at most half the rows remain alive every per-row
+        array — and each kernel's state — shrinks to the survivors, and
+        late iterations stop paying full-width costs for dead rows.
+        """
+        done_rows = np.flatnonzero(self.active & (self.action == DONE))
+        if not done_rows.size:
+            return
+        if self.fault_mode:
+            self.final[self.orig[done_rows]] = self.mspan[done_rows]
+        else:
+            self.final[self.orig[done_rows]] = self.busy[done_rows].max(axis=1)
+        self.active[done_rows] = False
+        self.n_active -= int(done_rows.size)
+        for ki in self.kernel_of_row[done_rows].tolist():
+            self.group_alive[ki] -= 1
+        if (
+            self.n_active
+            and self.can_compact
+            and self.rows - self.n_active >= 128
+            and self.n_active <= self.rows // 2
+        ):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Keep only the live rows, in place and in their relative order.
+
+        Pure re-indexing: every remaining trajectory is bitwise unchanged.
+        Survivors move to the front of their own buffers (``a[:m] =
+        a[keep]``), so compaction allocates no new state arrays.
+        """
+        keep = np.flatnonzero(self.active)
+        m = int(keep.size)
+        kernels = []
+        start = 0
+        for ki, (kernel, sl, wants) in enumerate(self.kernels):
+            loc = keep[(keep >= sl.start) & (keep < sl.stop)] - sl.start
+            kernel.compact(loc)
+            kernels.append((kernel, slice(start, start + loc.size), wants))
+            self.group_alive[ki] = int(loc.size)
+            start += loc.size
+        self.kernels = kernels
+        for name in self._fields:
+            array = getattr(self, name)
+            array[:m] = array[keep]
+            setattr(self, name, array[:m])
+        self.bank.compact(keep)
+        if self.row_tracers is not None:
+            self.row_tracers = [self.row_tracers[r] for r in keep.tolist()]
+        if self.spikes is not None:
+            self.spikes.compact(keep)
+            if not self.spikes.any_live:
+                self.spikes = None
+        if self.fault_mode:
+            # Survivors may no longer need every transform (the rows that
+            # did may all have finished).
+            self.fault_mode = bool(self.fault_row.any())
+            self.any_crash = self.any_crash and bool(np.isfinite(self.crash_t).any())
+            self.any_pause = self.any_pause and bool((self.pause_l > 0.0).any())
+            self.any_slow = self.any_slow and bool((self.slow_f > 1.0).any())
+        # Deferred rows were inactive from the start, so the survivors are
+        # all live: the mask is no longer needed.
+        self.need_mask = False
+        self.rows = m
+        self._reflatten()
+
+    def apply(self) -> None:
+        """Advance dispatching rows' timelines, then wake waiting rows."""
+        disp = np.flatnonzero(self.active & (self.action == DISPATCH))
         if disp.size:
-            w = worker[disp]
-            sz = size[disp]
-            k = kdisp[disp]
-            bank.ensure(int(k.max()) + 1)
-            w_s, w_b, w_cl, w_nl, w_tl = wp[:, disp, w]
-            # chunk/inf is +0.0, matching link_time's infinite-bandwidth
-            # branch bit for bit; multiplying by an exact 1.0 factor (the
-            # zero-error rows) is also a bitwise no-op.
-            link_eff = (w_nl + sz / w_b) * bank.comm[disp, k]
-            if spike_any:
-                # Per-dispatch spike draws gathered from each row's
-                # pre-drawn fault-stream columns at the row's dispatch
-                # counter; adding an exact +0.0 to unspiked rows is a
-                # bitwise no-op.
-                if timing:
-                    t0 = perf_counter()
-                spikes.ensure(int(k.max()) + 1)
-                u = spikes.draws[disp, k]
-                link_eff = link_eff + np.where(
-                    u < spike_p[disp], spike_d[disp], 0.0
-                )
-                if timing:
-                    t_spike += perf_counter() - t0
-            send_end = now[disp] + link_eff
-            arrival = send_end + w_tl
-            comp_start = np.maximum(arrival, busy[disp, w])
-            comp_eff = (w_cl + sz / w_s) * bank.comp[disp, k]
-            if any_pause:
-                # Pause window first, then slowdown onset — the scalar
-                # compute_duration order, with its exact associativity.
-                if timing:
-                    t0 = perf_counter()
-                ps = pause_s[disp, w]
-                pl = pause_l[disp, w]
-                in_window = (pl > 0.0) & (comp_start < ps + pl)
-                if in_window.any():
-                    inside = in_window & (comp_start >= ps)
-                    straddle = in_window & ~inside & (comp_start + comp_eff > ps)
-                    comp_eff = np.where(
-                        inside,
-                        (ps + pl + comp_eff) - comp_start,
-                        np.where(straddle, comp_eff + pl, comp_eff),
-                    )
-                if timing:
-                    t_pause += perf_counter() - t0
-            if any_slow:
-                if timing:
-                    t0 = perf_counter()
-                so = slow_s[disp, w]
-                sf = slow_f[disp, w]
-                slowed = (sf > 1.0) & (comp_start + comp_eff > so)
-                if slowed.any():
-                    after = slowed & (comp_start >= so)
-                    partial = slowed & ~after
-                    done_part = so - comp_start
-                    comp_eff = np.where(
-                        after,
-                        comp_eff * sf,
-                        np.where(
-                            partial,
-                            done_part + (comp_eff - done_part) * sf,
-                            comp_eff,
-                        ),
-                    )
-                if timing:
-                    t_slow += perf_counter() - t0
-            comp_end = comp_start + comp_eff
-            busy[disp, w] = comp_end
-
-            if fault_mode:
-                if any_crash:
-                    # A chunk outliving its worker's crash is lost: the
-                    # master observes it leave the pending set at
-                    # max(crash, arrival) and it contributes neither work
-                    # nor makespan.  The busy chain still advances
-                    # (fictitious timeline), so every later chunk on that
-                    # worker is lost too — matching the scalar engine.
-                    if timing:
-                        t0 = perf_counter()
-                    cw = crash_t[disp, w]
-                    lost = comp_end > cw
-                    end_q = np.where(lost, np.maximum(cw, arrival), comp_end)
-                    mspan[disp] = np.maximum(
-                        mspan[disp], np.where(lost, 0.0, comp_end)
-                    )
-                    if timing:
-                        t_crash += perf_counter() - t0
-                else:
-                    lost = None
-                    end_q = comp_end
-                    mspan[disp] = np.maximum(mspan[disp], comp_end)
-            else:
-                lost = None
-                end_q = comp_end
-
-            tail = q_tail[disp, w]
-            if int(tail.max()) >= q_end.shape[2]:
-                grow = q_end.shape[2]
-                q_end = np.concatenate(
-                    [q_end, np.full((rows, n_max, grow), np.inf)], axis=2
-                )
-                q_size = np.concatenate(
-                    [q_size, np.zeros((rows, n_max, grow))], axis=2
-                )
-                if collect:
-                    q_idx = np.concatenate(
-                        [q_idx, np.zeros((rows, n_max, grow), dtype=np.int64)],
-                        axis=2,
-                    )
-                    q_lost = np.concatenate(
-                        [q_lost, np.zeros((rows, n_max, grow), dtype=bool)],
-                        axis=2,
-                    )
-            q_end[disp, w, tail] = end_q
-            q_size[disp, w, tail] = sz
-            was_empty = tail == q_head[disp, w]
-            head_end[disp, w] = np.where(was_empty, end_q, head_end[disp, w])
-            head_size[disp, w] = np.where(was_empty, sz, head_size[disp, w])
-            # A dispatch can only lower a row's earliest completion, and
-            # only through the head it may have just installed.
-            head_min[disp] = np.minimum(head_min[disp], head_end[disp, w])
-            if collect:
-                q_idx[disp, w, tail] = k
-                head_idx[disp, w] = np.where(was_empty, k, head_idx[disp, w])
-                if lost is not None:
-                    q_lost[disp, w, tail] = lost
-                    head_lost[disp, w] = np.where(was_empty, lost, head_lost[disp, w])
-            if row_tracers is not None:
-                for pos, row in enumerate(disp):
-                    tracer = row_tracers[row]
-                    if tracer is None:
-                        continue
-                    wi = int(w[pos])
-                    ci = int(k[pos])
-                    szi = float(sz[pos])
-                    tracer.emit(
-                        float(now[row]), "dispatch_start", wi, chunk=ci, size=szi
-                    )
-                    tracer.emit(
-                        float(send_end[pos]), "dispatch_end", wi, chunk=ci, size=szi
-                    )
-                    if lost is not None and lost[pos]:
-                        tracer.emit(
-                            float(end_q[pos]), "fault", wi,
-                            chunk=ci, size=szi, detail="loss",
-                        )
-                    else:
-                        tracer.emit(
-                            float(comp_start[pos]), "comp_start", wi,
-                            chunk=ci, size=szi,
-                        )
-                        tracer.emit(
-                            float(comp_end[pos]), "comp_end", wi,
-                            chunk=ci, size=szi,
-                        )
-
-            q_tail[disp, w] += 1
-            counts[disp, w] += 1
-            sent_work[disp, w] += sz
-            kdisp[disp] += 1
-            now[disp] = send_end
-
-        # 3b. Apply waits: jump to the earliest outstanding completion
-        # (for fault rows that includes pending loss announcements).
-        waiting = np.flatnonzero(active & (action == WAIT_FOR_COMPLETION))
+            self._dispatch(disp)
+        waiting = np.flatnonzero(self.active & (self.action == WAIT_FOR_COMPLETION))
         if waiting.size:
-            wake = head_min[waiting]
+            # Jump to the earliest outstanding completion (for fault rows
+            # that includes pending loss announcements).
+            wake = self.head_min[waiting]
             stuck = np.isinf(wake)
             if stuck.any():
                 row = int(waiting[np.flatnonzero(stuck)[0]])
-                cell = cells[int(cell_of_row[row])]
+                cell = self.cells[int(self.cell_of_row[row])]
                 raise DeadlockError(
                     f"{cell.scheduler.name}: WAIT with no outstanding chunk "
-                    f"at t={now[row]}"
+                    f"at t={self.now[row]}"
                 )
-            now[waiting] = wake
+            self.now[waiting] = wake
 
-    # Each worker's busy time is its last chunk's completion, so a clean
-    # row's makespan — harvested the moment the row turned DONE — is
-    # simply the max over workers (pad slots stay 0).  Fault rows instead
-    # keep a running maximum over *delivered* completions — a lost
-    # chunk's busy entry must not count — which agrees bitwise with the
-    # busy max on rows that lost nothing.
-    for r in deferred:
-        final[r] = defer_makespans[r]
-    if timing:
-        perf["fault_crash_s"] = perf.get("fault_crash_s", 0.0) + t_crash
-        perf["fault_pause_s"] = perf.get("fault_pause_s", 0.0) + t_pause
-        perf["fault_slow_s"] = perf.get("fault_slow_s", 0.0) + t_slow
-        perf["fault_spike_s"] = perf.get("fault_spike_s", 0.0) + t_spike
-    return [final[offsets[i] : offsets[i + 1]].copy() for i in range(len(cells))]
+    def _dispatch(self, disp) -> None:
+        """The standard timeline arithmetic for every dispatching row.
+
+        Link occupancy → arrival → FIFO compute start → completion,
+        perturbed by each row's own factor columns at its own dispatch
+        counter, then reshaped by the fault transforms.
+        """
+        timing = self.timing
+        w = self.worker[disp]
+        sz = self.size[disp]
+        k = self.kdisp[disp]
+        f = disp * self.n + w
+        k_next = int(k.max()) + 1
+        self.bank.ensure(k_next)
+        comm, comp = self.bank.gather(disp, k)
+        w_s, w_b, w_cl, w_nl, w_tl = (
+            getattr(self, name + "_f")[f] for name in _WORKER_FIELDS
+        )
+        # chunk/inf is +0.0, matching link_time's infinite-bandwidth branch
+        # bit for bit; multiplying by an exact 1.0 factor (the zero-error
+        # rows) is also a bitwise no-op.
+        link_eff = (w_nl + sz / w_b) * comm
+        if self.spikes is not None:
+            # Per-dispatch spike draws gathered from each row's pre-drawn
+            # fault-stream columns at the row's dispatch counter; adding an
+            # exact +0.0 to unspiked rows is a bitwise no-op.
+            t0 = perf_counter() if timing else 0.0
+            self.spikes.ensure(k_next)
+            u = self.spikes.gather(disp, k)
+            link_eff = link_eff + np.where(
+                u < self.spike_p[disp], self.spike_d[disp], 0.0
+            )
+            if timing:
+                self.fault_s["fault_spike_s"] += perf_counter() - t0
+        now = self.now[disp]
+        send_end = now + link_eff
+        arrival = send_end + w_tl
+        comp_start = np.maximum(arrival, self.busy_f[f])
+        comp_eff = (w_cl + sz / w_s) * comp
+        if self.any_pause or self.any_slow:
+            comp_eff = self._stretch(f, comp_start, comp_eff)
+        comp_end = comp_start + comp_eff
+        self.busy_f[f] = comp_end
+
+        lost = None
+        end_q = comp_end
+        if self.fault_mode:
+            if self.any_crash:
+                # A chunk outliving its worker's crash is lost: the master
+                # observes it leave the pending set at max(crash, arrival)
+                # and it contributes neither work nor makespan.  The busy
+                # chain still advances (fictitious timeline), so every
+                # later chunk on that worker is lost too — matching the
+                # scalar engine.
+                t0 = perf_counter() if timing else 0.0
+                cw = self.crash_t_f[f]
+                lost = comp_end > cw
+                end_q = np.where(lost, np.maximum(cw, arrival), comp_end)
+                self.mspan[disp] = np.maximum(
+                    self.mspan[disp], np.where(lost, 0.0, comp_end)
+                )
+                if timing:
+                    self.fault_s["fault_crash_s"] += perf_counter() - t0
+            else:
+                self.mspan[disp] = np.maximum(self.mspan[disp], comp_end)
+
+        tail = self.q_tail_f[f]
+        head = self.q_head_f[f]
+        if int((tail - head).max()) >= self.q_end.shape[2]:
+            # The new entry would land on the ring's live head.
+            self._grow_queues()
+        cap = self.q_end.shape[2]
+        slot = f * cap + (tail & (cap - 1))
+        self.q_end_f[slot] = end_q
+        self.q_size_f[slot] = sz
+        was_empty = tail == head
+        head_end = np.where(was_empty, end_q, self.head_end_f[f])
+        self.head_end_f[f] = head_end
+        self.head_size_f[f] = np.where(was_empty, sz, self.head_size_f[f])
+        # A dispatch can only lower a row's earliest completion, and only
+        # through the head it may have just installed.
+        self.head_min[disp] = np.minimum(self.head_min[disp], head_end)
+        if self.collect:
+            self.q_idx_f[slot] = k
+            self.head_idx_f[f] = np.where(was_empty, k, self.head_idx_f[f])
+            if lost is not None:
+                self.q_lost_f[slot] = lost
+                self.head_lost_f[f] = np.where(was_empty, lost, self.head_lost_f[f])
+        if self.row_tracers is not None:
+            self._trace_dispatches(
+                disp, w, k, sz, now, send_end, comp_start, comp_end, end_q, lost
+            )
+        self.q_tail_f[f] = tail + 1
+        self.counts_f[f] += 1
+        self.sent_work_f[f] += sz
+        self.kdisp[disp] = k + 1
+        self.now[disp] = send_end
+
+    def _stretch(self, f, comp_start, comp_eff):
+        """Pause window first, then slowdown onset.
+
+        The scalar ``compute_duration`` order, with its exact
+        associativity.
+        """
+        timing = self.timing
+        if self.any_pause:
+            t0 = perf_counter() if timing else 0.0
+            ps = self.pause_s_f[f]
+            pl = self.pause_l_f[f]
+            in_window = (pl > 0.0) & (comp_start < ps + pl)
+            if in_window.any():
+                inside = in_window & (comp_start >= ps)
+                straddle = in_window & ~inside & (comp_start + comp_eff > ps)
+                comp_eff = np.where(
+                    inside,
+                    (ps + pl + comp_eff) - comp_start,
+                    np.where(straddle, comp_eff + pl, comp_eff),
+                )
+            if timing:
+                self.fault_s["fault_pause_s"] += perf_counter() - t0
+        if self.any_slow:
+            t0 = perf_counter() if timing else 0.0
+            so = self.slow_s_f[f]
+            sf = self.slow_f_f[f]
+            slowed = (sf > 1.0) & (comp_start + comp_eff > so)
+            if slowed.any():
+                after = slowed & (comp_start >= so)
+                partial = slowed & ~after
+                done_part = so - comp_start
+                comp_eff = np.where(
+                    after,
+                    comp_eff * sf,
+                    np.where(
+                        partial, done_part + (comp_eff - done_part) * sf, comp_eff
+                    ),
+                )
+            if timing:
+                self.fault_s["fault_slow_s"] += perf_counter() - t0
+        return comp_eff
+
+    def _grow_queues(self) -> None:
+        """Double every ring's capacity, keeping each live entry reachable.
+
+        A live entry ``c`` moves from slot ``c & (cap - 1)`` to
+        ``c & (2 cap - 1)``, which is the same slot in one of the two
+        halves; copying the old ring into both halves puts it there.  The
+        other copy belongs to a counter that is not live, and is
+        overwritten before it is ever read.
+        """
+        for name in self._fields:
+            ring = getattr(self, name)
+            if ring.ndim == 3:
+                setattr(self, name, np.concatenate([ring, ring], axis=2))
+        self._reflatten()
+
+    def _trace_dispatches(
+        self, disp, w, k, sz, now, send_end, comp_start, comp_end, end_q, lost
+    ) -> None:
+        """Extract traced rows' dispatch timelines from the batch arrays."""
+        for pos, row in enumerate(disp.tolist()):
+            tracer = self.row_tracers[row]
+            if tracer is None:
+                continue
+            wi = int(w[pos])
+            info = {"chunk": int(k[pos]), "size": float(sz[pos])}
+            tracer.emit(float(now[pos]), "dispatch_start", wi, **info)
+            tracer.emit(float(send_end[pos]), "dispatch_end", wi, **info)
+            if lost is not None and lost[pos]:
+                tracer.emit(float(end_q[pos]), "fault", wi, **info, detail="loss")
+            else:
+                tracer.emit(float(comp_start[pos]), "comp_start", wi, **info)
+                tracer.emit(float(comp_end[pos]), "comp_end", wi, **info)
+
+    # -- main loop ------------------------------------------------------------
+    def run(self) -> list:
+        """Step every row to completion; one makespan array per cell."""
+        while self.n_active:
+            ctxs = self.contexts(self.observe())
+            self.decide(ctxs)
+            self.retire()
+            if not self.n_active:
+                break
+            self.apply()
+        # A clean row's makespan is its busiest worker's last completion
+        # (pad slots stay 0); fault rows keep a running maximum over
+        # *delivered* completions — a lost chunk's busy entry must not
+        # count — which agrees bitwise with the busy max on rows that lost
+        # nothing.  Deferred rows come from the scalar engine.
+        for r in self.deferred:
+            self.final[r] = self.defer_makespans[r]
+        if self.timing:
+            for key, seconds in self.fault_s.items():
+                self.perf[key] = self.perf.get(key, 0.0) + seconds
+        off = self.offsets
+        return [self.final[off[i] : off[i + 1]].copy() for i in range(len(self.cells))]
 
 
 def simulate_dynamic_cells(
@@ -927,6 +1022,7 @@ def simulate_dynamic_cells(
     tracers=None,
     arena=None,
     perf=None,
+    planes=None,
 ) -> list:
     """Simulate many dynamic cells, merging compatible ones per call.
 
@@ -935,16 +1031,19 @@ def simulate_dynamic_cells(
     ``max_rows`` repetition rows — holds contiguous family runs, each
     driven by one merged kernel while the engine state is shared across
     all of them.  Fault cells mix freely with clean ones (see
-    :func:`_simulate_rows`).  Returns one makespan array per cell, in
+    :class:`_Lockstep`).  Returns one makespan array per cell, in
     input order, each of shape ``(len(cell.seeds),)``.
 
     ``tracers``, when given, parallels ``cells``: each entry is ``None``
     or a sequence of one :class:`repro.obs.Tracer` (or ``None``) per seed
-    of that cell (see :func:`_simulate_rows`).  ``arena`` (a
+    of that cell (see :class:`_Lockstep`).  ``arena`` (a
     :class:`BatchArena`) lets a long-running caller — e.g. a whole-grid
     sweep — reuse the engine's state buffers across every call it makes.
     ``perf``, when given, is a mutable mapping accumulating the fault
-    engine's counters across calls (see :func:`_simulate_rows`).
+    engine's counters across calls.  ``planes``, a
+    :class:`~repro.errors.faults.FaultPlaneCache`, shares fault planes
+    with other passes over the same cells; by default cells of this call
+    that share a fault model, platform and seeds share one.
     """
     if mode not in ("multiply", "divide"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
@@ -954,6 +1053,8 @@ def simulate_dynamic_cells(
     outputs: list = [None] * len(cells)
     if arena is None:
         arena = BatchArena()
+    if planes is None:
+        planes = FaultPlaneCache()
 
     groups: dict = {}
     for idx, cell in enumerate(cells):
@@ -975,7 +1076,7 @@ def simulate_dynamic_cells(
                         row_tracers.extend([None] * len(cells[i].seeds))
                     else:
                         row_tracers.extend(cell_tracers)
-            results = _simulate_rows(
+            results = _Lockstep(
                 [cells[i] for i, _ in batch],
                 [s for _, s in batch],
                 mode,
@@ -983,7 +1084,8 @@ def simulate_dynamic_cells(
                 row_tracers,
                 arena,
                 perf,
-            )
+                planes,
+            ).run()
             for (i, _), res in zip(batch, results):
                 outputs[i] = res
             batch, batch_rows = [], 0

@@ -16,6 +16,7 @@ from repro.errors import (
     SlowdownFaults,
     make_fault_model,
 )
+from repro.errors.faults import FaultPlaneCache
 from repro.platform import homogeneous_platform
 
 
@@ -245,3 +246,58 @@ class TestLinkExtra:
                 slowdowns=((0.0, 1.0),),
                 spike_prob=1.5,
             )
+
+
+class TestFaultPlaneCache:
+    """Planes realized once per sweep and shared by the batch passes."""
+
+    SEEDS = (11, 12, 13, 14)
+
+    def test_batched_fault_plane_equals_fresh_sample(self, platform):
+        model = make_fault_model("crash:p=0.5,tmax=50")
+        cache = FaultPlaneCache()
+        fresh = model.sample_batch(platform, self.SEEDS)
+        shared = cache.realize(model, platform, self.SEEDS)
+        for field in ("crash_time", "pause_start", "pause_len", "slow_start",
+                      "slow_factor", "spike_prob", "spike_delay", "fault_row"):
+            assert np.array_equal(getattr(fresh, field), getattr(shared, field))
+
+    def test_batched_fault_plane_sampled_once_and_read_only(
+        self, platform, monkeypatch
+    ):
+        model = make_fault_model("crash:p=0.5,tmax=50")
+        calls = []
+        original = CrashFaults.sample_batch
+
+        def counting(self, platform, seeds):
+            calls.append(tuple(seeds))
+            return original(self, platform, seeds)
+
+        monkeypatch.setattr(CrashFaults, "sample_batch", counting)
+        cache = FaultPlaneCache()
+        first = cache.realize(model, platform, self.SEEDS)
+        # An equal model, an equal platform and the same seeds hit the
+        # cache; other seeds do not.
+        cache.realize(
+            make_fault_model("crash:p=0.5,tmax=50"),
+            homogeneous_platform(6, S=1.0, bandwidth_factor=1.5, cLat=0.1, nLat=0.1),
+            list(self.SEEDS),
+        )
+        cache.realize(model, platform, self.SEEDS[:2])
+        assert calls == [self.SEEDS, self.SEEDS[:2]]
+        with pytest.raises(ValueError):
+            first.crash_time[0, 0] = 0.0
+
+    def test_batched_fault_spike_generators_are_private_copies(self, platform):
+        model = make_fault_model("spike:p=0.25,delay=4")
+        cache = FaultPlaneCache()
+        first = cache.realize(model, platform, self.SEEDS)
+        first_draws = [g.random(50) for g in first.rngs]
+        # A second consumer starts where the schedule draws left the
+        # stream, however far the first one has advanced its copies.
+        second = cache.realize(model, platform, self.SEEDS)
+        fresh = model.sample_batch(platform, self.SEEDS)
+        for a, b, c in zip(first_draws, second.rngs, fresh.rngs):
+            expected = c.random(50)
+            assert np.array_equal(a, expected)
+            assert np.array_equal(b.random(50), expected)

@@ -1,10 +1,14 @@
 """Tests for the sweep runner and its seeding discipline."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.errors import CrashFaults
+from repro.experiments import runner
 from repro.experiments.config import PAPER_ALGORITHMS, smoke_grid
 from repro.experiments.runner import SweepResults, run_sweep
 from repro.sim import batch
@@ -139,21 +143,64 @@ class TestCompanionIndependence:
     Every algorithm draws its error > 0 factors from the same cached
     per-seed streams; the streams grow in fixed blocks, so the values do
     not depend on the longest plan (or dynamic run) that grew them first.
+    Under faults every algorithm of a cell shares one realized fault
+    plane, and each consumer draws link spikes from its own copy of the
+    plane's generators.
     """
 
     @pytest.mark.parametrize(
-        "alone, together",
-        [(("RUMR",), PAPER_ALGORITHMS), (("MI-1",), ("UMR", "MI-1"))],
-        ids=["RUMR-with-paper-algorithms", "MI-1-with-UMR"],
+        "alone, together, fault",
+        [
+            (("RUMR",), PAPER_ALGORITHMS, "none"),
+            (("MI-1",), ("UMR", "MI-1"), "none"),
+            (("RUMR",), PAPER_ALGORITHMS, "crash:p=0.5,tmax=100"),
+            (("UMR",), ("UMR", "MI-1"), "spike:p=0.25,delay=4"),
+        ],
+        ids=[
+            "RUMR-with-paper-algorithms",
+            "MI-1-with-UMR",
+            "RUMR-with-paper-algorithms-crash",
+            "UMR-with-MI-1-spike",
+        ],
     )
-    def test_tensor_independent_of_companions(self, alone, together):
-        grid = dataclasses.replace(smoke_grid(), seed=7)
+    def test_tensor_independent_of_companions(self, alone, together, fault):
+        grid = dataclasses.replace(smoke_grid(), seed=7, fault=fault)
         batch._FACTOR_STREAMS.clear()
         single = run_sweep(grid, algorithms=alone)
         batch._FACTOR_STREAMS.clear()
         shared = run_sweep(grid, algorithms=together)
         name = alone[0]
         assert np.array_equal(single.makespans[name], shared.makespans[name])
+
+    def test_batched_fault_planes_shared_then_released(self, monkeypatch):
+        # Each (platform, error) cell's plane is realized once for all
+        # algorithms of both batch passes, and no plane outlives the sweep.
+        grid = dataclasses.replace(
+            smoke_grid(), seed=7, fault="crash:p=0.5,tmax=100"
+        )
+        caches = []
+
+        class TrackedCache(runner.FaultPlaneCache):
+            def __init__(self):
+                super().__init__()
+                caches.append(weakref.ref(self))
+
+        planes = []
+        original = CrashFaults.sample_batch
+
+        def tracked(self, platform, seeds):
+            plane = original(self, platform, seeds)
+            planes.append(weakref.ref(plane))
+            return plane
+
+        monkeypatch.setattr(runner, "FaultPlaneCache", TrackedCache)
+        monkeypatch.setattr(CrashFaults, "sample_batch", tracked)
+        run_sweep(grid, algorithms=PAPER_ALGORITHMS)
+        assert len(planes) == len(grid.platforms()) * len(grid.errors)
+        gc.collect()
+        assert len(caches) == 1
+        assert caches[0]() is None
+        assert all(plane() is None for plane in planes)
 
 
 class TestSweepResults:

@@ -54,6 +54,19 @@ dynamic_schedulers = st.sampled_from(
 )
 
 
+class _RecordingArena(BatchArena):
+    """A :class:`BatchArena` keeping every view it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.views = []
+
+    def take(self, *args, **kwargs):
+        view = super().take(*args, **kwargs)
+        self.views.append(view)
+        return view
+
+
 def scalar_makespan(platform, work, scheduler, error, seed):
     model = make_error_model("normal", error)
     return simulate_fast(
@@ -194,6 +207,49 @@ class TestGridPassContract:
         unshared = simulate_dynamic_cells(cells)
         assert np.array_equal(fresh[0], reused[0])
         assert np.array_equal(fresh[0], unshared[0])
+
+    @settings(deadline=None, max_examples=15)
+    @given(
+        large=homogeneous_platforms(min_workers=6, max_workers=12),
+        small=homogeneous_platforms(max_workers=5),
+        work=workloads,
+        factory=dynamic_schedulers,
+        error=st.floats(min_value=0.0, max_value=0.2, **finite),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_arena_reuse_after_larger_call_is_pure(self, large, small, work,
+                                                   factory, error, seed):
+        # A larger call (more rows, more workers, crash faults) grows
+        # every buffer; a smaller call through the same arena then takes
+        # prefixes of them.  Each view must be C-contiguous — the engine
+        # indexes (row, worker) pairs through flat aliases — and the small
+        # call must equal a fresh arena's bit for bit.
+        arena = _RecordingArena()
+        big = [
+            DynamicCell(
+                platform=large,
+                scheduler=factory(error),
+                total_work=work,
+                error=error,
+                seeds=tuple(range(seed, seed + 6)),
+                faults=make_fault_model("crash:p=0.5,tmax=100"),
+            )
+        ]
+        cells = [
+            DynamicCell(
+                platform=small,
+                scheduler=factory(error),
+                total_work=work,
+                error=error,
+                seeds=(seed, seed + 1),
+            )
+        ]
+        simulate_dynamic_cells(big, arena=arena)
+        reused = simulate_dynamic_cells(cells, arena=arena)
+        fresh = simulate_dynamic_cells(cells, arena=BatchArena())
+        assert np.array_equal(reused[0], fresh[0])
+        assert arena.views
+        assert all(view.flags.c_contiguous for view in arena.views)
 
 
 class TestBatchedFaultProperties:

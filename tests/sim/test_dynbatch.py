@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.registry import is_batch_dynamic_algorithm, make_scheduler
 from repro.errors import NormalErrorModel
+from repro.errors.faults import make_fault_model
 from repro.platform import PlatformSpec, WorkerSpec, homogeneous_platform
-from repro.sim.dynbatch import DynamicCell, simulate_dynamic_cells
+from repro.sim import dynbatch
+from repro.sim.dynbatch import BatchArena, DynamicCell, simulate_dynamic_cells
 from repro.sim.fastsim import simulate_fast
 from tests.cells import dynamic_cell
 
@@ -207,6 +209,48 @@ class TestMerging:
         unchunked = simulate_dynamic_cells(cells)
         chunked = simulate_dynamic_cells(cells, max_rows=4)
         assert all(np.array_equal(u, c) for u, c in zip(unchunked, chunked))
+
+
+class TestFlatState:
+    def test_arena_views_are_contiguous_prefixes(self):
+        arena = BatchArena()
+        big = arena.take("x", (4, 6, 3), fill=1.0)
+        assert big.flags.c_contiguous
+        small = arena.take("x", (3, 2), fill=7.0)
+        # Fewer rows *and* fewer columns than the buffer's first user:
+        # still one contiguous, fully refilled block.
+        assert small.shape == (3, 2)
+        assert small.flags.c_contiguous
+        assert np.all(small == 7.0)
+        assert np.shares_memory(big, small)
+
+    @pytest.mark.parametrize(
+        "fault", [None, "crash:p=0.5,tmax=100", "spike:p=0.25,delay=4"]
+    )
+    def test_batched_fault_queue_growth_is_bitwise_neutral(
+        self, hom_platform, het_platform, monkeypatch, fault
+    ):
+        # One-slot rings grow on nearly every dispatch, through
+        # compaction (288 rows) and under losses; the queues must stay
+        # FIFO and every result must match the default capacity bit for
+        # bit.
+        cells = [
+            DynamicCell(
+                platform=platform,
+                scheduler=make_scheduler(name, error),
+                total_work=W,
+                error=error,
+                seeds=tuple(range(20, 44)),
+                faults=None if fault is None else make_fault_model(fault),
+            )
+            for platform in (hom_platform, het_platform)
+            for name in ("Factoring", "RUMR", "AdaptiveRUMR")
+            for error in (0.0, 0.2)
+        ]
+        default = simulate_dynamic_cells(cells)
+        monkeypatch.setattr(dynbatch, "_INITIAL_SLOTS", 1)
+        grown = simulate_dynamic_cells(cells)
+        assert all(np.array_equal(d, g) for d, g in zip(default, grown))
 
 
 class TestValidation:
