@@ -4,8 +4,8 @@
 Times four slices of a preset grid through both engines
 (``run_sweep(batch_static=True)`` vs ``batch_static=False``): the
 static-algorithm portion (whole-grid vectorized plan replay), the
-batch-dynamic portion (lockstep engine for every in-tree dynamic
-scheduler), the full paper algorithm list, and the same full list on one
+dynamic portion (lockstep engine for every non-static scheduler), the
+full paper algorithm list, and the same full list on one
 *fault* grid per fault kind — crash, pause, slowdown, link-spike — each
 realized as a vectorized :class:`~repro.errors.faults.FaultPlane` inside
 the batch engines, and writes the numbers to a JSON file (default
@@ -44,10 +44,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.registry import (  # noqa: E402
-    is_batch_dynamic_algorithm,
-    is_static_algorithm,
-)
+from repro.core.registry import is_static_algorithm  # noqa: E402
 from repro.experiments.config import PAPER_ALGORITHMS, preset_grid  # noqa: E402
 from repro.experiments.runner import run_sweep  # noqa: E402
 
@@ -98,7 +95,6 @@ def bench(preset: str = "smoke", repeats: int = 3) -> dict:
     grid = preset_grid(preset)
     static_algos = tuple(a for a in PAPER_ALGORITHMS if is_static_algorithm(a))
     dynamic_algos = tuple(a for a in PAPER_ALGORITHMS if not is_static_algorithm(a))
-    dyn_batch_algos = tuple(a for a in dynamic_algos if is_batch_dynamic_algorithm(a))
 
     # Warm the (lru-cached) plan solvers so both paths are measured on
     # solver-warm caches — the seed scalar path enjoyed the same caching.
@@ -126,7 +122,7 @@ def bench(preset: str = "smoke", repeats: int = 3) -> dict:
         }
 
     static_portion = _portion(static_algos)
-    dynamic_portion = _portion(dyn_batch_algos)
+    dynamic_portion = _portion(dynamic_algos)
     full_sweep = _portion(PAPER_ALGORITHMS)
     fault_portions = {}
     for kind, spec in FAULT_SPECS.items():
@@ -139,7 +135,6 @@ def bench(preset: str = "smoke", repeats: int = 3) -> dict:
         "repeats": repeats,
         "static_algorithms": list(static_algos),
         "dynamic_algorithms": list(dynamic_algos),
-        "batch_dynamic_algorithms": list(dyn_batch_algos),
         "static_portion": static_portion,
         "dynamic_portion": dynamic_portion,
         # Kept as the crash scenario for baseline continuity; the
@@ -217,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     dp = report["dynamic_portion"]
     print(
-        f"dynamic portion ({len(report['batch_dynamic_algorithms'])} algos, "
+        f"dynamic portion ({len(report['dynamic_algorithms'])} algos, "
         f"{dp['num_simulations']} runs): scalar {dp['scalar_wall_s']:.3f}s "
         f"({dp['scalar_us_per_run']:.0f} us/run) -> batched "
         f"{dp['batched_wall_s']:.3f}s ({dp['batched_us_per_run']:.0f} us/run), "

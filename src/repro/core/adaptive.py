@@ -438,9 +438,6 @@ class AdaptiveRUMR(Scheduler):
         Passed to the UMR solver for the initial plan.
     """
 
-    is_batch_dynamic = True
-    batch_supports_faults = True
-
     def __init__(
         self,
         factor: float = 2.0,

@@ -233,31 +233,13 @@ class Scheduler:
 
     #: Whether the dispatch sequence is fixed before the run starts
     #: (independent of observed completions *and* of the error magnitude).
-    #: Static schedulers additionally implement :meth:`static_plan` and are
-    #: eligible for the vectorized batch engine
-    #: (:func:`repro.sim.batch.simulate_static_cells`); dynamic schedulers
-    #: go through a scalar engine — or, when they also declare
-    #: :attr:`is_batch_dynamic`, through the lockstep batch engine.
+    #: Static schedulers implement :meth:`static_plan` and run through the
+    #: vectorized batch engine (:func:`repro.sim.batch.simulate_static_cells`);
+    #: every other scheduler implements :meth:`batch_kernel` and runs
+    #: through the lockstep batch engine
+    #: (:func:`repro.sim.dynbatch.simulate_dynamic_cells`).  Both batch
+    #: engines implement the fault semantics of the scalar engines.
     is_static: bool = False
-
-    #: Whether the scheduler's *decision rule* is pure arithmetic over
-    #: master-observable state, so many runs can advance in lockstep as
-    #: array operations (:func:`repro.sim.dynbatch.simulate_dynamic_cells`).
-    #: Such schedulers additionally implement :meth:`batch_kernel`.  The
-    #: lockstep trajectory must match the scalar engine bit-for-bit when
-    #: fed the same perturbation factors.
-    is_batch_dynamic: bool = False
-
-    #: Whether the batch engines (static or lockstep-dynamic) implement the
-    #: fault semantics for this scheduler.  The sweep runner only routes a
-    #: fault cell through a batch path when this is true; otherwise the
-    #: cell falls back to the scalar engine.  Every in-tree scheduler now
-    #: opts in — the static grid pass replays plans obliviously, and the
-    #: lockstep engine either handles crashes in-kernel (Factoring, FSC)
-    #: or defers crash rows to the scalar engine internally — but the
-    #: default stays ``False`` so a new scheduler must make the claim
-    #: explicitly, mirroring :attr:`is_batch_dynamic`.
-    batch_supports_faults: bool = False
 
     def create_source(self, platform: PlatformSpec, total_work: float) -> DispatchSource:
         """Bind to one run and return a fresh dispatch source."""
@@ -274,14 +256,16 @@ class Scheduler:
         raise NotImplementedError(f"{self.name} is not a static scheduler")
 
     def batch_kernel(self, platform: PlatformSpec, total_work: float):
-        """The lockstep decision-rule spec of a batch-dynamic scheduler.
+        """The lockstep decision-rule spec of a dynamic scheduler.
 
-        Only meaningful when :attr:`is_batch_dynamic` is true; the default
+        Only meaningful when :attr:`is_static` is false; the default
         raises.  Returns a :class:`repro.core.lockstep.KernelSpec` bound
         to ``(platform, total_work)`` — and, through the scheduler's own
         configuration, to the cell's error magnitude where the algorithm
         consumes it (RUMR's phase split).  Specs with equal ``group_key``
-        can be merged into one kernel spanning many cells.
+        can be merged into one kernel spanning many cells.  The lockstep
+        trajectory must match the scalar engine bit-for-bit when fed the
+        same perturbation factors.
         """
         raise NotImplementedError(f"{self.name} has no lockstep batch kernel")
 

@@ -309,9 +309,6 @@ class Factoring(Scheduler):
         Smallest chunk the master will send (default 1 workload unit).
     """
 
-    is_batch_dynamic = True
-    batch_supports_faults = True
-
     def __init__(self, factor: float = 2.0, min_chunk: float = 1.0):
         if factor <= 1.0:
             raise ValueError(f"factoring factor must be > 1, got {factor}")

@@ -187,9 +187,6 @@ class FixedSizeChunking(Scheduler):
         Floor applied to the computed size (default 1 workload unit).
     """
 
-    is_batch_dynamic = True
-    batch_supports_faults = True
-
     def __init__(
         self,
         chunk_size: float | None = None,

@@ -184,7 +184,6 @@ class MultiInstallment(Scheduler):
         self.name = f"MI-{rounds}"
 
     is_static = True
-    batch_supports_faults = True
 
     def schedule(self, platform: PlatformSpec, total_work: float) -> MISchedule:
         """Solve and return the full installment table."""

@@ -28,7 +28,6 @@ class OneRound(Scheduler):
         self.name = "OneRound"
 
     is_static = True
-    batch_supports_faults = True
 
     def chunk_sizes(self, platform: PlatformSpec, total_work: float) -> tuple[float, ...]:
         """Per-worker loads, in dispatch order (decreasing on homogeneous)."""
@@ -57,7 +56,6 @@ class EqualSplit(Scheduler):
         self.name = "EqualSplit"
 
     is_static = True
-    batch_supports_faults = True
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> ChunkPlan:
         return self.plan(platform, total_work)

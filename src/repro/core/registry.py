@@ -21,7 +21,6 @@ from repro.core.weighted_factoring import WeightedFactoring
 
 __all__ = [
     "available_schedulers",
-    "is_batch_dynamic_algorithm",
     "is_static_algorithm",
     "make_scheduler",
     "SchedulerFactory",
@@ -67,20 +66,6 @@ def is_static_algorithm(name: str) -> bool:
     error level: the registry factory is probed at ``error = 0``.
     """
     return make_scheduler(name, 0.0).is_static
-
-
-def is_batch_dynamic_algorithm(name: str) -> bool:
-    """Whether the named algorithm has a lockstep batch kernel.
-
-    Batch-dynamic algorithms (Factoring, WeightedFactoring, FSC, the RUMR
-    variants, AdaptiveRUMR — every in-tree dynamic scheduler) decide from
-    pure arithmetic over master-observable state, so
-    the sweep can advance all repetitions of a cell in lockstep through
-    :func:`repro.sim.dynbatch.simulate_dynamic_cells`.  Like
-    :func:`is_static_algorithm` this is a property of the algorithm
-    itself, probed at ``error = 0``.
-    """
-    return make_scheduler(name, 0.0).is_batch_dynamic
 
 
 def make_scheduler(name: str, error: float = 0.0) -> Scheduler:

@@ -514,9 +514,6 @@ class RUMR(Scheduler):
         paper's recommended practical choice).
     """
 
-    is_batch_dynamic = True
-    batch_supports_faults = True
-
     def __init__(
         self,
         known_error: float | None = None,

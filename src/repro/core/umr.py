@@ -502,7 +502,6 @@ class UMR(Scheduler):
         self.name = "UMR"
 
     is_static = True
-    batch_supports_faults = True
 
     def plan(self, platform: PlatformSpec, total_work: float) -> UMRPlan:
         """Solve and return the full :class:`UMRPlan`."""

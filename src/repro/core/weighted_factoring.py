@@ -271,9 +271,6 @@ class WeightedFactoringKernel(LockstepKernel):
 class WeightedFactoring(Scheduler):
     """Weighted Factoring scheduler (see module docstring)."""
 
-    is_batch_dynamic = True
-    batch_supports_faults = True
-
     def __init__(self, factor: float = 2.0, min_chunk: float = 1.0):
         if factor <= 1.0:
             raise ValueError(f"factoring factor must be > 1, got {factor}")

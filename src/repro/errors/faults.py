@@ -757,21 +757,32 @@ def _fmt(value: float | int) -> str:
     return repr(f)
 
 
-def _parse_kv(body: str, kind: str) -> dict[str, float]:
+def _parse_kv(body: str, kind: str, what: str = "fault") -> dict[str, float]:
+    """Parse a ``k=v,…`` spec body into finite numbers.
+
+    Shared by the fault, arrival, stream-policy and failure-policy
+    grammars; ``what`` names the grammar in error messages.  NaN and
+    infinities are rejected here, so no spec reaches a model (or an
+    ``int()`` coercion) with a non-finite parameter.
+    """
     out: dict[str, float] = {}
     for part in body.split(","):
         part = part.strip()
         if not part:
             continue
         key, sep, value = part.partition("=")
+        key = key.strip()
         if not sep:
-            raise ValueError(f"malformed fault parameter {part!r} in {kind!r} spec")
+            raise ValueError(f"malformed {what} parameter {part!r} in {kind!r} spec")
         try:
-            out[key.strip()] = float(value)
+            number = float(value)
         except ValueError:
             raise ValueError(
-                f"fault parameter {key.strip()!r} needs a number, got {value!r}"
+                f"{what} parameter {key!r} needs a number, got {value!r}"
             ) from None
+        if not math.isfinite(number):
+            raise ValueError(f"{what} parameter {key!r} must be finite, got {value!r}")
+        out[key] = number
     return out
 
 

@@ -161,7 +161,6 @@ def cached_sweep(
     n_jobs: int = 1,
     progress: typing.Callable[[int, int], None] | None = None,
     batch_static: bool = True,
-    batch_dynamic: bool | None = None,
     stats=None,
     retry: RetryPolicy | None = None,
     resume: bool = False,
@@ -170,10 +169,10 @@ def cached_sweep(
 ) -> SweepResults:
     """Run a sweep, or load it if an identical one is already on disk.
 
-    ``batch_static`` / ``batch_dynamic`` are forwarded to
-    :func:`run_sweep` on a cache miss; they are deliberately *not* part of
-    the cache key, because all paths produce the same distribution under
-    the same seeds (and identical tensors at zero error).
+    ``batch_static`` is forwarded to :func:`run_sweep` on a cache miss;
+    it is deliberately *not* part of the cache key, because all paths
+    produce the same distribution under the same seeds (and identical
+    tensors at zero error).
 
     ``stats`` (a :class:`repro.obs.SweepStats`) tallies the hit/miss and,
     on a miss, is forwarded to :func:`run_sweep` so one collector covers
@@ -213,7 +212,6 @@ def cached_sweep(
         n_jobs=n_jobs,
         progress=progress,
         batch_static=batch_static,
-        batch_dynamic=batch_dynamic,
         stats=stats,
         retry=retry,
         checkpoint_dir=directory,

@@ -12,19 +12,19 @@ grid — goes into a single :func:`~repro.sim.batch.simulate_static_cells`
 call: one (rows × chunks) tensor per plan-length class, NumPy array
 math instead of the per-run Python loop, two orders of magnitude
 faster.  Each plan is solved once per platform and shared across every
-error level and repetition.  Batch-dynamic algorithms — every in-tree
-dynamic scheduler: Factoring, WeightedFactoring, FSC, RUMR and its
-variants, AdaptiveRUMR — have no fixed plan but a pure-arithmetic
-decision rule, so *their* repetition axes advance in lockstep through
+error level and repetition.  Every other registry algorithm — Factoring,
+WeightedFactoring, FSC, RUMR and its variants, AdaptiveRUMR — has no
+fixed plan but a pure-arithmetic decision rule, so *its* repetition axes
+advance in lockstep through
 :func:`~repro.sim.dynbatch.simulate_dynamic_cells` — one global pass
 merging every (platform, error) cell, reusing one grow-only
 :class:`~repro.sim.dynbatch.BatchArena` across the merged calls.  Fault
 grids ride the same passes: both batch engines realize per-repetition
-fault schedules with the scalar engine's exact semantics, gated per
-scheduler by :attr:`~repro.core.base.Scheduler.batch_supports_faults`,
-and one :class:`~repro.errors.faults.FaultPlaneCache` per sweep realizes
-each (platform, seeds) fault plane once for every algorithm of both
-passes.
+fault schedules with the scalar engine's exact semantics, and one
+:class:`~repro.errors.faults.FaultPlaneCache` per sweep realizes each
+(platform, seeds) fault plane once for every algorithm of both passes.
+The routing is decided once per sweep (:func:`_engine_map`) and both
+passes run through one skeleton (:func:`_run_batch_pass`).
 All paths use *the same per-cell seeds*, so the cross-algorithm pairing
 is untouched.  At ``error = 0`` the batch paths agree with the scalar
 engine bit-for-bit; at ``error > 0`` their makespans are
@@ -62,11 +62,11 @@ import os
 import pathlib
 import time
 import typing
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from repro.core.registry import is_batch_dynamic_algorithm, make_scheduler
+from repro.core.registry import is_static_algorithm, make_scheduler
 from repro.errors.faults import FaultPlaneCache, make_fault_model
 from repro.errors.models import make_error_model
 from repro.errors.rng import stream_for
@@ -169,16 +169,23 @@ def _grid_supports_batch(grid: ExperimentGrid) -> bool:
     )
 
 
-def _batch_eligible(grid: ExperimentGrid, scheduler) -> bool:
-    """Whether one scheduler's cells may take a batch path on this grid.
+def _engine_map(
+    grid: ExperimentGrid, algorithms: tuple[str, ...], batch_static: bool
+) -> dict[str, str]:
+    """The engine every algorithm's cells take on this grid, decided once.
 
-    Fault grids additionally require the scheduler to declare
-    :attr:`~repro.core.base.Scheduler.batch_supports_faults` — the explicit
-    opt-in mirroring ``is_batch_dynamic``.  Every in-tree scheduler sets
-    it, so fault cells normally batch; the gate still guards third-party
-    schedulers that have not made the claim.
+    Static algorithms go to the whole-grid pass (``static-batch``), every
+    other registry algorithm to the lockstep pass (``dynbatch``); with
+    ``batch_static`` off, or on a grid the batch engines do not implement,
+    everything takes the ``scalar`` per-platform loop.  The engine names
+    are :class:`repro.obs.SweepStats`' routing keys.
     """
-    return not grid.has_faults or scheduler.batch_supports_faults
+    if not (batch_static and _grid_supports_batch(grid)):
+        return {a: "scalar" for a in algorithms}
+    return {
+        a: "static-batch" if is_static_algorithm(a) else "dynbatch"
+        for a in algorithms
+    }
 
 
 def _cell_seeds(grid: ExperimentGrid, p_idx: int, e_idx: int) -> list[int]:
@@ -244,75 +251,69 @@ def _scalar_cell(
     return out
 
 
+def _supervised_scalar_cell(
+    grid: ExperimentGrid,
+    platform,
+    name: str,
+    p_idx: int,
+    e_idx: int,
+    seeds: list[int],
+    fault_model,
+    supervisor: CellSupervisor,
+    stats,
+) -> np.ndarray:
+    """One scalar-engine cell under ``supervisor`` (retry → NaN quarantine).
+
+    ``stats`` receives the cell's wall time; only the in-process path
+    passes it — pool workers cannot share the parent's collector.
+    """
+    error = grid.errors[e_idx]
+    scheduler = make_scheduler(name, error)
+    t0 = time.perf_counter() if stats is not None else 0.0
+    out = supervisor.run_cell(
+        lambda: _scalar_cell(platform, grid, scheduler, error, seeds, fault_model),
+        algorithm=name,
+        platform_index=p_idx,
+        error_index=e_idx,
+        engine="scalar",
+        seed=seeds[0],
+        shape=(grid.repetitions,),
+    )
+    if stats is not None:
+        stats.time_cell(
+            name, p_idx, e_idx, "scalar", grid.repetitions, time.perf_counter() - t0
+        )
+    return out
+
+
 def _run_platform(
     grid: ExperimentGrid,
     point: PlatformPoint,
     p_idx: int,
     algorithms: tuple[str, ...],
-    batch_static: bool = True,
-    batch_dynamic: bool = True,
+    routes: dict[str, str],
+    supervisor: CellSupervisor,
     stats=None,
-    supervisor: CellSupervisor | None = None,
 ) -> np.ndarray:
     """Worker: the *scalar-engine* simulations for one platform.
 
     Returns an array of shape (num_errors, repetitions, num_algorithms).
-    Algorithms covered by a global batch pass — static algorithms under
-    ``batch_static`` (the grid pass) and batch-dynamic algorithms under
-    ``batch_dynamic`` (the lockstep pass) — are *skipped* here: their
-    slots hold garbage until the caller's pass overwrites them.  Because
-    every in-tree scheduler takes one of the batch paths, this loop only
-    has work when a flag is off, the grid's error model is unsupported,
-    or a third-party scheduler declines a batch contract.
-
-    Every cell runs through ``supervisor`` (retry → NaN quarantine; a
-    fresh default supervisor is built when none is given), so no cell
-    failure escapes this function.  ``stats`` (a
-    :class:`repro.obs.SweepStats`) receives per-cell wall times; only the
-    in-process path passes it — pool workers cannot share the parent's
-    collector.
+    Only the algorithms ``routes`` (see :func:`_engine_map`) sends to
+    ``scalar`` run here; the other slots hold garbage until the caller's
+    batch passes overwrite them.  Every cell runs through ``supervisor``,
+    so no cell failure escapes this function.
     """
-    if supervisor is None:
-        supervisor = CellSupervisor()
     platform = point.build()
     out = np.empty((len(grid.errors), grid.repetitions, len(algorithms)))
     fault_model = make_fault_model(grid.fault) if grid.has_faults else None
-
-    skipped: set[int] = set()
-    if _grid_supports_batch(grid):
-        for a_idx, name in enumerate(algorithms):
-            scheduler = make_scheduler(name, 0.0)
-            if not _batch_eligible(grid, scheduler):
-                continue
-            if (batch_static and scheduler.is_static) or (
-                batch_dynamic and scheduler.is_batch_dynamic
-            ):
-                skipped.add(a_idx)
-
-    dynamic_indices = [i for i in range(len(algorithms)) if i not in skipped]
-    if not dynamic_indices:
-        return out
-    for e_idx, error in enumerate(grid.errors):
+    scalar = [i for i, a in enumerate(algorithms) if routes[a] == "scalar"]
+    for e_idx in range(len(grid.errors)):
         seeds = _cell_seeds(grid, p_idx, e_idx)
-        schedulers = [(i, make_scheduler(algorithms[i], error)) for i in dynamic_indices]
-        for a_idx, scheduler in schedulers:
-            t0 = time.perf_counter() if stats is not None else 0.0
-            out[e_idx, :, a_idx] = supervisor.run_cell(
-                lambda scheduler=scheduler, error=error: _scalar_cell(
-                    platform, grid, scheduler, error, seeds, fault_model
-                ),
-                algorithm=algorithms[a_idx],
-                platform_index=p_idx,
-                error_index=e_idx,
-                engine="scalar",
-                seed=seeds[0],
-                shape=(grid.repetitions,),
+        for a_idx in scalar:
+            out[e_idx, :, a_idx] = _supervised_scalar_cell(
+                grid, platform, algorithms[a_idx], p_idx, e_idx, seeds,
+                fault_model, supervisor, stats,
             )
-            if stats is not None:
-                stats.time_cell(
-                    algorithms[a_idx], p_idx, e_idx, "scalar",
-                    grid.repetitions, time.perf_counter() - t0,
-                )
     return out
 
 
@@ -323,7 +324,7 @@ def _run_platform(
 _POOL_CTX: (
     tuple[
         ExperimentGrid, tuple[PlatformPoint, ...], tuple[str, ...],
-        bool, bool, RetryPolicy,
+        dict[str, str], RetryPolicy,
     ]
     | None
 ) = None
@@ -333,12 +334,11 @@ def _pool_init(
     grid: ExperimentGrid,
     platforms: tuple[PlatformPoint, ...],
     algorithms: tuple[str, ...],
-    batch_static: bool,
-    batch_dynamic: bool,
+    routes: dict[str, str],
     policy: RetryPolicy,
 ) -> None:
     global _POOL_CTX
-    _POOL_CTX = (grid, platforms, algorithms, batch_static, batch_dynamic, policy)
+    _POOL_CTX = (grid, platforms, algorithms, routes, policy)
 
 
 def _pool_task(p_idx: int):
@@ -350,11 +350,10 @@ def _pool_task(p_idx: int):
     absorb.
     """
     assert _POOL_CTX is not None, "pool worker used without initializer"
-    grid, platforms, algorithms, batch_static, batch_dynamic, policy = _POOL_CTX
+    grid, platforms, algorithms, routes, policy = _POOL_CTX
     supervisor = CellSupervisor(policy=policy)
     block = _run_platform(
-        grid, platforms[p_idx], p_idx, algorithms, batch_static, batch_dynamic,
-        supervisor=supervisor,
+        grid, platforms[p_idx], p_idx, algorithms, routes, supervisor
     )
     return block, supervisor.ledger.entries, supervisor.counters()
 
@@ -380,8 +379,7 @@ def _supervised_pool_run(
     grid: ExperimentGrid,
     platforms: tuple[PlatformPoint, ...],
     algorithms: tuple[str, ...],
-    batch_static: bool,
-    batch_dynamic: bool,
+    routes: dict[str, str],
     n_jobs: int,
     pending: list[int],
     policy: RetryPolicy,
@@ -407,7 +405,7 @@ def _supervised_pool_run(
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(n_jobs, len(remaining)),
             initializer=_pool_init,
-            initargs=(grid, platforms, algorithms, batch_static, batch_dynamic, policy),
+            initargs=(grid, platforms, algorithms, routes, policy),
         )
         broken = timed_out = False
         futures: dict[int, concurrent.futures.Future] = {}
@@ -481,37 +479,28 @@ def _supervised_pool_run(
 _SWEEP_ARENA = BatchArena()
 
 
-def _run_static_batch_pass(
+#: Checkpoint shard of each global batch pass.
+_PASS_SHARDS = {"static-batch": "staticgrid", "dynbatch": "lockstep"}
+
+
+#: A batch-pass cell's place in the tensors: (algorithm, platform index,
+#: error index, error).
+_Target = tuple[str, int, int, float]
+
+
+def _static_cells(
     grid: ExperimentGrid,
     platforms: tuple[PlatformPoint, ...],
     names: list[str],
-    tensors: dict[str, np.ndarray],
-    supervisor: CellSupervisor | None = None,
-    stats=None,
-    planes: FaultPlaneCache | None = None,
-) -> None:
-    """Fill the static algorithms' tensors via one whole-grid pass.
+    fault_model,
+    supervisor: CellSupervisor,
+) -> typing.Iterator[tuple[_Target, "StaticCell | None"]]:
+    """The static pass's cells: plans solved and compiled once per
+    (platform, algorithm), shared by every error level and repetition.
 
-    Solves and compiles each plan once per (platform, algorithm), builds
-    one :class:`~repro.sim.batch.StaticCell` per (platform, error,
-    algorithm) with the *same* per-cell seeds the scalar path would use
-    — fault model included — and hands the entire grid to one
-    :func:`simulate_static_cells` call, which stacks the cells into one
-    tensor per plan-length class.  Fault planes come from ``planes``,
-    shared with the lockstep pass.
-
-    With a ``supervisor``, the merged pass is retried per the policy; if
-    it keeps failing, the pass degrades to per-cell grid calls — the
-    same computation, one cell per tensor — each under the full ladder
-    (retry → scalar fallback → NaN quarantine), so one poisoned cell
-    cannot take down every static result.  A plan that fails to *solve*
-    never enters the pass: its cells take the scalar engine directly,
-    counted as fallbacks.
+    A plan that fails to *solve* never enters the pass: its cells come
+    out as ``None`` (counted as fallbacks) and take the scalar engine.
     """
-    fault_model = make_fault_model(grid.fault) if grid.has_faults else None
-    cells: list[StaticCell] = []
-    targets: list[tuple[str, int, int, float]] = []
-    scalar_jobs: list[tuple[str, int, int, float, typing.Any, list[int]]] = []
     for p_idx, point in enumerate(platforms):
         platform = point.build()
         plans: dict[str, typing.Any] = {}
@@ -523,171 +512,131 @@ def _run_static_batch_pass(
                 )
             except Exception:  # noqa: BLE001 — first rung of the ladder
                 plans[name] = None
-                if supervisor is not None:
-                    supervisor.count_fallback()
+                supervisor.count_fallback()
         for e_idx, error in enumerate(grid.errors):
-            seeds = _cell_seeds(grid, p_idx, e_idx)
+            seeds = tuple(_cell_seeds(grid, p_idx, e_idx))
             magnitude = error if grid.error_kind != "none" else 0.0
             for name in names:
                 plan = plans[name]
-                if plan is None:
-                    scalar_jobs.append((name, p_idx, e_idx, error, platform, seeds))
-                    continue
-                cells.append(
-                    StaticCell(
-                        platform=platform,
-                        plan=plan,
-                        error=magnitude,
-                        seeds=tuple(seeds),
-                        faults=fault_model,
-                    )
+                cell = None if plan is None else StaticCell(
+                    platform=platform,
+                    plan=plan,
+                    error=magnitude,
+                    seeds=seeds,
+                    faults=fault_model,
                 )
-                targets.append((name, p_idx, e_idx, error))
-    perf = {} if stats is not None else None
-    if supervisor is None:
-        results = simulate_static_cells(
-            cells, mode=grid.error_mode, perf=perf, planes=planes
-        )
-    else:
-        results, exc = supervisor.attempt(
-            lambda: simulate_static_cells(
-                cells, mode=grid.error_mode, perf=perf, planes=planes
-            ),
-            grid.seed,
-        )
-        if exc is not None:
-            results = [
-                supervisor.run_cell(
-                    lambda cell=cell: simulate_static_cells(
-                        [cell], mode=grid.error_mode
-                    )[0],
-                    fallback=lambda name=name, error=error, cell=cell: _scalar_cell(
-                        cell.platform, grid, make_scheduler(name, error), error,
-                        list(cell.seeds), fault_model,
-                    ),
-                    algorithm=name,
-                    platform_index=p_idx,
-                    error_index=e_idx,
-                    engine="static-batch",
-                    seed=cell.seeds[0],
-                    shape=(grid.repetitions,),
-                )
-                for cell, (name, p_idx, e_idx, error) in zip(cells, targets)
-            ]
-    for (name, p_idx, e_idx, _error), makespans in zip(targets, results):
-        tensors[name][p_idx, e_idx, :] = makespans
-    for name, p_idx, e_idx, error, platform, seeds in scalar_jobs:
-        t0 = time.perf_counter() if stats is not None else 0.0
-        cell_result = (
-            _scalar_cell(
-                platform, grid, make_scheduler(name, error), error, seeds, fault_model
-            )
-            if supervisor is None
-            else supervisor.run_cell(
-                lambda name=name, error=error, platform=platform, seeds=seeds:
-                    _scalar_cell(
-                        platform, grid, make_scheduler(name, error), error, seeds,
-                        fault_model,
-                    ),
-                algorithm=name,
-                platform_index=p_idx,
-                error_index=e_idx,
-                engine="scalar",
-                seed=seeds[0],
-                shape=(grid.repetitions,),
-            )
-        )
-        tensors[name][p_idx, e_idx, :] = cell_result
-        if stats is not None:
-            stats.time_cell(
-                name, p_idx, e_idx, "scalar",
-                grid.repetitions, time.perf_counter() - t0,
-            )
-    if stats is not None and perf:
-        stats.absorb_fault_perf(perf)
+                yield (name, p_idx, e_idx, error), cell
 
 
-def _run_dynamic_batch_pass(
+def _dynamic_cells(
     grid: ExperimentGrid,
     platforms: tuple[PlatformPoint, ...],
     names: list[str],
-    tensors: dict[str, np.ndarray],
-    supervisor: CellSupervisor | None = None,
-    arena: BatchArena | None = None,
-    stats=None,
-    planes: FaultPlaneCache | None = None,
-) -> None:
-    """Fill the batch-dynamic algorithms' tensors via one lockstep pass.
-
-    Builds one :class:`~repro.sim.dynbatch.DynamicCell` per (platform,
-    error, algorithm) with the *same* per-cell seeds the scalar path
-    would use — fault model included — then lets
-    :func:`simulate_dynamic_cells` merge compatible cells into shared
-    lockstep calls drawing their state tensors from ``arena`` and their
-    fault planes from ``planes``.
-
-    With a ``supervisor``, the merged pass is retried per the policy;
-    if it keeps failing, the pass degrades to per-cell lockstep calls —
-    bitwise identical to the merged pass — each under the full ladder
-    (retry → scalar fallback → NaN quarantine), so one poisoned cell
-    cannot take down every batch-dynamic result.
-    """
-    fault_model = make_fault_model(grid.fault) if grid.has_faults else None
-    cells: list[DynamicCell] = []
-    targets: list[tuple[str, int, int, float]] = []
+    fault_model,
+) -> typing.Iterator[tuple[_Target, DynamicCell]]:
+    """The lockstep pass's cells: one per (platform, error, algorithm)."""
     for p_idx, point in enumerate(platforms):
         platform = point.build()
         for e_idx, error in enumerate(grid.errors):
             seeds = tuple(_cell_seeds(grid, p_idx, e_idx))
             magnitude = error if grid.error_kind != "none" else 0.0
             for name in names:
-                cells.append(
-                    DynamicCell(
-                        platform=platform,
-                        scheduler=make_scheduler(name, error),
-                        total_work=grid.total_work,
-                        error=magnitude,
-                        seeds=seeds,
-                        faults=fault_model,
-                    )
+                cell = DynamicCell(
+                    platform=platform,
+                    scheduler=make_scheduler(name, error),
+                    total_work=grid.total_work,
+                    error=magnitude,
+                    seeds=seeds,
+                    faults=fault_model,
                 )
-                targets.append((name, p_idx, e_idx, error))
-    perf = {} if stats is not None else None
-    if supervisor is None:
-        results = simulate_dynamic_cells(
-            cells, mode=grid.error_mode, arena=arena, perf=perf, planes=planes
-        )
+                yield (name, p_idx, e_idx, error), cell
+
+
+def _run_batch_pass(
+    grid: ExperimentGrid,
+    platforms: tuple[PlatformPoint, ...],
+    engine: str,
+    names: list[str],
+    tensors: dict[str, np.ndarray],
+    supervisor: CellSupervisor,
+    stats=None,
+    planes: FaultPlaneCache | None = None,
+) -> None:
+    """Fill ``names``' tensors through one global batch pass of ``engine``.
+
+    Builds one cell per (platform, error, algorithm) with the *same*
+    per-cell seeds the scalar path would use — fault model included —
+    and hands the whole grid to one engine call: ``static-batch`` stacks
+    the cells into one tensor per plan-length class
+    (:func:`simulate_static_cells`), ``dynbatch`` merges compatible cells
+    into shared lockstep calls drawing their state from the sweep arena
+    (:func:`simulate_dynamic_cells`).  Fault planes come from ``planes``,
+    shared by both passes.
+
+    The merged call is retried per the supervisor's policy; if it keeps
+    failing, the pass degrades to per-cell engine calls — the same
+    computation, one cell per call — each under the full ladder (retry →
+    scalar fallback → NaN quarantine), so one poisoned cell cannot take
+    down every batch result.
+    """
+    fault_model = make_fault_model(grid.fault) if grid.has_faults else None
+    if engine == "static-batch":
+        build = partial(_static_cells, supervisor=supervisor)
+        simulate = partial(simulate_static_cells, mode=grid.error_mode)
     else:
-        results, exc = supervisor.attempt(
-            lambda: simulate_dynamic_cells(
-                cells, mode=grid.error_mode, arena=arena, perf=perf,
-                planes=planes,
-            ),
-            grid.seed,
+        build = _dynamic_cells
+        simulate = partial(
+            simulate_dynamic_cells, mode=grid.error_mode, arena=_SWEEP_ARENA
         )
-        if exc is not None:
-            results = [
-                supervisor.run_cell(
-                    lambda cell=cell: simulate_dynamic_cells(
-                        [cell], mode=grid.error_mode, arena=arena
-                    )[0],
-                    fallback=lambda cell=cell, error=error: _scalar_cell(
-                        cell.platform, grid, cell.scheduler, error,
-                        list(cell.seeds), fault_model,
-                    ),
-                    algorithm=name,
-                    platform_index=p_idx,
-                    error_index=e_idx,
-                    engine="dynbatch",
-                    seed=cell.seeds[0],
-                    shape=(grid.repetitions,),
-                )
-                for cell, (name, p_idx, e_idx, error) in zip(cells, targets)
-            ]
+    entries = list(build(grid, platforms, names, fault_model))
+    targets = [target for target, cell in entries if cell is not None]
+    cells = [cell for _, cell in entries if cell is not None]
+    perf = {} if stats is not None else None
+    results, exc = supervisor.attempt(
+        lambda: simulate(cells, perf=perf, planes=planes), grid.seed
+    )
+    if exc is not None:
+        results = [
+            supervisor.run_cell(
+                lambda cell=cell: simulate([cell])[0],
+                fallback=lambda name=name, error=error, cell=cell: _scalar_cell(
+                    cell.platform, grid, make_scheduler(name, error), error,
+                    list(cell.seeds), fault_model,
+                ),
+                algorithm=name,
+                platform_index=p_idx,
+                error_index=e_idx,
+                engine=engine,
+                seed=cell.seeds[0],
+                shape=(grid.repetitions,),
+            )
+            for cell, (name, p_idx, e_idx, error) in zip(cells, targets)
+        ]
     for (name, p_idx, e_idx, _error), makespans in zip(targets, results):
         tensors[name][p_idx, e_idx, :] = makespans
+    for (name, p_idx, e_idx, _error), cell in entries:
+        if cell is None:
+            tensors[name][p_idx, e_idx, :] = _supervised_scalar_cell(
+                grid, platforms[p_idx].build(), name, p_idx, e_idx,
+                _cell_seeds(grid, p_idx, e_idx), fault_model, supervisor, stats,
+            )
     if stats is not None and perf:
         stats.absorb_fault_perf(perf)
+
+
+def _load_pass_shard(
+    ckpt: CheckpointStore, engine: str, names: list[str], shape: tuple[int, ...]
+) -> np.ndarray | None:
+    """A batch pass's checkpointed ``(names, *shape)`` block, if it holds
+    exactly ``names``; ``None`` when absent or written for other names."""
+    shard = ckpt.load(_PASS_SHARDS[engine])
+    if shard is None:
+        return None
+    stored = [str(n) for n in shard.get("names", np.array([]))]
+    block = shard.get("block")
+    if stored != names or block is None or block.shape != (len(names), *shape):
+        return None
+    return block
 
 
 def run_sweep(
@@ -696,7 +645,6 @@ def run_sweep(
     n_jobs: int = 1,
     progress: typing.Callable[[int, int], None] | None = None,
     batch_static: bool = True,
-    batch_dynamic: bool | None = None,
     stats=None,
     retry: RetryPolicy | None = None,
     checkpoint_dir: "str | os.PathLike | None" = None,
@@ -720,13 +668,11 @@ def run_sweep(
         done count is monotone even under retries, pool restarts and
         resume — resumed shards are reported done up front.
     batch_static:
-        Route static algorithms through the vectorized batch engine (the
-        default; see the module docstring).  ``False`` forces the scalar
-        engine — mainly for benchmarking and equivalence tests.
-    batch_dynamic:
-        Route batch-dynamic algorithms through the lockstep batch engine.
-        ``None`` (default) follows ``batch_static``, so ``--no-batch``
-        disables both fast paths at once.
+        Route static algorithms through the whole-grid batch pass and
+        every other algorithm through the lockstep pass (the default; see
+        the module docstring and :func:`_engine_map`).  ``False`` forces
+        the scalar engine for every algorithm — CLI ``--no-batch``, mainly
+        for benchmarking and equivalence tests.
     stats:
         Optional :class:`repro.obs.SweepStats` collector: engine-routing
         counts, per-cell wall times (in-process runs only — pool workers
@@ -762,8 +708,6 @@ def run_sweep(
         n_jobs = os.cpu_count() or 1
     elif n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1 or -1, got {n_jobs}")
-    if batch_dynamic is None:
-        batch_dynamic = batch_static
     policy = retry if retry is not None else RetryPolicy()
     ledger = failures if failures is not None else FailureLedger()
     supervisor = CellSupervisor(
@@ -773,61 +717,27 @@ def run_sweep(
     shape = (len(platforms), len(grid.errors), grid.repetitions)
     tensors = {a: np.empty(shape) for a in algorithms}
 
-    dyn_batch_names = (
-        [
-            a
-            for a in algorithms
-            if is_batch_dynamic_algorithm(a)
-            and _batch_eligible(grid, make_scheduler(a, 0.0))
-        ]
-        if batch_dynamic and _grid_supports_batch(grid)
-        else []
-    )
-    dyn_set = set(dyn_batch_names)
-    static_batch_names = (
-        [
-            a
-            for a in algorithms
-            if make_scheduler(a, 0.0).is_static
-            and _batch_eligible(grid, make_scheduler(a, 0.0))
-        ]
-        if batch_static and _grid_supports_batch(grid)
-        else []
-    )
-    static_set = set(static_batch_names)
+    routes = _engine_map(grid, algorithms, batch_static)
+    passes = {
+        engine: [a for a in algorithms if routes[a] == engine]
+        for engine in _PASS_SHARDS
+    }
     # Columns the per-platform loop is responsible for (the global batch
     # passes overwrite the rest); checkpoint shards record this mask so a
-    # shard written under different batch flags is never trusted for
+    # shard written under a different routing is never trusted for
     # columns it did not actually compute.
-    loop_valid = np.array(
-        [a not in dyn_set and a not in static_set for a in algorithms], dtype=bool
-    )
+    loop_valid = np.array([routes[a] == "scalar" for a in algorithms], dtype=bool)
     loop_algo_count = int(loop_valid.sum())
     # When the global passes cover every algorithm — the normal case —
     # the per-platform loop has nothing left to do; skip it (and the
     # pool) entirely.
-    if len(dyn_batch_names) + len(static_batch_names) == len(algorithms):
+    if not loop_algo_count:
         n_jobs = 0
 
     if stats is not None:
-        # Routing is deterministic from (grid, algorithm, flags), so the
-        # counts are derived analytically rather than tallied in the loops
-        # — which also makes them exact on the process-pool path.
         num_cells = len(platforms) * len(grid.errors)
         for a in algorithms:
-            scheduler = make_scheduler(a, 0.0)
-            if a in dyn_batch_names:
-                engine = "dynbatch"
-            elif (
-                batch_static
-                and _grid_supports_batch(grid)
-                and scheduler.is_static
-                and _batch_eligible(grid, scheduler)
-            ):
-                engine = "static-batch"
-            else:
-                engine = "scalar"
-            stats.count_routing(engine, num_cells, grid.repetitions)
+            stats.count_routing(routes[a], num_cells, grid.repetitions)
 
     # -- checkpoint store and resume ---------------------------------------
     key = sweep_key(grid, algorithms)
@@ -837,8 +747,7 @@ def run_sweep(
         else None
     )
     resumed_blocks: dict[int, np.ndarray] = {}
-    lockstep_resumed: np.ndarray | None = None
-    staticgrid_resumed: np.ndarray | None = None
+    resumed_passes: dict[str, np.ndarray] = {}
     if ckpt is not None and resume:
         block_shape = (len(grid.errors), grid.repetitions, len(algorithms))
         for p_idx in range(len(platforms)):
@@ -855,32 +764,10 @@ def run_sweep(
             ):
                 continue
             resumed_blocks[p_idx] = block
-        if dyn_batch_names:
-            shard = ckpt.load("lockstep")
-            if shard is not None:
-                names = [str(n) for n in shard.get("names", np.array([]))]
-                arr = shard.get("block")
-                expected = (
-                    len(dyn_batch_names), len(platforms),
-                    len(grid.errors), grid.repetitions,
-                )
-                if names == list(dyn_batch_names) and (
-                    arr is not None and arr.shape == expected
-                ):
-                    lockstep_resumed = arr
-        if static_batch_names:
-            shard = ckpt.load("staticgrid")
-            if shard is not None:
-                names = [str(n) for n in shard.get("names", np.array([]))]
-                arr = shard.get("block")
-                expected = (
-                    len(static_batch_names), len(platforms),
-                    len(grid.errors), grid.repetitions,
-                )
-                if names == list(static_batch_names) and (
-                    arr is not None and arr.shape == expected
-                ):
-                    staticgrid_resumed = arr
+        for engine, names in passes.items():
+            block = _load_pass_shard(ckpt, engine, names, shape) if names else None
+            if block is not None:
+                resumed_passes[engine] = block
         if stats is not None:
             stats.cells_resumed += (
                 len(resumed_blocks) * len(grid.errors) * loop_algo_count
@@ -888,13 +775,10 @@ def run_sweep(
         # Quarantine records of resumed shards would otherwise be lost —
         # their NaNs are being reused, so their ledger entries are too.
         for entry in ckpt.load_ledger():
-            if entry.algorithm in dyn_set:
-                if lockstep_resumed is not None:
-                    ledger.add(entry)
-            elif entry.algorithm in static_set:
-                if staticgrid_resumed is not None:
-                    ledger.add(entry)
-            elif entry.platform_index in resumed_blocks:
+            engine = routes.get(entry.algorithm, "scalar")
+            if engine in resumed_passes or (
+                engine == "scalar" and entry.platform_index in resumed_blocks
+            ):
                 ledger.add(entry)
 
     # -- the per-platform loop ---------------------------------------------
@@ -928,71 +812,48 @@ def run_sweep(
         pending = [p for p in range(total) if p not in resumed_blocks]
         if n_jobs > 1 and pending:
             pending = _supervised_pool_run(
-                grid, platforms, algorithms, batch_static, batch_dynamic,
+                grid, platforms, algorithms, routes,
                 n_jobs, pending, policy, supervisor, stats, on_block,
             )
         for p_idx in pending:
             block = _run_platform(
-                grid, platforms[p_idx], p_idx, algorithms, batch_static,
-                batch_dynamic, stats=stats, supervisor=supervisor,
+                grid, platforms[p_idx], p_idx, algorithms, routes, supervisor,
+                stats=stats,
             )
             on_block(p_idx, block)
 
-    # Both batch passes simulate every algorithm of a (platform, error)
-    # cell on the same seeds, so each fault plane is realized once and
-    # shared; the cache dies with this call.
+    # -- the global batch passes: static whole-grid, then merged lockstep ---
+    # Both passes simulate every algorithm of a (platform, error) cell on
+    # the same seeds, so each fault plane is realized once and shared; the
+    # cache dies with this call.
     planes = FaultPlaneCache() if grid.has_faults else None
-
-    # -- the static whole-grid pass ----------------------------------------
-    if static_batch_names:
-        if staticgrid_resumed is not None:
-            for i, name in enumerate(static_batch_names):
-                tensors[name][...] = staticgrid_resumed[i]
+    for engine, names in passes.items():
+        if not names:
+            continue
+        resumed = resumed_passes.get(engine)
+        if resumed is not None:
+            for i, name in enumerate(names):
+                tensors[name][...] = resumed[i]
             if stats is not None:
-                stats.cells_resumed += (
-                    len(static_batch_names) * len(platforms) * len(grid.errors)
-                )
-        else:
-            t0 = time.perf_counter()
-            _run_static_batch_pass(
-                grid, platforms, static_batch_names, tensors,
-                supervisor=supervisor, stats=stats, planes=planes,
-            )
-            if stats is not None:
+                stats.cells_resumed += len(names) * len(platforms) * len(grid.errors)
+            continue
+        t0 = time.perf_counter()
+        _run_batch_pass(
+            grid, platforms, engine, names, tensors, supervisor,
+            stats=stats, planes=planes,
+        )
+        if stats is not None:
+            if engine == "static-batch":
                 stats.staticgrid_wall_s += time.perf_counter() - t0
-            if ckpt is not None:
-                ckpt.save(
-                    "staticgrid",
-                    block=np.stack([tensors[n] for n in static_batch_names]),
-                    names=np.array(static_batch_names),
-                )
-                ckpt.save_ledger(ledger)
-
-    # -- the merged lockstep pass ------------------------------------------
-    if dyn_batch_names:
-        if lockstep_resumed is not None:
-            for i, name in enumerate(dyn_batch_names):
-                tensors[name][...] = lockstep_resumed[i]
-            if stats is not None:
-                stats.cells_resumed += (
-                    len(dyn_batch_names) * len(platforms) * len(grid.errors)
-                )
-        else:
-            t0 = time.perf_counter()
-            _run_dynamic_batch_pass(
-                grid, platforms, dyn_batch_names, tensors,
-                supervisor=supervisor, arena=_SWEEP_ARENA, stats=stats,
-                planes=planes,
-            )
-            if stats is not None:
+            else:
                 stats.lockstep_wall_s += time.perf_counter() - t0
-            if ckpt is not None:
-                ckpt.save(
-                    "lockstep",
-                    block=np.stack([tensors[n] for n in dyn_batch_names]),
-                    names=np.array(dyn_batch_names),
-                )
-                ckpt.save_ledger(ledger)
+        if ckpt is not None:
+            ckpt.save(
+                _PASS_SHARDS[engine],
+                block=np.stack([tensors[n] for n in names]),
+                names=np.array(names),
+            )
+            ckpt.save_ledger(ledger)
 
     # -- completion: persist the ledger, clear the checkpoints --------------
     if ckpt is not None:

@@ -134,8 +134,8 @@ class DynamicCell:
 
     ``faults`` optionally injects a fault scenario: every repetition row
     samples its own schedule from the seed's third spawned stream,
-    matching the scalar engine's contract.  The scheduler must declare
-    ``batch_supports_faults`` for such cells.
+    matching the scalar engine's contract.  Static schedulers are
+    rejected: they replay a fixed plan through the static batch engine.
     """
 
     platform: PlatformSpec
@@ -146,15 +146,10 @@ class DynamicCell:
     faults: "FaultModel | None" = None
 
     def __post_init__(self) -> None:
-        if not self.scheduler.is_batch_dynamic:
+        if self.scheduler.is_static:
             raise TypeError(
-                f"{self.scheduler.name} is not batch-dynamic; run it through "
-                "the scalar engine instead"
-            )
-        if self.faults is not None and not self.scheduler.batch_supports_faults:
-            raise TypeError(
-                f"{self.scheduler.name} does not declare batch fault support; "
-                "route its fault cells through the scalar engine instead"
+                f"{self.scheduler.name} is static, not batch-dynamic; run it "
+                "through the static batch engine instead"
             )
         if self.error < 0:
             raise ValueError(f"error magnitude must be >= 0, got {self.error}")

@@ -59,7 +59,10 @@ the master's crash watchers) and excludes dead workers at admission; a
 job whose candidate set is wholly dead is *failed* — never deadlocked —
 under a pluggable :class:`JobFailurePolicy` (``drop`` / ``retry`` with
 deterministic backoff / ``resubmit`` the undelivered remainder to the
-surviving workers).  Fault-free streams build no plane at all.
+surviving workers).  Fault-free streams build no plane at all and run
+the same grant loops with ``plane=None``: the health tracker then admits
+every worker and no grant falls short, so each job is served exactly as
+its policy's rotation dictates.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import math
 import typing
 
 from repro.core.base import Scheduler
-from repro.errors.faults import FrozenFaults, StreamFaultSchedule
+from repro.errors.faults import FrozenFaults, StreamFaultSchedule, _parse_kv
 from repro.errors.models import ErrorModel
 from repro.errors.rng import stream_for
 from repro.obs.events import SimEvent, canonical_order, events_from_result
@@ -118,8 +121,9 @@ class JobRecord:
     streams shrink the live set as workers die); when empty, every slice
     ran on ``workers``.  ``failed`` marks a job its failure policy gave
     up on (``failure`` names the reason); ``attempts`` counts service
-    grants (including failed ones), ``resubmissions`` counts
-    resubmit-to-survivors re-grants.
+    grants — one per entry of ``results`` — plus, under the exclusive
+    policies, admission checks that found no live worker;
+    ``resubmissions`` counts resubmit-to-survivors re-grants.
     """
 
     job: JobArrival
@@ -563,20 +567,8 @@ def make_failure_policy(spec: "str | JobFailurePolicy") -> JobFailurePolicy:
         )
     kind, _, body = spec.strip().partition(":")
     kind = kind.strip()
-    params: dict[str, float] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed failure-policy parameter {part!r} in {spec!r}")
-        try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            raise ValueError(
-                f"failure-policy parameter {key.strip()!r} needs a number, got {value!r}"
-            ) from None
+    params = _parse_kv(body, kind, "failure-policy")
+
     def _int(name: str, default: int) -> int:
         raw = params.pop(name, float(default))
         if raw != int(raw):
@@ -609,28 +601,22 @@ def make_failure_policy(spec: "str | JobFailurePolicy") -> JobFailurePolicy:
 class _StreamRuntime:
     """Per-call coordinator threading the fault plane through a policy.
 
-    Bundles the realized stream timeline, the health tracker, and the
-    failure policy; collects the job-level stream-fault events.  With no
-    plane (fault-free streams) it is inert and the policies take the
-    fault-free code path.
+    Bundles the health tracker (which holds the realized stream
+    timeline) and the failure policy; collects the job-level
+    stream-fault events.  With no plane (fault-free streams) the tracker
+    admits every worker and no event is ever recorded.
     """
 
     def __init__(
         self,
-        plane: "StreamFaultSchedule | None",
         health: PlatformHealth,
         failure: JobFailurePolicy,
         policy_name: str,
     ) -> None:
-        self.plane = plane
         self.health = health
         self.failure = failure
         self.policy_name = policy_name
         self.events: list[SimEvent] = []
-
-    @property
-    def active(self) -> bool:
-        return self.plane is not None
 
     def fail(self, job: JobArrival, when: float, reason: str) -> None:
         self.events.append(
@@ -658,7 +644,7 @@ def _attempt_seed(seed: "int | None", attempt: int) -> int:
 
 
 def _serve_exclusive(
-    rt: "_StreamRuntime | None",
+    rt: _StreamRuntime,
     job: JobArrival,
     candidates: tuple[int, ...],
     start: float,
@@ -670,18 +656,9 @@ def _serve_exclusive(
     The shared FCFS/partitioned grant loop: admission-time health
     filtering, delivery-shortfall detection, and the failure policy's
     retry/resubmit machinery.  Returns the record plus the instant the
-    candidate set becomes free again.  Without an active fault plane
-    this is exactly one grant on the whole candidate set.
+    candidate set becomes free again.  Without a fault plane this is
+    exactly one grant on the whole candidate set.
     """
-    if rt is None or not rt.active:
-        result = run_job(job, job.work, candidates, seed0, start)
-        finish = start + result.makespan
-        record = JobRecord(
-            job=job, start=start, finish=finish, workers=candidates,
-            results=(result,), slice_starts=(start,),
-        )
-        return record, finish
-
     attempts = 0
     resubmissions = 0
     t = start
@@ -751,7 +728,7 @@ class StreamPolicy:
     and returns one :class:`JobRecord` per job; all simulation goes
     through the callback, so policies never touch engines directly.
     ``stream`` carries the fault-plane runtime (health tracker + failure
-    policy); ``None`` or an inactive runtime selects the fault-free path.
+    policy); fault-free streams pass one without a plane.
     """
 
     #: Spec-style name (used as the ``phase`` label of job events).
@@ -763,7 +740,7 @@ class StreamPolicy:
         jobs: tuple[JobArrival, ...],
         run_job: JobRunner,
         job_seed: typing.Callable[[JobArrival], "int | None"],
-        stream: "_StreamRuntime | None" = None,
+        stream: _StreamRuntime,
     ) -> tuple[JobRecord, ...]:
         raise NotImplementedError
 
@@ -774,7 +751,7 @@ class FCFSPolicy(StreamPolicy):
 
     name = "fcfs"
 
-    def run(self, platform, jobs, run_job, job_seed, stream=None):
+    def run(self, platform, jobs, run_job, job_seed, stream):
         workers = tuple(range(platform.N))
         records: list[JobRecord] = []
         free = 0.0
@@ -794,7 +771,7 @@ class PartitionedPolicy(StreamPolicy):
     Workers are split into ``parts`` contiguous, size-balanced groups
     (larger groups first); each job is assigned to the partition that can
     start it earliest, ties to the lowest partition index.  ``parts=1``
-    degenerates to :class:`FCFSPolicy`.  Under an active fault plane,
+    degenerates to :class:`FCFSPolicy`.  Under a fault plane,
     partitions whose workers are all dead at their candidate start are
     skipped (degradation-aware admission); if every partition is dead
     the earliest one is nominally assigned and the failure policy fails
@@ -825,21 +802,15 @@ class PartitionedPolicy(StreamPolicy):
             cursor += size
         return tuple(groups)
 
-    def run(self, platform, jobs, run_job, job_seed, stream=None):
+    def run(self, platform, jobs, run_job, job_seed, stream):
         groups = self.partitions(platform)
         free = [0.0] * len(groups)
         records: list[JobRecord] = []
-        faulty = stream is not None and stream.active
         for job in jobs:
             starts = [max(job.time, f) for f in free]
             indices = range(len(groups))
-            if faulty:
-                viable = [
-                    i for i in indices if stream.health.live(groups[i], starts[i])
-                ]
-                part = min(viable or indices, key=lambda i: (starts[i], i))
-            else:
-                part = min(indices, key=lambda i: (starts[i], i))
+            viable = [i for i in indices if stream.health.live(groups[i], starts[i])]
+            part = min(viable or indices, key=lambda i: (starts[i], i))
             record, busy = _serve_exclusive(
                 stream, job, groups[part], starts[part], run_job, job_seed(job)
             )
@@ -876,11 +847,11 @@ class InterleavedPolicy(StreamPolicy):
     rotation; when no job is active, time jumps to the next arrival.
     ``slices=1`` degenerates to :class:`FCFSPolicy`.
 
-    Under an active fault plane each slice grant goes to the live
-    workers only; a failed slice is re-served at the job's next rotation
-    turn (the rotation itself provides the retry spacing, so the failure
-    policy's backoff delays are not added), and a wholly dead star fails
-    jobs immediately — crashes are permanent, so waiting cannot help and
+    Under a fault plane each slice grant goes to the live workers only;
+    a failed slice is re-served at the job's next rotation turn (the
+    rotation itself provides the retry spacing, so the failure policy's
+    backoff delays are not added), and a wholly dead star fails jobs
+    immediately — crashes are permanent, so waiting cannot help and
     the rotation must not idle-spin.
     """
 
@@ -904,58 +875,7 @@ class InterleavedPolicy(StreamPolicy):
             return (work,)
         return (per,) * (self.slices - 1) + (tail,)
 
-    def run(self, platform, jobs, run_job, job_seed, stream=None):
-        if stream is not None and stream.active:
-            return self._run_faulty(platform, jobs, run_job, job_seed, stream)
-        workers = tuple(range(platform.N))
-        pending = list(jobs)  # sorted by (time, job_id)
-        # Active entry: [job, seed, remaining sizes, next slice index,
-        #                start (None until first slice), slice_starts, results]
-        active: list[list] = []
-        done: dict[int, JobRecord] = {}
-        t = 0.0
-        rr = 0
-
-        def admit(now: float) -> None:
-            while pending and pending[0].time <= now:
-                job = pending.pop(0)
-                active.append(
-                    [job, job_seed(job), list(self.slice_sizes(job.work)), 0,
-                     None, [], []]
-                )
-
-        admit(t)
-        while pending or active:
-            if not active:
-                t = max(t, pending[0].time)
-                admit(t)
-                rr = 0
-            entry = active[rr % len(active)]
-            job, seed, sizes, k, start, slice_starts, results = entry
-            size = sizes.pop(0)
-            slice_seed = seed if self.slices == 1 else _slice_seed(seed, k)
-            result = run_job(job, size, workers, slice_seed, t)
-            if start is None:
-                entry[4] = t
-            entry[3] = k + 1
-            slice_starts.append(t)
-            results.append(result)
-            t += result.makespan
-            idx = rr % len(active)
-            if not sizes:
-                done[job.job_id] = JobRecord(
-                    job=job, start=entry[4], finish=t, workers=workers,
-                    results=tuple(results), slice_starts=tuple(slice_starts),
-                )
-                active.pop(idx)
-                rr = idx  # the next entry slid into this slot
-            else:
-                rr = idx + 1
-            admit(t)
-        return tuple(done[job.job_id] for job in jobs)
-
-    def _run_faulty(self, platform, jobs, run_job, job_seed, rt):
-        """The fault-plane rotation (see class docstring)."""
+    def run(self, platform, jobs, run_job, job_seed, stream):
         workers = tuple(range(platform.N))
         pending = list(jobs)
         active: list[_InterleavedEntry] = []
@@ -973,7 +893,7 @@ class InterleavedPolicy(StreamPolicy):
                 )
 
         def fail(entry: _InterleavedEntry, when: float, reason: str) -> None:
-            rt.fail(entry.job, when, reason)
+            stream.fail(entry.job, when, reason)
             done[entry.job.job_id] = JobRecord(
                 job=entry.job,
                 start=entry.start if entry.start is not None else when,
@@ -992,7 +912,7 @@ class InterleavedPolicy(StreamPolicy):
                 rr = 0
             idx = rr % len(active)
             entry = active[idx]
-            live = rt.health.live(workers, t)
+            live = stream.health.live(workers, t)
             if not live:
                 fail(entry, t, "no-live-workers")
                 active.pop(idx)
@@ -1005,7 +925,7 @@ class InterleavedPolicy(StreamPolicy):
                 base, entry.slice_fails
             )
             result = run_job(entry.job, size, live, seed_k, t)
-            rt.health.observe_slice(live, t, result)
+            stream.health.observe_slice(live, t, result)
             entry.grants += 1
             if entry.start is None:
                 entry.start = t
@@ -1032,20 +952,20 @@ class InterleavedPolicy(StreamPolicy):
                     rr = idx + 1
             else:
                 entry.slice_fails += 1
-                if entry.slice_fails >= rt.failure.max_attempts:
+                if entry.slice_fails >= stream.failure.max_attempts:
                     reason = (
                         "delivery-shortfall"
-                        if rt.failure.max_attempts == 1
+                        if stream.failure.max_attempts == 1
                         else "attempts-exhausted"
                     )
                     fail(entry, t, reason)
                     active.pop(idx)
                     rr = idx
                 else:
-                    if rt.failure.resubmits:
+                    if stream.failure.resubmits:
                         entry.sizes[0] = size - delivered
                         entry.resubs += 1
-                        rt.resubmit(
+                        stream.resubmit(
                             entry.job, t, entry.sizes[0],
                             attempt=entry.slice_fails + 1,
                         )
@@ -1073,22 +993,10 @@ def make_stream_policy(spec: "str | StreamPolicy") -> StreamPolicy:
     kind, _, body = spec.strip().partition(":")
     kind = kind.strip()
     params: dict[str, int] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed policy parameter {part!r} in {spec!r}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise ValueError(
-                f"policy parameter {key.strip()!r} needs a number, got {value!r}"
-            ) from None
+    for key, number in _parse_kv(body, kind, "policy").items():
         if number != int(number):
-            raise ValueError(f"policy parameter {key.strip()!r} must be integral")
-        params[key.strip()] = int(number)
+            raise ValueError(f"policy parameter {key!r} must be integral")
+        params[key] = int(number)
     if kind == "fcfs":
         if params:
             raise ValueError(f"fcfs takes no parameters, got {sorted(params)}")
@@ -1163,8 +1071,8 @@ def simulate_stream(
         finish.
     failure_policy:
         What to do with a grant that cannot run or falls short (see
-        :func:`make_failure_policy`); only consulted under an active
-        fault plane.
+        :func:`make_failure_policy`); only consulted under a fault
+        plane.
     topology:
         Interconnect spec forwarded to every per-job ``simulate()``;
         ``sharedbw`` is rejected with ``faults`` (matching the
@@ -1216,7 +1124,7 @@ def simulate_stream(
         if not plane.any_faults:
             plane = None
     health = PlatformHealth(platform.N, plane)
-    runtime = _StreamRuntime(plane, health, failure, stream_policy.name)
+    runtime = _StreamRuntime(health, failure, stream_policy.name)
 
     def run_job(job, work, workers, job_run_seed, start):
         sub = platform if len(workers) == platform.N else platform.subset(workers)

@@ -45,6 +45,7 @@ import typing
 
 import numpy as np
 
+from repro.errors.faults import _parse_kv
 from repro.errors.rng import stream_for
 
 __all__ = [
@@ -287,24 +288,6 @@ def arrivals_from_jsonl(text: str) -> tuple[JobArrival, ...]:
 
 # -- spec-string grammar ------------------------------------------------------
 
-def _parse_kv(body: str, kind: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed arrival parameter {part!r} in {kind!r} spec")
-        try:
-            out[key.strip()] = float(value)
-        except ValueError:
-            raise ValueError(
-                f"arrival parameter {key.strip()!r} needs a number, got {value!r}"
-            ) from None
-    return out
-
-
 def _take(params: dict[str, float], kind: str, *names: str, **defaults) -> list[float]:
     values = []
     for name in names:
@@ -340,7 +323,7 @@ def make_arrival_process(spec: "str | ArrivalProcess") -> ArrivalProcess:
             raise ValueError(f"arrival trace file not found: {path!r}")
         with open(path, encoding="utf-8") as fh:
             return TraceArrivals(arrivals_from_jsonl(fh.read()))
-    params = _parse_kv(body, kind)
+    params = _parse_kv(body, kind, "arrival")
     if kind == "poisson":
         rate, jobs, work, work_cv = _take(
             params, kind, "rate", "jobs", "work", "work_cv", work_cv=0.0

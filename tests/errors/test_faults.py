@@ -94,6 +94,34 @@ class TestSpecParsing:
         with pytest.raises(TypeError):
             make_fault_model(42)
 
+    @pytest.mark.parametrize(
+        "grammar, spec",
+        [
+            ("policy", "partitioned:parts=inf"),
+            ("policy", "interleaved:slices=1e400"),
+            ("failure", "retry:attempts=inf"),
+            ("fault", "crash:worker=inf,at=1"),
+            ("arrival", "poisson:rate=1,jobs=inf,work=1"),
+            ("arrival", "bursty:bursts=inf,size=2,gap=1,work=1"),
+            ("fault", "crash:p=0.5,tmax=inf"),
+            ("fault", "slow:p=0.5,tmax=10,factor=inf"),
+            ("failure", "retry:backoff=nan"),
+            ("arrival", "poisson:rate=inf,jobs=3,work=1"),
+        ],
+    )
+    def test_non_finite_spec_numbers_rejected_at_parse(self, grammar, spec):
+        from repro.sim import make_failure_policy, make_stream_policy
+        from repro.workloads import make_arrival_process
+
+        parse = {
+            "policy": make_stream_policy,
+            "failure": make_failure_policy,
+            "fault": make_fault_model,
+            "arrival": make_arrival_process,
+        }[grammar]
+        with pytest.raises(ValueError, match="must be finite"):
+            parse(spec)
+
 
 class TestSampling:
     def test_no_faults_schedule_is_clear(self, platform, rng):

@@ -1,9 +1,9 @@
 """Tests for the fault axis of the experiment layer.
 
 The fault spec is part of the grid identity (cache keys must split on it),
-fault cells route through the batch engines (every in-tree scheduler
-declares ``batch_supports_faults``) and must agree with the scalar engine
-bitwise at error 0, and the fault-sweep/degradation/figure chain must
+fault cells route through the batch engines (both implement the scalar
+engine's fault semantics) and must agree with the scalar engine bitwise
+at error 0, and the fault-sweep/degradation/figure chain must
 hold together end to end.
 """
 
@@ -64,8 +64,8 @@ class TestFaultSweep:
         )
 
     def test_fault_cells_stay_on_batch_engines(self):
-        # Every in-tree scheduler declares batch_supports_faults, so a
-        # fault grid routes zero cells to the scalar engine.
+        # Both batch engines implement fault cells, so a fault grid routes
+        # zero cells to the scalar engine.
         from repro.obs import SweepStats
 
         stats = SweepStats()

@@ -163,14 +163,6 @@ class TestCache:
             assert batched.makespans[algo] == pytest.approx(
                 scalar.makespans[algo], rel=0.2
             )
-        # With the lockstep path switched off, batch-dynamic algorithms
-        # run the scalar engine and match it bitwise at every error level.
-        half = cached_sweep(
-            results.grid, ALGOS, tmp_path / "c",
-            batch_static=True, batch_dynamic=False,
-        )
-        for algo in ("RUMR", "Factoring"):
-            assert np.array_equal(half.makespans[algo], scalar.makespans[algo])
 
 
 class TestCLI:

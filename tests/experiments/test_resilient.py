@@ -81,12 +81,11 @@ def scalar_baseline():
 
     With every in-tree algorithm covered by a global batch pass, the
     per-platform loop (and therefore the process pool and the platform
-    checkpoint shards) only has work when the batch flags are off — so
-    the chaos aimed at that machinery runs with both flags off and
-    compares against this baseline.
+    checkpoint shards) only has work when ``batch_static`` is off — so
+    the chaos aimed at that machinery runs with it off and compares
+    against this baseline.
     """
-    return run_sweep(chaos_grid(), ALGOS, batch_static=False,
-                     batch_dynamic=False)
+    return run_sweep(chaos_grid(), ALGOS, batch_static=False)
 
 
 def assert_tensors_equal(a, b):
@@ -327,7 +326,7 @@ class TestChaosSweeps:
     def test_dead_engine_falls_back_to_scalar(self, monkeypatch):
         """A dead static grid engine reroutes to scalar == a --no-batch run."""
         grid = chaos_grid()
-        nobatch = run_sweep(grid, ALGOS, batch_static=False, batch_dynamic=True)
+        nobatch = run_sweep(grid, ALGOS, batch_static=False)
 
         def dead(*args, **kwargs):
             raise RuntimeError("chaos: engine down")
@@ -437,7 +436,7 @@ class TestChaosSweeps:
         """Retries also guard the scalar engine (the --no-batch path)."""
         grid = chaos_grid()
         algos = ("FSC",)
-        base = run_sweep(grid, algos, batch_static=False, batch_dynamic=False)
+        base = run_sweep(grid, algos, batch_static=False)
         real = runner_mod.simulate_fast
         counts: dict = {}
 
@@ -455,7 +454,7 @@ class TestChaosSweeps:
         # k chaos-hit repetition seeds needs k+1 attempts: budget for all
         # three repetitions failing once each.
         result = run_sweep(
-            grid, algos, stats=stats, batch_static=False, batch_dynamic=False,
+            grid, algos, stats=stats, batch_static=False,
             retry=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
         )
         assert np.array_equal(base.makespans["FSC"], result.makespans["FSC"])
@@ -481,7 +480,7 @@ class TestCheckpointsAndResume:
 
         with pytest.raises(_Interrupt):
             run_sweep(grid, ALGOS, checkpoint_dir=tmp_path,
-                      batch_static=False, batch_dynamic=False,
+                      batch_static=False,
                       progress=interrupting)
         shards = list(tmp_path.glob("partial/*/platform-*.npz"))
         assert len(shards) == 2
@@ -498,7 +497,7 @@ class TestCheckpointsAndResume:
         calls = []
         result = run_sweep(
             grid, ALGOS, checkpoint_dir=tmp_path, resume=True, stats=stats,
-            batch_static=False, batch_dynamic=False,
+            batch_static=False,
             progress=lambda done, total: calls.append((done, total)),
         )
         assert_tensors_equal(scalar_baseline, result)
@@ -523,14 +522,14 @@ class TestCheckpointsAndResume:
 
         with pytest.raises(_Interrupt):
             run_sweep(grid, ALGOS, checkpoint_dir=tmp_path,
-                      batch_static=False, batch_dynamic=False,
+                      batch_static=False,
                       progress=interrupting)
         shards = sorted(tmp_path.glob("partial/*/platform-*.npz"))
         shards[0].write_bytes(b"\x00garbage\x00" * 64)
 
         stats = SweepStats()
         result = run_sweep(grid, ALGOS, checkpoint_dir=tmp_path, resume=True,
-                           batch_static=False, batch_dynamic=False, stats=stats)
+                           batch_static=False, stats=stats)
         assert_tensors_equal(scalar_baseline, result)
         assert stats.cells_resumed == 6  # only the intact shard survived
 
@@ -617,7 +616,7 @@ def slow(done, total):
     time.sleep(0.5)
 
 run_sweep(grid, {ALGOS!r}, checkpoint_dir={str(tmp_path)!r},
-          batch_static=False, batch_dynamic=False, progress=slow)
+          batch_static=False, progress=slow)
 """
         proc = subprocess.Popen(
             [sys.executable, "-c", script], stdout=subprocess.DEVNULL,
@@ -641,8 +640,7 @@ run_sweep(grid, {ALGOS!r}, checkpoint_dir={str(tmp_path)!r},
 
         stats = SweepStats()
         result = run_sweep(chaos_grid(), ALGOS, checkpoint_dir=tmp_path,
-                           resume=True, batch_static=False,
-                           batch_dynamic=False, stats=stats)
+                           resume=True, batch_static=False, stats=stats)
         assert_tensors_equal(scalar_baseline, result)
         assert 0 < stats.cells_resumed
         assert stats.cells_resumed < 4 * 2 * len(ALGOS)
@@ -669,7 +667,7 @@ class TestPoolSupervision:
         monkeypatch.setattr(runner_mod, "simulate_fast", die_once)
         stats = SweepStats()
         result = run_sweep(chaos_grid(), ALGOS, n_jobs=2, stats=stats,
-                           batch_static=False, batch_dynamic=False)
+                           batch_static=False)
         assert_tensors_equal(scalar_baseline, result)
         assert stats.pool_restarts == 1
         assert stats.pool_degradations == 0
@@ -687,7 +685,7 @@ class TestPoolSupervision:
         monkeypatch.setattr(runner_mod, "simulate_fast", die)
         stats = SweepStats()
         result = run_sweep(chaos_grid(), ALGOS, n_jobs=2, stats=stats,
-                           batch_static=False, batch_dynamic=False)
+                           batch_static=False)
         assert_tensors_equal(scalar_baseline, result)
         assert stats.pool_restarts == 1
         assert stats.pool_degradations == 1
@@ -707,7 +705,7 @@ class TestPoolSupervision:
         t0 = time.monotonic()
         result = run_sweep(
             chaos_grid(), ALGOS, n_jobs=2, stats=stats,
-            batch_static=False, batch_dynamic=False,
+            batch_static=False,
             retry=RetryPolicy(backoff_base_s=0.0, cell_timeout_s=1.0),
         )
         assert time.monotonic() - t0 < 30.0
@@ -729,7 +727,7 @@ class TestPoolSupervision:
         ledger = FailureLedger()
         result = run_sweep(grid, ALGOS, n_jobs=2, retry=FAST_RETRY,
                            stats=stats, failures=ledger,
-                           batch_static=False, batch_dynamic=False)
+                           batch_static=False)
         assert stats.cells_quarantined == 1
         assert np.isnan(result.makespans["UMR"][1, 0]).all()
         (entry,) = ledger.entries
@@ -758,7 +756,7 @@ class TestProgress:
         calls = []
         # Each repetition seed fails once and a retry restarts the cell
         # at repetition 0, so a 3-repetition cell needs 4 attempts.
-        run_sweep(grid, ALGOS, batch_static=False, batch_dynamic=False,
+        run_sweep(grid, ALGOS, batch_static=False,
                   retry=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
                   progress=lambda d, t: calls.append((d, t)))
         assert calls[-1] == (4, 4)

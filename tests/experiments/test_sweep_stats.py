@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.registry import (
-    is_batch_dynamic_algorithm,
-    is_static_algorithm,
-)
+from repro.core.registry import available_schedulers, is_static_algorithm
 from repro.experiments.cache import cached_sweep
 from repro.experiments.config import smoke_grid
 from repro.experiments.runner import run_sweep
@@ -24,6 +21,36 @@ def grid():
     )
 
 
+#: Grid variants by the engine a non-static algorithm lands on: the
+#: clean and crash grids batch, uniform error and a chain do not.
+ROUTING_GRIDS = {
+    "clean": ({}, "dynbatch"),
+    "crash": ({"fault": "crash:p=0.5,tmax=100"}, "dynbatch"),
+    "uniform": ({"error_kind": "uniform"}, "scalar"),
+    "chain": ({"topology": "chain"}, "scalar"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ROUTING_GRIDS))
+def test_every_registry_name_routes_to_its_engine(variant):
+    axes, dynamic_engine = ROUTING_GRIDS[variant]
+    grid = smoke_grid().restrict(
+        Ns=(4,), bandwidth_factors=(1.5,), cLats=(0.1,), nLats=(0.1,),
+        errors=(0.0, 0.2), repetitions=2, **axes,
+    )
+    for name in available_schedulers():
+        if is_static_algorithm(name):
+            expected = "scalar" if dynamic_engine == "scalar" else "static-batch"
+        else:
+            expected = dynamic_engine
+        stats = SweepStats()
+        run_sweep(grid, algorithms=(name,), stats=stats)
+        assert stats.cells == {
+            engine: len(grid.errors) if engine == expected else 0
+            for engine in stats.cells
+        }, name
+
+
 class TestRunSweepStats:
     def test_routing_accounts_every_cell(self, grid):
         stats = SweepStats()
@@ -33,15 +60,14 @@ class TestRunSweepStats:
         assert stats.total_runs == grid.num_simulations(len(ALGOS))
         # Registry knowledge predicts the split exactly.
         n_static = sum(1 for a in ALGOS if is_static_algorithm(a))
-        n_dyn = sum(1 for a in ALGOS if is_batch_dynamic_algorithm(a))
+        n_dyn = sum(1 for a in ALGOS if not is_static_algorithm(a))
         assert stats.cells["static-batch"] == num_cells * n_static
         assert stats.cells["dynbatch"] == num_cells * n_dyn
         assert stats.cells["scalar"] == 0
 
     def test_scalar_routing_when_batching_disabled(self, grid):
         stats = SweepStats()
-        run_sweep(grid, algorithms=ALGOS, batch_static=False,
-                  batch_dynamic=False, stats=stats)
+        run_sweep(grid, algorithms=ALGOS, batch_static=False, stats=stats)
         assert stats.cells["static-batch"] == 0
         assert stats.cells["dynbatch"] == 0
         assert stats.cells["scalar"] == stats.total_cells > 0
@@ -58,8 +84,7 @@ class TestRunSweepStats:
 
     def test_scalar_cells_are_timed_when_batching_disabled(self, grid):
         stats = SweepStats()
-        run_sweep(grid, algorithms=ALGOS, batch_static=False,
-                  batch_dynamic=False, stats=stats)
+        run_sweep(grid, algorithms=ALGOS, batch_static=False, stats=stats)
         assert stats.cell_timings, "scalar cells must be timed"
         assert all(t.wall_s >= 0.0 for t in stats.cell_timings)
         assert {t.engine for t in stats.cell_timings} == {"scalar"}

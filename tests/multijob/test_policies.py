@@ -216,3 +216,21 @@ class TestResultAccounting:
             for i, start in enumerate(rec.slice_starts):
                 for w in rec.workers_for_slice(i):
                     assert dead.get(w, float("inf")) > start
+
+
+class TestFaultFreeRecords:
+    """Fault-free streams run the same grant loops as faulty ones."""
+
+    @pytest.mark.parametrize(
+        "policy", ["fcfs", "partitioned:parts=4", "interleaved:slices=4"]
+    )
+    def test_attempts_and_slice_workers(self, platform, policy):
+        stream = simulate_stream(
+            platform, "poisson:rate=0.05,jobs=6,work=150", scheduler="RUMR",
+            error=0.2, seed=11, policy=policy,
+        )
+        for rec in stream.jobs:
+            assert not rec.failed
+            assert rec.attempts == len(rec.results)
+            for i in range(len(rec.results)):
+                assert rec.workers_for_slice(i) == rec.workers

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.registry import is_batch_dynamic_algorithm, make_scheduler
+from repro.core.registry import make_scheduler
 from repro.errors import NormalErrorModel
 from repro.errors.faults import make_fault_model
 from repro.platform import PlatformSpec, WorkerSpec, homogeneous_platform
@@ -76,18 +76,6 @@ class TestExactAgreement:
         scalar = scalar_makespans(het_platform, scheduler, 0.05, SEEDS)
         batch = dynamic_cell(het_platform, scheduler, W, 0.05, SEEDS)
         assert np.array_equal(scalar, batch)
-
-    def test_registry_flags(self):
-        for name in BATCHABLE:
-            assert is_batch_dynamic_algorithm(name)
-        for name in ("UMR", "MI-2", "OneRound", "EqualSplit"):
-            assert not is_batch_dynamic_algorithm(name)
-
-    def test_all_schedulers_support_batched_faults(self):
-        from repro.core.registry import available_schedulers
-
-        for name in available_schedulers():
-            assert make_scheduler(name, 0.0).batch_supports_faults, name
 
 
 class TestVectorizedFaultPlane:
