@@ -41,6 +41,7 @@ from repro.core.lockstep import (
     DONE,
     KernelSpec,
     LockstepKernel,
+    PlanRounds,
     expand_rows,
 )
 from repro.core.rumr import phase2_min_chunk, round_overhead
@@ -213,7 +214,7 @@ class AdaptiveRUMRKernelSpec(KernelSpec):
     online estimator evaluates; ``overhead`` is the platform's
     ``round_overhead`` (needed by the switch threshold and chunk floor).
     ``phase2`` is a degenerate zero-workload factoring spec re-armed per
-    row at switch time via :meth:`FactoringKernel.activate_row`.
+    row at switch time via :meth:`FactoringKernel.activate_rows`.
     """
 
     n: int = 0
@@ -264,23 +265,14 @@ class AdaptiveRUMRKernel(LockstepKernel):
 
     def __init__(self, specs, reps, n_max):
         rows = int(np.sum(reps))
-        m_max = max(max((len(s.rounds) for s in specs), default=0), 1)
-        sizes = np.zeros((len(specs), m_max, n_max))
         clats = np.zeros((len(specs), n_max))
         speeds = np.ones((len(specs), n_max))
         for i, s in enumerate(specs):
-            for j, row in enumerate(s.rounds):
-                sizes[i, j, : s.n] = row
             clats[i, : s.n] = s.clats
             speeds[i, : s.n] = s.speeds
-        self._sizes = np.repeat(sizes, reps, axis=0)
-        self._avail = self._sizes > 0.0
+        self._plan = PlanRounds(specs, reps, n_max)
         self._clat = np.repeat(clats, reps, axis=0)
         self._speed = np.repeat(speeds, reps, axis=0)
-        self._num_rounds = expand_rows(
-            [len(s.rounds) for s in specs], reps, dtype=np.int64
-        )
-        self._cursor = np.zeros(rows, dtype=np.int64)
         self._total = expand_rows([s.total_work for s in specs], reps, dtype=float)
         self._n_float = expand_rows([float(s.n) for s in specs], reps, dtype=float)
         self._overhead = expand_rows([s.overhead for s in specs], reps, dtype=float)
@@ -303,12 +295,9 @@ class AdaptiveRUMRKernel(LockstepKernel):
         )
 
     def compact(self, keep) -> None:
-        self._sizes = self._sizes[keep]
-        self._avail = self._avail[keep]
+        self._plan.compact(keep)
         self._clat = self._clat[keep]
         self._speed = self._speed[keep]
-        self._num_rounds = self._num_rounds[keep]
-        self._cursor = self._cursor[keep]
         self._total = self._total[keep]
         self._n_float = self._n_float[keep]
         self._overhead = self._overhead[keep]
@@ -354,7 +343,7 @@ class AdaptiveRUMRKernel(LockstepKernel):
                 mean[r] += delta / c
                 m2[r] += delta * (ratio - mean[r])
 
-    def decide(self, counts, works, action, worker, size, mask=None, ctx=None):
+    def decide(self, counts, action, worker, size, mask=None, ctx=None):
         if ctx is not None and ctx.notes:
             self._consume_notes(ctx.notes)
         if ctx is not None and ctx.losses:
@@ -386,42 +375,33 @@ class AdaptiveRUMRKernel(LockstepKernel):
                     | (self._overhead == 0.0)
                 )
             )
-            for r in np.flatnonzero(switch):
-                estimate = float(est[r])
-                pool = float(remaining[r])
-                floor = self._overhead[r] / estimate
-                floor = min(floor, pool / self._n_float[r])
-                self._phase2.activate_row(r, pool, max(floor, 1.0))
+            rows = np.flatnonzero(switch)
+            if rows.size:
+                pools = remaining[rows]
+                floors = np.minimum(
+                    self._overhead[rows] / est[rows], pools / self._n_float[rows]
+                )
+                self._phase2.activate_rows(rows, pools, np.maximum(floors, 1.0))
                 # The scalar switch builds a fresh FactoringSource whose
                 # loss cursor starts at zero: every loss observed since
                 # the run began rejoins the pool, in observation order.
-                for s in self._queued_losses.pop(int(r), ()):
-                    self._phase2.absorb_loss(int(r), s)
+                for r in rows.tolist():
+                    for s in self._queued_losses.pop(r, ()):
+                        self._phase2.absorb_loss(r, s)
             self._switched |= switch
             p1 = p1 & ~switch
-            act = p1 & (self._cursor < self._num_rounds)
+            act = p1 & self._plan.active
             action[p1 & ~act] = DONE
             rows = np.flatnonzero(act)
             if rows.size:
-                cur = self._cursor[rows]
-                avail = self._avail[rows, cur]
-                pick = avail.argmax(axis=1)
-                idle = avail & (counts[rows] == 0)
-                use_idle = idle.any(axis=1)
-                pick = np.where(use_idle, idle.argmax(axis=1), pick)
+                pick, sz = self._plan.take(rows, counts, True)
                 action[rows] = DISPATCH
                 worker[rows] = pick
-                sz = self._sizes[rows, cur, pick]
                 size[rows] = sz
                 self._dispatched[rows] += sz
-                self._avail[rows, cur, pick] = False
-                exhausted = ~self._avail[rows, cur].any(axis=1)
-                self._cursor[rows[exhausted]] += 1
         p2_mask = self._switched if mask is None else self._switched & mask
         if p2_mask.any():
-            self._phase2.decide(
-                counts, works, action, worker, size, mask=p2_mask, ctx=ctx
-            )
+            self._phase2.decide(counts, action, worker, size, mask=p2_mask, ctx=ctx)
 
 
 class AdaptiveRUMR(Scheduler):

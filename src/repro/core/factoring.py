@@ -28,12 +28,12 @@ from repro.core.base import WAIT, Dispatch, DispatchSource, MasterView, Schedule
 from repro.core.lockstep import (
     DISPATCH,
     DONE,
-    PAD_PENDING,
     WAIT_FOR_COMPLETION,
     KernelSpec,
     LockstepKernel,
+    drain_rows,
     expand_rows,
-    starved_argmin,
+    first_idle,
 )
 from repro.platform.spec import PlatformSpec
 
@@ -153,14 +153,14 @@ class FactoringKernelSpec(KernelSpec):
     """One cell's :class:`FactoringSource` parameters, lockstep form.
 
     ``total_work = 0`` is a valid degenerate spec whose rows are DONE
-    from the first decision — RUMR uses it for a skipped phase 2.
+    from the first decision — RUMR uses it for a skipped phase 2.  The
+    lookahead is always the classic 1 (see :mod:`repro.core.lockstep`).
     """
 
     n: int = 0
     total_work: float = 0.0
     factor: float = 2.0
     min_chunk: float = 1.0
-    lookahead: int = 1
 
     group_key = ("factoring",)
     handles_crashes = True
@@ -179,17 +179,15 @@ class FactoringKernel(LockstepKernel):
 
     Fault rows follow :class:`FactoringSource`'s recovery path through
     the step context: newly observed losses rejoin the remaining pool in
-    observation order, observed-crashed workers drop out of the starved
-    argmin (their batch share flows to survivors because the batch rule
-    divides by the live count), a drained pool waits while chunks are
-    still outstanding (they may yet be lost and need re-dispatch), and a
-    row whose workers have all crashed finishes undeliverable.
+    observation order, observed-crashed workers stop being idle
+    candidates (their batch share flows to survivors because the batch
+    rule divides by the live count), a drained pool waits while chunks
+    are still outstanding (they may yet be lost and need re-dispatch),
+    and a row whose workers have all crashed finishes undeliverable.
     """
 
     def __init__(self, specs, reps, n_max):
-        self._rows = np.arange(int(np.sum(reps)))
         self._n = expand_rows([s.n for s in specs], reps, dtype=np.int64)
-        self._n_float = self._n.astype(float)
         self._remaining = expand_rows([s.total_work for s in specs], reps, dtype=float)
         self._epsilon = np.array(
             [1e-12 * max(s.total_work, 1.0) for s in specs]
@@ -199,36 +197,32 @@ class FactoringKernel(LockstepKernel):
             [s.factor * s.n for s in specs], reps, dtype=float
         )
         self._min_chunk = expand_rows([s.min_chunk for s in specs], reps, dtype=float)
-        self._lookahead = expand_rows([s.lookahead for s in specs], reps, dtype=np.int64)
-        self._batch_left = np.zeros(len(self._rows), dtype=np.int64)
-        self._batch_size = np.zeros(len(self._rows))
+        self._batch_left = np.zeros(len(self._n), dtype=np.int64)
+        self._batch_size = np.zeros(len(self._n))
 
     def compact(self, keep) -> None:
-        self._rows = np.arange(keep.size)
         self._n = self._n[keep]
-        self._n_float = self._n_float[keep]
         self._remaining = self._remaining[keep]
         self._epsilon = self._epsilon[keep]
         self._factor = self._factor[keep]
         self._factor_n = self._factor_n[keep]
         self._min_chunk = self._min_chunk[keep]
-        self._lookahead = self._lookahead[keep]
         self._batch_left = self._batch_left[keep]
         self._batch_size = self._batch_size[keep]
 
-    def activate_row(self, row: int, total_work: float, min_chunk: float) -> None:
-        """Re-arm one row as a fresh source over ``total_work``.
+    def activate_rows(self, rows, pools, floors) -> None:
+        """Re-arm ``rows`` as fresh sources over ``pools`` with ``floors``.
 
-        AdaptiveRUMR builds its kernel around degenerate zero-workload
-        factoring rows and calls this at the moment a row's online
-        estimate triggers the switch — the lockstep equivalent of
+        RUMR and AdaptiveRUMR build their kernels around degenerate
+        zero-workload factoring rows and call this when rows enter their
+        recovery or adaptive tail — the lockstep equivalent of
         constructing a new :class:`FactoringSource` mid-run.
         """
-        self._remaining[row] = total_work
-        self._epsilon[row] = 1e-12 * max(total_work, 1.0)
-        self._min_chunk[row] = min_chunk
-        self._batch_left[row] = 0
-        self._batch_size[row] = 0.0
+        self._remaining[rows] = pools
+        self._epsilon[rows] = 1e-12 * np.maximum(pools, 1.0)
+        self._min_chunk[rows] = floors
+        self._batch_left[rows] = 0
+        self._batch_size[rows] = 0.0
 
     def absorb_loss(self, row: int, size: float) -> None:
         """Return one lost chunk to a row's pool (scalar ``+=`` order).
@@ -240,14 +234,12 @@ class FactoringKernel(LockstepKernel):
         """
         self._remaining[row] += size
 
-    def decide(self, counts, works, action, worker, size, mask=None, ctx=None):
-        crashed = None
-        fault_rows = None
+    def decide(self, counts, action, worker, size, mask=None, ctx=None):
+        n_crashed = None
         if ctx is not None:
             for r, s in ctx.losses:
                 self._remaining[r] += s
-            crashed = ctx.crashed
-            fault_rows = ctx.fault_rows
+            n_crashed = ctx.n_crashed
         fin = self._remaining <= self._epsilon
         if mask is None:
             live = ~fin
@@ -255,27 +247,25 @@ class FactoringKernel(LockstepKernel):
             live = mask & ~fin
             fin = mask & fin
         drain = None
-        if fault_rows is not None:
+        if ctx is not None and ctx.fault_rows is not None:
             # A drained pool on a fault row waits for the pending set: an
             # outstanding chunk may still be lost and re-enter the pool.
-            pending_any = ((counts > 0) & (counts < PAD_PENDING)).any(axis=1)
-            drain = fin & fault_rows & pending_any
+            drain = drain_rows(counts, fin & ctx.fault_rows)
             fin = fin & ~drain
-        if crashed is not None and crashed.any():
-            counts_eff = np.where(crashed, PAD_PENDING, counts)
-            n_live = self._n - crashed.sum(axis=1)
+        if n_crashed is not None and n_crashed.any():
+            n_live = self._n - n_crashed
             dead = live & (n_live == 0)
             fin = fin | dead
             live = live & ~dead
-            w = starved_argmin(counts_eff, works)
+            w, idle = first_idle(counts, ctx.crashed)
             factor_n = self._factor * n_live.astype(float)
             n_batch = n_live
         else:
-            w = starved_argmin(counts, works)
+            w, idle = first_idle(counts)
             factor_n = self._factor_n
             n_batch = self._n
-        wait = live & (counts[self._rows, w] >= self._lookahead)
-        disp = live & ~wait
+        disp = live & idle
+        wait = live & ~idle
         if drain is not None:
             wait = wait | drain
         action[fin] = DONE
@@ -331,5 +321,4 @@ class Factoring(Scheduler):
             total_work=total_work,
             factor=self.factor,
             min_chunk=self.min_chunk,
-            lookahead=1,
         )

@@ -36,6 +36,7 @@ from repro.core.lockstep import (
     KernelSpec,
     LockstepKernel,
     expand_rows,
+    first_idle,
 )
 from repro.platform.spec import PlatformSpec
 
@@ -138,16 +139,14 @@ class FSCKernel(LockstepKernel):
             [1e-12 * max(s.total_work, 1.0) for s in specs], reps, float
         )
         self._chunk = expand_rows([s.chunk for s in specs], reps, float)
-        self._rows = np.arange(len(self._remaining))
 
     def compact(self, keep) -> None:
-        self._rows = np.arange(keep.size)
         self._remaining = self._remaining[keep]
         self._epsilon = self._epsilon[keep]
         self._chunk = self._chunk[keep]
 
-    def decide(self, counts, works, action, worker, size, mask=None, ctx=None):
-        del works, ctx
+    def decide(self, counts, action, worker, size, mask=None, ctx=None):
+        del ctx
         fin = self._remaining <= self._epsilon
         if mask is not None:
             fin = fin & mask
@@ -155,9 +154,7 @@ class FSCKernel(LockstepKernel):
         else:
             live = ~fin
         action[fin] = DONE
-        idle = counts == 0
-        w = idle.argmax(axis=1)
-        has_idle = idle.any(axis=1)
+        w, has_idle = first_idle(counts)
         wait = live & ~has_idle
         disp = live & has_idle
         action[wait] = WAIT_FOR_COMPLETION

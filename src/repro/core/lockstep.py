@@ -3,39 +3,51 @@
 The scalar engine asks a :class:`~repro.core.base.DispatchSource` one
 decision at a time.  A *lockstep kernel* answers the same question for R
 independent runs at once: given the master-observable state of every row
-(pending chunk counts and pending work per worker, as observed at each
-row's own clock), fill per-row ``action``/``worker``/``size`` arrays.
-Rows proceed through their *own* trajectories — different rows may be in
-different rounds, batches, or phases — the kernel merely evaluates all of
-their next decisions in one pass of NumPy arithmetic.
+(pending chunk counts per worker, as observed at each row's own clock),
+fill per-row ``action``/``worker``/``size`` arrays.  Rows proceed through
+their *own* trajectories — different rows may be in different rounds,
+batches, or phases — the kernel merely evaluates all of their next
+decisions in one pass of NumPy arithmetic.
 
 This is possible because the batchable dynamic schedulers (Factoring,
 WeightedFactoring, FSC, RUMR, AdaptiveRUMR) decide from pure arithmetic
 over master state: no data-dependent control flow survives except
 per-row branches, which become masks.  The contract mirrors the scalar
-sources bit-for-bit: the same tie-breaks (fewest pending chunks, then
-least pending work, then lowest index), the same batch/size formulas
-evaluated with the same operation order and associativity, so a lockstep
-row reproduces the scalar engine's trajectory exactly when fed the same
-perturbation factors.
+sources bit-for-bit: the same batch/size formulas evaluated with the
+same operation order and associativity, and the same worker choice, so
+a lockstep row reproduces the scalar engine's trajectory exactly when
+fed the same perturbation factors.
+
+The worker choice needs no pending *work*.  The scalar sources pick the
+lexicographic minimum of ``(pending_chunks, pending_work, index)`` and
+dispatch only when that worker has fewer than ``lookahead`` chunks
+pending — and every lockstep spec uses ``lookahead = 1``, so a dispatch
+only ever goes to a worker with *zero* pending chunks.  Such a worker's
+pending work is exactly ``0.0`` in both engines (the scalar views
+subtract a completed-work prefix sum from itself, ``prefix[k] −
+prefix[k]``), so the work key always ties and the rule reduces to "the
+lowest-index idle live worker, else wait": :func:`first_idle`.  FSC's
+idle scan and RUMR's out-of-order phase-1 pick are the same rule.
 
 Kernels are built from :class:`KernelSpec` objects (one per simulated
 cell) by :meth:`KernelSpec.make_kernel`; specs with equal ``group_key``
 may be merged into one kernel spanning many cells, padded to a common
 worker count.  Padded worker slots must be made unselectable by the
-*caller*: the engine reports a huge pending-chunk count for them, which
-excludes them from every starved-worker argmin and idle test.
+*caller*: the engine reports a huge pending-chunk count for them, so
+they never look idle.
 
 Fault-aware decisions travel through a :class:`KernelStepContext`: the
 engine hands each merged group the crash state it would observe through
 the scalar :class:`~repro.core.base.MasterView` (which workers' crash
-times have passed each row's clock) plus the losses and completions that
-became observable since the previous decision, in the scalar view's
-``(time, chunk_index)`` order.  A spec advertises crash literacy with
-:attr:`KernelSpec.handles_crashes`; rows whose sampled fault schedule
-contains a crash and whose kernel does *not* handle crashes are routed
-back to the scalar engine by ``repro.sim.dynbatch`` rather than risking
-a divergent recovery trajectory.
+times have passed each row's clock, kept by the engine as per-row state
+and advanced only when a row's clock passes its next crash) plus the
+losses and completions that became observable since the previous
+decision, in the scalar view's ``(time, chunk_index)`` order.  A spec
+advertises crash literacy with :attr:`KernelSpec.handles_crashes`; rows
+whose sampled fault schedule contains a crash and whose kernel does
+*not* handle crashes are routed back to the scalar engine by
+``repro.sim.dynbatch`` rather than risking a divergent recovery
+trajectory.
 """
 
 from __future__ import annotations
@@ -52,8 +64,10 @@ __all__ = [
     "KernelSpec",
     "KernelStepContext",
     "LockstepKernel",
+    "PlanRounds",
+    "drain_rows",
     "expand_rows",
-    "starved_argmin",
+    "first_idle",
 ]
 
 #: Per-row action codes written into the engine's ``action`` array.
@@ -62,8 +76,8 @@ WAIT_FOR_COMPLETION = 1
 DONE = 2
 
 #: Pending-chunk count reported for padded (nonexistent) worker slots.
-#: Large enough that a pad can never win a fewest-pending tie or look
-#: idle, small enough to stay exact in int64 arithmetic.
+#: Large enough that a pad never looks idle or drained, small enough to
+#: stay exact in int64 arithmetic.
 PAD_PENDING = 1 << 40
 
 
@@ -72,17 +86,99 @@ def expand_rows(values, reps, dtype=None) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=dtype), reps, axis=0)
 
 
-def starved_argmin(counts: np.ndarray, works: np.ndarray) -> np.ndarray:
-    """Row-wise ``min((pending_chunks(i), pending_work(i), i))`` worker.
+def first_idle(counts: np.ndarray, exclude: "np.ndarray | None" = None):
+    """Row-wise lowest-index idle worker, and whether the row has one.
 
-    Vectorizes the scalar sources' lexicographic candidate rule: fewest
-    pending chunks first, least pending work among those, lowest index as
-    the final tie-break (``argmin`` of the masked work row returns the
-    first index attaining the minimum).
+    A worker is idle when it has zero pending chunks and is not marked in
+    ``exclude`` (crashed workers, or workers without a planned chunk).
+    Returns ``(worker, any_idle)``; ``worker`` is 0 on rows without an
+    idle worker.  This is the scalar ``(pending_chunks, pending_work,
+    index)`` minimum under ``lookahead = 1`` (see the module docstring).
     """
-    cmin = counts.min(axis=1, keepdims=True)
-    masked = np.where(counts == cmin, works, np.inf)
-    return masked.argmin(axis=1)
+    idle = counts == 0
+    if exclude is not None:
+        idle &= ~exclude
+    w = idle.argmax(axis=1)
+    return w, idle.reshape(-1)[np.arange(0, idle.size, idle.shape[1]) + w]
+
+
+def drain_rows(counts: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """The ``candidates`` rows with a chunk still pending on a real worker.
+
+    Only candidate rows are scanned — rows whose pool is empty, usually
+    a small share of the block.
+    """
+    out = np.zeros(candidates.shape, dtype=bool)
+    rows = np.flatnonzero(candidates)
+    if rows.size:
+        c = counts[rows]
+        out[rows] = ((c > 0) & (c < PAD_PENDING)).any(axis=1)
+    return out
+
+
+class PlanRounds:
+    """Per-row cursor over precomputed plan rounds (RUMR's phase 1).
+
+    Holds each row's dense ``(rounds, n_max)`` size plan, the current
+    round's availability mask, the number of chunks left in it, and the
+    round cursor.  :meth:`take` dispatches one chunk per given row —
+    the lowest-index worker with a chunk left in the row's round, or,
+    for out-of-order rows, the lowest-index such worker that is idle —
+    and reloads the next round only for rows whose round just emptied.
+    Plan rounds are never empty, so a reload always yields a chunk; one
+    trailing empty round lets a row step past its last round without a
+    bounds check.
+    """
+
+    def __init__(self, specs, reps, n_max):
+        m_max = max((len(s.rounds) for s in specs), default=0) + 1
+        sizes = np.zeros((len(specs), m_max, n_max))
+        for i, s in enumerate(specs):
+            for j, row in enumerate(s.rounds):
+                sizes[i, j, : s.n] = row
+        self._sizes = np.repeat(sizes, reps, axis=0)
+        self.num_rounds = expand_rows([len(s.rounds) for s in specs], reps, np.int64)
+        self.cursor = np.zeros(len(self.num_rounds), dtype=np.int64)
+        self._avail = self._sizes[:, 0] > 0.0
+        self._left = self._avail.sum(axis=1)
+
+    @property
+    def active(self) -> np.ndarray:
+        """Rows with planned chunks still to dispatch."""
+        return self.cursor < self.num_rounds
+
+    def compact(self, keep) -> None:
+        self._sizes = self._sizes[keep]
+        self.num_rounds = self.num_rounds[keep]
+        self.cursor = self.cursor[keep]
+        self._avail = self._avail[keep]
+        self._left = self._left[keep]
+
+    def take(self, rows, counts, ooo=None):
+        """Pop one planned chunk per row; returns ``(worker, size)``.
+
+        ``ooo`` selects the rows that prefer an idle worker within the
+        round: per-row booleans, ``True`` for every row, or ``None`` for
+        none.
+        """
+        avail = self._avail[rows]
+        pick = avail.argmax(axis=1)
+        if ooo is not None:
+            idle, has_idle = first_idle(counts[rows], ~avail)
+            pick = np.where(has_idle & ooo, idle, pick)
+        m_max, n_max = self._sizes.shape[1:]
+        sz = self._sizes.reshape(-1)[(rows * m_max + self.cursor[rows]) * n_max + pick]
+        self._avail.reshape(-1, copy=False)[rows * n_max + pick] = False
+        left = self._left[rows] - 1
+        self._left[rows] = left
+        done = rows[left == 0]
+        if done.size:
+            cur = self.cursor[done] + 1
+            self.cursor[done] = cur
+            avail = self._sizes[done, cur] > 0.0
+            self._avail[done] = avail
+            self._left[done] = avail.sum(axis=1)
+        return pick, sz
 
 
 @dataclasses.dataclass(slots=True)
@@ -95,7 +191,9 @@ class KernelStepContext:
 
     ``crashed`` is the (R, n_max) boolean mask of workers whose crash
     time lies at or before the row's current clock — exactly the scalar
-    view's ``crashed_workers()``.  ``losses`` lists newly observed lost
+    view's ``crashed_workers()`` — and ``n_crashed`` its (R,) row count;
+    both are engine state, ``None`` when no row of the batch can crash,
+    and read-only to kernels.  ``losses`` lists newly observed lost
     chunks as ``(row, size)`` and ``notes`` newly observed completions
     as ``(row, time, worker, size)``; both are sorted by the scalar
     observation order ``(time, chunk_index)`` within each row, and each
@@ -104,6 +202,7 @@ class KernelStepContext:
     """
 
     crashed: "np.ndarray | None" = None
+    n_crashed: "np.ndarray | None" = None
     #: (R,) boolean — rows carrying any sampled fault schedule (the scalar
     #: view's ``faults_possible``); such rows drain their pending set
     #: before finishing because outstanding chunks may still be lost.
@@ -167,7 +266,6 @@ class LockstepKernel:
     def decide(
         self,
         counts: np.ndarray,
-        works: np.ndarray,
         action: np.ndarray,
         worker: np.ndarray,
         size: np.ndarray,
@@ -176,14 +274,14 @@ class LockstepKernel:
     ) -> None:
         """Write each row's next decision into the output arrays.
 
-        ``counts``/``works`` are (R, n_max) observed pending chunks and
-        pending work; ``action``/``worker``/``size`` are (R,) outputs.
-        With ``mask`` (boolean (R,)), only masked rows are decided and
-        mutated — used by composite kernels (RUMR's phase-2 tail) to
-        delegate a row subset; rows outside the mask are left untouched.
-        ``ctx`` carries crash masks and newly observed losses /
-        completions when the engine simulates fault cells (or the spec
-        set :attr:`KernelSpec.wants_notes`); fault-oblivious kernels may
+        ``counts`` is the (R, n_max) observed pending-chunk matrix;
+        ``action``/``worker``/``size`` are (R,) outputs.  With ``mask``
+        (boolean (R,)), only masked rows are decided and mutated — used
+        by composite kernels (RUMR's phase-2 tail) to delegate a row
+        subset; rows outside the mask are left untouched.  ``ctx``
+        carries crash state and newly observed losses / completions when
+        the engine simulates fault cells (or the spec set
+        :attr:`KernelSpec.wants_notes`); fault-oblivious kernels may
         ignore it.  Rows whose workload is exhausted write :data:`DONE`
         and must keep doing so on every later call (finished rows stay
         frozen).

@@ -41,7 +41,13 @@ import numpy as np
 
 from repro.core.base import Dispatch, DispatchSource, MasterView, Scheduler, Wait
 from repro.core.factoring import FactoringKernelSpec, FactoringSource
-from repro.core.lockstep import DISPATCH, KernelSpec, LockstepKernel, expand_rows
+from repro.core.lockstep import (
+    DISPATCH,
+    KernelSpec,
+    LockstepKernel,
+    PlanRounds,
+    expand_rows,
+)
 from repro.core.umr import MAX_ROUNDS, UMRPlan, solve_umr
 from repro.platform.spec import PlatformSpec
 
@@ -53,6 +59,7 @@ __all__ = [
     "round_overhead",
     "phase2_workload",
     "phase2_min_chunk",
+    "survivor_min_chunks",
 ]
 
 
@@ -118,6 +125,38 @@ def phase2_min_chunk(
     if phase2_work is not None and phase2_work > 0:
         floor = min(floor, phase2_work / platform.N)
     return max(floor, absolute_floor)
+
+
+def survivor_min_chunks(clats, nlats, n, crashed, known_error, pools) -> np.ndarray:
+    """Row-wise :func:`phase2_min_chunk` on each row's surviving workers.
+
+    Row ``r`` equals ``phase2_min_chunk(platform.subset(live),
+    known_error, phase2_work=pools[r] if pools[r] > 0 else None)``
+    bitwise, where ``live`` are the real workers not marked in
+    ``crashed[r]`` (the full platform when every worker is gone).
+    ``clats``/``nlats`` are ``(rows, n_max)`` per-worker latencies,
+    zero-padded past each row's ``n`` real workers; ``crashed`` is a
+    ``(rows, n_max)`` mask or ``None``; ``known_error`` holds one value
+    per row, 0 standing for ``None``.  The latency sums are sequential
+    left folds — the last column of ``np.cumsum`` — like the scalar
+    ``sum()``; ``np.sum``'s pairwise order would change the bits.
+    """
+    n = np.asarray(n)
+    if crashed is None:
+        live = np.ones(clats.shape, dtype=bool)
+        n_sub = n
+    else:
+        live = ~crashed
+        n_sub = n - crashed.sum(axis=1)
+        gone = n_sub == 0
+        live[gone] = True
+        n_sub = np.where(gone, n, n_sub)
+    mean_clat = np.cumsum(np.where(live, clats, 0.0), axis=1)[:, -1] / n_sub
+    overhead = mean_clat + np.cumsum(np.where(live, nlats, 0.0), axis=1)[:, -1]
+    known = known_error > 0
+    floor = np.where(known, overhead / np.where(known, known_error, 1.0), overhead)
+    floor = np.where(pools > 0, np.minimum(floor, pools / n_sub), floor)
+    return np.maximum(floor, 1.0)
 
 
 class RUMRSource(DispatchSource):
@@ -351,7 +390,8 @@ class RUMRKernel(LockstepKernel):
     the row's remaining rounds and re-arms its slot in the embedded
     factoring kernel over everything not yet dispatched, with the chunk
     floor evaluated on the surviving sub-platform — the scalar source's
-    fallback tail, built through :meth:`FactoringKernel.activate_row`.
+    fallback tail, built through :meth:`FactoringKernel.activate_rows`
+    with floors from :func:`survivor_min_chunks`.
     A fault row that outlives a pure-UMR plan arms the same tail with a
     zero pool, so work lost after the last planned dispatch is still
     re-dispatched.  Only the replan-from-scratch path (a crash already
@@ -363,25 +403,20 @@ class RUMRKernel(LockstepKernel):
 
     def __init__(self, specs, reps, n_max):
         rows = int(np.sum(reps))
-        m_max = max(max((len(s.rounds) for s in specs), default=0), 1)
-        sizes = np.zeros((len(specs), m_max, n_max))
-        for i, s in enumerate(specs):
-            for j, row in enumerate(s.rounds):
-                sizes[i, j, : s.n] = row
-        self._sizes = np.repeat(sizes, reps, axis=0)
-        self._avail = self._sizes > 0.0
-        self._num_rounds = expand_rows(
-            [len(s.rounds) for s in specs], reps, dtype=np.int64
-        )
+        self._plan = PlanRounds(specs, reps, n_max)
         self._ooo = expand_rows([s.out_of_order for s in specs], reps, dtype=bool)
         self._any_ooo = bool(self._ooo.any())
-        self._cursor = np.zeros(rows, dtype=np.int64)
-        self._specs = list(specs)
-        self._spec_of = np.repeat(np.arange(len(specs)), reps)
         self._total = expand_rows([s.total_work for s in specs], reps, dtype=float)
         self._zero_p2 = expand_rows(
             [s.phase2.total_work <= 0.0 for s in specs], reps, dtype=bool
         )
+        # The scheduler binding of the recovery floor, one entry per spec.
+        self._spec_of = np.repeat(np.arange(len(specs)), reps)
+        self._lat = np.zeros((2, len(specs), n_max))
+        for i, s in enumerate(specs):
+            self._lat[:, i, : s.n] = s.clats, s.nlats
+        self._spec_n = np.array([s.n for s in specs])
+        self._spec_error = np.array([s.known_error or 0.0 for s in specs])
         # Gross phase-1 dispatch per row (delivered or lost), the scalar
         # source's ``_dispatched_gross`` at any point where it is read.
         self._gross = np.zeros(rows)
@@ -392,59 +427,49 @@ class RUMRKernel(LockstepKernel):
         )
 
     def compact(self, keep) -> None:
-        self._sizes = self._sizes[keep]
-        self._avail = self._avail[keep]
-        self._num_rounds = self._num_rounds[keep]
+        self._plan.compact(keep)
         self._ooo = self._ooo[keep]
         self._any_ooo = bool(self._ooo.any())
-        self._cursor = self._cursor[keep]
-        self._spec_of = self._spec_of[keep]
         self._total = self._total[keep]
         self._zero_p2 = self._zero_p2[keep]
+        self._spec_of = self._spec_of[keep]
         self._gross = self._gross[keep]
         self._armed = self._armed[keep]
         self._phase2.compact(keep)
 
-    def _recovery_min_chunk(self, r, crashed_row, pool):
-        """``phase2_min_chunk`` on the survivors, scalar operation order.
+    def _arm(self, rows, crashed, pools) -> None:
+        """Re-arm ``rows``' factoring slots as the scalar recovery tail."""
+        spec = self._spec_of[rows]
+        floors = survivor_min_chunks(
+            self._lat[0, spec],
+            self._lat[1, spec],
+            self._spec_n[spec],
+            None if crashed is None else crashed[rows],
+            self._spec_error[spec],
+            pools,
+        )
+        self._phase2.activate_rows(rows, pools, floors)
+        self._armed[rows] = True
 
-        Reproduces ``RUMRSource._make_recovery_tail``'s floor: the round
-        overhead of ``platform.subset(live)`` (the full platform when
-        every worker is gone), divided by the known error when given,
-        capped at the per-survivor pool share when ``pool`` is positive.
-        """
-        spec = self._specs[self._spec_of[r]]
-        live = [
-            j for j in range(spec.n) if crashed_row is None or not crashed_row[j]
-        ]
-        idxs = live if live else range(spec.n)
-        n_sub = len(live) if live else spec.n
-        mean_clat = sum(spec.clats[j] for j in idxs) / n_sub
-        overhead = mean_clat + sum(spec.nlats[j] for j in idxs)
-        e = spec.known_error
-        floor = overhead / e if (e is not None and e > 0) else overhead
-        if pool is not None and pool > 0:
-            floor = min(floor, pool / n_sub)
-        return max(floor, 1.0)
-
-    def decide(self, counts, works, action, worker, size, mask=None, ctx=None):
-        if ctx is not None and ctx.crashed is not None and ctx.crashed.any():
+    def decide(self, counts, action, worker, size, mask=None, ctx=None):
+        plan = self._plan
+        crashed = None
+        if ctx is not None and ctx.n_crashed is not None:
+            crashed = ctx.crashed
             # Mid-phase-1 crash: abandon the remaining rounds and fall
             # back to factoring over everything not yet dispatched —
             # the scalar source's recovery tail, observed at the same
             # decision point with the same survivor set.
-            hit = (self._cursor < self._num_rounds) & ctx.crashed.any(axis=1)
+            hit = plan.active & (ctx.n_crashed > 0)
             if mask is not None:
                 hit &= mask
-            for r in np.flatnonzero(hit):
-                pool = max(0.0, float(self._total[r]) - float(self._gross[r]))
-                mc = self._recovery_min_chunk(
-                    r, ctx.crashed[r], pool if pool > 0 else None
+            rows = np.flatnonzero(hit)
+            if rows.size:
+                self._arm(
+                    rows, crashed, np.maximum(0.0, self._total[rows] - self._gross[rows])
                 )
-                self._phase2.activate_row(int(r), pool, mc)
-                self._cursor[r] = self._num_rounds[r]
-                self._armed[r] = True
-        in_p1 = self._cursor < self._num_rounds
+                plan.cursor[rows] = plan.num_rounds[rows]
+        in_p1 = plan.active
         if mask is None:
             p2_mask = ~in_p1
         else:
@@ -456,35 +481,20 @@ class RUMRKernel(LockstepKernel):
             # dispatch, so late losses are re-dispatched (with the chunk
             # floor of the then-surviving sub-platform) instead of
             # abandoned.  Armed exactly once, like the scalar source.
-            arm = p2_mask & ctx.fault_rows & self._zero_p2 & ~self._armed
-            if arm.any():
-                crashed = ctx.crashed
-                for r in np.flatnonzero(arm):
-                    row = crashed[r] if crashed is not None else None
-                    mc = self._recovery_min_chunk(r, row, None)
-                    self._phase2.activate_row(int(r), 0.0, mc)
-                    self._armed[r] = True
-        if in_p1.any():
-            rows = np.flatnonzero(in_p1)
-            cur = self._cursor[rows]
-            avail = self._avail[rows, cur]
-            pick = avail.argmax(axis=1)
-            if self._any_ooo:
-                idle = avail & (counts[rows] == 0)
-                use_idle = idle.any(axis=1) & self._ooo[rows]
-                pick = np.where(use_idle, idle.argmax(axis=1), pick)
+            rows = np.flatnonzero(p2_mask & ctx.fault_rows & self._zero_p2 & ~self._armed)
+            if rows.size:
+                self._arm(rows, crashed, np.zeros(rows.size))
+        rows = np.flatnonzero(in_p1)
+        if rows.size:
+            pick, sz = plan.take(
+                rows, counts, self._ooo[rows] if self._any_ooo else None
+            )
             action[rows] = DISPATCH
             worker[rows] = pick
-            sz = self._sizes[rows, cur, pick]
             size[rows] = sz
             self._gross[rows] += sz
-            self._avail[rows, cur, pick] = False
-            exhausted = ~self._avail[rows, cur].any(axis=1)
-            self._cursor[rows[exhausted]] += 1
         if p2_mask.any() or (ctx is not None and ctx.losses):
-            self._phase2.decide(
-                counts, works, action, worker, size, mask=p2_mask, ctx=ctx
-            )
+            self._phase2.decide(counts, action, worker, size, mask=p2_mask, ctx=ctx)
 
 
 class RUMR(Scheduler):
@@ -625,7 +635,6 @@ class RUMR(Scheduler):
                     total_work=w2,
                     factor=self.factor,
                     min_chunk=self.min_chunk(platform, phase2_work=w2),
-                    lookahead=1,
                     weights=tuple(w.S / s_tot for w in platform),
                 )
             else:
@@ -634,7 +643,6 @@ class RUMR(Scheduler):
                     total_work=w2,
                     factor=self.factor,
                     min_chunk=self.min_chunk(platform, phase2_work=w2),
-                    lookahead=1,
                 )
         else:
             # Skipped phase 2: a zero-workload factoring slot that crash

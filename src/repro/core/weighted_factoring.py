@@ -33,12 +33,12 @@ from repro.core.base import WAIT, Dispatch, DispatchSource, MasterView, Schedule
 from repro.core.lockstep import (
     DISPATCH,
     DONE,
-    PAD_PENDING,
     WAIT_FOR_COMPLETION,
     KernelSpec,
     LockstepKernel,
+    drain_rows,
     expand_rows,
-    starved_argmin,
+    first_idle,
 )
 from repro.platform.spec import PlatformSpec
 
@@ -140,13 +140,15 @@ class WeightedFactoringSource(DispatchSource):
 
 @dataclasses.dataclass(frozen=True)
 class WeightedFactoringKernelSpec(KernelSpec):
-    """One cell's :class:`WeightedFactoringSource` parameters, lockstep form."""
+    """One cell's :class:`WeightedFactoringSource` parameters, lockstep form.
+
+    The lookahead is always the classic 1 (see :mod:`repro.core.lockstep`).
+    """
 
     n: int = 0
     total_work: float = 0.0
     factor: float = 2.0
     min_chunk: float = 1.0
-    lookahead: int = 1
     weights: tuple = ()
 
     group_key = ("weighted-factoring",)
@@ -167,18 +169,15 @@ class WeightedFactoringKernel(LockstepKernel):
 
     Crash recovery mirrors :class:`WeightedFactoringSource` bit for bit:
     observed losses are re-absorbed into the pool *before* the finished
-    test, observed-crashed workers are excluded from the starved-worker
-    scan (their pending count is forced to the pad sentinel), the speed
-    weights are renormalized over the survivors — summed worker 0..n-1
-    like the scalar ``sum`` so the float is identical — and a row whose
-    workers all crashed finishes immediately.  Non-crash fault rows only
-    need the scalar drain rule: once the pool is empty, wait out the
-    pending set instead of finishing.
+    test, observed-crashed workers are excluded from the idle scan, the
+    speed weights are renormalized over the survivors — summed worker
+    0..n-1 like the scalar ``sum`` so the float is identical — and a row
+    whose workers all crashed finishes immediately.  Non-crash fault
+    rows only need the scalar drain rule: once the pool is empty, wait
+    out the pending set instead of finishing.
     """
 
     def __init__(self, specs, reps, n_max):
-        rows = int(np.sum(reps))
-        self._rows = np.arange(rows)
         self._n_float = expand_rows([float(s.n) for s in specs], reps, dtype=float)
         self._remaining = expand_rows([s.total_work for s in specs], reps, dtype=float)
         self._epsilon = np.array(
@@ -186,23 +185,20 @@ class WeightedFactoringKernel(LockstepKernel):
         ).repeat(reps)
         self._factor = expand_rows([s.factor for s in specs], reps, dtype=float)
         self._min_chunk = expand_rows([s.min_chunk for s in specs], reps, dtype=float)
-        self._lookahead = expand_rows([s.lookahead for s in specs], reps, dtype=np.int64)
         padded = np.zeros((len(specs), n_max))
         for i, s in enumerate(specs):
             padded[i, : s.n] = s.weights
         self._weights = np.repeat(padded, reps, axis=0)
 
     def compact(self, keep) -> None:
-        self._rows = np.arange(keep.size)
         self._n_float = self._n_float[keep]
         self._remaining = self._remaining[keep]
         self._epsilon = self._epsilon[keep]
         self._factor = self._factor[keep]
         self._min_chunk = self._min_chunk[keep]
-        self._lookahead = self._lookahead[keep]
         self._weights = self._weights[keep]
 
-    def decide(self, counts, works, action, worker, size, mask=None, ctx=None):
+    def decide(self, counts, action, worker, size, mask=None, ctx=None):
         if ctx is not None:
             # Observed losses re-enter the pool before anything else, in
             # the scalar observation order (the engine delivers them
@@ -218,47 +214,43 @@ class WeightedFactoringKernel(LockstepKernel):
             fin = mask & fin
         drain = None
         if ctx is not None and ctx.fault_rows is not None:
-            pending_any = ((counts > 0) & (counts < PAD_PENDING)).any(axis=1)
-            drain = fin & ctx.fault_rows & pending_any
+            drain = drain_rows(counts, fin & ctx.fault_rows)
             fin = fin & ~drain
-        counts_eff = counts
-        crashed = ctx.crashed if ctx is not None else None
-        has_crash = None
-        n_live = None
-        if crashed is not None and crashed.any():
-            # Crashed workers leave the candidate set exactly like the
-            # scalar live-list scan: a pad-sized pending count can never
-            # win the argmin nor look below the lookahead.
-            counts_eff = np.where(crashed, PAD_PENDING, counts)
-            n_live = self._n_float - crashed.sum(axis=1)
-            has_crash = live & crashed.any(axis=1)
+        n_crashed = ctx.n_crashed if ctx is not None else None
+        hit = None
+        if n_crashed is not None and n_crashed.any():
+            n_live = self._n_float - n_crashed
+            has_crash = live & (n_crashed > 0)
             dead = has_crash & (n_live <= 0.0)
             if dead.any():
                 live = live & ~dead
                 has_crash = has_crash & ~dead
                 action[dead] = DONE
-        w = starved_argmin(counts_eff, works)
-        wait = live & (counts_eff[self._rows, w] >= self._lookahead)
-        disp = live & ~wait
+            w, idle = first_idle(counts, ctx.crashed)
+            hit = np.flatnonzero(has_crash)
+        else:
+            w, idle = first_idle(counts)
+        disp = live & idle
+        wait = live & ~idle
         if drain is not None:
             wait = wait | drain
         action[fin] = DONE
         action[wait] = WAIT_FOR_COMPLETION
         action[disp] = DISPATCH
         worker[disp] = w[disp]
-        wgt = self._weights[self._rows, w]
+        wgt = np.take_along_axis(self._weights, w[:, None], axis=1)[:, 0]
         n_eff = self._n_float
-        if has_crash is not None and has_crash.any():
+        if hit is not None and hit.size:
             # live_weight = sum of surviving weights, accumulated worker
-            # 0..n-1 — the same left fold (from +0.0) as the scalar sum,
-            # so the renormalized weight matches bitwise.  Crashed and
-            # padded slots contribute an exact +0.0.
-            lw = np.zeros(len(self._rows))
-            for j in range(self._weights.shape[1]):
-                lw = lw + np.where(crashed[:, j], 0.0, self._weights[:, j])
-            lw = np.where(lw > 0.0, lw, 1.0)
-            wgt = np.where(has_crash, wgt / lw, wgt)
-            n_eff = np.where(has_crash, n_live, self._n_float)
+            # 0..n-1: the last column of a cumulative sum is the same
+            # sequential left fold as the scalar sum (np.sum's pairwise
+            # order is not).  Crashed and padded slots add an exact +0.0.
+            lw = np.cumsum(
+                np.where(ctx.crashed[hit], 0.0, self._weights[hit]), axis=1
+            )[:, -1]
+            wgt[hit] = wgt[hit] / np.where(lw > 0.0, lw, 1.0)
+            n_eff = n_eff.copy()
+            n_eff[hit] = n_live[hit]
         share = (self._remaining / self._factor) * wgt
         floor = self._min_chunk * wgt * n_eff
         sz = np.minimum(np.maximum(share, floor), self._remaining)
@@ -295,6 +287,5 @@ class WeightedFactoring(Scheduler):
             total_work=total_work,
             factor=self.factor,
             min_chunk=self.min_chunk,
-            lookahead=1,
             weights=tuple(w.S / s_tot for w in platform),
         )

@@ -38,11 +38,23 @@ __all__ = [
     "NormalErrorModel",
     "UniformErrorModel",
     "DriftingErrorModel",
+    "check_magnitude",
     "make_error_model",
 ]
 
 #: Lower truncation bound for the predicted/effective ratio.
 MIN_RATIO = 0.01
+
+
+def check_magnitude(magnitude: float) -> None:
+    """Reject an error magnitude that is negative, NaN or infinite.
+
+    A NaN magnitude would hang the normal model's resampling loop (no
+    draw is ever accepted) and an infinite one the uniform bounds, so
+    every entry point that takes a magnitude refuses them up front.
+    """
+    if not (math.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError(f"error magnitude must be finite and >= 0, got {magnitude}")
 
 
 class ErrorModel:
@@ -114,8 +126,7 @@ class NormalErrorModel(ErrorModel):
     mode: str = "multiply"
 
     def __post_init__(self) -> None:
-        if self.magnitude < 0:
-            raise ValueError(f"error magnitude must be >= 0, got {self.magnitude}")
+        check_magnitude(self.magnitude)
         if not 0 < self.min_ratio < 1:
             raise ValueError(f"min_ratio must be in (0, 1), got {self.min_ratio}")
         if self.mode not in ("multiply", "divide"):
@@ -144,8 +155,7 @@ class UniformErrorModel(ErrorModel):
     mode: str = "multiply"
 
     def __post_init__(self) -> None:
-        if self.magnitude < 0:
-            raise ValueError(f"error magnitude must be >= 0, got {self.magnitude}")
+        check_magnitude(self.magnitude)
         if self.mode not in ("multiply", "divide"):
             raise ValueError(f"unknown perturbation mode {self.mode!r}")
 
@@ -173,6 +183,9 @@ class DriftingErrorModel(ErrorModel):
     min_ratio: float = MIN_RATIO
     mode: str = "multiply"
     _mean: float = dataclasses.field(default=1.0, init=False)
+
+    def __post_init__(self) -> None:
+        check_magnitude(self.magnitude)
 
     def ratio(self, rng: np.random.Generator) -> float:
         if self.magnitude == 0.0:

@@ -129,11 +129,14 @@ class ExperimentGrid:
             raise ValueError("error axis must be non-empty")
         if self.platform_sample < 0:
             raise ValueError(f"platform_sample must be >= 0, got {self.platform_sample}")
-        # Validate the fault and topology specs eagerly so a typo fails at
-        # grid build time, not platforms-deep into a sweep.
+        # Validate the error axis, fault and topology specs eagerly so a
+        # typo fails at grid build time, not platforms-deep into a sweep.
         from repro.errors.faults import make_fault_model
+        from repro.errors.models import check_magnitude
         from repro.platform.topology import TopologyError, make_topology
 
+        for error in self.errors:
+            check_magnitude(error)
         make_fault_model(self.fault)
         topo = make_topology(self.topology)
         if topo.n is not None and set(self.Ns) != {topo.n}:

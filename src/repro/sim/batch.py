@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.core.chunks import ChunkPlan
 from repro.errors.faults import FaultModel, FaultPlaneCache
-from repro.errors.models import MIN_RATIO
+from repro.errors.models import MIN_RATIO, check_magnitude
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
@@ -275,8 +275,7 @@ class StaticCell:
     faults: "FaultModel | None" = None
 
     def __post_init__(self) -> None:
-        if self.error < 0:
-            raise ValueError(f"error magnitude must be >= 0, got {self.error}")
+        check_magnitude(self.error)
         if len(self.seeds) == 0:
             raise ValueError("a cell needs at least one seed")
 

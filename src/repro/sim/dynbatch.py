@@ -15,14 +15,16 @@ Per iteration, each a method of one explicit state object
 (:class:`_Lockstep`):
 
 1. **Observe.**  Pop every per-(row, worker) FIFO queue head whose
-   realized completion time has passed the row's clock, accumulating
-   completed chunk counts and work in pop order (bit-identical to the
-   scalar view's prefix-sum difference).
-2. **Contexts.**  Collect the crash masks and the newly observable
-   losses and completions each kernel group must see.
+   realized completion time has passed the row's clock, decrementing
+   the pending chunk counts.  Kernels need no pending *work*: every
+   lockstep dispatch goes to a worker with zero pending chunks, whose
+   pending work is exactly ``0.0`` (see :mod:`repro.core.lockstep`).
+2. **Contexts.**  Advance the crash state of rows whose clock passed
+   their next crash time, and collect the newly observable losses and
+   completions each kernel group must see.
 3. **Decide.**  The merged :class:`~repro.core.lockstep.LockstepKernel`
-   fills per-row action/worker/size from the observed pending state,
-   using the exact scalar tie-breaks and size formulas.
+   fills per-row action/worker/size from the observed pending counts,
+   using the exact scalar worker choice and size formulas.
 4. **Retire.**  Rows that turned DONE are harvested; once half the rows
    have finished, the survivors are compacted to the front.
 5. **Apply.**  Dispatching rows advance through the standard timeline
@@ -60,9 +62,13 @@ a chunk whose computation outlives its worker's crash is *lost* — it
 leaves the pending set at ``max(crash_time, arrival)``, delivers no
 work, and never extends the makespan.  Each transform runs only when
 some row in the batch needs it, over the whole row block at once.
-Kernels observe faults through a
-:class:`~repro.core.lockstep.KernelStepContext`: per-row crash masks
-plus newly observed losses and completions in the scalar view's
+Crash state is engine state: a ``crashed`` (rows × workers) mask, a
+per-row ``n_crashed`` count and a per-row ``next_crash`` time, updated
+only for rows whose clock has passed ``next_crash`` — a wait jump that
+crosses several crash times marks them all at once — and compacted with
+the rest of the rows.  Kernels observe faults through a
+:class:`~repro.core.lockstep.KernelStepContext`: that crash state plus
+newly observed losses and completions in the scalar view's
 ``(time, chunk_index)`` order.  Every in-tree kernel family replays
 crash recovery in lockstep; the exception path is
 :meth:`~repro.core.lockstep.KernelSpec.deferred_rows`, through which a
@@ -101,7 +107,7 @@ from repro.core.lockstep import (
     LockstepKernel,
 )
 from repro.errors.faults import FaultModel, FaultPlaneCache
-from repro.errors.models import MIN_RATIO, make_error_model
+from repro.errors.models import MIN_RATIO, check_magnitude, make_error_model
 from repro.platform.spec import PlatformSpec
 from repro.sim.batch import factor_stream
 from repro.sim.fastsim import simulate_fast
@@ -151,8 +157,7 @@ class DynamicCell:
                 f"{self.scheduler.name} is static, not batch-dynamic; run it "
                 "through the static batch engine instead"
             )
-        if self.error < 0:
-            raise ValueError(f"error magnitude must be >= 0, got {self.error}")
+        check_magnitude(self.error)
         if not self.total_work > 0:
             raise ValueError(f"total_work must be > 0, got {self.total_work}")
         if len(self.seeds) == 0:
@@ -420,6 +425,12 @@ class _Lockstep:
         # those kernels' end-of-run drain is makespan-neutral without
         # losses, because the running makespan maximum is already complete
         # at dispatch-apply time.
+        if self.any_crash:
+            # Crash state at each row's clock, advanced in :meth:`contexts`
+            # only for rows whose clock passed ``next_crash``.
+            self._state("crashed", (rows, n), bool, fill=False)
+            self._state("n_crashed", (rows,), np.int64)
+            self._state("next_crash", (rows,))[:] = self.crash_t.min(axis=1)
         self.collect = self.any_crash or notes_mode
         self.need_mask = bool(self.deferred)
         # Per-kind fault-transform wall time, billed to ``perf`` at the end.
@@ -431,24 +442,25 @@ class _Lockstep:
         # entry ``c`` (a running per-worker counter) sits in slot
         # ``c & (cap - 1)``, so slots are reused once popped and ``cap``
         # only has to hold the outstanding chunks, not every chunk ever
-        # sent.  The head element is mirrored into dense
-        # ``head_end``/``head_size`` arrays (inf/0 for an empty queue) so
-        # the observe step never gathers from the slot arrays.
+        # sent.  The head element is mirrored into a dense ``head_end``
+        # array (inf for an empty queue) so the observe step never
+        # gathers from the slot arrays.
         cap = _INITIAL_SLOTS
         self._state("q_end", (rows, n, cap), fill=np.inf)
-        self._state("q_size", (rows, n, cap))
         self._state("q_head", (rows, n), np.int64)
         self._state("q_tail", (rows, n), np.int64)
         self._state("head_end", (rows, n), fill=np.inf)
-        self._state("head_size", (rows, n))
         # Each row's earliest outstanding completion, maintained
         # incrementally so the observe step and wait wake-ups are O(rows)
         # instead of scanning the full (rows × workers) head matrix.
         self._state("head_min", (rows,), fill=np.inf)
         if self.collect:
-            # Chunk indices give the scalar (time, chunk_index) event
-            # order; loss flags mark entries announcing a LossNote instead
-            # of a completion.
+            # Sizes, chunk indices and loss flags exist only for the
+            # notes and losses: the sizes travel in them, the indices give
+            # the scalar (time, chunk_index) event order, and loss flags
+            # mark entries announcing a LossNote instead of a completion.
+            self._state("q_size", (rows, n, cap))
+            self._state("head_size", (rows, n))
             self._state("q_idx", (rows, n, cap), np.int64)
             self._state("q_lost", (rows, n, cap), bool, fill=False)
             self._state("head_idx", (rows, n), np.int64)
@@ -458,23 +470,17 @@ class _Lockstep:
                 wants_row[sl] = wants
 
         # Pending chunk counts are maintained incrementally (integers, so
-        # the running value is exact); pending work stays a sent − done
-        # difference because that is bitwise-identical to the scalar
-        # view's bookkeeping.  Padded worker slots report a huge pending
-        # count so no kernel ever selects them or sees them idle.
+        # the running value is exact).  Padded worker slots report a huge
+        # pending count so no kernel ever sees them idle.
         counts = self._state("counts", (rows, n), np.int64)
         n_per_row = np.repeat([c.platform.N for c in cells], reps)
         counts[np.arange(n)[None, :] >= n_per_row[:, None]] = PAD_PENDING
-        self._state("sent_work", (rows, n))
-        self._state("done_work", (rows, n))
         self._state("busy", (rows, n))
         self._state("now", (rows,))
         self._state("kdisp", (rows,), np.int64)
         self._state("action", (rows,), np.int64, fill=DONE)
         self._state("worker", (rows,), np.int64)
         self._state("size", (rows,))
-        # Reused difference buffer for the kernels' pending-work view.
-        self._state("works", (rows, n))
 
         # Liveness as integer counters (global and per kernel group): the
         # loop condition and the per-group decide guards then cost O(1)
@@ -611,9 +617,8 @@ class _Lockstep:
 
         Only rows whose earliest outstanding completion (``head_min``) is
         due take part.  One head per (row, worker) per pass, in FIFO
-        order, so ``done_work`` accumulates exactly like the scalar view's
-        completed-work prefix sums.  Only a pair that just popped can pop
-        again, so passes after the first re-test just those pairs.
+        order.  Only a pair that just popped can pop again, so passes
+        after the first re-test just those pairs.
         Returns the popped entries (when the kernels need notes or
         losses) for :meth:`contexts`.
         """
@@ -630,12 +635,10 @@ class _Lockstep:
         rr = rdy[lr]
         f = rr * n + ww
         while f.size:
-            size = self.head_size_f[f]
             self.counts_f[f] -= 1
-            self.done_work_f[f] += size
             if collect:
                 pops.append(
-                    (rr, ww, self.head_end_f[f], size,
+                    (rr, ww, self.head_end_f[f], self.head_size_f[f],
                      self.head_lost_f[f], self.head_idx_f[f])
                 )
             nh = self.q_head_f[f] + 1
@@ -644,8 +647,8 @@ class _Lockstep:
             slot = f * cap + (nh & (cap - 1))
             head_end = np.where(has_more, self.q_end_f[slot], np.inf)
             self.head_end_f[f] = head_end
-            self.head_size_f[f] = np.where(has_more, self.q_size_f[slot], 0.0)
             if collect:
+                self.head_size_f[f] = np.where(has_more, self.q_size_f[slot], 0.0)
                 self.head_lost_f[f] = np.where(has_more, self.q_lost_f[slot], False)
                 self.head_idx_f[f] = np.where(has_more, self.q_idx_f[slot], 0)
             again = np.flatnonzero(head_end <= now[rr])
@@ -666,12 +669,14 @@ class _Lockstep:
         if not self.collect:
             return None
         kernels = self.kernels
-        crashed_now = (self.crash_t <= self.now[:, None]) if self.any_crash else None
+        if self.any_crash:
+            self._advance_crashes()
         ctxs = [None] * len(kernels)
         for ki, (_, sl, wants) in enumerate(kernels):
             if self.fault_mode or wants:
                 ctxs[ki] = KernelStepContext(
-                    crashed=None if crashed_now is None else crashed_now[sl],
+                    crashed=self.crashed[sl] if self.any_crash else None,
+                    n_crashed=self.n_crashed[sl] if self.any_crash else None,
                     fault_rows=self.fault_row[sl] if self.fault_mode else None,
                 )
         if not pops:
@@ -707,14 +712,26 @@ class _Lockstep:
                 )
         return ctxs
 
+    def _advance_crashes(self) -> None:
+        """Mark every crash at or before its row's clock, due rows only.
+
+        A row's clock never moves back, so its crashed set only grows,
+        and nothing changes until the clock passes ``next_crash``.
+        """
+        due = np.flatnonzero(self.next_crash <= self.now)
+        if due.size:
+            crash_t = self.crash_t[due]
+            hit = crash_t <= self.now[due, None]
+            self.crashed[due] = hit
+            self.n_crashed[due] = hit.sum(axis=1)
+            self.next_crash[due] = np.where(hit, np.inf, crash_t).min(axis=1)
+
     def decide(self, ctxs) -> None:
         """Each family's kernel fills its contiguous row slice."""
         for ki, (kernel, sl, _) in enumerate(self.kernels):
             if self.group_alive[ki]:
-                np.subtract(self.sent_work[sl], self.done_work[sl], out=self.works[sl])
                 kernel.decide(
                     self.counts[sl],
-                    self.works[sl],
                     self.action[sl],
                     self.worker[sl],
                     self.size[sl],
@@ -886,15 +903,15 @@ class _Lockstep:
         cap = self.q_end.shape[2]
         slot = f * cap + (tail & (cap - 1))
         self.q_end_f[slot] = end_q
-        self.q_size_f[slot] = sz
         was_empty = tail == head
         head_end = np.where(was_empty, end_q, self.head_end_f[f])
         self.head_end_f[f] = head_end
-        self.head_size_f[f] = np.where(was_empty, sz, self.head_size_f[f])
         # A dispatch can only lower a row's earliest completion, and only
         # through the head it may have just installed.
         self.head_min[disp] = np.minimum(self.head_min[disp], head_end)
         if self.collect:
+            self.q_size_f[slot] = sz
+            self.head_size_f[f] = np.where(was_empty, sz, self.head_size_f[f])
             self.q_idx_f[slot] = k
             self.head_idx_f[f] = np.where(was_empty, k, self.head_idx_f[f])
             if lost is not None:
@@ -906,7 +923,6 @@ class _Lockstep:
             )
         self.q_tail_f[f] = tail + 1
         self.counts_f[f] += 1
-        self.sent_work_f[f] += sz
         self.kdisp[disp] = k + 1
         self.now[disp] = send_end
 

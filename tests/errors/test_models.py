@@ -150,3 +150,50 @@ class TestFactory:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_error_model("weibull", 0.1)
+
+
+def _grid(error):
+    from repro.experiments.config import smoke_grid
+
+    return smoke_grid().restrict(errors=(0.0, error))
+
+
+def _dynamic_cell(error):
+    from repro.core.factoring import Factoring
+    from repro.platform import homogeneous_platform
+    from repro.sim.dynbatch import DynamicCell
+
+    return DynamicCell(homogeneous_platform(2, S=1.0, bandwidth_factor=2.0), Factoring(), 10.0, error, (1,))
+
+
+def _static_cell(error):
+    from repro.core.umr import UMR
+    from repro.platform import homogeneous_platform
+    from repro.sim.batch import StaticCell, compile_static_plan
+
+    platform = homogeneous_platform(2, S=1.0, bandwidth_factor=2.0)
+    plan = compile_static_plan(platform, UMR().static_plan(platform, 10.0))
+    return StaticCell(platform, plan, error, (1,))
+
+
+_BUILDERS = {
+    "normal": NormalErrorModel,
+    "uniform": UniformErrorModel,
+    "drifting": DriftingErrorModel,
+    "grid": _grid,
+    "dynamic-cell": _dynamic_cell,
+    "static-cell": _static_cell,
+}
+
+
+@pytest.mark.parametrize(
+    "name,magnitude",
+    [(name, m) for name in _BUILDERS for m in (math.nan, math.inf)]
+    # The other constructors already refused -inf as a negative value.
+    + [("drifting", -math.inf), ("grid", -math.inf)],
+)
+def test_non_finite_magnitude_rejected(name, magnitude):
+    # A NaN magnitude used to hang the normal model's resampling loop, an
+    # infinite one DynamicCell, and a NaN cell ran silently as error 0.
+    with pytest.raises(ValueError, match="error magnitude"):
+        _BUILDERS[name](magnitude)

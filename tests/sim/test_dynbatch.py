@@ -241,6 +241,56 @@ class TestFlatState:
         assert all(np.array_equal(d, g) for d, g in zip(default, grown))
 
 
+class TestCrashState:
+    """The engine's kept crash state equals ``crash_t <= now`` at every step."""
+
+    def test_kept_state_matches_clock_across_jumps_and_compaction(
+        self, monkeypatch
+    ):
+        seen = {"wait_jumps": 0, "compactions": 0}
+
+        class Checked(dynbatch._Lockstep):
+            def contexts(self, pops):
+                if not self.any_crash:
+                    return super().contexts(pops)
+                before = self.n_crashed.copy()
+                waited = self.action == dynbatch.WAIT_FOR_COMPLETION
+                ctxs = super().contexts(pops)
+                expect = self.crash_t <= self.now[:, None]
+                assert np.array_equal(self.crashed, expect)
+                assert np.array_equal(self.n_crashed, expect.sum(axis=1))
+                jumped = waited & (self.n_crashed - before >= 2)
+                seen["wait_jumps"] += int(jumped.sum())
+                return ctxs
+
+            def _compact(self):
+                super()._compact()
+                seen["compactions"] += 1
+
+        monkeypatch.setattr(dynbatch, "_Lockstep", Checked)
+        # One slow worker keeps the master waiting on its chunk long after
+        # the fast ones went idle, so a single wait jump can pass several
+        # of their crash times; 300 rows are enough to trigger compaction.
+        platform = PlatformSpec(
+            (WorkerSpec(S=0.2, B=50.0, nLat=0.1),)
+            + (WorkerSpec(S=10.0, B=50.0, nLat=0.1),) * 5
+        )
+        cells = [
+            DynamicCell(
+                platform=platform,
+                scheduler=make_scheduler(name, 0.0),
+                total_work=200.0,
+                error=0.0,
+                seeds=tuple(range(150)),
+                faults=make_fault_model("crash:p=0.8,tmax=60"),
+            )
+            for name in ("Factoring", "RUMR")
+        ]
+        simulate_dynamic_cells(cells)
+        assert seen["wait_jumps"] > 0
+        assert seen["compactions"] > 0
+
+
 class TestValidation:
     def test_non_batchable_scheduler_rejected(self, hom_platform):
         with pytest.raises(TypeError, match="not batch-dynamic"):
