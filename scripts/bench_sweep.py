@@ -12,11 +12,12 @@ the batch engines, and writes the numbers to a JSON file (default
 ``BENCH_sweep.json`` in the repository root) so the perf trajectory is
 tracked across PRs.
 
-The equivalence contract is asserted while benchmarking: at ``error = 0``
-both fast paths must agree with the scalar engine bit-for-bit for every
-algorithm.  (At ``error > 0`` the batch engines are distributionally
-identical but not bitwise — see ``repro.sim.batch`` and
-``repro.sim.dynbatch``.)
+The equivalence contract is asserted while benchmarking: both fast paths
+must agree with the scalar engine bit-for-bit for every algorithm at
+every error (``equal_at_every_error``; ``equal_at_zero_error`` keeps the
+error-0 column on its own).  All engines consume the one perturbation
+sequence of ``repro.errors.models`` — see ``repro.sim.batch`` and
+``repro.sim.dynbatch``.
 
 The previous report (``--baseline``, default: the ``--out`` path before
 it is overwritten) doubles as a perf baseline: the new full-sweep batched
@@ -111,6 +112,10 @@ def bench(preset: str = "smoke", repeats: int = 3) -> dict:
             for a in algos
             if g.errors[0] == 0.0
         )
+        equal_everywhere = all(
+            np.array_equal(batch_res.makespans[a], scalar_res.makespans[a])
+            for a in algos
+        )
         return {
             "num_simulations": runs,
             "scalar_wall_s": round(scalar_wall, 6),
@@ -119,6 +124,7 @@ def bench(preset: str = "smoke", repeats: int = 3) -> dict:
             "batched_us_per_run": round(batch_wall / runs * 1e6, 3),
             "speedup": round(scalar_wall / batch_wall, 2),
             "equal_at_zero_error": bool(equal_at_zero),
+            "equal_at_every_error": bool(equal_everywhere),
         }
 
     static_portion = _portion(static_algos)
@@ -262,6 +268,12 @@ def main(argv: list[str] | None = None) -> int:
         if not portion["equal_at_zero_error"]:
             print(
                 f"ERROR: batched {label} path diverges from scalar path at error=0",
+                file=sys.stderr,
+            )
+            failed = True
+        elif not portion["equal_at_every_error"]:
+            print(
+                f"ERROR: batched {label} path diverges from scalar path at error>0",
                 file=sys.stderr,
             )
             failed = True

@@ -422,6 +422,9 @@ class RUMRKernel(LockstepKernel):
         self._gross = np.zeros(rows)
         # Rows whose factoring slot was re-armed as a recovery tail.
         self._armed = np.zeros(rows, dtype=bool)
+        # Rows whose previous decision took their last planned chunk: the
+        # scalar source's lazy round cursor still counts them as phase 1.
+        self._left_p1 = np.zeros(rows, dtype=bool)
         self._phase2 = specs[0].phase2.make_kernel(
             [s.phase2 for s in specs], reps, n_max
         )
@@ -435,6 +438,7 @@ class RUMRKernel(LockstepKernel):
         self._spec_of = self._spec_of[keep]
         self._gross = self._gross[keep]
         self._armed = self._armed[keep]
+        self._left_p1 = self._left_p1[keep]
         self._phase2.compact(keep)
 
     def _arm(self, rows, crashed, pools) -> None:
@@ -460,7 +464,7 @@ class RUMRKernel(LockstepKernel):
             # back to factoring over everything not yet dispatched —
             # the scalar source's recovery tail, observed at the same
             # decision point with the same survivor set.
-            hit = plan.active & (ctx.n_crashed > 0)
+            hit = (plan.active | self._left_p1) & (ctx.n_crashed > 0)
             if mask is not None:
                 hit &= mask
             rows = np.flatnonzero(hit)
@@ -472,9 +476,11 @@ class RUMRKernel(LockstepKernel):
         in_p1 = plan.active
         if mask is None:
             p2_mask = ~in_p1
+            self._left_p1[:] = False
         else:
             p2_mask = mask & ~in_p1
             in_p1 = mask & in_p1
+            self._left_p1[mask] = False
         if ctx is not None and ctx.fault_rows is not None:
             # Pure-UMR tail under faults: the scalar source keeps a
             # zero-pool recovery tail alive past the last planned
@@ -493,6 +499,7 @@ class RUMRKernel(LockstepKernel):
             worker[rows] = pick
             size[rows] = sz
             self._gross[rows] += sz
+            self._left_p1[rows[~plan.active[rows]]] = True
         if p2_mask.any() or (ctx is not None and ctx.losses):
             self._phase2.decide(counts, action, worker, size, mask=p2_mask, ctx=ctx)
 

@@ -11,17 +11,22 @@ Two perturbation directions are supported:
   perturbations; this is the only reading consistent with the paper's
   smooth 40-repetition single-configuration curves (Fig 5–7 resolve ~1%
   effects, impossible under the unbounded variant below).
-* ``mode="divide"``: ``effective = predicted / X`` — the verbatim reading
-  of §4.1 ("the ratio of predicted execution time to effective execution
-  time is normally distributed").  Because ``X`` can come arbitrarily
-  close to zero, effective times are unbounded above, and makespan
-  averages over 40 repetitions are dominated by outliers.  Kept as an
-  option; the experiment harness exposes it for sensitivity checks.
+* ``mode="divide"``: ``effective = predicted · (1/X)`` — the verbatim
+  reading of §4.1 ("the ratio of predicted execution time to effective
+  execution time is normally distributed").  Because ``X`` can come
+  arbitrarily close to zero, effective times are unbounded above, and
+  makespan averages over 40 repetitions are dominated by outliers.  Kept
+  as an option; the experiment harness exposes it for sensitivity checks.
 
 ``X`` is truncated below at :data:`MIN_RATIO` (the paper truncates "to
 avoid negative values"; a strictly positive floor additionally avoids
 degenerate zero durations).  Truncation is by resampling, which preserves
 the distribution shape above the floor.
+
+Every engine, scalar or batch, consumes the normal model's factors as
+defined here: raw ``Normal(1, error)`` draws filtered by ``x >=
+min_ratio`` (:meth:`NormalErrorModel.ratios` draws a block of them), one
+per transfer and one per computation, zero-cost ones included.
 """
 
 from __future__ import annotations
@@ -38,12 +43,18 @@ __all__ = [
     "NormalErrorModel",
     "UniformErrorModel",
     "DriftingErrorModel",
+    "FACTOR_STREAM_FORMAT",
     "check_magnitude",
+    "check_model_options",
     "make_error_model",
 ]
 
 #: Lower truncation bound for the predicted/effective ratio.
 MIN_RATIO = 0.01
+
+#: Names the factor sequence above; cached sweeps are keyed by it, so
+#: results drawn under an older convention are never served.
+FACTOR_STREAM_FORMAT = "filtered-normal/one-draw-per-duration/1"
 
 
 def check_magnitude(magnitude: float) -> None:
@@ -57,13 +68,23 @@ def check_magnitude(magnitude: float) -> None:
         raise ValueError(f"error magnitude must be finite and >= 0, got {magnitude}")
 
 
+def check_model_options(mode: str, min_ratio: float) -> None:
+    """Reject an unknown perturbation mode or a floor outside ``(0, 1)``."""
+    if mode not in ("multiply", "divide"):
+        raise ValueError(f"unknown perturbation mode {mode!r}")
+    if not 0 < min_ratio < 1:
+        raise ValueError(f"min_ratio must be in (0, 1), got {min_ratio}")
+
+
 class ErrorModel:
     """Base class: a source of multiplicative prediction errors.
 
     Subclasses implement :meth:`ratio`, drawing the perturbation factor
     ``X`` (mean 1, standard deviation ``magnitude``).  ``perturb`` returns
-    ``predicted · X`` or ``predicted / X`` depending on ``mode`` (see the
-    module docstring).
+    ``predicted · X`` or ``predicted · (1/X)`` depending on ``mode`` (see
+    the module docstring), and draws one factor per call even when
+    ``predicted`` is zero.  Dataclass subclasses inherit the validation
+    of ``magnitude``, ``mode`` and ``min_ratio`` in ``__post_init__``.
 
     The ``magnitude`` attribute is the nominal error level (the paper's
     *error* parameter); schedulers such as RUMR read it when it is assumed
@@ -71,7 +92,12 @@ class ErrorModel:
     """
 
     magnitude: float = 0.0
+    min_ratio: float = MIN_RATIO
     mode: str = "multiply"
+
+    def __post_init__(self) -> None:
+        check_magnitude(self.magnitude)
+        check_model_options(self.mode, self.min_ratio)
 
     def ratio(self, rng: np.random.Generator) -> float:
         """Draw one perturbation factor."""
@@ -81,10 +107,8 @@ class ErrorModel:
         """Map a predicted duration to an effective duration."""
         if predicted < 0:
             raise ValueError(f"negative predicted duration {predicted}")
-        if predicted == 0.0:
-            return 0.0
         if self.mode == "divide":
-            return predicted / self.ratio(rng)
+            return predicted * (1.0 / self.ratio(rng))
         return predicted * self.ratio(rng)
 
     def advance(self) -> None:
@@ -99,11 +123,6 @@ class NoError(ErrorModel):
 
     def ratio(self, rng: np.random.Generator) -> float:
         return 1.0
-
-    def perturb(self, predicted: float, rng: np.random.Generator) -> float:
-        if predicted < 0:
-            raise ValueError(f"negative predicted duration {predicted}")
-        return predicted
 
 
 @dataclasses.dataclass
@@ -125,13 +144,6 @@ class NormalErrorModel(ErrorModel):
     min_ratio: float = MIN_RATIO
     mode: str = "multiply"
 
-    def __post_init__(self) -> None:
-        check_magnitude(self.magnitude)
-        if not 0 < self.min_ratio < 1:
-            raise ValueError(f"min_ratio must be in (0, 1), got {self.min_ratio}")
-        if self.mode not in ("multiply", "divide"):
-            raise ValueError(f"unknown perturbation mode {self.mode!r}")
-
     def ratio(self, rng: np.random.Generator) -> float:
         if self.magnitude == 0.0:
             return 1.0
@@ -139,6 +151,24 @@ class NormalErrorModel(ErrorModel):
             x = rng.normal(1.0, self.magnitude)
             if x >= self.min_ratio:
                 return x
+
+    def ratios(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Exactly what ``count`` :meth:`ratio` calls return, in one block.
+
+        The shortfall is drawn raw and filtered until ``count`` values are
+        kept; the last block is accepted whole, so ``rng`` ends where the
+        scalar loop would.
+        """
+        if self.magnitude == 0.0:
+            return np.ones(count)
+        kept = [np.empty(0)]
+        need = count
+        while need:
+            x = rng.normal(1.0, self.magnitude, need)
+            x = x[x >= self.min_ratio]
+            kept.append(x)
+            need -= len(x)
+        return np.concatenate(kept)
 
 
 @dataclasses.dataclass
@@ -153,11 +183,6 @@ class UniformErrorModel(ErrorModel):
     magnitude: float = 0.0
     min_ratio: float = MIN_RATIO
     mode: str = "multiply"
-
-    def __post_init__(self) -> None:
-        check_magnitude(self.magnitude)
-        if self.mode not in ("multiply", "divide"):
-            raise ValueError(f"unknown perturbation mode {self.mode!r}")
 
     def ratio(self, rng: np.random.Generator) -> float:
         if self.magnitude == 0.0:
@@ -183,9 +208,6 @@ class DriftingErrorModel(ErrorModel):
     min_ratio: float = MIN_RATIO
     mode: str = "multiply"
     _mean: float = dataclasses.field(default=1.0, init=False)
-
-    def __post_init__(self) -> None:
-        check_magnitude(self.magnitude)
 
     def ratio(self, rng: np.random.Generator) -> float:
         if self.magnitude == 0.0:

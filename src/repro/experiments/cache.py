@@ -171,8 +171,9 @@ def cached_sweep(
 
     ``batch_static`` is forwarded to :func:`run_sweep` on a cache miss;
     it is deliberately *not* part of the cache key, because all paths
-    produce the same distribution under the same seeds (and identical
-    tensors at zero error).
+    produce bitwise identical tensors at every error.  The key instead
+    names the factor-stream format (see :func:`sweep_key`), so entries
+    drawn under an older convention are recomputed, not served.
 
     ``stats`` (a :class:`repro.obs.SweepStats`) tallies the hit/miss and,
     on a miss, is forwarded to :func:`run_sweep` so one collector covers

@@ -24,6 +24,7 @@ import hashlib
 import json
 import typing
 
+from repro.errors.models import FACTOR_STREAM_FORMAT
 from repro.platform.spec import PlatformSpec, homogeneous_platform
 
 __all__ = [
@@ -219,9 +220,16 @@ def sweep_key(grid: ExperimentGrid, algorithms: typing.Sequence[str]) -> str:
     and the crash-recovery checkpoint shards
     (:class:`repro.experiments.resilient.CheckpointStore`) — any change
     to the grid or the algorithm list invalidates both automatically.
+    The payload also names the perturbation factor sequence
+    (:data:`~repro.errors.models.FACTOR_STREAM_FORMAT`), so entries and
+    shards drawn under another convention are never served or resumed.
     """
     payload = json.dumps(
-        {"grid": dataclasses.asdict(grid), "algorithms": list(algorithms)},
+        {
+            "grid": dataclasses.asdict(grid),
+            "algorithms": list(algorithms),
+            "factor_stream": FACTOR_STREAM_FORMAT,
+        },
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

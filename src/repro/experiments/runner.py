@@ -26,9 +26,9 @@ fault schedules with the scalar engine's exact semantics, and one
 The routing is decided once per sweep (:func:`_engine_map`) and both
 passes run through one skeleton (:func:`_run_batch_pass`).
 All paths use *the same per-cell seeds*, so the cross-algorithm pairing
-is untouched.  At ``error = 0`` the batch paths agree with the scalar
-engine bit-for-bit; at ``error > 0`` their makespans are
-distributionally identical but not bitwise (see ``repro.sim.batch`` /
+is untouched.  The batch paths agree with the scalar engine bit for bit
+at every error: all engines consume the one perturbation sequence
+defined by :mod:`repro.errors.models` (see ``repro.sim.batch`` /
 ``repro.sim.dynbatch``).  ``batch_static=False`` (CLI ``--no-batch``)
 forces everything through the scalar engine.
 

@@ -16,15 +16,10 @@ rule of scientific-Python optimization):
 With 1000 repetitions per call the amortized cost is a few microseconds
 per run — two to three orders of magnitude faster than the scalar engine.
 
-Equivalence contract: perturbation factors are drawn per repetition from
-the same two spawned streams as the scalar engines, in chunk order, so
-
-* at ``error = 0`` the batch result equals the scalar engines *exactly*;
-* at ``error > 0`` results are **distributionally** identical but not
-  bitwise: the scalar engine interleaves truncation resampling into the
-  stream chunk-by-chunk, while the batch draws block-wise and resamples
-  the (rare) below-floor entries afterwards.  The test suite checks exact
-  equality where defined and statistical agreement elsewhere.
+Equivalence contract: the batch result equals the scalar engines
+**bitwise at every error**, in both perturbation modes.  Factors come
+per repetition from the same two spawned streams as the scalar engines,
+in chunk order, as the one sequence :mod:`repro.errors.models` defines.
 
 :func:`simulate_static_cells` stacks a whole *grid* of static cells —
 every (platform, error, algorithm) combination — into (rows × chunks)
@@ -51,7 +46,7 @@ RUMR variants, AdaptiveRUMR) decide from pure arithmetic over
 master-observable state and batch under the *lockstep* contract instead:
 :mod:`repro.sim.dynbatch` advances all repetitions one decision at a
 time as row-wise array operations, consuming the same per-seed streams
-and reusing this module's :func:`_draw_factors`.  The per-cell seeds are
+through this module's :func:`factor_rows`.  The per-cell seeds are
 shared by every path, so the strict cross-algorithm pairing Tables 2–3
 need is preserved throughout.
 """
@@ -66,13 +61,14 @@ import numpy as np
 
 from repro.core.chunks import ChunkPlan
 from repro.errors.faults import FaultModel, FaultPlaneCache
-from repro.errors.models import MIN_RATIO, check_magnitude
+from repro.errors.models import NormalErrorModel, check_magnitude
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
     "CompiledStaticPlan",
     "StaticCell",
     "compile_static_plan",
+    "factor_rows",
     "factor_stream",
     "simulate_static_cells",
 ]
@@ -164,23 +160,9 @@ def compile_static_plan(platform: PlatformSpec, plan: ChunkPlan) -> CompiledStat
     return compiled
 
 
-def _draw_factors(
-    rng: np.random.Generator, count: int, magnitude: float, min_ratio: float
-) -> np.ndarray:
-    """Truncated-normal factors, block-drawn with mask resampling."""
-    if magnitude == 0.0:
-        return np.ones(count)
-    x = rng.normal(1.0, magnitude, count)
-    bad = x < min_ratio
-    while bad.any():
-        x[bad] = rng.normal(1.0, magnitude, int(bad.sum()))
-        bad = x < min_ratio
-    return x
-
-
-#: Size of a factor stream's first block; each later block doubles the
-#: stream (64, 64, 128, 256, ... columns).
-_FIRST_BLOCK = 64
+#: Smallest block a factor stream grows by.  Any block schedule yields
+#: the same values; the floor only saves generator calls.
+_MIN_BLOCK = 64
 
 
 class _FactorStream:
@@ -188,56 +170,46 @@ class _FactorStream:
 
     The generators persist with the drawn columns, so extending the
     column count continues the *same* stream — an entry's prefix never
-    changes once drawn.  Columns are drawn in fixed doubling blocks
-    (64, 64, 128, 256, ...) whatever count a caller asks for, and
-    truncation resampling stays inside its block, so a stream's values
+    changes once drawn.  Columns come from
+    :meth:`NormalErrorModel.ratios`, which equals the scalar engines'
+    factor-by-factor draws whatever the block sizes, so a stream's values
     depend only on its seed: one algorithm's factors do not depend on
     which other algorithms, or which plan lengths, share its sweep.
-    Factors are stored raw (multiply-mode); consumers apply the
-    ``divide`` inversion themselves.
+    Factors are stored raw (multiply-mode); :func:`factor_rows` applies
+    the ``divide`` inversion.
     """
 
-    __slots__ = ("comm", "comp", "_gen_comm", "_gen_comp", "_magnitude", "_min_ratio")
+    __slots__ = ("comm", "comp", "_gen_comm", "_gen_comp", "_model")
 
-    def __init__(self, seed: int, magnitude: float, min_ratio: float):
+    def __init__(self, seed: int, magnitude: float):
         comm_seq, comp_seq = np.random.SeedSequence(int(seed)).spawn(2)
         self._gen_comm = np.random.Generator(np.random.PCG64(comm_seq))
         self._gen_comp = np.random.Generator(np.random.PCG64(comp_seq))
-        self._magnitude = magnitude
-        self._min_ratio = min_ratio
+        self._model = NormalErrorModel(magnitude)
         self.comm = np.empty(0)
         self.comp = np.empty(0)
 
     def ensure(self, cols: int) -> None:
         have = len(self.comm)
-        if cols <= have:
-            return
-        comm, comp = [self.comm], [self.comp]
-        while have < cols:
-            block = max(have, _FIRST_BLOCK)
-            comm.append(_draw_factors(self._gen_comm, block, self._magnitude,
-                                      self._min_ratio))
-            comp.append(_draw_factors(self._gen_comp, block, self._magnitude,
-                                      self._min_ratio))
-            have += block
-        self.comm = np.concatenate(comm)
-        self.comp = np.concatenate(comp)
+        if cols > have:
+            # Grow at least by doubling, so repeated requests stay amortized.
+            block = max(cols - have, have, _MIN_BLOCK)
+            self.comm = np.append(self.comm, self._model.ratios(self._gen_comm, block))
+            self.comp = np.append(self.comp, self._model.ratios(self._gen_comp, block))
 
 
-#: Bounded FIFO cache of factor streams keyed by (seed, magnitude,
-#: min_ratio).  Sweeps revisit the same per-cell seeds constantly — all
-#: algorithms share a cell's streams (paired comparisons), fault-scenario
-#: sweeps re-run the same cells, and benchmark/retry paths repeat whole
-#: grids — so the spawn-and-draw cost is paid once per seed, not once
-#: per visit.  Entries are never mutated after growth (prefix-stable),
-#: so consumers may slice but must not write into the returned rows.
+#: Bounded FIFO cache of factor streams keyed by (seed, magnitude).
+#: Sweeps revisit the same per-cell seeds constantly — all algorithms
+#: share a cell's streams (paired comparisons), fault-scenario sweeps
+#: re-run the same cells, and benchmark/retry paths repeat whole grids —
+#: so the spawn-and-draw cost is paid once per seed, not once per visit.
+#: Entries are never mutated after growth (prefix-stable), so consumers
+#: may slice but must not write into the returned rows.
 _FACTOR_STREAMS: dict = {}
 _FACTOR_STREAMS_MAX = 4096
 
 
-def factor_stream(
-    seed: int, magnitude: float, cols: int, min_ratio: float = MIN_RATIO
-) -> _FactorStream:
+def factor_stream(seed: int, magnitude: float, cols: int) -> _FactorStream:
     """The cached factor stream for ``seed``, grown to ``cols`` columns.
 
     Requires ``magnitude > 0`` (zero-magnitude rows are exact ones and
@@ -247,15 +219,35 @@ def factor_stream(
     ``cols`` or on earlier requests (see :class:`_FactorStream`), so a
     cold and a warm cache give the same prefix.
     """
-    key = (int(seed), float(magnitude), float(min_ratio))
+    key = (int(seed), float(magnitude))
     entry = _FACTOR_STREAMS.get(key)
     if entry is None:
         if len(_FACTOR_STREAMS) >= _FACTOR_STREAMS_MAX:
             _FACTOR_STREAMS.pop(next(iter(_FACTOR_STREAMS)))
-        entry = _FactorStream(seed, magnitude, min_ratio)
+        entry = _FactorStream(seed, magnitude)
         _FACTOR_STREAMS[key] = entry
     entry.ensure(cols)
     return entry
+
+
+def factor_rows(keys, cols: int, mode: str) -> "tuple[np.ndarray, np.ndarray]":
+    """``(comm, comp)`` factor matrices, one row per ``(seed, error)`` key.
+
+    A ``None`` key gives exact ones (zero-error rows touch no stream).  In
+    ``divide`` mode factors are inverted, so consumers always multiply:
+    ``predicted · (1/X)``, as the scalar ``perturb`` computes.
+    """
+    comm = np.ones((len(keys), cols))
+    comp = np.ones((len(keys), cols))
+    for r, key in enumerate(keys):
+        if key is not None:
+            stream = factor_stream(key[0], key[1], cols)
+            comm[r] = stream.comm[:cols]
+            comp[r] = stream.comp[:cols]
+    if mode == "divide":
+        np.divide(1.0, comm, out=comm)
+        np.divide(1.0, comp, out=comp)
+    return comm, comp
 
 
 @dataclasses.dataclass(frozen=True)
@@ -332,7 +324,6 @@ def _emit_static_trace(tracer, plan, send_end, comp_dur, starts, gidx) -> None:
 def simulate_static_cells(
     cells: "typing.Sequence[StaticCell]",
     mode: str = "multiply",
-    min_ratio: float = MIN_RATIO,
     perf=None,
     tracers=None,
     planes=None,
@@ -394,7 +385,7 @@ def simulate_static_cells(
     out: list = [None] * len(cells)
     for members in classes.values():
         results = _simulate_stack(
-            [cells[i] for i in members], mode, min_ratio, perf,
+            [cells[i] for i in members], mode, perf,
             None if tracers is None else [tracers[i] for i in members], planes,
         )
         for i, makespans in zip(members, results):
@@ -402,7 +393,7 @@ def simulate_static_cells(
     return out
 
 
-def _simulate_stack(cells, mode, min_ratio, perf, tracers, planes) -> list:
+def _simulate_stack(cells, mode, perf, tracers, planes) -> list:
     """One (rows × chunks) pass over ``cells``, padded to their longest plan."""
     traced = _traced_rows(cells, tracers)
     # Clean deterministic cells need only one representative row.
@@ -430,25 +421,14 @@ def _simulate_stack(cells, mode, min_ratio, perf, tracers, planes) -> list:
     rep = lambda a: np.repeat(a, row_counts, axis=0)  # noqa: E731
     link_pred, comp_pred, tlat = map(rep, (link_pred, comp_pred, tlat))
 
-    # Factor matrices: one cached stream per distinct (seed, error) — see
-    # :func:`factor_stream` — k_max columns so any plan in the stack can
-    # consume its prefix.
-    comm = np.empty((rows, k_max))
-    comp = np.empty((rows, k_max))
-    r = 0
-    for c, count in zip(cells, row_counts):
-        for seed in c.seeds[:count]:
-            if c.error > 0.0:
-                stream = factor_stream(int(seed), c.error, k_max, min_ratio)
-                comm[r] = stream.comm[:k_max]
-                comp[r] = stream.comp[:k_max]
-            else:
-                comm[r] = 1.0
-                comp[r] = 1.0
-            r += 1
-    if mode == "divide":
-        np.divide(1.0, comm, out=comm)
-        np.divide(1.0, comp, out=comp)
+    # Factor matrices: k_max columns so any plan in the stack can consume
+    # its prefix.
+    keys = [
+        (int(seed), c.error) if c.error > 0.0 else None
+        for c, count in zip(cells, row_counts)
+        for seed in c.seeds[:count]
+    ]
+    comm, comp = factor_rows(keys, k_max, mode)
 
     # Fault realization: each fault cell's rows come from one batched
     # FaultPlane draw, block-copied into the stack arrays (neutral

@@ -42,11 +42,9 @@ hold outstanding chunks.
 
 Equivalence contract (mirrors the static engine's): perturbation factors
 come from the same two spawned streams per seed, consumed in dispatch
-order, so at ``error = 0`` every row equals the scalar engine *exactly*
-(bit for bit — same decisions, same arithmetic), and at ``error > 0``
-results are distributionally identical, diverging bitwise only where
-truncation resampling fires or a zero-cost transfer (``nLat = 0`` with
-infinite bandwidth) skips a scalar draw.
+order as the one sequence :mod:`repro.errors.models` defines, so every
+row equals the scalar engine **bitwise at every error** — same
+decisions, same factors, same arithmetic.
 
 Fault cells (:attr:`DynamicCell.faults`) run in the same pass.  Each
 cell realizes all of its rows' schedules in one shot through
@@ -107,9 +105,12 @@ from repro.core.lockstep import (
     LockstepKernel,
 )
 from repro.errors.faults import FaultModel, FaultPlaneCache
-from repro.errors.models import MIN_RATIO, check_magnitude, make_error_model
+from repro.errors.models import check_magnitude, make_error_model
 from repro.platform.spec import PlatformSpec
-from repro.sim.batch import factor_stream
+
+# ``factor_stream`` stays importable here for span tracers that patch
+# each engine's draw entry point (perfbench/layers.py).
+from repro.sim.batch import factor_rows, factor_stream  # noqa: F401
 from repro.sim.fastsim import simulate_fast
 
 __all__ = [
@@ -210,26 +211,20 @@ class _FactorBank:
     """Per-row (comm, comp) perturbation factor columns, fetched lazily.
 
     Column ``k`` of row ``r`` perturbs row ``r``'s ``k``-th dispatch.
-    Rows draw from the shared per-seed stream cache
-    (:func:`repro.sim.batch.factor_stream` — spawned exactly like
-    :func:`repro.errors.rng.spawn_rngs`, block-drawn with mask
-    resampling), so the consumption is bit-identical to the scalar
-    engine's chunk-order draws whenever no resample fires, and rows
-    revisited by a later sweep reuse the already-drawn columns.  Rows
-    with zero magnitude hold exact ones and touch no stream at all.
+    Rows come from :func:`repro.sim.batch.factor_rows` over the shared
+    per-seed stream cache, so the consumption is bit-identical to the
+    scalar engine's chunk-order draws, and rows revisited by a later
+    sweep reuse the already-drawn columns.  Rows with zero magnitude
+    hold exact ones and touch no stream at all.
     """
 
-    def __init__(self, seeds, sigmas, mode: str, min_ratio: float):
+    def __init__(self, seeds, sigmas, mode: str):
         self._mode = mode
-        self._min_ratio = min_ratio
         self._keys: list = [
             (int(seed), float(sigma)) if sigma > 0.0 else None
             for seed, sigma in zip(seeds, sigmas)
         ]
-        rows = len(self._keys)
-        self.comm = np.ones((rows, 0))
-        self.comp = np.ones((rows, 0))
-        self._cols = 0
+        self.comm = self.comp = np.ones((len(self._keys), 0))
 
     def mute_row(self, row: int) -> None:
         """Stop drawing for one row (it is simulated elsewhere)."""
@@ -243,24 +238,10 @@ class _FactorBank:
 
     def ensure(self, cols: int) -> None:
         """Guarantee at least ``cols`` materialized columns."""
-        if cols <= self._cols:
-            return
-        target = max(cols, 2 * self._cols, _INITIAL_COLUMNS)
-        rows = len(self._keys)
-        comm = np.ones((rows, target))
-        comp = np.ones((rows, target))
-        for i, key in enumerate(self._keys):
-            if key is None:
-                continue
-            stream = factor_stream(key[0], key[1], target, self._min_ratio)
-            comm[i] = stream.comm[:target]
-            comp[i] = stream.comp[:target]
-        if self._mode == "divide":
-            np.divide(1.0, comm, out=comm)
-            np.divide(1.0, comp, out=comp)
-        self.comm = comm
-        self.comp = comp
-        self._cols = target
+        have = self.comm.shape[1]
+        if cols > have:
+            target = max(cols, 2 * have, _INITIAL_COLUMNS)
+            self.comm, self.comp = factor_rows(self._keys, target, self._mode)
 
     def gather(self, rows, cols):
         """``(comm, comp)`` factors of ``rows`` at column ``cols`` each."""
@@ -361,9 +342,7 @@ class _Lockstep:
     emit no ``recovery_decision``).
     """
 
-    def __init__(
-        self, cells, specs, mode, min_ratio, row_tracers, arena, perf, planes
-    ) -> None:
+    def __init__(self, cells, specs, mode, row_tracers, arena, perf, planes) -> None:
         self.cells = cells
         self.row_tracers = row_tracers
         self.perf = perf
@@ -393,7 +372,7 @@ class _Lockstep:
 
         self.seeds = [s for c in cells for s in c.seeds]
         self.bank = _FactorBank(
-            self.seeds, np.repeat([c.error for c in cells], reps), mode, min_ratio
+            self.seeds, np.repeat([c.error for c in cells], reps), mode
         )
         # Pad worker slots keep S = B = 1 and zero latencies.
         params = np.zeros((len(cells), n, len(_WORKER_FIELDS)))
@@ -418,7 +397,7 @@ class _Lockstep:
         self.deferred: list = []
         self.defer_makespans: dict = {}
         if any(c.faults is not None for c in cells):
-            self._realize_faults(specs, planes, mode, min_ratio)
+            self._realize_faults(specs, planes, mode)
         # Losses exist only where crashes do: the collect machinery (chunk
         # indices, loss flags, per-step contexts) is needed for crash rows
         # and note-consuming kernels, not for pause/slowdown/spike rows —
@@ -505,7 +484,7 @@ class _Lockstep:
         self._fields.append(name)
         return array
 
-    def _realize_faults(self, specs, planes, mode, min_ratio) -> None:
+    def _realize_faults(self, specs, planes, mode) -> None:
         """Copy every fault cell's plane into the batch's fault arrays.
 
         Each cell's schedules come from one batched draw from the per-seed
@@ -577,7 +556,7 @@ class _Lockstep:
                 cell.platform,
                 cell.total_work,
                 cell.scheduler,
-                make_error_model("normal", cell.error, min_ratio=min_ratio, mode=mode),
+                make_error_model("normal", cell.error, mode=mode),
                 self.seeds[r],
                 collect_records=False,
                 faults=cell.faults,
@@ -1028,7 +1007,6 @@ class _Lockstep:
 def simulate_dynamic_cells(
     cells,
     mode: str = "multiply",
-    min_ratio: float = MIN_RATIO,
     max_rows: int = MAX_ROWS,
     tracers=None,
     arena=None,
@@ -1091,7 +1069,6 @@ def simulate_dynamic_cells(
                 [cells[i] for i, _ in batch],
                 [s for _, s in batch],
                 mode,
-                min_ratio,
                 row_tracers,
                 arena,
                 perf,

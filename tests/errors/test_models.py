@@ -87,6 +87,27 @@ class TestNormalErrorModel:
     def test_zero_predicted_stays_zero(self, rng):
         assert NormalErrorModel(0.4).perturb(0.0, rng) == 0.0
 
+    @pytest.mark.parametrize("mode", ["multiply", "divide"])
+    def test_zero_predicted_still_draws(self, mode):
+        # Every duration takes its factor, zero-cost transfers included,
+        # so the stream position never depends on the platform.
+        m = NormalErrorModel(0.4, mode=mode)
+        r1 = np.random.default_rng(3)
+        r2 = np.random.default_rng(3)
+        assert m.perturb(0.0, r1) == 0.0
+        m.ratio(r2)
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+    def test_divide_mode_multiplies_by_reciprocal(self):
+        # The batch engines store 1/X once per factor; the scalar
+        # arithmetic must produce the same bits.
+        m = NormalErrorModel(0.3, mode="divide")
+        r1 = np.random.default_rng(11)
+        r2 = np.random.default_rng(11)
+        for predicted in (10.0, 0.7, 123.456):
+            x = m.ratio(r1)
+            assert m.perturb(predicted, r2) == predicted * (1.0 / x)
+
 
 class TestUniformErrorModel:
     def test_matches_mean_and_std(self, rng):
@@ -126,6 +147,29 @@ class TestDriftingErrorModel:
         m = DriftingErrorModel(magnitude=0.0, drift_per_step=-10.0)
         m.advance()
         assert m.ratio(rng) >= MIN_RATIO
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DriftingErrorModel(0.1, mode="sideways"),
+        lambda: DriftingErrorModel(0.1, mode="Divide"),
+        lambda: DriftingErrorModel(min_ratio=-1.0),
+        lambda: DriftingErrorModel(0.1, min_ratio=1.0),
+        lambda: UniformErrorModel(min_ratio=0.0),
+        lambda: UniformErrorModel(0.5, min_ratio=5.0),
+    ],
+    ids=[
+        "drifting-mode", "drifting-mode-case",
+        "drifting-negative-floor", "drifting-floor-one", "uniform-zero-floor",
+        "uniform-floor-above-one",
+    ],
+)
+def test_every_model_validates_mode_and_floor(build):
+    # The uniform and drifting models used to accept these silently (a
+    # bad mode multiplied; a floor above 1 failed only at draw time).
+    with pytest.raises(ValueError, match="perturbation mode|min_ratio"):
+        build()
 
 
 class TestFactory:

@@ -153,16 +153,40 @@ class TestCache:
         batched = cached_sweep(
             results.grid, ALGOS, tmp_path / "b", batch_static=True
         )
-        # Zero-error column identical across paths; at error > 0 the batch
-        # engines (static and lockstep-dynamic) are distributionally
-        # identical but may diverge bitwise where resampling fires.
+        # The batch engines (static and lockstep-dynamic) equal the scalar
+        # engine bitwise at every error, the zero-error column included.
         for algo in ALGOS:
             assert np.array_equal(
                 scalar.makespans[algo][:, 0, :], batched.makespans[algo][:, 0, :]
             )
-            assert batched.makespans[algo] == pytest.approx(
-                scalar.makespans[algo], rel=0.2
-            )
+            assert np.array_equal(batched.makespans[algo], scalar.makespans[algo])
+
+    def test_cached_batched_sweep_loads_equal_to_fresh_scalar_run(
+        self, results, tmp_path
+    ):
+        # The cache key leaves batch_static out, so a batched entry is
+        # served to scalar callers too; it must hold their numbers.
+        from repro.obs import SweepStats
+
+        stats = SweepStats()
+        cached_sweep(results.grid, ALGOS, tmp_path, batch_static=True)
+        loaded = cached_sweep(
+            results.grid, ALGOS, tmp_path, batch_static=False, stats=stats
+        )
+        assert stats.cache_hits == 1
+        fresh = run_sweep(results.grid, algorithms=ALGOS, batch_static=False)
+        assert max(results.grid.errors) > 0
+        for algo in ALGOS:
+            assert np.array_equal(loaded.makespans[algo], fresh.makespans[algo])
+
+    def test_key_names_factor_stream_format(self, results, monkeypatch):
+        # Entries and checkpoint shards drawn under another factor-stream
+        # convention must not be served or resumed.
+        from repro.experiments import config
+
+        key = sweep_key(results.grid, ALGOS)
+        monkeypatch.setattr(config, "FACTOR_STREAM_FORMAT", "older-format")
+        assert sweep_key(results.grid, ALGOS) != key
 
 
 class TestCLI:

@@ -7,7 +7,7 @@ single workers, heterogeneous rates, infeasible bandwidths.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RUMR, UMR, Factoring, FixedSizeChunking, MultiInstallment
@@ -263,6 +263,25 @@ class TestErrorModelProperties:
         rng = np.random.default_rng(seed)
         model = NormalErrorModel(magnitude)
         assert all(model.ratio(rng) >= MIN_RATIO for _ in range(50))
+
+    @given(
+        magnitude=st.floats(min_value=0.0, max_value=2.0, **finite),
+        count=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    # At magnitude 2.0 about 30 % of raw draws fall below the floor.
+    @example(magnitude=2.0, count=300, seed=0)
+    def test_ratios_equal_scalar_draws(self, magnitude, count, seed):
+        # The batch engines' factor streams rest on this contract: a
+        # block draw is the scalar sequence and ends at the same position.
+        import numpy as np
+
+        model = NormalErrorModel(magnitude)
+        block_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        block = model.ratios(block_rng, count)
+        assert np.array_equal(block, [model.ratio(scalar_rng) for _ in range(count)])
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 class TestWorkConservation:
