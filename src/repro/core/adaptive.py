@@ -192,8 +192,9 @@ class AdaptiveRUMRSource(DispatchSource):
             if not pending:
                 self._round_cursor += 1
                 continue
-            ordered = sorted(pending)
-            worker = next((i for i in ordered if view.is_idle(i)), ordered[0])
+            # Ascending worker order: the plan rounds are built that way
+            # and only ever popped.
+            worker = next((i for i in pending if view.is_idle(i)), next(iter(pending)))
             size = pending.pop(worker)
             self._chunk_sizes[self._next_index] = size
             self._next_index += 1

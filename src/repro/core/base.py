@@ -176,13 +176,31 @@ class MasterView:
         return ()
 
     # -- derived helpers ----------------------------------------------------
+    #
+    # Engines may override these with cheaper equivalents; every override
+    # must agree with the definitions over pending_chunks given here.
+
     def is_idle(self, worker: int) -> bool:
         """True when the worker has nothing dispatched-and-unfinished."""
         return self.pending_chunks(worker) == 0
 
-    def idle_workers(self) -> list[int]:
-        """Indices of idle workers, ascending."""
-        return [i for i in range(self.num_workers) if self.is_idle(i)]
+    def first_idle(self, exclude: "typing.Collection[int]" = ()) -> "int | None":
+        """Lowest-index idle worker not in ``exclude``, or ``None``.
+
+        When it is not ``None`` it is the lexicographic
+        ``(pending_chunks, pending_work, index)`` minimum over the workers
+        outside ``exclude``: an idle worker's pending work is a prefix
+        difference of equal entries, exactly ``0.0``, so the index alone
+        breaks the tie.
+        """
+        for i in range(self.num_workers):
+            if i not in exclude and self.is_idle(i):
+                return i
+        return None
+
+    def any_pending(self) -> bool:
+        """True while some worker has a dispatched-and-unfinished chunk."""
+        return not all(self.is_idle(i) for i in range(self.num_workers))
 
     def least_loaded_worker(self) -> int:
         """Worker with the least pending work (ties: fewest chunks, lowest index)."""

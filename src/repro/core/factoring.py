@@ -47,14 +47,13 @@ class FactoringSource(DispatchSource):
     ``max(min_chunk, remaining_at_batch_start / (factor · N))`` (capped by
     what is actually left).
 
-    ``lookahead`` controls how far the master may run ahead of worker
-    demand: with the classic self-scheduling value 1, a chunk is only sent
-    to an *idle* worker — faithful to Hummel's model, but on a platform
-    with transfer costs the worker then idles for the whole ``nLat + c/B``
-    transfer (exactly the overlap weakness the paper attributes to
-    factoring).  With ``lookahead = 2`` the master keeps one chunk
-    buffered per worker (double-buffering), restoring overlap while the
-    chunk-size rule stays adaptive; RUMR's phase 2 uses this setting.
+    Chunks go only to *idle* workers — the classic self-scheduling
+    lookahead of 1, faithful to Hummel's model.  On a platform with
+    transfer costs the worker then idles for the whole ``nLat + c/B``
+    transfer, exactly the overlap weakness the paper attributes to
+    factoring.  Among idle workers the lowest index wins
+    (:meth:`~repro.core.base.MasterView.first_idle`); with none idle the
+    source waits.
     """
 
     def __init__(
@@ -64,21 +63,17 @@ class FactoringSource(DispatchSource):
         factor: float,
         min_chunk: float,
         phase: str,
-        lookahead: int = 1,
     ):
         if factor <= 1.0:
             raise ValueError(f"factoring factor must be > 1, got {factor}")
         if min_chunk < 0:
             raise ValueError(f"min_chunk must be >= 0, got {min_chunk}")
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
         self._n = n
         self._remaining = total_work
         self._epsilon = 1e-12 * max(total_work, 1.0)
         self._factor = factor
         self._min_chunk = min_chunk
         self._phase = phase
-        self._lookahead = lookahead
         self._batch_left = 0  # chunks still to issue in the current batch
         self._batch_size = 0.0
         # Recovery state, touched only when the run's view reports
@@ -116,32 +111,16 @@ class FactoringSource(DispatchSource):
             self._absorb_losses(view)
             crashed = view.crashed_workers()
         if self._remaining <= self._epsilon:
-            if view.faults_possible and any(
-                view.pending_chunks(i) for i in range(self._n)
-            ):
+            if view.faults_possible and view.any_pending():
                 # Outstanding chunks may yet be lost and need re-dispatch;
                 # wake on each resolution until the pending set drains.
                 return WAIT
             return None
-        # Serve the most starved worker (fewest buffered chunks, then least
-        # pending work, then lowest index for determinism) — but only while
-        # it has fewer than `lookahead` chunks outstanding.
-        if crashed:
-            crashed_set = set(crashed)
-            live = [i for i in range(self._n) if i not in crashed_set]
-            if not live:
-                return None  # every worker is gone; the rest is undeliverable
-            candidates = [
-                (view.pending_chunks(i), view.pending_work(i), i) for i in live
-            ]
-            n_live = len(live)
-        else:
-            candidates = [
-                (view.pending_chunks(i), view.pending_work(i), i) for i in range(self._n)
-            ]
-            n_live = self._n
-        pending, _, worker = min(candidates)
-        if pending >= self._lookahead:
+        n_live = self._n - len(crashed)
+        if n_live == 0:
+            return None  # every worker is gone; the rest is undeliverable
+        worker = view.first_idle(crashed)
+        if worker is None:
             return WAIT
         size = self._next_size(n_live)
         self._remaining = max(0.0, self._remaining - size)

@@ -93,12 +93,12 @@ class FixedSizeChunkingSource(DispatchSource):
     def next_dispatch(self, view: MasterView) -> "Dispatch | Wait | None":
         if self._remaining <= self._epsilon:
             return None
-        idle = view.idle_workers()
-        if not idle:
+        worker = view.first_idle()
+        if worker is None:
             return WAIT
         size = min(self._chunk, self._remaining)
         self._remaining = max(0.0, self._remaining - size)
-        return Dispatch(worker=idle[0], size=size, phase=self._phase)
+        return Dispatch(worker=worker, size=size, phase=self._phase)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,16 +18,16 @@ same operation order and associativity, and the same worker choice, so
 a lockstep row reproduces the scalar engine's trajectory exactly when
 fed the same perturbation factors.
 
-The worker choice needs no pending *work*.  The scalar sources pick the
-lexicographic minimum of ``(pending_chunks, pending_work, index)`` and
-dispatch only when that worker has fewer than ``lookahead`` chunks
-pending — and every lockstep spec uses ``lookahead = 1``, so a dispatch
-only ever goes to a worker with *zero* pending chunks.  Such a worker's
-pending work is exactly ``0.0`` in both engines (the scalar views
-subtract a completed-work prefix sum from itself, ``prefix[k] −
-prefix[k]``), so the work key always ties and the rule reduces to "the
-lowest-index idle live worker, else wait": :func:`first_idle`.  FSC's
-idle scan and RUMR's out-of-order phase-1 pick are the same rule.
+The worker choice needs no pending *work*.  The self-scheduled rule is
+the lexicographic minimum of ``(pending_chunks, pending_work, index)``,
+dispatched only when that worker has zero pending chunks (the classic
+lookahead of 1).  Such a worker's pending work is exactly ``0.0`` in
+both engines (the scalar views subtract a completed-work prefix sum from
+itself, ``prefix[k] − prefix[k]``), so the work key always ties and the
+rule reduces to "the lowest-index idle live worker, else wait":
+:func:`first_idle` here, :meth:`~repro.core.base.MasterView.first_idle`
+in the scalar sources.  FSC's idle scan and RUMR's out-of-order phase-1
+pick are the same rule.
 
 Kernels are built from :class:`KernelSpec` objects (one per simulated
 cell) by :meth:`KernelSpec.make_kernel`; specs with equal ``group_key``
@@ -92,8 +92,8 @@ def first_idle(counts: np.ndarray, exclude: "np.ndarray | None" = None):
     A worker is idle when it has zero pending chunks and is not marked in
     ``exclude`` (crashed workers, or workers without a planned chunk).
     Returns ``(worker, any_idle)``; ``worker`` is 0 on rows without an
-    idle worker.  This is the scalar ``(pending_chunks, pending_work,
-    index)`` minimum under ``lookahead = 1`` (see the module docstring).
+    idle worker.  This is the ``(pending_chunks, pending_work, index)``
+    minimum at lookahead 1 (see the module docstring).
     """
     idle = counts == 0
     if exclude is not None:

@@ -213,14 +213,16 @@ class RUMRSource(DispatchSource):
         return self._round_cursor < len(self._rounds)
 
     def _pick_phase1_worker(self, view: MasterView, pending: dict[int, float]) -> int:
-        ordered = sorted(pending)
+        # Round dicts are built in ascending worker order (initially and in
+        # the crash replan) and only ever popped, so iteration order is
+        # index order.
         if self._out_of_order:
             # Prefer an idle worker (no outstanding work) — the lowest
             # index for determinism, so the scan stops at the first one.
-            for i in ordered:
+            for i in pending:
                 if view.is_idle(i):
                     return i
-        return ordered[0]
+        return next(iter(pending))
 
     def _make_recovery_tail(self, pool: float, live: "list[int]") -> FactoringSource:
         scheduler = self._scheduler
@@ -232,7 +234,6 @@ class RUMRSource(DispatchSource):
             factor=scheduler.factor,
             min_chunk=scheduler.min_chunk(sub, phase2_work=pool if pool > 0 else None),
             phase="rumr-recovery",
-            lookahead=1,
         )
 
     def _on_crash(self, view: MasterView, crashed: tuple[int, ...]) -> None:
@@ -269,7 +270,6 @@ class RUMRSource(DispatchSource):
                     factor=scheduler.factor,
                     min_chunk=scheduler.min_chunk(sub, phase2_work=w2),
                     phase="rumr-p2",
-                    lookahead=1,
                 )
         else:
             # Mid-phase-1 crash: the UMR rounds assumed the dead worker's
@@ -591,10 +591,10 @@ class RUMR(Scheduler):
             plan = solve_umr(platform, w1, self.max_rounds, self.umr_method)
         phase2 = None
         if w2 > 0:
-            # Classic self-scheduling lookahead of 1: committing chunks to
-            # workers early (double-buffering) was measured to cost more in
-            # lost adaptivity than it recovers in overlap — see the
-            # lookahead ablation benchmark.
+            # Classic self-scheduling lookahead of 1 (chunks go to idle
+            # workers only): committing chunks to workers early
+            # (double-buffering) was measured to cost more in lost
+            # adaptivity than it recovers in overlap (DESIGN.md §5).
             if self.phase2_weighted:
                 from repro.core.weighted_factoring import WeightedFactoringSource
 
@@ -604,7 +604,6 @@ class RUMR(Scheduler):
                     factor=self.factor,
                     min_chunk=self.min_chunk(platform, phase2_work=w2),
                     phase="rumr-p2",
-                    lookahead=1,
                 )
             else:
                 phase2 = FactoringSource(
@@ -613,7 +612,6 @@ class RUMR(Scheduler):
                     factor=self.factor,
                     min_chunk=self.min_chunk(platform, phase2_work=w2),
                     phase="rumr-p2",
-                    lookahead=1,
                 )
         return RUMRSource(
             plan=plan,

@@ -51,7 +51,12 @@ __all__ = [
 
 
 class WeightedFactoringSource(DispatchSource):
-    """Per-run state: starved-first dispatch with speed-weighted sizes."""
+    """Per-run state: first-idle dispatch with speed-weighted sizes.
+
+    Like :class:`~repro.core.factoring.FactoringSource`, a chunk goes only
+    to an idle worker, the lowest-index one first; with none idle the
+    source waits.
+    """
 
     def __init__(
         self,
@@ -60,14 +65,11 @@ class WeightedFactoringSource(DispatchSource):
         factor: float,
         min_chunk: float,
         phase: str = "weighted-factoring",
-        lookahead: int = 1,
     ):
         if factor <= 1.0:
             raise ValueError(f"factoring factor must be > 1, got {factor}")
         if min_chunk < 0:
             raise ValueError(f"min_chunk must be >= 0, got {min_chunk}")
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
         self._n = platform.N
         s_tot = platform.total_compute_rate()
         self._weights = [w.S / s_tot for w in platform]
@@ -76,7 +78,6 @@ class WeightedFactoringSource(DispatchSource):
         self._factor = factor
         self._min_chunk = min_chunk
         self._phase = phase
-        self._lookahead = lookahead
         self._loss_cursor = 0
 
     @property
@@ -107,9 +108,7 @@ class WeightedFactoringSource(DispatchSource):
             self._absorb_losses(view)
             crashed = view.crashed_workers()
         if self._remaining <= self._epsilon:
-            if view.faults_possible and any(
-                view.pending_chunks(i) for i in range(self._n)
-            ):
+            if view.faults_possible and view.any_pending():
                 return WAIT
             return None
         if crashed:
@@ -117,21 +116,15 @@ class WeightedFactoringSource(DispatchSource):
             live = [i for i in range(self._n) if i not in crashed_set]
             if not live:
                 return None
-            candidates = [
-                (view.pending_chunks(i), view.pending_work(i), i) for i in live
-            ]
-            pending, _, worker = min(candidates)
-            if pending >= self._lookahead:
+            worker = view.first_idle(crashed)
+            if worker is None:
                 return WAIT
             live_weight = sum(self._weights[i] for i in live)
             weight = self._weights[worker] / live_weight
             size = self._size_for(worker, weight, len(live))
         else:
-            candidates = [
-                (view.pending_chunks(i), view.pending_work(i), i) for i in range(self._n)
-            ]
-            pending, _, worker = min(candidates)
-            if pending >= self._lookahead:
+            worker = view.first_idle()
+            if worker is None:
                 return WAIT
             size = self._size_for(worker, self._weights[worker], self._n)
         self._remaining = max(0.0, self._remaining - size)

@@ -42,6 +42,7 @@ the experiment grid, the sweep cache key and the CLI unchanged::
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
 import math
@@ -54,6 +55,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "NO_FAULT_SPEC",
+    "CrashClock",
     "FaultPlane",
     "FaultPlaneCache",
     "FaultSchedule",
@@ -163,6 +165,30 @@ class FaultSchedule:
         if rng.random() < self.spike_prob:
             return self.spike_delay
         return 0.0
+
+
+class CrashClock:
+    """The workers whose crash instant has passed, queried by time.
+
+    The engines' views ask at every decision which workers have crashed
+    by ``now``.  Crash instants are sorted once, so a query is one bisect;
+    the ascending worker tuple is rebuilt only when the crashed count
+    changes, and the same tuple object is returned otherwise.
+    """
+
+    __slots__ = ("_times", "_order", "_crashed")
+
+    def __init__(self, crash_times: "typing.Sequence[float]"):
+        self._order = sorted(range(len(crash_times)), key=crash_times.__getitem__)
+        self._times = [crash_times[w] for w in self._order]
+        self._crashed: tuple[int, ...] = ()
+
+    def crashed_at(self, now: float) -> tuple[int, ...]:
+        """Workers with ``crash_time <= now``, ascending."""
+        count = bisect.bisect_right(self._times, now)
+        if count != len(self._crashed):
+            self._crashed = tuple(sorted(self._order[:count]))
+        return self._crashed
 
 
 def _clear_schedule(n: int) -> FaultSchedule:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 
@@ -51,6 +52,9 @@ __all__ = [
 
 #: Lower truncation bound for the predicted/effective ratio.
 MIN_RATIO = 0.01
+
+#: Smallest factor block :meth:`NormalErrorModel.perturber` draws.
+_MIN_BLOCK = 64
 
 #: Names the factor sequence above; cached sweeps are keyed by it, so
 #: results drawn under an older convention are never served.
@@ -111,6 +115,18 @@ class ErrorModel:
             return predicted * (1.0 / self.ratio(rng))
         return predicted * self.ratio(rng)
 
+    def perturber(self, rng: np.random.Generator) -> "typing.Callable[[float], float]":
+        """A per-run ``perturb`` bound to ``rng``.
+
+        Successive calls return exactly what successive
+        ``perturb(predicted, rng)`` calls would, negative-prediction error
+        included; the engines take one per stream.  The default just
+        forwards, so models whose factors depend on state moved by
+        :meth:`advance` stay exact; stationary models may draw ahead.
+        """
+        perturb = self.perturb
+        return lambda predicted: perturb(predicted, rng)
+
     def advance(self) -> None:
         """Hook for non-stationary models: called once per simulated chunk."""
 
@@ -169,6 +185,40 @@ class NormalErrorModel(ErrorModel):
             kept.append(x)
             need -= len(x)
         return np.concatenate(kept)
+
+    def perturber(self, rng: np.random.Generator) -> "typing.Callable[[float], float]":
+        """Block-fed :meth:`ErrorModel.perturber`.
+
+        Factors are drawn through :meth:`ratios` into a buffer whose block
+        size doubles (from :data:`_MIN_BLOCK`); :meth:`ratios` yields the
+        same prefix under any block schedule, so the values equal the
+        scalar draws.  ``rng`` runs ahead of the consumed factors, which
+        is harmless as long as nothing else draws from it.
+        """
+        if self.magnitude == 0.0:
+            return super().perturber(rng)
+        divide = self.mode == "divide"
+        ratios = self.ratios
+        buf: list[float] = []
+        pos = 0
+        drawn = 0
+
+        def perturb(predicted: float) -> float:
+            nonlocal buf, pos, drawn
+            if predicted < 0:
+                raise ValueError(f"negative predicted duration {predicted}")
+            if pos == len(buf):
+                block = max(drawn, _MIN_BLOCK)
+                buf = ratios(rng, block).tolist()
+                drawn += block
+                pos = 0
+            x = buf[pos]
+            pos += 1
+            if divide:
+                return predicted * (1.0 / x)
+            return predicted * x
+
+        return perturb
 
 
 @dataclasses.dataclass

@@ -72,7 +72,7 @@ from repro.core.base import (
 )
 from repro.core.chunks import DispatchRecord
 from repro.des import Environment, Event, Store
-from repro.errors.faults import FaultModel, FaultSchedule
+from repro.errors.faults import CrashClock, FaultModel, FaultSchedule
 from repro.errors.models import ErrorModel
 from repro.errors.rng import spawn_rngs
 from repro.platform.spec import PlatformSpec
@@ -83,6 +83,12 @@ __all__ = ["simulate_des"]
 
 #: Inbox sentinel telling a worker process to terminate.
 _POISON = object()
+
+#: Positions of the realized fields in a chunk's timeline row.  A row holds
+#: the positional :class:`DispatchRecord` arguments after ``index``; the
+#: master writes its predictions, the realizing processes overwrite them,
+#: and each record is built once after the run.
+_SEND_END, _ARRIVAL, _COMP_START, _COMP_END = 3, 4, 5, 6
 
 
 @dataclasses.dataclass(slots=True)
@@ -242,8 +248,10 @@ class _DesView(MasterView):
         "_done",
         "_prefix",
         "_all_notes",
-        "_crash_times",
+        "_notes_cache",
+        "_crashes",
         "_all_losses",
+        "_losses_cache",
     )
 
     def __init__(self, env: Environment, n: int, crash_times: tuple[float, ...] | None = None):
@@ -253,10 +261,13 @@ class _DesView(MasterView):
         self._done = [0] * n
         self._prefix: list[list[float]] = [[0.0] for _ in range(n)]
         # Sorted by (time, chunk_index): identical to the fast view even
-        # when announcements drain in a different internal order.
+        # when announcements drain in a different internal order.  The
+        # tuples handed to sources are cached until the next note.
         self._all_notes: list[CompletionNote] = []
-        self._crash_times = crash_times
+        self._notes_cache: tuple[CompletionNote, ...] | None = ()
+        self._crashes = CrashClock(crash_times) if crash_times is not None else None
         self._all_losses: list[LossNote] = []
+        self._losses_cache: tuple[LossNote, ...] | None = ()
 
     @property
     def now(self) -> float:
@@ -273,22 +284,37 @@ class _DesView(MasterView):
         prefix = self._prefix[worker]
         return prefix[self._sent[worker]] - prefix[self._done[worker]]
 
+    def is_idle(self, worker: int) -> bool:
+        return self._sent[worker] == self._done[worker]
+
+    def first_idle(self, exclude=()) -> int | None:
+        for i, (sent, done) in enumerate(zip(self._sent, self._done)):
+            if sent == done and i not in exclude:
+                return i
+        return None
+
+    def any_pending(self) -> bool:
+        return self._sent != self._done
+
     def observed_completions(self) -> tuple[CompletionNote, ...]:
-        return tuple(self._all_notes)
+        if self._notes_cache is None:
+            self._notes_cache = tuple(self._all_notes)
+        return self._notes_cache
 
     # -- fault observability -------------------------------------------------
     @property
     def faults_possible(self) -> bool:
-        return self._crash_times is not None
+        return self._crashes is not None
 
     def crashed_workers(self) -> tuple[int, ...]:
-        if self._crash_times is None:
+        if self._crashes is None:
             return ()
-        now = self.env.now
-        return tuple(i for i in range(self._n) if self._crash_times[i] <= now)
+        return self._crashes.crashed_at(self.env.now)
 
     def observed_losses(self) -> tuple[LossNote, ...]:
-        return tuple(self._all_losses)
+        if self._losses_cache is None:
+            self._losses_cache = tuple(self._all_losses)
+        return self._losses_cache
 
     # -- engine-side mutation ----------------------------------------------
     def note_dispatch(self, worker: int, size: float) -> None:
@@ -301,6 +327,7 @@ class _DesView(MasterView):
             self._all_notes,
             CompletionNote(time=when, chunk_index=chunk_index, worker=worker, size=size),
         )
+        self._notes_cache = None
 
     def note_loss(self, worker: int, chunk_index: int, size: float, when: float) -> None:
         # A loss leaves the pending set exactly like a completion; it is
@@ -310,6 +337,7 @@ class _DesView(MasterView):
             self._all_losses,
             LossNote(time=when, chunk_index=chunk_index, worker=worker, size=size),
         )
+        self._losses_cache = None
 
 
 def simulate_des(
@@ -358,6 +386,8 @@ def simulate_des(
     else:
         rng_comm, rng_comp = spawn_rngs(seed, 2)
     source = scheduler.create_source(topo.effective_platform(platform), total_work)
+    perturb_comm = error_model.perturber(rng_comm)
+    perturb_comp = error_model.perturber(rng_comp)
     env = Environment()
     tr = tracer if tracer is not None else _NullTracer()
     n = platform.N
@@ -365,7 +395,7 @@ def simulate_des(
     inboxes = [Store(env) for _ in range(n)]
     completions = Store(env)
     view = _DesView(env, n, schedule.crash_times if schedule is not None else None)
-    records: list[DispatchRecord | None] = []
+    rows: list[list] = []
     # Chunks dispatched but not yet announced complete or lost (deadlock
     # detection and the final drain).
     outstanding = [0]
@@ -403,19 +433,15 @@ def simulate_des(
                 comp_end, "comp_end", index,
                 chunk=msg.index, size=msg.size, phase=msg.phase,
             )
-            rec = records[msg.index]
-            assert rec is not None
-            records[msg.index] = dataclasses.replace(
-                rec, comp_start=comp_start, comp_end=comp_end
-            )
+            row = rows[msg.index]
+            row[_COMP_START] = comp_start
+            row[_COMP_END] = comp_end
             completions.put(("done", index, msg.index, msg.size, comp_end))
 
     def delivery_proc(worker: int, msg: _ChunkMsg, t_lat: float):
         if t_lat > 0:
             yield env.timeout(t_lat)
-        rec = records[msg.index]
-        assert rec is not None
-        records[msg.index] = dataclasses.replace(rec, arrival=env.now)
+        rows[msg.index][_ARRIVAL] = env.now
         inboxes[worker].put(msg)
 
     def loss_announce_proc(worker: int, idx: int, size: float, phase: str, t_lat: float):
@@ -475,9 +501,7 @@ def simulate_des(
         tr.emit(
             send_end, "dispatch_end", worker, chunk=index, size=size, phase=phase
         )
-        rec = records[index]
-        assert rec is not None
-        records[index] = dataclasses.replace(rec, send_end=send_end)
+        rows[index][_SEND_END] = send_end
         msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=phase)
         yield from delivery_proc(worker, msg, t_lat)
 
@@ -559,7 +583,7 @@ def simulate_des(
             if action.phase != last_phase:
                 tr.emit(
                     env.now, "round_boundary", -1,
-                    chunk=len(records), phase=action.phase,
+                    chunk=len(rows), phase=action.phase,
                 )
                 last_phase = action.phase
             if schedule is not None:
@@ -575,28 +599,19 @@ def simulate_des(
                 # fluid allocator realizes send_end.  Timeline fields are
                 # placeholders until the realization processes fill them.
                 assert shared_link is not None
-                volume = error_model.perturb(size, rng_comm)
-                comp_time = error_model.perturb(spec.compute_time(size), rng_comp)
+                volume = perturb_comm(size)
+                comp_time = perturb_comp(spec.compute_time(size))
                 error_model.advance()
-                index = len(records)
+                index = len(rows)
                 send_start = env.now
                 tr.emit(
                     send_start, "dispatch_start", action.worker,
                     chunk=index, size=size, phase=action.phase,
                 )
-                records.append(
-                    DispatchRecord(
-                        index=index,
-                        worker=action.worker,
-                        size=size,
-                        send_start=send_start,
-                        send_end=send_start,
-                        arrival=send_start,
-                        comp_start=send_start,
-                        comp_end=send_start,
-                        phase=action.phase,
-                    )
-                )
+                rows.append([
+                    action.worker, size, send_start, send_start, send_start,
+                    send_start, send_start, action.phase, False, -1.0,
+                ])
                 view.note_dispatch(action.worker, size)
                 outstanding[0] += 1
                 if spec.nLat > 0:
@@ -611,12 +626,12 @@ def simulate_des(
                 )
                 continue
             path = bound.paths[action.worker]
-            link_time = error_model.perturb(path.occupancy_time(size), rng_comm)
+            link_time = perturb_comm(path.occupancy_time(size))
             if schedule is not None:
                 link_time += schedule.link_extra(rng_fault)
-            comp_time = error_model.perturb(spec.compute_time(size), rng_comp)
+            comp_time = perturb_comp(spec.compute_time(size))
             error_model.advance()
-            index = len(records)
+            index = len(rows)
             send_start = env.now
             # Predicted chunk timeline — bit-identical to what the kernel
             # will realize, because env.timeout chains absolute times with
@@ -642,21 +657,10 @@ def simulate_des(
                 send_start, "dispatch_start", action.worker,
                 chunk=index, size=size, phase=action.phase,
             )
-            records.append(
-                DispatchRecord(
-                    index=index,
-                    worker=action.worker,
-                    size=size,
-                    send_start=send_start,
-                    send_end=send_end_pred,
-                    arrival=arrival_pred,
-                    comp_start=comp_start_pred,
-                    comp_end=comp_end_pred,
-                    phase=action.phase,
-                    lost=lost,
-                    loss_time=loss_time,
-                )
-            )
+            rows.append([
+                action.worker, size, send_start, send_end_pred, arrival_pred,
+                comp_start_pred, comp_end_pred, action.phase, lost, loss_time,
+            ])
             view.note_dispatch(action.worker, size)
             outstanding[0] += 1
             if lost:
@@ -701,9 +705,7 @@ def simulate_des(
                 send_end, "dispatch_end", action.worker,
                 chunk=index, size=size, phase=action.phase,
             )
-            rec = records[index]
-            assert rec is not None
-            records[index] = dataclasses.replace(rec, send_end=send_end)
+            rows[index][_SEND_END] = send_end
             msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=action.phase)
             route_relay(path, action.worker, index, size, action.phase,
                         spec.tLat, "deliver", msg)
@@ -732,11 +734,11 @@ def simulate_des(
     for proc in relay_procs:
         assert proc.processed, "relay process did not terminate"
 
-    final = [r for r in records if r is not None]
-    makespan = max((r.comp_end for r in final if not r.lost), default=0.0)
+    records = tuple(DispatchRecord(i, *row) for i, row in enumerate(rows))
+    makespan = max((r.comp_end for r in records if not r.lost), default=0.0)
     return SimResult(
         makespan=makespan,
-        records=tuple(final),
+        records=records,
         platform=platform,
         total_work=total_work,
         scheduler_name=scheduler.name,

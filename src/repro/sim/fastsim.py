@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 
 from repro.core.base import (
     WAIT,
@@ -44,7 +45,7 @@ from repro.core.base import (
     Scheduler,
 )
 from repro.core.chunks import DispatchRecord
-from repro.errors.faults import FaultModel, FaultSchedule
+from repro.errors.faults import CrashClock, FaultModel, FaultSchedule
 from repro.errors.models import ErrorModel
 from repro.errors.rng import spawn_rngs
 from repro.platform.spec import PlatformSpec
@@ -54,23 +55,67 @@ from repro.sim.result import SimResult
 __all__ = ["simulate_fast"]
 
 
+class _NoteLog:
+    """One kind of note (completions or losses), built when observed.
+
+    The engine appends raw ``(time, chunk_index, worker, size)`` rows in
+    dispatch order; note objects are made only for rows a source actually
+    observes.  A new row's time is never below the decision time it was
+    dispatched at, and chunk indices grow, so the observed
+    ``(time, chunk_index)``-sorted prefix is append-only: only the rows
+    still unobserved are ever re-sorted, and the observed tuple is cached
+    until it grows.
+    """
+
+    __slots__ = ("_make", "rows", "_unseen", "_notes", "_cache")
+
+    def __init__(self, make):
+        self._make = make
+        #: Rows appended by the engine since the last observation.
+        self.rows: list[tuple[float, int, int, float]] = []
+        self._unseen: list[tuple[float, int, int, float]] = []
+        self._notes: list = []
+        self._cache: tuple = ()
+
+    def observed(self, now: float) -> tuple:
+        unseen = self._unseen
+        if self.rows:
+            # Rows arrive nearly sorted (exit times are monotone per
+            # worker), so timsort merges them cheaply.
+            unseen.extend(self.rows)
+            unseen.sort()
+            self.rows.clear()
+        cutoff = bisect.bisect_right(unseen, (now, math.inf))
+        if cutoff:
+            make = self._make
+            self._notes.extend([make(*row) for row in unseen[:cutoff]])
+            del unseen[:cutoff]
+            self._cache = tuple(self._notes)
+        return self._cache
+
+
 class _FastView(MasterView):
-    """Master-observable state backed by the fast engine's arrays."""
+    """Master-observable state backed by the fast engine's arrays.
+
+    Each worker's exits from the pending set (completion or loss-
+    observation times) are nondecreasing — FIFO computation, and a lost
+    chunk's ``max(crash, arrival)`` never precedes the worker's earlier
+    exits — so a worker is idle exactly when its *latest* exit is
+    ``<= now``.  The idle queries read that flat list in O(1) per worker;
+    ``pending_chunks``/``pending_work`` keep their bisect form.
+    """
 
     __slots__ = (
         "_now",
         "_n",
         "_sent_count",
-        "_sent_work",
         "_ends",
         "_end_work_prefix",
-        "_notes_sorted",
-        "_notes_pending",
-        "_obs_cache",
-        "_obs_cache_key",
-        "_crash_times",
-        "_losses_sorted",
-        "_losses_pending",
+        "_last_end",
+        "_max_end",
+        "_completions",
+        "_losses",
+        "_crashes",
     )
 
     def __init__(self, n: int, crash_times: tuple[float, ...] | None = None):
@@ -78,25 +123,16 @@ class _FastView(MasterView):
         self._n = n
         # None when the run is fault-free; faults_possible keys off it so
         # recovery-aware sources skip their fault bookkeeping entirely.
-        self._crash_times = crash_times
-        self._losses_sorted: list[LossNote] = []
-        self._losses_pending: list[LossNote] = []
+        self._crashes = CrashClock(crash_times) if crash_times is not None else None
         self._sent_count = [0] * n
-        self._sent_work = [0.0] * n
-        # Per-worker realized completion times (nondecreasing: FIFO) and the
-        # matching prefix sums of completed work, for O(log) pending queries.
+        # Per-worker realized exit times (nondecreasing) and the matching
+        # prefix sums of exited work, for O(log) pending queries.
         self._ends: list[list[float]] = [[] for _ in range(n)]
         self._end_work_prefix: list[list[float]] = [[0.0] for _ in range(n)]
-        # Global completion notes.  Dispatch appends to the unsorted pending
-        # list in O(1); the (time, chunk_index)-sorted list is materialized
-        # lazily on the first observed_completions() after a dispatch.  A
-        # bisect.insort here would cost O(K) per dispatch — O(K²) over a
-        # run — and static schedulers, which never look at completions,
-        # would pay it for nothing.
-        self._notes_sorted: list[CompletionNote] = []
-        self._notes_pending: list[CompletionNote] = []
-        self._obs_cache: tuple[CompletionNote, ...] | None = None
-        self._obs_cache_key: tuple[float, int] = (-1.0, -1)
+        self._last_end = [-math.inf] * n
+        self._max_end = -math.inf
+        self._completions = _NoteLog(CompletionNote)
+        self._losses = _NoteLog(LossNote)
 
     @property
     def now(self) -> float:
@@ -118,48 +154,34 @@ class _FastView(MasterView):
         prefix = self._end_work_prefix[worker]
         return prefix[self._sent_count[worker]] - prefix[done]
 
+    def is_idle(self, worker: int) -> bool:
+        return self._last_end[worker] <= self._now
+
+    def first_idle(self, exclude=()) -> int | None:
+        now = self._now
+        for i, end in enumerate(self._last_end):
+            if end <= now and i not in exclude:
+                return i
+        return None
+
+    def any_pending(self) -> bool:
+        return self._max_end > self._now
+
     def observed_completions(self) -> tuple[CompletionNote, ...]:
-        if self._notes_pending:
-            # Pending notes arrive nearly sorted (comp_end is monotone per
-            # worker), so timsort merges them cheaply; amortized the whole
-            # run costs O(K log K) instead of insort's O(K²).
-            self._notes_sorted.extend(self._notes_pending)
-            self._notes_sorted.sort(key=lambda n: (n.time, n.chunk_index))
-            self._notes_pending.clear()
-        key = (self._now, len(self._notes_sorted))
-        if self._obs_cache is not None and key == self._obs_cache_key:
-            return self._obs_cache
-        cutoff = bisect.bisect_right(
-            self._notes_sorted,
-            (self._now, float("inf")),
-            key=lambda n: (n.time, n.chunk_index),
-        )
-        self._obs_cache = tuple(self._notes_sorted[:cutoff])
-        self._obs_cache_key = key
-        return self._obs_cache
+        return self._completions.observed(self._now)
 
     # -- fault observability -------------------------------------------------
     @property
     def faults_possible(self) -> bool:
-        return self._crash_times is not None
+        return self._crashes is not None
 
     def crashed_workers(self) -> tuple[int, ...]:
-        if self._crash_times is None:
+        if self._crashes is None:
             return ()
-        now = self._now
-        return tuple(i for i in range(self._n) if self._crash_times[i] <= now)
+        return self._crashes.crashed_at(self._now)
 
     def observed_losses(self) -> tuple[LossNote, ...]:
-        if self._losses_pending:
-            self._losses_sorted.extend(self._losses_pending)
-            self._losses_sorted.sort(key=lambda n: (n.time, n.chunk_index))
-            self._losses_pending.clear()
-        cutoff = bisect.bisect_right(
-            self._losses_sorted,
-            (self._now, float("inf")),
-            key=lambda n: (n.time, n.chunk_index),
-        )
-        return tuple(self._losses_sorted[:cutoff])
+        return self._losses.observed(self._now)
 
     # -- engine-side mutation ------------------------------------------------
     def _note_dispatch(
@@ -170,17 +192,14 @@ class _FastView(MasterView):
         # way it joins the per-worker nondecreasing ends list, so pending
         # accounting needs no loss special case.
         self._sent_count[worker] += 1
-        self._sent_work[worker] += size
         self._ends[worker].append(end)
-        self._end_work_prefix[worker].append(self._end_work_prefix[worker][-1] + size)
-        if lost:
-            self._losses_pending.append(
-                LossNote(time=end, chunk_index=index, worker=worker, size=size)
-            )
-        else:
-            self._notes_pending.append(
-                CompletionNote(time=end, chunk_index=index, worker=worker, size=size)
-            )
+        prefix = self._end_work_prefix[worker]
+        prefix.append(prefix[-1] + size)
+        self._last_end[worker] = end
+        if end > self._max_end:
+            self._max_end = end
+        log = self._losses if lost else self._completions
+        log.rows.append((end, index, worker, size))
 
 
 def simulate_fast(
@@ -233,6 +252,8 @@ def simulate_fast(
     else:
         rng_comm, rng_comp = spawn_rngs(seed, 2)
     source = scheduler.create_source(topo.effective_platform(platform), total_work)
+    perturb_comm = error_model.perturber(rng_comm)
+    perturb_comp = error_model.perturber(rng_comp)
     workers = platform.workers
     paths = bound.paths
     n = platform.N
@@ -303,7 +324,7 @@ def simulate_fast(
 
         send_start = now
         path = paths[action.worker]
-        link_time = error_model.perturb(path.occupancy_time(size), rng_comm)
+        link_time = perturb_comm(path.occupancy_time(size))
         if schedule is not None:
             link_time += schedule.link_extra(rng_fault)
         send_end = send_start + link_time
@@ -311,7 +332,7 @@ def simulate_fast(
         arrival = path.traverse(size, send_end, relay_busy, hop_ends) + spec.tLat
 
         comp_start = max(arrival, worker_busy_until[action.worker])
-        comp_time = error_model.perturb(spec.compute_time(size), rng_comp)
+        comp_time = perturb_comp(spec.compute_time(size))
         if schedule is not None:
             comp_time = schedule.compute_duration(action.worker, comp_start, comp_time)
         comp_end = comp_start + comp_time

@@ -172,6 +172,72 @@ def test_every_model_validates_mode_and_floor(build):
         build()
 
 
+def _no_error(mode):
+    m = NoError()
+    m.mode = mode
+    return m
+
+
+#: Every model family the engines feed through ``perturber``; each builder
+#: returns a fresh instance so drifting models start from the same mean.
+PERTURBER_MODELS = {
+    "normal-0.1": lambda mode: NormalErrorModel(0.1, mode=mode),
+    "normal-0.5": lambda mode: NormalErrorModel(0.5, mode=mode),
+    "normal-2.0": lambda mode: NormalErrorModel(2.0, mode=mode),
+    "uniform": lambda mode: UniformErrorModel(0.3, mode=mode),
+    "drifting": lambda mode: DriftingErrorModel(0.2, drift_per_step=0.001, mode=mode),
+    "none": _no_error,
+}
+
+
+class TestPerturber:
+    """``perturber(rng)`` equals a fresh rng's successive ``perturb`` calls."""
+
+    #: 700 calls cross the 64/64/128/256 block refills of the normal model.
+    CALLS = 700
+    NEGATIVE_AT = 300
+
+    def _predictions(self):
+        rng = np.random.default_rng(99)
+        values = rng.uniform(0.0, 50.0, self.CALLS)
+        values[::7] = 0.0  # zero-cost transfers still take a factor
+        return values.tolist()
+
+    def _outcomes(self, draw, model):
+        out = []
+        for k, predicted in enumerate(self._predictions()):
+            if k == self.NEGATIVE_AT:
+                with pytest.raises(ValueError, match="negative predicted"):
+                    draw(-1.0)
+                out.append("raised")
+            out.append(draw(predicted).hex())
+            model.advance()
+        return out
+
+    @pytest.mark.parametrize("mode", ["multiply", "divide"])
+    @pytest.mark.parametrize("name", sorted(PERTURBER_MODELS))
+    def test_equals_scalar_perturb(self, name, mode):
+        build = PERTURBER_MODELS[name]
+        block_model, scalar_model = build(mode), build(mode)
+        block = block_model.perturber(np.random.default_rng(7))
+        scalar_rng = np.random.default_rng(7)
+        got = self._outcomes(block, block_model)
+        want = self._outcomes(
+            lambda predicted: scalar_model.perturb(predicted, scalar_rng), scalar_model
+        )
+        assert got == want
+
+    def test_normal_model_draws_in_blocks(self):
+        # The block-fed path really is taken: one refill serves many calls.
+        rng = np.random.default_rng(1)
+        draw = NormalErrorModel(0.3).perturber(rng)
+        draw(1.0)
+        state = rng.bit_generator.state
+        for _ in range(10):
+            draw(1.0)
+        assert rng.bit_generator.state == state
+
+
 class TestFactory:
     def test_zero_magnitude_gives_noerror(self):
         assert isinstance(make_error_model("normal", 0.0), NoError)

@@ -114,6 +114,30 @@ class TestSharedBandwidth:
         validate_schedule(result, rel_tol=1e-7)
         assert result.topology == "sharedbw:cap=2"
 
+    @pytest.mark.parametrize("scheduler", [Factoring(), RUMR(known_error=0.3)],
+                             ids=["factoring", "rumr"])
+    def test_records_hold_realized_timelines(self, scheduler):
+        # The master writes send_start into every timeline field when it
+        # registers a shared transfer; the realizing processes must have
+        # overwritten all of them by the time the records are built.
+        p = homogeneous_platform(4, bandwidth_factor=1.5, cLat=0.2, nLat=0.1,
+                                 tLat=0.05)
+        tracer = Tracer()
+        result = simulate_des(p, 300.0, scheduler, NormalErrorModel(0.3), seed=11,
+                              topology=make_topology("sharedbw:cap=2"),
+                              tracer=tracer)
+        realized = {(e.kind, e.chunk): e.time for e in tracer.events()
+                    if e.kind in ("dispatch_end", "comp_start", "comp_end")}
+        assert result.records
+        for r in result.records:
+            assert r.send_end > r.send_start
+            assert r.send_end == realized[("dispatch_end", r.index)]
+            assert r.arrival == r.send_end + p[r.worker].tLat
+            assert r.comp_start == realized[("comp_start", r.index)]
+            assert r.comp_start >= r.arrival
+            assert r.comp_end == realized[("comp_end", r.index)]
+            assert r.comp_end > r.comp_start
+
     def test_faults_rejected(self):
         with pytest.raises(ValueError, match="fault"):
             simulate(_platform(), 200.0, Factoring(), NoError(),
