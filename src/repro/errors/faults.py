@@ -43,10 +43,13 @@ the experiment grid, the sweep cache key and the CLI unchanged::
 from __future__ import annotations
 
 import bisect
+import contextlib
 import copy
 import dataclasses
+import functools
 import math
 import typing
+from time import perf_counter
 
 import numpy as np
 
@@ -55,10 +58,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "NO_FAULT_SPEC",
+    "PLANE_FIELDS",
     "CrashClock",
     "FaultPlane",
     "FaultPlaneCache",
     "FaultSchedule",
+    "FaultStack",
     "FaultModel",
     "FrozenFaults",
     "NoFaults",
@@ -82,13 +87,15 @@ class FaultSchedule:
     """One run's realized faults, pre-sampled before the first dispatch.
 
     Both engines consume the schedule through three pure-arithmetic hooks,
-    guaranteeing identical trajectories:
+    guaranteeing identical trajectories (:class:`FaultStack` holds their
+    batched twins):
 
-    * :attr:`crash_times` — per-worker absolute crash instants
-      (``math.inf`` = never).  A chunk whose computation would end after
-      its worker's crash time is *lost*; the master observes the loss at
-      ``max(crash_time, arrival)`` (queued work is reported when the crash
-      is detected, in-flight work when its delivery fails).
+    * :meth:`loss_time` over :attr:`crash_times` — per-worker absolute
+      crash instants (``math.inf`` = never).  A chunk whose computation
+      would end after its worker's crash time is *lost*; the master
+      observes the loss at ``max(crash_time, arrival)`` (queued work is
+      reported when the crash is detected, in-flight work when its
+      delivery fails).
     * :meth:`compute_duration` — maps a computation's start time and
       nominal duration to its effective duration, folding in the worker's
       pause window and slowdown onset.
@@ -166,6 +173,19 @@ class FaultSchedule:
             return self.spike_delay
         return 0.0
 
+    def loss_time(self, worker: int, arrival: float, end: float) -> "float | None":
+        """When the master observes a chunk's loss; ``None`` if it is delivered.
+
+        A chunk whose computation ends after its worker's crash
+        (``end > crash``) is lost.  The master sees it leave the pending
+        set at ``max(crash, arrival)``: at the crash if it was already
+        queued, at its would-be arrival if it was still in flight.
+        """
+        crash = self.crash_times[worker]
+        if end > crash:
+            return max(crash, arrival)
+        return None
+
 
 class CrashClock:
     """The workers whose crash instant has passed, queried by time.
@@ -191,12 +211,10 @@ class CrashClock:
         return self._crashed
 
 
+@functools.lru_cache(maxsize=64)
 def _clear_schedule(n: int) -> FaultSchedule:
-    return FaultSchedule(
-        crash_times=(_NEVER,) * n,
-        pauses=((0.0, 0.0),) * n,
-        slowdowns=((0.0, 1.0),) * n,
-    )
+    """The all-neutral schedule on ``n`` workers (shared: schedules are frozen)."""
+    return FaultPlane.clear(1, n).schedule(0)
 
 
 def fault_stream(seed: int) -> np.random.Generator:
@@ -305,6 +323,7 @@ class StreamFaultSchedule:
         if offset < 0.0:
             raise ValueError(f"projection offset must be >= 0, got {offset}")
         n = self.schedule.num_workers
+        clear = _clear_schedule(1)
         crash: list[float] = []
         pauses: list[tuple[float, float]] = []
         slowdowns: list[tuple[float, float]] = []
@@ -320,12 +339,12 @@ class StreamFaultSchedule:
                 rel_start = max(ps - offset, 0.0)
                 pauses.append((rel_start, (ps + pl - offset) - rel_start))
             else:
-                pauses.append((0.0, 0.0))
+                pauses.append(clear.pauses[0])
             ss, sf = self.schedule.slowdowns[w]
             if sf > 1.0:
                 slowdowns.append((max(ss - offset, 0.0), sf))
             else:
-                slowdowns.append((0.0, 1.0))
+                slowdowns.append(clear.slowdowns[0])
         return FaultSchedule(
             crash_times=tuple(crash),
             pauses=tuple(pauses),
@@ -335,17 +354,29 @@ class StreamFaultSchedule:
         )
 
 
+#: The per-(row, worker) fault fields of :class:`FaultPlane` and
+#: :class:`FaultStack`, each with the neutral value that makes its
+#: transform a bitwise no-op: no crash, no pause, no slowdown.
+PLANE_FIELDS = (
+    ("crash_time", _NEVER),
+    ("pause_start", 0.0),
+    ("pause_len", 0.0),
+    ("slow_start", 0.0),
+    ("slow_factor", 1.0),
+)
+
+#: The per-row fields beside them: zero spike probability, no fault.
+_ROW_FIELDS = (("spike_prob", 0.0), ("spike_delay", 0.0), ("fault_row", False))
+
+
 @dataclasses.dataclass
 class FaultPlane:
     """A stack of realized fault schedules, one row per run.
 
-    The batch engines consume faults through this plane instead of R
-    :class:`FaultSchedule` objects: every per-step transform (the pause /
-    slowdown stretch, the ``comp_end > crash`` loss rule, the spike
-    stream) then indexes dense ``(rows, workers)`` arrays.  Neutral
-    entries (``inf`` crash, zero-length pause, factor-1 slowdown, zero
-    spike probability) make every transform a bitwise no-op, so clean
-    rows stack freely with faulty ones.
+    The batch engines copy planes into a :class:`FaultStack` instead of
+    holding R :class:`FaultSchedule` objects.  Neutral entries
+    (:data:`PLANE_FIELDS`, zero spike probability) make every transform
+    a bitwise no-op, so clean rows stack freely with faulty ones.
 
     ``rngs`` holds each row's fault generator *positioned after the
     schedule draws* — retained only for rows that still need per-dispatch
@@ -368,14 +399,8 @@ class FaultPlane:
     def clear(cls, rows: int, n: int) -> "FaultPlane":
         """An all-neutral plane (every row fault-free)."""
         return cls(
-            crash_time=np.full((rows, n), _NEVER),
-            pause_start=np.zeros((rows, n)),
-            pause_len=np.zeros((rows, n)),
-            slow_start=np.zeros((rows, n)),
-            slow_factor=np.ones((rows, n)),
-            spike_prob=np.zeros(rows),
-            spike_delay=np.zeros(rows),
-            fault_row=np.zeros(rows, dtype=bool),
+            **{name: np.full((rows, n), neutral) for name, neutral in PLANE_FIELDS},
+            **{name: np.full(rows, neutral) for name, neutral in _ROW_FIELDS},
             rngs=[None] * rows,
         )
 
@@ -439,6 +464,230 @@ class FaultPlaneCache:
         return dataclasses.replace(
             plane, rngs=[None if g is None else copy.deepcopy(g) for g in plane.rngs]
         )
+
+
+#: Smallest block of spike draws a :class:`FaultStack` grows by.  Any
+#: block schedule yields the same values; the floor only saves calls.
+_SPIKE_BLOCK = 160
+
+
+def _new_array(name, shape, dtype=np.float64, fill=None) -> np.ndarray:
+    return np.full(shape, fill, dtype=dtype)
+
+
+class FaultStack:
+    """One batch pass's fault rows, with the scalar fault rules vectorized.
+
+    Both batch engines (:mod:`repro.sim.batch`, :mod:`repro.sim.dynbatch`)
+    apply faults only through this class.  Each transform is the twin of
+    a :class:`FaultSchedule` rule, with the same floats:
+
+    * :meth:`stretch` is :meth:`FaultSchedule.compute_duration` (pause
+      window first, then slowdown onset, same associativity);
+    * :meth:`lost` and :meth:`loss_time` are :meth:`FaultSchedule.loss_time`;
+    * :meth:`spikes` is successive :meth:`FaultSchedule.link_extra` calls,
+      drawn in blocks (``Generator.random(k)`` equals ``k`` scalar calls).
+
+    ``idx`` is ``None`` for the whole ``(rows, workers)`` block, or flat
+    ``row * n + worker`` indices.  Rows are padded to the pass's worker
+    count with the neutral values of :data:`PLANE_FIELDS`, so clean rows
+    and pad workers stack freely with faulty ones.  The ``any_*`` flags
+    let a pass skip what no row needs.  Nothing is allocated before the
+    first :meth:`put`; ``alloc(name, shape, dtype, fill)`` supplies the
+    arrays (e.g. :meth:`repro.sim.dynbatch.BatchArena.take`).
+
+    ``perf``, when given, is a mutable mapping the stack bills into:
+    ``fault_<kind>_s`` wall time per transform kind (``crash``,
+    ``pause``, ``slow``, ``spike``) and per :meth:`timed` block, and
+    ``rows_deferred_scalar`` per :meth:`clear_row`.
+    """
+
+    def __init__(self, rows: int, n: int, alloc=_new_array, perf=None):
+        self.rows = rows
+        self.n = n
+        self.perf = perf
+        self._alloc = alloc
+        self._live = False
+        self.any_crash = self.any_pause = self.any_slow = False
+        self.any_spike = self.any_fault = False
+
+    # -- building -------------------------------------------------------------
+    def put(self, rows: slice, plane: FaultPlane) -> None:
+        """Copy ``plane`` into the row block ``rows``."""
+        if not self._live:
+            self._live = True
+            for name, neutral in PLANE_FIELDS:
+                setattr(self, name, self._alloc(name, (self.rows, self.n), fill=neutral))
+            for name, neutral in _ROW_FIELDS:
+                setattr(
+                    self, name, self._alloc(name, (self.rows,), type(neutral), fill=neutral)
+                )
+            self._rngs: list = [None] * self.rows
+            self._draws = np.ones((self.rows, 0))
+        for name, _ in PLANE_FIELDS:
+            getattr(self, name)[rows, : plane.num_workers] = getattr(plane, name)
+        for name, _ in _ROW_FIELDS:
+            getattr(self, name)[rows] = getattr(plane, name)
+        self._rngs[rows] = plane.rngs
+
+    def clear_row(self, row: int) -> None:
+        """Reset ``row`` to neutral: the pass replays it on the scalar engine."""
+        for name, neutral in PLANE_FIELDS + _ROW_FIELDS:
+            getattr(self, name)[row] = neutral
+        self._rngs[row] = None
+        if self.perf is not None:
+            self.perf["rows_deferred_scalar"] = self.perf.get("rows_deferred_scalar", 0) + 1
+
+    def seal(self) -> None:
+        """Set the ``any_*`` flags from the rows held."""
+        if not self._live:
+            return
+        self.any_crash = bool(np.isfinite(self.crash_time).any())
+        self.any_pause = bool((self.pause_len > 0.0).any())
+        self.any_slow = bool((self.slow_factor > 1.0).any())
+        self.any_fault = bool(self.fault_row.any())
+        self.any_spike = any(g is not None for g in self._rngs)
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only rows ``keep`` (sorted), moved to the front in place."""
+        if not self._live:
+            return
+        m = int(keep.size)
+        for name, _ in PLANE_FIELDS + _ROW_FIELDS:
+            array = getattr(self, name)
+            array[:m] = array[keep]
+            setattr(self, name, array[:m])
+        self._rngs = [self._rngs[r] for r in keep.tolist()]
+        self._draws = self._draws[keep]
+        self.rows = m
+        # Survivors may no longer need every transform.
+        self.seal()
+
+    # -- transforms -----------------------------------------------------------
+    def _at(self, name: str, idx) -> np.ndarray:
+        array = getattr(self, name)
+        return array if idx is None else array.reshape(-1)[idx]
+
+    def stretch(self, idx, start: np.ndarray, dur: np.ndarray) -> np.ndarray:
+        """Effective compute durations: :meth:`FaultSchedule.compute_duration`."""
+        if self.any_pause:
+            t0 = self._tic()
+            ps = self._at("pause_start", idx)
+            pl = self._at("pause_len", idx)
+            in_window = (pl > 0.0) & (start < ps + pl)
+            if in_window.any():
+                inside = in_window & (start >= ps)
+                straddle = in_window & ~inside & (start + dur > ps)
+                dur = np.where(
+                    inside,
+                    (ps + pl + dur) - start,
+                    np.where(straddle, dur + pl, dur),
+                )
+            self._toc("pause", t0)
+        if self.any_slow:
+            t0 = self._tic()
+            so = self._at("slow_start", idx)
+            sf = self._at("slow_factor", idx)
+            slowed = (sf > 1.0) & (start + dur > so)
+            if slowed.any():
+                after = slowed & (start >= so)
+                partial = slowed & ~after
+                done = so - start
+                dur = np.where(
+                    after,
+                    dur * sf,
+                    np.where(partial, done + (dur - done) * sf, dur),
+                )
+            self._toc("slow", t0)
+        return dur
+
+    def lost(self, idx, end: np.ndarray) -> np.ndarray:
+        """Which computations ending at ``end`` outlive their worker's crash."""
+        t0 = self._tic()
+        out = end > self._at("crash_time", idx)
+        self._toc("crash", t0)
+        return out
+
+    def loss_time(self, idx, arrival: np.ndarray, end: np.ndarray):
+        """``(lost, when)``: :meth:`FaultSchedule.loss_time` element-wise.
+
+        ``when`` is the instant each chunk leaves the pending set:
+        ``max(crash, arrival)`` for a lost chunk, ``end`` otherwise.
+        """
+        t0 = self._tic()
+        crash = self._at("crash_time", idx)
+        lost = end > crash
+        when = np.where(lost, np.maximum(crash, arrival), end)
+        self._toc("crash", t0)
+        return lost, when
+
+    def crashes(self, rows: np.ndarray, now: np.ndarray):
+        """``(crashed, next)`` of ``rows`` at their clocks ``now``.
+
+        ``crashed`` marks each worker whose crash instant has passed
+        (``crash <= now``, as :class:`CrashClock`); ``next`` is each row's
+        earliest crash still ahead (``inf`` if none).
+        """
+        crash = self.crash_time[rows]
+        hit = crash <= now[:, None]
+        return hit, np.where(hit, _NEVER, crash).min(axis=1)
+
+    def spikes(self, rows, cols) -> np.ndarray:
+        """Extra link occupancy of dispatch ``cols`` of ``rows``.
+
+        Element ``i`` is what row ``rows[i]``'s ``cols[i]``-th
+        :meth:`FaultSchedule.link_extra` call returns.  With ``rows=None``,
+        ``cols`` is a count and the result is every row's first ``cols``
+        draws, a ``(rows, cols)`` block.
+        """
+        t0 = self._tic()
+        if rows is None:
+            self._draw(cols)
+            u = self._draws[:, :cols]
+            out = np.where(
+                u < self.spike_prob[:, None], self.spike_delay[:, None], 0.0
+            )
+        else:
+            self._draw(int(cols.max()) + 1)
+            u = self._draws.reshape(-1)[rows * self._draws.shape[1] + cols]
+            out = np.where(u < self.spike_prob[rows], self.spike_delay[rows], 0.0)
+        self._toc("spike", t0)
+        return out
+
+    def _draw(self, cols: int) -> None:
+        """Materialize at least ``cols`` draw columns for every row.
+
+        Rows without a spike stream hold exact ones, which never undercut
+        a spike probability.
+        """
+        have = self._draws.shape[1]
+        if cols <= have:
+            return
+        target = max(cols, 2 * have, _SPIKE_BLOCK)
+        draws = np.ones((self.rows, target))
+        draws[:, :have] = self._draws
+        for r, rng in enumerate(self._rngs):
+            if rng is not None:
+                draws[r, have:] = rng.random(target - have)
+        self._draws = draws
+
+    # -- timing ---------------------------------------------------------------
+    @contextlib.contextmanager
+    def timed(self, kind: str):
+        """Bill the block's wall time to ``fault_<kind>_s``."""
+        t0 = self._tic()
+        try:
+            yield
+        finally:
+            self._toc(kind, t0)
+
+    def _tic(self) -> float:
+        return perf_counter() if self.perf is not None else 0.0
+
+    def _toc(self, kind: str, t0: float) -> None:
+        if self.perf is not None:
+            key = f"fault_{kind}_s"
+            self.perf[key] = self.perf.get(key, 0.0) + perf_counter() - t0
 
 
 class FaultModel:
@@ -688,7 +937,7 @@ class PauseFaults(FaultModel):
 
     def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
         n = platform.N
-        pauses = [(0.0, 0.0)] * n
+        pauses = list(_clear_schedule(n).pauses)
         for i, onset in enumerate(_draw_onsets(n, self.prob, self.tmax, rng)):
             if onset is not None:
                 pauses[i] = (onset, self.duration)
@@ -697,8 +946,8 @@ class PauseFaults(FaultModel):
     def sample_batch(self, platform: "PlatformSpec", seeds) -> FaultPlane:
         plane = FaultPlane.clear(len(seeds), platform.N)
         hit, onset = _draw_onsets_batch(seeds, platform.N, self.prob, self.tmax)
-        plane.pause_start[:] = np.where(hit, onset, 0.0)
-        plane.pause_len[:] = np.where(hit, self.duration, 0.0)
+        np.copyto(plane.pause_start, onset, where=hit)
+        np.copyto(plane.pause_len, self.duration, where=hit)
         # A zero-length pause never perturbs (any_faults checks dur > 0).
         plane.fault_row[:] = hit.any(axis=1) & (self.duration > 0.0)
         return plane
@@ -723,7 +972,7 @@ class SlowdownFaults(FaultModel):
 
     def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
         n = platform.N
-        slowdowns = [(0.0, 1.0)] * n
+        slowdowns = list(_clear_schedule(n).slowdowns)
         for i, onset in enumerate(_draw_onsets(n, self.prob, self.tmax, rng)):
             if onset is not None:
                 slowdowns[i] = (onset, self.factor)
@@ -732,8 +981,8 @@ class SlowdownFaults(FaultModel):
     def sample_batch(self, platform: "PlatformSpec", seeds) -> FaultPlane:
         plane = FaultPlane.clear(len(seeds), platform.N)
         hit, onset = _draw_onsets_batch(seeds, platform.N, self.prob, self.tmax)
-        plane.slow_start[:] = np.where(hit, onset, 0.0)
-        plane.slow_factor[:] = np.where(hit, self.factor, 1.0)
+        np.copyto(plane.slow_start, onset, where=hit)
+        np.copyto(plane.slow_factor, self.factor, where=hit)
         # A factor-1 slowdown never perturbs (any_faults checks f > 1).
         plane.fault_row[:] = hit.any(axis=1) & (self.factor > 1.0)
         return plane

@@ -32,9 +32,9 @@ __all__ = ["CellTiming", "SweepStats"]
 #: Engine-routing families a cell can take.
 ENGINES = ("static-batch", "dynbatch", "scalar")
 
-#: Fault-engine wall-time buckets (see the batch engines' ``perf``
-#: mappings): schedule realization, scalar-deferral replays, and the
-#: per-kind timeline transforms.
+#: Fault-engine wall-time buckets, billed into the batch engines' ``perf``
+#: mappings by :class:`~repro.errors.faults.FaultStack`: schedule
+#: realization, scalar-deferral replays, and the per-kind transforms.
 FAULT_KINDS = ("sample", "defer", "crash", "pause", "slow", "spike")
 
 

@@ -28,17 +28,13 @@ its own longest plan.  The sequential chunk loop is amortized over every
 repetition of every cell of a class at once, while a few long plans (a
 zero-latency UMR plan can have hundreds of chunks where MI-x has tens)
 do not widen the rows of the shorter classes.  Fault cells ride along:
-each cell realizes all of its rows' schedules in one
-:meth:`~repro.errors.faults.FaultModel.sample_batch` call — a
-:class:`~repro.errors.faults.FaultPlane` of stacked arrays,
-bit-identical to sampling row by row from each seed's third stream —
-then link spikes perturb the link chain before the cumsum, pause /
-slowdown windows reshape compute durations inside the chunk loop, and
-chunks outliving their worker's crash are lost (they keep the busy chain
-advancing but contribute no makespan) — the scalar engine's fault
-semantics, vectorized.  Each transform runs only when some row in the
-stack needs it: a crash-only stack skips the pause/slowdown arithmetic
-entirely, and a spike-only stack runs the clean compute recurrence.
+each cell's :class:`~repro.errors.faults.FaultPlane` is copied into the
+pass's :class:`~repro.errors.faults.FaultStack`, which applies the
+scalar fault semantics to whole blocks: link spikes before the cumsum,
+duration stretches inside the chunk loop, and the loss rule (a lost
+chunk keeps the busy chain advancing but contributes no makespan).  A
+stack whose rows need no compute-side transform (clean or spike-only)
+runs the clean compute recurrence.
 
 Dynamic schedulers have no fixed dispatch sequence, so they cannot use
 *this* engine — but all of them (Factoring, WeightedFactoring, FSC, the
@@ -55,12 +51,11 @@ from __future__ import annotations
 
 import dataclasses
 import typing
-from time import perf_counter
 
 import numpy as np
 
 from repro.core.chunks import ChunkPlan
-from repro.errors.faults import FaultModel, FaultPlaneCache
+from repro.errors.faults import FaultModel, FaultPlaneCache, FaultStack
 from repro.errors.models import NormalErrorModel, check_magnitude
 from repro.platform.spec import PlatformSpec
 
@@ -353,10 +348,9 @@ def simulate_static_cells(
     schedules differ — and follow the scalar fault semantics vectorized
     (see the module docstring).
 
-    ``perf``, when given, is a mutable mapping accumulating fault-engine
-    wall-time counters across calls: ``fault_sample_s`` plus the
-    per-kind transform times ``fault_crash_s`` / ``fault_pause_s`` /
-    ``fault_slow_s`` / ``fault_spike_s``.
+    ``perf``, when given, is a mutable mapping the pass's
+    :class:`~repro.errors.faults.FaultStack` bills fault wall time into
+    across calls (``fault_<kind>_s``).
 
     ``tracers``, when given, parallels ``cells``: each entry is ``None``
     or a sequence of one :class:`repro.obs.Tracer` (or ``None``) per seed
@@ -431,65 +425,20 @@ def _simulate_stack(cells, mode, perf, tracers, planes) -> list:
     comm, comp = factor_rows(keys, k_max, mode)
 
     # Fault realization: each fault cell's rows come from one batched
-    # FaultPlane draw, block-copied into the stack arrays (neutral
-    # defaults keep the transforms bitwise no-ops on clean rows).
-    fault_mode = any(c.faults is not None for c in cells)
-    any_crash = any_pause = any_slow = False
-    timing = perf is not None
-    t_crash = t_pause = t_slow = 0.0
-    spike_rows: list = []
-    if fault_mode:
-        t0 = perf_counter() if timing else 0.0
-        crash_t = np.full((rows, n_max), np.inf)
-        pause_s = np.zeros((rows, n_max))
-        pause_l = np.zeros((rows, n_max))
-        slow_s = np.zeros((rows, n_max))
-        slow_f = np.ones((rows, n_max))
-        r = 0
-        for c, count in zip(cells, row_counts):
-            if c.faults is None:
-                r += count
-                continue
-            plane = planes.realize(c.faults, c.platform, c.seeds)
-            sl = slice(r, r + count)
-            n = plane.num_workers
-            crash_t[sl, :n] = plane.crash_time
-            pause_s[sl, :n] = plane.pause_start
-            pause_l[sl, :n] = plane.pause_len
-            slow_s[sl, :n] = plane.slow_start
-            slow_f[sl, :n] = plane.slow_factor
-            kc = c.plan.num_chunks
-            for j, rng in enumerate(plane.rngs):
-                if rng is None:
-                    continue
-                # One uniform draw per dispatch, in dispatch order —
-                # Generator.random(k) consumes the stream exactly like
-                # k scalar calls.  The scalar engine adds the spike
-                # *after* perturbing, so it becomes an additive term
-                # folded into link_eff below.
-                draws = rng.random(kc)
-                spikes = np.where(
-                    draws < plane.spike_prob[j], plane.spike_delay[j], 0.0
-                )
-                spike_rows.append((r + j, kc, spikes))
-            r += count
-        any_crash = bool(np.isfinite(crash_t).any())
-        any_pause = bool((pause_l > 0.0).any())
-        any_slow = bool((slow_f > 1.0).any())
-        if timing:
-            perf["fault_sample_s"] = (
-                perf.get("fault_sample_s", 0.0) + perf_counter() - t0
-            )
-
+    # FaultPlane draw, block-copied into the pass's FaultStack.  The
+    # scalar engine adds a spike *after* perturbing, so it is an additive
+    # term of link_eff.
+    faults = FaultStack(rows, n_max, perf=perf)
+    if any(c.faults is not None for c in cells):
+        with faults.timed("sample"):
+            for c, lo, hi in zip(cells, offsets, offsets[1:]):
+                if c.faults is not None:
+                    plane = planes.realize(c.faults, c.platform, c.seeds)
+                    faults.put(slice(lo, hi), plane)
+            faults.seal()
     link_eff = link_pred * comm
-    if spike_rows:
-        t0 = perf_counter() if timing else 0.0
-        for r, kc, spikes in spike_rows:
-            link_eff[r, :kc] += spikes
-        if timing:
-            perf["fault_spike_s"] = (
-                perf.get("fault_spike_s", 0.0) + perf_counter() - t0
-            )
+    if faults.any_spike:
+        link_eff += faults.spikes(None, k_max)
     # arrival/duration carry the sentinel column in-place (computed into
     # the padded allocation directly — no concatenate copies).
     arr_pad = np.empty((rows, k_max + 1))
@@ -520,7 +469,7 @@ def _simulate_stack(cells, mode, perf, tracers, planes) -> list:
     busy = np.zeros((rows, n_max))
     # Compute starts of the traced rows, in the (workers, depth) layout.
     starts_g = np.empty((len(trace_rows), n_max, d_max)) if traced else None
-    if not (any_crash or any_pause or any_slow):
+    if not (faults.any_crash or faults.any_pause or faults.any_slow):
         # Clean recurrence — also taken by fault stacks whose rows need
         # no compute-side transform (e.g. spike-only, already folded
         # into the link chain): nothing is lost, so the makespan over
@@ -541,58 +490,14 @@ def _simulate_stack(cells, mode, perf, tracers, planes) -> list:
             start = np.maximum(busy, arr_g[:, :, d])
             if starts_g is not None:
                 starts_g[:, :, d] = start[trace_rows]
-            dur = dur_g[:, :, d]
-            if any_pause:
-                # Pause window first, then slowdown onset — the scalar
-                # compute_duration order, with its exact associativity.
-                if timing:
-                    t0 = perf_counter()
-                in_window = (pause_l > 0.0) & (start < pause_s + pause_l)
-                if in_window.any():
-                    inside = in_window & (start >= pause_s)
-                    straddle = in_window & ~inside & (start + dur > pause_s)
-                    dur = np.where(
-                        inside,
-                        (pause_s + pause_l + dur) - start,
-                        np.where(straddle, dur + pause_l, dur),
-                    )
-                if timing:
-                    t_pause += perf_counter() - t0
-            if any_slow:
-                if timing:
-                    t0 = perf_counter()
-                slowed = (slow_f > 1.0) & (start + dur > slow_s)
-                if slowed.any():
-                    after = slowed & (start >= slow_s)
-                    partial = slowed & ~after
-                    done_part = slow_s - start
-                    dur = np.where(
-                        after,
-                        dur * slow_f,
-                        np.where(
-                            partial, done_part + (dur - done_part) * slow_f, dur
-                        ),
-                    )
-                if timing:
-                    t_slow += perf_counter() - t0
-            end = start + dur
+            end = start + faults.stretch(None, start, dur_g[:, :, d])
             busy = np.where(v, end, busy)
-            if any_crash:
+            if faults.any_crash:
                 # Lost chunks (computation outlives the crash) keep the
                 # busy chain advancing but never extend the makespan.
-                if timing:
-                    t0 = perf_counter()
-                delivered = v & ~(end > crash_t)
-                np.maximum(mspan_w, np.where(delivered, end, 0.0), out=mspan_w)
-                if timing:
-                    t_crash += perf_counter() - t0
-            else:
-                np.maximum(mspan_w, np.where(v, end, 0.0), out=mspan_w)
+                v = v & ~faults.lost(None, end)
+            np.maximum(mspan_w, np.where(v, end, 0.0), out=mspan_w)
         mspan = mspan_w.max(axis=1)
-    if timing:
-        perf["fault_crash_s"] = perf.get("fault_crash_s", 0.0) + t_crash
-        perf["fault_pause_s"] = perf.get("fault_pause_s", 0.0) + t_pause
-        perf["fault_slow_s"] = perf.get("fault_slow_s", 0.0) + t_slow
 
     if traced:
         # send_start_j is exactly send_end_{j-1} (the scalar engines' link

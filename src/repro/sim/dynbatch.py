@@ -29,10 +29,10 @@ Per iteration, each a method of one explicit state object
    have finished, the survivors are compacted to the front.
 5. **Apply.**  Dispatching rows advance through the standard timeline
    arithmetic (link occupancy → arrival → FIFO compute start →
-   completion, then the fault transforms), perturbed by each row's own
-   pre-drawn factor columns at the row's own dispatch counter; waiting
-   rows jump to their earliest outstanding completion; finished rows
-   freeze.
+   completion, with the fault stack's transforms), perturbed by each
+   row's own pre-drawn factor columns at the row's own dispatch
+   counter; waiting rows jump to their earliest outstanding completion;
+   finished rows freeze.
 
 The state is flat: every (row, worker) and (row, worker, slot) array is
 C-contiguous, and each step gathers and scatters through one
@@ -47,19 +47,11 @@ row equals the scalar engine **bitwise at every error** — same
 decisions, same factors, same arithmetic.
 
 Fault cells (:attr:`DynamicCell.faults`) run in the same pass.  Each
-cell realizes all of its rows' schedules in one shot through
-:meth:`~repro.errors.faults.FaultModel.sample_batch` — a
-:class:`~repro.errors.faults.FaultPlane` of stacked crash / pause /
-slowdown / spike arrays, bit-identical to sampling row by row from each
-seed's third spawned stream (streams 0/1 keep their draws) — and the
-scalar fault semantics become vectorized timeline transforms with the
-same associativity: pause windows and slowdown onsets reshape the
-effective compute duration (pause first, then slowdown), link spikes
-add pre-drawn per-dispatch draws from each row's own fault stream, and
-a chunk whose computation outlives its worker's crash is *lost* — it
-leaves the pending set at ``max(crash_time, arrival)``, delivers no
-work, and never extends the makespan.  Each transform runs only when
-some row in the batch needs it, over the whole row block at once.
+cell's :class:`~repro.errors.faults.FaultPlane` is copied into the
+call's :class:`~repro.errors.faults.FaultStack`, which applies the
+scalar fault semantics to each dispatch batch (duration stretch, link
+spikes, and the loss rule: a lost chunk leaves the pending set at its
+loss time, delivers no work, and never extends the makespan).
 Crash state is engine state: a ``crashed`` (rows × workers) mask, a
 per-row ``n_crashed`` count and a per-row ``next_crash`` time, updated
 only for rows whose clock has passed ``next_crash`` — a wait jump that
@@ -91,7 +83,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from time import perf_counter
 
 import numpy as np
 
@@ -104,7 +95,7 @@ from repro.core.lockstep import (
     KernelStepContext,
     LockstepKernel,
 )
-from repro.errors.faults import FaultModel, FaultPlaneCache
+from repro.errors.faults import FaultModel, FaultPlaneCache, FaultStack
 from repro.errors.models import check_magnitude, make_error_model
 from repro.platform.spec import PlatformSpec
 
@@ -249,59 +240,6 @@ class _FactorBank:
         return self.comm.reshape(-1)[flat], self.comp.reshape(-1)[flat]
 
 
-class _SpikeBank:
-    """Pre-drawn per-dispatch link-spike uniforms, one column per dispatch.
-
-    Column ``k`` of row ``r`` is the ``k``-th ``rng.random()`` call of row
-    ``r``'s fault stream (positioned after the schedule draws), so the
-    gathered draw matches the scalar engine's per-dispatch consumption
-    bitwise — ``Generator.random(k)`` produces the same values as ``k``
-    scalar calls, and the stream position never depends on outcomes.
-    Rows without a retained generator hold exact ones, which never
-    undercut a spike probability.
-    """
-
-    def __init__(self, fault_rngs):
-        self._rngs = list(fault_rngs)
-        self.draws = np.ones((len(self._rngs), 0))
-        self._cols = 0
-
-    @property
-    def any_live(self) -> bool:
-        return any(g is not None for g in self._rngs)
-
-    def ensure(self, cols: int) -> None:
-        """Guarantee at least ``cols`` materialized draw columns."""
-        if cols <= self._cols:
-            return
-        target = max(cols, 2 * self._cols, _INITIAL_COLUMNS)
-        draws = np.ones((len(self._rngs), target))
-        draws[:, : self._cols] = self.draws
-        for i, rng in enumerate(self._rngs):
-            if rng is not None:
-                draws[i, self._cols : target] = rng.random(target - self._cols)
-        self.draws = draws
-        self._cols = target
-
-    def gather(self, rows, cols) -> np.ndarray:
-        """The draws of ``rows`` at column ``cols`` each."""
-        return self.draws.reshape(-1)[rows * self.draws.shape[1] + cols]
-
-    def compact(self, keep) -> None:
-        self._rngs = [self._rngs[int(r)] for r in keep]
-        self.draws = self.draws[keep]
-
-
-#: The fault plane's per-(row, worker) arrays: engine name, plane field,
-#: and the neutral value that makes its transform a bitwise no-op.
-_FAULT_FIELDS = (
-    ("crash_t", "crash_time", np.inf),
-    ("pause_s", "pause_start", 0.0),
-    ("pause_l", "pause_len", 0.0),
-    ("slow_s", "slow_start", 0.0),
-    ("slow_f", "slow_factor", 1.0),
-)
-
 #: Per-(row, worker) platform parameters, in ``WorkerSpec`` field order.
 _WORKER_FIELDS = ("S", "B", "cLat", "nLat", "tLat")
 
@@ -325,14 +263,12 @@ class _Lockstep:
     Fault cells ride along: each cell's :class:`FaultPlane` comes from
     ``planes``, a :class:`~repro.errors.faults.FaultPlaneCache` that
     realizes it in one :meth:`~repro.errors.faults.FaultModel.sample_batch`
-    call, and is block-copied into the batch's fault arrays (see
-    :meth:`_realize_faults`).
+    call, and is block-copied into :attr:`faults`, the call's
+    :class:`~repro.errors.faults.FaultStack` (see :meth:`_realize_faults`).
 
-    ``perf``, when given, is a mutable mapping accumulating engine
-    counters across calls: ``rows_deferred_scalar`` plus wall-time
-    buckets ``fault_sample_s`` / ``fault_defer_s`` and the per-kind
-    transform times ``fault_crash_s`` / ``fault_pause_s`` /
-    ``fault_slow_s`` / ``fault_spike_s``.
+    ``perf``, when given, is a mutable mapping the fault stack bills its
+    counters into across calls (see
+    :class:`~repro.errors.faults.FaultStack`).
 
     ``row_tracers`` is one :class:`repro.obs.Tracer` (or ``None``) per
     repetition row; traced rows have their dispatch timelines extracted
@@ -345,8 +281,6 @@ class _Lockstep:
     def __init__(self, cells, specs, mode, row_tracers, arena, perf, planes) -> None:
         self.cells = cells
         self.row_tracers = row_tracers
-        self.perf = perf
-        self.timing = perf is not None
         self.arena = arena
         self._fields: list = []
         reps = [len(c.seeds) for c in cells]
@@ -391,9 +325,7 @@ class _Lockstep:
         self._state("active", (rows,), bool, fill=True)
 
         notes_mode = any(s.wants_notes for s in specs)
-        self.fault_mode = False
-        self.any_crash = self.any_pause = self.any_slow = False
-        self.spikes = None
+        self.faults = FaultStack(rows, n, alloc=arena.take, perf=perf)
         self.deferred: list = []
         self.defer_makespans: dict = {}
         if any(c.faults is not None for c in cells):
@@ -404,18 +336,14 @@ class _Lockstep:
         # those kernels' end-of-run drain is makespan-neutral without
         # losses, because the running makespan maximum is already complete
         # at dispatch-apply time.
-        if self.any_crash:
+        if self.faults.any_crash:
             # Crash state at each row's clock, advanced in :meth:`contexts`
             # only for rows whose clock passed ``next_crash``.
             self._state("crashed", (rows, n), bool, fill=False)
             self._state("n_crashed", (rows,), np.int64)
-            self._state("next_crash", (rows,))[:] = self.crash_t.min(axis=1)
-        self.collect = self.any_crash or notes_mode
+            self._state("next_crash", (rows,))[:] = self.faults.crash_time.min(axis=1)
+        self.collect = self.faults.any_crash or notes_mode
         self.need_mask = bool(self.deferred)
-        # Per-kind fault-transform wall time, billed to ``perf`` at the end.
-        self.fault_s = dict.fromkeys(
-            ("fault_crash_s", "fault_pause_s", "fault_slow_s", "fault_spike_s"), 0.0
-        )
 
         # FIFO queues of realized completions, one ring per (row, worker):
         # entry ``c`` (a running per-worker counter) sits in slot
@@ -485,97 +413,57 @@ class _Lockstep:
         return array
 
     def _realize_faults(self, specs, planes, mode) -> None:
-        """Copy every fault cell's plane into the batch's fault arrays.
+        """Copy every fault cell's plane into the fault stack.
 
         Each cell's schedules come from one batched draw from the per-seed
-        third streams (streams 0/1 stay with the factor bank).  Neutral
-        defaults (``inf`` crash, zero-length pause, factor-1 slowdown,
-        zero spike probability) keep the transforms bitwise no-ops for
-        clean rows sharing the batch, and each transform's any-flag
-        records whether any row needs it at all, so a crash-only batch
-        never pays for pause/slowdown arithmetic and vice versa.  Rows a
+        third streams (streams 0/1 stay with the factor bank).  Rows a
         spec reports through ``deferred_rows`` run on the scalar engine
-        here and are frozen in the lockstep state.
+        here and are frozen in the lockstep state, their fault rows reset
+        to neutral.
         """
-        rows, n_max, cells = self.rows, self.n, self.cells
-        perf, timing = self.perf, self.timing
-        t_sample = perf_counter() if timing else 0.0
-        for name, _, neutral in _FAULT_FIELDS:
-            self._state(name, (rows, n_max), fill=neutral)
-        spike_p = self._state("spike_p", (rows,))
-        spike_d = self._state("spike_d", (rows,))
-        fault_row = self._state("fault_row", (rows,), bool, fill=False)
-        self._state("mspan", (rows,))
-        fault_rngs: list = [None] * rows
-        deferred = self.deferred
-        for ci, cell in enumerate(cells):
-            if cell.faults is None:
-                continue
-            plane = planes.realize(cell.faults, cell.platform, cell.seeds)
-            lo = int(self.offsets[ci])
-            sl = slice(lo, int(self.offsets[ci + 1]))
-            for name, field, _ in _FAULT_FIELDS:
-                getattr(self, name)[sl, : cell.platform.N] = getattr(plane, field)
-            spike_p[sl] = plane.spike_prob
-            spike_d[sl] = plane.spike_delay
-            fault_row[sl] = plane.fault_row
-            for j, rng in enumerate(plane.rngs):
-                if rng is not None:
-                    fault_rngs[lo + j] = rng
-            defer = specs[ci].deferred_rows(plane.crash_time)
-            if defer is not None and defer.any():
-                # Crash patterns this kernel cannot replay bitwise: the
-                # rows run on the scalar engine (the reference semantics)
-                # and their lockstep slots are frozen, with their fault
-                # entries reset to neutral.
-                for r in (lo + np.flatnonzero(defer)).tolist():
-                    deferred.append(r)
-                    fault_rngs[r] = None
-                    self.bank.mute_row(r)
-                    fault_row[r] = False
-                    spike_p[r] = 0.0
-                    for name, _, neutral in _FAULT_FIELDS:
-                        getattr(self, name)[r] = neutral
-        self.fault_mode = bool(fault_row.any())
-        self.any_crash = bool(np.isfinite(self.crash_t).any())
-        self.any_pause = bool((self.pause_l > 0.0).any())
-        self.any_slow = bool((self.slow_f > 1.0).any())
-        if any(g is not None for g in fault_rngs):
-            self.spikes = _SpikeBank(fault_rngs)
-        if timing:
-            now_t = perf_counter()
-            perf["fault_sample_s"] = perf.get("fault_sample_s", 0.0) + now_t - t_sample
-            perf["rows_deferred_scalar"] = (
-                perf.get("rows_deferred_scalar", 0) + len(deferred)
-            )
-            t_sample = now_t
+        cells, faults, deferred = self.cells, self.faults, self.deferred
+        with faults.timed("sample"):
+            for ci, cell in enumerate(cells):
+                if cell.faults is None:
+                    continue
+                plane = planes.realize(cell.faults, cell.platform, cell.seeds)
+                lo = int(self.offsets[ci])
+                faults.put(slice(lo, int(self.offsets[ci + 1])), plane)
+                defer = specs[ci].deferred_rows(plane.crash_time)
+                if defer is not None and defer.any():
+                    # Crash patterns this kernel cannot replay bitwise: the
+                    # scalar engine (the reference semantics) runs them.
+                    for r in (lo + np.flatnonzero(defer)).tolist():
+                        deferred.append(r)
+                        self.bank.mute_row(r)
+                        faults.clear_row(r)
+            faults.seal()
+        self._state("mspan", (self.rows,))
         row_tracers = self.row_tracers
-        for r in deferred:
-            cell = cells[int(self.cell_of_row[r])]
-            result = simulate_fast(
-                cell.platform,
-                cell.total_work,
-                cell.scheduler,
-                make_error_model("normal", cell.error, mode=mode),
-                self.seeds[r],
-                collect_records=False,
-                faults=cell.faults,
-                tracer=None if row_tracers is None else row_tracers[r],
-            )
-            self.defer_makespans[r] = result.makespan
-            self.active[r] = False
-        if timing and deferred:
-            perf["fault_defer_s"] = (
-                perf.get("fault_defer_s", 0.0) + perf_counter() - t_sample
-            )
+        if deferred:
+            with faults.timed("defer"):
+                for r in deferred:
+                    cell = cells[int(self.cell_of_row[r])]
+                    result = simulate_fast(
+                        cell.platform,
+                        cell.total_work,
+                        cell.scheduler,
+                        make_error_model("normal", cell.error, mode=mode),
+                        self.seeds[r],
+                        collect_records=False,
+                        faults=cell.faults,
+                        tracer=None if row_tracers is None else row_tracers[r],
+                    )
+                    self.defer_makespans[r] = result.makespan
+                    self.active[r] = False
         if row_tracers is not None:
             # Crash instants are known once the plane is realized; emitting
             # them upfront matches the scalar engine's stream (deferred rows
             # already emitted theirs inside simulate_fast).
-            crash_t = self.crash_t
-            for r in range(rows):
+            crash_t = faults.crash_time
+            for r in range(self.rows):
                 tracer = row_tracers[r]
-                if tracer is not None and fault_row[r]:
+                if tracer is not None and faults.fault_row[r]:
                     for wi in np.flatnonzero(np.isfinite(crash_t[r])).tolist():
                         tracer.emit(float(crash_t[r, wi]), "fault", wi, detail="crash")
 
@@ -647,16 +535,16 @@ class _Lockstep:
         """
         if not self.collect:
             return None
-        kernels = self.kernels
-        if self.any_crash:
+        kernels, faults = self.kernels, self.faults
+        if faults.any_crash:
             self._advance_crashes()
         ctxs = [None] * len(kernels)
         for ki, (_, sl, wants) in enumerate(kernels):
-            if self.fault_mode or wants:
+            if faults.any_fault or wants:
                 ctxs[ki] = KernelStepContext(
-                    crashed=self.crashed[sl] if self.any_crash else None,
-                    n_crashed=self.n_crashed[sl] if self.any_crash else None,
-                    fault_rows=self.fault_row[sl] if self.fault_mode else None,
+                    crashed=self.crashed[sl] if faults.any_crash else None,
+                    n_crashed=self.n_crashed[sl] if faults.any_crash else None,
+                    fault_rows=faults.fault_row[sl] if faults.any_fault else None,
                 )
         if not pops:
             return ctxs
@@ -699,11 +587,9 @@ class _Lockstep:
         """
         due = np.flatnonzero(self.next_crash <= self.now)
         if due.size:
-            crash_t = self.crash_t[due]
-            hit = crash_t <= self.now[due, None]
+            hit, self.next_crash[due] = self.faults.crashes(due, self.now[due])
             self.crashed[due] = hit
             self.n_crashed[due] = hit.sum(axis=1)
-            self.next_crash[due] = np.where(hit, np.inf, crash_t).min(axis=1)
 
     def decide(self, ctxs) -> None:
         """Each family's kernel fills its contiguous row slice."""
@@ -730,7 +616,7 @@ class _Lockstep:
         done_rows = np.flatnonzero(self.active & (self.action == DONE))
         if not done_rows.size:
             return
-        if self.fault_mode:
+        if self.faults.any_fault:
             self.final[self.orig[done_rows]] = self.mspan[done_rows]
         else:
             self.final[self.orig[done_rows]] = self.busy[done_rows].max(axis=1)
@@ -771,17 +657,7 @@ class _Lockstep:
         self.bank.compact(keep)
         if self.row_tracers is not None:
             self.row_tracers = [self.row_tracers[r] for r in keep.tolist()]
-        if self.spikes is not None:
-            self.spikes.compact(keep)
-            if not self.spikes.any_live:
-                self.spikes = None
-        if self.fault_mode:
-            # Survivors may no longer need every transform (the rows that
-            # did may all have finished).
-            self.fault_mode = bool(self.fault_row.any())
-            self.any_crash = self.any_crash and bool(np.isfinite(self.crash_t).any())
-            self.any_pause = self.any_pause and bool((self.pause_l > 0.0).any())
-            self.any_slow = self.any_slow and bool((self.slow_f > 1.0).any())
+        self.faults.compact(keep)
         # Deferred rows were inactive from the start, so the survivors are
         # all live: the mask is no longer needed.
         self.need_mask = False
@@ -815,13 +691,12 @@ class _Lockstep:
         perturbed by each row's own factor columns at its own dispatch
         counter, then reshaped by the fault transforms.
         """
-        timing = self.timing
+        faults = self.faults
         w = self.worker[disp]
         sz = self.size[disp]
         k = self.kdisp[disp]
         f = disp * self.n + w
-        k_next = int(k.max()) + 1
-        self.bank.ensure(k_next)
+        self.bank.ensure(int(k.max()) + 1)
         comm, comp = self.bank.gather(disp, k)
         w_s, w_b, w_cl, w_nl, w_tl = (
             getattr(self, name + "_f")[f] for name in _WORKER_FIELDS
@@ -830,49 +705,29 @@ class _Lockstep:
         # bit for bit; multiplying by an exact 1.0 factor (the zero-error
         # rows) is also a bitwise no-op.
         link_eff = (w_nl + sz / w_b) * comm
-        if self.spikes is not None:
-            # Per-dispatch spike draws gathered from each row's pre-drawn
-            # fault-stream columns at the row's dispatch counter; adding an
-            # exact +0.0 to unspiked rows is a bitwise no-op.
-            t0 = perf_counter() if timing else 0.0
-            self.spikes.ensure(k_next)
-            u = self.spikes.gather(disp, k)
-            link_eff = link_eff + np.where(
-                u < self.spike_p[disp], self.spike_d[disp], 0.0
-            )
-            if timing:
-                self.fault_s["fault_spike_s"] += perf_counter() - t0
+        if faults.any_spike:
+            # Adding an exact +0.0 to unspiked rows is a bitwise no-op.
+            link_eff = link_eff + faults.spikes(disp, k)
         now = self.now[disp]
         send_end = now + link_eff
         arrival = send_end + w_tl
         comp_start = np.maximum(arrival, self.busy_f[f])
-        comp_eff = (w_cl + sz / w_s) * comp
-        if self.any_pause or self.any_slow:
-            comp_eff = self._stretch(f, comp_start, comp_eff)
-        comp_end = comp_start + comp_eff
+        comp_end = comp_start + faults.stretch(f, comp_start, (w_cl + sz / w_s) * comp)
         self.busy_f[f] = comp_end
 
         lost = None
         end_q = comp_end
-        if self.fault_mode:
-            if self.any_crash:
-                # A chunk outliving its worker's crash is lost: the master
-                # observes it leave the pending set at max(crash, arrival)
-                # and it contributes neither work nor makespan.  The busy
-                # chain still advances (fictitious timeline), so every
-                # later chunk on that worker is lost too — matching the
-                # scalar engine.
-                t0 = perf_counter() if timing else 0.0
-                cw = self.crash_t_f[f]
-                lost = comp_end > cw
-                end_q = np.where(lost, np.maximum(cw, arrival), comp_end)
-                self.mspan[disp] = np.maximum(
-                    self.mspan[disp], np.where(lost, 0.0, comp_end)
-                )
-                if timing:
-                    self.fault_s["fault_crash_s"] += perf_counter() - t0
-            else:
-                self.mspan[disp] = np.maximum(self.mspan[disp], comp_end)
+        if faults.any_fault:
+            delivered = comp_end
+            if faults.any_crash:
+                # A lost chunk leaves the pending set at its loss time and
+                # contributes neither work nor makespan.  The busy chain
+                # still advances (fictitious timeline), so every later
+                # chunk on that worker is lost too — matching the scalar
+                # engine.
+                lost, end_q = faults.loss_time(f, arrival, comp_end)
+                delivered = np.where(lost, 0.0, comp_end)
+            self.mspan[disp] = np.maximum(self.mspan[disp], delivered)
 
         tail = self.q_tail_f[f]
         head = self.q_head_f[f]
@@ -904,48 +759,6 @@ class _Lockstep:
         self.counts_f[f] += 1
         self.kdisp[disp] = k + 1
         self.now[disp] = send_end
-
-    def _stretch(self, f, comp_start, comp_eff):
-        """Pause window first, then slowdown onset.
-
-        The scalar ``compute_duration`` order, with its exact
-        associativity.
-        """
-        timing = self.timing
-        if self.any_pause:
-            t0 = perf_counter() if timing else 0.0
-            ps = self.pause_s_f[f]
-            pl = self.pause_l_f[f]
-            in_window = (pl > 0.0) & (comp_start < ps + pl)
-            if in_window.any():
-                inside = in_window & (comp_start >= ps)
-                straddle = in_window & ~inside & (comp_start + comp_eff > ps)
-                comp_eff = np.where(
-                    inside,
-                    (ps + pl + comp_eff) - comp_start,
-                    np.where(straddle, comp_eff + pl, comp_eff),
-                )
-            if timing:
-                self.fault_s["fault_pause_s"] += perf_counter() - t0
-        if self.any_slow:
-            t0 = perf_counter() if timing else 0.0
-            so = self.slow_s_f[f]
-            sf = self.slow_f_f[f]
-            slowed = (sf > 1.0) & (comp_start + comp_eff > so)
-            if slowed.any():
-                after = slowed & (comp_start >= so)
-                partial = slowed & ~after
-                done_part = so - comp_start
-                comp_eff = np.where(
-                    after,
-                    comp_eff * sf,
-                    np.where(
-                        partial, done_part + (comp_eff - done_part) * sf, comp_eff
-                    ),
-                )
-            if timing:
-                self.fault_s["fault_slow_s"] += perf_counter() - t0
-        return comp_eff
 
     def _grow_queues(self) -> None:
         """Double every ring's capacity, keeping each live entry reachable.
@@ -997,9 +810,6 @@ class _Lockstep:
         # nothing.  Deferred rows come from the scalar engine.
         for r in self.deferred:
             self.final[r] = self.defer_makespans[r]
-        if self.timing:
-            for key, seconds in self.fault_s.items():
-                self.perf[key] = self.perf.get(key, 0.0) + seconds
         off = self.offsets
         return [self.final[off[i] : off[i + 1]].copy() for i in range(len(self.cells))]
 

@@ -438,8 +438,15 @@ def simulate_des(
             row[_COMP_END] = comp_end
             completions.put(("done", index, msg.index, msg.size, comp_end))
 
+    def later(t: float) -> bool:
+        # Whether a delay of t moves the clock.  A positive t can vanish in
+        # ``now + t``; waiting on such a same-instant timeout would order the
+        # event after the master's zero-delay flush, which the fast engine
+        # (plain float arithmetic) never does.
+        return env.now + t != env.now
+
     def delivery_proc(worker: int, msg: _ChunkMsg, t_lat: float):
-        if t_lat > 0:
+        if later(t_lat):
             yield env.timeout(t_lat)
         rows[msg.index][_ARRIVAL] = env.now
         inboxes[worker].put(msg)
@@ -447,7 +454,7 @@ def simulate_des(
     def loss_announce_proc(worker: int, idx: int, size: float, phase: str, t_lat: float):
         # In-flight loss: the master learns of it when delivery fails at
         # the (would-have-been) arrival instant, send_end + tLat.
-        if t_lat > 0:
+        if later(t_lat):
             yield env.timeout(t_lat)
         tr.emit(env.now, "fault", worker, chunk=idx, size=size, phase=phase, detail="loss")
         completions.put(("lost", worker, idx, size, env.now))
@@ -456,7 +463,7 @@ def simulate_des(
         # The contention-free pipe tail plus the terminal stage, entered at
         # the end of the last hop (or straight after link release for
         # hop-free paths such as cut-through chains and tree roots).
-        if rmsg.has_tail:
+        if rmsg.has_tail and later(rmsg.tail_time):
             yield env.timeout(rmsg.tail_time)
         if rmsg.terminal == "deliver":
             assert rmsg.chunk_msg is not None
@@ -646,13 +653,12 @@ def simulate_des(
                 )
             comp_end_pred = comp_start_pred + comp_time
             pred_busy[action.worker] = comp_end_pred
-            lost = (
-                schedule is not None
-                and comp_end_pred > schedule.crash_times[action.worker]
+            seen = (
+                None if schedule is None
+                else schedule.loss_time(action.worker, arrival_pred, comp_end_pred)
             )
-            loss_time = (
-                max(schedule.crash_times[action.worker], arrival_pred) if lost else -1.0
-            )
+            lost = seen is not None
+            loss_time = seen if lost else -1.0
             tr.emit(
                 send_start, "dispatch_start", action.worker,
                 chunk=index, size=size, phase=action.phase,

@@ -339,15 +339,16 @@ def simulate_fast(
         worker_busy_until[action.worker] = comp_end
         error_model.advance()
 
-        lost = schedule is not None and comp_end > schedule.crash_times[action.worker]
-        loss_time = -1.0
+        seen = (
+            None if schedule is None
+            else schedule.loss_time(action.worker, arrival, comp_end)
+        )
+        lost = seen is not None
+        loss_time = seen if lost else -1.0
         if lost:
-            # The master observes the loss when the crash is detected (for
-            # chunks already queued) or when delivery fails (in flight):
-            # max(crash, arrival).  Fictitious timeline values keep the
-            # worker's busy chain monotone, so every later chunk sent to a
-            # crashed worker is lost too.
-            loss_time = max(schedule.crash_times[action.worker], arrival)
+            # Fictitious timeline values keep the worker's busy chain
+            # monotone, so every later chunk sent to a crashed worker is
+            # lost too.
             view._note_dispatch(action.worker, size, loss_time, num_dispatched, lost=True)
             heapq.heappush(future_ends, loss_time)
             work_lost += size

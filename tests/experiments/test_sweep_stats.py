@@ -12,6 +12,15 @@ from repro.obs import SweepStats
 
 ALGOS = ("RUMR", "UMR", "Factoring", "MI-2")
 
+#: One fault scenario per transform kind, keyed by its ``fault_wall_s``
+#: bucket.
+FAULT_GRIDS = {
+    "crash": "crash:p=0.5,tmax=100",
+    "pause": "pause:p=0.5,tmax=100,dur=30",
+    "slow": "slow:p=0.5,tmax=100,factor=2",
+    "spike": "spike:p=0.2,delay=5",
+}
+
 
 @pytest.fixture
 def grid():
@@ -96,6 +105,21 @@ class TestRunSweepStats:
         observed = run_sweep(grid, algorithms=ALGOS, stats=stats)
         for a in ALGOS:
             assert np.array_equal(plain.makespans[a], observed.makespans[a])
+
+    @pytest.mark.parametrize("kind", sorted(FAULT_GRIDS))
+    def test_fault_sweep_bills_its_kind(self, grid, kind):
+        # Both batch engines bill through their fault stack: plane sampling
+        # plus this kind's transform, and no other kind's.
+        faulty = grid.restrict(fault=FAULT_GRIDS[kind])
+        plain = run_sweep(faulty, algorithms=ALGOS)
+        stats = SweepStats()
+        observed = run_sweep(faulty, algorithms=ALGOS, stats=stats)
+        for a in ALGOS:
+            assert np.array_equal(plain.makespans[a], observed.makespans[a])
+        assert stats.fault_wall_s["sample"] > 0.0
+        transforms = {"crash", "pause", "slow", "spike"}
+        billed = {k for k in transforms if stats.fault_wall_s[k] > 0.0}
+        assert billed == {kind}
 
     def test_pool_path_still_counts_routing(self, grid):
         # Per-cell timings happen in pool workers and are skipped, but

@@ -17,12 +17,17 @@ Three invariant families:
   re-plan — a real property of the algorithms, not a simulator artifact.)
 """
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import RUMR, UMR, EqualSplit, Factoring, MultiInstallment, WeightedFactoring
-from repro.errors import NoError, NormalErrorModel
+from repro.errors import FaultSchedule, FrozenFaults, NoError, NormalErrorModel
+from repro.errors.faults import FaultStack, fault_stream
+from repro.platform import homogeneous_platform
 from repro.sim import simulate, validate_schedule
 from tests.properties.strategies import (
     finite,
@@ -233,3 +238,139 @@ class TestSampleBatchIdentity:
         plane = model.sample_batch(platform, seed_list)
         for r, seed in enumerate(seed_list):
             self._assert_row_identical(model, platform, plane, r, seed)
+
+
+_CELL_FLOAT = st.floats(min_value=0.0, max_value=100.0, **finite)
+
+
+@st.composite
+def _stack_cells(draw, n):
+    """One row: per-worker ``(start, dur)`` plus a schedule built around it.
+
+    Pause and slowdown onsets land on the computation's own boundaries
+    (``start == pause_start``, ``start + dur == pause_start``,
+    ``start == slow_start``) as often as at random points.
+    """
+    starts, durs, crashes, pauses, slowdowns = [], [], [], [], []
+    for _ in range(n):
+        start = draw(_CELL_FLOAT)
+        dur = draw(st.floats(min_value=0.0, max_value=50.0, **finite))
+        onset = st.sampled_from(["start", "end", "free"])
+        where = {"start": start, "end": start + dur}
+        pause_at = draw(onset)
+        pause_len = draw(st.sampled_from([0.0, 7.5]) | _CELL_FLOAT)
+        pauses.append((where.get(pause_at, draw(_CELL_FLOAT)), pause_len))
+        slow_at = draw(onset)
+        factor = draw(st.sampled_from([1.0, 2.5]) | st.floats(1.0, 4.0, **finite))
+        slowdowns.append((where.get(slow_at, draw(_CELL_FLOAT)), factor))
+        crashes.append(draw(st.sampled_from([math.inf, 0.0, start + dur]) | _CELL_FLOAT))
+        starts.append(start)
+        durs.append(dur)
+    spike = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    schedule = FaultSchedule(
+        crash_times=tuple(crashes),
+        pauses=tuple(pauses),
+        slowdowns=tuple(slowdowns),
+        spike_prob=spike,
+        spike_delay=2.5 if spike else 0.0,
+    )
+    return schedule, starts, durs
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@given(
+    data=st.data(),
+    n_max=st.integers(min_value=1, max_value=4),
+    count=st.integers(min_value=1, max_value=6),
+    seed0=seeds,
+    cols=st.integers(min_value=1, max_value=400),
+)
+def test_batched_fault_stack_matches_scalar_rules(data, n_max, count, seed0, cols):
+    """Every ``FaultStack`` transform equals its scalar ``FaultSchedule`` rule.
+
+    Rows of 1..``n_max`` workers are padded to ``n_max``: pad workers must
+    come out untouched.  ``stretch`` / ``lost`` / ``loss_time`` are checked
+    on the whole block and on flat indices, bit for bit; ``spikes`` columns
+    must equal successive ``link_extra`` draws of each row's fault stream,
+    also after a ``compact`` drops rows halfway through the columns.
+    """
+    rows = []
+    for r in range(count):
+        n = data.draw(st.integers(min_value=1, max_value=n_max))
+        rows.append(data.draw(_stack_cells(n)))
+    seed_list = [seed0 + r for r in range(count)]
+    stack = FaultStack(count, n_max)
+    start = np.zeros((count, n_max))
+    dur = np.zeros((count, n_max))
+    for r, ((schedule, starts, durs), seed) in enumerate(zip(rows, seed_list)):
+        n = schedule.num_workers
+        platform = homogeneous_platform(n, S=1.0, bandwidth_factor=1.5)
+        plane = FrozenFaults(schedule).sample_batch(platform, [seed])
+        stack.put(slice(r, r + 1), plane)
+        start[r, :n] = starts
+        dur[r, :n] = durs
+        start[r, n:] = 1.0
+        dur[r, n:] = 3.0
+    stack.seal()
+
+    # Scalar references; a pad worker keeps its duration and is never lost.
+    want_dur = dur.copy()
+    for r, (schedule, _, _) in enumerate(rows):
+        for w in range(schedule.num_workers):
+            want_dur[r, w] = schedule.compute_duration(w, start[r, w], dur[r, w])
+    end = start + want_dur
+    arrival = start * 0.5
+    want_seen = end.copy()
+    want_lost = np.zeros((count, n_max), dtype=bool)
+    for r, (schedule, _, _) in enumerate(rows):
+        for w in range(schedule.num_workers):
+            seen = schedule.loss_time(w, arrival[r, w], end[r, w])
+            if seen is not None:
+                want_lost[r, w] = True
+                want_seen[r, w] = seen
+
+    got = stack.stretch(None, start, dur)
+    assert np.array_equal(_bits(got), _bits(want_dur))
+    assert np.array_equal(stack.lost(None, end), want_lost)
+    idx = np.array(
+        data.draw(st.lists(st.integers(0, count * n_max - 1), min_size=1, max_size=12))
+    )
+    flat = lambda a: a.reshape(-1)[idx]  # noqa: E731
+    got = stack.stretch(idx, flat(start), flat(dur))
+    assert np.array_equal(_bits(got), _bits(flat(want_dur)))
+    assert np.array_equal(stack.lost(idx, flat(end)), flat(want_lost))
+    lost, seen = stack.loss_time(idx, flat(arrival), flat(end))
+    assert np.array_equal(lost, flat(want_lost))
+    assert np.array_equal(_bits(seen), _bits(flat(want_seen)))
+
+    # Spikes: the scalar stream of each row, one link_extra per dispatch.
+    want_spike = np.zeros((count, cols))
+    for r, ((schedule, _, _), seed) in enumerate(zip(rows, seed_list)):
+        rng = fault_stream(seed)
+        want_spike[r] = [schedule.link_extra(rng) for _ in range(cols)]
+    if stack.any_spike:
+        assert np.array_equal(_bits(stack.spikes(None, cols)), _bits(want_spike))
+    half = cols // 2
+    pairs = [(r, k) for r in range(count) for k in range(half)]
+    if pairs and stack.any_spike:
+        rr, kk = (np.array(a) for a in zip(*pairs))
+        assert np.array_equal(_bits(stack.spikes(rr, kk)), _bits(want_spike[rr, kk]))
+    keep = np.array(
+        sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))
+    )
+    stack.compact(keep)
+    assert stack.rows == keep.size
+    # Rows carry their own draws and schedules through the compaction.
+    got = stack.stretch(None, start[keep], dur[keep])
+    assert np.array_equal(_bits(got), _bits(want_dur[keep]))
+    if stack.any_spike:
+        local = np.repeat(np.arange(keep.size), cols - half)
+        kk = np.tile(np.arange(half, cols), keep.size)
+        assert np.array_equal(
+            _bits(stack.spikes(local, kk)), _bits(want_spike[keep[local], kk])
+        )
+    else:
+        assert not want_spike[keep].any()

@@ -28,6 +28,7 @@ kept as a backstop for anything the stream does not carry (arrival
 times, loss bookkeeping).
 """
 
+import math
 import os
 import pathlib
 
@@ -44,7 +45,13 @@ from repro.core import (
     OneRound,
     WeightedFactoring,
 )
-from repro.errors import NoError, NormalErrorModel, UniformErrorModel
+from repro.errors import (
+    FaultSchedule,
+    FrozenFaults,
+    NoError,
+    NormalErrorModel,
+    UniformErrorModel,
+)
 from repro.obs import Tracer, events_to_jsonl, first_divergence
 from repro.platform import PlatformSpec, WorkerSpec, homogeneous_platform
 from repro.sim import simulate, validate_schedule
@@ -242,6 +249,28 @@ def test_engines_identical_faults_heterogeneous(hetero_platform):
             5,
             faults="crash:worker=2,at=40",
         )
+
+
+def test_engines_identical_when_a_delay_vanishes_in_the_clock():
+    # tLat > 0 but now + tLat == now in floats: the in-flight loss on the
+    # dead worker 0 is observable at the second decision in both engines,
+    # so both resend to worker 0 (a DES that waited on the same-instant
+    # timeout saw the loss late and sent chunk 1 to worker 1).
+    p = PlatformSpec(
+        WorkerSpec(S=1.0, B=5.0, cLat=0.0, nLat=n_lat, tLat=t_lat)
+        for n_lat, t_lat in ((0.0, 7.3e-242), (1.0, 0.0), (0.0, 0.0))
+    )
+    dead = FrozenFaults(
+        FaultSchedule(
+            crash_times=(0.0, math.inf, math.inf),
+            pauses=((0.0, 0.0),) * 3,
+            slowdowns=((0.0, 1.0),) * 3,
+        )
+    )
+    result = assert_identical(
+        p, FixedSizeChunking(known_error=0.0), NoError(), 0, work=20.0, faults=dead
+    )
+    assert result.records[1].worker == 0
 
 
 # ---------------------------------------------------------------------------

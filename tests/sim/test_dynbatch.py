@@ -242,7 +242,11 @@ class TestFlatState:
 
 
 class TestCrashState:
-    """The engine's kept crash state equals ``crash_t <= now`` at every step."""
+    """The engine's kept crash state equals ``crash_time <= now`` at every step.
+
+    Crash instants are read from the call's fault stack
+    (:attr:`_Lockstep.faults`), compacted with the rest of the rows.
+    """
 
     def test_kept_state_matches_clock_across_jumps_and_compaction(
         self, monkeypatch
@@ -251,12 +255,12 @@ class TestCrashState:
 
         class Checked(dynbatch._Lockstep):
             def contexts(self, pops):
-                if not self.any_crash:
+                if not self.faults.any_crash:
                     return super().contexts(pops)
                 before = self.n_crashed.copy()
                 waited = self.action == dynbatch.WAIT_FOR_COMPLETION
                 ctxs = super().contexts(pops)
-                expect = self.crash_t <= self.now[:, None]
+                expect = self.faults.crash_time <= self.now[:, None]
                 assert np.array_equal(self.crashed, expect)
                 assert np.array_equal(self.n_crashed, expect.sum(axis=1))
                 jumped = waited & (self.n_crashed - before >= 2)
