@@ -36,13 +36,11 @@ from repro.core.registry import available_schedulers
 from repro.experiments.cache import cached_sweep
 from repro.experiments.config import PAPER_ALGORITHMS, preset_grid
 from repro.experiments.figures import (
+    _normalized_figure,
     fig4a,
     fig4b,
-    fig5,
     fig5_grid,
-    fig6,
     fig6_algorithms,
-    fig7,
     fig7_algorithms,
 )
 from repro.experiments.report import render_figure, render_table, table_csv
@@ -396,22 +394,20 @@ def main(argv: list[str] | None = None) -> int:
     batch_static = not args.no_batch
     retry = _retry_policy(args)
 
-    def main_sweep():
+    def main_sweep(sweep_grid=grid, algorithms=PAPER_ALGORITHMS, **extra):
+        """The cached sweep every table and figure reads (``extra``:
+        ``failures=`` / ``stats=`` collectors)."""
         return cached_sweep(
-            grid, PAPER_ALGORITHMS, args.results, n_jobs=args.jobs,
+            sweep_grid, algorithms, args.results, n_jobs=args.jobs,
             progress=progress, batch_static=batch_static,
-            retry=retry, resume=args.resume,
+            retry=retry, resume=args.resume, **extra,
         )
 
     if args.command == "sweep":
         from repro.experiments.resilient import FailureLedger
 
         ledger = FailureLedger()
-        results = cached_sweep(
-            grid, PAPER_ALGORITHMS, args.results, n_jobs=args.jobs,
-            progress=progress, batch_static=batch_static,
-            retry=retry, resume=args.resume, failures=ledger,
-        )
+        results = main_sweep(failures=ledger)
         total = grid.num_simulations(len(results.algorithms))
         print(f"sweep complete: {total} simulations cached in {args.results}")
         if len(ledger):
@@ -428,11 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs import SweepStats
 
         stats = SweepStats()
-        cached_sweep(
-            grid, PAPER_ALGORITHMS, args.results, n_jobs=args.jobs,
-            progress=progress, batch_static=batch_static, stats=stats,
-            retry=retry, resume=args.resume,
-        )
+        main_sweep(stats=stats)
         print(stats.summary())
         return 0
 
@@ -446,48 +438,30 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, "fig4a", render_figure(fig4a(main_sweep())))
     if args.command in ("fig4b", "all"):
         _emit(args, "fig4b", render_figure(fig4b(main_sweep())))
-    if args.command in ("fig5", "all"):
-        # Fig 5 is a single configuration: bump repetitions to the paper's 40
-        # and reuse the cache machinery.
-        base = grid.restrict(repetitions=max(grid.repetitions, 40))
-        results = cached_sweep(
-            fig5_grid(base), PAPER_ALGORITHMS, args.results, n_jobs=args.jobs,
-            progress=progress, batch_static=batch_static,
-            retry=retry, resume=args.resume,
-        )
-        from repro.experiments.figures import _normalized_figure
-
-        fig = _normalized_figure(
-            results,
+    # Figs 5-7 normalize their own sweeps to RUMR.  Fig 5 is a single
+    # configuration: bump repetitions to the paper's 40 and reuse the
+    # cache machinery.
+    normalized = {
+        "fig5": (
+            fig5_grid(grid.restrict(repetitions=max(grid.repetitions, 40))),
+            PAPER_ALGORITHMS,
             "Figure 5: relative makespan vs error (cLat=0.3, nLat=0.9, N=20, B=36)",
-        )
-        _emit(args, "fig5", render_figure(fig))
-    if args.command in ("fig6", "all"):
-        results = cached_sweep(
-            grid, fig6_algorithms, args.results, n_jobs=args.jobs,
-            progress=progress, batch_static=batch_static,
-            retry=retry, resume=args.resume,
-        )
-        from repro.experiments.figures import _normalized_figure
-
-        fig = _normalized_figure(
-            results,
+        ),
+        "fig6": (
+            grid,
+            fig6_algorithms,
             "Figure 6: RUMR with fixed phase-1 percentage, normalized to original RUMR",
-        )
-        _emit(args, "fig6", render_figure(fig))
-    if args.command in ("fig7", "all"):
-        results = cached_sweep(
-            grid, fig7_algorithms, args.results, n_jobs=args.jobs,
-            progress=progress, batch_static=batch_static,
-            retry=retry, resume=args.resume,
-        )
-        from repro.experiments.figures import _normalized_figure
-
-        fig = _normalized_figure(
-            results,
+        ),
+        "fig7": (
+            grid,
+            fig7_algorithms,
             "Figure 7: RUMR with plain UMR phase 1, normalized to original RUMR",
-        )
-        _emit(args, "fig7", render_figure(fig))
+        ),
+    }
+    for name, (sweep_grid, algorithms, title) in normalized.items():
+        if args.command in (name, "all"):
+            fig = _normalized_figure(main_sweep(sweep_grid, algorithms), title)
+            _emit(args, name, render_figure(fig))
     return 0
 
 

@@ -1038,7 +1038,8 @@ def _parse_kv(body: str, kind: str, what: str = "fault") -> dict[str, float]:
     Shared by the fault, arrival, stream-policy and failure-policy
     grammars; ``what`` names the grammar in error messages.  NaN and
     infinities are rejected here, so no spec reaches a model (or an
-    ``int()`` coercion) with a non-finite parameter.
+    ``int()`` coercion) with a non-finite parameter, and so is a key
+    given twice (``p=0.1,p=0.9`` would otherwise keep one silently).
     """
     out: dict[str, float] = {}
     for part in body.split(","):
@@ -1057,11 +1058,19 @@ def _parse_kv(body: str, kind: str, what: str = "fault") -> dict[str, float]:
             ) from None
         if not math.isfinite(number):
             raise ValueError(f"{what} parameter {key!r} must be finite, got {value!r}")
+        if key in out:
+            raise ValueError(f"duplicate {what} parameter {key!r} in {kind!r} spec")
         out[key] = number
     return out
 
 
-def _take(params: dict[str, float], kind: str, *names: str, **defaults) -> list[float]:
+def _take(
+    params: dict[str, float], kind: str, *names: str, what: str = "fault", **defaults
+) -> list[float]:
+    """Pop ``names`` (missing ones from ``defaults``); reject leftovers.
+
+    ``what`` names the grammar in error messages, as in :func:`_parse_kv`.
+    """
     values = []
     for name in names:
         if name in params:
@@ -1069,10 +1078,10 @@ def _take(params: dict[str, float], kind: str, *names: str, **defaults) -> list[
         elif name in defaults:
             values.append(defaults[name])
         else:
-            raise ValueError(f"fault spec {kind!r} is missing parameter {name!r}")
+            raise ValueError(f"{what} spec {kind!r} is missing parameter {name!r}")
     if params:
         extra = ", ".join(sorted(params))
-        raise ValueError(f"unknown parameter(s) for fault kind {kind!r}: {extra}")
+        raise ValueError(f"unknown parameter(s) for {what} kind {kind!r}: {extra}")
     return values
 
 

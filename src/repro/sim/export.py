@@ -9,7 +9,8 @@ files, not Python objects:
   provenance and records;
 * :func:`chrome_trace` — the Chrome/Perfetto ``trace_event`` format
   (open ``chrome://tracing`` and drop the file): one row per worker plus
-  one for the master's link, chunks as complete events.
+  one for the master's link, chunks as complete events, lowered by the
+  same routine as the :mod:`repro.obs` trace sinks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 import json
 
+from repro.obs.events import events_from_result
+from repro.obs.sinks import _chrome_trace_events
 from repro.sim.result import SimResult
 
 __all__ = ["records_csv", "result_json", "chrome_trace"]
@@ -63,58 +66,18 @@ def result_json(result: SimResult, indent: int | None = None) -> str:
 def chrome_trace(result: SimResult) -> str:
     """Chrome ``trace_event`` JSON (load in chrome://tracing or Perfetto).
 
-    Timestamps are microseconds (simulated seconds × 1e6).  The link gets
-    tid 0; worker ``i`` gets tid ``i + 1``.  Transfers and computations
-    are complete ("X") events named by chunk and phase.
+    The result's record-implied event stream
+    (:func:`~repro.obs.events.events_from_result`) lowered exactly as the
+    :mod:`repro.obs` sinks lower a traced run: timestamps in microseconds
+    (simulated seconds × 1e6), transfers on the link's tid 0 and
+    computations on worker ``i``'s tid ``i + 1`` as complete ("X")
+    events, other kinds as instants.  Thread-name rows label the link
+    and every worker.
     """
-    events = []
-
-    def span(name: str, tid: int, start: float, end: float, **args) -> None:
-        events.append(
-            {
-                "name": name,
-                "ph": "X",
-                "pid": 1,
-                "tid": tid,
-                "ts": start * 1e6,
-                "dur": max(0.0, (end - start) * 1e6),
-                "args": args,
-            }
-        )
-
-    for r in result.records:
-        span(
-            f"send #{r.index}",
-            0,
-            r.send_start,
-            r.send_end,
-            worker=r.worker,
-            size=r.size,
-            phase=r.phase,
-        )
-        span(
-            f"compute #{r.index} ({r.phase})" if r.phase else f"compute #{r.index}",
-            r.worker + 1,
-            r.comp_start,
-            r.comp_end,
-            size=r.size,
-        )
+    names = ["master link"] + [f"worker {w}" for w in range(result.platform.N)]
     meta = [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "args": {"name": "master link"},
-        }
-    ] + [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": w + 1,
-            "args": {"name": f"worker {w}"},
-        }
-        for w in range(result.platform.N)
+        {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid, "args": {"name": name}}
+        for tid, name in enumerate(names)
     ]
+    events = _chrome_trace_events(events_from_result(result))
     return json.dumps({"traceEvents": meta + events, "displayTimeUnit": "ms"})

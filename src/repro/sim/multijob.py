@@ -14,10 +14,11 @@ a job gets the star and which workers it gets, through a pluggable
 :class:`StreamPolicy`:
 
 * **fcfs** — exclusive service in arrival order: a job takes the whole
-  star and the next waits.  The simplest policy, and the conformance
-  anchor: a one-job stream is *bitwise identical* to calling
-  :func:`~repro.sim.simulate` directly (same engine, same floats, same
-  RNG streams), which makes the entire layer differentially testable.
+  star and the next waits.  It *is* ``partitioned:parts=1`` under its
+  own name, and the conformance anchor: a one-job stream is *bitwise
+  identical* to calling :func:`~repro.sim.simulate` directly (same
+  engine, same floats, same RNG streams), which makes the entire layer
+  differentially testable.
 * **partitioned:parts=k** — the star's workers are split into ``k``
   contiguous groups, each serving its own FCFS queue; a job goes to the
   partition that can start it earliest (ties to the lowest index).  Each
@@ -27,7 +28,17 @@ a job gets the star and which workers it gets, through a pluggable
   is cut into ``s`` equal slices and the master serves the *active* jobs'
   slices round-robin, so small jobs are not stuck behind a long one
   (head-of-line blocking is traded for per-job dilation).  ``slices=1``
-  degenerates to FCFS.
+  degenerates to FCFS, except in how a fault plane's failed grants are
+  re-attempted (see below).
+
+Every policy serves a job through one grant step (``_JobService.grant``):
+run one slice on the admitted workers, fold the result into the health
+tracker, and test what it delivered against the slice size.  The job's
+record builder and its failure-reason rule sit beside that step.  The
+policies differ only in which job is granted next, on which workers and
+when: the exclusive loop (fcfs, partitioned) re-attempts after the
+failure policy's backoff, the rotation (interleaved) at the job's next
+turn.
 
 Composition semantics: the star is handed over whole between consecutive
 service grants — a grant's simulation starts from an idle platform, so
@@ -60,9 +71,9 @@ job whose candidate set is wholly dead is *failed* — never deadlocked —
 under a pluggable :class:`JobFailurePolicy` (``drop`` / ``retry`` with
 deterministic backoff / ``resubmit`` the undelivered remainder to the
 surviving workers).  Fault-free streams build no plane at all and run
-the same grant loops with ``plane=None``: the health tracker then admits
+the same grant step with ``plane=None``: the health tracker then admits
 every worker and no grant falls short, so each job is served exactly as
-its policy's rotation dictates.
+its policy dictates.
 """
 
 from __future__ import annotations
@@ -73,7 +84,6 @@ import typing
 
 from repro.core.base import Scheduler
 from repro.errors.faults import FrozenFaults, StreamFaultSchedule, _parse_kv
-from repro.errors.models import ErrorModel
 from repro.errors.rng import stream_for
 from repro.obs.events import SimEvent, canonical_order, events_from_result
 from repro.platform.spec import PlatformSpec
@@ -98,7 +108,7 @@ __all__ = [
 ]
 
 #: ``run_job(job, work, workers, seed, start) -> SimResult`` — the
-#: callback a policy uses to grant the (sub-)star to one job's slice.
+#: callback the grant step uses to give the (sub-)star to one job's slice.
 #: ``start`` is the grant's absolute stream time (the fault plane
 #: projects its timeline at that offset; fault-free runs ignore it).
 JobRunner = typing.Callable[
@@ -116,13 +126,13 @@ class JobRecord:
     ``results`` holds the engine-native, job-relative simulation results
     (one per service slice — FCFS and partitioned grant exactly one per
     attempt); ``slice_starts`` places each slice on the stream's
-    absolute timeline.  ``slice_workers``, when non-empty, gives the
-    *global* worker indices each slice actually ran on (fault-plane
-    streams shrink the live set as workers die); when empty, every slice
-    ran on ``workers``.  ``failed`` marks a job its failure policy gave
-    up on (``failure`` names the reason); ``attempts`` counts service
-    grants — one per entry of ``results`` — plus, under the exclusive
-    policies, admission checks that found no live worker;
+    absolute timeline and ``slice_workers`` gives the *global* worker
+    indices each slice actually ran on (a subset of ``workers``:
+    fault-plane streams shrink the live set as workers die).
+    ``failed`` marks a job its failure policy gave up on (``failure``
+    names the reason); ``attempts`` counts service grants — one per
+    entry of ``results`` — plus, under the exclusive policies, admission
+    checks that found no live worker;
     ``resubmissions`` counts resubmit-to-survivors re-grants.
     """
 
@@ -132,7 +142,7 @@ class JobRecord:
     workers: tuple[int, ...]
     results: tuple[SimResult, ...]
     slice_starts: tuple[float, ...]
-    slice_workers: tuple[tuple[int, ...], ...] = ()
+    slice_workers: tuple[tuple[int, ...], ...]
     failed: bool = False
     failure: str = ""
     attempts: int = 1
@@ -140,9 +150,7 @@ class JobRecord:
 
     def workers_for_slice(self, index: int) -> tuple[int, ...]:
         """Global worker indices slice ``index`` ran on."""
-        if self.slice_workers:
-            return self.slice_workers[index]
-        return self.workers
+        return self.slice_workers[index]
 
     # -- queueing quantities --------------------------------------------------
     @property
@@ -342,9 +350,9 @@ class PlatformHealth:
     permanent crash has been seen (via a grant's loss ledger, the
     engines' upfront crash watchers, or an admission-time check against
     the stream timeline) is **dead** and excluded from every later
-    admission; a worker whose slowdown onset has passed is **degraded**
-    (still admitted — it computes, just slower — but reported so
-    capacity metrics can discount it).
+    admission.  Only crashes exclude: a paused or slowed worker stays
+    admissible (it computes, just later or slower), and the stream's
+    capacity metrics discount crashed workers only.
 
     Exclusions are recorded at the worker's *crash instant* (the truth on
     the stream clock), not at the observation instant, so the exclusion
@@ -359,7 +367,6 @@ class PlatformHealth:
         self._n = int(num_workers)
         self._plane = plane
         self._dead: dict[int, float] = {}
-        self._degraded: dict[int, float] = {}
         #: ``worker_excluded`` events, one per dead worker, in discovery
         #: order (re-sorted canonically by the stream result).
         self.events: list[SimEvent] = []
@@ -372,11 +379,6 @@ class PlatformHealth:
     def dead(self) -> frozenset[int]:
         """Global indices of workers observed permanently crashed."""
         return frozenset(self._dead)
-
-    @property
-    def degraded(self) -> dict[int, float]:
-        """Observed slowdown factors of degraded (but live) workers."""
-        return dict(self._degraded)
 
     def death_time(self, worker: int) -> float:
         """Absolute crash instant of an excluded worker (``inf`` = live)."""
@@ -424,8 +426,8 @@ class PlatformHealth:
         its absolute start.  Lost records mark their worker dead (at the
         stream timeline's crash instant when known, else at the loss
         observation instant); with a stream timeline attached, crashes
-        and slowdown onsets that fell inside the grant's window are
-        picked up even when the worker had no chunk in flight.
+        that fell inside the grant's window are picked up even when the
+        worker had no chunk in flight.
         """
         horizon = offset + result.makespan
         if self._plane is not None:
@@ -433,9 +435,6 @@ class PlatformHealth:
                 ct = self._plane.crash_time(w)
                 if ct <= horizon:
                     self._mark_dead(w, ct)
-                ss, sf = self._plane.schedule.slowdowns[w]
-                if sf > 1.0 and ss <= horizon and w not in self._degraded:
-                    self._degraded[w] = sf
         for r in result.records:
             if r.lost:
                 w = workers[r.worker]
@@ -598,40 +597,23 @@ def make_failure_policy(spec: "str | JobFailurePolicy") -> JobFailurePolicy:
     )
 
 
+@dataclasses.dataclass
 class _StreamRuntime:
     """Per-call coordinator threading the fault plane through a policy.
 
     Bundles the health tracker (which holds the realized stream
-    timeline) and the failure policy; collects the job-level
+    timeline), the failure policy, the :data:`JobRunner` that grants
+    workers to a job and the job-seed rule; collects the job-level
     stream-fault events.  With no plane (fault-free streams) the tracker
     admits every worker and no event is ever recorded.
     """
 
-    def __init__(
-        self,
-        health: PlatformHealth,
-        failure: JobFailurePolicy,
-        policy_name: str,
-    ) -> None:
-        self.health = health
-        self.failure = failure
-        self.policy_name = policy_name
-        self.events: list[SimEvent] = []
-
-    def fail(self, job: JobArrival, when: float, reason: str) -> None:
-        self.events.append(
-            SimEvent(when, "job_failed", -1, chunk=job.job_id, size=job.work,
-                     phase=self.policy_name, detail=reason)
-        )
-
-    def resubmit(
-        self, job: JobArrival, when: float, remainder: float, attempt: int
-    ) -> None:
-        self.events.append(
-            SimEvent(when, "job_resubmitted", -1, chunk=job.job_id,
-                     size=remainder, phase=self.policy_name,
-                     detail=f"attempt={attempt}")
-        )
+    health: PlatformHealth
+    failure: JobFailurePolicy
+    policy_name: str
+    run_job: JobRunner
+    job_seed: typing.Callable[[JobArrival], int]
+    events: list[SimEvent] = dataclasses.field(default_factory=list)
 
 
 def _attempt_seed(seed: "int | None", attempt: int) -> int:
@@ -643,79 +625,127 @@ def _attempt_seed(seed: "int | None", attempt: int) -> int:
     return int(stream_for(seed, attempt, 1).integers(0, 2**63 - 1))
 
 
-def _serve_exclusive(
-    rt: _StreamRuntime,
-    job: JobArrival,
-    candidates: tuple[int, ...],
-    start: float,
-    run_job: JobRunner,
-    seed0: "int | None",
-) -> tuple[JobRecord, float]:
-    """Serve one job exclusively on ``candidates`` from ``start``.
+def _slice_seed(job_seed: "int | None", slice_index: int) -> int:
+    """Per-slice seed derived from the job seed (multi-slice jobs only)."""
+    return int(stream_for(job_seed, slice_index).integers(0, 2**63 - 1))
 
-    The shared FCFS/partitioned grant loop: admission-time health
-    filtering, delivery-shortfall detection, and the failure policy's
-    retry/resubmit machinery.  Returns the record plus the instant the
-    candidate set becomes free again.  Without a fault plane this is
-    exactly one grant on the whole candidate set.
+
+class _JobService:
+    """One job's grant state, the same for every stream policy.
+
+    Holds the job's remaining slices (one under the exclusive policies),
+    the grants made so far and the failed attempts at the current slice.
+    :meth:`grant` is the one place a job gets workers; :meth:`close`
+    builds the job's one :class:`JobRecord` (``record``) when its last
+    slice is delivered or the failure policy gives up.
     """
-    attempts = 0
-    resubmissions = 0
-    t = start
-    first_service: float | None = None
-    results: list[SimResult] = []
-    starts: list[float] = []
-    slice_ws: list[tuple[int, ...]] = []
-    outstanding = job.work
-    failure = ""
-    while True:
-        live = rt.health.live(candidates, t)
-        if not live:
-            attempts += 1
-            if attempts < rt.failure.max_attempts:
-                t += rt.failure.backoff(attempts, seed0)
-                continue
-            failure = "no-live-workers"
-            break
-        attempts += 1
-        seed = seed0 if attempts == 1 else _attempt_seed(seed0, attempts - 1)
-        result = run_job(job, outstanding, live, seed, t)
+
+    def __init__(
+        self,
+        rt: _StreamRuntime,
+        job: JobArrival,
+        workers: tuple[int, ...],
+        sizes: typing.Sequence[float],
+        sliced: bool = False,
+    ) -> None:
+        self.rt = rt
+        self.job = job
+        self.workers = workers
+        self.seed = rt.job_seed(job)
+        self.sizes = list(sizes)
+        self.sliced = sliced
+        self.slice = 0  # index of the slice being served
+        self.fails = 0  # failed attempts at that slice
+        self.attempts = 0
+        self.resubmissions = 0
+        self.results: list[SimResult] = []
+        self.starts: list[float] = []
+        self.slice_workers: list[tuple[int, ...]] = []
+        self.record: JobRecord | None = None
+
+    def grant(self, live: tuple[int, ...], t: float) -> float:
+        """Serve the current slice on ``live`` from ``t``; return the grant's end.
+
+        A slice delivered in full advances to the next; the last one
+        completes the job.  A short grant is a failed attempt: the job
+        fails once the slice has used ``max_attempts``, and otherwise,
+        under ``resubmits``, the undelivered remainder replaces the
+        slice.  A sliced job runs slice ``k`` under its own seed, and
+        re-attempt ``a`` of a slice under a seed derived from that.
+        """
+        rt = self.rt
+        size = self.sizes[0]
+        seed = _slice_seed(self.seed, self.slice) if self.sliced else self.seed
+        if self.fails:
+            seed = _attempt_seed(seed, self.fails)
+        result = rt.run_job(self.job, size, live, seed, t)
         rt.health.observe_slice(live, t, result)
-        if first_service is None:
-            first_service = t
-        starts.append(t)
-        results.append(result)
-        slice_ws.append(live)
+        self.attempts += 1
+        self.results.append(result)
+        self.starts.append(t)
+        self.slice_workers.append(live)
         end = t + result.makespan
         delivered = result.delivered_work
-        if delivered + _DELIVERY_TOL * max(1.0, outstanding) >= outstanding:
-            record = JobRecord(
-                job=job, start=first_service, finish=end, workers=candidates,
-                results=tuple(results), slice_starts=tuple(starts),
-                slice_workers=tuple(slice_ws), attempts=attempts,
-                resubmissions=resubmissions,
+        if delivered + _DELIVERY_TOL * max(1.0, size) >= size:
+            self.sizes.pop(0)
+            self.slice += 1
+            self.fails = 0
+            if not self.sizes:
+                self.close(end)
+            return end
+        self.fails += 1
+        if self.fails >= rt.failure.max_attempts:
+            # Only a policy allowing one attempt gives up on the first.
+            reason = "delivery-shortfall" if self.fails == 1 else "attempts-exhausted"
+            self.close(end, reason)
+        elif rt.failure.resubmits:
+            self.sizes[0] = size - delivered
+            self.resubmissions += 1
+            rt.events.append(
+                SimEvent(end, "job_resubmitted", -1, chunk=self.job.job_id,
+                         size=self.sizes[0], phase=rt.policy_name,
+                         detail=f"attempt={self.fails + 1}")
             )
-            return record, end
-        if attempts >= rt.failure.max_attempts:
-            failure = "delivery-shortfall" if attempts == 1 else "attempts-exhausted"
-            t = end
-            break
-        if rt.failure.resubmits:
-            outstanding -= delivered
-            resubmissions += 1
-            t = end
-            rt.resubmit(job, t, outstanding, attempt=attempts + 1)
-        else:
-            t = end + rt.failure.backoff(attempts, seed0)
-    rt.fail(job, t, failure)
-    record = JobRecord(
-        job=job, start=first_service if first_service is not None else t,
-        finish=t, workers=candidates, results=tuple(results),
-        slice_starts=tuple(starts), slice_workers=tuple(slice_ws),
-        failed=True, failure=failure, attempts=attempts,
-        resubmissions=resubmissions,
-    )
-    return record, t
+        return end
+
+    def serve_exclusive(self, start: float) -> float:
+        """Serve the job alone on its workers from ``start``; return when they free up.
+
+        The FCFS/partitioned loop: every attempt admits the live workers
+        only, an attempt that finds none counts as failed, and a failed
+        attempt is re-tried after the failure policy's backoff (a
+        resubmit follows at once).  Without a fault plane this is exactly
+        one grant on all the workers.
+        """
+        rt, t = self.rt, start
+        while self.record is None:
+            live = rt.health.live(self.workers, t)
+            if live:
+                t = self.grant(live, t)
+            else:
+                self.attempts += 1
+                self.fails += 1
+                if self.fails >= rt.failure.max_attempts:
+                    self.close(t, "no-live-workers")
+            if self.record is None and not (live and rt.failure.resubmits):
+                t += rt.failure.backoff(self.fails, self.seed)
+        return t
+
+    def close(self, when: float, failure: str = "") -> None:
+        """Finish the job at ``when``; a ``failure`` reason fails it."""
+        job = self.job
+        if failure:
+            self.rt.events.append(
+                SimEvent(when, "job_failed", -1, chunk=job.job_id, size=job.work,
+                         phase=self.rt.policy_name, detail=failure)
+            )
+        self.record = JobRecord(
+            job=job, start=self.starts[0] if self.starts else when, finish=when,
+            workers=self.workers, results=tuple(self.results),
+            slice_starts=tuple(self.starts), slice_workers=tuple(self.slice_workers),
+            failed=bool(failure), failure=failure, attempts=self.attempts,
+            resubmissions=self.resubmissions,
+        )
 
 
 # -- inter-job policies -------------------------------------------------------
@@ -724,11 +754,12 @@ class StreamPolicy:
     """Abstract inter-job policy: decides when and where each job runs.
 
     A policy is configuration only.  :meth:`run` receives the arrival
-    trace sorted by ``(time, job_id)`` plus a :data:`JobRunner` callback
-    and returns one :class:`JobRecord` per job; all simulation goes
-    through the callback, so policies never touch engines directly.
-    ``stream`` carries the fault-plane runtime (health tracker + failure
-    policy); fault-free streams pass one without a plane.
+    trace sorted by ``(time, job_id)`` plus the stream runtime and
+    returns one :class:`JobRecord` per job.  Every job is served through
+    the runtime's :data:`JobRunner`, one ``_JobService.grant`` at a
+    time, so policies never touch engines directly.  The runtime also
+    carries the fault plane (health tracker + failure policy);
+    fault-free streams pass one without a plane.
     """
 
     #: Spec-style name (used as the ``phase`` label of job events).
@@ -738,30 +769,9 @@ class StreamPolicy:
         self,
         platform: PlatformSpec,
         jobs: tuple[JobArrival, ...],
-        run_job: JobRunner,
-        job_seed: typing.Callable[[JobArrival], "int | None"],
         stream: _StreamRuntime,
     ) -> tuple[JobRecord, ...]:
         raise NotImplementedError
-
-
-@dataclasses.dataclass(frozen=True)
-class FCFSPolicy(StreamPolicy):
-    """Exclusive first-come-first-served service of the whole star."""
-
-    name = "fcfs"
-
-    def run(self, platform, jobs, run_job, job_seed, stream):
-        workers = tuple(range(platform.N))
-        records: list[JobRecord] = []
-        free = 0.0
-        for job in jobs:
-            start = max(job.time, free)
-            record, free = _serve_exclusive(
-                stream, job, workers, start, run_job, job_seed(job)
-            )
-            records.append(record)
-        return tuple(records)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -771,7 +781,7 @@ class PartitionedPolicy(StreamPolicy):
     Workers are split into ``parts`` contiguous, size-balanced groups
     (larger groups first); each job is assigned to the partition that can
     start it earliest, ties to the lowest partition index.  ``parts=1``
-    degenerates to :class:`FCFSPolicy`.  Under a fault plane,
+    is :class:`FCFSPolicy` under another name.  Under a fault plane,
     partitions whose workers are all dead at their candidate start are
     skipped (degradation-aware admission); if every partition is dead
     the earliest one is nominally assigned and the failure policy fails
@@ -802,7 +812,7 @@ class PartitionedPolicy(StreamPolicy):
             cursor += size
         return tuple(groups)
 
-    def run(self, platform, jobs, run_job, job_seed, stream):
+    def run(self, platform, jobs, stream):
         groups = self.partitions(platform)
         free = [0.0] * len(groups)
         records: list[JobRecord] = []
@@ -811,29 +821,25 @@ class PartitionedPolicy(StreamPolicy):
             indices = range(len(groups))
             viable = [i for i in indices if stream.health.live(groups[i], starts[i])]
             part = min(viable or indices, key=lambda i: (starts[i], i))
-            record, busy = _serve_exclusive(
-                stream, job, groups[part], starts[part], run_job, job_seed(job)
-            )
-            records.append(record)
-            free[part] = busy
+            service = _JobService(stream, job, groups[part], (job.work,))
+            free[part] = service.serve_exclusive(starts[part])
+            records.append(service.record)
         return tuple(records)
 
 
-@dataclasses.dataclass
-class _InterleavedEntry:
-    """Mutable rotation state of one active interleaved job."""
+@dataclasses.dataclass(frozen=True)
+class FCFSPolicy(PartitionedPolicy):
+    """Exclusive first-come-first-served service of the whole star.
 
-    job: JobArrival
-    seed: "int | None"
-    sizes: list
-    k: int = 0
-    start: "float | None" = None
-    slice_starts: list = dataclasses.field(default_factory=list)
-    results: list = dataclasses.field(default_factory=list)
-    slice_ws: list = dataclasses.field(default_factory=list)
-    grants: int = 0
-    slice_fails: int = 0
-    resubs: int = 0
+    One partition holding every worker: ``partitioned:parts=1`` under
+    its own name.
+    """
+
+    parts: int = dataclasses.field(default=1, init=False)
+
+    @property
+    def name(self) -> str:
+        return "fcfs"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -845,7 +851,8 @@ class InterleavedPolicy(StreamPolicy):
     dispatched).  The master serves the active jobs' next slices in
     round-robin order, admitting newly arrived jobs at the back of the
     rotation; when no job is active, time jumps to the next arrival.
-    ``slices=1`` degenerates to :class:`FCFSPolicy`.
+    ``slices=1`` degenerates to :class:`FCFSPolicy`, except in how
+    failed grants are re-attempted under a fault plane.
 
     Under a fault plane each slice grant goes to the live workers only;
     a failed slice is re-served at the job's next rotation turn (the
@@ -875,108 +882,43 @@ class InterleavedPolicy(StreamPolicy):
             return (work,)
         return (per,) * (self.slices - 1) + (tail,)
 
-    def run(self, platform, jobs, run_job, job_seed, stream):
+    def run(self, platform, jobs, stream):
         workers = tuple(range(platform.N))
-        pending = list(jobs)
-        active: list[_InterleavedEntry] = []
-        done: dict[int, JobRecord] = {}
+        services = [
+            _JobService(
+                stream, job, workers, self.slice_sizes(job.work), self.slices > 1
+            )
+            for job in jobs
+        ]
+        pending = list(services)
+        active: list[_JobService] = []
         t = 0.0
         rr = 0
 
         def admit(now: float) -> None:
-            while pending and pending[0].time <= now:
-                job = pending.pop(0)
-                active.append(
-                    _InterleavedEntry(
-                        job, job_seed(job), list(self.slice_sizes(job.work))
-                    )
-                )
-
-        def fail(entry: _InterleavedEntry, when: float, reason: str) -> None:
-            stream.fail(entry.job, when, reason)
-            done[entry.job.job_id] = JobRecord(
-                job=entry.job,
-                start=entry.start if entry.start is not None else when,
-                finish=when, workers=workers, results=tuple(entry.results),
-                slice_starts=tuple(entry.slice_starts),
-                slice_workers=tuple(entry.slice_ws), failed=True,
-                failure=reason, attempts=entry.grants,
-                resubmissions=entry.resubs,
-            )
+            while pending and pending[0].job.time <= now:
+                active.append(pending.pop(0))
 
         admit(t)
         while pending or active:
             if not active:
-                t = max(t, pending[0].time)
+                t = max(t, pending[0].job.time)
                 admit(t)
                 rr = 0
             idx = rr % len(active)
-            entry = active[idx]
+            service = active[idx]
             live = stream.health.live(workers, t)
-            if not live:
-                fail(entry, t, "no-live-workers")
+            if live:
+                t = service.grant(live, t)
+            else:
+                service.close(t, "no-live-workers")
+            if service.record is None:
+                rr = idx + 1
+            else:
                 active.pop(idx)
                 rr = idx
-                admit(t)
-                continue
-            size = entry.sizes[0]
-            base = entry.seed if self.slices == 1 else _slice_seed(entry.seed, entry.k)
-            seed_k = base if entry.slice_fails == 0 else _attempt_seed(
-                base, entry.slice_fails
-            )
-            result = run_job(entry.job, size, live, seed_k, t)
-            stream.health.observe_slice(live, t, result)
-            entry.grants += 1
-            if entry.start is None:
-                entry.start = t
-            entry.slice_starts.append(t)
-            entry.results.append(result)
-            entry.slice_ws.append(live)
-            t += result.makespan
-            delivered = result.delivered_work
-            if delivered + _DELIVERY_TOL * max(1.0, size) >= size:
-                entry.sizes.pop(0)
-                entry.k += 1
-                entry.slice_fails = 0
-                if not entry.sizes:
-                    done[entry.job.job_id] = JobRecord(
-                        job=entry.job, start=entry.start, finish=t,
-                        workers=workers, results=tuple(entry.results),
-                        slice_starts=tuple(entry.slice_starts),
-                        slice_workers=tuple(entry.slice_ws),
-                        attempts=entry.grants, resubmissions=entry.resubs,
-                    )
-                    active.pop(idx)
-                    rr = idx
-                else:
-                    rr = idx + 1
-            else:
-                entry.slice_fails += 1
-                if entry.slice_fails >= stream.failure.max_attempts:
-                    reason = (
-                        "delivery-shortfall"
-                        if stream.failure.max_attempts == 1
-                        else "attempts-exhausted"
-                    )
-                    fail(entry, t, reason)
-                    active.pop(idx)
-                    rr = idx
-                else:
-                    if stream.failure.resubmits:
-                        entry.sizes[0] = size - delivered
-                        entry.resubs += 1
-                        stream.resubmit(
-                            entry.job, t, entry.sizes[0],
-                            attempt=entry.slice_fails + 1,
-                        )
-                    rr = idx + 1
             admit(t)
-        return tuple(done[job.job_id] for job in jobs)
-
-
-def _slice_seed(job_seed: "int | None", slice_index: int) -> int:
-    """Per-slice seed derived from the job seed (multi-slice jobs only)."""
-    return int(stream_for(job_seed, slice_index).integers(0, 2**63 - 1))
+        return tuple(s.record for s in services)
 
 
 def make_stream_policy(spec: "str | StreamPolicy") -> StreamPolicy:
@@ -1029,7 +971,6 @@ def simulate_stream(
     faults: "typing.Any | None" = None,
     failure_policy: "JobFailurePolicy | str" = "drop",
     topology: "typing.Any | None" = None,
-    error_model_factory: "typing.Callable[[], ErrorModel] | None" = None,
     tracer: "typing.Any | None" = None,
 ) -> MultiJobResult:
     """Run a stream of divisible loads through the scheduler/engine stack.
@@ -1078,10 +1019,6 @@ def simulate_stream(
         ``sharedbw`` is rejected with ``faults`` (matching the
         single-job guard) because loss classification needs a completion
         time predictable at dispatch.
-    error_model_factory:
-        Override the per-slice error model construction (a zero-argument
-        callable returning a fresh :class:`~repro.errors.models.
-        ErrorModel`); takes precedence over ``error``'s model.
     tracer:
         Optional :class:`repro.obs.Tracer`; receives the stream's
         job-level events plus the merged per-slice simulation events —
@@ -1114,9 +1051,6 @@ def simulate_stream(
         raise ValueError("arrival stream contains duplicate job_ids")
     sched = make_scheduler(scheduler, error) if isinstance(scheduler, str) else scheduler
     stream_policy = make_stream_policy(policy)
-    if error_model_factory is None:
-        def error_model_factory():
-            return make_error_model("normal", error)
 
     plane: StreamFaultSchedule | None = None
     if fault_model is not None:
@@ -1124,7 +1058,6 @@ def simulate_stream(
         if not plane.any_faults:
             plane = None
     health = PlatformHealth(platform.N, plane)
-    runtime = _StreamRuntime(health, failure, stream_policy.name)
 
     def run_job(job, work, workers, job_run_seed, start):
         sub = platform if len(workers) == platform.N else platform.subset(workers)
@@ -1133,16 +1066,17 @@ def simulate_stream(
             None if plane is None else FrozenFaults(plane.project(workers, start))
         )
         return simulate(
-            sub, work, sched, error_model_factory(), seed=job_run_seed,
-            engine=engine, faults=job_faults, topology=topology,
+            sub, work, sched, make_error_model("normal", error),
+            seed=job_run_seed, engine=engine, faults=job_faults, topology=topology,
         )
 
-    def job_seed(job: JobArrival) -> "int | None":
+    def job_seed(job: JobArrival) -> int:
         if job.seed is not None:
             return job.seed
         return int(stream_for(seed, job.job_id).integers(0, 2**63 - 1))
 
-    records = stream_policy.run(platform, jobs, run_job, job_seed, runtime)
+    runtime = _StreamRuntime(health, failure, stream_policy.name, run_job, job_seed)
+    records = stream_policy.run(platform, jobs, runtime)
     result = MultiJobResult(
         platform=platform,
         policy=stream_policy.name,

@@ -45,7 +45,7 @@ import typing
 
 import numpy as np
 
-from repro.errors.faults import _parse_kv
+from repro.errors.faults import _parse_kv, _take
 from repro.errors.rng import stream_for
 
 __all__ = [
@@ -288,21 +288,6 @@ def arrivals_from_jsonl(text: str) -> tuple[JobArrival, ...]:
 
 # -- spec-string grammar ------------------------------------------------------
 
-def _take(params: dict[str, float], kind: str, *names: str, **defaults) -> list[float]:
-    values = []
-    for name in names:
-        if name in params:
-            values.append(params.pop(name))
-        elif name in defaults:
-            values.append(defaults[name])
-        else:
-            raise ValueError(f"arrival spec {kind!r} is missing parameter {name!r}")
-    if params:
-        extra = ", ".join(sorted(params))
-        raise ValueError(f"unknown parameter(s) for arrival kind {kind!r}: {extra}")
-    return values
-
-
 def make_arrival_process(spec: "str | ArrivalProcess") -> ArrivalProcess:
     """Parse an arrival spec string (see module docstring) into a process.
 
@@ -326,7 +311,8 @@ def make_arrival_process(spec: "str | ArrivalProcess") -> ArrivalProcess:
     params = _parse_kv(body, kind, "arrival")
     if kind == "poisson":
         rate, jobs, work, work_cv = _take(
-            params, kind, "rate", "jobs", "work", "work_cv", work_cv=0.0
+            params, kind, "rate", "jobs", "work", "work_cv", what="arrival",
+            work_cv=0.0,
         )
         if jobs != int(jobs):
             raise ValueError(f"poisson jobs must be integral, got {jobs}")
@@ -334,7 +320,7 @@ def make_arrival_process(spec: "str | ArrivalProcess") -> ArrivalProcess:
     if kind == "bursty":
         bursts, size, gap, work, spread, work_cv = _take(
             params, kind, "bursts", "size", "gap", "work", "spread", "work_cv",
-            spread=0.0, work_cv=0.0,
+            what="arrival", spread=0.0, work_cv=0.0,
         )
         if bursts != int(bursts) or size != int(size):
             raise ValueError(f"bursty bursts/size must be integral, got {bursts}/{size}")

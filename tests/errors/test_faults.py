@@ -110,17 +110,35 @@ class TestSpecParsing:
         ],
     )
     def test_non_finite_spec_numbers_rejected_at_parse(self, grammar, spec):
-        from repro.sim import make_failure_policy, make_stream_policy
-        from repro.workloads import make_arrival_process
-
-        parse = {
-            "policy": make_stream_policy,
-            "failure": make_failure_policy,
-            "fault": make_fault_model,
-            "arrival": make_arrival_process,
-        }[grammar]
         with pytest.raises(ValueError, match="must be finite"):
-            parse(spec)
+            _spec_parser(grammar)(spec)
+
+    @pytest.mark.parametrize(
+        "grammar, spec",
+        [
+            ("fault", "crash:p=0.1,p=0.9,tmax=5"),
+            ("arrival", "poisson:rate=0.1,jobs=3,work=10,rate=0.2"),
+            ("policy", "partitioned:parts=2,parts=3"),
+            ("failure", "retry:attempts=2,backoff=1,attempts=3"),
+        ],
+    )
+    def test_repeated_spec_keys_rejected(self, grammar, spec):
+        # The last value used to win silently (p=0.9 above).
+        with pytest.raises(ValueError, match="duplicate"):
+            _spec_parser(grammar)(spec)
+
+
+def _spec_parser(grammar):
+    """The parser of one ``k=v`` spec grammar."""
+    from repro.sim import make_failure_policy, make_stream_policy
+    from repro.workloads import make_arrival_process
+
+    return {
+        "policy": make_stream_policy,
+        "failure": make_failure_policy,
+        "fault": make_fault_model,
+        "arrival": make_arrival_process,
+    }[grammar]
 
 
 class TestSampling:

@@ -1,5 +1,7 @@
 """Inter-job policies: composition semantics and the spec grammar."""
 
+import dataclasses
+
 import pytest
 
 from repro.platform import homogeneous_platform
@@ -54,6 +56,41 @@ class TestSpecGrammar:
 
 
 class TestFCFS:
+    def test_is_one_partition_of_the_whole_star(self, platform):
+        policy = FCFSPolicy()
+        assert isinstance(policy, PartitionedPolicy)
+        assert policy.parts == 1 and policy.name == "fcfs"
+        assert policy.partitions(platform) == (tuple(range(platform.N)),)
+
+    @pytest.mark.parametrize(
+        "faults", [None, "crash:p=0.9,tmax=60", "crash:p=1,tmax=5"]
+    )
+    @pytest.mark.parametrize(
+        "failure_policy", ["drop", "retry:attempts=2,backoff=5", "resubmit"]
+    )
+    def test_same_stream_as_partitioned_parts_1(
+        self, platform, faults, failure_policy
+    ):
+        # Only the policy label differs: records, attempts, failure
+        # reasons and the merged event streams all match.
+        fcfs, one = (
+            simulate_stream(
+                platform, "poisson:rate=0.03,jobs=5,work=120", scheduler="UMR",
+                error=0.3, seed=2, policy=policy, faults=faults,
+                failure_policy=failure_policy,
+            )
+            for policy in ("fcfs", "partitioned:parts=1")
+        )
+        assert fcfs.jobs == one.jobs
+
+        def unlabeled(stream):
+            return [
+                dataclasses.replace(e, phase="") if e.phase == stream.policy else e
+                for e in stream.events(include_sim=True)
+            ]
+
+        assert unlabeled(fcfs) == unlabeled(one)
+
     def test_jobs_never_overlap_and_keep_arrival_order(self, platform):
         arrivals = [JobArrival(i, 5.0 * i, 100.0, seed=i) for i in range(4)]
         stream = simulate_stream(platform, arrivals, scheduler="UMR")
