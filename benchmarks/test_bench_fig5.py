@@ -11,6 +11,10 @@ at error 0 and its largest single-step increase must occur at the error
 value where the per-worker threshold `error·W/N >= cLat + nLat·N` first
 passes (error* = N·(cLat + N·nLat)/W = 0.366 here, so between grid points
 0.3 and 0.4 on the smoke error axis).
+
+``fig5`` is the figure's one definition, shared with ``repro fig5``: it
+sweeps the single configuration at no fewer than the paper's 40
+repetitions, whatever the base grid's count.
 """
 
 from repro.experiments.config import smoke_grid

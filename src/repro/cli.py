@@ -35,14 +35,7 @@ import sys
 from repro.core.registry import available_schedulers
 from repro.experiments.cache import cached_sweep
 from repro.experiments.config import PAPER_ALGORITHMS, preset_grid
-from repro.experiments.figures import (
-    _normalized_figure,
-    fig4a,
-    fig4b,
-    fig5_grid,
-    fig6_algorithms,
-    fig7_algorithms,
-)
+from repro.experiments.figures import SWEEP_FIGURES, fig4a, fig4b
 from repro.experiments.report import render_figure, render_table, table_csv
 from repro.experiments.runner import eta_progress
 from repro.experiments.tables import table2, table3
@@ -438,30 +431,11 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, "fig4a", render_figure(fig4a(main_sweep())))
     if args.command in ("fig4b", "all"):
         _emit(args, "fig4b", render_figure(fig4b(main_sweep())))
-    # Figs 5-7 normalize their own sweeps to RUMR.  Fig 5 is a single
-    # configuration: bump repetitions to the paper's 40 and reuse the
-    # cache machinery.
-    normalized = {
-        "fig5": (
-            fig5_grid(grid.restrict(repetitions=max(grid.repetitions, 40))),
-            PAPER_ALGORITHMS,
-            "Figure 5: relative makespan vs error (cLat=0.3, nLat=0.9, N=20, B=36)",
-        ),
-        "fig6": (
-            grid,
-            fig6_algorithms,
-            "Figure 6: RUMR with fixed phase-1 percentage, normalized to original RUMR",
-        ),
-        "fig7": (
-            grid,
-            fig7_algorithms,
-            "Figure 7: RUMR with plain UMR phase 1, normalized to original RUMR",
-        ),
-    }
-    for name, (sweep_grid, algorithms, title) in normalized.items():
-        if args.command in (name, "all"):
-            fig = _normalized_figure(main_sweep(sweep_grid, algorithms), title)
-            _emit(args, name, render_figure(fig))
+    # Figs 5-7 normalize their own sweeps to RUMR, through the cache.
+    for figure in SWEEP_FIGURES:
+        if args.command in (figure.name, "all"):
+            results = main_sweep(figure.grid(grid), figure.algorithms)
+            _emit(args, figure.name, render_figure(figure.render(results)))
     return 0
 
 

@@ -53,6 +53,8 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.errors.rng import streams as rng_streams
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.platform.spec import PlatformSpec
 
@@ -73,6 +75,7 @@ __all__ = [
     "LinkSpikeFaults",
     "StreamFaultSchedule",
     "fault_stream",
+    "fault_streams",
     "make_fault_model",
 ]
 
@@ -229,6 +232,16 @@ def fault_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(2,)))
     )
+
+
+def fault_streams(seeds) -> list[np.random.Generator]:
+    """``[fault_stream(s) for s in seeds]``, derived in one batched pass.
+
+    The seed hash of every stream runs as one array pass
+    (:func:`repro.errors.rng.streams`), so realizing a plane costs one
+    hash pass instead of one ``SeedSequence`` per repetition.
+    """
+    return rng_streams([int(s) for s in seeds], (2,))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -715,8 +728,7 @@ class FaultModel:
         draws that decode to the same values from the same stream.
         """
         plane = FaultPlane.clear(len(seeds), platform.N)
-        for r, seed in enumerate(seeds):
-            rng = fault_stream(seed)
+        for r, rng in enumerate(fault_streams(seeds)):
             s = self.sample(platform, rng)
             plane.crash_time[r] = s.crash_times
             pp = np.asarray(s.pauses)
@@ -820,8 +832,8 @@ def _draw_onsets_batch(
     if rows == 0 or n == 0:
         return hit, onset
     buf = np.empty((rows, 2 * n))
-    for r, seed in enumerate(seeds):
-        buf[r] = fault_stream(seed).random(2 * n)
+    for r, rng in enumerate(fault_streams(seeds)):
+        buf[r] = rng.random(2 * n)
     pos = np.zeros(rows, dtype=np.intp)
     ridx = np.arange(rows)
     for j in range(n):
@@ -1020,7 +1032,7 @@ class LinkSpikeFaults(FaultModel):
             plane.fault_row[:] = True
             # sample() draws nothing, so a fresh stream per row is
             # exactly the post-sample generator state.
-            plane.rngs = [fault_stream(s) for s in seeds]
+            plane.rngs = fault_streams(seeds)
         return plane
 
 

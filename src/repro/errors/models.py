@@ -177,14 +177,16 @@ class NormalErrorModel(ErrorModel):
         """
         if self.magnitude == 0.0:
             return np.ones(count)
-        kept = [np.empty(0)]
-        need = count
+        x = rng.normal(1.0, self.magnitude, count)
+        x = x[x >= self.min_ratio]
+        kept = [x]
+        need = count - len(x)
         while need:
             x = rng.normal(1.0, self.magnitude, need)
             x = x[x >= self.min_ratio]
             kept.append(x)
             need -= len(x)
-        return np.concatenate(kept)
+        return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
     def perturber(self, rng: np.random.Generator) -> "typing.Callable[[float], float]":
         """Block-fed :meth:`ErrorModel.perturber`.

@@ -7,14 +7,16 @@ the original RUMR (values above 1.0: RUMR wins).
 
 Figures 4(a)/4(b) reuse the main sweep; Figure 5 runs its own sweep on the
 paper's single high-``nLat`` configuration; Figures 6 and 7 sweep the RUMR
-variants (fixed phase-1 shares; plain in-order phase 1).
+variants (fixed phase-1 shares; plain in-order phase 1).  Each of Figures
+5–7 is one :class:`SweepFigure`, shared by the CLI and the benchmarks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 
-from repro.experiments.config import ExperimentGrid
+from repro.experiments.config import PAPER_ALGORITHMS, ExperimentGrid
 from repro.experiments.metrics import fault_degradation, mean_normalized_makespan
 from repro.experiments.runner import (
     FaultSweepResults,
@@ -25,6 +27,8 @@ from repro.experiments.runner import (
 
 __all__ = [
     "FigureResult",
+    "SWEEP_FIGURES",
+    "SweepFigure",
     "fig4a",
     "fig4b",
     "fig5",
@@ -97,48 +101,77 @@ def fig4b(results: SweepResults) -> FigureResult:
 
 
 def fig5_grid(base: ExperimentGrid) -> ExperimentGrid:
-    """The paper's single Fig-5 configuration: N=20, B=36, cLat=0.3, nLat=0.9."""
+    """The paper's single Fig-5 configuration: N=20, B=36, cLat=0.3, nLat=0.9.
+
+    One platform is cheap, so it runs at no fewer than the paper's 40
+    repetitions whatever the base grid's count.
+    """
     return base.restrict(
         Ns=(20,),
         bandwidth_factors=(1.8,),
         cLats=(0.3,),
         nLats=(0.9,),
+        repetitions=max(base.repetitions, 40),
         name=f"{base.name}-fig5",
     )
 
 
-def fig5(base: ExperimentGrid, n_jobs: int = 1) -> FigureResult:
-    """Fig 5: the high-nLat single configuration (runs its own sweep).
+def _same_grid(base: ExperimentGrid) -> ExperimentGrid:
+    return base
 
-    The interesting feature is the sharp jump in every competitor's
-    relative makespan at the error value where RUMR's threshold first
-    admits a phase 2.
+
+@dataclasses.dataclass(frozen=True)
+class SweepFigure:
+    """A figure that runs its own sweep, normalized to RUMR (Figs 5–7).
+
+    The one definition of the figure — the grid it sweeps (``grid``, a
+    transform of the base grid), its algorithms and its title — read by
+    the CLI, which sweeps through the cache, and by direct calls:
+    ``fig5(base)`` runs the sweep uncached.
     """
-    grid = fig5_grid(base)
-    results = run_sweep(grid, n_jobs=n_jobs)
-    return _normalized_figure(
-        results,
-        "Figure 5: relative makespan vs error (cLat=0.3, nLat=0.9, N=20, B=36)",
-    )
+
+    name: str
+    title: str
+    algorithms: tuple[str, ...]
+    grid: typing.Callable[[ExperimentGrid], ExperimentGrid] = _same_grid
+
+    def render(self, results: SweepResults) -> FigureResult:
+        """The figure of ``results``, a sweep of ``self.grid(base)`` over
+        ``self.algorithms``."""
+        return _normalized_figure(results, self.title)
+
+    def __call__(self, base: ExperimentGrid, n_jobs: int = 1) -> FigureResult:
+        """Run the figure's sweep of ``base``, uncached, and render it."""
+        results = run_sweep(self.grid(base), algorithms=self.algorithms, n_jobs=n_jobs)
+        return self.render(results)
 
 
-def fig6(base: ExperimentGrid, n_jobs: int = 1) -> FigureResult:
-    """Fig 6: fixed phase-1 shares (50–90%) vs the original RUMR heuristic."""
-    results = run_sweep(base, algorithms=fig6_algorithms, n_jobs=n_jobs)
-    fig = _normalized_figure(
-        results,
-        "Figure 6: RUMR with fixed phase-1 percentage, normalized to original RUMR",
-    )
-    return fig
+#: Fig 5: the high-nLat single configuration.  The interesting feature is
+#: the sharp jump in every competitor's relative makespan at the error
+#: value where RUMR's threshold first admits a phase 2.
+fig5 = SweepFigure(
+    "fig5",
+    "Figure 5: relative makespan vs error (cLat=0.3, nLat=0.9, N=20, B=36)",
+    PAPER_ALGORITHMS,
+    fig5_grid,
+)
 
+#: Fig 6: fixed phase-1 shares (50–90%) vs the original RUMR heuristic.
+fig6 = SweepFigure(
+    "fig6",
+    "Figure 6: RUMR with fixed phase-1 percentage, normalized to original RUMR",
+    fig6_algorithms,
+)
 
-def fig7(base: ExperimentGrid, n_jobs: int = 1) -> FigureResult:
-    """Fig 7: plain (in-order) UMR phase 1 vs the out-of-order original."""
-    results = run_sweep(base, algorithms=fig7_algorithms, n_jobs=n_jobs)
-    return _normalized_figure(
-        results,
-        "Figure 7: RUMR with plain UMR phase 1, normalized to original RUMR",
-    )
+#: Fig 7: plain (in-order) UMR phase 1 vs the out-of-order original.
+fig7 = SweepFigure(
+    "fig7",
+    "Figure 7: RUMR with plain UMR phase 1, normalized to original RUMR",
+    fig7_algorithms,
+)
+
+#: The figures that run their own sweeps, in CLI order.
+SWEEP_FIGURES = (fig5, fig6, fig7)
 
 
 def fault_figure(

@@ -23,6 +23,8 @@ grids ride the same passes: both batch engines realize per-repetition
 fault schedules with the scalar engine's exact semantics, and one
 :class:`~repro.errors.faults.FaultPlaneCache` per sweep realizes each
 (platform, seeds) fault plane once for every algorithm of both passes.
+Likewise one :class:`~repro.sim.batch.FactorStreams` per sweep creates
+each cell seed's factor stream once for both passes.
 The routing is decided once per sweep (:func:`_engine_map`) and both
 passes run through one skeleton (:func:`_run_batch_pass`).
 All paths use *the same per-cell seeds*, so the cross-algorithm pairing
@@ -67,9 +69,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from repro.core.registry import is_static_algorithm, make_scheduler
+from repro.errors import rng
 from repro.errors.faults import FaultPlaneCache, make_fault_model
 from repro.errors.models import make_error_model
-from repro.errors.rng import stream_for
 from repro.experiments.config import (
     PAPER_ALGORITHMS,
     ExperimentGrid,
@@ -83,6 +85,7 @@ from repro.experiments.resilient import (
     RetryPolicy,
 )
 from repro.sim.batch import (
+    FactorStreams,
     StaticCell,
     compile_static_plan,
     simulate_static_cells,
@@ -188,27 +191,40 @@ def _engine_map(
     }
 
 
+#: Rows of cell seeds derived per :func:`_cell_seeds` block: enough to
+#: amortize the batched seed hash, few enough to keep its temporaries small.
+_SEED_BLOCK_ROWS = 4096
+
+
 def _cell_seeds(grid: ExperimentGrid, p_idx: int, e_idx: int) -> list[int]:
     """The per-repetition stream keys of one (platform, error) cell.
 
     One seed per repetition, shared by all algorithms (paired comparisons)
     and by every engine; simulate_fast and simulate_static_cells spawn the
-    same independent comm/comp streams from it.  Memoized on the grid's
-    seed coordinates — every engine path re-derives the same cell seeds,
-    and spawning the underlying PCG64 streams dominates an otherwise
-    cheap lookup.
+    same independent comm/comp streams from it.  Repetition ``rep``'s
+    seed is the first ``integers(0, 2**63 - 1)`` draw of
+    ``stream_for(grid.seed, p_idx, e_idx, rep)``.  Seeds come from a
+    per-grid table derived a block of platforms at a time (the whole
+    grid at once on small grids): one batched seed hash
+    (:func:`repro.errors.rng.streams`) per block instead of one
+    ``SeedSequence`` per repetition.
     """
-    return list(_cell_seeds_cached(grid.seed, grid.repetitions, p_idx, e_idx))
+    errors, reps = len(grid.errors), grid.repetitions
+    per_block = min(grid.num_platforms, max(1, _SEED_BLOCK_ROWS // (errors * reps)))
+    block = _seed_table(grid.seed, errors, reps, per_block, p_idx // per_block)
+    return block[p_idx % per_block, e_idx].tolist()
 
 
-@lru_cache(maxsize=4096)
-def _cell_seeds_cached(
-    grid_seed: int, repetitions: int, p_idx: int, e_idx: int
-) -> tuple[int, ...]:
-    return tuple(
-        int(stream_for(grid_seed, p_idx, e_idx, rep).integers(0, 2**63 - 1))
-        for rep in range(repetitions)
-    )
+@lru_cache(maxsize=64)
+def _seed_table(
+    grid_seed: int, errors: int, reps: int, per_block: int, block: int
+) -> np.ndarray:
+    """The ``(per_block, errors, reps)`` cell seeds of platforms
+    ``block * per_block`` onward."""
+    keys = np.indices((per_block, errors, reps)).reshape(3, -1).T
+    keys[:, 0] += block * per_block
+    seeds = [gen.integers(0, 2**63 - 1) for gen in rng.streams(grid_seed, keys)]
+    return np.array(seeds, dtype=np.int64).reshape(per_block, errors, reps)
 
 
 def _scalar_cell(
@@ -561,6 +577,7 @@ def _run_batch_pass(
     supervisor: CellSupervisor,
     stats=None,
     planes: FaultPlaneCache | None = None,
+    streams: FactorStreams | None = None,
 ) -> None:
     """Fill ``names``' tensors through one global batch pass of ``engine``.
 
@@ -570,8 +587,8 @@ def _run_batch_pass(
     the cells into one tensor per plan-length class
     (:func:`simulate_static_cells`), ``dynbatch`` merges compatible cells
     into shared lockstep calls drawing their state from the sweep arena
-    (:func:`simulate_dynamic_cells`).  Fault planes come from ``planes``,
-    shared by both passes.
+    (:func:`simulate_dynamic_cells`).  Fault planes come from ``planes``
+    and factor streams from ``streams``, both shared by both passes.
 
     The merged call is retried per the supervisor's policy; if it keeps
     failing, the pass degrades to per-cell engine calls — the same
@@ -593,7 +610,8 @@ def _run_batch_pass(
     cells = [cell for _, cell in entries if cell is not None]
     perf = {} if stats is not None else None
     results, exc = supervisor.attempt(
-        lambda: simulate(cells, perf=perf, planes=planes), grid.seed
+        lambda: simulate(cells, perf=perf, planes=planes, streams=streams),
+        grid.seed,
     )
     if exc is not None:
         results = [
@@ -824,9 +842,10 @@ def run_sweep(
 
     # -- the global batch passes: static whole-grid, then merged lockstep ---
     # Both passes simulate every algorithm of a (platform, error) cell on
-    # the same seeds, so each fault plane is realized once and shared; the
-    # cache dies with this call.
+    # the same seeds, so each fault plane is realized and each factor
+    # stream drawn once and shared; both stores die with this call.
     planes = FaultPlaneCache() if grid.has_faults else None
+    streams = FactorStreams()
     for engine, names in passes.items():
         if not names:
             continue
@@ -840,7 +859,7 @@ def run_sweep(
         t0 = time.perf_counter()
         _run_batch_pass(
             grid, platforms, engine, names, tensors, supervisor,
-            stats=stats, planes=planes,
+            stats=stats, planes=planes, streams=streams,
         )
         if stats is not None:
             if engine == "static-batch":

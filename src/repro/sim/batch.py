@@ -50,17 +50,20 @@ need is preserved throughout.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import typing
 
 import numpy as np
 
 from repro.core.chunks import ChunkPlan
+from repro.errors import rng
 from repro.errors.faults import FaultModel, FaultPlaneCache, FaultStack
 from repro.errors.models import NormalErrorModel, check_magnitude
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
     "CompiledStaticPlan",
+    "FactorStreams",
     "StaticCell",
     "compile_static_plan",
     "factor_rows",
@@ -155,9 +158,11 @@ def compile_static_plan(platform: PlatformSpec, plan: ChunkPlan) -> CompiledStat
     return compiled
 
 
-#: Smallest block a factor stream grows by.  Any block schedule yields
-#: the same values; the floor only saves generator calls.
-_MIN_BLOCK = 64
+#: Fewest factor columns a stream draws at a time.  A draw this short
+#: costs its fixed per-call overhead, not its length, and this is the
+#: lockstep factor bank's first width, so the columns the static pass
+#: draws also serve the lockstep pass's first dispatches.
+MIN_DRAW = 160
 
 
 class _FactorStream:
@@ -169,80 +174,110 @@ class _FactorStream:
     :meth:`NormalErrorModel.ratios`, which equals the scalar engines'
     factor-by-factor draws whatever the block sizes, so a stream's values
     depend only on its seed: one algorithm's factors do not depend on
-    which other algorithms, or which plan lengths, share its sweep.
-    Factors are stored raw (multiply-mode); :func:`factor_rows` applies
-    the ``divide`` inversion.
+    which other algorithms, or which plan lengths, share its sweep.  The
+    generators are the seed's children 0 (comm) and 1 (comp), created in
+    bulk by :func:`factor_stream`.  Factors are stored raw
+    (multiply-mode); :func:`factor_rows` applies the ``divide``
+    inversion.
     """
 
     __slots__ = ("comm", "comp", "_gen_comm", "_gen_comp", "_model")
 
-    def __init__(self, seed: int, magnitude: float):
-        comm_seq, comp_seq = np.random.SeedSequence(int(seed)).spawn(2)
-        self._gen_comm = np.random.Generator(np.random.PCG64(comm_seq))
-        self._gen_comp = np.random.Generator(np.random.PCG64(comp_seq))
-        self._model = NormalErrorModel(magnitude)
-        self.comm = np.empty(0)
-        self.comp = np.empty(0)
+    def __init__(self, gen_comm, gen_comp, model: NormalErrorModel):
+        self._gen_comm = gen_comm
+        self._gen_comp = gen_comp
+        self._model = model
+        self.comm = self.comp = np.empty(0)
 
-    def ensure(self, cols: int) -> None:
+    def extend(self, cols: int) -> None:
+        """Draw the columns missing up to ``cols``, at least :data:`MIN_DRAW`."""
         have = len(self.comm)
         if cols > have:
-            # Grow at least by doubling, so repeated requests stay amortized.
-            block = max(cols - have, have, _MIN_BLOCK)
-            self.comm = np.append(self.comm, self._model.ratios(self._gen_comm, block))
-            self.comp = np.append(self.comp, self._model.ratios(self._gen_comp, block))
+            more = max(cols - have, MIN_DRAW)
+            comm = self._model.ratios(self._gen_comm, more)
+            comp = self._model.ratios(self._gen_comp, more)
+            if have:
+                comm = np.concatenate((self.comm, comm))
+                comp = np.concatenate((self.comp, comp))
+            self.comm, self.comp = comm, comp
 
 
-#: Bounded FIFO cache of factor streams keyed by (seed, magnitude).
-#: Sweeps revisit the same per-cell seeds constantly — all algorithms
-#: share a cell's streams (paired comparisons), fault-scenario sweeps
-#: re-run the same cells, and benchmark/retry paths repeat whole grids —
-#: so the spawn-and-draw cost is paid once per seed, not once per visit.
-#: Entries are never mutated after growth (prefix-stable), so consumers
-#: may slice but must not write into the returned rows.
-_FACTOR_STREAMS: dict = {}
-_FACTOR_STREAMS_MAX = 4096
+class FactorStreams(dict):
+    """The factor streams of one sweep, keyed by ``(seed, magnitude)``.
 
-
-def factor_stream(seed: int, magnitude: float, cols: int) -> _FactorStream:
-    """The cached factor stream for ``seed``, grown to ``cols`` columns.
-
-    Requires ``magnitude > 0`` (zero-magnitude rows are exact ones and
-    need no stream at all).  The returned entry's ``comm``/``comp``
-    arrays have at least ``cols`` columns; callers slice a prefix and
-    must treat the arrays as read-only.  The values do not depend on
-    ``cols`` or on earlier requests (see :class:`_FactorStream`), so a
-    cold and a warm cache give the same prefix.
+    Sweeps revisit the same per-cell seeds constantly — all algorithms
+    share a cell's streams (paired comparisons), and both batch passes
+    simulate every cell — so each stream is created once, on first
+    request, and drawn only as far as its consumers need.  Nothing is
+    evicted: the store lives as long as its owner keeps it (one
+    :func:`~repro.experiments.runner.run_sweep` call, shared by the
+    static and lockstep passes, like
+    :class:`~repro.errors.faults.FaultPlaneCache`).  Entries are never
+    rewritten after growth (prefix-stable), so consumers may slice but
+    must not write into the arrays.
     """
-    key = (int(seed), float(magnitude))
-    entry = _FACTOR_STREAMS.get(key)
-    if entry is None:
-        if len(_FACTOR_STREAMS) >= _FACTOR_STREAMS_MAX:
-            _FACTOR_STREAMS.pop(next(iter(_FACTOR_STREAMS)))
-        entry = _FactorStream(seed, magnitude)
-        _FACTOR_STREAMS[key] = entry
-    entry.ensure(cols)
-    return entry
 
 
-def factor_rows(keys, cols: int, mode: str) -> "tuple[np.ndarray, np.ndarray]":
-    """``(comm, comp)`` factor matrices, one row per ``(seed, error)`` key.
+def factor_stream(streams: FactorStreams, keys, cols) -> None:
+    """Draw the factor streams of ``keys`` to ``cols`` columns each.
 
-    A ``None`` key gives exact ones (zero-error rows touch no stream).  In
-    ``divide`` mode factors are inverted, so consumers always multiply:
-    ``predicted · (1/X)``, as the scalar ``perturb`` computes.
+    ``keys`` are distinct ``(seed, magnitude)`` pairs with ``magnitude >
+    0`` (zero-magnitude rows are exact ones and need no stream);
+    ``cols`` is one column count or one per key.  Streams missing from
+    ``streams`` are created together: their comm/comp generators come
+    from one batched seed derivation (:func:`repro.errors.rng.streams`).
+    The values do not depend on ``cols`` or on earlier requests (see
+    :class:`_FactorStream`), so a cold and a warm store give the same
+    prefix.
     """
-    comm = np.ones((len(keys), cols))
-    comp = np.ones((len(keys), cols))
-    for r, key in enumerate(keys):
-        if key is not None:
-            stream = factor_stream(key[0], key[1], cols)
-            comm[r] = stream.comm[:cols]
-            comp[r] = stream.comp[:cols]
-    if mode == "divide":
-        np.divide(1.0, comm, out=comm)
-        np.divide(1.0, comp, out=comp)
-    return comm, comp
+    missing = [key for key in keys if key not in streams]
+    if missing:
+        gens = rng.streams(
+            [seed for seed, _ in missing] * 2,
+            np.repeat([[0], [1]], len(missing), axis=0),
+        )
+        models: dict = {}
+        for key, gen_comm, gen_comp in zip(missing, gens, gens[len(missing) :]):
+            model = models.get(key[1])
+            if model is None:
+                model = models[key[1]] = NormalErrorModel(key[1])
+            streams[key] = _FactorStream(gen_comm, gen_comp, model)
+    if isinstance(cols, int):
+        cols = itertools.repeat(cols)
+    for key, width in zip(keys, cols):
+        streams[key].extend(width)
+
+
+def factor_rows(
+    keys, cols: int, mode: str, streams: FactorStreams, start: int = 0
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(comm, comp)`` factor columns ``start:cols``, one row per key.
+
+    Rows are ``(seed, error)`` keys of streams already drawn by
+    :func:`factor_stream`; this only gathers: the distinct keys' columns
+    are concatenated once, then one fancy-index pass spreads them over
+    the rows.  A ``None`` key gives exact ones (zero-error rows touch no
+    stream), and so do the columns past a stream's drawn end — padding
+    no consumer of that row reads.  In ``divide`` mode factors are
+    inverted, so consumers always multiply: ``predicted · (1/X)``, as
+    the scalar ``perturb`` computes.
+    """
+    width = cols - start
+    # Slot 0 is the all-ones row of every None key.
+    index: dict = {None: 0}
+    pos = [index.setdefault(key, len(index)) for key in keys]
+    entries = [streams[key] for key in itertools.islice(index, 1, None)]
+    out = []
+    for name in ("comm", "comp"):
+        parts = [getattr(e, name)[start:cols] for e in entries]
+        unique = np.ones((len(index), width))
+        if parts:
+            lengths = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+            unique[1:][np.arange(width) < lengths[:, None]] = np.concatenate(parts)
+        if mode == "divide":
+            np.divide(1.0, unique, out=unique)
+        out.append(unique[pos])
+    return out[0], out[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -322,6 +357,7 @@ def simulate_static_cells(
     perf=None,
     tracers=None,
     planes=None,
+    streams=None,
 ) -> list:
     """Simulate a whole grid of static cells in a few stacked passes.
 
@@ -340,7 +376,11 @@ def simulate_static_cells(
     Factor draws are deduplicated by ``(seed, error)``: rows sharing a
     seed and magnitude (the same cell simulated under several algorithms
     — the paired-comparison discipline) reuse one draw, like the scalar
-    engines re-deriving identical streams from the seed.
+    engines re-deriving identical streams from the seed.  Every stream
+    is drawn once, before the first class, to the longest plan among its
+    seed's cells; the classes only gather from it.  ``streams``, a
+    :class:`FactorStreams`, shares the draws with other passes over the
+    same seeds; by default the store lives for this call only.
 
     Deterministic fault-free cells (``error == 0`` and no faults)
     collapse to a single simulated row broadcast over their seeds (no
@@ -373,6 +413,9 @@ def simulate_static_cells(
     _traced_rows(cells, tracers)
     if planes is None:
         planes = FaultPlaneCache()
+    if streams is None:
+        streams = FactorStreams()
+    _reserve_factors(cells, streams)
     classes: dict[int, list[int]] = {}
     for i, c in enumerate(cells):
         classes.setdefault(c.plan.num_chunks.bit_length(), []).append(i)
@@ -380,14 +423,30 @@ def simulate_static_cells(
     for members in classes.values():
         results = _simulate_stack(
             [cells[i] for i in members], mode, perf,
-            None if tracers is None else [tracers[i] for i in members], planes,
+            None if tracers is None else [tracers[i] for i in members],
+            planes, streams,
         )
         for i, makespans in zip(members, results):
             out[i] = makespans
     return out
 
 
-def _simulate_stack(cells, mode, perf, tracers, planes) -> list:
+def _reserve_factors(cells, streams: FactorStreams) -> None:
+    """Draw every stream the cells read, each to its seed's longest plan."""
+    longest: dict = {}
+    for c in cells:
+        if c.error > 0.0:
+            key = (c.seeds, c.error)
+            longest[key] = max(longest.get(key, 0), c.plan.num_chunks)
+    need: dict = {}
+    for (seeds, error), k in longest.items():
+        for seed in seeds:
+            key = (int(seed), error)
+            need[key] = max(need.get(key, 0), k)
+    factor_stream(streams, list(need), list(need.values()))
+
+
+def _simulate_stack(cells, mode, perf, tracers, planes, streams) -> list:
     """One (rows × chunks) pass over ``cells``, padded to their longest plan."""
     traced = _traced_rows(cells, tracers)
     # Clean deterministic cells need only one representative row.
@@ -415,14 +474,14 @@ def _simulate_stack(cells, mode, perf, tracers, planes) -> list:
     rep = lambda a: np.repeat(a, row_counts, axis=0)  # noqa: E731
     link_pred, comp_pred, tlat = map(rep, (link_pred, comp_pred, tlat))
 
-    # Factor matrices: k_max columns so any plan in the stack can consume
-    # its prefix.
+    # Factor matrices: k_max columns, each row's stream drawn at least to
+    # its own plan's length (see _reserve_factors).
     keys = [
         (int(seed), c.error) if c.error > 0.0 else None
         for c, count in zip(cells, row_counts)
         for seed in c.seeds[:count]
     ]
-    comm, comp = factor_rows(keys, k_max, mode)
+    comm, comp = factor_rows(keys, k_max, mode, streams)
 
     # Fault realization: each fault cell's rows come from one batched
     # FaultPlane draw, block-copied into the pass's FaultStack.  The

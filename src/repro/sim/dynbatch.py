@@ -99,9 +99,7 @@ from repro.errors.faults import FaultModel, FaultPlaneCache, FaultStack
 from repro.errors.models import check_magnitude, make_error_model
 from repro.platform.spec import PlatformSpec
 
-# ``factor_stream`` stays importable here for span tracers that patch
-# each engine's draw entry point (perfbench/layers.py).
-from repro.sim.batch import factor_rows, factor_stream  # noqa: F401
+from repro.sim.batch import MIN_DRAW, FactorStreams, factor_rows, factor_stream
 from repro.sim.fastsim import simulate_fast
 
 __all__ = [
@@ -117,9 +115,6 @@ __all__ = [
 #: array at this cap — wide enough that a paper-scale (platform × error)
 #: sweep merges into a single pass per scheduler family.
 MAX_ROWS = 4096
-
-#: Initial factor-bank column capacity; grown by doubling on demand.
-_INITIAL_COLUMNS = 160
 
 #: Initial per-(row, worker) ring capacity (a power of two); doubled when
 #: one worker's outstanding chunks would overflow it.
@@ -202,15 +197,18 @@ class _FactorBank:
     """Per-row (comm, comp) perturbation factor columns, fetched lazily.
 
     Column ``k`` of row ``r`` perturbs row ``r``'s ``k``-th dispatch.
-    Rows come from :func:`repro.sim.batch.factor_rows` over the shared
-    per-seed stream cache, so the consumption is bit-identical to the
-    scalar engine's chunk-order draws, and rows revisited by a later
-    sweep reuse the already-drawn columns.  Rows with zero magnitude
-    hold exact ones and touch no stream at all.
+    Rows come from the pass's :class:`~repro.sim.batch.FactorStreams`,
+    so the consumption is bit-identical to the scalar engine's
+    chunk-order draws, and streams another pass of the same sweep drew
+    are reused, not redrawn.  Growth draws the live rows' streams to the
+    new width (:func:`~repro.sim.batch.factor_stream`) and gathers only
+    the new columns.  Rows with zero magnitude hold exact ones and touch
+    no stream at all.
     """
 
-    def __init__(self, seeds, sigmas, mode: str):
+    def __init__(self, seeds, sigmas, mode: str, streams: FactorStreams):
         self._mode = mode
+        self._streams = streams
         self._keys: list = [
             (int(seed), float(sigma)) if sigma > 0.0 else None
             for seed, sigma in zip(seeds, sigmas)
@@ -228,11 +226,21 @@ class _FactorBank:
         self.comp = self.comp[keep]
 
     def ensure(self, cols: int) -> None:
-        """Guarantee at least ``cols`` materialized columns."""
+        """Guarantee at least ``cols`` materialized columns.
+
+        The bank starts at :data:`~repro.sim.batch.MIN_DRAW` columns and
+        grows by doubling.
+        """
         have = self.comm.shape[1]
         if cols > have:
-            target = max(cols, 2 * have, _INITIAL_COLUMNS)
-            self.comm, self.comp = factor_rows(self._keys, target, self._mode)
+            target = max(cols, 2 * have, MIN_DRAW)
+            live = list(dict.fromkeys(k for k in self._keys if k is not None))
+            factor_stream(self._streams, live, target)
+            comm, comp = factor_rows(
+                self._keys, target, self._mode, self._streams, start=have
+            )
+            self.comm = np.concatenate([self.comm, comm], axis=1)
+            self.comp = np.concatenate([self.comp, comp], axis=1)
 
     def gather(self, rows, cols):
         """``(comm, comp)`` factors of ``rows`` at column ``cols`` each."""
@@ -278,7 +286,9 @@ class _Lockstep:
     emit no ``recovery_decision``).
     """
 
-    def __init__(self, cells, specs, mode, row_tracers, arena, perf, planes) -> None:
+    def __init__(
+        self, cells, specs, mode, row_tracers, arena, perf, planes, streams
+    ) -> None:
         self.cells = cells
         self.row_tracers = row_tracers
         self.arena = arena
@@ -306,7 +316,7 @@ class _Lockstep:
 
         self.seeds = [s for c in cells for s in c.seeds]
         self.bank = _FactorBank(
-            self.seeds, np.repeat([c.error for c in cells], reps), mode
+            self.seeds, np.repeat([c.error for c in cells], reps), mode, streams
         )
         # Pad worker slots keep S = B = 1 and zero latencies.
         params = np.zeros((len(cells), n, len(_WORKER_FIELDS)))
@@ -822,6 +832,7 @@ def simulate_dynamic_cells(
     arena=None,
     perf=None,
     planes=None,
+    streams=None,
 ) -> list:
     """Simulate many dynamic cells, merging compatible ones per call.
 
@@ -842,7 +853,9 @@ def simulate_dynamic_cells(
     engine's counters across calls.  ``planes``, a
     :class:`~repro.errors.faults.FaultPlaneCache`, shares fault planes
     with other passes over the same cells; by default cells of this call
-    that share a fault model, platform and seeds share one.
+    that share a fault model, platform and seeds share one.  ``streams``,
+    a :class:`~repro.sim.batch.FactorStreams`, does the same for factor
+    streams; by default the store lives for this call only.
     """
     if mode not in ("multiply", "divide"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
@@ -854,6 +867,8 @@ def simulate_dynamic_cells(
         arena = BatchArena()
     if planes is None:
         planes = FaultPlaneCache()
+    if streams is None:
+        streams = FactorStreams()
 
     groups: dict = {}
     for idx, cell in enumerate(cells):
@@ -883,6 +898,7 @@ def simulate_dynamic_cells(
                 arena,
                 perf,
                 planes,
+                streams,
             ).run()
             for (i, _), res in zip(batch, results):
                 outputs[i] = res

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import spawn_rngs, stream_for
+from repro.errors.faults import fault_stream, fault_streams
+from repro.errors.rng import seed_states, streams
 
 
 def test_spawn_produces_requested_count():
@@ -50,3 +54,84 @@ def test_stream_for_none_seed_defaults_to_zero():
 def test_stream_for_rejects_negative_keys():
     with pytest.raises(ValueError):
         stream_for(0, -1)
+
+
+# -- batched seed derivation ------------------------------------------------
+
+#: Word-count edges of numpy's entropy assembly: one word, two, three.
+_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**96 + 5]
+entropies = st.one_of(
+    st.sampled_from(_EDGES), st.integers(0, 2**64 - 1), st.integers(2**64, 2**130)
+)
+key_elements = st.one_of(
+    st.integers(0, 3), st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)
+)
+spawn_keys = st.lists(key_elements, max_size=3).map(tuple)
+
+
+@given(st.lists(entropies, min_size=1, max_size=6), spawn_keys)
+def test_batched_seed_states_equal_seedsequence(ents, key):
+    states = seed_states(ents, key)
+    for entropy, row in zip(ents, states, strict=True):
+        ref = np.random.SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64)
+        assert np.array_equal(row, ref)
+
+
+@given(
+    st.integers(0, 3).flatmap(
+        lambda k: st.lists(
+            st.tuples(entropies, st.lists(key_elements, min_size=k, max_size=k)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_batched_seed_states_with_mixed_word_counts(pairs):
+    # Rows whose entropy and key elements assemble to different word
+    # counts hash in separate groups of one call.
+    ents = [entropy for entropy, _ in pairs]
+    keys = [key for _, key in pairs]
+    states = seed_states(ents, keys)
+    for (entropy, key), row in zip(pairs, states, strict=True):
+        ref = np.random.SeedSequence(entropy, spawn_key=tuple(key))
+        assert np.array_equal(row, ref.generate_state(4, np.uint64))
+
+
+@given(st.lists(entropies, min_size=1, max_size=5), spawn_keys)
+def test_batched_seed_streams_equal_stream_for(ents, key):
+    for entropy, gen in zip(ents, streams(ents, key), strict=True):
+        ref = stream_for(entropy, *key)
+        assert gen.random(3).tolist() == ref.random(3).tolist()
+        assert gen.normal(1.0, 0.3, 2).tolist() == ref.normal(1.0, 0.3, 2).tolist()
+
+
+@given(st.lists(entropies, min_size=1, max_size=5))
+def test_batched_seed_children_equal_spawn(ents):
+    # Child i of a seed is spawn(n)[i]: for spawn_rngs, for the factor
+    # streams' children 0/1 and for the fault stream's child 2.
+    for i in range(3):
+        batched = streams(ents, (i,))
+        for entropy, gen in zip(ents, batched, strict=True):
+            child = np.random.SeedSequence(entropy).spawn(3)[i]
+            ref = np.random.Generator(np.random.PCG64(child)).random(3).tolist()
+            assert gen.random(3).tolist() == ref
+            assert spawn_rngs(entropy, 3)[i].random(3).tolist() == ref
+    for entropy, gen in zip(ents, fault_streams(ents), strict=True):
+        assert gen.random(3).tolist() == fault_stream(entropy).random(3).tolist()
+
+
+def test_batched_seed_derivation_broadcasts_and_validates():
+    keys = np.array([[p, e, r] for p in range(2) for e in range(3) for r in range(4)])
+    states = seed_states(7, keys)
+    assert states.shape == (24, 4)
+    for key, row in zip(keys, states):
+        ref = np.random.SeedSequence(7, spawn_key=tuple(int(k) for k in key))
+        assert np.array_equal(row, ref.generate_state(4, np.uint64))
+    assert seed_states([], (2,)).shape == (0, 4)
+    assert streams([], (2,)) == []
+    with pytest.raises(ValueError):
+        seed_states([1, 2, 3], [[0], [1]])
+    with pytest.raises(ValueError):
+        seed_states(-1, ())
+    with pytest.raises(TypeError):
+        seed_states(1.5, ())

@@ -9,8 +9,8 @@ import pytest
 
 from repro.errors import CrashFaults
 from repro.experiments import runner
-from repro.experiments.config import PAPER_ALGORITHMS, smoke_grid
-from repro.experiments.runner import SweepResults, run_sweep
+from repro.experiments.config import PAPER_ALGORITHMS, bench_grid, smoke_grid
+from repro.experiments.runner import SweepResults, _cell_seeds, run_sweep
 from repro.sim import batch
 
 ALGOS = ("RUMR", "UMR", "Factoring")
@@ -136,13 +136,26 @@ class TestFastPath:
             )
 
 
+def _track_factor_stores(monkeypatch) -> list:
+    """Weak references to every factor-stream store a sweep creates."""
+    stores = []
+
+    class TrackedStore(runner.FactorStreams):
+        def __init__(self):
+            super().__init__()
+            stores.append(weakref.ref(self))
+
+    monkeypatch.setattr(runner, "FactorStreams", TrackedStore)
+    return stores
+
+
 class TestCompanionIndependence:
     """An algorithm's tensor does not depend on which others share its sweep.
 
-    Every algorithm draws its error > 0 factors from the same cached
-    per-seed streams; any growth schedule yields the same values, so they
-    do not depend on the longest plan (or dynamic run) that grew them
-    first.
+    Every algorithm draws its error > 0 factors from the same per-seed
+    streams of its sweep's store; any growth schedule yields the same
+    values, so they do not depend on the longest plan (or dynamic run)
+    that grew them first.
     Under faults every algorithm of a cell shares one realized fault
     plane, and each consumer draws link spikes from its own copy of the
     plane's generators.
@@ -163,14 +176,47 @@ class TestCompanionIndependence:
             "UMR-with-MI-1-spike",
         ],
     )
-    def test_tensor_independent_of_companions(self, alone, together, fault):
+    def test_tensor_independent_of_companions(
+        self, alone, together, fault, monkeypatch
+    ):
         grid = dataclasses.replace(smoke_grid(), seed=7, fault=fault)
-        batch._FACTOR_STREAMS.clear()
+        stores = _track_factor_stores(monkeypatch)
         single = run_sweep(grid, algorithms=alone)
-        batch._FACTOR_STREAMS.clear()
         shared = run_sweep(grid, algorithms=together)
+        # Each sweep drew its streams cold, into a store of its own that
+        # died with it.
+        gc.collect()
+        assert len(stores) == 2
+        assert all(store() is None for store in stores)
         name = alone[0]
         assert np.array_equal(single.makespans[name], shared.makespans[name])
+
+    def test_one_batched_seed_stream_per_cell_seed(self, monkeypatch):
+        # On the bench axes at 80 repetitions the sweep has more cell seeds
+        # than any bounded stream cache would keep; still, both batch
+        # passes of all seven algorithms draw from one stream per distinct
+        # nonzero-error cell seed, each created once.
+        grid = bench_grid().restrict(repetitions=80)
+        created = []
+
+        class CountedStream(batch._FactorStream):
+            def __init__(self, *args):
+                super().__init__(*args)
+                created.append(self)
+
+        monkeypatch.setattr(batch, "_FactorStream", CountedStream)
+        stores = _track_factor_stores(monkeypatch)
+        run_sweep(grid, algorithms=PAPER_ALGORITHMS)
+        seeds = {
+            seed
+            for p_idx in range(grid.num_platforms)
+            for e_idx, error in enumerate(grid.errors)
+            if error > 0
+            for seed in _cell_seeds(grid, p_idx, e_idx)
+        }
+        assert len(seeds) == 5120
+        assert len(created) == len(seeds)
+        assert len(stores) == 1
 
     def test_batched_fault_planes_shared_then_released(self, monkeypatch):
         # Each (platform, error) cell's plane is realized once for all
