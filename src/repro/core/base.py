@@ -78,7 +78,7 @@ class LossNote:
     size: float
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class Dispatch:
     """An instruction to send ``size`` workload units to ``worker`` now."""
 
@@ -86,9 +86,20 @@ class Dispatch:
     size: float
     phase: str = ""
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"dispatch size must be > 0, got {self.size}")
+    def __init__(self, worker: int, size: float, phase: str = "") -> None:
+        # Sources build one Dispatch per chunk, so this sets the slots
+        # directly instead of the frozen __init__'s object.__setattr__
+        # calls (same fields, validation, equality and hashing).
+        if size <= 0:
+            raise ValueError(f"dispatch size must be > 0, got {size}")
+        _set_worker(self, worker)
+        _set_size(self, size)
+        _set_phase(self, phase)
+
+
+_set_worker = Dispatch.worker.__set__
+_set_size = Dispatch.size.__set__
+_set_phase = Dispatch.phase.__set__
 
 
 class Wait:

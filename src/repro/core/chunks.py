@@ -9,10 +9,11 @@ was actually sent: the full timeline of its transfer and computation.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import typing
 
-__all__ = ["PlannedChunk", "ChunkPlan", "DispatchRecord"]
+__all__ = ["PlannedChunk", "ChunkPlan", "DispatchRecord", "build_records"]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -129,3 +130,27 @@ class DispatchRecord:
     def comp_time(self) -> float:
         """Computation duration (including start-up latency)."""
         return self.comp_end - self.comp_start
+
+
+#: One slot setter per :class:`DispatchRecord` field, in field order.
+_RECORD_SETTERS = tuple(
+    getattr(DispatchRecord, f.name).__set__ for f in dataclasses.fields(DispatchRecord)
+)
+
+
+def build_records(rows: typing.Sequence[typing.Sequence]) -> tuple[DispatchRecord, ...]:
+    """The records of one run's timeline rows, indexed in row order.
+
+    Each row holds the :class:`DispatchRecord` fields after ``index``:
+    ``(worker, size, send_start, send_end, arrival, comp_start, comp_end,
+    phase, lost, loss_time)``.  Record ``i`` equals
+    ``DispatchRecord(i, *rows[i])``; it is built without the frozen
+    ``__init__`` (a run makes one record per chunk), by setting each
+    field's slot a column at a time.
+    """
+    n = len(rows)
+    records = list(map(object.__new__, itertools.repeat(DispatchRecord, n)))
+    for set_field, column in zip(_RECORD_SETTERS, (range(n), *zip(*rows))):
+        # The setters return None, so any() just drains the map.
+        any(map(set_field, records, column))
+    return tuple(records)

@@ -21,13 +21,14 @@ resource-sharing DLT literature:
 A :class:`FaultModel` is *configuration only* (like a
 :class:`~repro.core.base.Scheduler`): calling :meth:`FaultModel.sample`
 with a platform and an RNG realizes one run's :class:`FaultSchedule`.  Both
-simulation engines spawn the fault stream as the **third** child of the run
+simulation engines take the fault stream from the **third** child of the run
 seed — after the communication and computation error streams, whose draws
 are unchanged — sample the schedule once at run start, and then draw the
-per-dispatch spike stream in dispatch order.  The engines therefore stay
-trajectory-identical under faults (see ``docs/faults.md`` for the exact
-semantics contract and ``tests/sim/test_differential.py`` for the
-enforcement).
+per-dispatch spike stream in dispatch order (:func:`sample_run`, which
+derives the stream only when something draws from it).  The engines
+therefore stay trajectory-identical under faults (see ``docs/faults.md``
+for the exact semantics contract and ``tests/sim/test_differential.py``
+for the enforcement).
 
 Fault scenarios are named by compact spec strings so they can ride through
 the experiment grid, the sweep cache key and the CLI unchanged::
@@ -53,6 +54,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.errors.rng import spawn_rngs
 from repro.errors.rng import streams as rng_streams
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -77,6 +79,7 @@ __all__ = [
     "fault_stream",
     "fault_streams",
     "make_fault_model",
+    "sample_run",
 ]
 
 #: The spec string meaning "no fault injection" (the grid default).
@@ -244,6 +247,54 @@ def fault_streams(seeds) -> list[np.random.Generator]:
     return rng_streams([int(s) for s in seeds], (2,))
 
 
+def _fault_child(seed: "int | np.random.SeedSequence") -> np.random.Generator:
+    """Child 2 of a run seed, derived after its two error-stream children."""
+    if isinstance(seed, np.random.SeedSequence):
+        # spawn() continues the child counter past the error streams.
+        return spawn_rngs(seed, 1)[0]
+    return fault_stream(seed)
+
+
+def sample_run(
+    model: FaultModel | None,
+    platform: PlatformSpec,
+    seed: int | np.random.SeedSequence | None,
+) -> tuple[
+    np.random.Generator,
+    np.random.Generator,
+    FaultSchedule | None,
+    np.random.Generator | None,
+]:
+    """One run's random streams and realized fault schedule.
+
+    Returns ``(rng_comm, rng_comp, schedule, rng_fault)``: children 0 and
+    1 of ``seed`` (:func:`~repro.errors.rng.spawn_rngs`), the schedule
+    ``model`` realizes (``None`` without a model, or when the schedule
+    perturbs nothing), and the fault stream its spike draws read.  The
+    fault stream, child 2, is derived only when something draws from it:
+    a model whose :meth:`FaultModel.sample` draws
+    (:attr:`FaultModel.draws_on_sample`), or a schedule with spikes.  It
+    is ``None`` otherwise.  Deriving it after sampling changes no draw,
+    because a model that draws nothing leaves the stream fresh.  (A
+    ``SeedSequence`` seed advances its child counter only by the children
+    derived.)
+    """
+    if model is None:
+        rng_comm, rng_comp = spawn_rngs(seed, 2)
+        return rng_comm, rng_comp, None, None
+    if seed is None:
+        # One fresh entropy for every child, as spawn_rngs(None, n) draws.
+        seed = np.random.SeedSequence().entropy
+    rng_comm, rng_comp = spawn_rngs(seed, 2)
+    rng_fault = _fault_child(seed) if model.draws_on_sample else None
+    schedule = model.sample(platform, rng_fault)
+    if not schedule.any_faults:
+        return rng_comm, rng_comp, None, None
+    if rng_fault is None and schedule.spike_prob > 0.0:
+        rng_fault = _fault_child(seed)
+    return rng_comm, rng_comp, schedule, rng_fault
+
+
 @dataclasses.dataclass(frozen=True)
 class StreamFaultSchedule:
     """One *stream's* realized faults on the absolute stream clock.
@@ -281,15 +332,15 @@ class StreamFaultSchedule:
     ) -> "StreamFaultSchedule":
         """Sample one stream timeline from the stream seed's fault stream.
 
-        Uses the third spawned child of ``seed`` — the same stream
-        discipline as the engines (``spawn_rngs(seed, 3)[2]``), so the
-        communication/computation error streams of any other consumer of
-        the seed are untouched.
+        Uses the third spawned child of ``seed`` (:func:`fault_stream`,
+        bitwise ``spawn_rngs(seed, 3)[2]``) — the same stream discipline
+        as the engines, so the communication/computation error streams of
+        any other consumer of the seed are untouched.  ``seed=None`` draws
+        fresh entropy.
         """
-        from repro.errors.rng import spawn_rngs
-
-        rng = spawn_rngs(seed, 3)[2]
-        return cls(schedule=model.sample(platform, rng))
+        if seed is None:
+            seed = np.random.SeedSequence().entropy
+        return cls(schedule=model.sample(platform, fault_stream(seed)))
 
     @property
     def num_workers(self) -> int:
@@ -713,8 +764,18 @@ class FaultModel:
 
     spec: str = NO_FAULT_SPEC
 
-    def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
-        """Realize one run's fault schedule from the fault RNG stream."""
+    #: Whether :meth:`sample` draws from its stream.  Models that draw
+    #: nothing set it false: :func:`sample_run` then passes ``rng=None``
+    #: and derives the fault stream only if the schedule draws spikes.
+    draws_on_sample: typing.ClassVar[bool] = True
+
+    def sample(
+        self, platform: "PlatformSpec", rng: "np.random.Generator | None"
+    ) -> FaultSchedule:
+        """Realize one run's fault schedule from the fault RNG stream.
+
+        ``rng`` is ``None`` when :attr:`draws_on_sample` is false.
+        """
         raise NotImplementedError
 
     def sample_batch(self, platform: "PlatformSpec", seeds) -> FaultPlane:
@@ -754,8 +815,11 @@ class NoFaults(FaultModel):
     """The identity scenario: nothing ever fails."""
 
     spec: str = NO_FAULT_SPEC
+    draws_on_sample: typing.ClassVar[bool] = False
 
-    def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
+    def sample(
+        self, platform: "PlatformSpec", rng: "np.random.Generator | None"
+    ) -> FaultSchedule:
         return _clear_schedule(platform.N)
 
     def sample_batch(self, platform: "PlatformSpec", seeds) -> FaultPlane:
@@ -770,8 +834,10 @@ class FrozenFaults(FaultModel):
     :meth:`sample` returns the wrapped schedule verbatim, drawing
     nothing from the fault stream — so the per-dispatch spike draws
     (consumed *after* sampling) still come from the run seed's fresh
-    fault stream, exactly as they do for the sampling models.  This is
-    how the multi-job stream layer hands each job its projected view of
+    fault stream, exactly as they do for the sampling models (a
+    spike-free schedule never derives that stream, see
+    :func:`sample_run`).  This is how the multi-job stream layer hands
+    each job its projected view of
     a :class:`StreamFaultSchedule` through the unchanged single-run
     ``simulate()`` front door, and how the conformance suite replays a
     projected schedule directly.
@@ -785,8 +851,11 @@ class FrozenFaults(FaultModel):
         default_factory=lambda: _clear_schedule(1)
     )
     spec: str = dataclasses.field(default="frozen", init=False)
+    draws_on_sample: typing.ClassVar[bool] = False
 
-    def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
+    def sample(
+        self, platform: "PlatformSpec", rng: "np.random.Generator | None"
+    ) -> FaultSchedule:
         if platform.N != self.schedule.num_workers:
             raise ValueError(
                 f"frozen schedule covers {self.schedule.num_workers} worker(s) "
@@ -1006,6 +1075,7 @@ class LinkSpikeFaults(FaultModel):
 
     prob: float = 0.0
     delay: float = 0.0
+    draws_on_sample: typing.ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.prob <= 1.0:
@@ -1017,7 +1087,9 @@ class LinkSpikeFaults(FaultModel):
     def spec(self) -> str:
         return f"spike:p={_fmt(self.prob)},delay={_fmt(self.delay)}"
 
-    def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
+    def sample(
+        self, platform: "PlatformSpec", rng: "np.random.Generator | None"
+    ) -> FaultSchedule:
         return dataclasses.replace(
             _clear_schedule(platform.N),
             spike_prob=self.prob,

@@ -20,6 +20,9 @@ evaluates numpy's documented ``SeedSequence`` hash (``mix_entropy`` then
 each ``PCG64`` its state words through numpy's public
 :class:`~numpy.random.bit_generator.ISeedSequence` interface.  Both give
 exactly the generators :func:`stream_for` builds one at a time.
+:func:`child_seeds` goes one step further for the harness's per-cell
+seeds: it evaluates each generator's first ``integers(0, 2**63 - 1)``
+draw on the state arrays, without building the generators.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import functools
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["seed_states", "spawn_rngs", "stream_for", "streams"]
+__all__ = ["child_seeds", "seed_states", "spawn_rngs", "stream_for", "streams"]
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -42,6 +45,21 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 #: uint64 state words a PCG64 draws from its seed sequence.
 _PCG64_WORDS = 4
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+#: Seeding sets ``state = (inc + seed) * M + inc`` and the first draw steps
+#: once more before its output, so that draw reads
+#: ``seed * M**2 + inc * (M**2 + M + 1)``.
+_PCG_SEED_MULT = _PCG_MULT**2 & _MASK128
+_PCG_INC_MULT = (_PCG_MULT**2 + _PCG_MULT + 1) & _MASK128
+#: Exclusive bound of the harness's child seeds, ``integers(0, 2**63 - 1)``.
+_CHILD_SEED_BOUND = 2**63 - 1
+#: numpy's Lemire draw rejects a product whose low word is below this
+#: (``(2**64 - 1 - (bound - 1)) % bound``; here 2).
+_CHILD_SEED_REJECT = (_MASK64 - (_CHILD_SEED_BOUND - 1)) % _CHILD_SEED_BOUND
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def spawn_rngs(seed: int | np.random.SeedSequence | None, n: int) -> list[np.random.Generator]:
@@ -236,6 +254,55 @@ class _StateWords(ISeedSequence):
         if n_words > len(words):
             raise ValueError(f"only {len(words)} state words were derived")
         return words[:n_words]
+
+
+def _mul64(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Full 128-bit products of uint64 arrays as ``(high, low)`` words."""
+    a_lo, a_hi = a & _LOW32, a >> 32
+    b_lo, b_hi = b & _LOW32, b >> 32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> 32) + (lh & _LOW32) + (hl & _LOW32)
+    high = a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    return high, (ll & _LOW32) | (mid << 32)
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, c: int) -> "tuple[np.ndarray, np.ndarray]":
+    """``(hi, lo) * c`` modulo ``2**128``, as ``(high, low)`` words."""
+    c_hi, c_lo = np.uint64(c >> 64), np.uint64(c & _MASK64)
+    high, low = _mul64(lo, c_lo)
+    return high + hi * c_lo + lo * c_hi, low
+
+
+def child_seeds(entropy, spawn_keys=()) -> np.ndarray:
+    """Many generators' first ``integers(0, 2**63 - 1)`` draws, as int64.
+
+    Element ``i`` equals ``int(stream_for(entropy[i], *spawn_keys[i])
+    .integers(0, 2**63 - 1))`` (arguments broadcast as in
+    :func:`seed_states`).  The draw is evaluated on the
+    :func:`seed_states` words: PCG64's seeding, its first XSL-RR output
+    and numpy's Lemire bound, in uint64 word arithmetic.  A row whose
+    draw takes numpy's rejection branch (probability ``2**-63``) is drawn
+    by numpy itself.
+    """
+    states = seed_states(entropy, spawn_keys)
+    one = np.uint64(1)
+    seed_hi, seed_lo = states[:, 0], states[:, 1]
+    # PCG64's increment is the odd number (inc_words << 1) | 1.
+    inc_hi = (states[:, 2] << one) | (states[:, 3] >> np.uint64(63))
+    inc_lo = (states[:, 3] << one) | one
+    a_hi, a_lo = _mul128(seed_hi, seed_lo, _PCG_SEED_MULT)
+    b_hi, b_lo = _mul128(inc_hi, inc_lo, _PCG_INC_MULT)
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < a_lo).astype(np.uint64)
+    # XSL-RR output: (hi ^ lo) rotated right by the top six state bits.
+    rot = hi >> np.uint64(58)
+    x = hi ^ lo
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    draw, leftover = _mul64(x, np.uint64(_CHILD_SEED_BOUND))
+    for row in np.flatnonzero(leftover < _CHILD_SEED_REJECT):
+        gen = np.random.Generator(np.random.PCG64(_StateWords(states[row])))
+        draw[row] = gen.integers(0, _CHILD_SEED_BOUND)
+    return draw.astype(np.int64)
 
 
 def streams(entropy, spawn_keys=()) -> list[np.random.Generator]:

@@ -205,9 +205,9 @@ def _cell_seeds(grid: ExperimentGrid, p_idx: int, e_idx: int) -> list[int]:
     seed is the first ``integers(0, 2**63 - 1)`` draw of
     ``stream_for(grid.seed, p_idx, e_idx, rep)``.  Seeds come from a
     per-grid table derived a block of platforms at a time (the whole
-    grid at once on small grids): one batched seed hash
-    (:func:`repro.errors.rng.streams`) per block instead of one
-    ``SeedSequence`` per repetition.
+    grid at once on small grids): one array pass
+    (:func:`repro.errors.rng.child_seeds`) per block instead of one
+    generator per repetition.
     """
     errors, reps = len(grid.errors), grid.repetitions
     per_block = min(grid.num_platforms, max(1, _SEED_BLOCK_ROWS // (errors * reps)))
@@ -223,8 +223,7 @@ def _seed_table(
     ``block * per_block`` onward."""
     keys = np.indices((per_block, errors, reps)).reshape(3, -1).T
     keys[:, 0] += block * per_block
-    seeds = [gen.integers(0, 2**63 - 1) for gen in rng.streams(grid_seed, keys)]
-    return np.array(seeds, dtype=np.int64).reshape(per_block, errors, reps)
+    return rng.child_seeds(grid_seed, keys).reshape(per_block, errors, reps)
 
 
 def _scalar_cell(

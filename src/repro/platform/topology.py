@@ -55,6 +55,7 @@ canonical spelling and round-trips through :func:`make_topology`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 
@@ -230,6 +231,17 @@ def _num(value: float) -> str:
     return repr(value) if value != int(value) else str(int(value))
 
 
+@functools.lru_cache(maxsize=1024)
+def _star_path(nLat: float, B: float) -> LinkPath:
+    """The zero-hop path over a worker's own link, shared by every bind.
+
+    Paths are frozen, so equal ``(nLat, B)`` pairs share one object.  (A
+    ``-0.0`` latency may get the ``0.0`` path: ``occupancy_time`` adds a
+    non-negative term to it, so both give the same float.)
+    """
+    return LinkPath(nLat, B)
+
+
 def _harmonic_B(rates: typing.Iterable[float]) -> float:
     """End-to-end rate of serial links: ``1 / Σ 1/B_j`` (inf-safe)."""
     inv = sum(0.0 if math.isinf(b) else 1.0 / b for b in rates)
@@ -245,7 +257,7 @@ class StarTopology(Topology):
 
     def bind(self, platform: PlatformSpec) -> BoundTopology:
         self._check_n(platform)
-        paths = tuple(LinkPath(w.nLat, w.B) for w in platform.workers)
+        paths = tuple([_star_path(w.nLat, w.B) for w in platform.workers])
         return BoundTopology("star", self, platform, paths)
 
     def effective_platform(self, platform: PlatformSpec) -> PlatformSpec:
@@ -437,7 +449,7 @@ class SharedBandwidthTopology(Topology):
 
     def bind(self, platform: PlatformSpec) -> BoundTopology:
         self._check_n(platform)
-        paths = tuple(LinkPath(w.nLat, w.B) for w in platform.workers)
+        paths = tuple([_star_path(w.nLat, w.B) for w in platform.workers])
         return BoundTopology("sharedbw", self, platform, paths, cap=self.cap)
 
     def effective_platform(self, platform: PlatformSpec) -> PlatformSpec:

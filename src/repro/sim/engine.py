@@ -70,11 +70,10 @@ from repro.core.base import (
     MasterView,
     Scheduler,
 )
-from repro.core.chunks import DispatchRecord
+from repro.core.chunks import build_records
 from repro.des import Environment, Event, Store
-from repro.errors.faults import CrashClock, FaultModel, FaultSchedule
+from repro.errors.faults import CrashClock, FaultModel, sample_run
 from repro.errors.models import ErrorModel
-from repro.errors.rng import spawn_rngs
 from repro.platform.spec import PlatformSpec
 from repro.platform.topology import LinkPath, RelayHop, make_topology
 from repro.sim.result import SimResult
@@ -85,10 +84,11 @@ __all__ = ["simulate_des"]
 _POISON = object()
 
 #: Positions of the realized fields in a chunk's timeline row.  A row holds
-#: the positional :class:`DispatchRecord` arguments after ``index``; the
-#: master writes its predictions, the realizing processes overwrite them,
-#: and each record is built once after the run.
-_SEND_END, _ARRIVAL, _COMP_START, _COMP_END = 3, 4, 5, 6
+#: the :class:`~repro.core.chunks.DispatchRecord` fields after ``index``;
+#: the master writes its predictions, the realizing processes overwrite
+#: them, and :func:`~repro.core.chunks.build_records` builds every record
+#: once after the run.
+_SEND_END, _ARRIVAL, _COMP_START, _COMP_END, _LOST = 3, 4, 5, 6, 8
 
 
 @dataclasses.dataclass(slots=True)
@@ -353,8 +353,10 @@ def simulate_des(
     """Simulate one run with the DES engine (see module docstring).
 
     ``faults`` matches :func:`repro.sim.fastsim.simulate_fast`: ``None``
-    keeps the fault-free two-stream path; a model spawns a third stream,
-    realizes one :class:`FaultSchedule`, and injects it.
+    keeps the fault-free two-stream path; a model realizes one
+    :class:`~repro.errors.faults.FaultSchedule`
+    (:func:`~repro.errors.faults.sample_run`, with a third stream when
+    something draws from it) and injects it.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) receives the run's typed
     event stream.  Unlike the fast engine — which can emit a chunk's whole
@@ -377,14 +379,7 @@ def simulate_des(
             "fault injection is not supported on sharedbw topologies: loss "
             "classification needs a completion time predictable at dispatch"
         )
-    schedule: FaultSchedule | None = None
-    if faults is not None:
-        rng_comm, rng_comp, rng_fault = spawn_rngs(seed, 3)
-        schedule = faults.sample(platform, rng_fault)
-        if not schedule.any_faults:
-            schedule = None
-    else:
-        rng_comm, rng_comp = spawn_rngs(seed, 2)
+    rng_comm, rng_comp, schedule, rng_fault = sample_run(faults, platform, seed)
     source = scheduler.create_source(topo.effective_platform(platform), total_work)
     perturb_comm = error_model.perturber(rng_comm)
     perturb_comp = error_model.perturber(rng_comp)
@@ -740,11 +735,10 @@ def simulate_des(
     for proc in relay_procs:
         assert proc.processed, "relay process did not terminate"
 
-    records = tuple(DispatchRecord(i, *row) for i, row in enumerate(rows))
-    makespan = max((r.comp_end for r in records if not r.lost), default=0.0)
+    makespan = max((row[_COMP_END] for row in rows if not row[_LOST]), default=0.0)
     return SimResult(
         makespan=makespan,
-        records=records,
+        records=build_records(rows),
         platform=platform,
         total_work=total_work,
         scheduler_name=scheduler.name,

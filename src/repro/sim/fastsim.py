@@ -10,9 +10,10 @@ with timestamp comparisons against the realized completion times.
 The loop draws error perturbations in dispatch order from two independent
 streams (communication, computation), exactly like the DES engine, so both
 engines are trajectory-identical for a given seed.  Under fault injection a
-third stream (spawned after the first two, which therefore keep their
-draws) realizes the run's :class:`~repro.errors.faults.FaultSchedule` and
-feeds per-dispatch link-spike draws; chunks whose computation would outlive
+third stream (the seed's third child, so the first two keep their draws;
+derived only when something draws from it) realizes the run's
+:class:`~repro.errors.faults.FaultSchedule` and feeds per-dispatch
+link-spike draws; chunks whose computation would outlive
 their worker's crash are *lost* — they free the pending set at
 ``max(crash_time, arrival)`` via a :class:`~repro.core.base.LossNote`,
 deliver no work, and do not extend the makespan.
@@ -44,10 +45,9 @@ from repro.core.base import (
     MasterView,
     Scheduler,
 )
-from repro.core.chunks import DispatchRecord
-from repro.errors.faults import CrashClock, FaultModel, FaultSchedule
+from repro.core.chunks import build_records
+from repro.errors.faults import CrashClock, FaultModel, sample_run
 from repro.errors.models import ErrorModel
-from repro.errors.rng import spawn_rngs
 from repro.platform.spec import PlatformSpec
 from repro.platform.topology import TopologyError, make_topology
 from repro.sim.result import SimResult
@@ -216,13 +216,18 @@ def simulate_fast(
     """Simulate one run with the specialized engine (see module docstring).
 
     ``collect_records=False`` enables the makespan-only mode used by the
-    sweep harness: no :class:`DispatchRecord` objects are allocated and the
-    returned result carries an empty ``records`` tuple.  The trajectory —
-    and therefore the makespan and the random-stream consumption — is
-    identical in both modes.
+    sweep harness: no timeline rows are kept, no
+    :class:`~repro.core.chunks.DispatchRecord` objects are allocated and
+    the returned result carries an empty ``records`` tuple.  Otherwise the
+    loop keeps one raw row per chunk and
+    :func:`~repro.core.chunks.build_records` turns them into records once,
+    after the run.  The trajectory — and therefore the makespan and the
+    random-stream consumption — is identical in both modes.
 
-    ``faults`` enables fault injection: a third RNG stream realizes the
-    model's :class:`FaultSchedule` before the first dispatch.  Passing
+    ``faults`` enables fault injection: the model's
+    :class:`~repro.errors.faults.FaultSchedule` is realized before the
+    first dispatch (:func:`~repro.errors.faults.sample_run`), from a third
+    RNG stream when the model or the schedule's spikes draw one.  Passing
     ``None`` (not merely :class:`~repro.errors.faults.NoFaults`) keeps the
     run on the fault-free code path with two streams.
 
@@ -243,27 +248,28 @@ def simulate_fast(
         )
     bound = topo.bind(platform)
     relay_busy: list[float] = [0.0] * bound.num_relay_links
-    schedule: FaultSchedule | None = None
-    if faults is not None:
-        rng_comm, rng_comp, rng_fault = spawn_rngs(seed, 3)
-        schedule = faults.sample(platform, rng_fault)
-        if not schedule.any_faults:
-            schedule = None
-    else:
-        rng_comm, rng_comp = spawn_rngs(seed, 2)
+    rng_comm, rng_comp, schedule, rng_fault = sample_run(faults, platform, seed)
     source = scheduler.create_source(topo.effective_platform(platform), total_work)
+    next_dispatch = source.next_dispatch
     perturb_comm = error_model.perturber(rng_comm)
     perturb_comp = error_model.perturber(rng_comp)
+    advance = error_model.advance
     workers = platform.workers
     paths = bound.paths
+    # Paths without relay hops or a tail (every star path) end at their
+    # link release, so traverse() would return send_end unchanged.
+    direct = [not path.hops and not path.has_tail for path in paths]
     n = platform.N
 
     view = _FastView(n, schedule.crash_times if schedule is not None else None)
+    note_dispatch = view._note_dispatch
     worker_busy_until = [0.0] * n
     work_lost = 0.0
     # Min-heap of future completion times, for WAIT wake-ups.
     future_ends: list[float] = []
-    records: list[DispatchRecord] = []
+    # One raw timeline row per chunk, the DispatchRecord fields after
+    # ``index``; build_records turns them into records after the run.
+    rows: list[tuple] = []
     num_dispatched = 0
     makespan = 0.0
     now = 0.0
@@ -280,7 +286,7 @@ def simulate_fast(
 
     while True:
         view._now = now
-        action = source.next_dispatch(view)
+        action = next_dispatch(view)
         if action is None:
             break
         if action is WAIT:
@@ -297,19 +303,19 @@ def simulate_fast(
                 f"{scheduler.name}: next_dispatch returned {action!r}; "
                 "expected Dispatch, WAIT or None"
             )
-        if not 0 <= action.worker < n:
+        worker = action.worker
+        size = action.size
+        phase = action.phase
+        if not 0 <= worker < n:
             raise ValueError(
-                f"{scheduler.name}: dispatch to worker {action.worker} "
+                f"{scheduler.name}: dispatch to worker {worker} "
                 f"outside the platform (N={n})"
             )
-        spec = workers[action.worker]
-        size = action.size
+        spec = workers[worker]
 
         if tracer is not None:
-            if action.phase != last_phase:
-                tracer.emit(
-                    now, "round_boundary", -1, chunk=num_dispatched, phase=action.phase
-                )
+            if phase != last_phase:
+                tracer.emit(now, "round_boundary", -1, chunk=num_dispatched, phase=phase)
             if schedule is not None:
                 # The master acts on a newly observed crash at its next
                 # dispatch decision: one recovery_decision per crashed
@@ -320,28 +326,32 @@ def simulate_fast(
                         tracer.emit(
                             now, "recovery_decision", w, detail="crash-observed"
                         )
-        last_phase = action.phase
+        last_phase = phase
 
         send_start = now
-        path = paths[action.worker]
+        path = paths[worker]
         link_time = perturb_comm(path.occupancy_time(size))
         if schedule is not None:
             link_time += schedule.link_extra(rng_fault)
         send_end = send_start + link_time
-        hop_ends: list[tuple[int, float]] | None = [] if tracer is not None else None
-        arrival = path.traverse(size, send_end, relay_busy, hop_ends) + spec.tLat
+        if direct[worker]:
+            hop_ends = None
+            arrival = send_end + spec.tLat
+        else:
+            hop_ends = [] if tracer is not None else None
+            arrival = path.traverse(size, send_end, relay_busy, hop_ends) + spec.tLat
 
-        comp_start = max(arrival, worker_busy_until[action.worker])
+        comp_start = max(arrival, worker_busy_until[worker])
         comp_time = perturb_comp(spec.compute_time(size))
         if schedule is not None:
-            comp_time = schedule.compute_duration(action.worker, comp_start, comp_time)
+            comp_time = schedule.compute_duration(worker, comp_start, comp_time)
         comp_end = comp_start + comp_time
-        worker_busy_until[action.worker] = comp_end
-        error_model.advance()
+        worker_busy_until[worker] = comp_end
+        advance()
 
         seen = (
             None if schedule is None
-            else schedule.loss_time(action.worker, arrival, comp_end)
+            else schedule.loss_time(worker, arrival, comp_end)
         )
         lost = seen is not None
         loss_time = seen if lost else -1.0
@@ -349,67 +359,56 @@ def simulate_fast(
             # Fictitious timeline values keep the worker's busy chain
             # monotone, so every later chunk sent to a crashed worker is
             # lost too.
-            view._note_dispatch(action.worker, size, loss_time, num_dispatched, lost=True)
+            note_dispatch(worker, size, loss_time, num_dispatched, lost=True)
             heapq.heappush(future_ends, loss_time)
             work_lost += size
         else:
-            view._note_dispatch(action.worker, size, comp_end, num_dispatched)
+            note_dispatch(worker, size, comp_end, num_dispatched)
             heapq.heappush(future_ends, comp_end)
             if comp_end > makespan:
                 makespan = comp_end
         if tracer is not None:
             tracer.emit(
-                send_start, "dispatch_start", action.worker,
-                chunk=num_dispatched, size=size, phase=action.phase,
+                send_start, "dispatch_start", worker,
+                chunk=num_dispatched, size=size, phase=phase,
             )
             tracer.emit(
-                send_end, "dispatch_end", action.worker,
-                chunk=num_dispatched, size=size, phase=action.phase,
+                send_end, "dispatch_end", worker,
+                chunk=num_dispatched, size=size, phase=phase,
             )
             if hop_ends:
                 for res, t_hop in hop_ends:
                     tracer.emit(
-                        t_hop, "link_hop", action.worker,
-                        chunk=num_dispatched, size=size, phase=action.phase,
+                        t_hop, "link_hop", worker,
+                        chunk=num_dispatched, size=size, phase=phase,
                         detail=f"link={res}",
                     )
             if lost:
                 tracer.emit(
-                    loss_time, "fault", action.worker,
-                    chunk=num_dispatched, size=size, phase=action.phase,
+                    loss_time, "fault", worker,
+                    chunk=num_dispatched, size=size, phase=phase,
                     detail="loss",
                 )
             else:
                 tracer.emit(
-                    comp_start, "comp_start", action.worker,
-                    chunk=num_dispatched, size=size, phase=action.phase,
+                    comp_start, "comp_start", worker,
+                    chunk=num_dispatched, size=size, phase=phase,
                 )
                 tracer.emit(
-                    comp_end, "comp_end", action.worker,
-                    chunk=num_dispatched, size=size, phase=action.phase,
+                    comp_end, "comp_end", worker,
+                    chunk=num_dispatched, size=size, phase=phase,
                 )
         num_dispatched += 1
         if collect_records:
-            records.append(
-                DispatchRecord(
-                    index=len(records),
-                    worker=action.worker,
-                    size=size,
-                    send_start=send_start,
-                    send_end=send_end,
-                    arrival=arrival,
-                    comp_start=comp_start,
-                    comp_end=comp_end,
-                    phase=action.phase,
-                    lost=lost,
-                    loss_time=loss_time,
-                )
-            )
+            rows.append((
+                worker, size, send_start, send_end, arrival,
+                comp_start, comp_end, phase, lost, loss_time,
+            ))
         now = send_end
 
     return SimResult(
         makespan=makespan,
-        records=tuple(records),
+        records=build_records(rows),
         platform=platform,
         total_work=total_work,
         scheduler_name=scheduler.name,

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import spawn_rngs, stream_for
 from repro.errors.faults import fault_stream, fault_streams
-from repro.errors.rng import seed_states, streams
+from repro.errors.rng import child_seeds, seed_states, streams
 
 
 def test_spawn_produces_requested_count():
@@ -118,6 +118,32 @@ def test_batched_seed_children_equal_spawn(ents):
             assert spawn_rngs(entropy, 3)[i].random(3).tolist() == ref
     for entropy, gen in zip(ents, fault_streams(ents), strict=True):
         assert gen.random(3).tolist() == fault_stream(entropy).random(3).tolist()
+
+
+@given(st.lists(st.tuples(entropies, spawn_keys), min_size=1, max_size=6))
+@example([(0, (0, 0, 0)), (2**32 - 1, (1, 2, 3)), (2**32, (4,)), (2**64, ()), (2**64 + 9, (5, 6))])
+def test_batched_seed_child_seeds_equal_stream_for(pairs):
+    # The harness's cell seeds, evaluated on the seed-state arrays, equal
+    # each generator's first integers(0, 2**63 - 1) draw.
+    for entropy, key in pairs:
+        ref = int(stream_for(entropy, *key).integers(0, 2**63 - 1))
+        got = child_seeds(entropy, key)
+        assert got.dtype == np.int64 and got.tolist() == [ref]
+    same_key = [(entropy, pairs[0][1]) for entropy, _ in pairs]
+    got = child_seeds([e for e, _ in same_key], same_key[0][1]).tolist()
+    assert got == [int(stream_for(e, *k).integers(0, 2**63 - 1)) for e, k in same_key]
+
+
+def test_batched_seed_child_seeds_rejection_rows_drawn_by_numpy(monkeypatch):
+    # A draw in numpy's rejection branch is left to numpy: force every
+    # row there and the seeds must not change.
+    from repro.errors import rng
+
+    keys = np.indices((3, 2, 4)).reshape(3, -1).T
+    expected = child_seeds(2003, keys)
+    monkeypatch.setattr(rng, "_CHILD_SEED_REJECT", 2**64 - 1)
+    assert np.array_equal(child_seeds(2003, keys), expected)
+    assert child_seeds([], (1,)).shape == (0,)
 
 
 def test_batched_seed_derivation_broadcasts_and_validates():
