@@ -21,7 +21,7 @@ import statistics
 from repro.core import RUMR, UMR
 from repro.errors import NormalErrorModel
 from repro.platform import homogeneous_platform
-from repro.sim.output import simulate_with_output
+from repro.sim import simulate
 
 PORTS = (1, 2, 4, 8)
 ERROR = 0.3
@@ -35,9 +35,9 @@ def regenerate():
     for ports in PORTS:
         def mean(sched_factory):
             return statistics.mean(
-                simulate_with_output(
+                simulate(
                     platform, w, sched_factory(), NormalErrorModel(ERROR),
-                    output_ratio=0.0, ports=ports, seed=s,
+                    seed=s, topology=f"star:ports={ports}",
                 ).makespan
                 for s in SEEDS
             )

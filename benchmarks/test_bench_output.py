@@ -17,7 +17,7 @@ import statistics
 from repro.core import RUMR, UMR, Factoring
 from repro.errors import NormalErrorModel
 from repro.platform import homogeneous_platform
-from repro.sim.output import simulate_with_output
+from repro.sim import simulate
 
 RATIOS = (0.0, 0.2, 0.5, 1.0)
 ERROR = 0.3
@@ -31,9 +31,9 @@ def regenerate():
     for ratio in RATIOS:
         def mean(sched_factory):
             return statistics.mean(
-                simulate_with_output(
+                simulate(
                     platform, w, sched_factory(), NormalErrorModel(ERROR),
-                    output_ratio=ratio, seed=s,
+                    seed=s, topology=f"star:out={ratio!r}",
                 ).makespan
                 for s in SEEDS
             )

@@ -23,7 +23,6 @@ from repro.errors import trace_from_workload
 from repro.sim import simulate
 from repro.sim.export import chrome_trace, records_csv
 from repro.sim.gantt import render_gantt
-from repro.sim.output import simulate_with_output
 from repro.workloads import RayTracing
 
 
@@ -48,9 +47,9 @@ def main() -> None:
         spans = []
         for seed in range(10):
             model.reset()
-            result = simulate_with_output(
+            result = simulate(
                 platform, total, scheduler_factory(), model,
-                output_ratio=0.2, seed=seed,
+                seed=seed, topology="star:out=0.2",
             )
             spans.append(result.makespan)
         name = scheduler_factory().name

@@ -90,7 +90,8 @@ def _parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SPEC",
             help="interconnect shape applied to every run "
-            "(e.g. 'chain:relay=sf', 'tree:fanout=2', 'sharedbw:cap=36'; "
+            "(e.g. 'chain:relay=sf', 'tree:fanout=2', 'sharedbw:cap=36', "
+            "'star:ports=2,out=0.2'; "
             "see repro.platform.make_topology)",
         )
         p.add_argument("--quiet", action="store_true", help="suppress progress output")

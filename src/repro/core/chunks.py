@@ -3,7 +3,9 @@
 A :class:`ChunkPlan` is the static part of a schedule: an ordered list of
 ``(worker, size)`` assignments, optionally grouped into rounds.  A
 :class:`DispatchRecord` is what a simulation produces for every chunk that
-was actually sent: the full timeline of its transfer and computation.
+was actually sent: the full timeline of its transfer and computation.  A
+:class:`ReturnRecord` is the result transfer of one computed chunk back to
+the master, on stars with result returns (``star:out=R``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ import itertools
 import math
 import typing
 
-__all__ = ["PlannedChunk", "ChunkPlan", "DispatchRecord", "build_records"]
+__all__ = [
+    "PlannedChunk",
+    "ChunkPlan",
+    "DispatchRecord",
+    "ReturnRecord",
+    "build_records",
+]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -130,6 +138,23 @@ class DispatchRecord:
     def comp_time(self) -> float:
         """Computation duration (including start-up latency)."""
         return self.comp_end - self.comp_start
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReturnRecord:
+    """One result-return transfer over the master's links.
+
+    ``output_size`` result units of chunk ``chunk_index`` held one master
+    port from ``link_start`` to ``link_end``; the master held the results
+    at ``received`` (``link_end + tLat``).
+    """
+
+    chunk_index: int
+    worker: int
+    output_size: float
+    link_start: float
+    link_end: float
+    received: float
 
 
 #: One slot setter per :class:`DispatchRecord` field, in field order.

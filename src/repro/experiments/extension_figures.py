@@ -19,8 +19,9 @@ from repro.errors.models import make_error_model
 from repro.experiments.figures import FigureResult
 from repro.experiments.hetero import HeteroResult, run_hetero_study
 from repro.platform.spec import homogeneous_platform
+from repro.platform.topology import StarTopology
 from repro.sim.fastsim import simulate_fast
-from repro.sim.output import simulate_with_output
+from repro.sim.result import simulate
 
 __all__ = [
     "fig_hetero",
@@ -121,9 +122,9 @@ def fig_output_ratio(
 
     def mean(sched_factory, ratio):
         return statistics.mean(
-            simulate_with_output(
+            simulate(
                 platform, work, sched_factory(), make_error_model("normal", error),
-                output_ratio=ratio, seed=s,
+                seed=s, topology=StarTopology(out=ratio),
             ).makespan
             for s in seeds
         )
@@ -155,9 +156,9 @@ def fig_multiport(
 
     def mean(sched_factory, k):
         return statistics.mean(
-            simulate_with_output(
+            simulate(
                 platform, work, sched_factory(), make_error_model("normal", error),
-                output_ratio=0.0, ports=k, seed=s,
+                seed=s, topology=StarTopology(ports=k),
             ).makespan
             for s in seeds
         )

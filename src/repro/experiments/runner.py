@@ -151,10 +151,11 @@ def _grid_topology(spec: str):
 
     The batch engines model exactly the paper's star, so ``None`` keeps a
     grid batch-eligible; a non-``None`` topology reroutes the scalar rung
-    and disqualifies the batch engines.
+    and disqualifies the batch engines.  A star with ports or result
+    returns is not the baseline: it runs on the DES rung.
     """
     topo = make_topology(spec)
-    return None if topo.kind == "star" else topo
+    return None if topo.kind == "star" and topo.closed_form else topo
 
 
 def _grid_supports_batch(grid: ExperimentGrid) -> bool:
@@ -235,14 +236,14 @@ def _scalar_cell(
     computation ``batch_static=False`` performs for the cell, so a
     fallen-back cell is bitwise identical to a ``--no-batch`` run's.
     Topology grids route here too: chains and trees keep the fast
-    engine's closed-form recurrences, shared-bandwidth stars (which have
-    none) run on the DES engine.
+    engine's closed-form recurrences, shapes without one (shared-bandwidth
+    stars, stars with ports or result returns) run on the DES engine.
     """
     topo = _grid_topology(grid.topology)
     out = np.empty(len(seeds))
     for rep, seed in enumerate(seeds):
         model = make_error_model(grid.error_kind, error, mode=grid.error_mode)
-        if topo is not None and topo.kind == "sharedbw":
+        if topo is not None and not topo.closed_form:
             out[rep] = simulate_des(
                 platform,
                 grid.total_work,

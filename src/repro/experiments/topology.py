@@ -83,7 +83,7 @@ def run_topology_sweep(
     checkpoint shards of an interrupted run.
     """
     specs = tuple(topology_specs)
-    if not any(make_topology(s).kind == "star" for s in specs):
+    if not any(_is_star_baseline(s) for s in specs):
         specs = ("star",) + specs
     canonical = [str(make_topology(s)) for s in specs]
     if len(set(canonical)) != len(canonical):
@@ -108,9 +108,15 @@ def run_topology_sweep(
     )
 
 
+def _is_star_baseline(spec: str) -> bool:
+    """Whether ``spec`` is the paper's star (any ``n``, one port, no returns)."""
+    topo = make_topology(spec)
+    return topo.kind == "star" and topo.closed_form
+
+
 def _baseline_spec(results: TopologySweepResults) -> str:
     for spec in results.topology_specs:
-        if make_topology(spec).kind == "star":
+        if _is_star_baseline(spec):
             return spec
     raise ValueError("no star baseline among the topology specs")
 

@@ -7,10 +7,21 @@ chains (Gallet/Robert/Vivien) and on resource-sharing networks with
 bandwidth contention (Wu/Cao/Robertazzi) — so this module makes the
 interconnect a pluggable axis:
 
-``star``
-    The degenerate case, and the default (``None`` parses to it): every
-    worker's path is its own link with no relay hops and no tail, so a
-    chunk arrives ``tLat`` after its link release — the paper's model.
+``star:ports=K,out=R``
+    The degenerate case, and the default (``None`` and plain ``star``
+    parse to ``ports=1,out=0``): every worker's path is its own link
+    with no relay hops and no tail, so a chunk arrives ``tLat`` after its
+    link release — the paper's model.  Two keys relax the paper's §3.1
+    master, both future work there.  ``ports=K`` lets the master drive up
+    to ``K`` transfers at once, each still at its worker's rate ``B_i``
+    (ref [17]).  ``out=R`` makes every computed chunk of ``c`` units
+    return ``R·c`` result units over the master's links (refs [11, 12]):
+    the return holds one port for ``nLat_i + R·c/B_i`` and the master
+    holds the results ``tLat_i`` later.  Dispatches and returns share the
+    ``K`` ports FIFO, as return messages share the one-port links of
+    Gallet/Robert/Vivien.  Either key makes the star DES-only
+    (:attr:`Topology.closed_form` is False; see :mod:`repro.sim.engine`
+    for the port rules).
 ``chain:n=8,relay=sf|ct``
     A linear daisy chain: the master feeds worker 0, worker 0 forwards
     to worker 1, and so on.  ``relay=sf`` (store-and-forward, the
@@ -40,6 +51,9 @@ Two artifacts come out of a topology:
   recipes (master-link occupancy + serialized relay hops + a
   contention-free tail) that *both* engines evaluate with the same float
   expressions — the basis of the cross-topology conformance suite;
+* :attr:`Topology.closed_form` says whether the fast engine's
+  closed-form recurrence models the shape — the one routing decision
+  between the fast engine (and the sweep's batch engines) and the DES;
 * :meth:`Topology.effective_platform` folds the end-to-end transport
   cost into a per-worker ``(rate, latency)`` view — an ordinary
   :class:`~repro.platform.spec.PlatformSpec` — so UMR/RUMR/Factoring
@@ -186,7 +200,9 @@ class BoundTopology:
 
     ``paths[i]`` is worker ``i``'s :class:`LinkPath`; ``num_relay_links``
     sizes the per-resource busy arrays; ``cap`` is the shared-medium
-    capacity (``inf`` for every kind except ``sharedbw``).
+    capacity (``inf`` for every kind except ``sharedbw``); ``ports`` and
+    ``out`` are the star's master ports and result-return ratio (1 and 0
+    for every other kind).
     """
 
     kind: str
@@ -195,6 +211,8 @@ class BoundTopology:
     paths: tuple[LinkPath, ...]
     num_relay_links: int = 0
     cap: float = math.inf
+    ports: int = 1
+    out: float = 0.0
 
 
 class Topology:
@@ -203,6 +221,17 @@ class Topology:
     kind: typing.ClassVar[str] = ""
     #: Expected worker count (``None`` = any); validated at bind time.
     n: int | None = None
+
+    @property
+    def closed_form(self) -> bool:
+        """Whether the fast engine's closed-form recurrence models this shape.
+
+        False shapes (``sharedbw``, and stars with ``ports > 1`` or
+        ``out > 0``) need an event calendar: the fast engine rejects
+        them, and :func:`repro.sim.result.simulate` and the sweep runner
+        send them to the DES engine.
+        """
+        return True
 
     def bind(self, platform: PlatformSpec) -> BoundTopology:
         """Compile per-worker transport paths against ``platform``."""
@@ -250,15 +279,33 @@ def _harmonic_B(rates: typing.Iterable[float]) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class StarTopology(Topology):
-    """The paper's one-level star — the degenerate topology."""
+    """The paper's one-level star — the degenerate topology.
+
+    ``ports`` and ``out`` are the master's port count and result-return
+    ratio (see the module docstring); the defaults are the paper's model.
+    """
 
     kind: typing.ClassVar[str] = "star"
     n: int | None = None
+    ports: int = 1
+    out: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.ports, int) and self.ports >= 1):
+            raise TopologyError(f"star ports must be an integer >= 1, got {self.ports!r}")
+        if not (self.out >= 0 and math.isfinite(self.out)):
+            raise TopologyError(f"star out must be finite and >= 0, got {self.out}")
+
+    @property
+    def closed_form(self) -> bool:
+        return self.ports == 1 and self.out == 0
 
     def bind(self, platform: PlatformSpec) -> BoundTopology:
         self._check_n(platform)
         paths = tuple([_star_path(w.nLat, w.B) for w in platform.workers])
-        return BoundTopology("star", self, platform, paths)
+        return BoundTopology(
+            "star", self, platform, paths, ports=self.ports, out=self.out
+        )
 
     def effective_platform(self, platform: PlatformSpec) -> PlatformSpec:
         self._check_n(platform)
@@ -267,7 +314,12 @@ class StarTopology(Topology):
         return platform
 
     def __str__(self) -> str:
-        return "star" if self.n is None else f"star:n={self.n}"
+        parts = [] if self.n is None else [f"n={self.n}"]
+        if self.ports != 1:
+            parts.append(f"ports={self.ports}")
+        if self.out != 0:
+            parts.append(f"out={_num(self.out)}")
+        return "star:" + ",".join(parts) if parts else "star"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -439,6 +491,10 @@ class SharedBandwidthTopology(Topology):
     cap: float = 1.0
     n: int | None = None
 
+    @property
+    def closed_form(self) -> bool:
+        return False
+
     def __post_init__(self) -> None:
         if not (self.cap > 0 and math.isfinite(self.cap)):
             raise TopologyError(
@@ -519,6 +575,7 @@ def make_topology(spec: "str | Topology | None") -> Topology:
 
         star                 chain:n=8,relay=sf     chain:relay=ct
         tree:fanout=4        sharedbw:cap=30        star:n=20
+        star:ports=2         star:out=0.25          star:ports=4,out=0.5
 
     ``str(topology)`` round-trips: ``make_topology(str(t)) == t``.
     """
@@ -535,7 +592,13 @@ def make_topology(spec: "str | Topology | None") -> Topology:
     kind = kind.strip().lower()
     params = _parse_params(body, kind)
     if kind == "star":
-        topo: Topology = StarTopology(n=_take_int(params, kind, "n"))
+        ports = _take_int(params, kind, "ports")
+        out = _take_float(params, kind, "out")
+        topo: Topology = StarTopology(
+            n=_take_int(params, kind, "n"),
+            ports=1 if ports is None else ports,
+            out=0.0 if out is None else out,
+        )
     elif kind == "chain":
         n = _take_int(params, kind, "n")
         relay = params.pop("relay", "sf")

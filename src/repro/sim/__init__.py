@@ -21,6 +21,10 @@ Normative semantics (shared by both engines):
   independent streams in dispatch order (see :mod:`repro.errors`);
 * the makespan is the completion time of the last chunk.
 
+The star's two relaxations of that model, several master ports and
+result returns (``star:ports=K,out=R``, see :mod:`repro.platform.topology`),
+run on the DES engine only.
+
 :mod:`repro.sim.multijob` layers a *stream* on top of the single-run
 engines: jobs arriving over time contend for the star under a pluggable
 inter-job policy (FCFS, partitioned, interleaved), each job still

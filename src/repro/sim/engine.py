@@ -53,6 +53,29 @@ watcher processes (the kernel has no event cancellation; stale watchers
 simply return).  This shape exists only here — the fast engine has no
 calendar to realize rate changes on — and rejects fault injection, since
 loss classification needs a completion time predictable at dispatch.
+
+Stars with ``ports=K`` or ``out=R`` (``star:ports=K,out=R``) run here
+too.  The master link becomes a FIFO pool of ``K`` ports shared by
+dispatches and result returns:
+
+* the master takes a port *before* it decides, so the decision sees the
+  freshest state at the moment a send could start; ``WAIT`` and the end
+  of dispatching hand the port back;
+* a dispatch holds its port for the link time in a sender process, and
+  the master queues its request for the next port at ``send_start`` —
+  ahead of any return that queues during that transfer;
+* when a chunk's computation ends, its worker announces the completion,
+  then queues a return of ``R·size`` units, which holds a port for
+  ``nLat + R·size/B``; the master holds the results ``tLat`` later, and
+  the run's makespan is the last result arrival.
+
+Since the master holds a port when it decides, a chunk's link time
+starts at the decision instant on a multi-port star too, so the
+dispatch-time predictions (and loss classification) stay exact and
+faults compose: a lost chunk sends no return, while a chunk whose
+computation finished returns its result even if its worker crashes
+later (a crash stops computation, not the link).  With both options off
+the master takes no ports and the loop is the plain star's.
 """
 
 from __future__ import annotations
@@ -70,8 +93,8 @@ from repro.core.base import (
     MasterView,
     Scheduler,
 )
-from repro.core.chunks import build_records
-from repro.des import Environment, Event, Store
+from repro.core.chunks import ReturnRecord, build_records
+from repro.des import Environment, Event, Resource, Store
 from repro.errors.faults import CrashClock, FaultModel, sample_run
 from repro.errors.models import ErrorModel
 from repro.platform.spec import PlatformSpec
@@ -368,8 +391,9 @@ def simulate_des(
     ``topology`` (a spec string or :class:`~repro.platform.topology.
     Topology`) picks the interconnect; ``None`` means the paper's star.
     Chains and trees add relay processes, ``sharedbw`` replaces the
-    serialized link with a :class:`_SharedLink`.  ``sharedbw`` with
-    ``faults`` raises (see the module docstring).
+    serialized link with a :class:`_SharedLink`, and stars with ports or
+    result returns share a pool of master ports (see the module
+    docstring).  ``sharedbw`` with ``faults`` raises.
     """
     topo = make_topology(topology)
     bound = topo.bind(platform)
@@ -411,6 +435,12 @@ def simulate_des(
     relay_inboxes: list[Store] = [Store(env) for _ in range(bound.num_relay_links)]
     relay_busy: list[float] = [0.0] * len(relay_inboxes)
     shared_link = _SharedLink(env, bound.cap) if sharedbw else None
+    # Star link options: a FIFO pool of master ports shared by dispatches
+    # and result returns.  None on every closed-form shape.
+    ported = not (sharedbw or topo.closed_form)
+    ports = Resource(env, capacity=bound.ports) if ported else None
+    out = bound.out
+    returns: list[ReturnRecord] = []
 
     def worker_proc(index: int):
         while True:
@@ -432,6 +462,23 @@ def simulate_des(
             row[_COMP_START] = comp_start
             row[_COMP_END] = comp_end
             completions.put(("done", index, msg.index, msg.size, comp_end))
+            if out:
+                env.process(return_proc(index, msg.index, out * msg.size))
+
+    def return_proc(worker: int, chunk: int, out_size: float):
+        # A computed chunk's results cross back over one master port.
+        req = ports.request()
+        yield req
+        link_start = env.now
+        duration = bound.paths[worker].occupancy_time(out_size)
+        if later(duration):
+            yield env.timeout(duration)
+        ports.release(req)
+        link_end = env.now
+        returns.append(ReturnRecord(
+            chunk, worker, out_size, link_start, link_end,
+            link_end + platform[worker].tLat,
+        ))
 
     def later(t: float) -> bool:
         # Whether a delay of t moves the clock.  A positive t can vanish in
@@ -507,12 +554,21 @@ def simulate_des(
         msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=phase)
         yield from delivery_proc(worker, msg, t_lat)
 
-    def route_relay(
+    def land(
         path: LinkPath, worker: int, index: int, size: float, phase: str,
-        t_lat: float, terminal: str, chunk_msg: "_ChunkMsg | None" = None,
+        t_lat: float, terminal: str, chunk_msg: "_ChunkMsg | None",
     ) -> None:
-        # First hop's inbox, or straight to the tail for hop-free paths
-        # (the star, cut-through chains, tree roots).
+        # Link release: the dispatch ends and the chunk enters its path —
+        # the first hop's inbox, or straight to the tail for hop-free
+        # paths (the star, cut-through chains, tree roots).  ``terminal``
+        # is empty for a queued-at-crash loss on a hop-free path, which
+        # the crash watch announces and nothing carries.
+        send_end = env.now
+        tr.emit(send_end, "dispatch_end", worker, chunk=index, size=size, phase=phase)
+        if chunk_msg is not None:
+            rows[index][_SEND_END] = send_end
+        if not terminal:
+            return
         rmsg = _RelayMsg(
             worker=worker, index=index, size=size, phase=phase,
             hops=path.hops, hop_idx=0,
@@ -524,6 +580,13 @@ def simulate_des(
             relay_inboxes[rmsg.hops[0].resource].put(rmsg)
         else:
             env.process(transport_tail_proc(rmsg))
+
+    def send_proc(req, link_time: float, *landing):
+        # A dispatch on a ported star holds its port in its own process,
+        # so the master queues for the next port at send_start.
+        yield env.timeout(link_time)
+        ports.release(req)
+        land(*landing)
 
     def crash_watch_proc(worker: int, t_crash: float):
         # Started at t=0 so ``timeout(t_crash)`` lands on the exact crash
@@ -555,14 +618,21 @@ def simulate_des(
         last_phase: str | None = None
         crashes_observed: set[int] = set()
         while True:
+            if ported:
+                req = ports.request()
+                yield req
             # Flush same-time events so completions at exactly `now` are
             # visible, then fold announcements into the view.
             yield env.timeout(0)
             drain_completions()
             action = source.next_dispatch(view)
             if action is None:
+                if ported:
+                    ports.release(req)
                 break
             if action is WAIT:
+                if ported:
+                    ports.release(req)
                 if outstanding[0] <= 0:
                     raise DeadlockError(
                         f"{scheduler.name}: WAIT with no outstanding chunk at t={env.now}"
@@ -664,18 +734,13 @@ def simulate_des(
             ])
             view.note_dispatch(action.worker, size)
             outstanding[0] += 1
+            msg = None
             if lost:
                 work_lost[0] += size
                 t_crash = schedule.crash_times[action.worker]
                 if arrival_pred > t_crash:
                     # Still in flight at the crash: announced at arrival.
-                    yield env.timeout(link_time)
-                    tr.emit(
-                        env.now, "dispatch_end", action.worker,
-                        chunk=index, size=size, phase=action.phase,
-                    )
-                    route_relay(path, action.worker, index, size, action.phase,
-                                spec.tLat, "loss")
+                    terminal = "loss"
                 else:
                     # Queued on the worker at the crash: announced by the
                     # crash watch at the crash instant itself (or now, in
@@ -689,27 +754,20 @@ def simulate_des(
                         completions.put(("lost", action.worker, index, size, t_crash))
                     else:
                         crash_pending[action.worker].append((index, size, action.phase))
-                    yield env.timeout(link_time)
-                    tr.emit(
-                        env.now, "dispatch_end", action.worker,
-                        chunk=index, size=size, phase=action.phase,
-                    )
-                    if path.hops:
-                        # Ghost ride: the chunk was priced through the relay
-                        # busy chains, so it must still occupy them.
-                        route_relay(path, action.worker, index, size, action.phase,
-                                    spec.tLat, "drop")
+                    # Ghost ride: the chunk was priced through the relay
+                    # busy chains, so it must still occupy them.
+                    terminal = "drop" if path.hops else ""
+            else:
+                terminal = "deliver"
+                msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=action.phase)
+            if ported:
+                env.process(send_proc(
+                    req, link_time, path, action.worker, index, size,
+                    action.phase, spec.tLat, terminal, msg,
+                ))
                 continue
             yield env.timeout(link_time)
-            send_end = env.now
-            tr.emit(
-                send_end, "dispatch_end", action.worker,
-                chunk=index, size=size, phase=action.phase,
-            )
-            rows[index][_SEND_END] = send_end
-            msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=action.phase)
-            route_relay(path, action.worker, index, size, action.phase,
-                        spec.tLat, "deliver", msg)
+            land(path, action.worker, index, size, action.phase, spec.tLat, terminal, msg)
         # All work dispatched.  Deliveries may still be riding their paths
         # and tLat tails — poisoning the inboxes now would overtake them.
         # Every chunk eventually announces done or lost, so drain the
@@ -736,6 +794,8 @@ def simulate_des(
         assert proc.processed, "relay process did not terminate"
 
     makespan = max((row[_COMP_END] for row in rows if not row[_LOST]), default=0.0)
+    if returns:
+        makespan = max(makespan, max(ret.received for ret in returns))
     return SimResult(
         makespan=makespan,
         records=build_records(rows),
@@ -745,4 +805,5 @@ def simulate_des(
         seed=seed,
         work_lost=work_lost[0],
         topology=str(topo),
+        returns=tuple(returns),
     )

@@ -25,9 +25,10 @@ relay hops.  Because relay links are deterministic FIFO resources fed in
 dispatch order, each chunk's whole relay traversal has a closed form —
 :meth:`~repro.platform.topology.LinkPath.traverse` advances per-resource
 busy chains exactly like ``worker_busy_until`` advances workers.  The
-paper's star is the zero-hop path.  ``sharedbw`` is declined: fluid
-bandwidth sharing has no closed-form recurrence, so it lives in the DES
-engine only.
+paper's star is the zero-hop path.  Shapes without a closed form
+(:attr:`~repro.platform.topology.Topology.closed_form`) are declined:
+fluid bandwidth sharing (``sharedbw``) and stars whose ports and result
+returns contend for the master's links live in the DES engine only.
 """
 
 from __future__ import annotations
@@ -237,14 +238,15 @@ def simulate_fast(
     ``topology`` (a spec string or :class:`~repro.platform.topology.
     Topology`) picks the interconnect; ``None`` means the paper's star.
     Chains and trees have closed-form relay recurrences handled here;
-    ``sharedbw`` raises :class:`TopologyError` (DES only —
-    :func:`repro.sim.result.simulate` routes it automatically).
+    shapes without one (``sharedbw``, stars with ports or result
+    returns) raise :class:`TopologyError` (DES only —
+    :func:`repro.sim.result.simulate` routes them automatically).
     """
     topo = make_topology(topology)
-    if topo.kind == "sharedbw":
+    if not topo.closed_form:
         raise TopologyError(
-            "shared-bandwidth topologies have no closed-form recurrence; "
-            "use the DES engine (simulate(..., engine='des') routes this)"
+            f"{topo} has no closed-form recurrence; use the DES engine "
+            "(simulate(..., engine='fast') routes it there)"
         )
     bound = topo.bind(platform)
     relay_busy: list[float] = [0.0] * bound.num_relay_links

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 
 from repro.core.base import Scheduler
-from repro.core.chunks import DispatchRecord
+from repro.core.chunks import DispatchRecord, ReturnRecord
 from repro.errors.models import ErrorModel, NoError
 from repro.platform.spec import PlatformSpec
 
@@ -22,7 +23,9 @@ class SimResult:
     ----------
     makespan:
         Completion time of the last *delivered* chunk (the paper's
-        objective); chunks lost to worker crashes do not count.
+        objective); chunks lost to worker crashes do not count.  On a
+        star with result returns (``star:out=R``) it is the last result
+        arrival at the master instead (see :attr:`compute_makespan`).
     records:
         One :class:`~repro.core.chunks.DispatchRecord` per chunk, in
         dispatch order (including lost chunks, flagged ``lost=True``).
@@ -37,6 +40,10 @@ class SimResult:
         Canonical spec string of the interconnect the run was routed
         through (see :mod:`repro.platform.topology`); ``"star"`` for the
         paper's baseline single-level star.
+    returns:
+        One :class:`~repro.core.chunks.ReturnRecord` per delivered chunk,
+        in link-release order, on stars with result returns; empty
+        otherwise.
     """
 
     makespan: float
@@ -47,6 +54,7 @@ class SimResult:
     seed: int | None = None
     work_lost: float = 0.0
     topology: str = "star"
+    returns: tuple[ReturnRecord, ...] = ()
 
     @property
     def num_chunks(self) -> int:
@@ -54,11 +62,25 @@ class SimResult:
         return len(self.records)
 
     @property
+    def compute_makespan(self) -> float:
+        """Completion time of the last delivered chunk.
+
+        Equal to :attr:`makespan` unless the run has result returns.
+        """
+        if not self.returns:
+            return self.makespan
+        return max((r.comp_end for r in self.records if not r.lost), default=0.0)
+
+    # The two work sums are read per grant, job and stream by the stream
+    # layer; a result's records never change, so each is summed once.
+    # (cached_property stores into the instance __dict__, which a frozen
+    # dataclass without slots keeps; equality and hashing see fields only.)
+    @functools.cached_property
     def dispatched_work(self) -> float:
         """Total workload actually sent (delivered + lost)."""
         return sum(r.size for r in self.records)
 
-    @property
+    @functools.cached_property
     def delivered_work(self) -> float:
         """Workload that reached a worker and finished computing."""
         return sum(r.size for r in self.records if not r.lost)
@@ -136,9 +158,10 @@ def simulate(
         Optional interconnect shape — a :class:`~repro.platform.topology.
         Topology` or a spec string like ``"chain:relay=sf"`` (see
         :func:`repro.platform.make_topology`).  ``None`` means the paper's
-        star, the zero-hop path.  ``sharedbw`` shapes have no
-        closed-form recurrence, so ``engine="fast"`` transparently routes
-        them to the DES engine.
+        star, the zero-hop path.  Shapes without a closed-form
+        recurrence (``sharedbw``, and stars with ``ports``/``out``; see
+        :attr:`~repro.platform.topology.Topology.closed_form`) run on the
+        DES engine even with ``engine="fast"``.
     """
     from repro.errors.faults import make_fault_model
     from repro.platform.topology import make_topology
@@ -159,7 +182,7 @@ def simulate(
     if engine not in ("fast", "des"):
         raise ValueError(f"unknown engine {engine!r}")
     topo = make_topology(topology)
-    run = simulate_des if engine == "des" or topo.kind == "sharedbw" else simulate_fast
+    run = simulate_des if engine == "des" or not topo.closed_form else simulate_fast
     return run(
         platform, total_work, scheduler, error_model, seed,
         faults=fault_model, tracer=tracer, topology=topo,
@@ -176,10 +199,16 @@ def validate_schedule(result: SimResult, rel_tol: float = 1e-9) -> None:
       delivered + lost == dispatched (full coverage of the total is a
       *scheduler* property — it requires a surviving worker — and is
       asserted by the recovery tests, not here);
-    * master-link transfers never overlap and are ordered;
+    * at most ``ports`` master-link occupations (dispatches and result
+      returns) overlap — one on the paper's star, ``K`` on
+      ``star:ports=K``;
     * each arrival happens at/after its transfer's link release;
     * computation starts at/after arrival and respects per-worker FIFO;
-    * the makespan is the max computation end over delivered chunks.
+    * with result returns (``star:out=R``), every delivered chunk has
+      exactly one return of ``R·size`` units, starting after its
+      computation, and lost chunks have none; without them, no returns;
+    * the makespan is the max computation end over delivered chunks, or
+      the last result arrival when that is later.
 
     Timeline invariants are checked against the run's *event stream*
     (:func:`repro.obs.events.events_from_result`) — the same stream the
@@ -189,6 +218,7 @@ def validate_schedule(result: SimResult, rel_tol: float = 1e-9) -> None:
     expressible as events and stay record-based.
     """
     from repro.obs.events import events_from_result
+    from repro.platform.topology import make_topology
 
     records = result.records
     total = result.total_work
@@ -234,16 +264,12 @@ def validate_schedule(result: SimResult, rel_tol: float = 1e-9) -> None:
             last_comp_end = max(last_comp_end, e.time)
     assert set(send_start_of) == set(send_end_of), "unbalanced dispatch events"
     assert set(comp_start_of) == set(comp_end_of), "unbalanced compute events"
-    # Shared-bandwidth stars transfer concurrently by design — the
-    # serialized-link exclusivity invariant does not apply there.
-    serialized_link = not result.topology.startswith("sharedbw")
-    prev_send_end = -math.inf
+    topo = make_topology(result.topology)
+    occupations: list[tuple[float, float]] = []
     for chunk in sorted(send_start_of):
         ss, se = send_start_of[chunk], send_end_of[chunk]
-        if serialized_link:
-            assert ss >= prev_send_end - tol, f"link overlap at chunk {chunk}"
         assert se >= ss - tol, f"negative transfer at chunk {chunk}"
-        prev_send_end = se
+        occupations.append((ss, se))
     for chunk in sorted(comp_start_of):
         cs, ce = comp_start_of[chunk], comp_end_of[chunk]
         assert cs >= send_end_of[chunk] - tol, f"compute before send end at {chunk}"
@@ -252,7 +278,56 @@ def validate_schedule(result: SimResult, rel_tol: float = 1e-9) -> None:
         assert r.arrival >= r.send_end - tol, f"arrival precedes send end at {r.index}"
         if not r.lost:
             assert r.comp_start >= r.arrival - tol, f"compute before arrival at {r.index}"
-    if last_comp_end > -math.inf:
+
+    returned = [ret.chunk_index for ret in result.returns]
+    if topo.kind == "star" and topo.out > 0:
+        delivered = [r.index for r in records if not r.lost]
+        assert sorted(returned) == delivered, (
+            "returns do not match the delivered chunks one to one"
+        )
+    else:
+        assert not returned, f"{len(returned)} returns on {result.topology!r}"
+    last_received = -math.inf
+    for ret in result.returns:
+        r = records[ret.chunk_index]
         assert math.isclose(
-            result.makespan, last_comp_end, rel_tol=1e-12, abs_tol=1e-12
-        ), f"makespan {result.makespan} != last completion {last_comp_end}"
+            ret.output_size, topo.out * r.size, rel_tol=rel_tol, abs_tol=1e-12
+        ), f"return size {ret.output_size} != out * size at chunk {r.index}"
+        assert ret.link_start >= r.comp_end - tol, f"return before compute end at {r.index}"
+        assert ret.link_end >= ret.link_start - tol, f"negative return at {r.index}"
+        assert ret.received >= ret.link_end - tol, f"receipt before return at {r.index}"
+        occupations.append((ret.link_start, ret.link_end))
+        last_received = max(last_received, ret.received)
+
+    # Shared-bandwidth stars transfer concurrently by design — the port
+    # bound does not apply there.
+    if topo.kind != "sharedbw":
+        ports = topo.ports if topo.kind == "star" else 1
+        assert _peak_overlap(occupations, tol) <= ports, (
+            f"link overlap: more than {ports} master-link occupations at once"
+        )
+    last = max(last_comp_end, last_received)
+    if last > -math.inf:
+        assert math.isclose(
+            result.makespan, last, rel_tol=1e-12, abs_tol=1e-12
+        ), f"makespan {result.makespan} != last completion or receipt {last}"
+
+
+def _peak_overlap(intervals: list[tuple[float, float]], tol: float) -> int:
+    """Most intervals open at one instant; touching within ``tol`` is not overlap.
+
+    Intervals no longer than ``tol`` hold nothing and are skipped.  Ends
+    sort before starts at one instant, so a port handed over at its
+    release counts once.
+    """
+    edges = sorted(
+        edge
+        for start, end in intervals
+        if end - tol > start
+        for edge in ((start, 1), (end - tol, -1))
+    )
+    peak = open_now = 0
+    for _, delta in edges:
+        open_now += delta
+        peak = max(peak, open_now)
+    return peak

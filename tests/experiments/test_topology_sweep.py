@@ -78,6 +78,34 @@ class TestTopologyRouting:
         assert stats.cells["static-batch"] == 0
         assert stats.cells["dynbatch"] == 0
 
+    def test_multiport_star_grid_routes_scalar_des(self):
+        # A star with ports is no longer the batch engines' star: every
+        # cell takes the scalar rung, which runs it on the DES engine.
+        from repro.core.registry import make_scheduler
+        from repro.errors.models import make_error_model
+        from repro.experiments.runner import _cell_seeds
+        from repro.obs import SweepStats
+        from repro.sim.engine import simulate_des
+
+        grid = tiny_grid(topology="star:ports=2")
+        stats = SweepStats()
+        sweep = run_sweep(grid, algorithms=ALGOS, stats=stats)
+        assert stats.cells["static-batch"] == 0
+        assert stats.cells["dynbatch"] == 0
+        assert stats.cells["scalar"] == len(ALGOS) * len(grid.errors)
+        platform = grid.platforms()[0].build()
+        for algo in ALGOS:
+            for e_idx, error in enumerate(grid.errors):
+                direct = [
+                    simulate_des(
+                        platform, grid.total_work, make_scheduler(algo, error),
+                        make_error_model(grid.error_kind, error), seed=seed,
+                        topology=grid.topology,
+                    ).makespan
+                    for seed in _cell_seeds(grid, 0, e_idx)
+                ]
+                assert sweep.makespans[algo][0, e_idx].tolist() == direct
+
     def test_chain_sweep_is_finite_and_slower(self):
         star = run_sweep(tiny_grid(), algorithms=ALGOS)
         chain = run_sweep(tiny_grid(topology="chain:relay=sf"), algorithms=ALGOS)
@@ -126,3 +154,10 @@ class TestTopologySweep:
                 tiny_grid(), ("star", "chain:relay=sf", "chain:relay=sf"),
                 algorithms=ALGOS,
             )
+
+    def test_ported_star_is_not_the_baseline(self):
+        # A multi-port star is a scenario, not the paper's star: the
+        # plain star is still prepended and is the degradation baseline.
+        results = run_topology_sweep(tiny_grid(), ("star:ports=2",), algorithms=ALGOS)
+        assert results.topology_specs == ("star", "star:ports=2")
+        assert topology_degradation(results, "RUMR")["star"] == pytest.approx(1.0)

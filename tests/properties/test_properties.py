@@ -159,13 +159,12 @@ class TestOutputEngineProperty:
     )
     @settings(max_examples=15)
     def test_zero_output_ratio_equals_standard_engines(self, platform, work, error, seed):
-        from repro.sim.output import simulate_with_output
-
         model = NormalErrorModel(error) if error else NoError()
         scalar = simulate(platform, work, RUMR(known_error=error), model, seed=seed)
         model2 = NormalErrorModel(error) if error else NoError()
-        output = simulate_with_output(
-            platform, work, RUMR(known_error=error), model2, output_ratio=0.0, seed=seed
+        output = simulate(
+            platform, work, RUMR(known_error=error), model2, seed=seed, engine="des",
+            topology="star:out=0",
         )
         assert output.makespan == scalar.makespan
         assert output.returns == ()
@@ -178,17 +177,16 @@ class TestOutputEngineProperty:
     )
     @settings(max_examples=15)
     def test_output_conserves_work_and_orders_returns(self, platform, work, ratio, seed):
-        from repro.sim.output import simulate_with_output
-
-        result = simulate_with_output(
-            platform, work, Factoring(), NormalErrorModel(0.2),
-            output_ratio=ratio, seed=seed,
+        result = simulate(
+            platform, work, Factoring(), NormalErrorModel(0.2), seed=seed,
+            topology=f"star:out={ratio!r}",
         )
         assert sum(r.size for r in result.records) == pytest.approx(work, rel=1e-7)
         ends = {r.index: r.comp_end for r in result.records}
         for ret in result.returns:
             assert ret.link_start >= ends[ret.chunk_index] - 1e-9
         assert result.makespan >= result.compute_makespan - 1e-12
+        validate_schedule(result)
 
 
 class TestBatchSimulatorProperty:

@@ -39,7 +39,14 @@ _counts = st.one_of(st.none(), st.integers(min_value=1, max_value=64))
 
 #: Any constructible topology, across all four kinds.
 topologies = st.one_of(
-    st.builds(StarTopology, n=_counts),
+    st.builds(
+        StarTopology,
+        n=_counts,
+        ports=st.integers(min_value=1, max_value=8),
+        out=st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=4.0, **finite)
+        ),
+    ),
     st.builds(ChainTopology, n=_counts, relay=st.sampled_from(["sf", "ct"])),
     st.builds(
         TreeTopology,

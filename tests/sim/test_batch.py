@@ -91,17 +91,28 @@ class TestStatisticalAgreement:
 
 class TestThroughput:
     def test_batch_is_much_faster_than_scalar(self, setup):
+        import gc
         import time
 
         p, plan = setup
         seeds = list(range(400))
-        t0 = time.perf_counter()
-        static_cell(p, plan, error=0.3, seeds=seeds)
-        batch_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for s in seeds[:20]:
-            simulate(p, W, UMR(), NormalErrorModel(0.3), seed=s)
-        scalar_time = (time.perf_counter() - t0) / 20 * len(seeds)
+        # Time the engines, not the collector: a full collection of the
+        # heap the earlier tests leave behind costs about a third of the
+        # scalar estimate, so one landing inside the batch window decides
+        # the comparison.  As timeit does, collect first and time with
+        # the collector off.
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            static_cell(p, plan, error=0.3, seeds=seeds)
+            batch_time = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            for s in seeds[:20]:
+                simulate(p, W, UMR(), NormalErrorModel(0.3), seed=s)
+            scalar_time = (time.perf_counter() - t0) / 20 * len(seeds)
+        finally:
+            gc.enable()
         assert batch_time < scalar_time / 3  # conservative; typically 30x+
 
 

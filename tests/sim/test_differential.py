@@ -229,6 +229,33 @@ def test_engines_identical_under_faults_no_error(fault, small_platform):
     assert_identical(small_platform, RUMR(known_error=0.3), NoError(), 23, faults=fault)
 
 
+@pytest.mark.topology
+@pytest.mark.parametrize("fault", FAULT_SPECS)
+@pytest.mark.parametrize("scheduler", FAULT_SCHEDULERS, ids=lambda s: s.name)
+def test_one_port_star_equals_plain_des(scheduler, fault, small_platform, monkeypatch):
+    # ``star:ports=1,out=0`` is the plain star.  Forcing it through the
+    # port machinery (a one-port pool, no returns) must realize the plain
+    # DES trajectory bit for bit: records, losses and canonical trace.
+    from repro.platform.topology import StarTopology
+
+    def des(topology):
+        tracer = Tracer()
+        result = simulate(
+            small_platform, W, scheduler, NormalErrorModel(0.2), seed=17,
+            engine="des", faults=fault, tracer=tracer, topology=topology,
+        )
+        return result, tracer
+
+    plain, plain_tracer = des(None)
+    monkeypatch.setattr(StarTopology, "closed_form", property(lambda self: False))
+    ported, ported_tracer = des("star:ports=1,out=0")
+    assert_traces_identical(plain_tracer, ported_tracer)
+    assert ported.records == plain.records
+    assert ported.makespan == plain.makespan
+    assert ported.work_lost == plain.work_lost
+    assert ported.returns == ()
+
+
 def test_engines_identical_sole_worker_crash():
     # Degenerate corner: the only worker dies mid-run; the remaining work
     # is unrecoverable and both engines must agree on the partial schedule.
@@ -529,7 +556,14 @@ def test_topology_matrix_engines_identical(topology, scheduler, error, small_pla
 
 @pytest.mark.topology
 @pytest.mark.parametrize(
-    "topology", ("chain:relay=sf", "chain:relay=ct", "tree:fanout=2", "sharedbw:cap=9")
+    "topology",
+    (
+        "chain:relay=sf",
+        "chain:relay=ct",
+        "tree:fanout=2",
+        "sharedbw:cap=9",
+        "star:ports=2,out=0.3",
+    ),
 )
 def test_topology_des_self_consistent(topology, small_platform):
     # Two identically seeded DES runs must realize identical canonical

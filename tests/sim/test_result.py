@@ -77,3 +77,59 @@ def test_validate_catches_wrong_makespan(paper_platform):
     bad = dataclasses.replace(good, makespan=good.makespan / 2)
     with pytest.raises(AssertionError, match="makespan"):
         validate_schedule(bad)
+
+
+def test_validate_catches_port_overflow(paper_platform):
+    # Three transfers at once on a two-port star.
+    good = simulate(paper_platform, W, UMR(), topology="star:ports=2")
+    validate_schedule(good)
+    bad_records = list(good.records)
+    for i in (1, 2):
+        bad_records[i] = dataclasses.replace(
+            bad_records[i], send_start=bad_records[0].send_start
+        )
+    bad = dataclasses.replace(good, records=tuple(bad_records))
+    with pytest.raises(AssertionError, match="link overlap"):
+        validate_schedule(bad)
+
+
+def test_validate_checks_one_return_per_delivered_chunk(paper_platform):
+    good = simulate(paper_platform, W, UMR(), topology="star:out=0.2")
+    validate_schedule(good)
+    missing = dataclasses.replace(good, returns=good.returns[1:])
+    with pytest.raises(AssertionError, match="returns"):
+        validate_schedule(missing)
+    stray = dataclasses.replace(good, topology="star")
+    with pytest.raises(AssertionError, match="returns"):
+        validate_schedule(stray)
+
+
+def test_validate_makespan_is_last_receipt_with_returns(paper_platform):
+    good = simulate(paper_platform, W, UMR(), topology="star:out=0.2")
+    bad = dataclasses.replace(good, makespan=good.compute_makespan)
+    with pytest.raises(AssertionError, match="makespan"):
+        validate_schedule(bad)
+
+
+def test_work_sums_cached_without_changing_value_semantics(result):
+    import pickle
+
+    dispatched, delivered = result.dispatched_work, result.delivered_work
+    assert dispatched == sum(r.size for r in result.records)
+    assert delivered == sum(r.size for r in result.records if not r.lost)
+    # Cached on the instance, summed once.
+    assert result.__dict__["dispatched_work"] is dispatched
+    assert result.dispatched_work is dispatched
+    # Equality and hashing see the fields only, cached or not.
+    fresh = dataclasses.replace(result)
+    assert "dispatched_work" not in fresh.__dict__
+    assert fresh == result
+    # replace() recomputes from the new records.
+    half = dataclasses.replace(result, records=result.records[:1])
+    assert half.dispatched_work == result.records[0].size
+    assert half != result
+    # Pickle round-trips to an equal result with the same sums.
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone == result
+    assert clone.dispatched_work == dispatched
+    assert clone.delivered_work == delivered
