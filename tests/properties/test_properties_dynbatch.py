@@ -48,6 +48,7 @@ dynamic_schedulers = st.sampled_from(
         lambda error: RUMR(known_error=error),
         lambda error: RUMR(known_error=error, out_of_order=False),
         lambda error: RUMR(known_error=error, phase1_fraction=0.7),
+        lambda error: RUMR(known_error=error, phase2_weighted=True),
     ]
 )
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import available_schedulers, make_scheduler
+from repro.core.rumr import RUMR
 from repro.errors import NormalErrorModel
 from repro.errors.faults import make_fault_model
 from repro.experiments.config import smoke_grid
@@ -94,3 +95,47 @@ def test_batched_fault_rumr_crash_at_phase_boundary():
     assert batch_makespans(platform, "RUMR", 0.1, seeds, faults=faults)[0] == (
         pytest.approx(122.6091, abs=1e-4)
     )
+
+
+WEIGHTED_TAIL_FAULTS = (
+    None,
+    "crash:p=0.5,tmax=100",
+    "slow:p=0.6,tmax=120,factor=2.5",
+    "spike:p=0.25,delay=4",
+)
+
+
+@pytest.mark.parametrize("fault", WEIGHTED_TAIL_FAULTS, ids=lambda s: s or "none")
+@pytest.mark.parametrize("error", [0.0, 0.1, 0.3, 0.6])
+def test_weighted_rumr_tail_bitwise(error, fault):
+    # RUMR(phase2_weighted=True) is not a registry name, so the sweep
+    # gates never run its speed-weighted phase 2.  Crash rows of this
+    # variant defer to the scalar engine; every other row runs the
+    # embedded weighted-factoring kernel.
+    platforms = (
+        PlatformSpec(workers=tuple(
+            WorkerSpec(S=s, B=b, cLat=0.1, nLat=0.05)
+            for s, b in ((1.0, 12.0), (2.0, 15.0), (0.5, 9.0), (1.5, 20.0))
+        )),
+        PlatformSpec(workers=tuple(
+            WorkerSpec(S=s, B=b, cLat=c, nLat=n)
+            for s, b, c, n in (
+                (3.0, 40.0, 0.2, 0.1), (1.0, 25.0, 0.3, 0.05),
+                (0.8, 18.0, 0.1, 0.2), (2.2, 30.0, 0.25, 0.1),
+                (1.2, 22.0, 0.15, 0.15),
+            )
+        )),
+    )
+    seeds = tuple(range(20))
+    faults = None if fault is None else make_fault_model(fault)
+    scheduler = RUMR(known_error=error, phase2_weighted=True)
+    for platform in platforms:
+        scalar = np.array([
+            simulate_fast(
+                platform, W, scheduler, NormalErrorModel(error), seed=s,
+                collect_records=False, faults=faults,
+            ).makespan
+            for s in seeds
+        ])
+        batch = dynamic_cell(platform, scheduler, W, error, seeds, faults=faults)
+        assert np.array_equal(scalar, batch)
