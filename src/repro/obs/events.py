@@ -18,7 +18,11 @@ serialized relay link on a non-star topology (chains and trees; see
 :mod:`repro.platform.topology`).  It is chunk-scoped like the dispatch
 pair, with ``detail="link=<resource>"`` naming the relay resource; it is
 emitted only by live tracers (relay traversal is not reconstructible
-from :class:`~repro.core.chunks.DispatchRecord` alone).
+from :class:`~repro.core.chunks.DispatchRecord` alone).  On stars with
+result returns (``star:out=R``) the pair ``return_start``/``return_end``
+brackets a computed chunk's results holding a master port: chunk-scoped,
+on the returning worker, with ``size`` the returned volume
+(``R · size``) and the chunk's phase label.
 
 Six *stream-level* kinds describe multi-job streams
 (:mod:`repro.sim.multijob`): ``job_arrival``, ``job_start`` and
@@ -45,8 +49,9 @@ are — the differential harness's oracle is the canonically sorted stream.
 :func:`events_from_result` derives the *record-implied* substream (all
 kinds except worker-crash ``fault`` events and ``recovery_decision``,
 which are not reconstructible from :class:`~repro.core.chunks.
-DispatchRecord` alone) from a finished result, making every
-``SimResult`` a trace source even when no tracer was attached.
+DispatchRecord` and :class:`~repro.core.chunks.ReturnRecord` alone) from
+a finished result, making every ``SimResult`` a trace source even when
+no tracer was attached.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ EVENT_KINDS = frozenset(
         "fault",
         "recovery_decision",
         "round_boundary",
+        "return_start",
+        "return_end",
         "engine_fallback",
         "cell_quarantined",
         "job_arrival",
@@ -112,8 +119,10 @@ _KIND_RANK = {
     "dispatch_end": 11,
     "link_hop": 12,
     "comp_start": 13,
-    "engine_fallback": 14,
-    "cell_quarantined": 15,
+    "return_start": 14,
+    "return_end": 15,
+    "engine_fallback": 16,
+    "cell_quarantined": 17,
 }
 
 
@@ -182,9 +191,11 @@ def events_from_result(result) -> tuple[SimEvent, ...]:
     ``fault``/``loss`` event at the master's loss-observation time
     (``DispatchRecord.loss_time``) instead of fictitious compute events;
     phase-label changes along the dispatch order yield ``round_boundary``
-    events.  Worker-crash ``fault`` and ``recovery_decision`` events are
-    *not* derivable from records — a live :class:`~repro.obs.tracer.
-    Tracer` stream is a strict superset of this one.
+    events; result returns (``result.returns``, when the result has any)
+    yield ``return_start``/``return_end`` at their port occupation.
+    Worker-crash ``fault`` and ``recovery_decision`` events are *not*
+    derivable from records — a live :class:`~repro.obs.tracer.Tracer`
+    stream is a strict superset of this one.
     """
     events: list[SimEvent] = []
     last_phase: str | None = None
@@ -226,6 +237,20 @@ def events_from_result(result) -> tuple[SimEvent, ...]:
                     chunk=r.index, size=r.size, phase=r.phase,
                 )
             )
+    for ret in getattr(result, "returns", ()):
+        phase = result.records[ret.chunk_index].phase
+        events.append(
+            SimEvent(
+                ret.link_start, "return_start", ret.worker,
+                chunk=ret.chunk_index, size=ret.output_size, phase=phase,
+            )
+        )
+        events.append(
+            SimEvent(
+                ret.link_end, "return_end", ret.worker,
+                chunk=ret.chunk_index, size=ret.output_size, phase=phase,
+            )
+        )
     return canonical_order(events)
 
 

@@ -463,18 +463,27 @@ def simulate_des(
             row[_COMP_END] = comp_end
             completions.put(("done", index, msg.index, msg.size, comp_end))
             if out:
-                env.process(return_proc(index, msg.index, out * msg.size))
+                env.process(return_proc(index, msg, out * msg.size))
 
-    def return_proc(worker: int, chunk: int, out_size: float):
+    def return_proc(worker: int, msg: _ChunkMsg, out_size: float):
         # A computed chunk's results cross back over one master port.
         req = ports.request()
         yield req
         link_start = env.now
+        chunk = msg.index
+        tr.emit(
+            link_start, "return_start", worker,
+            chunk=chunk, size=out_size, phase=msg.phase,
+        )
         duration = bound.paths[worker].occupancy_time(out_size)
         if later(duration):
             yield env.timeout(duration)
         ports.release(req)
         link_end = env.now
+        tr.emit(
+            link_end, "return_end", worker,
+            chunk=chunk, size=out_size, phase=msg.phase,
+        )
         returns.append(ReturnRecord(
             chunk, worker, out_size, link_start, link_end,
             link_end + platform[worker].tLat,

@@ -78,6 +78,32 @@ class TestEventsFromResult:
         missing_kinds = {e.kind for e in live - set(derived)}
         assert missing_kinds <= {"fault", "recovery_decision"}
 
+    @pytest.mark.parametrize("faults", [None, "crash:worker=1,at=30"])
+    def test_result_returns_match_live_trace(self, platform, faults):
+        # On a star with result returns the live DES stream, minus what
+        # only a live tracer records, is exactly the record-derived one.
+        tracer = Tracer()
+        result = simulate(
+            platform, 300.0, UMR(), NormalErrorModel(0.2), seed=4,
+            topology="star:out=0.3", faults=faults, tracer=tracer,
+        )
+        live_only = {"recovery_decision"}
+        live = tuple(
+            e for e in tracer.canonical()
+            if e.kind not in live_only
+            and not (e.kind == "fault" and e.detail == "crash")
+        )
+        derived = events_from_result(result)
+        assert live == derived
+        starts = [e for e in derived if e.kind == "return_start"]
+        ends = [e for e in derived if e.kind == "return_end"]
+        assert len(starts) == len(ends) == len(result.returns) > 0
+        delivered = {r.index: r for r in result.records if not r.lost}
+        assert {e.chunk for e in ends} == set(delivered)
+        for e in ends:
+            assert e.size == 0.3 * delivered[e.chunk].size
+            assert e.phase == delivered[e.chunk].phase
+
     def test_lost_chunk_yields_loss_not_compute(self, platform):
         result = simulate(
             platform, 300.0, UMR(), NoError(), seed=0,
@@ -129,6 +155,7 @@ def test_kind_vocabulary_is_closed():
     assert EVENT_KINDS == {
         "dispatch_start", "dispatch_end", "link_hop", "comp_start", "comp_end",
         "fault", "recovery_decision", "round_boundary",
+        "return_start", "return_end",
         "engine_fallback", "cell_quarantined",
         "job_arrival", "job_start", "job_done",
         "worker_excluded", "job_failed", "job_resubmitted",
