@@ -35,17 +35,18 @@ import math
 import numpy as np
 
 from repro.core.base import Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.factoring import FactoringKernelSpec, FactoringSource
+from repro.core.factoring import FactoringKernel, FactoringKernelSpec, FactoringSource
 from repro.core.lockstep import (
     DISPATCH,
     DONE,
     KernelSpec,
     LockstepKernel,
+    PlanCursor,
     PlanRounds,
     expand_rows,
 )
-from repro.core.rumr import phase2_min_chunk, round_overhead
-from repro.core.umr import MAX_ROUNDS, solve_umr
+from repro.core.rumr import _chunk_floor, round_overhead
+from repro.core.umr import MAX_ROUNDS, UMRPlan, solve_umr
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
@@ -96,18 +97,11 @@ class OnlineErrorEstimator:
         self._mean += delta / self._count
         self._m2 += delta * (ratio - self._mean)
 
-    def consume(self, view: MasterView, chunk_sizes: dict[int, float]) -> None:
-        """Fold all newly observed completions into the estimate.
-
-        ``chunk_sizes`` maps chunk index → size (the source's dispatch
-        history; the timing stream itself does not carry sizes for chunks
-        the estimator has not seen).
-        """
+    def consume(self, view: MasterView) -> None:
+        """Fold all newly observed completions into the estimate."""
         notes = view.observed_completions()
         for note in notes[self._seen:]:
-            size = chunk_sizes.get(note.chunk_index, note.size)
-            spec = self._platform[note.worker]
-            predicted = spec.compute_time(size)
+            predicted = self._platform[note.worker].compute_time(note.size)
             last = self._last_time.get(note.worker)
             self._last_time[note.worker] = note.time
             if last is None or predicted <= 0:
@@ -120,25 +114,28 @@ class OnlineErrorEstimator:
 
 
 class AdaptiveRUMRSource(DispatchSource):
-    """Per-run state of the adaptive scheduler (see module docstring)."""
+    """Per-run state of the adaptive scheduler (see module docstring).
+
+    ``plan_rounds`` are the UMR plan's dense per-worker size rows
+    (:attr:`~repro.core.umr.UMRPlan.dispatch_rounds`), dispatched out of
+    order through a :class:`~repro.core.lockstep.PlanCursor`.
+    """
 
     def __init__(
         self,
         platform: PlatformSpec,
         total_work: float,
-        plan_rounds: list[dict[int, float]],
+        plan_rounds,
         factor: float,
         min_samples: int,
     ):
         self._platform = platform
         self._total_work = total_work
-        self._rounds = plan_rounds
-        self._round_cursor = 0
+        self._plan = PlanCursor(plan_rounds, "adaptive-p1-round")
         self._factor = factor
         self._min_samples = min_samples
+        self._overhead = round_overhead(platform)
         self._dispatched = 0.0
-        self._chunk_sizes: dict[int, float] = {}
-        self._next_index = 0
         self._estimator = OnlineErrorEstimator(platform)
         self._phase2: FactoringSource | None = None
         self.switched_at: float | None = None  # diagnostics
@@ -157,18 +154,18 @@ class AdaptiveRUMRSource(DispatchSource):
         if remaining > target_tail:
             return False
         # RUMR's threshold, evaluated with the estimate.
-        overhead = round_overhead(self._platform)
+        overhead = self._overhead
         return remaining / self._platform.N >= overhead or overhead == 0.0
 
     def _switch_to_phase2(self, view: MasterView, estimate: float) -> None:
         remaining = self._remaining_plan_work()
-        self._rounds = []
-        self._round_cursor = 0
         self._phase2 = FactoringSource(
             n=self._platform.N,
             total_work=remaining,
             factor=self._factor,
-            min_chunk=phase2_min_chunk(self._platform, estimate, phase2_work=remaining),
+            min_chunk=_chunk_floor(
+                self._overhead, self._platform.N, estimate, remaining
+            ),
             phase="adaptive-p2",
         )
         self.switched_at = view.now
@@ -177,7 +174,7 @@ class AdaptiveRUMRSource(DispatchSource):
     def next_dispatch(self, view: MasterView) -> "Dispatch | Wait | None":
         if self._phase2 is not None:
             return self._phase2.next_dispatch(view)
-        self._estimator.consume(view, self._chunk_sizes)
+        self._estimator.consume(view)
         estimate = self._estimator.estimate()
         if (
             estimate is not None
@@ -186,54 +183,48 @@ class AdaptiveRUMRSource(DispatchSource):
         ):
             self._switch_to_phase2(view, estimate)
             return self._phase2.next_dispatch(view)
-
-        while self._round_cursor < len(self._rounds):
-            pending = self._rounds[self._round_cursor]
-            if not pending:
-                self._round_cursor += 1
-                continue
-            # Ascending worker order: the plan rounds are built that way
-            # and only ever popped.
-            worker = next((i for i in pending if view.is_idle(i)), next(iter(pending)))
-            size = pending.pop(worker)
-            self._chunk_sizes[self._next_index] = size
-            self._next_index += 1
-            self._dispatched += size
-            return Dispatch(
-                worker=worker, size=size, phase=f"adaptive-p1-round{self._round_cursor}"
-            )
+        action = self._plan.take(view, True)
+        if action is not None:
+            self._dispatched += action.size
+            return action
         self.final_estimate = estimate
         return None
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class AdaptiveRUMRKernelSpec(KernelSpec):
-    """One cell's adaptive-RUMR configuration in lockstep form.
+    """One adaptive-RUMR run's binding, read by both engines.
 
-    ``rounds`` is the dense UMR plan over the *whole* workload;
-    ``clats`` / ``speeds`` carry the per-worker prediction model the
-    online estimator evaluates; ``overhead`` is the platform's
-    ``round_overhead`` (needed by the switch threshold and chunk floor).
-    ``phase2`` is a degenerate zero-workload factoring spec re-armed per
-    row at switch time via :meth:`FactoringKernel.activate_rows`.
+    ``plan`` is the UMR plan over the *whole* workload, dispatched from
+    its :attr:`rounds`.  The kernel derives the per-worker prediction
+    model the online estimator evaluates, and the round overhead of the
+    switch threshold and chunk floor, from ``platform``, as the scalar
+    source does.
     """
 
     n: int = 0
     total_work: float = 0.0
-    rounds: tuple = ()
+    plan: "UMRPlan | None" = None
     factor: float = 2.0
     min_samples: int = 8
-    clats: tuple = ()
-    speeds: tuple = ()
-    overhead: float = 0.0
-    phase2: "KernelSpec | None" = None
+    platform: "PlatformSpec | None" = None
 
     group_key = ("adaptive-rumr",)
     wants_notes = True
     handles_crashes = True
 
+    @property
+    def rounds(self) -> tuple:
+        """The plan's rounds as dense per-worker size rows."""
+        return self.plan.dispatch_rounds
+
     def make_kernel(self, specs, reps, n_max):
         return AdaptiveRUMRKernel(specs, reps, n_max)
+
+    def source(self) -> AdaptiveRUMRSource:
+        return AdaptiveRUMRSource(
+            self.platform, self.total_work, self.rounds, self.factor, self.min_samples
+        )
 
 
 class AdaptiveRUMRKernel(LockstepKernel):
@@ -269,14 +260,16 @@ class AdaptiveRUMRKernel(LockstepKernel):
         clats = np.zeros((len(specs), n_max))
         speeds = np.ones((len(specs), n_max))
         for i, s in enumerate(specs):
-            clats[i, : s.n] = s.clats
-            speeds[i, : s.n] = s.speeds
+            clats[i, : s.n] = [w.cLat for w in s.platform]
+            speeds[i, : s.n] = [w.S for w in s.platform]
         self._plan = PlanRounds(specs, reps, n_max)
         self._clat = np.repeat(clats, reps, axis=0)
         self._speed = np.repeat(speeds, reps, axis=0)
         self._total = expand_rows([s.total_work for s in specs], reps, dtype=float)
         self._n_float = expand_rows([float(s.n) for s in specs], reps, dtype=float)
-        self._overhead = expand_rows([s.overhead for s in specs], reps, dtype=float)
+        self._overhead = expand_rows(
+            [round_overhead(s.platform) for s in specs], reps, dtype=float
+        )
         self._min_samples = expand_rows(
             [s.min_samples for s in specs], reps, dtype=np.int64
         )
@@ -291,8 +284,9 @@ class AdaptiveRUMRKernel(LockstepKernel):
         # them, like the scalar phase 1); replayed in observation order
         # into the factoring slot if and when the row switches.
         self._queued_losses: dict[int, list[float]] = {}
-        self._phase2 = specs[0].phase2.make_kernel(
-            [s.phase2 for s in specs], reps, n_max
+        # Degenerate zero-workload factoring rows, re-armed at switch time.
+        self._phase2 = FactoringKernel(
+            [FactoringKernelSpec(n=s.n, factor=s.factor) for s in specs], reps, n_max
         )
 
     def compact(self, keep) -> None:
@@ -434,39 +428,14 @@ class AdaptiveRUMR(Scheduler):
         self.max_rounds = max_rounds
         self.name = "AdaptiveRUMR"
 
-    def create_source(self, platform: PlatformSpec, total_work: float) -> AdaptiveRUMRSource:
-        plan = solve_umr(platform, total_work, self.max_rounds, self.umr_method)
-        rounds = [
-            {i: size for i, size in enumerate(row) if size > 0.0}
-            for row in plan.chunk_sizes
-        ]
-        rounds = [r for r in rounds if r]
-        return AdaptiveRUMRSource(
-            platform=platform,
-            total_work=total_work,
-            plan_rounds=rounds,
-            factor=self.factor,
-            min_samples=self.min_samples,
-        )
-
     def batch_kernel(
         self, platform: PlatformSpec, total_work: float
     ) -> AdaptiveRUMRKernelSpec:
-        plan = solve_umr(platform, total_work, self.max_rounds, self.umr_method)
-        rounds = []
-        for row in plan.chunk_sizes:
-            if any(s > 0.0 for s in row):
-                rounds.append(tuple(s if s > 0.0 else 0.0 for s in row))
         return AdaptiveRUMRKernelSpec(
             n=platform.N,
             total_work=total_work,
-            rounds=tuple(rounds),
+            plan=solve_umr(platform, total_work, self.max_rounds, self.umr_method),
             factor=self.factor,
             min_samples=self.min_samples,
-            clats=tuple(w.cLat for w in platform),
-            speeds=tuple(w.S for w in platform),
-            overhead=round_overhead(platform),
-            phase2=FactoringKernelSpec(
-                n=platform.N, total_work=0.0, factor=self.factor
-            ),
+            platform=platform,
         )

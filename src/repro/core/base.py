@@ -5,7 +5,10 @@ Both simulation engines (:mod:`repro.sim.fastsim` and the DES-based
 
 1. A :class:`Scheduler` is a configured, reusable algorithm object.  Calling
    :meth:`Scheduler.create_source` binds it to one run (platform + total
-   workload) and returns a fresh stateful :class:`DispatchSource`.
+   workload) and returns a fresh stateful :class:`DispatchSource`.  A
+   registry scheduler derives that binding in one place — its
+   :meth:`~Scheduler.static_plan` or its :meth:`~Scheduler.batch_kernel`
+   spec — which the scalar engines and the batch engines share.
 2. Whenever the master's serialized link is free, the engine calls
    :meth:`DispatchSource.next_dispatch` with a :class:`MasterView` of the
    *observable* state (current time, what has been sent, which completions
@@ -251,7 +254,12 @@ class StaticPlanSource(DispatchSource):
 class Scheduler:
     """A configured scheduling algorithm.
 
-    Subclasses must implement :meth:`create_source` and set :attr:`name`.
+    Subclasses set :attr:`name` and implement one binding: static
+    schedulers :meth:`static_plan`, dynamic ones :meth:`batch_kernel`,
+    whose spec also builds the scalar source.  The inherited
+    :meth:`create_source` then serves every engine from that one
+    binding.  Schedulers without either (third-party rules the batch
+    engines cannot run) override :meth:`create_source` instead.
     Scheduler objects hold only configuration — all per-run state lives in
     the source — so one scheduler instance can be reused across thousands
     of simulations.
@@ -271,8 +279,19 @@ class Scheduler:
     is_static: bool = False
 
     def create_source(self, platform: PlatformSpec, total_work: float) -> DispatchSource:
-        """Bind to one run and return a fresh dispatch source."""
-        raise NotImplementedError
+        """Bind to one run and return a fresh dispatch source.
+
+        Static schedulers replay :meth:`static_plan` under the plan's own
+        phase labels; the others build the source of their
+        :meth:`batch_kernel` spec (:meth:`KernelSpec.source
+        <repro.core.lockstep.KernelSpec.source>`).
+        """
+        if self.is_static:
+            return StaticPlanSource(
+                Dispatch(c.worker, c.size, c.phase)
+                for c in self.static_plan(platform, total_work)
+            )
+        return self.batch_kernel(platform, total_work).source()
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> "ChunkPlan":
         """The fixed dispatch sequence of a static scheduler.
@@ -291,10 +310,13 @@ class Scheduler:
         raises.  Returns a :class:`repro.core.lockstep.KernelSpec` bound
         to ``(platform, total_work)`` — and, through the scheduler's own
         configuration, to the cell's error magnitude where the algorithm
-        consumes it (RUMR's phase split).  Specs with equal ``group_key``
-        can be merged into one kernel spanning many cells.  The lockstep
-        trajectory must match the scalar engine bit-for-bit when fed the
-        same perturbation factors.
+        consumes it (RUMR's phase split).  The spec is the run's one
+        binding: it builds the scalar source too, so it carries only what
+        both engines read and leaves kernel-only conversions to
+        ``make_kernel``.  Specs with equal ``group_key`` can be merged into
+        one kernel spanning many cells.  The lockstep trajectory must
+        match the scalar engine bit-for-bit when fed the same
+        perturbation factors.
         """
         raise NotImplementedError(f"{self.name} has no lockstep batch kernel")
 

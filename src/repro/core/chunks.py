@@ -30,11 +30,14 @@ class PlannedChunk:
 
     ``round_index`` groups chunks into dispatch rounds (-1 when the notion
     of a round does not apply, e.g. for self-scheduled chunks).
+    ``phase`` is the label every engine gives the chunk's dispatch (the
+    scalar replay, the static batch engine and their traces alike).
     """
 
     worker: int
     size: float
     round_index: int = -1
+    phase: str = ""
 
     def __post_init__(self) -> None:
         if self.worker < 0:

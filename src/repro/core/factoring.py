@@ -25,35 +25,34 @@ import dataclasses
 import numpy as np
 
 from repro.core.base import WAIT, Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.lockstep import (
-    DISPATCH,
-    DONE,
-    WAIT_FOR_COMPLETION,
-    KernelSpec,
-    LockstepKernel,
-    drain_rows,
-    expand_rows,
-    first_idle,
-)
-from repro.platform.spec import PlatformSpec
+from repro.core.lockstep import KernelSpec, PoolKernel, expand_rows
 
-__all__ = ["Factoring", "FactoringSource", "FactoringKernel", "FactoringKernelSpec"]
+__all__ = [
+    "Factoring",
+    "FactoringSource",
+    "FactoringKernel",
+    "FactoringKernelSpec",
+    "PoolSource",
+]
 
 
-class FactoringSource(DispatchSource):
-    """Per-run state of the factoring self-scheduler.
+class PoolSource(DispatchSource):
+    """The scalar pool rule of the self-scheduled factoring sources.
 
-    The batch rule: while work remains, produce ``N`` chunks of size
-    ``max(min_chunk, remaining_at_batch_start / (factor · N))`` (capped by
-    what is actually left).
+    Holds the undispatched pool and serves idle workers from it, the
+    lowest index first (:meth:`~repro.core.base.MasterView.first_idle`);
+    with none idle the source waits.  Subclasses supply only the size
+    rule (:meth:`_size`).
 
-    Chunks go only to *idle* workers — the classic self-scheduling
-    lookahead of 1, faithful to Hummel's model.  On a platform with
-    transfer costs the worker then idles for the whole ``nLat + c/B``
-    transfer, exactly the overlap weakness the paper attributes to
-    factoring.  Among idle workers the lowest index wins
-    (:meth:`~repro.core.base.MasterView.first_idle`); with none idle the
-    source waits.
+    Recovery path (fault runs only, when the view reports
+    ``faults_possible``): announced losses rejoin the pool exactly once
+    (a cursor into ``view.observed_losses()``), workers whose crash the
+    master has observed stop being candidates — the size rules divide by
+    the live count, so their share flows to the survivors — a drained
+    pool waits while chunks are still outstanding (they may yet be lost
+    and need re-dispatch), and once every worker is gone the rest is
+    undeliverable.  :class:`~repro.core.lockstep.PoolKernel` is the
+    lockstep form of this rule.
     """
 
     def __init__(
@@ -74,11 +73,6 @@ class FactoringSource(DispatchSource):
         self._factor = factor
         self._min_chunk = min_chunk
         self._phase = phase
-        self._batch_left = 0  # chunks still to issue in the current batch
-        self._batch_size = 0.0
-        # Recovery state, touched only when the run's view reports
-        # faults_possible: a cursor into view.observed_losses() (lost work
-        # re-enters the remaining pool exactly once).
         self._loss_cursor = 0
 
     @property
@@ -86,7 +80,51 @@ class FactoringSource(DispatchSource):
         """Workload not yet dispatched."""
         return self._remaining
 
-    def _next_size(self, n_live: int) -> float:
+    def _size(self, worker: int, n_live: int, crashed: "tuple[int, ...]") -> float:
+        """The next chunk for ``worker``, with ``n_live`` workers left."""
+        raise NotImplementedError
+
+    def next_dispatch(self, view: MasterView) -> "Dispatch | Wait | None":
+        crashed: tuple[int, ...] = ()
+        if view.faults_possible:
+            losses = view.observed_losses()
+            while self._loss_cursor < len(losses):
+                self._remaining += losses[self._loss_cursor].size
+                self._loss_cursor += 1
+            crashed = view.crashed_workers()
+        if self._remaining <= self._epsilon:
+            if view.faults_possible and view.any_pending():
+                return WAIT
+            return None
+        n_live = self._n - len(crashed)
+        if n_live == 0:
+            return None
+        worker = view.first_idle(crashed)
+        if worker is None:
+            return WAIT
+        size = self._size(worker, n_live, crashed)
+        self._remaining = max(0.0, self._remaining - size)
+        return Dispatch(worker, size, self._phase)
+
+
+class FactoringSource(PoolSource):
+    """Per-run state of the factoring self-scheduler.
+
+    The batch rule: while work remains, produce ``N`` chunks of size
+    ``max(min_chunk, remaining_at_batch_start / (factor · N))`` (capped by
+    what is actually left), ``N`` counting the live workers.
+
+    Chunks go only to *idle* workers — the classic self-scheduling
+    lookahead of 1, faithful to Hummel's model.  On a platform with
+    transfer costs the worker then idles for the whole ``nLat + c/B``
+    transfer, exactly the overlap weakness the paper attributes to
+    factoring.
+    """
+
+    _batch_left = 0  # chunks still to issue in the current batch
+    _batch_size = 0.0
+
+    def _size(self, worker: int, n_live: int, crashed: "tuple[int, ...]") -> float:
         if self._batch_left == 0:
             self._batch_size = max(
                 self._remaining / (self._factor * n_live), self._min_chunk
@@ -95,51 +133,22 @@ class FactoringSource(DispatchSource):
         self._batch_left -= 1
         return min(self._batch_size, self._remaining)
 
-    def _absorb_losses(self, view: MasterView) -> None:
-        losses = view.observed_losses()
-        while self._loss_cursor < len(losses):
-            self._remaining += losses[self._loss_cursor].size
-            self._loss_cursor += 1
 
-    def next_dispatch(self, view: MasterView) -> "Dispatch | Wait | None":
-        # Recovery path (fault runs only): lost chunks rejoin the pool, and
-        # workers whose crash the master has observed stop being candidates
-        # — their batch share flows to the survivors because the batch rule
-        # divides by the live count.
-        crashed: tuple[int, ...] = ()
-        if view.faults_possible:
-            self._absorb_losses(view)
-            crashed = view.crashed_workers()
-        if self._remaining <= self._epsilon:
-            if view.faults_possible and view.any_pending():
-                # Outstanding chunks may yet be lost and need re-dispatch;
-                # wake on each resolution until the pending set drains.
-                return WAIT
-            return None
-        n_live = self._n - len(crashed)
-        if n_live == 0:
-            return None  # every worker is gone; the rest is undeliverable
-        worker = view.first_idle(crashed)
-        if worker is None:
-            return WAIT
-        size = self._next_size(n_live)
-        self._remaining = max(0.0, self._remaining - size)
-        return Dispatch(worker=worker, size=size, phase=self._phase)
-
-
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class FactoringKernelSpec(KernelSpec):
-    """One cell's :class:`FactoringSource` parameters, lockstep form.
+    """One factoring run's binding: its :class:`FactoringSource` parameters.
 
     ``total_work = 0`` is a valid degenerate spec whose rows are DONE
     from the first decision — RUMR uses it for a skipped phase 2.  The
     lookahead is always the classic 1 (see :mod:`repro.core.lockstep`).
+    ``phase`` labels the scalar source's dispatches.
     """
 
     n: int = 0
     total_work: float = 0.0
     factor: float = 2.0
     min_chunk: float = 1.0
+    phase: str = "factoring"
 
     group_key = ("factoring",)
     handles_crashes = True
@@ -147,30 +156,25 @@ class FactoringKernelSpec(KernelSpec):
     def make_kernel(self, specs, reps, n_max):
         return FactoringKernel(specs, reps, n_max)
 
+    def source(self) -> FactoringSource:
+        return FactoringSource(
+            self.n, self.total_work, self.factor, self.min_chunk, self.phase
+        )
 
-class FactoringKernel(LockstepKernel):
+
+class FactoringKernel(PoolKernel):
     """Lockstep rows of factoring state (see :class:`FactoringSource`).
 
-    Every formula is evaluated with the scalar source's exact operation
-    order — ``remaining / (factor · n)``, ``max(·, min_chunk)``,
-    ``min(batch_size, remaining)``, ``max(0, remaining − size)`` — so a
-    row's dispatch sequence is bit-identical to the scalar run's.
-
-    Fault rows follow :class:`FactoringSource`'s recovery path through
-    the step context: newly observed losses rejoin the remaining pool in
-    observation order, observed-crashed workers stop being idle
-    candidates (their batch share flows to survivors because the batch
-    rule divides by the live count), a drained pool waits while chunks
-    are still outstanding (they may yet be lost and need re-dispatch),
-    and a row whose workers have all crashed finishes undeliverable.
+    The batch rule keeps the scalar source's exact operation order —
+    ``remaining / (factor · n)``, ``max(·, min_chunk)``,
+    ``min(batch_size, remaining)`` — with ``n`` the row's live count, so
+    a row's dispatch sequence is bit-identical to the scalar run's;
+    everything else is the shared :class:`~repro.core.lockstep.PoolKernel`
+    step.
     """
 
     def __init__(self, specs, reps, n_max):
-        self._n = expand_rows([s.n for s in specs], reps, dtype=np.int64)
-        self._remaining = expand_rows([s.total_work for s in specs], reps, dtype=float)
-        self._epsilon = np.array(
-            [1e-12 * max(s.total_work, 1.0) for s in specs]
-        ).repeat(reps)
+        super().__init__(specs, reps, n_max)
         self._factor = expand_rows([s.factor for s in specs], reps, dtype=float)
         self._factor_n = expand_rows(
             [s.factor * s.n for s in specs], reps, dtype=float
@@ -180,9 +184,7 @@ class FactoringKernel(LockstepKernel):
         self._batch_size = np.zeros(len(self._n))
 
     def compact(self, keep) -> None:
-        self._n = self._n[keep]
-        self._remaining = self._remaining[keep]
-        self._epsilon = self._epsilon[keep]
+        super().compact(keep)
         self._factor = self._factor[keep]
         self._factor_n = self._factor_n[keep]
         self._min_chunk = self._min_chunk[keep]
@@ -213,44 +215,11 @@ class FactoringKernel(LockstepKernel):
         """
         self._remaining[row] += size
 
-    def decide(self, counts, action, worker, size, mask=None, ctx=None):
-        n_crashed = None
-        if ctx is not None:
-            for r, s in ctx.losses:
-                self._remaining[r] += s
-            n_crashed = ctx.n_crashed
-        fin = self._remaining <= self._epsilon
-        if mask is None:
-            live = ~fin
-        else:
-            live = mask & ~fin
-            fin = mask & fin
-        drain = None
-        if ctx is not None and ctx.fault_rows is not None:
-            # A drained pool on a fault row waits for the pending set: an
-            # outstanding chunk may still be lost and re-enter the pool.
-            drain = drain_rows(counts, fin & ctx.fault_rows)
-            fin = fin & ~drain
-        if n_crashed is not None and n_crashed.any():
-            n_live = self._n - n_crashed
-            dead = live & (n_live == 0)
-            fin = fin | dead
-            live = live & ~dead
-            w, idle = first_idle(counts, ctx.crashed)
-            factor_n = self._factor * n_live.astype(float)
-            n_batch = n_live
-        else:
-            w, idle = first_idle(counts)
+    def _sizes(self, disp, worker, n_live, crashed):
+        if crashed is None:
             factor_n = self._factor_n
-            n_batch = self._n
-        disp = live & idle
-        wait = live & ~idle
-        if drain is not None:
-            wait = wait | drain
-        action[fin] = DONE
-        action[wait] = WAIT_FOR_COMPLETION
-        action[disp] = DISPATCH
-        worker[disp] = w[disp]
+        else:
+            factor_n = self._factor * n_live.astype(float)
         new_batch = disp & (self._batch_left == 0)
         if new_batch.any():
             np.copyto(
@@ -258,13 +227,9 @@ class FactoringKernel(LockstepKernel):
                 np.maximum(self._remaining / factor_n, self._min_chunk),
                 where=new_batch,
             )
-            np.copyto(self._batch_left, n_batch, where=new_batch)
+            np.copyto(self._batch_left, n_live, where=new_batch)
         self._batch_left[disp] -= 1
-        sz = np.minimum(self._batch_size, self._remaining)
-        size[disp] = sz[disp]
-        np.copyto(
-            self._remaining, np.maximum(0.0, self._remaining - sz), where=disp
-        )
+        return np.minimum(self._batch_size, self._remaining)
 
 
 class Factoring(Scheduler):
@@ -284,15 +249,6 @@ class Factoring(Scheduler):
         self.factor = factor
         self.min_chunk = min_chunk
         self.name = "Factoring"
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> FactoringSource:
-        return FactoringSource(
-            n=platform.N,
-            total_work=total_work,
-            factor=self.factor,
-            min_chunk=self.min_chunk,
-            phase="factoring",
-        )
 
     def batch_kernel(self, platform: PlatformSpec, total_work: float) -> FactoringKernelSpec:
         return FactoringKernelSpec(

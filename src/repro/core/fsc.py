@@ -29,15 +29,7 @@ import math
 import numpy as np
 
 from repro.core.base import WAIT, Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.lockstep import (
-    DISPATCH,
-    DONE,
-    WAIT_FOR_COMPLETION,
-    KernelSpec,
-    LockstepKernel,
-    expand_rows,
-    first_idle,
-)
+from repro.core.lockstep import KernelSpec, PoolKernel, expand_rows
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
@@ -101,9 +93,9 @@ class FixedSizeChunkingSource(DispatchSource):
         return Dispatch(worker=worker, size=size, phase=self._phase)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class FSCKernelSpec(KernelSpec):
-    """Mergeable lockstep configuration for one FSC cell."""
+    """One FSC run's binding: its :class:`FixedSizeChunkingSource` parameters."""
 
     n: int = 0
     total_work: float = 0.0
@@ -120,53 +112,36 @@ class FSCKernelSpec(KernelSpec):
     ) -> "FSCKernel":
         return FSCKernel(specs, reps, n_max)
 
+    def source(self) -> FixedSizeChunkingSource:
+        return FixedSizeChunkingSource(self.n, self.total_work, self.chunk)
 
-class FSCKernel(LockstepKernel):
+
+class FSCKernel(PoolKernel):
     """Row-wise FSC: serve the lowest-index idle worker an equal chunk.
 
-    Mirrors :class:`FixedSizeChunkingSource` exactly: a row is finished
-    once its undispatched remainder drops to the epsilon floor (lost
-    chunks are never re-dispatched, matching the scalar source even
-    under faults), it waits while no worker is idle, and otherwise sends
-    ``min(chunk, remaining)`` to the first idle worker.  Crashed workers
-    stay eligible — the scalar idle scan does not consult crash state.
+    Mirrors :class:`FixedSizeChunkingSource` exactly: the shared
+    :class:`~repro.core.lockstep.PoolKernel` step without a fault
+    context — a row is finished once its undispatched remainder drops to
+    the epsilon floor (lost chunks are never re-dispatched, matching the
+    scalar source even under faults), it waits while no worker is idle,
+    and otherwise sends ``min(chunk, remaining)`` to the first idle
+    worker.  Crashed workers stay eligible — the scalar idle scan does
+    not consult crash state.
     """
 
     def __init__(self, specs, reps, n_max):
-        del n_max
-        self._remaining = expand_rows([s.total_work for s in specs], reps, float)
-        self._epsilon = expand_rows(
-            [1e-12 * max(s.total_work, 1.0) for s in specs], reps, float
-        )
+        super().__init__(specs, reps, n_max)
         self._chunk = expand_rows([s.chunk for s in specs], reps, float)
 
     def compact(self, keep) -> None:
-        self._remaining = self._remaining[keep]
-        self._epsilon = self._epsilon[keep]
+        super().compact(keep)
         self._chunk = self._chunk[keep]
 
+    def _sizes(self, disp, worker, n_live, crashed):
+        return np.minimum(self._chunk, self._remaining)
+
     def decide(self, counts, action, worker, size, mask=None, ctx=None):
-        del ctx
-        fin = self._remaining <= self._epsilon
-        if mask is not None:
-            fin = fin & mask
-            live = ~fin & mask
-        else:
-            live = ~fin
-        action[fin] = DONE
-        w, has_idle = first_idle(counts)
-        wait = live & ~has_idle
-        disp = live & has_idle
-        action[wait] = WAIT_FOR_COMPLETION
-        action[disp] = DISPATCH
-        worker[disp] = w[disp]
-        sz = np.minimum(self._chunk, self._remaining)
-        size[disp] = sz[disp]
-        np.copyto(
-            self._remaining,
-            np.maximum(0.0, self._remaining - sz),
-            where=disp,
-        )
+        super().decide(counts, action, worker, size, mask)
 
 
 class FixedSizeChunking(Scheduler):
@@ -197,7 +172,7 @@ class FixedSizeChunking(Scheduler):
         self.min_chunk = min_chunk
         self.name = "FSC"
 
-    def _chunk_for(self, platform: PlatformSpec, total_work: float) -> float:
+    def batch_kernel(self, platform: PlatformSpec, total_work: float) -> FSCKernelSpec:
         if self.chunk_size is not None:
             chunk = self.chunk_size
         else:
@@ -208,15 +183,6 @@ class FixedSizeChunking(Scheduler):
             sigma = self.known_error / mean_s
             chunk = kruskal_weiss_chunk_size(total_work, n, overhead, sigma)
         chunk = max(chunk, self.min_chunk)
-        return min(chunk, total_work)
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> FixedSizeChunkingSource:
-        chunk = self._chunk_for(platform, total_work)
-        return FixedSizeChunkingSource(platform.N, total_work, chunk)
-
-    def batch_kernel(self, platform: PlatformSpec, total_work: float) -> FSCKernelSpec:
         return FSCKernelSpec(
-            n=platform.N,
-            total_work=total_work,
-            chunk=self._chunk_for(platform, total_work),
+            n=platform.N, total_work=total_work, chunk=min(chunk, total_work)
         )

@@ -34,7 +34,12 @@ cell) by :meth:`KernelSpec.make_kernel`; specs with equal ``group_key``
 may be merged into one kernel spanning many cells, padded to a common
 worker count.  Padded worker slots must be made unselectable by the
 *caller*: the engine reports a huge pending-chunk count for them, so
-they never look idle.
+they never look idle.  The same spec builds the cell's scalar source
+(:meth:`KernelSpec.source`), so each run's binding — phase split, plan
+rows, chunk floors — is derived once for both engines.  The pieces the
+rules share are written once per engine: :class:`PoolKernel` is the
+lockstep step of every self-scheduled pool, and :class:`PlanCursor` is
+the scalar twin of :class:`PlanRounds`.
 
 Fault-aware decisions travel through a :class:`KernelStepContext`: the
 engine hands each merged group the crash state it would observe through
@@ -56,6 +61,8 @@ import dataclasses
 
 import numpy as np
 
+from repro.core.base import Dispatch
+
 __all__ = [
     "DISPATCH",
     "WAIT_FOR_COMPLETION",
@@ -64,7 +71,9 @@ __all__ = [
     "KernelSpec",
     "KernelStepContext",
     "LockstepKernel",
+    "PlanCursor",
     "PlanRounds",
+    "PoolKernel",
     "drain_rows",
     "expand_rows",
     "first_idle",
@@ -181,6 +190,56 @@ class PlanRounds:
         return pick, sz
 
 
+class PlanCursor:
+    """One run's cursor over dense plan rounds — :class:`PlanRounds`' scalar twin.
+
+    ``rounds`` are the same dense per-worker size rows (a worker holds a
+    chunk in a round where its size is > 0; no round is empty).
+    :meth:`take` dispatches the lowest-index worker with a chunk left in
+    the current round, or, out of order, the lowest-index such worker
+    the master observes idle.  A round's pending workers are listed when
+    the cursor first reaches it, and the cursor steps past an emptied
+    round only on the next :meth:`take` — so a run whose last planned
+    chunk just left still counts as :attr:`active`, like a lockstep row
+    between rounds.  Dispatches are labelled ``f"{label}{round}"``.
+    """
+
+    __slots__ = ("_rounds", "_label", "round", "_pending")
+
+    def __init__(self, rounds, label: str):
+        self._rounds = rounds
+        self._label = label
+        self.round = 0
+        self._pending: "list[int] | None" = None
+
+    @property
+    def active(self) -> bool:
+        """True until :meth:`take` has stepped past the last round."""
+        return self.round < len(self._rounds)
+
+    def take(self, view, out_of_order: bool) -> "Dispatch | None":
+        """Pop the next planned chunk, or ``None`` once the plan is spent."""
+        pending = self._pending
+        if not pending:
+            if pending is not None:  # the current round is spent
+                self.round += 1
+                self._pending = None
+            if self.round >= len(self._rounds):
+                return None
+            row = self._rounds[self.round]
+            pending = self._pending = [i for i, s in enumerate(row) if s > 0.0]
+        worker = pending[0]
+        if out_of_order:
+            for i in pending:
+                if view.is_idle(i):
+                    worker = i
+                    break
+        pending.remove(worker)
+        return Dispatch(
+            worker, self._rounds[self.round][worker], f"{self._label}{self.round}"
+        )
+
+
 @dataclasses.dataclass(slots=True)
 class KernelStepContext:
     """Observable fault/completion state for one decision step.
@@ -244,6 +303,15 @@ class KernelSpec:
     ) -> "LockstepKernel":
         raise NotImplementedError
 
+    def source(self):
+        """This cell's scalar :class:`~repro.core.base.DispatchSource`.
+
+        What :meth:`repro.core.base.Scheduler.create_source` returns for
+        the run the spec is bound to: the scalar engines read the same
+        binding the kernel is built from.
+        """
+        raise NotImplementedError
+
     def deferred_rows(self, crash_time: np.ndarray) -> "np.ndarray | None":
         """Rows the kernel cannot replay bitwise, given realized crashes.
 
@@ -297,3 +365,82 @@ class LockstepKernel:
         implement this simply opt their groups out of compaction.
         """
         raise NotImplementedError
+
+
+class PoolKernel(LockstepKernel):
+    """The lockstep step of a self-scheduled pool: FSC and both factorings.
+
+    Every row holds a pool of undispatched work and serves the
+    lowest-index idle live worker; subclasses supply only the size rule
+    (:meth:`_sizes`).  :meth:`decide` mirrors the scalar pool rule
+    (:class:`~repro.core.factoring.PoolSource`) step for step: newly
+    observed losses rejoin the pool in observation order, a drained pool
+    finishes — or, on a fault row, waits while a chunk is still pending
+    (it may yet be lost) — observed-crashed workers stop being
+    candidates, a row whose workers have all crashed finishes
+    undeliverable, a row with no idle candidate waits, and a dispatching
+    row's pool shrinks by ``max(0, remaining − size)``.  A kernel that
+    ignores faults (FSC) passes ``ctx=None``.
+    """
+
+    def __init__(self, specs, reps, n_max):
+        del n_max
+        self._n = expand_rows([s.n for s in specs], reps, dtype=np.int64)
+        self._remaining = expand_rows([s.total_work for s in specs], reps, dtype=float)
+        self._epsilon = expand_rows(
+            [1e-12 * max(s.total_work, 1.0) for s in specs], reps, dtype=float
+        )
+
+    def compact(self, keep) -> None:
+        self._n = self._n[keep]
+        self._remaining = self._remaining[keep]
+        self._epsilon = self._epsilon[keep]
+
+    def _sizes(self, disp, worker, n_live, crashed) -> np.ndarray:
+        """Per-row chunk sizes; only the dispatching rows ``disp`` are read.
+
+        ``worker`` holds each row's candidate, ``n_live`` its live worker
+        count and ``crashed`` the engine's crash mask (``None`` when no
+        row has a crash).  Per-row rule state may advance on ``disp``
+        rows only.
+        """
+        raise NotImplementedError
+
+    def decide(self, counts, action, worker, size, mask=None, ctx=None):
+        n_crashed = None
+        if ctx is not None:
+            for r, s in ctx.losses:
+                self._remaining[r] += s
+            n_crashed = ctx.n_crashed
+        fin = self._remaining <= self._epsilon
+        if mask is None:
+            live = ~fin
+        else:
+            live = mask & ~fin
+            fin = mask & fin
+        drain = None
+        if ctx is not None and ctx.fault_rows is not None:
+            drain = drain_rows(counts, fin & ctx.fault_rows)
+            fin = fin & ~drain
+        crashed = None
+        n_live = self._n
+        if n_crashed is not None and n_crashed.any():
+            crashed = ctx.crashed
+            n_live = self._n - n_crashed
+            dead = live & (n_live == 0)
+            fin = fin | dead
+            live = live & ~dead
+        w, idle = first_idle(counts, crashed)
+        disp = live & idle
+        wait = live & ~idle
+        if drain is not None:
+            wait = wait | drain
+        action[fin] = DONE
+        action[wait] = WAIT_FOR_COMPLETION
+        action[disp] = DISPATCH
+        worker[disp] = w[disp]
+        sz = self._sizes(disp, w, n_live, crashed)
+        size[disp] = sz[disp]
+        np.copyto(
+            self._remaining, np.maximum(0.0, self._remaining - sz), where=disp
+        )

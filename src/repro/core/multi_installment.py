@@ -39,7 +39,7 @@ import functools
 
 import numpy as np
 
-from repro.core.base import Dispatch, Scheduler, StaticPlanSource
+from repro.core.base import Scheduler
 from repro.core.chunks import ChunkPlan, PlannedChunk
 from repro.platform.spec import PlatformSpec
 
@@ -69,7 +69,7 @@ class MISchedule:
     def to_chunk_plan(self) -> ChunkPlan:
         """Round-major dispatch order."""
         return ChunkPlan(
-            PlannedChunk(worker=i, size=s, round_index=j)
+            PlannedChunk(worker=i, size=s, round_index=j, phase=f"mi-round{j}")
             for j, row in enumerate(self.sizes)
             for i, s in enumerate(row)
             if s > 0.0
@@ -191,11 +191,3 @@ class MultiInstallment(Scheduler):
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> ChunkPlan:
         return self.schedule(platform, total_work).to_chunk_plan()
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> StaticPlanSource:
-        schedule = self.schedule(platform, total_work)
-        dispatches = [
-            Dispatch(worker=c.worker, size=c.size, phase=f"mi-round{c.round_index}")
-            for c in schedule.to_chunk_plan()
-        ]
-        return StaticPlanSource(dispatches)

@@ -13,7 +13,7 @@ Two baselines:
 
 from __future__ import annotations
 
-from repro.core.base import Dispatch, Scheduler, StaticPlanSource
+from repro.core.base import Scheduler
 from repro.core.chunks import ChunkPlan, PlannedChunk
 from repro.core.multi_installment import solve_multi_installment
 from repro.platform.spec import PlatformSpec
@@ -35,16 +35,8 @@ class OneRound(Scheduler):
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> ChunkPlan:
         return ChunkPlan(
-            PlannedChunk(worker=i, size=s, round_index=0)
+            PlannedChunk(worker=i, size=s, round_index=0, phase="one-round")
             for i, s in enumerate(self.chunk_sizes(platform, total_work))
-            if s > 0.0
-        )
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> StaticPlanSource:
-        sizes = self.chunk_sizes(platform, total_work)
-        return StaticPlanSource(
-            Dispatch(worker=i, size=s, phase="one-round")
-            for i, s in enumerate(sizes)
             if s > 0.0
         )
 
@@ -64,11 +56,6 @@ class EqualSplit(Scheduler):
         """The (trivial) plan, exposed for inspection."""
         share = total_work / platform.N
         return ChunkPlan(
-            PlannedChunk(worker=i, size=share, round_index=0) for i in range(platform.N)
-        )
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> StaticPlanSource:
-        return StaticPlanSource(
-            Dispatch(worker=c.worker, size=c.size, phase="equal-split")
-            for c in self.plan(platform, total_work)
+            PlannedChunk(worker=i, size=share, round_index=0, phase="equal-split")
+            for i in range(platform.N)
         )

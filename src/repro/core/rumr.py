@@ -45,10 +45,12 @@ from repro.core.lockstep import (
     DISPATCH,
     KernelSpec,
     LockstepKernel,
+    PlanCursor,
     PlanRounds,
     expand_rows,
 )
 from repro.core.umr import MAX_ROUNDS, UMRPlan, solve_umr
+from repro.core.weighted_factoring import WeightedFactoringKernelSpec
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
@@ -81,14 +83,22 @@ def phase2_workload(
     threshold_rule: str = "per_worker",
 ) -> float:
     """Workload reserved for phase 2 under the §4.2 heuristic."""
+    return _phase2_share(
+        platform.N, total_work, error, threshold_rule, round_overhead(platform)
+    )
+
+
+def _phase2_share(
+    n: int, total_work: float, error: float, threshold_rule: str, overhead: float
+) -> float:
+    """:func:`phase2_workload` with the platform's round overhead given."""
     if error <= 0.0:
         return 0.0
     if error >= 1.0:
         return total_work
     w2 = error * total_work
-    overhead = round_overhead(platform)
     if threshold_rule == "per_worker":
-        if w2 / platform.N < overhead:
+        if w2 / n < overhead:
             return 0.0
     elif threshold_rule == "total":
         if w2 < overhead:
@@ -117,13 +127,25 @@ def phase2_min_chunk(
     exact imbalance phase 2 exists to avoid, and contradicting Fig 4(a)'s
     RUMR ≈ UMR behaviour at small error.  See DESIGN.md.
     """
-    overhead = round_overhead(platform)
+    return _chunk_floor(
+        round_overhead(platform), platform.N, error, phase2_work, absolute_floor
+    )
+
+
+def _chunk_floor(
+    overhead: float,
+    n: int,
+    error: float | None,
+    phase2_work: float | None,
+    absolute_floor: float = 1.0,
+) -> float:
+    """:func:`phase2_min_chunk` with the platform's round overhead given."""
     if error is not None and error > 0:
         floor = overhead / error
     else:
         floor = overhead
     if phase2_work is not None and phase2_work > 0:
-        floor = min(floor, phase2_work / platform.N)
+        floor = min(floor, phase2_work / n)
     return max(floor, absolute_floor)
 
 
@@ -159,6 +181,10 @@ def survivor_min_chunks(clats, nlats, n, crashed, known_error, pools) -> np.ndar
     return np.maximum(floor, 1.0)
 
 
+#: Phase-1 dispatch label prefix; the round index follows.
+_P1 = "rumr-p1-round"
+
+
 class RUMRSource(DispatchSource):
     """Per-run state: an eager phase-1 plan chained into a factoring tail.
 
@@ -190,39 +216,18 @@ class RUMRSource(DispatchSource):
     ):
         self._out_of_order = out_of_order
         self._phase2 = phase2
-        # Phase-1 rounds as mutable [round][worker -> size] maps, so the
-        # greedy variant can reorder sends within the current round.
-        self._rounds: list[dict[int, float]] = []
-        if plan is not None:
-            for j, row in enumerate(plan.chunk_sizes):
-                entries = {i: size for i, size in enumerate(row) if size > 0.0}
-                if entries:
-                    self._rounds.append(entries)
-        self._round_cursor = 0
-        self.plan = plan
+        self._p1 = PlanCursor(plan.dispatch_rounds if plan is not None else (), _P1)
         self._scheduler = scheduler
         self._platform = platform
         self._total_work = total_work
-        self._dispatched_gross = 0.0  # every dispatch, delivered or lost
+        self._dispatched_gross = 0.0  # phase-1 dispatch, delivered or lost
         self._known_crashed: tuple[int, ...] = ()
         self._fallback: FactoringSource | None = None
 
     @property
     def in_phase1(self) -> bool:
         """True while phase-1 chunks remain to dispatch."""
-        return self._round_cursor < len(self._rounds)
-
-    def _pick_phase1_worker(self, view: MasterView, pending: dict[int, float]) -> int:
-        # Round dicts are built in ascending worker order (initially and in
-        # the crash replan) and only ever popped, so iteration order is
-        # index order.
-        if self._out_of_order:
-            # Prefer an idle worker (no outstanding work) — the lowest
-            # index for determinism, so the scan stops at the first one.
-            for i in pending:
-                if view.is_idle(i):
-                    return i
-        return next(iter(pending))
+        return self._p1.active
 
     def _make_recovery_tail(self, pool: float, live: "list[int]") -> FactoringSource:
         scheduler = self._scheduler
@@ -242,13 +247,13 @@ class RUMRSource(DispatchSource):
             # Phase-2 / fallback sources handle crashes themselves.
             return
         crashed_set = set(crashed)
-        live = [i for i in range(self._platform.N) if i not in crashed_set]
+        n = self._platform.N
+        live = [i for i in range(n) if i not in crashed_set]
+        self._p1 = PlanCursor((), _P1)
+        self._phase2 = None
         if self._dispatched_gross == 0.0:
             # Nothing committed yet: replan from scratch on the survivors,
             # as if the platform never had the dead workers.
-            self._rounds = []
-            self._round_cursor = 0
-            self._phase2 = None
             if not live:
                 return
             sub = self._platform.subset(live)
@@ -256,16 +261,16 @@ class RUMRSource(DispatchSource):
             w1, w2 = scheduler.split(sub, self._total_work)
             if w1 > 0:
                 plan = solve_umr(sub, w1, scheduler.max_rounds, scheduler.umr_method)
-                self.plan = plan
-                for row in plan.chunk_sizes:
-                    entries = {
-                        live[j]: size for j, size in enumerate(row) if size > 0.0
-                    }
-                    if entries:
-                        self._rounds.append(entries)
+                rounds = []
+                for row in plan.dispatch_rounds:
+                    full = [0.0] * n
+                    for i, size in zip(live, row):
+                        full[i] = size
+                    rounds.append(full)
+                self._p1 = PlanCursor(rounds, _P1)
             if w2 > 0:
                 self._phase2 = FactoringSource(
-                    n=self._platform.N,
+                    n=n,
                     total_work=w2,
                     factor=scheduler.factor,
                     min_chunk=scheduler.min_chunk(sub, phase2_work=w2),
@@ -276,9 +281,6 @@ class RUMRSource(DispatchSource):
             # throughput, so abandon the plan and fall back to factoring
             # over everything not yet dispatched (announced losses rejoin
             # the fallback's pool as they are observed).
-            self._rounds = []
-            self._round_cursor = 0
-            self._phase2 = None
             pool = max(0.0, self._total_work - self._dispatched_gross)
             self._fallback = self._make_recovery_tail(pool, live)
 
@@ -288,26 +290,13 @@ class RUMRSource(DispatchSource):
             if crashed != self._known_crashed:
                 self._on_crash(view, crashed)
             if self._fallback is not None:
-                action = self._fallback.next_dispatch(view)
-                if isinstance(action, Dispatch):
-                    self._dispatched_gross += action.size
-                return action
-        while self._round_cursor < len(self._rounds):
-            pending = self._rounds[self._round_cursor]
-            if not pending:
-                self._round_cursor += 1
-                continue
-            worker = self._pick_phase1_worker(view, pending)
-            size = pending.pop(worker)
-            self._dispatched_gross += size
-            return Dispatch(
-                worker=worker, size=size, phase=f"rumr-p1-round{self._round_cursor}"
-            )
-        if self._phase2 is not None:
-            action = self._phase2.next_dispatch(view)
-            if isinstance(action, Dispatch):
-                self._dispatched_gross += action.size
+                return self._fallback.next_dispatch(view)
+        action = self._p1.take(view, self._out_of_order)
+        if action is not None:
+            self._dispatched_gross += action.size
             return action
+        if self._phase2 is not None:
+            return self._phase2.next_dispatch(view)
         if view.faults_possible and self._scheduler is not None and self._platform is not None:
             # Pure-UMR tail under faults: keep a zero-pool recovery source
             # alive so work lost after the last planned dispatch is still
@@ -315,34 +304,34 @@ class RUMRSource(DispatchSource):
             crashed_set = set(view.crashed_workers())
             live = [i for i in range(self._platform.N) if i not in crashed_set]
             self._fallback = self._make_recovery_tail(0.0, live)
-            action = self._fallback.next_dispatch(view)
-            if isinstance(action, Dispatch):
-                self._dispatched_gross += action.size
-            return action
+            return self._fallback.next_dispatch(view)
         return None
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class RUMRKernelSpec(KernelSpec):
-    """One cell's RUMR state in lockstep form.
+    """One RUMR run's binding, read by both engines.
 
-    ``rounds`` holds the phase-1 plan as dense per-round size rows
-    (zeros for workers with nothing in that round); ``phase2`` is always
+    ``plan`` is the phase-1 UMR plan (``None`` when phase 1 is empty);
+    both engines dispatch its :attr:`rounds`.  ``phase2`` is always
     present — a zero-workload factoring spec stands in for a skipped
     phase 2, so the skip condition does not fracture the group.
-    ``total_work`` / ``clats`` / ``nlats`` / ``known_error`` carry the
-    scheduler binding the scalar source uses for crash recovery (the
-    undispatched pool and the survivor-platform chunk floor).
+    ``scheduler`` / ``platform`` / ``total_work`` bind crash recovery:
+    the undispatched pool, the survivor-platform chunk floor and, in the
+    scalar source, the replan at ``t = 0``.
     """
 
     n: int = 0
-    rounds: tuple = ()
-    out_of_order: bool = True
+    plan: "UMRPlan | None" = None
     phase2: "KernelSpec | None" = None
     total_work: float = 0.0
-    clats: tuple = ()
-    nlats: tuple = ()
-    known_error: "float | None" = None
+    scheduler: "RUMR | None" = None
+    platform: "PlatformSpec | None" = None
+
+    @property
+    def rounds(self) -> tuple:
+        """The phase-1 rounds as dense per-worker size rows."""
+        return self.plan.dispatch_rounds if self.plan is not None else ()
 
     @property
     def group_key(self):
@@ -372,6 +361,17 @@ class RUMRKernelSpec(KernelSpec):
 
     def make_kernel(self, specs, reps, n_max):
         return RUMRKernel(specs, reps, n_max)
+
+    def source(self) -> RUMRSource:
+        phase2 = self.phase2.source() if self.phase2.total_work > 0 else None
+        return RUMRSource(
+            self.plan,
+            phase2,
+            self.scheduler.out_of_order,
+            self.scheduler,
+            self.platform,
+            self.total_work,
+        )
 
 
 class RUMRKernel(LockstepKernel):
@@ -404,7 +404,9 @@ class RUMRKernel(LockstepKernel):
     def __init__(self, specs, reps, n_max):
         rows = int(np.sum(reps))
         self._plan = PlanRounds(specs, reps, n_max)
-        self._ooo = expand_rows([s.out_of_order for s in specs], reps, dtype=bool)
+        self._ooo = expand_rows(
+            [s.scheduler.out_of_order for s in specs], reps, dtype=bool
+        )
         self._any_ooo = bool(self._ooo.any())
         self._total = expand_rows([s.total_work for s in specs], reps, dtype=float)
         self._zero_p2 = expand_rows(
@@ -414,9 +416,10 @@ class RUMRKernel(LockstepKernel):
         self._spec_of = np.repeat(np.arange(len(specs)), reps)
         self._lat = np.zeros((2, len(specs), n_max))
         for i, s in enumerate(specs):
-            self._lat[:, i, : s.n] = s.clats, s.nlats
+            self._lat[0, i, : s.n] = [w.cLat for w in s.platform]
+            self._lat[1, i, : s.n] = [w.nLat for w in s.platform]
         self._spec_n = np.array([s.n for s in specs])
-        self._spec_error = np.array([s.known_error or 0.0 for s in specs])
+        self._spec_error = np.array([s.scheduler.known_error or 0.0 for s in specs])
         # Gross phase-1 dispatch per row (delivered or lost), the scalar
         # source's ``_dispatched_gross`` at any point where it is read.
         self._gross = np.zeros(rows)
@@ -571,98 +574,60 @@ class RUMR(Scheduler):
 
     def split(self, platform: PlatformSpec, total_work: float) -> tuple[float, float]:
         """Return ``(W_phase1, W_phase2)`` for a run."""
+        return self._split(platform.N, total_work, round_overhead(platform))
+
+    def _split(self, n: int, total_work: float, overhead: float) -> tuple[float, float]:
         if self.phase1_fraction is not None:
             w1 = self.phase1_fraction * total_work
             return w1, total_work - w1
         if self.known_error is None:
             w1 = self.unknown_phase1_fraction * total_work
             return w1, total_work - w1
-        w2 = phase2_workload(platform, total_work, self.known_error, self.threshold_rule)
+        w2 = _phase2_share(
+            n, total_work, self.known_error, self.threshold_rule, overhead
+        )
         return total_work - w2, w2
 
     def min_chunk(self, platform: PlatformSpec, phase2_work: float | None = None) -> float:
         """The phase-2 chunk floor for a platform (optionally pool-capped)."""
         return phase2_min_chunk(platform, self.known_error, phase2_work=phase2_work)
 
-    def create_source(self, platform: PlatformSpec, total_work: float) -> RUMRSource:
-        w1, w2 = self.split(platform, total_work)
+    def batch_kernel(self, platform: PlatformSpec, total_work: float) -> RUMRKernelSpec:
+        n = platform.N
+        overhead = round_overhead(platform)
+        w1, w2 = self._split(n, total_work, overhead)
         plan = None
         if w1 > 0:
             plan = solve_umr(platform, w1, self.max_rounds, self.umr_method)
-        phase2 = None
         if w2 > 0:
             # Classic self-scheduling lookahead of 1 (chunks go to idle
             # workers only): committing chunks to workers early
             # (double-buffering) was measured to cost more in lost
             # adaptivity than it recovers in overlap (DESIGN.md §5).
+            floor = _chunk_floor(overhead, n, self.known_error, w2)
             if self.phase2_weighted:
-                from repro.core.weighted_factoring import WeightedFactoringSource
-
-                phase2 = WeightedFactoringSource(
-                    platform=platform,
-                    total_work=w2,
-                    factor=self.factor,
-                    min_chunk=self.min_chunk(platform, phase2_work=w2),
-                    phase="rumr-p2",
-                )
-            else:
-                phase2 = FactoringSource(
-                    n=platform.N,
-                    total_work=w2,
-                    factor=self.factor,
-                    min_chunk=self.min_chunk(platform, phase2_work=w2),
-                    phase="rumr-p2",
-                )
-        return RUMRSource(
-            plan=plan,
-            phase2=phase2,
-            out_of_order=self.out_of_order,
-            scheduler=self,
-            platform=platform,
-            total_work=total_work,
-        )
-
-    def batch_kernel(self, platform: PlatformSpec, total_work: float) -> RUMRKernelSpec:
-        w1, w2 = self.split(platform, total_work)
-        rounds = []
-        if w1 > 0:
-            plan = solve_umr(platform, w1, self.max_rounds, self.umr_method)
-            for row in plan.chunk_sizes:
-                if any(s > 0.0 for s in row):
-                    rounds.append(tuple(s if s > 0.0 else 0.0 for s in row))
-        if w2 > 0:
-            if self.phase2_weighted:
-                from repro.core.weighted_factoring import WeightedFactoringKernelSpec
-
-                s_tot = platform.total_compute_rate()
                 phase2 = WeightedFactoringKernelSpec(
-                    n=platform.N,
+                    n=n,
                     total_work=w2,
                     factor=self.factor,
-                    min_chunk=self.min_chunk(platform, phase2_work=w2),
-                    weights=tuple(w.S / s_tot for w in platform),
+                    min_chunk=floor,
+                    platform=platform,
+                    phase="rumr-p2",
                 )
             else:
                 phase2 = FactoringKernelSpec(
-                    n=platform.N,
-                    total_work=w2,
-                    factor=self.factor,
-                    min_chunk=self.min_chunk(platform, phase2_work=w2),
+                    n=n, total_work=w2, factor=self.factor, min_chunk=floor, phase="rumr-p2"
                 )
         else:
             # Skipped phase 2: a zero-workload factoring slot that crash
             # recovery can re-arm as the scalar source's fallback tail —
             # it must carry the scheduler's factor for that.
-            phase2 = FactoringKernelSpec(
-                n=platform.N, total_work=0.0, factor=self.factor
-            )
+            phase2 = FactoringKernelSpec(n=n, factor=self.factor)
         return RUMRKernelSpec(
-            n=platform.N,
-            rounds=tuple(rounds),
-            out_of_order=self.out_of_order,
+            n=n,
+            plan=plan,
             phase2=phase2,
             total_work=total_work,
-            clats=tuple(w.cLat for w in platform),
-            nlats=tuple(w.nLat for w in platform),
-            known_error=self.known_error,
+            scheduler=self,
+            platform=platform,
         )

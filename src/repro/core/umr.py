@@ -40,7 +40,7 @@ import dataclasses
 import functools
 import math
 
-from repro.core.base import Dispatch, Scheduler, StaticPlanSource
+from repro.core.base import Scheduler
 from repro.core.chunks import ChunkPlan, PlannedChunk
 from repro.platform.spec import PlatformSpec
 
@@ -101,10 +101,21 @@ class UMRPlan:
         """Sum of all chunks."""
         return sum(sum(row) for row in self.chunk_sizes)
 
+    @functools.cached_property
+    def dispatch_rounds(self) -> tuple[tuple[float, ...], ...]:
+        """The rows of :attr:`chunk_sizes` that hold a chunk (a size > 0).
+
+        The dense rounds RUMR and AdaptiveRUMR dispatch from, in both
+        engines (:class:`~repro.core.lockstep.PlanCursor` and
+        :class:`~repro.core.lockstep.PlanRounds`).  Solved plans are
+        memoized, so runs on one platform filter them once.
+        """
+        return tuple(row for row in self.chunk_sizes if any(s > 0.0 for s in row))
+
     def to_chunk_plan(self) -> ChunkPlan:
         """Round-major dispatch order: round 0 to workers 0..N-1, then 1, …"""
         chunks = [
-            PlannedChunk(worker=i, size=size, round_index=j)
+            PlannedChunk(worker=i, size=size, round_index=j, phase=f"umr-round{j}")
             for j, row in enumerate(self.chunk_sizes)
             for i, size in enumerate(row)
             if size > 0.0
@@ -511,11 +522,3 @@ class UMR(Scheduler):
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> ChunkPlan:
         return self.plan(platform, total_work).to_chunk_plan()
-
-    def create_source(self, platform: PlatformSpec, total_work: float) -> StaticPlanSource:
-        plan = self.plan(platform, total_work)
-        dispatches = [
-            Dispatch(worker=c.worker, size=c.size, phase=f"umr-round{c.round_index}")
-            for c in plan.to_chunk_plan()
-        ]
-        return StaticPlanSource(dispatches)

@@ -29,17 +29,9 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.base import WAIT, Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.lockstep import (
-    DISPATCH,
-    DONE,
-    WAIT_FOR_COMPLETION,
-    KernelSpec,
-    LockstepKernel,
-    drain_rows,
-    expand_rows,
-    first_idle,
-)
+from repro.core.base import Scheduler
+from repro.core.factoring import PoolSource
+from repro.core.lockstep import KernelSpec, PoolKernel, expand_rows
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
@@ -47,15 +39,22 @@ __all__ = [
     "WeightedFactoringSource",
     "WeightedFactoringKernel",
     "WeightedFactoringKernelSpec",
+    "speed_weights",
 ]
 
 
-class WeightedFactoringSource(DispatchSource):
+def speed_weights(platform: PlatformSpec) -> list[float]:
+    """Each worker's share of the platform's compute rate, ``S_i / ΣS``."""
+    s_tot = platform.total_compute_rate()
+    return [w.S / s_tot for w in platform]
+
+
+class WeightedFactoringSource(PoolSource):
     """Per-run state: first-idle dispatch with speed-weighted sizes.
 
-    Like :class:`~repro.core.factoring.FactoringSource`, a chunk goes only
-    to an idle worker, the lowest-index one first; with none idle the
-    source waits.
+    The pool rule (idle-first worker choice, loss absorption, crash
+    filtering) is :class:`~repro.core.factoring.PoolSource`'s; after a
+    crash the speed weights are renormalized over the survivors.
     """
 
     def __init__(
@@ -66,83 +65,40 @@ class WeightedFactoringSource(DispatchSource):
         min_chunk: float,
         phase: str = "weighted-factoring",
     ):
-        if factor <= 1.0:
-            raise ValueError(f"factoring factor must be > 1, got {factor}")
-        if min_chunk < 0:
-            raise ValueError(f"min_chunk must be >= 0, got {min_chunk}")
-        self._n = platform.N
-        s_tot = platform.total_compute_rate()
-        self._weights = [w.S / s_tot for w in platform]
-        self._remaining = total_work
-        self._epsilon = 1e-12 * max(total_work, 1.0)
-        self._factor = factor
-        self._min_chunk = min_chunk
-        self._phase = phase
-        self._loss_cursor = 0
+        super().__init__(platform.N, total_work, factor, min_chunk, phase)
+        self._weights = speed_weights(platform)
 
-    @property
-    def remaining(self) -> float:
-        """Workload not yet dispatched."""
-        return self._remaining
-
-    def _size_for(self, worker: int, weight: float, n_live: int) -> float:
+    def _size(self, worker: int, n_live: int, crashed: "tuple[int, ...]") -> float:
         # The batch-equivalent share is remaining/factor split over the
         # live platform in proportion to speed; for worker i that is
         # remaining/factor * w_i (live weights sum to 1).
+        weight = self._weights[worker]
+        if crashed:
+            crashed_set = set(crashed)
+            live_weight = sum(
+                w for i, w in enumerate(self._weights) if i not in crashed_set
+            )
+            weight = weight / live_weight
         share = (self._remaining / self._factor) * weight
         floor = self._min_chunk * weight * n_live
         return min(max(share, floor), self._remaining)
 
-    def _absorb_losses(self, view: MasterView) -> None:
-        losses = view.observed_losses()
-        while self._loss_cursor < len(losses):
-            self._remaining += losses[self._loss_cursor].size
-            self._loss_cursor += 1
 
-    def next_dispatch(self, view: MasterView) -> "Dispatch | Wait | None":
-        # Recovery path mirrors FactoringSource: absorb announced losses,
-        # drop observed-crashed workers from the candidate set, and
-        # renormalize the speed weights over the survivors.
-        crashed: tuple[int, ...] = ()
-        if view.faults_possible:
-            self._absorb_losses(view)
-            crashed = view.crashed_workers()
-        if self._remaining <= self._epsilon:
-            if view.faults_possible and view.any_pending():
-                return WAIT
-            return None
-        if crashed:
-            crashed_set = set(crashed)
-            live = [i for i in range(self._n) if i not in crashed_set]
-            if not live:
-                return None
-            worker = view.first_idle(crashed)
-            if worker is None:
-                return WAIT
-            live_weight = sum(self._weights[i] for i in live)
-            weight = self._weights[worker] / live_weight
-            size = self._size_for(worker, weight, len(live))
-        else:
-            worker = view.first_idle()
-            if worker is None:
-                return WAIT
-            size = self._size_for(worker, self._weights[worker], self._n)
-        self._remaining = max(0.0, self._remaining - size)
-        return Dispatch(worker=worker, size=size, phase=self._phase)
-
-
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class WeightedFactoringKernelSpec(KernelSpec):
-    """One cell's :class:`WeightedFactoringSource` parameters, lockstep form.
+    """One weighted-factoring run's binding.
 
-    The lookahead is always the classic 1 (see :mod:`repro.core.lockstep`).
+    The :class:`WeightedFactoringSource` parameters; the kernel derives
+    the speed weights from ``platform`` as the source does.  The
+    lookahead is always the classic 1 (see :mod:`repro.core.lockstep`).
     """
 
     n: int = 0
     total_work: float = 0.0
     factor: float = 2.0
     min_chunk: float = 1.0
-    weights: tuple = ()
+    platform: "PlatformSpec | None" = None
+    phase: str = "weighted-factoring"
 
     group_key = ("weighted-factoring",)
     handles_crashes = True
@@ -150,107 +106,58 @@ class WeightedFactoringKernelSpec(KernelSpec):
     def make_kernel(self, specs, reps, n_max):
         return WeightedFactoringKernel(specs, reps, n_max)
 
+    def source(self) -> WeightedFactoringSource:
+        return WeightedFactoringSource(
+            self.platform, self.total_work, self.factor, self.min_chunk, self.phase
+        )
 
-class WeightedFactoringKernel(LockstepKernel):
+
+class WeightedFactoringKernel(PoolKernel):
     """Lockstep rows of weighted-factoring state.
 
     The size rule keeps the scalar source's exact evaluation order:
     ``(remaining / factor) · w_i``, ``min_chunk · w_i · n``,
     ``min(max(share, floor), remaining)``.  Padded worker slots carry
     weight 0 and are never selected (the caller reports them as
-    maximally pending).
-
-    Crash recovery mirrors :class:`WeightedFactoringSource` bit for bit:
-    observed losses are re-absorbed into the pool *before* the finished
-    test, observed-crashed workers are excluded from the idle scan, the
-    speed weights are renormalized over the survivors — summed worker
-    0..n-1 like the scalar ``sum`` so the float is identical — and a row
-    whose workers all crashed finishes immediately.  Non-crash fault
-    rows only need the scalar drain rule: once the pool is empty, wait
-    out the pending set instead of finishing.
+    maximally pending).  On rows with observed crashes the weights are
+    renormalized over the survivors — summed worker 0..n-1 like the
+    scalar ``sum`` so the float is identical — and ``n`` is the live
+    count; the rest is the shared :class:`~repro.core.lockstep.PoolKernel`
+    step.
     """
 
     def __init__(self, specs, reps, n_max):
-        self._n_float = expand_rows([float(s.n) for s in specs], reps, dtype=float)
-        self._remaining = expand_rows([s.total_work for s in specs], reps, dtype=float)
-        self._epsilon = np.array(
-            [1e-12 * max(s.total_work, 1.0) for s in specs]
-        ).repeat(reps)
+        super().__init__(specs, reps, n_max)
         self._factor = expand_rows([s.factor for s in specs], reps, dtype=float)
         self._min_chunk = expand_rows([s.min_chunk for s in specs], reps, dtype=float)
         padded = np.zeros((len(specs), n_max))
         for i, s in enumerate(specs):
-            padded[i, : s.n] = s.weights
+            padded[i, : s.n] = speed_weights(s.platform)
         self._weights = np.repeat(padded, reps, axis=0)
 
     def compact(self, keep) -> None:
-        self._n_float = self._n_float[keep]
-        self._remaining = self._remaining[keep]
-        self._epsilon = self._epsilon[keep]
+        super().compact(keep)
         self._factor = self._factor[keep]
         self._min_chunk = self._min_chunk[keep]
         self._weights = self._weights[keep]
 
-    def decide(self, counts, action, worker, size, mask=None, ctx=None):
-        if ctx is not None:
-            # Observed losses re-enter the pool before anything else, in
-            # the scalar observation order (the engine delivers them
-            # per-row sorted by (time, chunk_index), and += left-folds
-            # exactly like the scalar cursor loop).
-            for r, s in ctx.losses:
-                self._remaining[r] += s
-        fin = self._remaining <= self._epsilon
-        if mask is None:
-            live = ~fin
-        else:
-            live = mask & ~fin
-            fin = mask & fin
-        drain = None
-        if ctx is not None and ctx.fault_rows is not None:
-            drain = drain_rows(counts, fin & ctx.fault_rows)
-            fin = fin & ~drain
-        n_crashed = ctx.n_crashed if ctx is not None else None
-        hit = None
-        if n_crashed is not None and n_crashed.any():
-            n_live = self._n_float - n_crashed
-            has_crash = live & (n_crashed > 0)
-            dead = has_crash & (n_live <= 0.0)
-            if dead.any():
-                live = live & ~dead
-                has_crash = has_crash & ~dead
-                action[dead] = DONE
-            w, idle = first_idle(counts, ctx.crashed)
-            hit = np.flatnonzero(has_crash)
-        else:
-            w, idle = first_idle(counts)
-        disp = live & idle
-        wait = live & ~idle
-        if drain is not None:
-            wait = wait | drain
-        action[fin] = DONE
-        action[wait] = WAIT_FOR_COMPLETION
-        action[disp] = DISPATCH
-        worker[disp] = w[disp]
-        wgt = np.take_along_axis(self._weights, w[:, None], axis=1)[:, 0]
-        n_eff = self._n_float
-        if hit is not None and hit.size:
-            # live_weight = sum of surviving weights, accumulated worker
-            # 0..n-1: the last column of a cumulative sum is the same
-            # sequential left fold as the scalar sum (np.sum's pairwise
-            # order is not).  Crashed and padded slots add an exact +0.0.
-            lw = np.cumsum(
-                np.where(ctx.crashed[hit], 0.0, self._weights[hit]), axis=1
-            )[:, -1]
-            wgt[hit] = wgt[hit] / np.where(lw > 0.0, lw, 1.0)
-            n_eff = n_eff.copy()
-            n_eff[hit] = n_live[hit]
+    def _sizes(self, disp, worker, n_live, crashed):
+        wgt = np.take_along_axis(self._weights, worker[:, None], axis=1)[:, 0]
+        if crashed is not None:
+            hit = np.flatnonzero(disp & (n_live < self._n))
+            if hit.size:
+                # live_weight = sum of surviving weights, accumulated
+                # worker 0..n-1: the last column of a cumulative sum is
+                # the same sequential left fold as the scalar sum
+                # (np.sum's pairwise order is not).  Crashed and padded
+                # slots add an exact +0.0.
+                lw = np.cumsum(
+                    np.where(crashed[hit], 0.0, self._weights[hit]), axis=1
+                )[:, -1]
+                wgt[hit] = wgt[hit] / np.where(lw > 0.0, lw, 1.0)
         share = (self._remaining / self._factor) * wgt
-        floor = self._min_chunk * wgt * n_eff
-        sz = np.minimum(np.maximum(share, floor), self._remaining)
-        size[disp] = sz[disp]
-        np.copyto(
-            self._remaining, np.maximum(0.0, self._remaining - sz), where=disp
-        )
+        floor = self._min_chunk * wgt * n_live
+        return np.minimum(np.maximum(share, floor), self._remaining)
 
 
 class WeightedFactoring(Scheduler):
@@ -263,22 +170,13 @@ class WeightedFactoring(Scheduler):
         self.min_chunk = min_chunk
         self.name = "WeightedFactoring"
 
-    def create_source(self, platform: PlatformSpec, total_work: float) -> WeightedFactoringSource:
-        return WeightedFactoringSource(
-            platform=platform,
-            total_work=total_work,
-            factor=self.factor,
-            min_chunk=self.min_chunk,
-        )
-
     def batch_kernel(
         self, platform: PlatformSpec, total_work: float
     ) -> WeightedFactoringKernelSpec:
-        s_tot = platform.total_compute_rate()
         return WeightedFactoringKernelSpec(
             n=platform.N,
             total_work=total_work,
             factor=self.factor,
             min_chunk=self.min_chunk,
-            weights=tuple(w.S / s_tot for w in platform),
+            platform=platform,
         )

@@ -147,9 +147,7 @@ def compile_static_plan(platform: PlatformSpec, plan: ChunkPlan) -> CompiledStat
         comp_pred=np.array([platform[c.worker].compute_time(c.size) for c in chunks]),
         tlat=np.array([platform[c.worker].tLat for c in chunks]),
         sizes=np.array([c.size for c in chunks]),
-        phases=tuple(
-            f"round{c.round_index}" if c.round_index >= 0 else "" for c in chunks
-        ),
+        phases=tuple(c.phase for c in chunks),
         by_worker=_worker_layout(workers, platform.N),
     )
     if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
@@ -395,9 +393,9 @@ def simulate_static_cells(
     ``tracers``, when given, parallels ``cells``: each entry is ``None``
     or a sequence of one :class:`repro.obs.Tracer` (or ``None``) per seed
     of that cell, receiving that repetition's event stream.  Phase labels
-    come from the compiled plan's round indices (``"round{r}"``) rather
-    than scheduler-specific names, and timelines are extracted only for
-    traced rows.  Fault cells cannot be traced (use the scalar engine).
+    are the plan's own (:attr:`~repro.core.chunks.PlannedChunk.phase`),
+    the labels the scalar engines replay, and timelines are extracted
+    only for traced rows.  Fault cells cannot be traced (use the scalar engine).
 
     ``planes``, a :class:`~repro.errors.faults.FaultPlaneCache`, shares
     fault planes with other passes over the same cells; by default cells

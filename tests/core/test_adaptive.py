@@ -41,7 +41,7 @@ class TestOnlineErrorEstimator:
             CompletionNote(time=10.0 * (k + 1), chunk_index=k, worker=0, size=10.0)
             for k in range(6)
         ]
-        est.consume(_FakeView(notes), {k: 10.0 for k in range(6)})
+        est.consume(_FakeView(notes))
         assert est.samples == 5
         assert est.estimate() == pytest.approx(0.0, abs=1e-12)
 
@@ -56,7 +56,7 @@ class TestOnlineErrorEstimator:
         for k in range(400):
             t += 10.0 * rng.normal(1.0, 0.25)
             notes.append(CompletionNote(time=t, chunk_index=k, worker=0, size=10.0))
-        est.consume(_FakeView(notes), {k: 10.0 for k in range(400)})
+        est.consume(_FakeView(notes))
         assert est.estimate() == pytest.approx(0.25, abs=0.04)
 
     def test_outlier_intervals_discarded(self):
@@ -68,7 +68,7 @@ class TestOnlineErrorEstimator:
             CompletionNote(time=110.0, chunk_index=1, worker=0, size=10.0),
             CompletionNote(time=120.0, chunk_index=2, worker=0, size=10.0),
         ]
-        est.consume(_FakeView(notes), {0: 10.0, 1: 10.0, 2: 10.0})
+        est.consume(_FakeView(notes))
         assert est.samples == 1  # only the 110->120 interval
 
     def test_incremental_consumption(self):
@@ -78,9 +78,9 @@ class TestOnlineErrorEstimator:
             CompletionNote(time=10.0 * (k + 1), chunk_index=k, worker=0, size=10.0)
             for k in range(4)
         ]
-        est.consume(_FakeView(notes[:2]), {k: 10.0 for k in range(4)})
+        est.consume(_FakeView(notes[:2]))
         first = est.samples
-        est.consume(_FakeView(notes), {k: 10.0 for k in range(4)})
+        est.consume(_FakeView(notes))
         assert est.samples == 3 and first == 1
 
 

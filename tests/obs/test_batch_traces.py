@@ -2,10 +2,11 @@
 
 At ``error = 0`` the vectorized static engine and the lockstep dynamic
 engine are bitwise-identical to the scalar fast engine, so their traced
-event streams must match too — modulo phase labels and the
-``round_boundary`` markers derived from them, where the engines
-legitimately differ (the static batch engine labels rounds from the
-compiled plan, the lockstep engine does not track phases at all).
+event streams must match too.  Static plans carry their own phase
+labels, which the scalar replay and the static batch engine both use, so
+static streams match event for event, ``round_boundary`` markers
+included.  The lockstep engine does not track phases yet, so dynamic
+streams are compared without phase labels and round markers.
 """
 
 import dataclasses
@@ -13,7 +14,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import RUMR, UMR, Factoring, MultiInstallment, WeightedFactoring
+from repro.core import (
+    RUMR,
+    UMR,
+    EqualSplit,
+    Factoring,
+    MultiInstallment,
+    OneRound,
+    WeightedFactoring,
+)
 from repro.errors import NoError, NormalErrorModel
 from repro.obs import Tracer, first_divergence
 from repro.platform import homogeneous_platform
@@ -30,7 +39,7 @@ def platform():
 
 
 def strip_phases(events):
-    """Drop phase labels and round markers — the engines' one free choice."""
+    """Drop phase labels and round markers, which lockstep rows lack."""
     return tuple(
         dataclasses.replace(e, phase="")
         for e in events
@@ -38,17 +47,23 @@ def strip_phases(events):
     )
 
 
-def assert_streams_match(batch_tracer, scalar_tracer):
-    batch_events = strip_phases(batch_tracer.canonical())
-    scalar_events = strip_phases(scalar_tracer.canonical())
+def assert_streams_match(batch_tracer, scalar_tracer, phases=True):
+    batch_events = batch_tracer.canonical()
+    scalar_events = scalar_tracer.canonical()
+    if not phases:
+        batch_events = strip_phases(batch_events)
+        scalar_events = strip_phases(scalar_events)
     divergence = first_divergence(batch_events, scalar_events,
                                   labels=("batch", "scalar"))
     assert divergence is None, divergence.describe()
 
 
 class TestStaticBatchTraces:
-    @pytest.mark.parametrize("scheduler", [UMR(), MultiInstallment(3)],
-                             ids=["UMR", "MI-3"])
+    @pytest.mark.parametrize(
+        "scheduler",
+        [UMR(), MultiInstallment(3), OneRound(), EqualSplit()],
+        ids=["UMR", "MI-3", "OneRound", "EqualSplit"],
+    )
     def test_matches_scalar_at_zero_error(self, platform, scheduler):
         plan = scheduler.static_plan(platform, W)
         scalar_tracer = Tracer()
@@ -127,4 +142,4 @@ class TestDynamicBatchTraces:
             platform, scheduler, W, 0.0, [7], tracers=[batch_tracer]
         )
         assert spans[0] == scalar.makespan
-        assert_streams_match(batch_tracer, scalar_tracer)
+        assert_streams_match(batch_tracer, scalar_tracer, phases=False)
