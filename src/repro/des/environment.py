@@ -11,7 +11,9 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.des.events import Event, Timeout
+# The priority classes live with the events (Timeout pushes itself); they
+# stay importable from here.
+from repro.des.events import NORMAL, URGENT, Event, EventError, Timeout
 from repro.des.process import Process
 
 __all__ = ["Environment", "EmptySchedule"]
@@ -19,12 +21,6 @@ __all__ = ["Environment", "EmptySchedule"]
 
 class EmptySchedule(Exception):
     """Raised by :meth:`Environment.step` when no events remain."""
-
-
-#: Priority classes for simultaneous events.  URGENT is used internally by
-#: resources so that releases are observed before same-time acquisitions.
-URGENT = 0
-NORMAL = 1
 
 
 class Environment:
@@ -111,8 +107,21 @@ class Environment:
                 ``RuntimeError`` if the calendar drains first.
         """
         if until is None:
-            while self._queue:
-                self.step()
+            # step() and Event._fire, inlined: this loop fires every event
+            # of a run.
+            queue = self._queue
+            pop = heapq.heappop
+            fired = Event.FIRED
+            while queue:
+                self._now, _, _, event = pop(queue)
+                if event._state == fired:
+                    raise EventError(f"{event!r} fired twice")
+                event._state = fired
+                callbacks = event.callbacks
+                if callbacks:
+                    event.callbacks = []
+                    for callback in callbacks:
+                        callback(event)
             return None
         if isinstance(until, Event):
             target = until

@@ -9,12 +9,19 @@ result of their ``yield``.
 
 from __future__ import annotations
 
+import heapq
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.environment import Environment
 
 __all__ = ["Event", "Timeout", "AllOf", "AnyOf", "Interrupt", "EventError"]
+
+
+#: Priority classes for simultaneous events.  URGENT is used internally by
+#: resources so that releases are observed before same-time acquisitions.
+URGENT = 0
+NORMAL = 1
 
 
 class EventError(RuntimeError):
@@ -114,9 +121,11 @@ class Event:
         if self._state == Event.FIRED:
             raise EventError(f"{self!r} fired twice")
         self._state = Event.FIRED
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for callback in callbacks:
+                callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {0: "pending", 1: "scheduled", 2: "fired"}[self._state]
@@ -131,11 +140,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: object = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
+        # Born scheduled: the fields are set and the calendar entry pushed
+        # here, as Environment.schedule would (the hottest event type).
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._exception = None
         self._state = Event.SCHEDULED
-        env.schedule(self, delay=delay)
+        self.delay = delay
+        env._sequence += 1
+        heapq.heappush(env._queue, (env._now + delay, NORMAL, env._sequence, self))
 
 
 class _Condition(Event):

@@ -83,9 +83,10 @@ class Process(Event):
             env._active_process = previous
             self.fail(exc)
             return
-        finally:
-            if env._active_process is self:
-                env._active_process = previous
+        except BaseException:
+            env._active_process = previous
+            raise
+        env._active_process = previous
 
         if not isinstance(result, Event):
             raise TypeError(
@@ -94,7 +95,7 @@ class Process(Event):
             )
         if result.env is not env:
             raise ValueError("cannot wait on an event from another environment")
-        if result.processed:
+        if result._state == Event.FIRED:
             # Already fired: resume immediately (but via the calendar so the
             # kernel stays re-entrant-free and ordering stays deterministic).
             wakeup = Event(env)
