@@ -87,6 +87,22 @@ class PlatformSpec:
         if not self.workers:
             raise ValueError("a platform needs at least one worker")
 
+    def __hash__(self) -> int:
+        # The dataclass hash, computed once: solve_umr's lru_cache hashes
+        # its platform on every lookup, and each hash would otherwise
+        # re-hash every WorkerSpec.  Kept out of the fields, so equality,
+        # repr and asdict never see it.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.workers,))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: the hash is recomputed where it is loaded.
+        return {"workers": self.workers}
+
     def __len__(self) -> int:
         return len(self.workers)
 

@@ -1,6 +1,8 @@
 """Tests for WorkerSpec / PlatformSpec and the Table-1 constructor."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -81,6 +83,31 @@ class TestPlatformSpec:
         p1 = homogeneous_platform(3, S=1.0, B=6.0)
         p2 = homogeneous_platform(3, S=1.0, B=6.0)
         assert p1 == p2 and hash(p1) == hash(p2)
+
+    def test_equal_platforms_built_differently_hash_equal(self):
+        listed = PlatformSpec([WorkerSpec(S=1.0, B=6.0, cLat=0.1)] * 3)
+        built = homogeneous_platform(3, S=1.0, B=6.0, cLat=0.1)
+        wide = homogeneous_platform(5, S=1.0, B=6.0, cLat=0.1)
+        hash(wide)  # the subset must not inherit its parent's cached hash
+        sub = wide.subset([4, 0, 2])
+        assert listed == built == sub
+        assert hash(listed) == hash(built) == hash(sub)
+        # The cached value is the dataclass hash of the fields.
+        assert hash(built) == hash((built.workers,))
+        assert hash(wide) != hash(sub)
+
+    def test_cached_hash_stays_out_of_fields(self):
+        p = homogeneous_platform(2, S=1.0, B=4.0)
+        before = (repr(p), dataclasses.asdict(p), pickle.dumps(p))
+        hash(p)
+        assert (repr(p), dataclasses.asdict(p), pickle.dumps(p)) == before
+
+    def test_pickle_round_trip_keeps_hash_and_equality(self):
+        p = PlatformSpec([WorkerSpec(S=1.0, B=9.0), WorkerSpec(S=2.5, B=9.0, tLat=0.2)])
+        hash(p)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p)
+        assert {p: "plan"}[q] == "plan"
 
 
 class TestHomogeneousConstructor:
