@@ -54,7 +54,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.errors.rng import spawn_rngs
+from repro.errors.rng import StateTable, spawn_rngs
 from repro.errors.rng import streams as rng_streams
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -509,6 +509,20 @@ class FaultPlaneCache:
 
     def __init__(self) -> None:
         self._planes: dict = {}
+        self._seeds: typing.Iterable[int] = ()
+        self._table: StateTable | None = None
+
+    def expect(self, seeds: typing.Iterable[int]) -> None:
+        """Declare the run seeds of every plane this cache may realize.
+
+        The first plane sampled afterwards hashes all their fault
+        streams' states in one pass (a
+        :class:`~repro.errors.rng.StateTable`), and every plane is
+        sampled inside that table's scope, so no plane pays the batched
+        hash's fixed cost on its own.  A seed not declared derives as it
+        would without the table.
+        """
+        self._seeds, self._table = seeds, None
 
     def realize(self, model: FaultModel, platform: "PlatformSpec", seeds) -> FaultPlane:
         """``model.sample_batch(platform, seeds)``, sampled at most once.
@@ -519,7 +533,10 @@ class FaultPlaneCache:
         key = (model, platform, tuple(int(s) for s in seeds))
         plane = self._planes.get(key)
         if plane is None:
-            plane = model.sample_batch(platform, seeds)
+            if self._table is None:
+                self._table = StateTable(self._seeds, [(2,)])
+            with self._table.scope():
+                plane = model.sample_batch(platform, seeds)
             for field in dataclasses.fields(plane):
                 value = getattr(plane, field.name)
                 if isinstance(value, np.ndarray):

@@ -23,16 +23,38 @@ exactly the generators :func:`stream_for` builds one at a time.
 :func:`child_seeds` goes one step further for the harness's per-cell
 seeds: it evaluates each generator's first ``integers(0, 2**63 - 1)``
 draw on the state arrays, without building the generators.
+
+Callers that know ahead which streams their scalar runs will build
+hash them in one pass into a :class:`StateTable` and run inside
+``with table.scope():``.  There :func:`stream_for` (and so
+:func:`spawn_rngs`) and :func:`streams` read a stream's state words from
+the table before they would hash, and build bitwise the generator the
+hash would.  A lookup misses, and the stream derives as outside any
+scope, when the table lacks the ``(entropy, spawn_key)`` pair or when
+the entropy or a key element is not a plain ``int``.  The table is
+read-only and the scope is a :mod:`contextvars` variable: it nests, it
+ends with its ``with`` block (exceptions included), and no call signature
+changes.  Users: a multi-job stream's first-attempt run seeds
+(:func:`repro.sim.multijob.simulate_stream`; re-attempt and backoff
+seeds miss), a sweep's fault streams
+(:class:`repro.errors.faults.FaultPlaneCache`) and the heterogeneity
+study's repetitions (:mod:`repro.experiments.hetero`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
+import operator
+import typing
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["child_seeds", "seed_states", "spawn_rngs", "stream_for", "streams"]
+__all__ = [
+    "StateTable", "child_seeds", "seed_states", "spawn_rngs", "stream_for", "streams",
+]
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -82,10 +104,15 @@ def stream_for(seed: int | None, *keys: int) -> np.random.Generator:
 
     Used by the experiment harness to give every (configuration, repetition)
     cell its own stream: ``stream_for(seed, config_index, repetition)``.
+    Inside the scope of a :class:`StateTable` that holds the stream, the
+    state words come from the table instead of a ``SeedSequence``.
     """
+    entropy = 0 if seed is None else seed
+    words = _scoped_words(entropy, keys)
+    if words is not None:
+        return np.random.Generator(np.random.PCG64(_StateWords(words)))
     if any(k < 0 for k in keys):
         raise ValueError(f"stream keys must be non-negative, got {keys}")
-    entropy = 0 if seed is None else seed
     root = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(keys))
     return np.random.Generator(np.random.PCG64(root))
 
@@ -249,7 +276,7 @@ class _StateWords(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         words = self._words
-        if np.dtype(dtype) != np.uint64:
+        if dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             words = words.astype("<u8").view("<u4").astype(np.uint32)
         if n_words > len(words):
             raise ValueError(f"only {len(words)} state words were derived")
@@ -312,9 +339,90 @@ def streams(entropy, spawn_keys=()) -> list[np.random.Generator]:
     spawn_key=spawn_keys[i])))`` — e.g. ``streams(seeds, (2,))`` is
     ``[stream_for(s, 2) for s in seeds]`` — bit for bit.  The hash pass
     has a fixed cost of about 150 µs (a 2-core x86 host), so a handful
-    of streams is cheaper through :func:`stream_for`.
+    of streams is cheaper through :func:`stream_for`.  With one key for
+    every row, rows a scoped :class:`StateTable` holds are read from it
+    and only the others are hashed.
     """
-    return [
-        np.random.Generator(np.random.PCG64(_StateWords(words)))
-        for words in seed_states(entropy, spawn_keys)
-    ]
+    if _SCOPE.get() and np.ndim(spawn_keys) == 1:
+        key = tuple(spawn_keys)
+        ents = [entropy] if np.ndim(entropy) == 0 else list(entropy)
+        rows = [_scoped_words(e, key) for e in ents]
+        misses = [i for i, words in enumerate(rows) if words is None]
+        if misses:
+            for i, words in zip(misses, seed_states([ents[i] for i in misses], key)):
+                rows[i] = words
+    else:
+        rows = seed_states(entropy, spawn_keys)
+    return [np.random.Generator(np.random.PCG64(_StateWords(words))) for words in rows]
+
+
+class StateTable:
+    """Read-only seed states of ``stream_for(e, *k)`` for many streams.
+
+    The constructor hashes every (entropy, key) pair of ``entropies`` ×
+    ``keys`` in one :func:`seed_states` pass (keys of one length;
+    duplicates are hashed once).  Inside ``with table.scope():``,
+    :func:`stream_for` and :func:`streams` read a pair's words from the
+    table instead of hashing them, which gives bitwise the generator the
+    hash would.  The table only skips numpy's ``SeedSequence`` build: a
+    ``stream_for`` call takes about 20 µs hashed and 2.4 µs from the
+    table (a 2-core x86 host).  A pair the table does not hold
+    is a miss and derives exactly as outside a scope, and so does an
+    entropy or key element that is not a plain ``int`` (numpy integers,
+    bools and floats are never looked up).
+    """
+
+    __slots__ = ("_ents", "_keys", "_states")
+
+    def __init__(self, entropies, keys=((0,), (1,))) -> None:
+        ents = dict.fromkeys(operator.index(e) for e in entropies)
+        keys = dict.fromkeys(tuple(operator.index(k) for k in key) for key in keys)
+        if len({len(key) for key in keys}) > 1:
+            raise ValueError(f"state-table keys must have one length, got {list(keys)}")
+        # Row ``_keys[key] + _ents[entropy]``: key-major, one block per key.
+        self._ents = {e: i for i, e in enumerate(ents)}
+        self._keys = {key: k * len(ents) for k, key in enumerate(keys)}
+        self._states = np.empty((0, _PCG64_WORDS), dtype=np.uint64)
+        if ents and keys:
+            self._states = seed_states(
+                list(ents) * len(keys), [key for key in keys for _ in ents]
+            )
+        self._states.flags.writeable = False
+
+    @contextlib.contextmanager
+    def scope(self) -> "typing.Iterator[StateTable]":
+        """Serve lookups from this table, then restore the enclosing scope.
+
+        Scopes nest: an inner table is searched before the tables of the
+        scopes around it.  The scope is a :mod:`contextvars` variable, so
+        it ends on every exit from the block, exceptions included, and
+        threads or tasks started elsewhere do not see it.
+        """
+        token = _SCOPE.set((self, *_SCOPE.get()))
+        try:
+            yield self
+        finally:
+            _SCOPE.reset(token)
+
+
+#: The tables of the enclosing :meth:`StateTable.scope` blocks, innermost first.
+_SCOPE: "contextvars.ContextVar[tuple[StateTable, ...]]" = contextvars.ContextVar(
+    "repro_state_tables", default=()
+)
+
+
+def _scoped_words(entropy, keys: tuple) -> "np.ndarray | None":
+    """The scoped tables' state words of one stream, or ``None`` on a miss."""
+    tables = _SCOPE.get()
+    if not tables or type(entropy) is not int:
+        return None
+    for k in keys:
+        if type(k) is not int:
+            return None
+    for table in tables:
+        i = table._ents.get(entropy)
+        if i is not None:
+            base = table._keys.get(keys)
+            if base is not None:
+                return table._states[base + i]
+    return None

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.base import Scheduler
 from repro.errors.models import make_error_model
-from repro.errors.rng import stream_for
+from repro.errors.rng import StateTable, child_seeds, stream_for
 from repro.platform.spec import PlatformSpec, WorkerSpec
 from repro.sim.fastsim import simulate_fast
 
@@ -102,21 +102,26 @@ def run_hetero_study(
     """Sweep heterogeneity levels for a set of scheduler factories.
 
     Factories (not instances) because schedulers are bound per platform —
-    e.g. ``{"RUMR": lambda: RUMR(known_error=0.3)}``.
+    e.g. ``{"RUMR": lambda: RUMR(known_error=0.3)}``.  Repetition
+    ``rep`` of a level runs under the first ``integers(0, 2**63 - 1)``
+    draw of ``stream_for(seed, int(level * 1000), rep)``; a level's run
+    seeds and their comm/comp stream states are derived in one pass each.
     """
     means: dict[str, list[float]] = {name: [] for name in schedulers}
     for level in levels:
         platform = heterogeneous_platform_family(n, level, seed=seed)
-        for name, factory in schedulers.items():
-            total = 0.0
-            for rep in range(repetitions):
-                run_seed = int(stream_for(seed, int(level * 1000), rep).integers(0, 2**63 - 1))
-                model = make_error_model("normal", error)
-                result = simulate_fast(
-                    platform, total_work, factory(), model, seed=run_seed
-                )
-                total += result.makespan
-            means[name].append(total / repetitions)
+        keys = [(int(level * 1000), rep) for rep in range(repetitions)]
+        run_seeds = child_seeds(seed, np.reshape(keys, (-1, 2))).tolist()
+        with StateTable(run_seeds).scope():
+            for name, factory in schedulers.items():
+                total = 0.0
+                for run_seed in run_seeds:
+                    model = make_error_model("normal", error)
+                    result = simulate_fast(
+                        platform, total_work, factory(), model, seed=run_seed
+                    )
+                    total += result.makespan
+                means[name].append(total / repetitions)
     return HeteroResult(
         levels=tuple(levels),
         error=error,

@@ -227,6 +227,15 @@ def _seed_table(
     return rng.child_seeds(grid_seed, keys).reshape(per_block, errors, reps)
 
 
+def _grid_seeds(grid: ExperimentGrid) -> np.ndarray:
+    """Every cell seed of the grid, as :func:`_cell_seeds` hands them out."""
+    return np.array([
+        _cell_seeds(grid, p_idx, e_idx)
+        for p_idx in range(grid.num_platforms)
+        for e_idx in range(len(grid.errors))
+    ]).reshape(-1)
+
+
 def _scalar_cell(
     platform, grid: ExperimentGrid, scheduler, error: float, seeds, fault_model
 ) -> np.ndarray:
@@ -845,6 +854,8 @@ def run_sweep(
     # the same seeds, so each fault plane is realized and each factor
     # stream drawn once and shared; both stores die with this call.
     planes = FaultPlaneCache() if grid.has_faults else None
+    if planes is not None:
+        planes.expect(_grid_seeds(grid))
     streams = FactorStreams()
     for engine, names in passes.items():
         if not names:

@@ -58,7 +58,7 @@ medium (:class:`_SharedLink`): the master pays only ``nLat`` serially,
 registers the transfer (its byte volume perturbed by the comm stream),
 and a water-filling allocator splits the capacity max-min fairly among
 concurrent transfers, re-solving rates on every join/leave via versioned
-watcher processes (the kernel has no event cancellation; stale watchers
+watcher callbacks (the kernel has no event cancellation; stale watchers
 simply return).  This shape exists only here — the fast engine has no
 calendar to realize rate changes on — and rejects fault injection, since
 loss classification needs a completion time predictable at dispatch.
@@ -177,10 +177,11 @@ class _SharedLink:
     re-split among the rest.  Rates change only when a transfer joins
     (:meth:`register`) or completes; each change advances every
     transfer's remaining volume at the old rates, bumps a version
-    counter, and spawns a fresh watcher process sleeping until the
-    earliest completion under the new rates.  The kernel has no event
-    cancellation, so superseded watchers notice the version mismatch
-    when they wake and simply return.
+    counter, and starts a fresh watcher sleeping until the earliest
+    completion under the new rates.  A watcher is a chain of kernel
+    callbacks (its start entry, then its timeout), not a process.  The
+    kernel has no event cancellation, so superseded watchers notice the
+    version mismatch when they wake and simply return.
 
     Everything is plain deterministic float arithmetic on
     deterministically ordered dicts — repeated runs realize identical
@@ -239,10 +240,16 @@ class _SharedLink:
             elif dt == best:
                 due.append(t.tid)
         assert best is not None
-        self.env.process(self._watch(self.version, best, tuple(due)))
+        # A watcher starts with the (now, NORMAL) entry a process start
+        # pushes, then sleeps on its timeout; it needs no termination entry.
+        env, version, due = self.env, self.version, tuple(due)
+        env.timeout(0.0).callbacks.append(
+            lambda _: env.timeout(best).callbacks.append(
+                lambda _: self._wake(version, due)
+            )
+        )
 
-    def _watch(self, version: int, delay: float, due: tuple[int, ...]):
-        yield self.env.timeout(delay)
+    def _wake(self, version: int, due: tuple[int, ...]) -> None:
         if version != self.version:
             return  # a join re-planned the link while we slept
         self._advance()

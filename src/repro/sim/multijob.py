@@ -55,7 +55,12 @@ engine derives one from its stream-level ``seed`` and the ``job_id`` via
 the same :func:`~repro.errors.rng.stream_for` discipline the sweep
 harness uses.  Multi-slice jobs derive one seed per slice from the job
 seed; a single-slice job uses the job seed unchanged (preserving the
-bitwise conformance of the degenerate cases).
+bitwise conformance of the degenerate cases).  Every seed a grant's
+first attempt runs under is derived at stream start, in batch, and the
+comm/comp stream states of those seeds are hashed into one scoped
+:class:`~repro.errors.rng.StateTable` that each grant's ``simulate()``
+reads back; re-attempt and backoff seeds derive when used.  The values
+are the same either way.
 
 Faults in streams
 -----------------
@@ -84,7 +89,7 @@ import typing
 
 from repro.core.base import Scheduler
 from repro.errors.faults import FrozenFaults, StreamFaultSchedule, _parse_kv
-from repro.errors.rng import stream_for
+from repro.errors.rng import StateTable, child_seeds, stream_for
 from repro.obs.events import SimEvent, canonical_order, events_from_result
 from repro.platform.spec import PlatformSpec
 from repro.sim.result import SimResult
@@ -605,7 +610,9 @@ class _StreamRuntime:
     timeline), the failure policy, the :data:`JobRunner` that grants
     workers to a job and the job-seed rule; collects the job-level
     stream-fault events.  With no plane (fault-free streams) the tracker
-    admits every worker and no event is ever recorded.
+    admits every worker and no event is ever recorded.  ``slice_seeds``
+    maps a sliced job's id to the seeds of its slices, derived at stream
+    start; a slice it lacks derives its seed on demand.
     """
 
     health: PlatformHealth
@@ -613,6 +620,7 @@ class _StreamRuntime:
     policy_name: str
     run_job: JobRunner
     job_seed: typing.Callable[[JobArrival], int]
+    slice_seeds: dict[int, tuple[int, ...]] = dataclasses.field(default_factory=dict)
     events: list[SimEvent] = dataclasses.field(default_factory=list)
 
 
@@ -628,6 +636,60 @@ def _attempt_seed(seed: "int | None", attempt: int) -> int:
 def _slice_seed(job_seed: "int | None", slice_index: int) -> int:
     """Per-slice seed derived from the job seed (multi-slice jobs only)."""
     return int(stream_for(job_seed, slice_index).integers(0, 2**63 - 1))
+
+
+def _is_seed(value) -> bool:
+    """Whether ``value`` is a plain non-negative ``int``.
+
+    Only such seeds and job ids are derived in batch at stream start;
+    anything else derives when it is used, raising where it always did.
+    """
+    return type(value) is int and value >= 0
+
+
+def _first_attempt_seeds(
+    jobs: tuple[JobArrival, ...], seed: "int | None", policy: StreamPolicy
+) -> tuple[dict[int, int], dict[int, tuple[int, ...]], list[int]]:
+    """Every first-attempt run seed of a stream, derived in batch.
+
+    Returns ``(job_seeds, slice_seeds, run_seeds)``: the derived seeds of
+    seedless jobs by job id (one :func:`child_seeds` call, equal to
+    ``job_seed``'s ``stream_for(seed, job_id)`` draw), the seeds of every
+    sliced job's slices by job id (one more call, equal to
+    :func:`_slice_seed`), and the seeds the grants' first attempts run
+    under: the job seed of an unsliced job, the slice seeds of a sliced
+    one.  Re-attempt and backoff seeds depend on how grants go and are
+    left to derive when used.
+    """
+    entropy = 0 if seed is None else seed
+    seedless = [j.job_id for j in jobs if j.seed is None and _is_seed(j.job_id)]
+    job_seeds: dict[int, int] = {}
+    if seedless and _is_seed(entropy):
+        derived = child_seeds(entropy, [(i,) for i in seedless]).tolist()
+        job_seeds = dict(zip(seedless, derived))
+    plans = []  # (job_id, job seed, slice count)
+    run_seeds: list[int] = []
+    for job in jobs:
+        job_seed = job.seed if job.seed is not None else job_seeds.get(job.job_id)
+        if not _is_seed(job_seed):
+            continue
+        count = policy.seeded_slices(job.work)
+        if count:
+            plans.append((job.job_id, job_seed, count))
+        else:
+            run_seeds.append(job_seed)
+    slice_seeds: dict[int, tuple[int, ...]] = {}
+    if plans:
+        derived = child_seeds(
+            [s for _, s, count in plans for _ in range(count)],
+            [(k,) for _, _, count in plans for k in range(count)],
+        ).tolist()
+        start = 0
+        for job_id, _, count in plans:
+            slice_seeds[job_id] = tuple(derived[start : start + count])
+            run_seeds.extend(slice_seeds[job_id])
+            start += count
+    return job_seeds, slice_seeds, run_seeds
 
 
 class _JobService:
@@ -654,6 +716,7 @@ class _JobService:
         self.seed = rt.job_seed(job)
         self.sizes = list(sizes)
         self.sliced = sliced
+        self.slice_seeds = rt.slice_seeds.get(job.job_id, ())
         self.slice = 0  # index of the slice being served
         self.fails = 0  # failed attempts at that slice
         self.attempts = 0
@@ -675,7 +738,7 @@ class _JobService:
         """
         rt = self.rt
         size = self.sizes[0]
-        seed = _slice_seed(self.seed, self.slice) if self.sliced else self.seed
+        seed = self.slice_seed() if self.sliced else self.seed
         if self.fails:
             seed = _attempt_seed(seed, self.fails)
         result = rt.run_job(self.job, size, live, seed, t)
@@ -707,6 +770,12 @@ class _JobService:
                          detail=f"attempt={self.fails + 1}")
             )
         return end
+
+    def slice_seed(self) -> int:
+        """The current slice's seed, derived at stream start if it could be."""
+        if self.slice < len(self.slice_seeds):
+            return self.slice_seeds[self.slice]
+        return _slice_seed(self.seed, self.slice)
 
     def serve_exclusive(self, start: float) -> float:
         """Serve the job alone on its workers from ``start``; return when they free up.
@@ -764,6 +833,15 @@ class StreamPolicy:
 
     #: Spec-style name (used as the ``phase`` label of job events).
     name: str = "policy"
+
+    def seeded_slices(self, work: float) -> int:
+        """How many per-slice seeds a job of ``work`` units is served under.
+
+        Zero (the base rule) when the job runs unsliced under its job
+        seed.  The stream derives these seeds at its start; a policy
+        that slices otherwise still gets its seeds, one at a time.
+        """
+        return 0
 
     def run(
         self,
@@ -871,6 +949,9 @@ class InterleavedPolicy(StreamPolicy):
     def __post_init__(self) -> None:
         if self.slices < 1:
             raise ValueError(f"slices must be >= 1, got {self.slices}")
+
+    def seeded_slices(self, work: float) -> int:
+        return len(self.slice_sizes(work)) if self.slices > 1 else 0
 
     def slice_sizes(self, work: float) -> tuple[float, ...]:
         """Cut one job's work into slices (sizes > 0, summing to work)."""
@@ -1070,13 +1151,22 @@ def simulate_stream(
             seed=job_run_seed, engine=engine, faults=job_faults, topology=topology,
         )
 
+    job_seeds, slice_seeds, run_seeds = _first_attempt_seeds(jobs, seed, stream_policy)
+
     def job_seed(job: JobArrival) -> int:
         if job.seed is not None:
             return job.seed
+        if job.job_id in job_seeds:
+            return job_seeds[job.job_id]
         return int(stream_for(seed, job.job_id).integers(0, 2**63 - 1))
 
-    runtime = _StreamRuntime(health, failure, stream_policy.name, run_job, job_seed)
-    records = stream_policy.run(platform, jobs, runtime)
+    runtime = _StreamRuntime(
+        health, failure, stream_policy.name, run_job, job_seed, slice_seeds
+    )
+    # Each first attempt's comm and comp streams (the run seed's children
+    # 0 and 1) are hashed here in one pass; simulate() reads them back.
+    with StateTable(run_seeds).scope():
+        records = stream_policy.run(platform, jobs, runtime)
     result = MultiJobResult(
         platform=platform,
         policy=stream_policy.name,

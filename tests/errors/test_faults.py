@@ -334,6 +334,41 @@ class TestFaultPlaneCache:
         with pytest.raises(ValueError):
             first.crash_time[0, 0] = 0.0
 
+    @pytest.mark.parametrize(
+        "spec", ["crash:p=0.5,tmax=50", "slow:p=0.5,tmax=50,factor=2",
+                 "spike:p=0.25,delay=4"]
+    )
+    def test_batched_fault_planes_from_expected_seeds(self, platform, spec, monkeypatch):
+        # Declared seeds are hashed in one pass for every plane to come;
+        # the planes, spike streams included, equal fresh samples.
+        from repro.errors import rng
+
+        model = make_fault_model(spec)
+        cells = [self.SEEDS, (21, 22), (11, 31)]
+        fresh = [model.sample_batch(platform, seeds) for seeds in cells]
+        passes = []
+        original = rng.seed_states
+        monkeypatch.setattr(
+            rng, "seed_states", lambda *a: passes.append(a) or original(*a)
+        )
+        cache = FaultPlaneCache()
+        cache.expect([s for seeds in cells for s in seeds])
+        planes = [cache.realize(model, platform, seeds) for seeds in cells]
+        assert len(passes) == 1
+        for got, want in zip(planes, fresh):
+            for field in ("crash_time", "pause_start", "pause_len", "slow_start",
+                          "slow_factor", "spike_prob", "spike_delay", "fault_row"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert [g is None for g in got.rngs] == [g is None for g in want.rngs]
+            for a, b in zip(got.rngs, want.rngs):
+                if a is not None:
+                    assert np.array_equal(a.random(20), b.random(20))
+        # An undeclared seed is hashed on its own, as without the table.
+        late = cache.realize(model, platform, (11, 99))
+        assert len(passes) == 2
+        want = model.sample_batch(platform, (11, 99))
+        assert np.array_equal(late.crash_time, want.crash_time)
+
     def test_batched_fault_spike_generators_are_private_copies(self, platform):
         model = make_fault_model("spike:p=0.25,delay=4")
         cache = FaultPlaneCache()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.errors import spawn_rngs, stream_for
+from repro.errors import rng, spawn_rngs, stream_for
 from repro.errors.faults import fault_stream, fault_streams
-from repro.errors.rng import child_seeds, seed_states, streams
+from repro.errors.rng import StateTable, child_seeds, seed_states, streams
 
 
 def test_spawn_produces_requested_count():
@@ -161,3 +161,76 @@ def test_batched_seed_derivation_broadcasts_and_validates():
         seed_states(-1, ())
     with pytest.raises(TypeError):
         seed_states(1.5, ())
+
+
+# -- scoped state tables ------------------------------------------------------
+
+def _draws(entropy, key):
+    gen = stream_for(entropy, *key)
+    return gen.random(3).tolist() + gen.normal(1.0, 0.3, 2).tolist()
+
+
+@given(st.data())
+def test_batched_seed_scoped_table_draws_equal_unscoped(data):
+    # Inside a scope, stream_for draws bitwise what it draws outside, for
+    # pairs in the table (read back) and out of it (hashed as ever),
+    # through nested scopes and a scope left by an exception.
+    width = data.draw(st.integers(0, 3), label="key length")
+    key = st.lists(key_elements, min_size=width, max_size=width).map(tuple)
+    keys = data.draw(st.lists(key, min_size=1, max_size=3), label="table keys")
+    outer_ents = data.draw(st.lists(entropies, min_size=1, max_size=4), label="outer")
+    inner_ents = data.draw(st.lists(entropies, max_size=3), label="inner")
+    inside = [(e, k) for e in outer_ents + inner_ents for k in keys]
+    outside = data.draw(st.lists(st.tuples(entropies, spawn_keys), max_size=3))
+    probes = inside + outside + [(None, keys[0])]
+    expected = [_draws(e, k) for e, k in probes]
+    outer, inner = StateTable(outer_ents, keys), StateTable(inner_ents, keys)
+
+    def check(tables):
+        assert [_draws(e, k) for e, k in probes] == expected
+        for e, k in inside:
+            held = any(e in t._ents and k in t._keys for t in tables)
+            assert (rng._scoped_words(e, k) is not None) == held
+        assert rng._SCOPE.get() == tables
+
+    check(())
+    with outer.scope():
+        check((outer,))
+        with inner.scope():
+            check((inner, outer))
+        check((outer,))
+        with pytest.raises(KeyError), inner.scope():
+            check((inner, outer))
+            raise KeyError("left by an exception")
+        check((outer,))
+    check(())
+
+
+@given(st.lists(entropies, min_size=1, max_size=6), spawn_keys, st.data())
+def test_batched_seed_scoped_table_serves_streams(ents, key, data):
+    # streams() reads the rows a scoped table holds and hashes the rest.
+    held = data.draw(st.lists(st.sampled_from(ents), max_size=len(ents)))
+    expected = [gen.random(3).tolist() for gen in streams(ents, key)]
+    with StateTable(held, [key]).scope():
+        assert [gen.random(3).tolist() for gen in streams(ents, key)] == expected
+        assert [stream_for(e, *key).random(3).tolist() for e in ents] == expected
+
+
+def test_batched_seed_table_never_serves_non_int_values():
+    # numpy integers, bools and floats are never looked up: the first two
+    # hash as numpy would, and floats still raise as numpy does.
+    with StateTable([1, 3], [(0,), (1,)]).scope():
+        assert rng._scoped_words(3, (1,)) is not None
+        for entropy, key in [(np.int64(3), (1,)), (True, (1,)), (3, (True,))]:
+            assert rng._scoped_words(entropy, key) is None
+            assert _draws(entropy, key) == _draws(int(entropy), tuple(map(int, key)))
+        with pytest.raises(TypeError):
+            stream_for(1.0, 0)
+        with pytest.raises(TypeError):
+            stream_for(1, 1.0)
+        with pytest.raises(ValueError):
+            stream_for(1, -1)
+    assert StateTable([5, 5, 6], [(0,), (1,), (0,)])._states.shape == (4, 4)
+    assert StateTable([], [(2,)])._states.shape == (0, 4)
+    with pytest.raises(ValueError):
+        StateTable([1], [(0,), (0, 1)])
