@@ -35,17 +35,24 @@ import math
 import numpy as np
 
 from repro.core.base import Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.factoring import FactoringKernel, FactoringKernelSpec, FactoringSource
+from repro.core.factoring import (
+    FactoringKernel,
+    FactoringKernelSpec,
+    FactoringSource,
+    check_factoring,
+)
 from repro.core.lockstep import (
+    ARRAY_OPS,
     DISPATCH,
     DONE,
+    SCALAR_OPS,
     KernelSpec,
     LockstepKernel,
     PlanCursor,
     PlanRounds,
     expand_rows,
 )
-from repro.core.rumr import _chunk_floor, round_overhead
+from repro.core.rumr import chunk_floor, round_overhead
 from repro.core.umr import MAX_ROUNDS, UMRPlan, solve_umr
 from repro.platform.spec import PlatformSpec
 
@@ -54,8 +61,60 @@ __all__ = [
     "AdaptiveRUMRKernel",
     "AdaptiveRUMRKernelSpec",
     "AdaptiveRUMRSource",
+    "OUTLIER_FACTOR",
     "OnlineErrorEstimator",
+    "error_estimate",
+    "fold_interval",
+    "should_switch",
 ]
+
+
+#: Completion intervals longer than this many predicted durations are
+#: taken as idle-gapped and give no sample.
+OUTLIER_FACTOR = 3.0
+
+
+def fold_interval(stats, interval, predicted):
+    """Fold one completion interval into Welford's ``(count, mean, m2)``.
+
+    The sample ``interval / predicted`` is the later chunk's perturbation
+    factor; its variance is taken around the *model* mean of 1.  A ratio
+    outside ``(0, OUTLIER_FACTOR]`` (a worker's first interval is NaN) or
+    a non-positive prediction adds none.  Plain arithmetic, for Python
+    floats and one kernel row's numpy scalars alike.
+    """
+    if predicted <= 0:
+        return stats
+    ratio = interval / predicted
+    if not 0 < ratio <= OUTLIER_FACTOR:
+        return stats
+    count, mean, m2 = stats
+    count += 1
+    delta = ratio - mean
+    mean += delta / count
+    return count, mean, m2 + delta * (ratio - mean)
+
+
+def error_estimate(ops, m2, count):
+    """The samples' standard deviation; 0 before two samples (``m2`` is 0)."""
+    return ops.sqrt(m2 / ops.max(count - 1, 1))
+
+
+def should_switch(ops, remaining, total, estimate, overhead, n, count, min_samples):
+    """RUMR's phase split, re-evaluated at the online ``estimate``.
+
+    The plan hands its ``remaining`` work to a factoring tail once
+    ``min_samples`` samples are in, ``remaining`` has shrunk to
+    ``min(estimate, 1) · total`` and the per-worker threshold admits a
+    phase 2.  ``&`` and ``|`` serve Python bools and bool rows alike.
+    """
+    return (
+        (count >= min_samples)
+        & (remaining > 0)
+        & (estimate > 0)
+        & (remaining <= ops.min(estimate, 1.0) * total)
+        & ((remaining / n >= overhead) | (overhead == 0.0))
+    )
 
 
 class OnlineErrorEstimator:
@@ -64,130 +123,79 @@ class OnlineErrorEstimator:
     Consumes :class:`~repro.core.base.CompletionNote` streams; per worker,
     the interval between consecutive notes is the effective compute
     duration of the later chunk *provided the worker never idled in
-    between* — guaranteed while the UMR plan holds, and detected (and the
-    sample skipped) otherwise by comparing against the known dispatch
-    history isn't possible from timing alone, so intervals longer than
-    ``outlier_factor`` times the prediction are discarded as idle-gapped.
+    between*, which UMR's no-idle plan guarantees while it holds.  Timing
+    alone cannot tell an idle gap from a slow chunk, so intervals longer
+    than :data:`OUTLIER_FACTOR` times the prediction are discarded as
+    idle-gapped (:func:`fold_interval`).
     """
 
-    def __init__(self, platform: PlatformSpec, outlier_factor: float = 3.0):
+    def __init__(self, platform: PlatformSpec):
         self._platform = platform
-        self._outlier_factor = outlier_factor
         self._last_time: dict[int, float] = {}
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
+        self._stats = (0, 0.0, 0.0)  # Welford's (count, mean, m2)
         self._seen = 0  # notes consumed so far
 
     @property
     def samples(self) -> int:
         """Number of ratio samples accumulated."""
-        return self._count
+        return self._stats[0]
 
     def estimate(self) -> float | None:
         """Current error-magnitude estimate (None before 2 samples)."""
-        if self._count < 2:
-            return None
-        return math.sqrt(self._m2 / (self._count - 1))
-
-    def _add_sample(self, ratio: float) -> None:
-        # Welford's online variance around the *model* mean of 1.
-        self._count += 1
-        delta = ratio - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (ratio - self._mean)
+        count, _, m2 = self._stats
+        return error_estimate(SCALAR_OPS, m2, count) if count >= 2 else None
 
     def consume(self, view: MasterView) -> None:
         """Fold all newly observed completions into the estimate."""
         notes = view.observed_completions()
         for note in notes[self._seen:]:
-            predicted = self._platform[note.worker].compute_time(note.size)
-            last = self._last_time.get(note.worker)
+            last = self._last_time.get(note.worker, math.nan)
             self._last_time[note.worker] = note.time
-            if last is None or predicted <= 0:
-                continue
-            interval = note.time - last
-            ratio = interval / predicted
-            if 0 < ratio <= self._outlier_factor:
-                self._add_sample(ratio)
+            predicted = self._platform[note.worker].compute_time(note.size)
+            self._stats = fold_interval(self._stats, note.time - last, predicted)
         self._seen = len(notes)
 
 
 class AdaptiveRUMRSource(DispatchSource):
     """Per-run state of the adaptive scheduler (see module docstring).
 
-    ``plan_rounds`` are the UMR plan's dense per-worker size rows
-    (:attr:`~repro.core.umr.UMRPlan.dispatch_rounds`), dispatched out of
-    order through a :class:`~repro.core.lockstep.PlanCursor`.
+    The binding's plan rounds are dispatched out of order through a
+    :class:`~repro.core.lockstep.PlanCursor`.
     """
 
-    def __init__(
-        self,
-        platform: PlatformSpec,
-        total_work: float,
-        plan_rounds,
-        factor: float,
-        min_samples: int,
-    ):
-        self._platform = platform
-        self._total_work = total_work
-        self._plan = PlanCursor(plan_rounds, "adaptive-p1-round")
-        self._factor = factor
-        self._min_samples = min_samples
-        self._overhead = round_overhead(platform)
+    def __init__(self, spec: AdaptiveRUMRKernelSpec):
+        self._spec = spec
+        self._plan = PlanCursor(spec.rounds, "adaptive-p1-round")
+        self._overhead = round_overhead(spec.platform)
         self._dispatched = 0.0
-        self._estimator = OnlineErrorEstimator(platform)
+        self._estimator = OnlineErrorEstimator(spec.platform)
         self._phase2: FactoringSource | None = None
         self.switched_at: float | None = None  # diagnostics
         self.final_estimate: float | None = None
-
-    def _remaining_plan_work(self) -> float:
-        return self._total_work - self._dispatched
-
-    def _should_switch(self, estimate: float) -> bool:
-        remaining = self._remaining_plan_work()
-        if remaining <= 0:
-            return False
-        if estimate <= 0:
-            return False
-        target_tail = min(estimate, 1.0) * self._total_work
-        if remaining > target_tail:
-            return False
-        # RUMR's threshold, evaluated with the estimate.
-        overhead = self._overhead
-        return remaining / self._platform.N >= overhead or overhead == 0.0
-
-    def _switch_to_phase2(self, view: MasterView, estimate: float) -> None:
-        remaining = self._remaining_plan_work()
-        self._phase2 = FactoringSource(
-            n=self._platform.N,
-            total_work=remaining,
-            factor=self._factor,
-            min_chunk=_chunk_floor(
-                self._overhead, self._platform.N, estimate, remaining
-            ),
-            phase="adaptive-p2",
-        )
-        self.switched_at = view.now
-        self.final_estimate = estimate
 
     def next_dispatch(self, view: MasterView) -> "Dispatch | Wait | None":
         if self._phase2 is not None:
             return self._phase2.next_dispatch(view)
         self._estimator.consume(view)
-        estimate = self._estimator.estimate()
-        if (
-            estimate is not None
-            and self._estimator.samples >= self._min_samples
-            and self._should_switch(estimate)
-        ):
-            self._switch_to_phase2(view, estimate)
+        spec, overhead, n = self._spec, self._overhead, self._spec.n
+        count, est = self._estimator.samples, self._estimator.estimate() or 0.0
+        total, pool = spec.total_work, spec.total_work - self._dispatched
+        if should_switch(SCALAR_OPS, pool, total, est, overhead, n, count, spec.min_samples):
+            self._phase2 = FactoringSource(
+                n=n,
+                total_work=pool,
+                factor=spec.factor,
+                min_chunk=chunk_floor(SCALAR_OPS, overhead, n, est, pool),
+                phase="adaptive-p2",
+            )
+            self.switched_at = view.now
+            self.final_estimate = est
             return self._phase2.next_dispatch(view)
         action = self._plan.take(view, True)
         if action is not None:
             self._dispatched += action.size
             return action
-        self.final_estimate = estimate
+        self.final_estimate = self._estimator.estimate()
         return None
 
 
@@ -222,9 +230,7 @@ class AdaptiveRUMRKernelSpec(KernelSpec):
         return AdaptiveRUMRKernel(specs, reps, n_max)
 
     def source(self) -> AdaptiveRUMRSource:
-        return AdaptiveRUMRSource(
-            self.platform, self.total_work, self.rounds, self.factor, self.min_samples
-        )
+        return AdaptiveRUMRSource(self)
 
 
 class AdaptiveRUMRKernel(LockstepKernel):
@@ -253,8 +259,6 @@ class AdaptiveRUMRKernel(LockstepKernel):
     times.
     """
 
-    _OUTLIER_FACTOR = 3.0
-
     def __init__(self, specs, reps, n_max):
         rows = int(np.sum(reps))
         clats = np.zeros((len(specs), n_max))
@@ -274,10 +278,9 @@ class AdaptiveRUMRKernel(LockstepKernel):
             [s.min_samples for s in specs], reps, dtype=np.int64
         )
         self._dispatched = np.zeros(rows)
-        # Welford state around the model mean of 1, one estimator per row.
-        self._est_count = np.zeros(rows, dtype=np.int64)
-        self._est_mean = np.zeros(rows)
-        self._est_m2 = np.zeros(rows)
+        # Welford's (count, mean, m2) around the model mean of 1, one
+        # estimator per row; a float count divides like the scalar int.
+        self._stats = np.zeros((rows, 3))
         self._last_time = np.full((rows, n_max), np.nan)
         self._switched = np.zeros(rows, dtype=bool)
         # Losses observed while a row is still on the plan (which ignores
@@ -298,9 +301,7 @@ class AdaptiveRUMRKernel(LockstepKernel):
         self._overhead = self._overhead[keep]
         self._min_samples = self._min_samples[keep]
         self._dispatched = self._dispatched[keep]
-        self._est_count = self._est_count[keep]
-        self._est_mean = self._est_mean[keep]
-        self._est_m2 = self._est_m2[keep]
+        self._stats = self._stats[keep]
         self._last_time = self._last_time[keep]
         self._switched = self._switched[keep]
         if self._queued_losses:
@@ -313,30 +314,16 @@ class AdaptiveRUMRKernel(LockstepKernel):
         self._phase2.compact(keep)
 
     def _consume_notes(self, notes) -> None:
-        # Sequential per-note Welford updates in observation order —
-        # bit-compatible with OnlineErrorEstimator.consume.
-        switched = self._switched
-        clat = self._clat
-        speed = self._speed
-        last = self._last_time
-        count = self._est_count
-        mean = self._est_mean
-        m2 = self._est_m2
+        # Sequential per-note Welford updates in observation order: one
+        # row's numpy scalars through the scalar estimator's fold.
+        stats, last = self._stats, self._last_time
         for r, time, w, sz in notes:
-            if switched[r]:
+            if self._switched[r]:
                 continue
-            predicted = clat[r, w] + sz / speed[r, w]
             prev = last[r, w]
             last[r, w] = time
-            if np.isnan(prev) or predicted <= 0:
-                continue
-            ratio = (time - prev) / predicted
-            if 0 < ratio <= self._OUTLIER_FACTOR:
-                c = count[r] + 1
-                count[r] = c
-                delta = ratio - mean[r]
-                mean[r] += delta / c
-                m2[r] += delta * (ratio - mean[r])
+            predicted = self._clat[r, w] + sz / self._speed[r, w]
+            stats[r] = fold_interval(tuple(stats[r]), time - prev, predicted)
 
     def decide(self, counts, action, worker, size, mask=None, ctx=None):
         if ctx is not None and ctx.notes:
@@ -356,27 +343,18 @@ class AdaptiveRUMRKernel(LockstepKernel):
         if mask is not None:
             p1 = p1 & mask
         if p1.any():
-            remaining = self._total - self._dispatched
-            est = np.sqrt(self._est_m2 / np.maximum(self._est_count - 1, 1))
-            switch = (
-                p1
-                & (self._est_count >= 2)
-                & (self._est_count >= self._min_samples)
-                & (remaining > 0)
-                & (est > 0)
-                & (remaining <= np.minimum(est, 1.0) * self._total)
-                & (
-                    (remaining / self._n_float >= self._overhead)
-                    | (self._overhead == 0.0)
-                )
+            overhead, n = self._overhead, self._n_float
+            count, _, m2 = self._stats.T
+            est = error_estimate(ARRAY_OPS, m2, count)
+            total, pool = self._total, self._total - self._dispatched
+            switch = p1 & should_switch(
+                ARRAY_OPS, pool, total, est, overhead, n, count, self._min_samples
             )
             rows = np.flatnonzero(switch)
             if rows.size:
-                pools = remaining[rows]
-                floors = np.minimum(
-                    self._overhead[rows] / est[rows], pools / self._n_float[rows]
-                )
-                self._phase2.activate_rows(rows, pools, np.maximum(floors, 1.0))
+                pools = pool[rows]
+                floors = chunk_floor(ARRAY_OPS, overhead[rows], n[rows], est[rows], pools)
+                self._phase2.activate_rows(rows, pools, floors)
                 # The scalar switch builds a fresh FactoringSource whose
                 # loss cursor starts at zero: every loss observed since
                 # the run began rejoins the pool, in observation order.
@@ -422,6 +400,7 @@ class AdaptiveRUMR(Scheduler):
     ):
         if min_samples < 2:
             raise ValueError(f"min_samples must be >= 2, got {min_samples}")
+        check_factoring(factor)
         self.factor = factor
         self.min_samples = min_samples
         self.umr_method = umr_method

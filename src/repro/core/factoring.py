@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.base import WAIT, Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.lockstep import KernelSpec, PoolKernel, expand_rows
+from repro.core.lockstep import ARRAY_OPS, SCALAR_OPS, KernelSpec, PoolKernel, expand_rows
 
 __all__ = [
     "Factoring",
@@ -33,7 +33,22 @@ __all__ = [
     "FactoringKernel",
     "FactoringKernelSpec",
     "PoolSource",
+    "batch_chunk",
+    "check_factoring",
 ]
+
+
+def check_factoring(factor: float, min_chunk: float = 0.0) -> None:
+    """Reject ``factor ≤ 1`` or ``min_chunk < 0`` before any engine runs them."""
+    if not factor > 1.0:
+        raise ValueError(f"factoring factor must be > 1, got {factor}")
+    if not min_chunk >= 0:
+        raise ValueError(f"min_chunk must be >= 0, got {min_chunk}")
+
+
+def batch_chunk(ops, remaining, factor_n, min_chunk):
+    """Factoring's batch chunk; ``factor_n`` is factor × the live worker count."""
+    return ops.max(remaining / factor_n, min_chunk)
 
 
 class PoolSource(DispatchSource):
@@ -63,10 +78,7 @@ class PoolSource(DispatchSource):
         min_chunk: float,
         phase: str,
     ):
-        if factor <= 1.0:
-            raise ValueError(f"factoring factor must be > 1, got {factor}")
-        if min_chunk < 0:
-            raise ValueError(f"min_chunk must be >= 0, got {min_chunk}")
+        check_factoring(factor, min_chunk)
         self._n = n
         self._remaining = total_work
         self._epsilon = 1e-12 * max(total_work, 1.0)
@@ -111,8 +123,8 @@ class FactoringSource(PoolSource):
     """Per-run state of the factoring self-scheduler.
 
     The batch rule: while work remains, produce ``N`` chunks of size
-    ``max(min_chunk, remaining_at_batch_start / (factor · N))`` (capped by
-    what is actually left), ``N`` counting the live workers.
+    :func:`batch_chunk` at the batch's start (capped by what is actually
+    left), ``N`` counting the live workers.
 
     Chunks go only to *idle* workers — the classic self-scheduling
     lookahead of 1, faithful to Hummel's model.  On a platform with
@@ -126,8 +138,8 @@ class FactoringSource(PoolSource):
 
     def _size(self, worker: int, n_live: int, crashed: "tuple[int, ...]") -> float:
         if self._batch_left == 0:
-            self._batch_size = max(
-                self._remaining / (self._factor * n_live), self._min_chunk
+            self._batch_size = batch_chunk(
+                SCALAR_OPS, self._remaining, self._factor * n_live, self._min_chunk
             )
             self._batch_left = n_live
         self._batch_left -= 1
@@ -165,12 +177,11 @@ class FactoringKernelSpec(KernelSpec):
 class FactoringKernel(PoolKernel):
     """Lockstep rows of factoring state (see :class:`FactoringSource`).
 
-    The batch rule keeps the scalar source's exact operation order —
-    ``remaining / (factor · n)``, ``max(·, min_chunk)``,
-    ``min(batch_size, remaining)`` — with ``n`` the row's live count, so
-    a row's dispatch sequence is bit-identical to the scalar run's;
-    everything else is the shared :class:`~repro.core.lockstep.PoolKernel`
-    step.
+    The batch rule is the scalar source's :func:`batch_chunk`, with the
+    live count ``n`` folded into a precomputed ``factor · n`` on rows
+    without crashes, so a row's dispatch sequence is bit-identical to
+    the scalar run's; everything else is the shared
+    :class:`~repro.core.lockstep.PoolKernel` step.
     """
 
     def __init__(self, specs, reps, n_max):
@@ -224,7 +235,7 @@ class FactoringKernel(PoolKernel):
         if new_batch.any():
             np.copyto(
                 self._batch_size,
-                np.maximum(self._remaining / factor_n, self._min_chunk),
+                batch_chunk(ARRAY_OPS, self._remaining, factor_n, self._min_chunk),
                 where=new_batch,
             )
             np.copyto(self._batch_left, n_live, where=new_batch)
@@ -244,8 +255,7 @@ class Factoring(Scheduler):
     """
 
     def __init__(self, factor: float = 2.0, min_chunk: float = 1.0):
-        if factor <= 1.0:
-            raise ValueError(f"factoring factor must be > 1, got {factor}")
+        check_factoring(factor, min_chunk)
         self.factor = factor
         self.min_chunk = min_chunk
         self.name = "Factoring"

@@ -69,8 +69,6 @@ class FixedSizeChunkingSource(DispatchSource):
     """Per-run state: equal chunks served to idle workers on demand."""
 
     def __init__(self, n: int, total_work: float, chunk: float, phase: str = "fsc"):
-        if chunk <= 0:
-            raise ValueError(f"chunk size must be > 0, got {chunk}")
         self._remaining = total_work
         self._epsilon = 1e-12 * max(total_work, 1.0)
         self._chunk = chunk
@@ -182,7 +180,7 @@ class FixedSizeChunking(Scheduler):
             mean_s = sum(w.S for w in platform) / n
             sigma = self.known_error / mean_s
             chunk = kruskal_weiss_chunk_size(total_work, n, overhead, sigma)
-        chunk = max(chunk, self.min_chunk)
-        return FSCKernelSpec(
-            n=platform.N, total_work=total_work, chunk=min(chunk, total_work)
-        )
+        chunk = min(max(chunk, self.min_chunk), total_work)
+        if not chunk > 0:
+            raise ValueError(f"chunk size must be > 0, got {chunk}")
+        return FSCKernelSpec(n=platform.N, total_work=total_work, chunk=chunk)

@@ -12,10 +12,13 @@ decisions in one pass of NumPy arithmetic.
 This is possible because the batchable dynamic schedulers (Factoring,
 WeightedFactoring, FSC, RUMR, AdaptiveRUMR) decide from pure arithmetic
 over master state: no data-dependent control flow survives except
-per-row branches, which become masks.  The contract mirrors the scalar
-sources bit-for-bit: the same batch/size formulas evaluated with the
-same operation order and associativity, and the same worker choice, so
-a lockstep row reproduces the scalar engine's trajectory exactly when
+per-row branches, which become masks.  Each rule's arithmetic is written
+once, in its scheduler's module, over an op namespace: the scalar source
+passes :data:`SCALAR_OPS` (builtins, no numpy), the kernel
+:data:`ARRAY_OPS` (row-wise numpy).  IEEE ``+ − × ÷``, ``min``, ``max``
+and ``sqrt`` round alike on Python floats and float64 rows and both
+``fold`` ops add left to right, so with the same worker choice a
+lockstep row reproduces the scalar engine's trajectory bit for bit when
 fed the same perturbation factors.
 
 The worker choice needs no pending *work*.  The self-scheduled rule is
@@ -36,10 +39,10 @@ worker count.  Padded worker slots must be made unselectable by the
 *caller*: the engine reports a huge pending-chunk count for them, so
 they never look idle.  The same spec builds the cell's scalar source
 (:meth:`KernelSpec.source`), so each run's binding — phase split, plan
-rows, chunk floors — is derived once for both engines.  The pieces the
-rules share are written once per engine: :class:`PoolKernel` is the
-lockstep step of every self-scheduled pool, and :class:`PlanCursor` is
-the scalar twin of :class:`PlanRounds`.
+rows, chunk floors — is derived once for both engines.  The control
+flow is written once per engine: :class:`PoolKernel` is the lockstep
+step of every self-scheduled pool, and :class:`PlanCursor` is the scalar
+twin of :class:`PlanRounds`.
 
 Fault-aware decisions travel through a :class:`KernelStepContext`: the
 engine hands each merged group the crash state it would observe through
@@ -58,12 +61,17 @@ trajectory.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
+import operator
+import types
 
 import numpy as np
 
 from repro.core.base import Dispatch
 
 __all__ = [
+    "ARRAY_OPS",
     "DISPATCH",
     "WAIT_FOR_COMPLETION",
     "DONE",
@@ -74,6 +82,7 @@ __all__ = [
     "PlanCursor",
     "PlanRounds",
     "PoolKernel",
+    "SCALAR_OPS",
     "drain_rows",
     "expand_rows",
     "first_idle",
@@ -88,6 +97,27 @@ DONE = 2
 #: Large enough that a pad never looks idle or drained, small enough to
 #: stay exact in int64 arithmetic.
 PAD_PENDING = 1 << 40
+
+
+#: The scalar sources' ops: ``where`` is a conditional expression (both
+#: branches are evaluated) and ``fold`` adds a sequence left to right.
+SCALAR_OPS = types.SimpleNamespace(
+    min=min,
+    max=max,
+    where=lambda cond, a, b: a if cond else b,
+    sqrt=math.sqrt,
+    fold=functools.partial(functools.reduce, operator.add),
+)
+
+#: The kernels' ops on (R,) rows; ``fold`` adds each row of an (R, n)
+#: matrix left to right (``np.sum``'s pairwise order would not).
+ARRAY_OPS = types.SimpleNamespace(
+    min=np.minimum,
+    max=np.maximum,
+    where=np.where,
+    sqrt=np.sqrt,
+    fold=lambda rows: np.cumsum(rows, axis=1)[:, -1],
+)
 
 
 def expand_rows(values, reps, dtype=None) -> np.ndarray:

@@ -36,13 +36,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.base import Dispatch, DispatchSource, MasterView, Scheduler, Wait
-from repro.core.factoring import FactoringKernelSpec, FactoringSource
+from repro.core.factoring import FactoringKernelSpec, FactoringSource, check_factoring
 from repro.core.lockstep import (
+    ARRAY_OPS,
     DISPATCH,
+    SCALAR_OPS,
     KernelSpec,
     LockstepKernel,
     PlanCursor,
@@ -51,13 +54,16 @@ from repro.core.lockstep import (
 )
 from repro.core.umr import MAX_ROUNDS, UMRPlan, solve_umr
 from repro.core.weighted_factoring import WeightedFactoringKernelSpec
-from repro.platform.spec import PlatformSpec
+from repro.platform.spec import PlatformSpec, WorkerSpec
 
 __all__ = [
     "RUMR",
     "RUMRSource",
     "RUMRKernel",
     "RUMRKernelSpec",
+    "UNIT_FLOOR",
+    "chunk_floor",
+    "overhead_of",
     "round_overhead",
     "phase2_workload",
     "phase2_min_chunk",
@@ -65,15 +71,26 @@ __all__ = [
 ]
 
 
-def round_overhead(platform: PlatformSpec) -> float:
+#: The phase-2 chunk floor never drops below one workload unit.
+UNIT_FLOOR = 1.0
+
+
+def overhead_of(ops, clats, nlats, n):
+    """Mean ``cLat`` + ``Σ nLat`` of ``n`` workers (dead slots may add ``0.0``)."""
+    return ops.fold(clats) / n + ops.fold(nlats)
+
+
+def round_overhead(platform: PlatformSpec | Sequence[WorkerSpec]) -> float:
     """Overhead of one round of (empty) chunks: ``cLat + nLat·N`` homog.
 
     The non-hidden latencies to send N messages plus the computation
     start-up of the last processor.  Heterogeneous platforms use the mean
-    ``cLat`` and the sum of per-worker ``nLat``.
+    ``cLat`` and the sum of per-worker ``nLat``.  Any sequence of
+    workers will do, such as the survivors of a crash.
     """
-    mean_clat = sum(w.cLat for w in platform) / platform.N
-    return mean_clat + sum(w.nLat for w in platform)
+    return overhead_of(
+        SCALAR_OPS, [w.cLat for w in platform], [w.nLat for w in platform], len(platform)
+    )
 
 
 def phase2_workload(
@@ -108,10 +125,17 @@ def _phase2_share(
     return w2
 
 
+def chunk_floor(ops, overhead, n, error, pool):
+    """:func:`phase2_min_chunk` given the round overhead; 0 = no error, no pool."""
+    known = error > 0
+    floor = ops.where(known, overhead / ops.where(known, error, 1.0), overhead)
+    floor = ops.where(pool > 0, ops.min(floor, pool / n), floor)
+    return ops.max(floor, UNIT_FLOOR)
+
+
 def phase2_min_chunk(
-    platform: PlatformSpec,
+    platform: PlatformSpec | Sequence[WorkerSpec],
     error: float | None,
-    absolute_floor: float = 1.0,
     phase2_work: float | None = None,
 ) -> float:
     """Phase-2 chunk floor (§4.2 question (iii)).
@@ -127,26 +151,13 @@ def phase2_min_chunk(
     exact imbalance phase 2 exists to avoid, and contradicting Fig 4(a)'s
     RUMR ≈ UMR behaviour at small error.  See DESIGN.md.
     """
-    return _chunk_floor(
-        round_overhead(platform), platform.N, error, phase2_work, absolute_floor
+    return chunk_floor(
+        SCALAR_OPS,
+        round_overhead(platform),
+        len(platform),
+        error or 0.0,
+        phase2_work or 0.0,
     )
-
-
-def _chunk_floor(
-    overhead: float,
-    n: int,
-    error: float | None,
-    phase2_work: float | None,
-    absolute_floor: float = 1.0,
-) -> float:
-    """:func:`phase2_min_chunk` with the platform's round overhead given."""
-    if error is not None and error > 0:
-        floor = overhead / error
-    else:
-        floor = overhead
-    if phase2_work is not None and phase2_work > 0:
-        floor = min(floor, phase2_work / n)
-    return max(floor, absolute_floor)
 
 
 def survivor_min_chunks(clats, nlats, n, crashed, known_error, pools) -> np.ndarray:
@@ -159,26 +170,19 @@ def survivor_min_chunks(clats, nlats, n, crashed, known_error, pools) -> np.ndar
     ``clats``/``nlats`` are ``(rows, n_max)`` per-worker latencies,
     zero-padded past each row's ``n`` real workers; ``crashed`` is a
     ``(rows, n_max)`` mask or ``None``; ``known_error`` holds one value
-    per row, 0 standing for ``None``.  The latency sums are sequential
-    left folds — the last column of ``np.cumsum`` — like the scalar
-    ``sum()``; ``np.sum``'s pairwise order would change the bits.
+    per row, 0 standing for ``None``.
     """
     n = np.asarray(n)
-    if crashed is None:
-        live = np.ones(clats.shape, dtype=bool)
-        n_sub = n
-    else:
+    if crashed is not None:
         live = ~crashed
-        n_sub = n - crashed.sum(axis=1)
-        gone = n_sub == 0
+        n_live = n - crashed.sum(axis=1)
+        gone = n_live == 0
         live[gone] = True
-        n_sub = np.where(gone, n, n_sub)
-    mean_clat = np.cumsum(np.where(live, clats, 0.0), axis=1)[:, -1] / n_sub
-    overhead = mean_clat + np.cumsum(np.where(live, nlats, 0.0), axis=1)[:, -1]
-    known = known_error > 0
-    floor = np.where(known, overhead / np.where(known, known_error, 1.0), overhead)
-    floor = np.where(pools > 0, np.minimum(floor, pools / n_sub), floor)
-    return np.maximum(floor, 1.0)
+        n = np.where(gone, n, n_live)
+        clats = np.where(live, clats, 0.0)
+        nlats = np.where(live, nlats, 0.0)
+    overhead = overhead_of(ARRAY_OPS, clats, nlats, n)
+    return chunk_floor(ARRAY_OPS, overhead, n, known_error, pools)
 
 
 #: Phase-1 dispatch label prefix; the round index follows.
@@ -189,8 +193,7 @@ class RUMRSource(DispatchSource):
     """Per-run state: an eager phase-1 plan chained into a factoring tail.
 
     Fault recovery (active only when the run's view reports
-    ``faults_possible``, and only when the binding ``scheduler`` /
-    ``platform`` / ``total_work`` references were provided):
+    ``faults_possible``):
 
     * A crash observed *before anything was dispatched* rebuilds the whole
       schedule on the surviving sub-platform — the run is then equivalent
@@ -205,21 +208,10 @@ class RUMRSource(DispatchSource):
       re-absorbs announced losses, including losses of phase-1 chunks).
     """
 
-    def __init__(
-        self,
-        plan: UMRPlan | None,
-        phase2: DispatchSource | None,
-        out_of_order: bool,
-        scheduler: "RUMR | None" = None,
-        platform: PlatformSpec | None = None,
-        total_work: float = 0.0,
-    ):
-        self._out_of_order = out_of_order
-        self._phase2 = phase2
-        self._p1 = PlanCursor(plan.dispatch_rounds if plan is not None else (), _P1)
-        self._scheduler = scheduler
-        self._platform = platform
-        self._total_work = total_work
+    def __init__(self, spec: RUMRKernelSpec):
+        self._spec = spec
+        self._p1 = PlanCursor(spec.rounds, _P1)
+        self._phase2 = spec.phase2.source() if spec.phase2.total_work > 0 else None
         self._dispatched_gross = 0.0  # phase-1 dispatch, delivered or lost
         self._known_crashed: tuple[int, ...] = ()
         self._fallback: FactoringSource | None = None
@@ -229,60 +221,57 @@ class RUMRSource(DispatchSource):
         """True while phase-1 chunks remain to dispatch."""
         return self._p1.active
 
-    def _make_recovery_tail(self, pool: float, live: "list[int]") -> FactoringSource:
-        scheduler = self._scheduler
-        assert scheduler is not None and self._platform is not None
-        sub = self._platform.subset(live) if live else self._platform
+    def _make_recovery_tail(self, pool: float, crashed: tuple[int, ...]) -> FactoringSource:
+        scheduler, platform = self._spec.scheduler, self._spec.platform
+        # The floor of the survivors (of all workers once every one is
+        # gone), as the kernel's survivor_min_chunks.
+        survivors = [w for i, w in enumerate(platform) if i not in crashed]
         return FactoringSource(
-            n=self._platform.N,
+            n=platform.N,
             total_work=pool,
             factor=scheduler.factor,
-            min_chunk=scheduler.min_chunk(sub, phase2_work=pool if pool > 0 else None),
+            min_chunk=phase2_min_chunk(
+                survivors or platform, scheduler.known_error, pool
+            ),
             phase="rumr-recovery",
         )
 
     def _on_crash(self, view: MasterView, crashed: tuple[int, ...]) -> None:
         self._known_crashed = crashed
-        if not self.in_phase1 or self._scheduler is None or self._platform is None:
+        if not self.in_phase1:
             # Phase-2 / fallback sources handle crashes themselves.
             return
-        crashed_set = set(crashed)
-        n = self._platform.N
-        live = [i for i in range(n) if i not in crashed_set]
         self._p1 = PlanCursor((), _P1)
         self._phase2 = None
+        total_work = self._spec.total_work
         if self._dispatched_gross == 0.0:
             # Nothing committed yet: replan from scratch on the survivors,
             # as if the platform never had the dead workers.
+            n = self._spec.n
+            live = [i for i in range(n) if i not in crashed]
             if not live:
                 return
-            sub = self._platform.subset(live)
-            scheduler = self._scheduler
-            w1, w2 = scheduler.split(sub, self._total_work)
-            if w1 > 0:
-                plan = solve_umr(sub, w1, scheduler.max_rounds, scheduler.umr_method)
-                rounds = []
-                for row in plan.dispatch_rounds:
-                    full = [0.0] * n
-                    for i, size in zip(live, row):
-                        full[i] = size
-                    rounds.append(full)
-                self._p1 = PlanCursor(rounds, _P1)
-            if w2 > 0:
+            sub = self._spec.platform.subset(live)
+            spec = self._spec.scheduler.batch_kernel(sub, total_work)
+            rounds = []
+            for row in spec.rounds:
+                full = [0.0] * n
+                for i, size in zip(live, row):
+                    full[i] = size
+                rounds.append(full)
+            self._p1 = PlanCursor(rounds, _P1)
+            p2 = spec.phase2
+            if p2.total_work > 0:
                 self._phase2 = FactoringSource(
-                    n=n,
-                    total_work=w2,
-                    factor=scheduler.factor,
-                    min_chunk=scheduler.min_chunk(sub, phase2_work=w2),
-                    phase="rumr-p2",
+                    n, p2.total_work, p2.factor, p2.min_chunk, "rumr-p2"
                 )
         else:
             # Mid-phase-1 crash: the UMR rounds assumed the dead worker's
             # throughput, so abandon the plan and fall back to factoring
             # over everything not yet dispatched (announced losses rejoin
             # the fallback's pool as they are observed).
-            pool = max(0.0, self._total_work - self._dispatched_gross)
-            self._fallback = self._make_recovery_tail(pool, live)
+            pool = max(0.0, total_work - self._dispatched_gross)
+            self._fallback = self._make_recovery_tail(pool, crashed)
 
     def next_dispatch(self, view: MasterView) -> "Dispatch | Wait | None":
         if view.faults_possible:
@@ -291,19 +280,17 @@ class RUMRSource(DispatchSource):
                 self._on_crash(view, crashed)
             if self._fallback is not None:
                 return self._fallback.next_dispatch(view)
-        action = self._p1.take(view, self._out_of_order)
+        action = self._p1.take(view, self._spec.scheduler.out_of_order)
         if action is not None:
             self._dispatched_gross += action.size
             return action
         if self._phase2 is not None:
             return self._phase2.next_dispatch(view)
-        if view.faults_possible and self._scheduler is not None and self._platform is not None:
+        if view.faults_possible:
             # Pure-UMR tail under faults: keep a zero-pool recovery source
             # alive so work lost after the last planned dispatch is still
             # re-dispatched rather than abandoned.
-            crashed_set = set(view.crashed_workers())
-            live = [i for i in range(self._platform.N) if i not in crashed_set]
-            self._fallback = self._make_recovery_tail(0.0, live)
+            self._fallback = self._make_recovery_tail(0.0, view.crashed_workers())
             return self._fallback.next_dispatch(view)
         return None
 
@@ -363,15 +350,7 @@ class RUMRKernelSpec(KernelSpec):
         return RUMRKernel(specs, reps, n_max)
 
     def source(self) -> RUMRSource:
-        phase2 = self.phase2.source() if self.phase2.total_work > 0 else None
-        return RUMRSource(
-            self.plan,
-            phase2,
-            self.scheduler.out_of_order,
-            self.scheduler,
-            self.platform,
-            self.total_work,
-        )
+        return RUMRSource(self)
 
 
 class RUMRKernel(LockstepKernel):
@@ -556,6 +535,7 @@ class RUMR(Scheduler):
             )
         if threshold_rule not in ("per_worker", "total"):
             raise ValueError(f"unknown threshold_rule {threshold_rule!r}")
+        check_factoring(factor)
         self.known_error = known_error
         self.phase1_fraction = phase1_fraction
         self.out_of_order = out_of_order
@@ -588,10 +568,6 @@ class RUMR(Scheduler):
         )
         return total_work - w2, w2
 
-    def min_chunk(self, platform: PlatformSpec, phase2_work: float | None = None) -> float:
-        """The phase-2 chunk floor for a platform (optionally pool-capped)."""
-        return phase2_min_chunk(platform, self.known_error, phase2_work=phase2_work)
-
     def batch_kernel(self, platform: PlatformSpec, total_work: float) -> RUMRKernelSpec:
         n = platform.N
         overhead = round_overhead(platform)
@@ -604,7 +580,7 @@ class RUMR(Scheduler):
             # workers only): committing chunks to workers early
             # (double-buffering) was measured to cost more in lost
             # adaptivity than it recovers in overlap (DESIGN.md §5).
-            floor = _chunk_floor(overhead, n, self.known_error, w2)
+            floor = chunk_floor(SCALAR_OPS, overhead, n, self.known_error or 0.0, w2)
             if self.phase2_weighted:
                 phase2 = WeightedFactoringKernelSpec(
                     n=n,

@@ -30,8 +30,8 @@ import dataclasses
 import numpy as np
 
 from repro.core.base import Scheduler
-from repro.core.factoring import PoolSource
-from repro.core.lockstep import KernelSpec, PoolKernel, expand_rows
+from repro.core.factoring import PoolSource, check_factoring
+from repro.core.lockstep import ARRAY_OPS, SCALAR_OPS, KernelSpec, PoolKernel, expand_rows
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
     "WeightedFactoringKernel",
     "WeightedFactoringKernelSpec",
     "speed_weights",
+    "survivor_weight",
+    "weighted_chunk",
 ]
 
 
@@ -47,6 +49,17 @@ def speed_weights(platform: PlatformSpec) -> list[float]:
     """Each worker's share of the platform's compute rate, ``S_i / ΣS``."""
     s_tot = platform.total_compute_rate()
     return [w.S / s_tot for w in platform]
+
+
+def survivor_weight(ops, weight, live_weights):
+    """``weight`` renormalized over the survivors' weights, summed left to right."""
+    return weight / ops.fold(live_weights)
+
+
+def weighted_chunk(ops, remaining, factor, weight, min_chunk, n_live):
+    """A worker's speed share of ``remaining / factor``, floored, capped by the pool."""
+    share = (remaining / factor) * weight
+    return ops.min(ops.max(share, min_chunk * weight * n_live), remaining)
 
 
 class WeightedFactoringSource(PoolSource):
@@ -69,19 +82,13 @@ class WeightedFactoringSource(PoolSource):
         self._weights = speed_weights(platform)
 
     def _size(self, worker: int, n_live: int, crashed: "tuple[int, ...]") -> float:
-        # The batch-equivalent share is remaining/factor split over the
-        # live platform in proportion to speed; for worker i that is
-        # remaining/factor * w_i (live weights sum to 1).
         weight = self._weights[worker]
         if crashed:
-            crashed_set = set(crashed)
-            live_weight = sum(
-                w for i, w in enumerate(self._weights) if i not in crashed_set
-            )
-            weight = weight / live_weight
-        share = (self._remaining / self._factor) * weight
-        floor = self._min_chunk * weight * n_live
-        return min(max(share, floor), self._remaining)
+            live = [w for i, w in enumerate(self._weights) if i not in crashed]
+            weight = survivor_weight(SCALAR_OPS, weight, live)
+        return weighted_chunk(
+            SCALAR_OPS, self._remaining, self._factor, weight, self._min_chunk, n_live
+        )
 
 
 @dataclasses.dataclass
@@ -115,15 +122,13 @@ class WeightedFactoringKernelSpec(KernelSpec):
 class WeightedFactoringKernel(PoolKernel):
     """Lockstep rows of weighted-factoring state.
 
-    The size rule keeps the scalar source's exact evaluation order:
-    ``(remaining / factor) · w_i``, ``min_chunk · w_i · n``,
-    ``min(max(share, floor), remaining)``.  Padded worker slots carry
-    weight 0 and are never selected (the caller reports them as
-    maximally pending).  On rows with observed crashes the weights are
-    renormalized over the survivors — summed worker 0..n-1 like the
-    scalar ``sum`` so the float is identical — and ``n`` is the live
-    count; the rest is the shared :class:`~repro.core.lockstep.PoolKernel`
-    step.
+    The size rules are the scalar source's :func:`weighted_chunk` and
+    :func:`survivor_weight`.  Padded worker slots carry weight 0 and are
+    never selected (the caller reports them as maximally pending).  On
+    rows with observed crashes the fold sums the survivors' weights with
+    the crashed and padded slots as exact ``+0.0`` terms, and ``n`` is
+    the live count; the rest is the shared
+    :class:`~repro.core.lockstep.PoolKernel` step.
     """
 
     def __init__(self, specs, reps, n_max):
@@ -146,26 +151,18 @@ class WeightedFactoringKernel(PoolKernel):
         if crashed is not None:
             hit = np.flatnonzero(disp & (n_live < self._n))
             if hit.size:
-                # live_weight = sum of surviving weights, accumulated
-                # worker 0..n-1: the last column of a cumulative sum is
-                # the same sequential left fold as the scalar sum
-                # (np.sum's pairwise order is not).  Crashed and padded
-                # slots add an exact +0.0.
-                lw = np.cumsum(
-                    np.where(crashed[hit], 0.0, self._weights[hit]), axis=1
-                )[:, -1]
-                wgt[hit] = wgt[hit] / np.where(lw > 0.0, lw, 1.0)
-        share = (self._remaining / self._factor) * wgt
-        floor = self._min_chunk * wgt * n_live
-        return np.minimum(np.maximum(share, floor), self._remaining)
+                live = np.where(crashed[hit], 0.0, self._weights[hit])
+                wgt[hit] = survivor_weight(ARRAY_OPS, wgt[hit], live)
+        return weighted_chunk(
+            ARRAY_OPS, self._remaining, self._factor, wgt, self._min_chunk, n_live
+        )
 
 
 class WeightedFactoring(Scheduler):
     """Weighted Factoring scheduler (see module docstring)."""
 
     def __init__(self, factor: float = 2.0, min_chunk: float = 1.0):
-        if factor <= 1.0:
-            raise ValueError(f"factoring factor must be > 1, got {factor}")
+        check_factoring(factor, min_chunk)
         self.factor = factor
         self.min_chunk = min_chunk
         self.name = "WeightedFactoring"

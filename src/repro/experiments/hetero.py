@@ -107,6 +107,8 @@ def run_hetero_study(
     draw of ``stream_for(seed, int(level * 1000), rep)``; a level's run
     seeds and their comm/comp stream states are derived in one pass each.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     means: dict[str, list[float]] = {name: [] for name in schedulers}
     for level in levels:
         platform = heterogeneous_platform_family(n, level, seed=seed)

@@ -61,7 +61,7 @@ class TestOnlineErrorEstimator:
 
     def test_outlier_intervals_discarded(self):
         p = platform(n=1, cLat=0.0)
-        est = OnlineErrorEstimator(p, outlier_factor=3.0)
+        est = OnlineErrorEstimator(p)
         notes = [
             CompletionNote(time=10.0, chunk_index=0, worker=0, size=10.0),
             # A 100 s gap (worker idled): must not poison the estimate.
@@ -150,6 +150,11 @@ class TestAdaptiveRUMR:
     def test_min_samples_validation(self):
         with pytest.raises(ValueError):
             AdaptiveRUMR(min_samples=1)
+
+    def test_bad_factor_rejected(self):
+        # Rejected at construction, not at the switch mid-run.
+        with pytest.raises(ValueError, match="factor"):
+            AdaptiveRUMR(factor=0.5)
 
     def test_registered(self):
         from repro.core import available_schedulers, make_scheduler

@@ -63,6 +63,8 @@ class TestBatchRule:
     def test_negative_min_chunk_rejected(self):
         with pytest.raises(ValueError):
             FactoringSource(4, W, factor=2.0, min_chunk=-1.0, phase="x")
+        with pytest.raises(ValueError, match="min_chunk"):
+            Factoring(min_chunk=-1.0)
 
 
 class TestSelfScheduling:

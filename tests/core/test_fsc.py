@@ -70,6 +70,13 @@ class TestScheduler:
         with pytest.raises(ValueError):
             FixedSizeChunking(chunk_size=0.0)
 
+    def test_zero_chunk_binding_rejected(self):
+        # Zero latencies make the Kruskal-Weiss size 0; with no floor the
+        # binding would dispatch empty chunks forever.
+        free = homogeneous_platform(10, S=1.0, bandwidth_factor=1.5, cLat=0, nLat=0)
+        with pytest.raises(ValueError, match="chunk size"):
+            FixedSizeChunking(known_error=0.3, min_chunk=0.0).batch_kernel(free, W)
+
     def test_chunk_never_exceeds_workload(self):
         result = simulate(platform(), 10.0, FixedSizeChunking(chunk_size=1e9))
         assert result.num_chunks == 1

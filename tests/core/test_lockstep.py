@@ -100,7 +100,7 @@ class TestSurvivorMinChunks:
         for r, p in enumerate(platforms):
             clats[r, : p.N] = [w.cLat for w in p]
             nlats[r, : p.N] = [w.nLat for w in p]
-        got = survivor_min_chunks(
+        args = (
             clats,
             nlats,
             np.array([p.N for p in platforms]),
@@ -108,6 +108,7 @@ class TestSurvivorMinChunks:
             np.full(len(platforms), known_error or 0.0),
             np.array(pools),
         )
+        got = survivor_min_chunks(*args)
         expect = []
         for p, mask, pool in zip(platforms, crashed, pools):
             live = [i for i in range(p.N) if not mask[i]]
@@ -115,7 +116,12 @@ class TestSurvivorMinChunks:
             expect.append(
                 phase2_min_chunk(sub, known_error, phase2_work=pool if pool > 0 else None)
             )
+        assert all(type(e) is float for e in expect)
         assert got.tolist() == expect
+        # Each row alone (a 1-row kernel) gives the same bits.
+        for r in range(len(platforms)):
+            one = survivor_min_chunks(*(a[r : r + 1] for a in args))
+            assert one.tolist() == [expect[r]]
 
     def test_no_crash_mask_means_full_platform(self):
         rng = np.random.default_rng(7)

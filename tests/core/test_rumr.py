@@ -176,6 +176,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             RUMR(unknown_phase1_fraction=-0.2)
 
+    @pytest.mark.parametrize("factor", [1.0, 0.5, float("nan")])
+    def test_bad_phase2_factor_rejected(self, factor):
+        # Rejected at construction, before either engine family runs it.
+        with pytest.raises(ValueError, match="factor"):
+            RUMR(known_error=0.3, factor=factor)
+
     def test_work_conservation_across_settings(self):
         p = platform(cLat=0.2, nLat=0.05)
         for err in (0.0, 0.1, 0.3, 0.7, 1.0, 2.0):

@@ -81,6 +81,8 @@ class TestWeightedBatches:
 
         with pytest.raises(ValueError):
             WeightedFactoringSource(hetero(), W, factor=2.0, min_chunk=-1.0)
+        with pytest.raises(ValueError, match="min_chunk"):
+            WeightedFactoring(min_chunk=-1.0)
 
     def test_engines_identical(self):
         p = hetero()

@@ -98,3 +98,10 @@ class TestStudy:
     def test_factoring_collapses_under_heterogeneity(self, study):
         fact = study.means["Factoring"]
         assert fact[-1] > 1.5 * fact[0]
+
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_no_repetitions_rejected(self, repetitions):
+        with pytest.raises(ValueError, match="repetitions"):
+            run_hetero_study(
+                {"UMR": lambda: UMR()}, levels=(0.0,), n=4, repetitions=repetitions
+            )
