@@ -232,10 +232,17 @@ class DispatchSource:
 
 
 class StaticPlanSource(DispatchSource):
-    """Replays a precomputed ordered plan as fast as the link allows."""
+    """Replays a precomputed ordered plan as fast as the link allows.
+
+    A tuple ``plan`` is kept as it is, not copied: dispatches are frozen
+    and the cursor is the source's own, so any number of sources may
+    replay one plan's shared :attr:`ChunkPlan.dispatches
+    <repro.core.chunks.ChunkPlan.dispatches>` side by side.  Any other
+    iterable is copied into a tuple.
+    """
 
     def __init__(self, plan: typing.Iterable[Dispatch]):
-        self._plan = list(plan)
+        self._plan = plan if isinstance(plan, tuple) else tuple(plan)
         self._cursor = 0
 
     @property
@@ -282,15 +289,16 @@ class Scheduler:
         """Bind to one run and return a fresh dispatch source.
 
         Static schedulers replay :meth:`static_plan` under the plan's own
-        phase labels; the others build the source of their
+        phase labels.  Registry static schedulers return one cached plan
+        per ``(platform, total_work)``, so every run on that input replays
+        the plan's one tuple of :attr:`~repro.core.chunks.ChunkPlan.
+        dispatches`: binding a static run costs a cache lookup and a
+        cursor, not a plan rebuild.  The others build the source of their
         :meth:`batch_kernel` spec (:meth:`KernelSpec.source
         <repro.core.lockstep.KernelSpec.source>`).
         """
         if self.is_static:
-            return StaticPlanSource(
-                Dispatch(c.worker, c.size, c.phase)
-                for c in self.static_plan(platform, total_work)
-            )
+            return StaticPlanSource(self.static_plan(platform, total_work).dispatches)
         return self.batch_kernel(platform, total_work).source()
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> "ChunkPlan":
@@ -299,7 +307,10 @@ class Scheduler:
         Only meaningful when :attr:`is_static` is true; the default raises.
         The plan depends on nothing but ``(platform, total_work)``, so
         callers may solve it once and reuse it across error levels and
-        repetitions (the sweep fast path does exactly that).
+        repetitions (the sweep fast path does exactly that).  Registry
+        schedulers return the *same* :class:`~repro.core.chunks.ChunkPlan`
+        object for equal inputs, which keeps identity-keyed memos such as
+        :func:`repro.sim.batch.compile_static_plan` hitting.
         """
         raise NotImplementedError(f"{self.name} is not a static scheduler")
 

@@ -1,7 +1,8 @@
 """Chunk plans and dispatch records.
 
 A :class:`ChunkPlan` is the static part of a schedule: an ordered list of
-``(worker, size)`` assignments, optionally grouped into rounds.  A
+``(worker, size)`` assignments, optionally grouped into rounds, with the
+engine :class:`~repro.core.base.Dispatch` of each built once per plan.  A
 :class:`DispatchRecord` is what a simulation produces for every chunk that
 was actually sent: the full timeline of its transfer and computation.  A
 :class:`ReturnRecord` is the result transfer of one computed chunk back to
@@ -11,9 +12,12 @@ the master, on stars with result returns (``star:out=R``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import typing
+
+from repro.core.base import Dispatch
 
 __all__ = [
     "PlannedChunk",
@@ -63,6 +67,16 @@ class ChunkPlan:
 
     def __getitem__(self, index: int) -> PlannedChunk:
         return self.chunks[index]
+
+    @functools.cached_property
+    def dispatches(self) -> tuple[Dispatch, ...]:
+        """The plan's engine dispatches, one per chunk, built once per plan.
+
+        Dispatches are frozen, so every
+        :class:`~repro.core.base.StaticPlanSource` replaying this plan
+        shares the one tuple under its own cursor.
+        """
+        return tuple([Dispatch(c.worker, c.size, c.phase) for c in self.chunks])
 
     @property
     def total_work(self) -> float:

@@ -67,7 +67,15 @@ class MISchedule:
         return float(sum(sum(row) for row in self.sizes))
 
     def to_chunk_plan(self) -> ChunkPlan:
-        """Round-major dispatch order."""
+        """Round-major dispatch order.
+
+        One :class:`ChunkPlan` per solved schedule, built on the first
+        call and returned by every later one (the schedule is frozen).
+        """
+        return self._chunk_plan
+
+    @functools.cached_property
+    def _chunk_plan(self) -> ChunkPlan:
         return ChunkPlan(
             PlannedChunk(worker=i, size=s, round_index=j, phase=f"mi-round{j}")
             for j, row in enumerate(self.sizes)

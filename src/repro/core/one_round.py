@@ -9,9 +9,14 @@ Two baselines:
   sequential distribution.  Identical to MI-1 and implemented as such.
 * :class:`EqualSplit` — the naive ``W/N`` equal partition, one chunk per
   worker; a useful lower bar in examples and tests.
+
+Both plans are memoized per ``(platform, total_work)`` like the UMR and
+MI-x solvers, so repeated runs replay one plan object.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.core.base import Scheduler
 from repro.core.chunks import ChunkPlan, PlannedChunk
@@ -34,11 +39,7 @@ class OneRound(Scheduler):
         return solve_multi_installment(platform, total_work, 1).sizes[0]
 
     def static_plan(self, platform: PlatformSpec, total_work: float) -> ChunkPlan:
-        return ChunkPlan(
-            PlannedChunk(worker=i, size=s, round_index=0, phase="one-round")
-            for i, s in enumerate(self.chunk_sizes(platform, total_work))
-            if s > 0.0
-        )
+        return _one_round_plan(platform, total_work)
 
 
 class EqualSplit(Scheduler):
@@ -54,8 +55,22 @@ class EqualSplit(Scheduler):
 
     def plan(self, platform: PlatformSpec, total_work: float) -> ChunkPlan:
         """The (trivial) plan, exposed for inspection."""
-        share = total_work / platform.N
-        return ChunkPlan(
-            PlannedChunk(worker=i, size=share, round_index=0, phase="equal-split")
-            for i in range(platform.N)
-        )
+        return _equal_split_plan(platform, total_work)
+
+
+@functools.lru_cache(maxsize=16384)
+def _one_round_plan(platform: PlatformSpec, total_work: float) -> ChunkPlan:
+    return ChunkPlan(
+        PlannedChunk(worker=i, size=s, round_index=0, phase="one-round")
+        for i, s in enumerate(solve_multi_installment(platform, total_work, 1).sizes[0])
+        if s > 0.0
+    )
+
+
+@functools.lru_cache(maxsize=16384)
+def _equal_split_plan(platform: PlatformSpec, total_work: float) -> ChunkPlan:
+    share = total_work / platform.N
+    return ChunkPlan(
+        PlannedChunk(worker=i, size=share, round_index=0, phase="equal-split")
+        for i in range(platform.N)
+    )

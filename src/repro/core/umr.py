@@ -113,14 +113,21 @@ class UMRPlan:
         return tuple(row for row in self.chunk_sizes if any(s > 0.0 for s in row))
 
     def to_chunk_plan(self) -> ChunkPlan:
-        """Round-major dispatch order: round 0 to workers 0..N-1, then 1, …"""
-        chunks = [
+        """Round-major dispatch order: round 0 to workers 0..N-1, then 1, …
+
+        One :class:`ChunkPlan` per solved plan, built on the first call
+        and returned by every later one (the plan is frozen).
+        """
+        return self._chunk_plan
+
+    @functools.cached_property
+    def _chunk_plan(self) -> ChunkPlan:
+        return ChunkPlan(
             PlannedChunk(worker=i, size=size, round_index=j, phase=f"umr-round{j}")
             for j, row in enumerate(self.chunk_sizes)
             for i, size in enumerate(row)
             if size > 0.0
-        ]
-        return ChunkPlan(chunks)
+        )
 
 
 # ---------------------------------------------------------------------------

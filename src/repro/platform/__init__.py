@@ -23,6 +23,7 @@ from repro.platform.topology import (
     Topology,
     TopologyError,
     TreeTopology,
+    bind_once,
     make_topology,
 )
 from repro.platform.validation import (
@@ -45,6 +46,7 @@ __all__ = [
     "TopologyError",
     "TreeTopology",
     "WorkerSpec",
+    "bind_once",
     "full_utilization_fraction",
     "homogeneous_platform",
     "make_topology",

@@ -61,6 +61,14 @@ Two artifacts come out of a topology:
   path is relay-free keep their *original* :class:`WorkerSpec` object,
   which is what makes the degenerate cases bitwise exact.
 
+Both depend only on ``(topology, platform)``, so the scalar engines bind
+through :func:`bind_once`: one FIFO-bounded memo keyed by the topology's
+value and the platform's identity.  Repeated runs on one platform object
+(a chain oracle at many seeds, a stream's grants on one worker subset)
+reuse one :class:`BoundTopology` with its effective platform and the
+fast engine's per-worker :attr:`~BoundTopology.direct` flags, instead of
+re-lowering O(N²) relay hops and a new platform on every call.
+
 The spec grammar mirrors the fault/arrival grammars
 (:func:`repro.errors.faults.make_fault_model`); ``str(topology)`` is the
 canonical spelling and round-trips through :func:`make_topology`.
@@ -85,6 +93,7 @@ __all__ = [
     "ChainTopology",
     "TreeTopology",
     "SharedBandwidthTopology",
+    "bind_once",
     "make_topology",
     "TOPOLOGY_KINDS",
 ]
@@ -202,7 +211,9 @@ class BoundTopology:
     sizes the per-resource busy arrays; ``cap`` is the shared-medium
     capacity (``inf`` for every kind except ``sharedbw``); ``ports`` and
     ``out`` are the star's master ports and result-return ratio (1 and 0
-    for every other kind).
+    for every other kind).  :attr:`direct` and :attr:`effective_platform`
+    are derived on first use and kept, so a binding served by
+    :func:`bind_once` derives them once for all its runs.
     """
 
     kind: str
@@ -213,6 +224,21 @@ class BoundTopology:
     cap: float = math.inf
     ports: int = 1
     out: float = 0.0
+
+    @functools.cached_property
+    def direct(self) -> tuple[bool, ...]:
+        """Per worker: whether its path ends at its link release.
+
+        True for paths with neither relay hops nor a tail (every star
+        path), where :meth:`LinkPath.traverse` would return the link
+        release time unchanged; the fast engine skips it for them.
+        """
+        return tuple([not path.hops and not path.has_tail for path in self.paths])
+
+    @functools.cached_property
+    def effective_platform(self) -> PlatformSpec:
+        """:meth:`Topology.effective_platform` of the bound platform."""
+        return self.topology.effective_platform(self.platform)
 
 
 class Topology:
@@ -253,6 +279,36 @@ class Topology:
                 f"{self} declares n={self.n} workers but the platform has "
                 f"N={platform.N}"
             )
+
+
+#: Memo of :func:`bind_once`: ``(topology, id(platform))`` → binding.
+#: Each binding holds its platform, so no cached id is recycled while
+#: its entry lives; FIFO-bounded like ``repro.sim.batch._COMPILE_CACHE``.
+_BIND_CACHE: dict[tuple["Topology", int], BoundTopology] = {}
+_BIND_CACHE_MAX = 256
+
+
+def bind_once(topology: Topology, platform: PlatformSpec) -> BoundTopology:
+    """``topology.bind(platform)``, compiled once per topology and platform.
+
+    Both scalar engines bind through this memo, so repeated runs on one
+    platform object reuse one :class:`BoundTopology` and, through it, one
+    :attr:`~BoundTopology.effective_platform` object, which the lru-cached
+    plan solvers hash once instead of once per run.
+    Topologies are frozen and keyed by value (a spec string parses to a
+    new but equal object on every call); platforms are keyed by identity,
+    so a relay-free worker of the effective platform is always the
+    caller's own :class:`WorkerSpec` object, never an equal one's.
+    """
+    key = (topology, id(platform))
+    bound = _BIND_CACHE.get(key)
+    if bound is not None and bound.platform is platform:
+        return bound
+    bound = topology.bind(platform)
+    if len(_BIND_CACHE) >= _BIND_CACHE_MAX:
+        _BIND_CACHE.pop(next(iter(_BIND_CACHE)))
+    _BIND_CACHE[key] = bound
+    return bound
 
 
 def _num(value: float) -> str:

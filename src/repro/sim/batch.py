@@ -124,10 +124,13 @@ def _worker_layout(workers: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-#: Identity-keyed memo for :func:`compile_static_plan`.  Solvers are
-#: lru-cached, so a sweep re-presents the *same* platform and plan
-#: objects every time it revisits a cell; keeping strong references in
-#: the value makes the ``id()`` key safe (no recycled ids while cached).
+#: Identity-keyed memo for :func:`compile_static_plan`.  Platform builds
+#: are memoized and registry static schedulers return one cached
+#: :class:`ChunkPlan` per solved plan, so every sweep over a grid
+#: re-presents the *same* platform and plan objects and hits here
+#: (bounded by the solvers' lru caches: an evicted plan is solved and
+#: compiled anew).  Keeping strong references in the value makes the
+#: ``id()`` key safe (no recycled ids while cached).
 _COMPILE_CACHE: dict = {}
 _COMPILE_CACHE_MAX = 1024
 

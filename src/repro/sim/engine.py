@@ -107,7 +107,7 @@ from repro.des import Environment, Event, Resource, Store
 from repro.errors.faults import CrashClock, FaultModel, sample_run
 from repro.errors.models import ErrorModel
 from repro.platform.spec import PlatformSpec
-from repro.platform.topology import LinkPath, RelayHop, make_topology
+from repro.platform.topology import LinkPath, RelayHop, bind_once, make_topology
 from repro.sim.result import SimResult
 
 __all__ = ["simulate_des"]
@@ -417,7 +417,7 @@ def simulate_des(
     docstring).  ``sharedbw`` with ``faults`` raises.
     """
     topo = make_topology(topology)
-    bound = topo.bind(platform)
+    bound = bind_once(topo, platform)
     sharedbw = bound.kind == "sharedbw"
     if sharedbw and faults is not None:
         raise ValueError(
@@ -425,7 +425,7 @@ def simulate_des(
             "classification needs a completion time predictable at dispatch"
         )
     rng_comm, rng_comp, schedule, rng_fault = sample_run(faults, platform, seed)
-    source = scheduler.create_source(topo.effective_platform(platform), total_work)
+    source = scheduler.create_source(bound.effective_platform, total_work)
     perturb_comm = error_model.perturber(rng_comm)
     perturb_comp = error_model.perturber(rng_comp)
     env = Environment()

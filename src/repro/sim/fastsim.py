@@ -50,7 +50,7 @@ from repro.core.chunks import build_records
 from repro.errors.faults import CrashClock, FaultModel, sample_run
 from repro.errors.models import ErrorModel
 from repro.platform.spec import PlatformSpec
-from repro.platform.topology import TopologyError, make_topology
+from repro.platform.topology import TopologyError, bind_once, make_topology
 from repro.sim.result import SimResult
 
 __all__ = ["simulate_fast"]
@@ -248,19 +248,17 @@ def simulate_fast(
             f"{topo} has no closed-form recurrence; use the DES engine "
             "(simulate(..., engine='fast') routes it there)"
         )
-    bound = topo.bind(platform)
+    bound = bind_once(topo, platform)
     relay_busy: list[float] = [0.0] * bound.num_relay_links
     rng_comm, rng_comp, schedule, rng_fault = sample_run(faults, platform, seed)
-    source = scheduler.create_source(topo.effective_platform(platform), total_work)
+    source = scheduler.create_source(bound.effective_platform, total_work)
     next_dispatch = source.next_dispatch
     perturb_comm = error_model.perturber(rng_comm)
     perturb_comp = error_model.perturber(rng_comp)
     advance = error_model.advance
     workers = platform.workers
     paths = bound.paths
-    # Paths without relay hops or a tail (every star path) end at their
-    # link release, so traverse() would return send_end unchanged.
-    direct = [not path.hops and not path.has_tail for path in paths]
+    direct = bound.direct
     n = platform.N
 
     view = _FastView(n, schedule.crash_times if schedule is not None else None)

@@ -1139,9 +1139,19 @@ def simulate_stream(
         if not plane.any_faults:
             plane = None
     health = PlatformHealth(platform.N, plane)
+    # One sub-platform object per worker tuple for the whole stream: the
+    # engines' identity-keyed topology binds hit on every grant that
+    # reuses a tuple, and each sub-platform hashes once for the solvers.
+    subs: dict[tuple[int, ...], PlatformSpec] = {}
 
     def run_job(job, work, workers, job_run_seed, start):
-        sub = platform if len(workers) == platform.N else platform.subset(workers)
+        if len(workers) == platform.N:
+            sub = platform
+        else:
+            key = tuple(workers)
+            sub = subs.get(key)
+            if sub is None:
+                sub = subs[key] = platform.subset(workers)
         # An all-clear stream timeline (plane None) is authoritative too.
         job_faults = (
             None if plane is None else FrozenFaults(plane.project(workers, start))

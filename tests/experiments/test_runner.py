@@ -121,6 +121,23 @@ class TestFastPath:
                 batched.makespans[algo], scalar.makespans[algo]
             ), algo
 
+    def test_bind_once_second_sweep_adds_no_compiled_plan(self, monkeypatch):
+        # Solved plans return one cached ChunkPlan, so a second sweep over
+        # the same grid finds every compiled plan by identity.
+        monkeypatch.setattr(batch, "_COMPILE_CACHE", {})
+        grid = smoke_grid().restrict(
+            Ns=(8, 10), bandwidth_factors=(1.6,), cLats=(0.1,), nLats=(0.1,),
+            errors=(0.0, 0.2), repetitions=2,
+        )
+        algos = ("UMR", "MI-2", "OneRound", "EqualSplit")
+        first = run_sweep(grid, algorithms=algos)
+        keys = list(batch._COMPILE_CACHE)
+        assert len(keys) == grid.num_platforms * len(algos)
+        second = run_sweep(grid, algorithms=algos)
+        assert list(batch._COMPILE_CACHE) == keys
+        for algo in algos:
+            assert np.array_equal(first.makespans[algo], second.makespans[algo])
+
     def test_uniform_error_kind_falls_back(self):
         # Non-normal error kinds are not batchable; both flags must give
         # bit-identical tensors because both use the scalar engine.
