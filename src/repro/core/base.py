@@ -216,13 +216,6 @@ class MasterView:
         """True while some worker has a dispatched-and-unfinished chunk."""
         return not all(self.is_idle(i) for i in range(self.num_workers))
 
-    def least_loaded_worker(self) -> int:
-        """Worker with the least pending work (ties: fewest chunks, lowest index)."""
-        return min(
-            range(self.num_workers),
-            key=lambda i: (self.pending_work(i), self.pending_chunks(i), i),
-        )
-
 
 class DispatchSource:
     """Stateful per-run decision maker (see module docstring)."""

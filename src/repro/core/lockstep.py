@@ -100,23 +100,29 @@ PAD_PENDING = 1 << 40
 
 
 #: The scalar sources' ops: ``where`` is a conditional expression (both
-#: branches are evaluated) and ``fold`` adds a sequence left to right.
+#: branches are evaluated), ``fold`` adds a sequence left to right,
+#: ``gather`` reads one position of a sequence and ``any`` is truthiness.
 SCALAR_OPS = types.SimpleNamespace(
     min=min,
     max=max,
     where=lambda cond, a, b: a if cond else b,
     sqrt=math.sqrt,
     fold=functools.partial(functools.reduce, operator.add),
+    gather=operator.getitem,
+    any=bool,
 )
 
 #: The kernels' ops on (R,) rows; ``fold`` adds each row of an (R, n)
-#: matrix left to right (``np.sum``'s pairwise order would not).
+#: matrix left to right (``np.sum``'s pairwise order would not), and
+#: ``gather`` reads position ``pos[r]`` of each row ``r`` of a matrix.
 ARRAY_OPS = types.SimpleNamespace(
     min=np.minimum,
     max=np.maximum,
     where=np.where,
     sqrt=np.sqrt,
     fold=lambda rows: np.cumsum(rows, axis=1)[:, -1],
+    gather=lambda rows, pos: rows[np.arange(len(rows)), pos],
+    any=np.any,
 )
 
 

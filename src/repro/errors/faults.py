@@ -30,6 +30,12 @@ therefore stay trajectory-identical under faults (see ``docs/faults.md``
 for the exact semantics contract and ``tests/sim/test_differential.py``
 for the enforcement).
 
+Each fault rule is one function over an op namespace
+(:data:`~repro.core.lockstep.SCALAR_OPS` on floats, ``ARRAY_OPS`` on
+rows): sampling and batch sampling share :func:`onset_walk` and each
+kind's placement, and :class:`FaultSchedule` (scalar engines) and
+:class:`FaultStack` (batch engines) share the transforms.
+
 Fault scenarios are named by compact spec strings so they can ride through
 the experiment grid, the sweep cache key and the CLI unchanged::
 
@@ -49,11 +55,13 @@ import copy
 import dataclasses
 import functools
 import math
+import operator
 import typing
 from time import perf_counter
 
 import numpy as np
 
+from repro.core.lockstep import ARRAY_OPS, SCALAR_OPS
 from repro.errors.rng import StateTable, spawn_rngs
 from repro.errors.rng import streams as rng_streams
 
@@ -78,8 +86,14 @@ __all__ = [
     "StreamFaultSchedule",
     "fault_stream",
     "fault_streams",
+    "is_lost",
+    "loss_rule",
     "make_fault_model",
+    "onset_walk",
+    "pause_stretch",
     "sample_run",
+    "slow_stretch",
+    "spike_rule",
 ]
 
 #: The spec string meaning "no fault injection" (the grid default).
@@ -88,27 +102,98 @@ NO_FAULT_SPEC = "none"
 _NEVER = math.inf
 
 
+# -- the fault rules, each written once for floats and rows -------------------
+def onset_walk(ops, draws, n: int, prob: float, tmax: float):
+    """Per-worker ``(hits, onsets)`` columns read from ``2n`` stream uniforms.
+
+    Workers 0..n-1 in order: a hit test, then an onset draw *only* after a
+    hit.  ``draws`` is a list (``SCALAR_OPS``) or one row per run
+    (``ARRAY_OPS``); ``Generator.random(k)`` equals ``k`` scalar draws.
+    ``tmax * u`` is bitwise ``Generator.uniform(0, tmax)``; an onset
+    means nothing where its hit is false.
+    """
+    hits, onsets = [], []
+    pos = 0
+    for _ in range(n):
+        hit = ops.gather(draws, pos) < prob
+        # pos stays at most 2j here, so pos + 1 <= 2n - 1 never overruns.
+        onsets.append(tmax * ops.gather(draws, pos + 1))
+        hits.append(hit)
+        pos += 1
+        pos += hit
+    return hits, onsets
+
+
+def pause_stretch(ops, start, dur, pause_start, pause_len):
+    """A computation's duration with its worker's pause window folded in.
+
+    Work started inside ``[pause_start, pause_start + pause_len)`` shifts
+    past the window's end; work that starts before it and would end
+    inside or after it is delayed by the window's length.
+    """
+    end = pause_start + pause_len
+    held = (pause_len > 0.0) & (start < end)
+    return ops.where(
+        held & (start >= pause_start),
+        (end + dur) - start,
+        ops.where(held & (start + dur > pause_start), dur + pause_len, dur),
+    )
+
+
+def slow_stretch(ops, start, dur, slow_start, factor):
+    """A computation's duration with its worker's slowdown onset folded in.
+
+    Once ``slow_start`` has passed, the remaining work takes ``factor``
+    times as long.
+    """
+    done = slow_start - start
+    return ops.where(
+        (factor > 1.0) & (start + dur > slow_start),
+        ops.where(start >= slow_start, dur * factor, done + (dur - done) * factor),
+        dur,
+    )
+
+
+def is_lost(crash, end):
+    """The loss rule: a computation ending after its worker's crash is lost."""
+    return end > crash
+
+
+def loss_rule(ops, crash, arrival, end):
+    """``(lost, when)``: :func:`is_lost`, and when the master sees the chunk go.
+
+    A lost chunk leaves the pending set at ``max(crash, arrival)``: at
+    the crash if it was already queued, at its would-be arrival if it was
+    still in flight.  A delivered one leaves it at ``end``.
+    """
+    lost = is_lost(crash, end)
+    return lost, ops.where(lost, ops.max(crash, arrival), end)
+
+
+def spike_rule(ops, u, prob, delay):
+    """Extra link occupancy of a dispatch whose spike draw is ``u``."""
+    return ops.where(u < prob, delay, 0.0)
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultSchedule:
     """One run's realized faults, pre-sampled before the first dispatch.
 
-    Both engines consume the schedule through three pure-arithmetic hooks,
-    guaranteeing identical trajectories (:class:`FaultStack` holds their
-    batched twins):
+    Both scalar engines consume the schedule through three hooks, each a
+    call of the module's fault rules on one worker's floats
+    (:class:`FaultStack` calls the same rules on rows):
 
     * :meth:`loss_time` over :attr:`crash_times` — per-worker absolute
-      crash instants (``math.inf`` = never).  A chunk whose computation
-      would end after its worker's crash time is *lost*; the master
-      observes the loss at ``max(crash_time, arrival)`` (queued work is
-      reported when the crash is detected, in-flight work when its
-      delivery fails).
+      crash instants (``math.inf`` = never); :func:`loss_rule`.
     * :meth:`compute_duration` — maps a computation's start time and
       nominal duration to its effective duration, folding in the worker's
-      pause window and slowdown onset.
-    * :meth:`link_extra` — the per-dispatch latency-spike draw, consumed
-      from the fault stream in dispatch order (one draw per dispatch
-      whenever ``spike_prob > 0``, spike or not, so the stream position
-      never depends on outcomes).
+      pause window and slowdown onset (:func:`pause_stretch`, then
+      :func:`slow_stretch`).  An engine may skip it when neither
+      :attr:`any_pause` nor :attr:`any_slow` is set.
+    * :meth:`link_extra` — the per-dispatch latency-spike draw
+      (:func:`spike_rule`), consumed from the fault stream in dispatch
+      order (one draw per dispatch whenever ``spike_prob > 0``, spike or
+      not, so the stream position never depends on outcomes).
     """
 
     crash_times: tuple[float, ...]
@@ -130,19 +215,25 @@ class FaultSchedule:
     def num_workers(self) -> int:
         return len(self.crash_times)
 
+    @functools.cached_property
+    def any_pause(self) -> bool:
+        """Whether some worker has a pause window of positive length."""
+        return any(d > 0.0 for _, d in self.pauses)
+
+    @functools.cached_property
+    def any_slow(self) -> bool:
+        """Whether some worker has a slowdown factor above 1."""
+        return any(f > 1.0 for _, f in self.slowdowns)
+
     @property
     def any_faults(self) -> bool:
         """Whether the schedule can perturb this run at all."""
         return (
             any(t != _NEVER for t in self.crash_times)
-            or any(d > 0.0 for _, d in self.pauses)
-            or any(f > 1.0 for _, f in self.slowdowns)
+            or self.any_pause
+            or self.any_slow
             or self.spike_prob > 0.0
         )
-
-    def crash_time(self, worker: int) -> float:
-        """Absolute crash instant of ``worker`` (``inf`` = never)."""
-        return self.crash_times[worker]
 
     def compute_duration(self, worker: int, start: float, duration: float) -> float:
         """Effective duration of a computation starting at ``start``.
@@ -154,43 +245,27 @@ class FaultSchedule:
         with this exact value so the DES timeout chain reproduces the fast
         engine's floats bit-for-bit.
         """
-        pause_start, pause_len = self.pauses[worker]
-        if pause_len > 0.0 and start < pause_start + pause_len:
-            if start >= pause_start:
-                # Began inside the window: all work shifts past its end.
-                duration = (pause_start + pause_len + duration) - start
-            elif start + duration > pause_start:
-                # Straddles the window: the tail is delayed by its length.
-                duration = duration + pause_len
-        slow_start, slow_factor = self.slowdowns[worker]
-        if slow_factor > 1.0 and start + duration > slow_start:
-            if start >= slow_start:
-                duration = duration * slow_factor
-            else:
-                done = slow_start - start
-                duration = done + (duration - done) * slow_factor
+        if self.any_pause:
+            duration = pause_stretch(SCALAR_OPS, start, duration, *self.pauses[worker])
+        if self.any_slow:
+            duration = slow_stretch(SCALAR_OPS, start, duration, *self.slowdowns[worker])
         return duration
 
     def link_extra(self, rng: np.random.Generator) -> float:
         """Extra link occupancy for the next dispatch (spike model)."""
         if self.spike_prob <= 0.0:
             return 0.0
-        if rng.random() < self.spike_prob:
-            return self.spike_delay
-        return 0.0
+        return spike_rule(SCALAR_OPS, rng.random(), self.spike_prob, self.spike_delay)
 
     def loss_time(self, worker: int, arrival: float, end: float) -> "float | None":
-        """When the master observes a chunk's loss; ``None`` if it is delivered.
+        """When the master observes a chunk's loss (:func:`loss_rule`).
 
-        A chunk whose computation ends after its worker's crash
-        (``end > crash``) is lost.  The master sees it leave the pending
-        set at ``max(crash, arrival)``: at the crash if it was already
-        queued, at its would-be arrival if it was still in flight.
+        ``None`` if the chunk is delivered.
         """
         crash = self.crash_times[worker]
-        if end > crash:
-            return max(crash, arrival)
-        return None
+        if not is_lost(crash, end):
+            return None
+        return loss_rule(SCALAR_OPS, crash, arrival, end)[1]
 
 
 class CrashClock:
@@ -350,17 +425,6 @@ class StreamFaultSchedule:
     def any_faults(self) -> bool:
         return self.schedule.any_faults
 
-    def dead_at(self, time: float) -> tuple[int, ...]:
-        """Workers whose crash instant has passed by ``time`` (inclusive).
-
-        A crash at exactly ``time`` counts as dead: the loss rule
-        ``comp_end > crash`` loses every computation ending after the
-        crash, so granting such a worker new work is always futile.
-        """
-        return tuple(
-            w for w, ct in enumerate(self.schedule.crash_times) if ct <= time
-        )
-
     def crash_time(self, worker: int) -> float:
         """Absolute crash instant of ``worker`` (``inf`` = never)."""
         return self.schedule.crash_times[worker]
@@ -478,19 +542,26 @@ class FaultPlane:
 
     def schedule(self, row: int) -> FaultSchedule:
         """Row ``row`` re-materialized as a scalar :class:`FaultSchedule`."""
-        return FaultSchedule(
-            crash_times=tuple(float(t) for t in self.crash_time[row]),
-            pauses=tuple(
-                (float(s), float(d))
-                for s, d in zip(self.pause_start[row], self.pause_len[row])
-            ),
-            slowdowns=tuple(
-                (float(s), float(f))
-                for s, f in zip(self.slow_start[row], self.slow_factor[row])
-            ),
+        return _columns_schedule(
+            self.num_workers,
+            {name: getattr(self, name)[row].tolist() for name, _ in PLANE_FIELDS},
             spike_prob=float(self.spike_prob[row]),
             spike_delay=float(self.spike_delay[row]),
         )
+
+
+def _columns_schedule(n: int, columns: dict, **spike) -> FaultSchedule:
+    """A schedule from per-worker columns named as in :data:`PLANE_FIELDS`.
+
+    Fields missing from ``columns`` take their neutral value.
+    """
+    col = {name: columns.get(name, (neutral,) * n) for name, neutral in PLANE_FIELDS}
+    return FaultSchedule(
+        crash_times=tuple(col["crash_time"]),
+        pauses=tuple(zip(col["pause_start"], col["pause_len"])),
+        slowdowns=tuple(zip(col["slow_start"], col["slow_factor"])),
+        **spike,
+    )
 
 
 class FaultPlaneCache:
@@ -557,17 +628,19 @@ def _new_array(name, shape, dtype=np.float64, fill=None) -> np.ndarray:
 
 
 class FaultStack:
-    """One batch pass's fault rows, with the scalar fault rules vectorized.
+    """One batch pass's fault rows, with the fault rules applied to rows.
 
     Both batch engines (:mod:`repro.sim.batch`, :mod:`repro.sim.dynbatch`)
-    apply faults only through this class.  Each transform is the twin of
-    a :class:`FaultSchedule` rule, with the same floats:
+    apply faults only through this class.  Each transform calls the rule
+    :class:`FaultSchedule` calls, under ``ARRAY_OPS``:
 
-    * :meth:`stretch` is :meth:`FaultSchedule.compute_duration` (pause
-      window first, then slowdown onset, same associativity);
-    * :meth:`lost` and :meth:`loss_time` are :meth:`FaultSchedule.loss_time`;
-    * :meth:`spikes` is successive :meth:`FaultSchedule.link_extra` calls,
-      drawn in blocks (``Generator.random(k)`` equals ``k`` scalar calls).
+    * :meth:`stretch` is :func:`pause_stretch`, then :func:`slow_stretch`
+      (:meth:`FaultSchedule.compute_duration`);
+    * :meth:`lost` is :func:`is_lost` and :meth:`loss_time` is
+      :func:`loss_rule` (:meth:`FaultSchedule.loss_time`);
+    * :meth:`spikes` is :func:`spike_rule` on each row's fault stream,
+      drawn in blocks (``Generator.random(k)`` equals ``k`` scalar calls),
+      so column ``k`` is the ``k``-th :meth:`FaultSchedule.link_extra`.
 
     ``idx`` is ``None`` for the whole ``(rows, workers)`` block, or flat
     ``row * n + worker`` indices.  Rows are padded to the pass's worker
@@ -653,54 +726,33 @@ class FaultStack:
         """Effective compute durations: :meth:`FaultSchedule.compute_duration`."""
         if self.any_pause:
             t0 = self._tic()
-            ps = self._at("pause_start", idx)
-            pl = self._at("pause_len", idx)
-            in_window = (pl > 0.0) & (start < ps + pl)
-            if in_window.any():
-                inside = in_window & (start >= ps)
-                straddle = in_window & ~inside & (start + dur > ps)
-                dur = np.where(
-                    inside,
-                    (ps + pl + dur) - start,
-                    np.where(straddle, dur + pl, dur),
-                )
+            dur = pause_stretch(
+                ARRAY_OPS, start, dur,
+                self._at("pause_start", idx), self._at("pause_len", idx),
+            )
             self._toc("pause", t0)
         if self.any_slow:
             t0 = self._tic()
-            so = self._at("slow_start", idx)
-            sf = self._at("slow_factor", idx)
-            slowed = (sf > 1.0) & (start + dur > so)
-            if slowed.any():
-                after = slowed & (start >= so)
-                partial = slowed & ~after
-                done = so - start
-                dur = np.where(
-                    after,
-                    dur * sf,
-                    np.where(partial, done + (dur - done) * sf, dur),
-                )
+            dur = slow_stretch(
+                ARRAY_OPS, start, dur,
+                self._at("slow_start", idx), self._at("slow_factor", idx),
+            )
             self._toc("slow", t0)
         return dur
 
     def lost(self, idx, end: np.ndarray) -> np.ndarray:
         """Which computations ending at ``end`` outlive their worker's crash."""
         t0 = self._tic()
-        out = end > self._at("crash_time", idx)
+        out = is_lost(self._at("crash_time", idx), end)
         self._toc("crash", t0)
         return out
 
     def loss_time(self, idx, arrival: np.ndarray, end: np.ndarray):
-        """``(lost, when)``: :meth:`FaultSchedule.loss_time` element-wise.
-
-        ``when`` is the instant each chunk leaves the pending set:
-        ``max(crash, arrival)`` for a lost chunk, ``end`` otherwise.
-        """
+        """``(lost, when)`` of :func:`loss_rule`, element-wise."""
         t0 = self._tic()
-        crash = self._at("crash_time", idx)
-        lost = end > crash
-        when = np.where(lost, np.maximum(crash, arrival), end)
+        out = loss_rule(ARRAY_OPS, self._at("crash_time", idx), arrival, end)
         self._toc("crash", t0)
-        return lost, when
+        return out
 
     def crashes(self, rows: np.ndarray, now: np.ndarray):
         """``(crashed, next)`` of ``rows`` at their clocks ``now``.
@@ -725,13 +777,13 @@ class FaultStack:
         if rows is None:
             self._draw(cols)
             u = self._draws[:, :cols]
-            out = np.where(
-                u < self.spike_prob[:, None], self.spike_delay[:, None], 0.0
+            out = spike_rule(
+                ARRAY_OPS, u, self.spike_prob[:, None], self.spike_delay[:, None]
             )
         else:
             self._draw(int(cols.max()) + 1)
             u = self._draws.reshape(-1)[rows * self._draws.shape[1] + cols]
-            out = np.where(u < self.spike_prob[rows], self.spike_delay[rows], 0.0)
+            out = spike_rule(ARRAY_OPS, u, self.spike_prob[rows], self.spike_delay[rows])
         self._toc("spike", t0)
         return out
 
@@ -809,14 +861,9 @@ class FaultModel:
         for r, rng in enumerate(fault_streams(seeds)):
             s = self.sample(platform, rng)
             plane.crash_time[r] = s.crash_times
-            pp = np.asarray(s.pauses)
-            plane.pause_start[r] = pp[:, 0]
-            plane.pause_len[r] = pp[:, 1]
-            ss = np.asarray(s.slowdowns)
-            plane.slow_start[r] = ss[:, 0]
-            plane.slow_factor[r] = ss[:, 1]
-            plane.spike_prob[r] = s.spike_prob
-            plane.spike_delay[r] = s.spike_delay
+            plane.pause_start[r], plane.pause_len[r] = zip(*s.pauses)
+            plane.slow_start[r], plane.slow_factor[r] = zip(*s.slowdowns)
+            plane.spike_prob[r], plane.spike_delay[r] = s.spike_prob, s.spike_delay
             if s.any_faults:
                 plane.fault_row[r] = True
                 if s.spike_prob > 0.0:
@@ -881,59 +928,6 @@ class FrozenFaults(FaultModel):
         return self.schedule
 
 
-def _draw_onsets(
-    n: int, prob: float, tmax: float, rng: np.random.Generator
-) -> list[float | None]:
-    """Per-worker fault onset times: ``None`` for unaffected workers.
-
-    Draw order is fixed (worker 0..n-1, hit test then onset) so the fault
-    stream position is identical in both engines.
-    """
-    onsets: list[float | None] = []
-    for _ in range(n):
-        if rng.random() < prob:
-            onsets.append(float(rng.uniform(0.0, tmax)))
-        else:
-            onsets.append(None)
-    return onsets
-
-
-def _draw_onsets_batch(
-    seeds, n: int, prob: float, tmax: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All rows' :func:`_draw_onsets` at once: ``(hit, onset)``, ``(R, n)``.
-
-    Each row's generator draws one ``2n``-uniform block (a superset of
-    what the scalar loop can consume; ``Generator.random(k)`` produces the
-    same values as ``k`` scalar calls), then a per-row position pointer
-    walks the block exactly like the scalar draw order: one hit test per
-    worker, plus one onset draw *only* after a hit.  ``uniform(0, tmax)``
-    is computed as ``tmax * u`` — bitwise what ``Generator.uniform`` does.
-    Over-drawing is safe because callers discard the generators (only the
-    spike model retains its stream, and it draws nothing at sample time).
-    """
-    rows = len(seeds)
-    hit = np.zeros((rows, n), dtype=bool)
-    onset = np.zeros((rows, n))
-    if rows == 0 or n == 0:
-        return hit, onset
-    buf = np.empty((rows, 2 * n))
-    for r, rng in enumerate(fault_streams(seeds)):
-        buf[r] = rng.random(2 * n)
-    pos = np.zeros(rows, dtype=np.intp)
-    ridx = np.arange(rows)
-    for j in range(n):
-        h = buf[ridx, pos] < prob
-        # The onset, if worker j hit, is the *next* draw; pos stays at
-        # most 2j here, so pos + 1 <= 2n - 1 never overruns the block.
-        onset[:, j] = tmax * buf[ridx, pos + 1]
-        hit[:, j] = h
-        pos += 1
-        pos += h
-    onset[~hit] = 0.0
-    return hit, onset
-
-
 def _check_prob_tmax(prob: float, tmax: float) -> None:
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"fault probability must be in [0, 1], got {prob}")
@@ -941,8 +935,58 @@ def _check_prob_tmax(prob: float, tmax: float) -> None:
         raise ValueError(f"fault onset horizon must be >= 0, got {tmax}")
 
 
+def _placed(ops, hits, **at_hit) -> dict:
+    """Each named plane field's column: its ``at_hit`` value where hit, else neutral."""
+    neutral = dict(PLANE_FIELDS)
+    return {
+        name: [ops.where(hit, value, neutral[name]) for hit, value in zip(hits, values)]
+        for name, values in at_hit.items()
+    }
+
+
+class _OnsetFaults(FaultModel):
+    """A kind that strikes each worker w.p. ``prob`` at an onset uniform on ``[0, tmax]``.
+
+    :meth:`sample` and :meth:`sample_batch` run the same two rules, once
+    on one run's floats and once on every run's rows: :meth:`_strikes`
+    (the :func:`onset_walk` over the fault stream) and the kind's
+    ``_place``, which maps strikes to plane-field columns (:func:`_placed`).
+    Both draw the walk's ``2n``-uniform block at once; no onset kind
+    reads its fault stream after sampling.
+    """
+
+    def _strikes(self, ops, n: int, draw):
+        """``(hits, onsets)`` columns; ``draw(k)`` reads ``k`` uniforms per run."""
+        return onset_walk(ops, draw(2 * n), n, self.prob, self.tmax)
+
+    def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
+        n = platform.N
+        strikes = self._strikes(SCALAR_OPS, n, lambda k: rng.random(k).tolist())
+        return _columns_schedule(n, self._place(SCALAR_OPS, *strikes))
+
+    def sample_batch(self, platform: "PlatformSpec", seeds) -> FaultPlane:
+        plane = FaultPlane.clear(len(seeds), platform.N)
+
+        def draw(k: int) -> np.ndarray:
+            block = np.empty((len(seeds), k))
+            for r, rng in enumerate(fault_streams(seeds)):
+                block[r] = rng.random(k)
+            return block
+
+        strikes = self._strikes(ARRAY_OPS, platform.N, draw)
+        for name, column in self._place(ARRAY_OPS, *strikes).items():
+            getattr(plane, name)[:] = np.array(column).T
+        # A zero-length pause or a factor-1 slowdown never perturbs.
+        plane.fault_row[:] = (
+            np.isfinite(plane.crash_time).any(axis=1)
+            | (plane.pause_len > 0.0).any(axis=1)
+            | (plane.slow_factor > 1.0).any(axis=1)
+        )
+        return plane
+
+
 @dataclasses.dataclass(frozen=True, repr=False)
-class CrashFaults(FaultModel):
+class CrashFaults(_OnsetFaults):
     """Permanent worker crashes.
 
     Random form: each worker independently crashes with probability
@@ -973,51 +1017,29 @@ class CrashFaults(FaultModel):
             return f"crash:worker={self.worker},at={_fmt(self.at)}"
         return f"crash:p={_fmt(self.prob)},tmax={_fmt(self.tmax)}"
 
-    def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
-        n = platform.N
-        times = [_NEVER] * n
-        if self.worker is not None:
-            if not 0 <= self.worker < n:
-                raise ValueError(
-                    f"crash worker {self.worker} outside the platform (N={n})"
-                )
-            times[self.worker] = float(self.at)
-        else:
-            for i, onset in enumerate(_draw_onsets(n, self.prob, self.tmax, rng)):
-                if onset is not None:
-                    times[i] = onset
-            if self.spare_one and all(t != _NEVER for t in times):
-                times[max(range(n), key=times.__getitem__)] = _NEVER
-        return dataclasses.replace(_clear_schedule(n), crash_times=tuple(times))
+    def _strikes(self, ops, n: int, draw):
+        if self.worker is None:
+            return super()._strikes(ops, n, draw)
+        if not 0 <= self.worker < n:
+            raise ValueError(f"crash worker {self.worker} outside the platform (N={n})")
+        return [w == self.worker for w in range(n)], [float(self.at)] * n
 
-    def sample_batch(self, platform: "PlatformSpec", seeds) -> FaultPlane:
-        n = platform.N
-        plane = FaultPlane.clear(len(seeds), n)
-        if self.worker is not None:
-            if not 0 <= self.worker < n:
-                raise ValueError(
-                    f"crash worker {self.worker} outside the platform (N={n})"
-                )
-            plane.crash_time[:, self.worker] = float(self.at)
-            plane.fault_row[:] = True
-            return plane
-        hit, onset = _draw_onsets_batch(seeds, n, self.prob, self.tmax)
-        times = np.where(hit, onset, _NEVER)
-        if self.spare_one and n > 0:
-            all_hit = hit.all(axis=1)
-            if all_hit.any():
-                # argmax returns the first maximal index, like the scalar
-                # max(range(n), key=...) tie-break.
-                spare = times.argmax(axis=1)
-                rows = np.flatnonzero(all_hit)
-                times[rows, spare[rows]] = _NEVER
-        plane.crash_time[:] = times
-        plane.fault_row[:] = np.isfinite(times).any(axis=1)
-        return plane
+    def _place(self, ops, hits, onsets) -> dict:
+        times = _placed(ops, hits, crash_time=onsets)["crash_time"]
+        everyone = functools.reduce(operator.and_, hits)
+        if self.spare_one and self.worker is None and ops.any(everyone):
+            # Spare the first latest onset, as max()/argmax break ties.
+            latest, spare = onsets[0], 0
+            for j in range(1, len(onsets)):
+                later = onsets[j] > latest
+                latest = ops.where(later, onsets[j], latest)
+                spare = ops.where(later, j, spare)
+            times = [ops.where(everyone & (spare == j), _NEVER, t) for j, t in enumerate(times)]
+        return {"crash_time": times}
 
 
 @dataclasses.dataclass(frozen=True, repr=False)
-class PauseFaults(FaultModel):
+class PauseFaults(_OnsetFaults):
     """Transient stalls: affected workers compute nothing for ``duration``."""
 
     prob: float = 0.0
@@ -1033,26 +1055,12 @@ class PauseFaults(FaultModel):
     def spec(self) -> str:
         return f"pause:p={_fmt(self.prob)},tmax={_fmt(self.tmax)},dur={_fmt(self.duration)}"
 
-    def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
-        n = platform.N
-        pauses = list(_clear_schedule(n).pauses)
-        for i, onset in enumerate(_draw_onsets(n, self.prob, self.tmax, rng)):
-            if onset is not None:
-                pauses[i] = (onset, self.duration)
-        return dataclasses.replace(_clear_schedule(n), pauses=tuple(pauses))
-
-    def sample_batch(self, platform: "PlatformSpec", seeds) -> FaultPlane:
-        plane = FaultPlane.clear(len(seeds), platform.N)
-        hit, onset = _draw_onsets_batch(seeds, platform.N, self.prob, self.tmax)
-        np.copyto(plane.pause_start, onset, where=hit)
-        np.copyto(plane.pause_len, self.duration, where=hit)
-        # A zero-length pause never perturbs (any_faults checks dur > 0).
-        plane.fault_row[:] = hit.any(axis=1) & (self.duration > 0.0)
-        return plane
+    def _place(self, ops, hits, onsets) -> dict:
+        return _placed(ops, hits, pause_start=onsets, pause_len=[self.duration] * len(hits))
 
 
 @dataclasses.dataclass(frozen=True, repr=False)
-class SlowdownFaults(FaultModel):
+class SlowdownFaults(_OnsetFaults):
     """Sustained degradation: computations stretch by ``factor`` after onset."""
 
     prob: float = 0.0
@@ -1068,22 +1076,8 @@ class SlowdownFaults(FaultModel):
     def spec(self) -> str:
         return f"slow:p={_fmt(self.prob)},tmax={_fmt(self.tmax)},factor={_fmt(self.factor)}"
 
-    def sample(self, platform: "PlatformSpec", rng: np.random.Generator) -> FaultSchedule:
-        n = platform.N
-        slowdowns = list(_clear_schedule(n).slowdowns)
-        for i, onset in enumerate(_draw_onsets(n, self.prob, self.tmax, rng)):
-            if onset is not None:
-                slowdowns[i] = (onset, self.factor)
-        return dataclasses.replace(_clear_schedule(n), slowdowns=tuple(slowdowns))
-
-    def sample_batch(self, platform: "PlatformSpec", seeds) -> FaultPlane:
-        plane = FaultPlane.clear(len(seeds), platform.N)
-        hit, onset = _draw_onsets_batch(seeds, platform.N, self.prob, self.tmax)
-        np.copyto(plane.slow_start, onset, where=hit)
-        np.copyto(plane.slow_factor, self.factor, where=hit)
-        # A factor-1 slowdown never perturbs (any_faults checks f > 1).
-        plane.fault_row[:] = hit.any(axis=1) & (self.factor > 1.0)
-        return plane
+    def _place(self, ops, hits, onsets) -> dict:
+        return _placed(ops, hits, slow_start=onsets, slow_factor=[self.factor] * len(hits))
 
 
 @dataclasses.dataclass(frozen=True, repr=False)
@@ -1107,11 +1101,7 @@ class LinkSpikeFaults(FaultModel):
     def sample(
         self, platform: "PlatformSpec", rng: "np.random.Generator | None"
     ) -> FaultSchedule:
-        return dataclasses.replace(
-            _clear_schedule(platform.N),
-            spike_prob=self.prob,
-            spike_delay=self.delay,
-        )
+        return _columns_schedule(platform.N, {}, spike_prob=self.prob, spike_delay=self.delay)
 
     def sample_batch(self, platform: "PlatformSpec", seeds) -> FaultPlane:
         plane = FaultPlane.clear(len(seeds), platform.N)

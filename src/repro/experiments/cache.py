@@ -20,7 +20,6 @@ path.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import os
 import pathlib
@@ -30,7 +29,12 @@ import zipfile
 import numpy as np
 
 from repro.experiments.config import ExperimentGrid, PlatformPoint, sweep_key
-from repro.experiments.resilient import FailureLedger, RetryPolicy, _array_digest
+from repro.experiments.resilient import (
+    FailureLedger,
+    RetryPolicy,
+    _array_digest,
+    atomic_publish,
+)
 from repro.experiments.runner import SweepResults, run_sweep
 
 __all__ = [
@@ -57,20 +61,6 @@ class CacheCorruptionError(RuntimeError):
         self.path = pathlib.Path(path)
 
 
-def _atomic_write_bytes(path: pathlib.Path, payload: bytes) -> None:
-    """Publish ``payload`` at ``path`` via temp-file-then-``os.replace``."""
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def save_sweep(results: SweepResults, directory: str | pathlib.Path) -> pathlib.Path:
     """Persist a sweep atomically; returns the ``.npz`` path.
 
@@ -84,16 +74,15 @@ def save_sweep(results: SweepResults, directory: str | pathlib.Path) -> pathlib.
     key = sweep_key(results.grid, results.algorithms)
     npz_path = directory / f"sweep-{results.grid.name}-{key}.npz"
     meta_path = npz_path.with_suffix(".json")
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **results.makespans)
-    _atomic_write_bytes(npz_path, buffer.getvalue())
+    atomic_publish(npz_path, lambda handle: np.savez_compressed(handle, **results.makespans))
     meta = {
         "grid": dataclasses.asdict(results.grid),
         "algorithms": list(results.algorithms),
         "platforms": [p.as_dict() for p in results.platforms],
         "content_sha256": _array_digest(results.makespans),
     }
-    _atomic_write_bytes(meta_path, json.dumps(meta, indent=2).encode())
+    payload = json.dumps(meta, indent=2).encode()
+    atomic_publish(meta_path, lambda handle: handle.write(payload))
     return npz_path
 
 

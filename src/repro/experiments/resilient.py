@@ -60,7 +60,30 @@ __all__ = [
     "FailureLedger",
     "CellSupervisor",
     "CheckpointStore",
+    "atomic_publish",
 ]
+
+
+def atomic_publish(
+    path: pathlib.Path, write: typing.Callable[[typing.BinaryIO], object]
+) -> None:
+    """Publish a file at ``path`` through a temp file and :func:`os.replace`.
+
+    ``write(handle)`` fills a binary temp file beside ``path``, which is
+    flushed and fsynced before the replace, so a crash can never publish
+    a torn file.  If writing or replacing fails, the temp file is removed
+    and the error propagates.
+    """
+    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    try:
+        with open(tmp, "wb") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -369,19 +392,8 @@ class CheckpointStore:
             raise ValueError("'sha256' is reserved for the content hash")
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.shard_path(name)
-        tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-        digest = _array_digest(arrays)
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez(handle, sha256=np.frombuffer(
-                    bytes.fromhex(digest), dtype=np.uint8
-                ), **arrays)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # publish failed; never leave temp litter
-                tmp.unlink()
+        sha256 = np.frombuffer(bytes.fromhex(_array_digest(arrays)), dtype=np.uint8)
+        atomic_publish(path, lambda handle: np.savez(handle, sha256=sha256, **arrays))
         return path
 
     def load(self, name: str) -> dict[str, np.ndarray] | None:
@@ -416,10 +428,8 @@ class CheckpointStore:
     def save_ledger(self, ledger: FailureLedger) -> None:
         """Atomically persist the ledger next to the shards."""
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / self.LEDGER_NAME
-        tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-        tmp.write_text(ledger.to_json())
-        os.replace(tmp, path)
+        payload = ledger.to_json().encode()
+        atomic_publish(self.root / self.LEDGER_NAME, lambda handle: handle.write(payload))
 
     def load_ledger(self) -> FailureLedger:
         """The persisted ledger (empty when absent or unreadable)."""

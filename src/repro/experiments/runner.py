@@ -83,6 +83,7 @@ from repro.experiments.resilient import (
     CheckpointStore,
     FailureLedger,
     RetryPolicy,
+    atomic_publish,
 )
 from repro.sim.batch import (
     FactorStreams,
@@ -889,10 +890,9 @@ def run_sweep(
     if ckpt is not None:
         final = pathlib.Path(checkpoint_dir) / f"failures-sweep-{grid.name}-{key}.json"
         if len(ledger):
-            tmp = final.with_name(final.name + f".tmp-{os.getpid()}")
             final.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(ledger.to_json())
-            os.replace(tmp, final)
+            payload = ledger.to_json().encode()
+            atomic_publish(final, lambda handle: handle.write(payload))
         elif final.exists():
             final.unlink()
         ckpt.discard()
@@ -946,29 +946,47 @@ def run_fault_sweep(
     grid) and, with ``resume=True``, picks up surviving checkpoint
     shards of an interrupted run.
     """
-    specs = tuple(fault_specs)
-    if "none" not in specs:
-        specs = ("none",) + specs
-    if len(set(specs)) != len(specs):
-        raise ValueError("duplicate fault specs")
     algorithms = tuple(algorithms)
+    specs, sweeps = _sweep_scenarios(
+        grid, "fault", fault_specs, "none", algorithms, directory, resume,
+        n_jobs=n_jobs, progress=progress,
+    )
+    return FaultSweepResults(
+        base_grid=grid, fault_specs=specs, algorithms=algorithms, sweeps=sweeps
+    )
+
+
+def _sweep_scenarios(
+    grid, axis, specs, baseline, algorithms, directory, resume,
+    is_baseline=None, canonical=lambda spec: spec, **sweep_kw,
+) -> tuple[tuple[str, ...], dict[str, SweepResults]]:
+    """Sweep ``grid`` once per spec of its scenario field ``axis``.
+
+    ``baseline`` is prepended unless some spec already ``is_baseline``
+    (default: equals it); specs whose ``canonical`` forms repeat are
+    rejected.  With ``directory``, every scenario goes through the sweep
+    cache (``axis`` is part of the grid, so scenarios key apart).
+    ``sweep_kw`` (``n_jobs``, ``progress``) passes through.
+    """
+    is_baseline = is_baseline or baseline.__eq__
+    specs = tuple(specs)
+    if not any(is_baseline(s) for s in specs):
+        specs = (baseline,) + specs
+    keys = [canonical(s) for s in specs]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"duplicate {axis} specs: {specs}")
     sweeps: dict[str, SweepResults] = {}
     for spec in specs:
-        fault_grid = dataclasses.replace(grid, fault=spec)
+        scenario = dataclasses.replace(grid, **{axis: spec})
         if directory is not None:
             from repro.experiments.cache import cached_sweep
 
             sweeps[spec] = cached_sweep(
-                fault_grid, algorithms, directory, n_jobs=n_jobs,
-                progress=progress, resume=resume,
+                scenario, algorithms, directory, resume=resume, **sweep_kw
             )
         else:
-            sweeps[spec] = run_sweep(
-                fault_grid, algorithms=algorithms, n_jobs=n_jobs, progress=progress
-            )
-    return FaultSweepResults(
-        base_grid=grid, fault_specs=specs, algorithms=algorithms, sweeps=sweeps
-    )
+            sweeps[spec] = run_sweep(scenario, algorithms=algorithms, **sweep_kw)
+    return specs, sweeps
 
 
 def eta_progress(stream=None) -> typing.Callable[[int, int], None]:

@@ -22,7 +22,7 @@ import typing
 
 from repro.experiments.config import PAPER_ALGORITHMS, ExperimentGrid
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import SweepResults, run_sweep
+from repro.experiments.runner import SweepResults, _sweep_scenarios
 from repro.platform.topology import make_topology
 
 __all__ = [
@@ -82,27 +82,12 @@ def run_topology_sweep(
     of the grid) and, with ``resume=True``, picks up surviving
     checkpoint shards of an interrupted run.
     """
-    specs = tuple(topology_specs)
-    if not any(_is_star_baseline(s) for s in specs):
-        specs = ("star",) + specs
-    canonical = [str(make_topology(s)) for s in specs]
-    if len(set(canonical)) != len(canonical):
-        raise ValueError(f"duplicate topology specs: {specs}")
     algorithms = tuple(algorithms)
-    sweeps: dict[str, SweepResults] = {}
-    for spec in specs:
-        topo_grid = dataclasses.replace(grid, topology=spec)
-        if directory is not None:
-            from repro.experiments.cache import cached_sweep
-
-            sweeps[spec] = cached_sweep(
-                topo_grid, algorithms, directory, n_jobs=n_jobs,
-                progress=progress, resume=resume,
-            )
-        else:
-            sweeps[spec] = run_sweep(
-                topo_grid, algorithms=algorithms, n_jobs=n_jobs, progress=progress
-            )
+    specs, sweeps = _sweep_scenarios(
+        grid, "topology", topology_specs, "star", algorithms, directory, resume,
+        is_baseline=_is_star_baseline, canonical=lambda spec: str(make_topology(spec)),
+        n_jobs=n_jobs, progress=progress,
+    )
     return TopologySweepResults(
         base_grid=grid, topology_specs=specs, algorithms=algorithms, sweeps=sweeps
     )

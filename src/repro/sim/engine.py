@@ -434,6 +434,9 @@ def simulate_des(
     inboxes = [Store(env) for _ in range(n)]
     completions = Store(env)
     view = _DesView(env, n, schedule.crash_times if schedule is not None else None)
+    # A schedule skips the per-chunk rules of the fault kinds it lacks.
+    stretches = schedule is not None and (schedule.any_pause or schedule.any_slow)
+    spikes = schedule is not None and schedule.spike_prob > 0.0
     rows: list[list] = []
     # Chunks dispatched but not yet announced complete or lost (deadlock
     # detection and the final drain).
@@ -767,7 +770,7 @@ def simulate_des(
                 continue
             path = bound.paths[action.worker]
             link_time = perturb_comm(path.occupancy_time(size))
-            if schedule is not None:
+            if spikes:
                 link_time += schedule.link_extra(rng_fault)
             comp_time = perturb_comp(spec.compute_time(size))
             error_model.advance()
@@ -780,7 +783,7 @@ def simulate_des(
             send_end_pred = send_start + link_time
             arrival_pred = path.traverse(size, send_end_pred, relay_busy) + spec.tLat
             comp_start_pred = max(arrival_pred, pred_busy[action.worker])
-            if schedule is not None:
+            if stretches:
                 comp_time = schedule.compute_duration(
                     action.worker, comp_start_pred, comp_time
                 )

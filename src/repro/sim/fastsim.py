@@ -262,6 +262,9 @@ def simulate_fast(
     n = platform.N
 
     view = _FastView(n, schedule.crash_times if schedule is not None else None)
+    # A schedule skips the per-chunk rules of the fault kinds it lacks.
+    stretches = schedule is not None and (schedule.any_pause or schedule.any_slow)
+    spikes = schedule is not None and schedule.spike_prob > 0.0
     note_dispatch = view._note_dispatch
     worker_busy_until = [0.0] * n
     work_lost = 0.0
@@ -331,7 +334,7 @@ def simulate_fast(
         send_start = now
         path = paths[worker]
         link_time = perturb_comm(path.occupancy_time(size))
-        if schedule is not None:
+        if spikes:
             link_time += schedule.link_extra(rng_fault)
         send_end = send_start + link_time
         if direct[worker]:
@@ -343,7 +346,7 @@ def simulate_fast(
 
         comp_start = max(arrival, worker_busy_until[worker])
         comp_time = perturb_comp(spec.compute_time(size))
-        if schedule is not None:
+        if stretches:
             comp_time = schedule.compute_duration(worker, comp_start, comp_time)
         comp_end = comp_start + comp_time
         worker_busy_until[worker] = comp_end

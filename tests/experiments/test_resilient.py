@@ -297,6 +297,64 @@ class TestCheckpointStore:
         assert len(store.load_ledger()) == 0
 
 
+def _poisoned_sweep(grid, monkeypatch):
+    """Make UMR's (0, 0) cell fail on every engine, so a sweep ledgers it."""
+    poison = _cell_seeds(grid, 0, 0)[0]
+    real_cells = runner_mod.simulate_static_cells
+    real_fast = runner_mod.simulate_fast
+
+    def batch(cells, mode="multiply", **kw):
+        if any(c.seeds[0] == poison for c in cells):
+            raise RuntimeError("chaos: poisoned cell")
+        return real_cells(cells, mode=mode, **kw)
+
+    def fast(platform, work, scheduler, model, **kw):
+        if kw.get("seed") == poison:
+            raise RuntimeError("chaos: poisoned cell")
+        return real_fast(platform, work, scheduler, model, **kw)
+
+    monkeypatch.setattr(runner_mod, "simulate_static_cells", batch)
+    monkeypatch.setattr(runner_mod, "simulate_fast", fast)
+
+
+@pytest.mark.parametrize("writer", ["shard", "ledger", "sweep-cache", "sweep-ledger"])
+def test_failed_publish_leaves_no_temp_file(writer, baseline, tmp_path, monkeypatch):
+    """Every temp-then-``os.replace`` write cleans up when the replace fails.
+
+    The shard and ledger checkpoints, the sweep cache files and the
+    final ``failures-*.json`` all publish through one helper; a failing
+    ``os.replace`` must propagate and leave no ``.tmp-<pid>`` file.
+    """
+    from repro.experiments.cache import save_sweep
+
+    real_replace = os.replace
+    target = {"sweep-ledger": "failures-sweep-"}.get(writer, "")
+
+    def failing_replace(src, dst):
+        if pathlib.Path(dst).name.startswith(target):
+            raise OSError("chaos: replace failed")
+        return real_replace(src, dst)
+
+    store = CheckpointStore(tmp_path, "key")
+    ledger = FailureLedger(
+        [CellFailure("UMR", 0, 0, "scalar", None, 3, "RuntimeError", "x")]
+    )
+    grid = chaos_grid()
+    if writer == "sweep-ledger":
+        _poisoned_sweep(grid, monkeypatch)
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="chaos: replace failed"):
+        if writer == "shard":
+            store.save("shard", block=np.zeros(2))
+        elif writer == "ledger":
+            store.save_ledger(ledger)
+        elif writer == "sweep-cache":
+            save_sweep(baseline, tmp_path)
+        else:
+            run_sweep(grid, ALGOS, retry=FAST_RETRY, checkpoint_dir=tmp_path)
+    assert [p.name for p in tmp_path.rglob("*.tmp-*")] == []
+
+
 # ---------------------------------------------------------------------------
 # Chaos sweeps: retry heals, ladder reroutes, quarantine isolates
 

@@ -167,12 +167,6 @@ class TestProjection:
         with pytest.raises(ValueError, match="worker"):
             frozen.sample(small, None)
 
-    def test_dead_at_is_inclusive(self):
-        plane = self.make_plane()
-        assert plane.dead_at(9.9) == ()
-        assert plane.dead_at(10.0) == (2,)
-        assert plane.dead_at(50.0) == (0, 2)
-
 
 # -- platform health ----------------------------------------------------------
 
@@ -187,6 +181,9 @@ class TestPlatformHealth:
         )
         health = PlatformHealth(3, plane)
         assert health.live((0, 1, 2), 0.0) == (0, 1, 2)
+        assert health.live((0, 1, 2), 4.9) == (0, 1, 2)
+        # A crash at exactly `now` counts as dead: any new grant is lost.
+        assert health.live((0, 1, 2), 5.0) == (1, 2)
         assert health.live((0, 1, 2), 6.0) == (1, 2)
         assert health.live((0, 1, 2), 9.0) == (1,)
         assert health.dead == {0, 2}
