@@ -245,10 +245,14 @@ class FaultSchedule:
         with this exact value so the DES timeout chain reproduces the fast
         engine's floats bit-for-bit.
         """
-        if self.any_pause:
-            duration = pause_stretch(SCALAR_OPS, start, duration, *self.pauses[worker])
-        if self.any_slow:
-            duration = slow_stretch(SCALAR_OPS, start, duration, *self.slowdowns[worker])
+        # Each rule returns ``duration`` unchanged on a worker without its
+        # fault, so such a worker skips it.
+        pause_start, pause_len = self.pauses[worker]
+        if pause_len > 0.0:
+            duration = pause_stretch(SCALAR_OPS, start, duration, pause_start, pause_len)
+        slow_start, factor = self.slowdowns[worker]
+        if factor > 1.0:
+            duration = slow_stretch(SCALAR_OPS, start, duration, slow_start, factor)
         return duration
 
     def link_extra(self, rng: np.random.Generator) -> float:
@@ -928,6 +932,12 @@ class FrozenFaults(FaultModel):
         return self.schedule
 
 
+def _as_floats(model, *names: str) -> None:
+    """Store the named parameters of a frozen model as plain floats, as specs do."""
+    for name in names:
+        object.__setattr__(model, name, float(getattr(model, name)))
+
+
 def _check_prob_tmax(prob: float, tmax: float) -> None:
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"fault probability must be in [0, 1], got {prob}")
@@ -1047,6 +1057,7 @@ class PauseFaults(_OnsetFaults):
     duration: float = 0.0
 
     def __post_init__(self) -> None:
+        _as_floats(self, "prob", "tmax", "duration")
         _check_prob_tmax(self.prob, self.tmax)
         if self.duration < 0.0:
             raise ValueError(f"pause duration must be >= 0, got {self.duration}")
@@ -1068,6 +1079,7 @@ class SlowdownFaults(_OnsetFaults):
     factor: float = 1.0
 
     def __post_init__(self) -> None:
+        _as_floats(self, "prob", "tmax", "factor")
         _check_prob_tmax(self.prob, self.tmax)
         if self.factor < 1.0:
             raise ValueError(f"slowdown factor must be >= 1, got {self.factor}")
@@ -1089,6 +1101,7 @@ class LinkSpikeFaults(FaultModel):
     draws_on_sample: typing.ClassVar[bool] = False
 
     def __post_init__(self) -> None:
+        _as_floats(self, "prob", "delay")
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError(f"spike probability must be in [0, 1], got {self.prob}")
         if self.delay < 0.0:

@@ -59,6 +59,7 @@ from repro.core.chunks import ChunkPlan
 from repro.errors import rng
 from repro.errors.faults import FaultModel, FaultPlaneCache, FaultStack
 from repro.errors.models import NormalErrorModel, check_magnitude
+from repro.obs.events import chunk_events, phase_event
 from repro.platform.spec import PlatformSpec
 
 __all__ = [
@@ -336,19 +337,13 @@ def _emit_static_trace(tracer, plan, send_end, comp_dur, starts, gidx) -> None:
     phases = plan.phases if plan.phases else ("",) * k
     last_phase: str | None = None
     for j in range(k):
-        w = int(plan.workers[j])
         ph = phases[j]
-        sz = float(sizes[j])
         ss = float(send_end[j - 1]) if j else 0.0
-        if ph != last_phase:
-            tracer.emit(ss, "round_boundary", -1, chunk=j, phase=ph)
-            last_phase = ph
-        tracer.emit(ss, "dispatch_start", w, chunk=j, size=sz, phase=ph)
-        tracer.emit(float(send_end[j]), "dispatch_end", w, chunk=j, size=sz, phase=ph)
         cs = float(comp_start[j])
-        tracer.emit(cs, "comp_start", w, chunk=j, size=sz, phase=ph)
-        tracer.emit(
-            cs + float(comp_dur[j]), "comp_end", w, chunk=j, size=sz, phase=ph
+        last_phase = phase_event(tracer.emit, ss, j, ph, last_phase)
+        chunk_events(
+            tracer.emit, int(plan.workers[j]), j, float(sizes[j]), ph, ss,
+            float(send_end[j]), None, cs, cs + float(comp_dur[j]),
         )
 
 

@@ -97,6 +97,7 @@ from repro.core.lockstep import (
 )
 from repro.errors.faults import FaultModel, FaultPlaneCache, FaultStack
 from repro.errors.models import check_magnitude, make_error_model
+from repro.obs.events import chunk_events, crash_events
 from repro.platform.spec import PlatformSpec
 
 from repro.sim.batch import MIN_DRAW, FactorStreams, factor_rows, factor_stream
@@ -279,11 +280,11 @@ class _Lockstep:
     :class:`~repro.errors.faults.FaultStack`).
 
     ``row_tracers`` is one :class:`repro.obs.Tracer` (or ``None``) per
-    repetition row; traced rows have their dispatch timelines extracted
-    from the batch arrays as they are applied (phase labels are not
-    available here — lockstep kernels carry no scheduler phase — so traced
-    events use ``phase=""``, emit no ``round_boundary``, and fault rows
-    emit no ``recovery_decision``).
+    repetition row.  Traced rows lower their crash plans and dispatches
+    through the scalar engines' :func:`~repro.obs.events.crash_events` and
+    :func:`~repro.obs.events.chunk_events`, reading timelines from the
+    batch arrays as they are applied.  Kernels carry no scheduler phase,
+    so rows use ``phase=""`` and emit no decision events.
     """
 
     def __init__(
@@ -470,12 +471,10 @@ class _Lockstep:
             # Crash instants are known once the plane is realized; emitting
             # them upfront matches the scalar engine's stream (deferred rows
             # already emitted theirs inside simulate_fast).
-            crash_t = faults.crash_time
             for r in range(self.rows):
                 tracer = row_tracers[r]
                 if tracer is not None and faults.fault_row[r]:
-                    for wi in np.flatnonzero(np.isfinite(crash_t[r])).tolist():
-                        tracer.emit(float(crash_t[r, wi]), "fault", wi, detail="crash")
+                    crash_events(tracer.emit, faults.crash_time[r].tolist())
 
     def _reflatten(self) -> None:
         """Rebind every ``<name>_f`` alias to its array's current buffer.
@@ -793,15 +792,12 @@ class _Lockstep:
             tracer = self.row_tracers[row]
             if tracer is None:
                 continue
-            wi = int(w[pos])
-            info = {"chunk": int(k[pos]), "size": float(sz[pos])}
-            tracer.emit(float(now[pos]), "dispatch_start", wi, **info)
-            tracer.emit(float(send_end[pos]), "dispatch_end", wi, **info)
-            if lost is not None and lost[pos]:
-                tracer.emit(float(end_q[pos]), "fault", wi, **info, detail="loss")
-            else:
-                tracer.emit(float(comp_start[pos]), "comp_start", wi, **info)
-                tracer.emit(float(comp_end[pos]), "comp_end", wi, **info)
+            chunk_events(
+                tracer.emit, int(w[pos]), int(k[pos]), float(sz[pos]), "",
+                float(now[pos]), float(send_end[pos]), None,
+                float(comp_start[pos]), float(comp_end[pos]),
+                float(end_q[pos]) if lost is not None and lost[pos] else None,
+            )
 
     # -- main loop ------------------------------------------------------------
     def run(self) -> list:
@@ -883,13 +879,11 @@ def simulate_dynamic_cells(
         if batch and (idx is None or batch_rows + rows > max_rows):
             row_tracers = None
             if tracers is not None and any(tracers[i] for i, _ in batch):
-                row_tracers = []
-                for i, _ in batch:
-                    cell_tracers = tracers[i]
-                    if cell_tracers is None:
-                        row_tracers.extend([None] * len(cells[i].seeds))
-                    else:
-                        row_tracers.extend(cell_tracers)
+                row_tracers = [
+                    tracer
+                    for i, _ in batch
+                    for tracer in tracers[i] or [None] * len(cells[i].seeds)
+                ]
             results = _Lockstep(
                 [cells[i] for i, _ in batch],
                 [s for _, s in batch],

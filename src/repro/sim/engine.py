@@ -106,6 +106,7 @@ from repro.core.chunks import ReturnRecord, build_records
 from repro.des import Environment, Event, Resource, Store
 from repro.errors.faults import CrashClock, FaultModel, sample_run
 from repro.errors.models import ErrorModel
+from repro.obs.events import decision_events
 from repro.platform.spec import PlatformSpec
 from repro.platform.topology import LinkPath, RelayHop, bind_once, make_topology
 from repro.sim.result import SimResult
@@ -472,17 +473,11 @@ def simulate_des(
                 return
             comp_start = env.now
             if tracer is not None:
-                tracer.emit(
-                    comp_start, "comp_start", index,
-                    chunk=msg.index, size=msg.size, phase=msg.phase,
-                )
+                tracer.emit(comp_start, "comp_start", index, msg.index, msg.size, msg.phase)
             yield env.timeout(msg.comp_time)
             comp_end = env.now
             if tracer is not None:
-                tracer.emit(
-                    comp_end, "comp_end", index,
-                    chunk=msg.index, size=msg.size, phase=msg.phase,
-                )
+                tracer.emit(comp_end, "comp_end", index, msg.index, msg.size, msg.phase)
             row = rows[msg.index]
             row[_COMP_START] = comp_start
             row[_COMP_END] = comp_end
@@ -547,16 +542,11 @@ def simulate_des(
 
         after(t_lat, deliver)
 
-    def announce_loss(rmsg: _RelayMsg) -> None:
-        # In-flight loss: the master learns of it when delivery fails at
-        # the (would-have-been) arrival instant, send_end + tLat.
-        now = env.now
+    def announce_loss(worker: int, index: int, size: float, phase: str, when) -> None:
+        # The master learns of a lost chunk at ``when``.
         if tracer is not None:
-            tracer.emit(
-                now, "fault", rmsg.worker,
-                chunk=rmsg.index, size=rmsg.size, phase=rmsg.phase, detail="loss",
-            )
-        completions.put(("lost", rmsg.worker, rmsg.index, rmsg.size, now))
+            tracer.emit(when, "fault", worker, index, size, phase, "loss")
+        completions.put(("lost", worker, index, size, when))
 
     def pass_tail(rmsg: _RelayMsg) -> None:
         # The end of the contention-free pipe tail: the terminal stage.
@@ -564,7 +554,11 @@ def simulate_des(
             assert rmsg.chunk_msg is not None
             deliver_after(rmsg.worker, rmsg.chunk_msg, rmsg.t_lat)
         elif rmsg.terminal == "loss":
-            after(rmsg.t_lat, lambda _: announce_loss(rmsg))
+            # In-flight loss: announced when delivery fails at the
+            # (would-have-been) arrival instant, send_end + tLat.
+            after(rmsg.t_lat, lambda _: announce_loss(
+                rmsg.worker, rmsg.index, rmsg.size, rmsg.phase, env.now
+            ))
         # "drop": queued-at-crash ghost — it only existed to occupy links;
         # the crash watch owns its announcement.
 
@@ -660,12 +654,7 @@ def simulate_des(
             tracer.emit(t_crash, "fault", worker, detail="crash")
         watch_fired[worker] = True
         for idx, size, phase in crash_pending[worker]:
-            if tracer is not None:
-                tracer.emit(
-                    t_crash, "fault", worker, chunk=idx, size=size, phase=phase,
-                    detail="loss",
-                )
-            completions.put(("lost", worker, idx, size, t_crash))
+            announce_loss(worker, idx, size, phase, t_crash)
         crash_pending[worker].clear()
 
     def apply_note(kind: str, worker: int, idx: int, size: float, when: float) -> None:
@@ -721,21 +710,16 @@ def simulate_des(
                 )
             spec = platform[action.worker]
             size = action.size
-            if action.phase != last_phase:
-                if tracer is not None:
-                    tracer.emit(
-                        env.now, "round_boundary", -1,
-                        chunk=len(rows), phase=action.phase,
-                    )
-                last_phase = action.phase
-            if schedule is not None:
-                for w in view.crashed_workers():
-                    if w not in crashes_observed:
-                        crashes_observed.add(w)
-                        if tracer is not None:
-                            tracer.emit(
-                                env.now, "recovery_decision", w, detail="crash-observed"
-                            )
+            if tracer is not None:
+                # The decision starts the dispatch at once: send_start is now.
+                last_phase = decision_events(
+                    tracer.emit, view, len(rows), action.phase, last_phase,
+                    crashes_observed,
+                )
+                tracer.emit(
+                    env.now, "dispatch_start", action.worker,
+                    chunk=len(rows), size=size, phase=action.phase,
+                )
             if sharedbw:
                 # The shared medium has no exclusive occupancy: the master
                 # pays nLat serially, registers the transfer (its volume
@@ -749,11 +733,6 @@ def simulate_des(
                 error_model.advance()
                 index = len(rows)
                 send_start = env.now
-                if tracer is not None:
-                    tracer.emit(
-                        send_start, "dispatch_start", action.worker,
-                        chunk=index, size=size, phase=action.phase,
-                    )
                 rows.append([
                     action.worker, size, send_start, send_start, send_start,
                     send_start, send_start, action.phase, False, -1.0,
@@ -795,11 +774,6 @@ def simulate_des(
             )
             lost = seen is not None
             loss_time = seen if lost else -1.0
-            if tracer is not None:
-                tracer.emit(
-                    send_start, "dispatch_start", action.worker,
-                    chunk=index, size=size, phase=action.phase,
-                )
             rows.append([
                 action.worker, size, send_start, send_end_pred, arrival_pred,
                 comp_start_pred, comp_end_pred, action.phase, lost, loss_time,
@@ -819,12 +793,7 @@ def simulate_des(
                     # the degenerate same-timestamp case where the watch
                     # already fired).
                     if watch_fired[action.worker]:
-                        if tracer is not None:
-                            tracer.emit(
-                                t_crash, "fault", action.worker,
-                                chunk=index, size=size, phase=action.phase, detail="loss",
-                            )
-                        completions.put(("lost", action.worker, index, size, t_crash))
+                        announce_loss(action.worker, index, size, action.phase, t_crash)
                     else:
                         crash_pending[action.worker].append((index, size, action.phase))
                     # Ghost ride: the chunk was priced through the relay

@@ -49,6 +49,7 @@ from repro.core.base import (
 from repro.core.chunks import build_records
 from repro.errors.faults import CrashClock, FaultModel, sample_run
 from repro.errors.models import ErrorModel
+from repro.obs.events import chunk_events, crash_events, decision_events
 from repro.platform.spec import PlatformSpec
 from repro.platform.topology import TopologyError, bind_once, make_topology
 from repro.sim.result import SimResult
@@ -279,13 +280,10 @@ def simulate_fast(
     last_phase: str | None = None
     crashes_observed: set[int] = set()
     if tracer is not None and schedule is not None:
-        # Crash events are known once the schedule is realized; emitting
-        # them upfront (as the DES engine does via its crash watchers)
-        # keeps both engines' streams identical even when a crash falls
-        # after the last dispatch.
-        for w, ct in enumerate(schedule.crash_times):
-            if ct != float("inf"):
-                tracer.emit(ct, "fault", w, detail="crash")
+        # Emitting crash events upfront (as the DES engine does via its
+        # crash watchers) keeps both engines' streams identical even when
+        # a crash falls after the last dispatch.
+        crash_events(tracer.emit, schedule.crash_times)
 
     while True:
         view._now = now
@@ -317,19 +315,9 @@ def simulate_fast(
         spec = workers[worker]
 
         if tracer is not None:
-            if phase != last_phase:
-                tracer.emit(now, "round_boundary", -1, chunk=num_dispatched, phase=phase)
-            if schedule is not None:
-                # The master acts on a newly observed crash at its next
-                # dispatch decision: one recovery_decision per crashed
-                # worker entering the observable set.
-                for w in view.crashed_workers():
-                    if w not in crashes_observed:
-                        crashes_observed.add(w)
-                        tracer.emit(
-                            now, "recovery_decision", w, detail="crash-observed"
-                        )
-        last_phase = phase
+            last_phase = decision_events(
+                tracer.emit, view, num_dispatched, phase, last_phase, crashes_observed
+            )
 
         send_start = now
         path = paths[worker]
@@ -371,36 +359,10 @@ def simulate_fast(
             if comp_end > makespan:
                 makespan = comp_end
         if tracer is not None:
-            tracer.emit(
-                send_start, "dispatch_start", worker,
-                chunk=num_dispatched, size=size, phase=phase,
+            chunk_events(
+                tracer.emit, worker, num_dispatched, size, phase, send_start,
+                send_end, hop_ends, comp_start, comp_end, seen,
             )
-            tracer.emit(
-                send_end, "dispatch_end", worker,
-                chunk=num_dispatched, size=size, phase=phase,
-            )
-            if hop_ends:
-                for res, t_hop in hop_ends:
-                    tracer.emit(
-                        t_hop, "link_hop", worker,
-                        chunk=num_dispatched, size=size, phase=phase,
-                        detail=f"link={res}",
-                    )
-            if lost:
-                tracer.emit(
-                    loss_time, "fault", worker,
-                    chunk=num_dispatched, size=size, phase=phase,
-                    detail="loss",
-                )
-            else:
-                tracer.emit(
-                    comp_start, "comp_start", worker,
-                    chunk=num_dispatched, size=size, phase=phase,
-                )
-                tracer.emit(
-                    comp_end, "comp_end", worker,
-                    chunk=num_dispatched, size=size, phase=phase,
-                )
         num_dispatched += 1
         if collect_records:
             rows.append((

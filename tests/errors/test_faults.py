@@ -190,6 +190,31 @@ class TestSampling:
         s = SlowdownFaults(prob=1.0, tmax=10.0, factor=2.0).sample(platform, rng)
         assert all(f == 2.0 for _, f in s.slowdowns)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PauseFaults(prob=1, tmax=10, duration=60),
+            SlowdownFaults(prob=1, tmax=10, factor=2),
+            LinkSpikeFaults(prob=1, delay=5),
+        ],
+        ids=["pause", "slow", "spike"],
+    )
+    def test_int_parameters_become_floats(self, model, platform, rng):
+        # A model built in code with ints must realize the same float
+        # schedule as its spec-parsed twin, as the batch planes do.
+        assert all(
+            type(getattr(model, f.name)) is float for f in dataclasses.fields(model)
+        )
+        schedule = model.sample(platform, rng)
+        values = [
+            *schedule.crash_times, *(v for pair in schedule.pauses for v in pair),
+            *(v for pair in schedule.slowdowns for v in pair),
+            schedule.spike_prob, schedule.spike_delay,
+        ]
+        assert all(type(v) is float for v in values)
+        assert model == make_fault_model(model.spec)
+        assert model.spec == make_fault_model(model.spec).spec
+
     def test_spike_schedule_has_no_per_worker_faults(self, platform, rng):
         schedule = LinkSpikeFaults(prob=0.3, delay=4.0).sample(platform, rng)
         assert schedule.any_faults
@@ -251,6 +276,25 @@ class TestComputeDuration:
         # start=0 inside pause -> duration = 10 + 4 = 14; start+14 > 5 and
         # start < 5, so done = 5, duration = 5 + 9 * 2 = 23.
         assert s.compute_duration(0, 0.0, 4.0) == 23.0
+
+
+    def test_unfaulted_worker_skips_the_rules(self, monkeypatch):
+        # Worker 1 has neither a pause nor a slowdown: its duration comes
+        # back unchanged without evaluating either stretch rule.
+        from repro.errors import faults
+
+        s = FaultSchedule(
+            crash_times=(math.inf, math.inf),
+            pauses=((10.0, 5.0), (0.0, 0.0)),
+            slowdowns=((10.0, 3.0), (0.0, 1.0)),
+        )
+
+        def boom(*args):
+            raise AssertionError("stretch rule evaluated on an unfaulted worker")
+
+        monkeypatch.setattr(faults, "pause_stretch", boom)
+        monkeypatch.setattr(faults, "slow_stretch", boom)
+        assert s.compute_duration(1, 12.0, 4.0) == 4.0
 
 
 class TestLinkExtra:
