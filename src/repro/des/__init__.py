@@ -11,7 +11,9 @@ and is resumed when the yielded event fires.  The kernel is deliberately
 minimal but complete enough to express arbitrary master-worker protocols:
 
 ``Environment``
-    owns the clock and the event calendar and runs the simulation.
+    owns the clock and the event calendar and runs the simulation;
+    ``zero_delay`` runs a zero-delay step inline when nothing on the
+    calendar can fire before it, and pushes it otherwise.
 ``Event`` / ``Timeout`` / ``AllOf`` / ``AnyOf``
     one-shot occurrences that processes can wait on.
 ``Process``
@@ -21,7 +23,8 @@ minimal but complete enough to express arbitrary master-worker protocols:
     a FIFO server with finite capacity (used to model the master's
     serialized network interface card).
 ``Store``
-    an unbounded FIFO message queue (used for worker inboxes).
+    an unbounded FIFO message queue (used for the master's completion
+    inbox).
 
 Run traces are not the kernel's concern: the simulators emit typed
 events into a :class:`repro.obs.Tracer`.

@@ -78,6 +78,55 @@ class Environment:
         self._sequence += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._sequence, event))
 
+    def zero_delay(
+        self, step: "typing.Callable[[Event | None], None] | None",
+        priority: int = NORMAL,
+    ) -> Event | None:
+        """Run ``step`` at the current time: inline, or from a calendar entry.
+
+        A zero-delay step -- a process start, a store hand-off -- is
+        normally an event pushed at ``(now, priority)`` that calls
+        ``step(event)`` when it fires.  Running ``step(None)`` inline
+        instead is indistinguishable when nothing can happen between the
+        push and the firing:
+
+        (a) the calendar's head sorts after ``(now, priority)``: for
+            ``NORMAL`` no entry at ``now``, for ``URGENT`` no ``URGENT``
+            entry at ``now``.  Checked here; when it fails the step is
+            pushed exactly as before.
+        (b) the caller, after this call and before control returns to the
+            kernel, pushes no entry that sorts before ``(now, priority)``,
+            emits nothing observable and changes no state the step reads.
+            If it calls this method again, every entry the step pushes at
+            ``now`` and every call of this method it makes must sort
+            before the second call, and so on down the steps of those
+            calls, which may run inline too: pushed, the second call's
+            entry would precede them; inline, the step takes them first.
+            This is the caller's obligation.
+
+        Every entry that stays on the calendar is then pushed in the same
+        order at the same ``(time, priority)`` as if every step were
+        pushed, so the firing order is unchanged; an inline step only
+        saves its entry.
+
+        ``step=None`` asks for the decision alone, for a process that is
+        itself the step: nothing is called, and the process waits on the
+        returned event, or goes on at once when ``None`` is returned.
+
+        Returns the pushed event, or ``None`` when the step ran inline.
+        """
+        queue = self._queue
+        if queue and queue[0][0] <= self._now and queue[0][1] <= priority:
+            event = Event(self)
+            if step is not None:
+                event.callbacks.append(step)
+            event._state = Event.SCHEDULED
+            self.schedule(event, 0.0, priority)
+            return event
+        if step is not None:
+            step(None)
+        return None
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")

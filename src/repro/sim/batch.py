@@ -66,6 +66,7 @@ __all__ = [
     "CompiledStaticPlan",
     "FactorStreams",
     "StaticCell",
+    "check_tracers",
     "compile_static_plan",
     "factor_rows",
     "factor_stream",
@@ -304,6 +305,24 @@ class StaticCell:
             raise ValueError("a cell needs at least one seed")
 
 
+def check_tracers(cells, tracers) -> None:
+    """Raise unless ``tracers`` has one entry per cell and each a seed's.
+
+    ``tracers`` parallels ``cells`` in both batch engines: an entry is
+    ``None`` or one tracer (or ``None``) per seed of its cell.  A list of
+    the wrong length would hand its tracers to the wrong rows.
+    """
+    if tracers is None:
+        return
+    if len(tracers) != len(cells):
+        raise ValueError(f"{len(tracers)} tracer entries for {len(cells)} cells")
+    for i, (cell, cell_tracers) in enumerate(zip(cells, tracers)):
+        if cell_tracers is not None and len(cell_tracers) != len(cell.seeds):
+            raise ValueError(
+                f"cell {i}: {len(cell_tracers)} tracers for {len(cell.seeds)} seeds"
+            )
+
+
 def _traced_rows(cells, tracers) -> list:
     """``(cell index, seed index, tracer)`` of every traced repetition."""
     if tracers is None:
@@ -405,7 +424,9 @@ def simulate_static_cells(
     if mode not in ("multiply", "divide"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
     cells = list(cells)
-    # Reject traced fault cells before any class is simulated or traced.
+    # Reject bad tracer lists and traced fault cells before any class is
+    # simulated or traced.
+    check_tracers(cells, tracers)
     _traced_rows(cells, tracers)
     if planes is None:
         planes = FaultPlaneCache()

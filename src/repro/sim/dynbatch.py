@@ -100,7 +100,7 @@ from repro.errors.models import check_magnitude, make_error_model
 from repro.obs.events import chunk_events, crash_events
 from repro.platform.spec import PlatformSpec
 
-from repro.sim.batch import MIN_DRAW, FactorStreams, factor_rows, factor_stream
+from repro.sim.batch import MIN_DRAW, FactorStreams, check_tracers, factor_rows, factor_stream
 from repro.sim.fastsim import simulate_fast
 
 __all__ = [
@@ -858,6 +858,7 @@ def simulate_dynamic_cells(
     if max_rows < 1:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")
     cells = list(cells)
+    check_tracers(cells, tracers)
     outputs: list = [None] * len(cells)
     if arena is None:
         arena = BatchArena()

@@ -1,23 +1,31 @@
 """Reference master-worker simulator on the generic DES kernel.
 
-This engine expresses the paper's platform as interacting processes:
+This engine expresses the paper's platform as a master process and
+callback servers on the DES kernel:
 
 * one *master* process that queries the scheduler's dispatch source,
   occupies the serialized link for each transfer, and releases each
   chunk into its delivery stage (which models the overlappable ``tLat``
   pipeline tail);
-* one *worker* process per processor, consuming its FIFO inbox and
-  announcing completions to the master's completion inbox;
+* one *worker* per processor, a FIFO server (:class:`_Fifo`) that
+  computes delivered chunks in arrival order and announces completions
+  to the master's completion inbox;
 * the scheduler only observes completion announcements, like a real master.
 
-A chunk's own short-lived stages -- its send on a ported star, its pipe
-tail and delivery, an in-flight loss announcement, its result return --
-are not processes but chains of kernel callbacks on the events they wait
-for.  Each chain begins with the ``(now, NORMAL)`` calendar entry that
-starting a process pushes, so every event fires exactly where it would
-if the stage were a process; a chunk just costs no generator and no
-termination event.  The master folds queued completion notes into its
-view straight from the store, without a calendar entry per note.
+The master and the per-worker crash watches are generator processes.
+Everything per chunk is kernel callbacks: the workers and relay links
+are FIFO servers (a busy flag and a queue), and a chunk's short-lived
+stages -- its send on a ported star, its pipe tail and delivery, an
+in-flight loss announcement, its result return -- are chains of
+callbacks on the events they wait for.  Each zero-delay step (a stage's
+start, a server hand-off, the master's pre-decision flush) is the one
+the same code written as processes over ``Store`` inboxes would take,
+at the same ``(now, priority)``; it runs inline when nothing on the
+calendar can fire before it (:meth:`repro.des.Environment.zero_delay`)
+and is pushed otherwise, so every entry that stays on the calendar is
+pushed in the same order and every event fires exactly where it would.
+The master folds queued completion notes into its view straight from
+the store, without a calendar entry per note.
 
 The engine is trajectory-identical to :mod:`repro.sim.fastsim`: the same
 floating-point operations in the same order, and error-model draws in
@@ -41,14 +49,14 @@ Every transfer follows its worker's
 :class:`~repro.platform.topology.LinkPath`
 (:mod:`repro.platform.topology`); the paper's star is the zero-hop path,
 whose chunks go straight from link release to the ``tLat`` delivery.
-Chains and trees add one *relay* process per serialized relay link: a
-FIFO inbox feeds it chunks (in dispatch order, because the master link
-upstream is serialized), it holds the link for the hop time, emits a
-``link_hop`` event, and forwards to the next hop or the terminal
-delivery stage.  The master still predicts the whole timeline at
-dispatch via the same :meth:`~repro.platform.topology.LinkPath.traverse`
-arithmetic the fast engine uses — relay ``max``/``+`` chains realize the
-exact same floats, so chain/tree trajectories stay engine-identical.
+Chains and trees add one *relay* FIFO server per serialized relay link:
+it takes chunks in dispatch order (the master link upstream is
+serialized), holds the link for the hop time, emits a ``link_hop``
+event, and forwards to the next hop or the terminal delivery stage.
+The master still predicts the whole timeline at dispatch via the same
+:meth:`~repro.platform.topology.LinkPath.traverse` arithmetic the fast
+engine uses — relay ``max``/``+`` chains realize the exact same floats,
+so chain/tree trajectories stay engine-identical.
 Relays are deterministic forwarders: the error model perturbs only the
 master-link occupancy, and worker crashes stop computation, not
 forwarding (lost chunks still occupy relay links).
@@ -90,8 +98,11 @@ the master takes no ports and the loop is the plain star's.
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
+import functools
 import math
+import operator
 
 from repro.core.base import (
     WAIT,
@@ -104,6 +115,7 @@ from repro.core.base import (
 )
 from repro.core.chunks import ReturnRecord, build_records
 from repro.des import Environment, Event, Resource, Store
+from repro.des.events import NORMAL, URGENT
 from repro.errors.faults import CrashClock, FaultModel, sample_run
 from repro.errors.models import ErrorModel
 from repro.obs.events import decision_events
@@ -112,9 +124,6 @@ from repro.platform.topology import LinkPath, RelayHop, bind_once, make_topology
 from repro.sim.result import SimResult
 
 __all__ = ["simulate_des"]
-
-#: Inbox sentinel telling a worker process to terminate.
-_POISON = object()
 
 #: Positions of the realized fields in a chunk's timeline row.  A row holds
 #: the :class:`~repro.core.chunks.DispatchRecord` fields after ``index``;
@@ -167,6 +176,71 @@ class _Transfer:
     bcap: float
     done: Event
     rate: float = 0.0
+
+
+class _Fifo:
+    """One server fed by a FIFO queue: a worker's processor or a relay link.
+
+    ``put`` hands an item to the server, or queues it while the server is
+    busy.  Serving an item is ``begin(item)``, a hold of ``hold(item)``,
+    then ``end(item)``; then the oldest queued item starts.  The hand-offs
+    are the zero-delay steps of a process waiting on a ``Store`` inbox:
+    ``URGENT`` when the item finds the server idle, ``NORMAL`` for a queued
+    item (see :meth:`~repro.des.Environment.zero_delay`), so the server's
+    steps fire where that process's would, without a generator or a
+    termination entry.
+    """
+
+    __slots__ = ("env", "hold", "begin", "end", "queue", "busy", "item", "held")
+
+    def __init__(self, env: Environment, hold, end, begin=None):
+        self.env = env
+        self.hold = hold
+        self.begin = begin
+        self.end = end
+        self.queue: collections.deque = collections.deque()
+        self.busy = False
+        # The item being served (or handed off) and its hold: a server
+        # holds one item from its hand-off to the end of its hold.
+        self.item = None
+        self.held = 0.0
+
+    def put(self, item) -> None:
+        if self.busy:
+            self.queue.append(item)
+        else:
+            self.busy = True
+            self._hand_off(item, URGENT)
+
+    def _hand_off(self, item, priority: int) -> None:
+        env = self.env
+        self.item = item
+        self.held = hold = self.hold(item)
+        now = env.now
+        # Inline, a hand-off runs ahead of what its caller still does, which
+        # is at most one NORMAL zero-delay step (the master's flush, the
+        # upstream link's next hand-off); a hold that ends later cannot
+        # overtake that step.  A hold that ends where it starts would put
+        # its end at (now, NORMAL) ahead of it, so that hand-off takes its
+        # calendar entry, as a Store getter does.
+        if now + hold != now:
+            env.zero_delay(self._serve, priority)
+        else:
+            event = env.event()
+            event.callbacks.append(self._serve)
+            env.schedule(event, 0.0, priority)
+
+    def _serve(self, _) -> None:
+        if self.begin is not None:
+            self.begin(self.item)
+        self.env.timeout(self.held).callbacks.append(self._finish)
+
+    def _finish(self, _) -> None:
+        self.end(self.item)
+        if self.queue:
+            self._hand_off(self.queue.popleft(), NORMAL)
+        else:
+            self.busy = False
 
 
 class _SharedLink:
@@ -405,14 +479,15 @@ def simulate_des(
 
     ``tracer`` (a :class:`repro.obs.Tracer`) receives the run's typed
     event stream.  Unlike the fast engine — which can emit a chunk's whole
-    timeline at dispatch — this engine emits each event from the process
-    or stage that realizes it (workers, delivery tails, crash watchers), so
+    timeline at dispatch — this engine emits each event from the server,
+    stage or process that realizes it (workers, relay links, delivery
+    tails, crash watchers), so
     the stream certifies the DES kernel's actual execution; the two engines'
     *canonical* streams are equal exactly when their trajectories are.
 
     ``topology`` (a spec string or :class:`~repro.platform.topology.
     Topology`) picks the interconnect; ``None`` means the paper's star.
-    Chains and trees add relay processes, ``sharedbw`` replaces the
+    Chains and trees add relay links, ``sharedbw`` replaces the
     serialized link with a :class:`_SharedLink`, and stars with ports or
     result returns share a pool of master ports (see the module
     docstring).  ``sharedbw`` with ``faults`` raises.
@@ -432,7 +507,6 @@ def simulate_des(
     env = Environment()
     n = platform.N
 
-    inboxes = [Store(env) for _ in range(n)]
     completions = Store(env)
     view = _DesView(env, n, schedule.crash_times if schedule is not None else None)
     # A schedule skips the per-chunk rules of the fault kinds it lacks.
@@ -453,11 +527,9 @@ def simulate_des(
     # themselves directly.
     crash_pending: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     watch_fired = [False] * n
-    # Topology plumbing: one FIFO inbox per serialized relay link, plus the
-    # master-side prediction mirror of the relay busy chains (the analogue
+    # Master-side prediction mirror of the relay busy chains (the analogue
     # of pred_busy for links).  Empty on the star.
-    relay_inboxes: list[Store] = [Store(env) for _ in range(bound.num_relay_links)]
-    relay_busy: list[float] = [0.0] * len(relay_inboxes)
+    relay_busy: list[float] = [0.0] * bound.num_relay_links
     shared_link = _SharedLink(env, bound.cap) if sharedbw else None
     # Star link options: a FIFO pool of master ports shared by dispatches
     # and result returns.  None on every closed-form shape.
@@ -466,34 +538,72 @@ def simulate_des(
     out = bound.out
     returns: list[ReturnRecord] = []
 
-    def worker_proc(index: int):
-        while True:
-            msg = yield inboxes[index].get()
-            if msg is _POISON:
-                return
-            comp_start = env.now
-            if tracer is not None:
-                tracer.emit(comp_start, "comp_start", index, msg.index, msg.size, msg.phase)
-            yield env.timeout(msg.comp_time)
-            comp_end = env.now
-            if tracer is not None:
-                tracer.emit(comp_end, "comp_end", index, msg.index, msg.size, msg.phase)
-            row = rows[msg.index]
-            row[_COMP_START] = comp_start
-            row[_COMP_END] = comp_end
-            completions.put(("done", index, msg.index, msg.size, comp_end))
-            if out:
-                send_return(index, msg, out * msg.size)
+    # -- workers and relay links -------------------------------------------
+    # Each is a _Fifo: chunks queue in arrival order and are served one at
+    # a time.  A worker computes a chunk for its pre-drawn duration; a
+    # relay link holds a chunk for its hop time.
+
+    def comp_begin(worker: int, msg: _ChunkMsg) -> None:
+        comp_start = env.now
+        if tracer is not None:
+            tracer.emit(comp_start, "comp_start", worker, msg.index, msg.size, msg.phase)
+        rows[msg.index][_COMP_START] = comp_start
+
+    def comp_end(worker: int, msg: _ChunkMsg) -> None:
+        comp_end = env.now
+        if tracer is not None:
+            tracer.emit(comp_end, "comp_end", worker, msg.index, msg.size, msg.phase)
+        rows[msg.index][_COMP_END] = comp_end
+        completions.put(("done", worker, msg.index, msg.size, comp_end))
+        if out:
+            send_return(worker, msg, out * msg.size)
+
+    def hop_end(link: int, rmsg: _RelayMsg) -> None:
+        # Relay links serve in dispatch order -- the order the master's
+        # prediction mirror (LinkPath.traverse over relay_busy) prices
+        # them in.
+        if tracer is not None:
+            tracer.emit(
+                env.now, "link_hop", rmsg.worker,
+                chunk=rmsg.index, size=rmsg.size, phase=rmsg.phase,
+                detail=f"link={link}",
+            )
+        rmsg.hop_idx += 1
+        if rmsg.hop_idx < len(rmsg.hops):
+            relays[rmsg.hops[rmsg.hop_idx].resource].put(rmsg)
+        else:
+            transport_tail(rmsg)
+
+    comp_hold = operator.attrgetter("comp_time")
+    workers = [
+        _Fifo(env, comp_hold, functools.partial(comp_end, w), functools.partial(comp_begin, w))
+        for w in range(n)
+    ]
+    relays = [
+        _Fifo(env, lambda r: r.hops[r.hop_idx].hop_time(r.size), functools.partial(hop_end, link))
+        for link in range(bound.num_relay_links)
+    ]
 
     # -- per-chunk stages ----------------------------------------------------
     # Each chunk's short-lived steps (its send on a ported star, its pipe
     # tail and delivery, an in-flight loss, its result return) are kernel
     # callbacks chained on the events they wait for.  A stage starts with
-    # start(), which pushes the same (now, NORMAL) entry a process start
-    # does, so every later entry of the stage is pushed at the point of
-    # the calendar where the same stage written as a process would push it.
+    # the (now, NORMAL) step a process start takes, so every later entry
+    # of the stage is pushed at the point of the calendar where the same
+    # stage written as a process would push it.  start() runs that step
+    # inline when nothing can fire before it (Environment.zero_delay): its
+    # callers go on at most to a NORMAL zero-delay step (the master's
+    # flush, a relay link's next hand-off), and before its first wait a
+    # stage takes no entry at now but URGENT hand-offs.  A ported star's
+    # send and return stages push their start entry: a return's port grant
+    # (and a send's link timeout, if its delay vanishes) lands at
+    # (now, NORMAL), behind the worker's next hand-off and the master's
+    # next port request.
 
     def start(step) -> None:
+        env.zero_delay(step)
+
+    def push_start(step) -> None:
         env.timeout(0.0).callbacks.append(step)
 
     def after(delay: float, step) -> None:
@@ -533,12 +643,12 @@ def simulate_des(
                 link_end + platform[worker].tLat,
             ))
 
-        start(lambda _: ports.request().callbacks.append(transfer))
+        push_start(lambda _: ports.request().callbacks.append(transfer))
 
     def deliver_after(worker: int, msg: _ChunkMsg, t_lat: float) -> None:
         def deliver(_) -> None:
             rows[msg.index][_ARRIVAL] = env.now
-            inboxes[worker].put(msg)
+            workers[worker].put(msg)
 
         after(t_lat, deliver)
 
@@ -568,28 +678,6 @@ def simulate_des(
         # roots.
         start(lambda _: after(rmsg.tail_time, lambda _: pass_tail(rmsg)))
 
-    def relay_proc(res: int):
-        # One serialized relay link: FIFO over its inbox, so chunks cross
-        # in dispatch order — the order the master's prediction mirror
-        # (LinkPath.traverse over relay_busy) prices them in.
-        while True:
-            rmsg = yield relay_inboxes[res].get()
-            if rmsg is _POISON:
-                return
-            hop = rmsg.hops[rmsg.hop_idx]
-            yield env.timeout(hop.hop_time(rmsg.size))
-            if tracer is not None:
-                tracer.emit(
-                    env.now, "link_hop", rmsg.worker,
-                    chunk=rmsg.index, size=rmsg.size, phase=rmsg.phase,
-                    detail=f"link={res}",
-                )
-            rmsg.hop_idx += 1
-            if rmsg.hop_idx < len(rmsg.hops):
-                relay_inboxes[rmsg.hops[rmsg.hop_idx].resource].put(rmsg)
-            else:
-                transport_tail(rmsg)
-
     def shared_tail(
         worker: int, index: int, size: float, comp_time: float, phase: str,
         t_lat: float, done: Event,
@@ -614,7 +702,7 @@ def simulate_des(
         t_lat: float, terminal: str, chunk_msg: "_ChunkMsg | None",
     ) -> None:
         # Link release: the dispatch ends and the chunk enters its path —
-        # the first hop's inbox, or straight to the tail for hop-free
+        # the first relay link, or straight to the tail for hop-free
         # paths (the star, cut-through chains, tree roots).  ``terminal``
         # is empty for a queued-at-crash loss on a hop-free path, which
         # the crash watch announces and nothing carries.
@@ -632,7 +720,7 @@ def simulate_des(
             terminal=terminal, chunk_msg=chunk_msg,
         )
         if rmsg.hops:
-            relay_inboxes[rmsg.hops[0].resource].put(rmsg)
+            relays[rmsg.hops[0].resource].put(rmsg)
         else:
             transport_tail(rmsg)
 
@@ -643,7 +731,7 @@ def simulate_des(
             ports.release(req)
             land(*landing)
 
-        start(lambda _: env.timeout(link_time).callbacks.append(release))
+        push_start(lambda _: env.timeout(link_time).callbacks.append(release))
 
     def crash_watch_proc(worker: int, t_crash: float):
         # Started at t=0 so ``timeout(t_crash)`` lands on the exact crash
@@ -680,8 +768,11 @@ def simulate_des(
                 req = ports.request()
                 yield req
             # Flush same-time events so completions at exactly `now` are
-            # visible, then fold announcements into the view.
-            yield env.timeout(0)
+            # visible, then fold announcements into the view.  With nothing
+            # left at `now` the flush is a no-op and the master goes on.
+            flush = env.zero_delay(None)
+            if flush is not None:
+                yield flush
             drain_completions()
             action = source.next_dispatch(view)
             if action is None:
@@ -758,7 +849,7 @@ def simulate_des(
             # Predicted chunk timeline — bit-identical to what the kernel
             # will realize, because env.timeout chains absolute times with
             # the same `a + b` float operations (relay hops included: the
-            # relay processes realize traverse()'s max/+ chains exactly).
+            # relay links realize traverse()'s max/+ chains exactly).
             send_end_pred = send_start + link_time
             arrival_pred = path.traverse(size, send_end_pred, relay_busy) + spec.tLat
             comp_start_pred = max(arrival_pred, pred_busy[action.worker])
@@ -811,29 +902,18 @@ def simulate_des(
             yield env.timeout(link_time)
             land(path, action.worker, index, size, action.phase, spec.tLat, terminal, msg)
         # All work dispatched.  Deliveries may still be riding their paths
-        # and tLat tails — poisoning the inboxes now would overtake them.
-        # Every chunk eventually announces done or lost, so drain the
-        # outstanding count, then let the workers stop.
+        # and tLat tails; every chunk eventually announces done or lost, so
+        # drain the outstanding count.
         while outstanding[0] > 0:
             msg = yield completions.get()
             apply_note(*msg)
-        for inbox in inboxes:
-            inbox.put(_POISON)
-        for inbox in relay_inboxes:
-            inbox.put(_POISON)
 
-    worker_procs = [env.process(worker_proc(i)) for i in range(n)]
-    relay_procs = [env.process(relay_proc(r)) for r in range(len(relay_inboxes))]
     if schedule is not None:
         for w, t_crash in enumerate(schedule.crash_times):
             if t_crash != math.inf:
                 env.process(crash_watch_proc(w, t_crash))
     env.process(master_proc())
     env.run()
-    for proc in worker_procs:
-        assert proc.processed, "worker process did not terminate"
-    for proc in relay_procs:
-        assert proc.processed, "relay process did not terminate"
 
     makespan = max((row[_COMP_END] for row in rows if not row[_LOST]), default=0.0)
     if returns:

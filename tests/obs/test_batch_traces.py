@@ -28,6 +28,7 @@ from repro.obs import Tracer, first_divergence
 from repro.platform import homogeneous_platform
 from repro.sim import simulate_fast
 from repro.sim.batch import StaticCell, compile_static_plan, simulate_static_cells
+from repro.sim.dynbatch import DynamicCell, simulate_dynamic_cells
 from tests.cells import dynamic_cell, static_cell
 
 W = 500.0
@@ -143,3 +144,39 @@ class TestDynamicBatchTraces:
         )
         assert spans[0] == scalar.makespan
         assert_streams_match(batch_tracer, scalar_tracer, phases=False)
+
+
+class TestTracerLists:
+    """Both batch engines reject a tracer list that does not fit the cells.
+
+    Cells of 2 and 1 seeds; a list of the wrong length would hand tracers
+    to the wrong rows.
+    """
+
+    @pytest.fixture(params=["static", "dynamic"])
+    def run(self, request, platform):
+        if request.param == "static":
+            plan = compile_static_plan(platform, UMR().static_plan(platform, W))
+            cells = [StaticCell(platform, plan, 0.0, seeds) for seeds in ((1, 2), (3,))]
+            return lambda tracers: simulate_static_cells(cells, tracers=tracers)
+        cells = [
+            DynamicCell(platform, Factoring(), W, 0.0, seeds) for seeds in ((1, 2), (3,))
+        ]
+        return lambda tracers: simulate_dynamic_cells(cells, tracers=tracers)
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+    def test_per_cell_list_must_match_the_seeds(self, run, extra):
+        first = [Tracer() for _ in range(2 + extra)]
+        with pytest.raises(ValueError, match="cell 0"):
+            run([first, None])
+        assert all(len(tracer) == 0 for tracer in first)
+
+    @pytest.mark.parametrize("entries", [1, 3], ids=["short", "long"])
+    def test_outer_list_must_match_the_cells(self, run, entries):
+        with pytest.raises(ValueError, match="for 2 cells"):
+            run([[Tracer(), Tracer()]] + [None] * (entries - 1))
+
+    def test_fitting_lists_trace(self, run):
+        second = [Tracer()]
+        run([None, second])
+        assert len(second[0]) > 0
