@@ -24,6 +24,7 @@ __all__ = [
     "ChunkPlan",
     "DispatchRecord",
     "ReturnRecord",
+    "ROW_FIELDS",
     "build_records",
 ]
 
@@ -174,6 +175,16 @@ class ReturnRecord:
     received: float
 
 
+#: The timeline row layout: the :class:`DispatchRecord` fields after
+#: ``index``, in field order.  Both scalar engines build one row per
+#: chunk in this layout; :class:`~repro.sim.result.SimResult` keeps the
+#: rows and reads them through the ``ROW_*`` positions below.
+ROW_FIELDS = tuple(f.name for f in dataclasses.fields(DispatchRecord))[1:]
+(
+    ROW_WORKER, ROW_SIZE, ROW_SEND_START, ROW_SEND_END, ROW_ARRIVAL,
+    ROW_COMP_START, ROW_COMP_END, ROW_PHASE, ROW_LOST, ROW_LOSS_TIME,
+) = range(len(ROW_FIELDS))
+
 #: One slot setter per :class:`DispatchRecord` field, in field order.
 _RECORD_SETTERS = tuple(
     getattr(DispatchRecord, f.name).__set__ for f in dataclasses.fields(DispatchRecord)
@@ -183,9 +194,9 @@ _RECORD_SETTERS = tuple(
 def build_records(rows: typing.Sequence[typing.Sequence]) -> tuple[DispatchRecord, ...]:
     """The records of one run's timeline rows, indexed in row order.
 
-    Each row holds the :class:`DispatchRecord` fields after ``index``:
-    ``(worker, size, send_start, send_end, arrival, comp_start, comp_end,
-    phase, lost, loss_time)``.  Record ``i`` equals
+    Each row holds the :class:`DispatchRecord` fields after ``index``
+    (:data:`ROW_FIELDS`): ``(worker, size, send_start, send_end, arrival,
+    comp_start, comp_end, phase, lost, loss_time)``.  Record ``i`` equals
     ``DispatchRecord(i, *rows[i])``; it is built without the frozen
     ``__init__`` (a run makes one record per chunk), by setting each
     field's slot a column at a time.

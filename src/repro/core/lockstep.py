@@ -237,16 +237,20 @@ class PlanCursor:
     the cursor first reaches it, and the cursor steps past an emptied
     round only on the next :meth:`take` — so a run whose last planned
     chunk just left still counts as :attr:`active`, like a lockstep row
-    between rounds.  Dispatches are labelled ``f"{label}{round}"``.
+    between rounds.  Dispatches are labelled ``f"{label}{round}"``; the
+    label and the round's row are looked up once, when the cursor
+    reaches the round.
     """
 
-    __slots__ = ("_rounds", "_label", "round", "_pending")
+    __slots__ = ("_rounds", "_label", "round", "_pending", "_row", "_phase")
 
     def __init__(self, rounds, label: str):
         self._rounds = rounds
         self._label = label
         self.round = 0
         self._pending: "list[int] | None" = None
+        self._row = None
+        self._phase = ""
 
     @property
     def active(self) -> bool:
@@ -262,7 +266,8 @@ class PlanCursor:
                 self._pending = None
             if self.round >= len(self._rounds):
                 return None
-            row = self._rounds[self.round]
+            row = self._row = self._rounds[self.round]
+            self._phase = f"{self._label}{self.round}"
             pending = self._pending = [i for i, s in enumerate(row) if s > 0.0]
         worker = pending[0]
         if out_of_order:
@@ -271,9 +276,7 @@ class PlanCursor:
                     worker = i
                     break
         pending.remove(worker)
-        return Dispatch(
-            worker, self._rounds[self.round][worker], f"{self._label}{self.round}"
-        )
+        return Dispatch(worker, self._row[worker], self._phase)
 
 
 @dataclasses.dataclass(slots=True)

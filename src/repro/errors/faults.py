@@ -1143,13 +1143,16 @@ def _parse_kv(body: str, kind: str, what: str = "fault") -> dict[str, float]:
     grammars; ``what`` names the grammar in error messages.  NaN and
     infinities are rejected here, so no spec reaches a model (or an
     ``int()`` coercion) with a non-finite parameter, and so is a key
-    given twice (``p=0.1,p=0.9`` would otherwise keep one silently).
+    given twice (``p=0.1,p=0.9`` would otherwise keep one silently).  An
+    empty body has no parameters; otherwise every comma-separated item
+    must be ``key=value`` (an empty item, as in ``p=0.1,`` or
+    ``p=0.1,,tmax=5``, is malformed).
     """
     out: dict[str, float] = {}
+    if not body.strip():
+        return out
     for part in body.split(","):
         part = part.strip()
-        if not part:
-            continue
         key, sep, value = part.partition("=")
         key = key.strip()
         if not sep:

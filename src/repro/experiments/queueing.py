@@ -43,6 +43,7 @@ import dataclasses
 import json
 import typing
 
+from repro.errors.faults import _parse_kv
 from repro.experiments.figures import FigureResult
 from repro.sim.multijob import MultiJobResult, simulate_stream
 
@@ -143,11 +144,10 @@ def queueing_metrics(stream: MultiJobResult) -> QueueingMetrics:
     services = [j.service for j in completed]
     horizon = stream.horizon
     busy = sum(
-        r.comp_time
+        comp_time
         for rec in jobs
         for result in rec.results
-        for r in result.records
-        if not r.lost
+        for comp_time in result.delivered_comp_times()
     )
     capacity = stream.platform.N * horizon
     return QueueingMetrics(
@@ -293,13 +293,10 @@ def _arrival_axis(arrival_specs: typing.Sequence[str]) -> tuple[float, ...]:
         rate = None
         kind, _, body = spec.partition(":")
         if kind.strip() == "poisson":
-            for part in body.split(","):
-                key, _, value = part.partition("=")
-                if key.strip() == "rate":
-                    try:
-                        rate = float(value)
-                    except ValueError:
-                        rate = None
+            try:
+                rate = _parse_kv(body, "poisson", "arrival").get("rate")
+            except ValueError:
+                rate = None
         if rate is None:
             return tuple(float(i) for i in range(len(arrival_specs)))
         rates.append(rate)

@@ -113,7 +113,14 @@ from repro.core.base import (
     MasterView,
     Scheduler,
 )
-from repro.core.chunks import ReturnRecord, build_records
+from repro.core.chunks import (
+    ROW_ARRIVAL,
+    ROW_COMP_END,
+    ROW_COMP_START,
+    ROW_LOST,
+    ROW_SEND_END,
+    ReturnRecord,
+)
 from repro.des import Environment, Event, Resource, Store
 from repro.des.events import NORMAL, URGENT
 from repro.errors.faults import CrashClock, FaultModel, sample_run
@@ -124,13 +131,6 @@ from repro.platform.topology import LinkPath, RelayHop, bind_once, make_topology
 from repro.sim.result import SimResult
 
 __all__ = ["simulate_des"]
-
-#: Positions of the realized fields in a chunk's timeline row.  A row holds
-#: the :class:`~repro.core.chunks.DispatchRecord` fields after ``index``;
-#: the master writes its predictions, the realizing stages overwrite
-#: them, and :func:`~repro.core.chunks.build_records` builds every record
-#: once after the run.
-_SEND_END, _ARRIVAL, _COMP_START, _COMP_END, _LOST = 3, 4, 5, 6, 8
 
 
 @dataclasses.dataclass(slots=True)
@@ -512,6 +512,9 @@ def simulate_des(
     # A schedule skips the per-chunk rules of the fault kinds it lacks.
     stretches = schedule is not None and (schedule.any_pause or schedule.any_slow)
     spikes = schedule is not None and schedule.spike_prob > 0.0
+    # One timeline row per chunk (ROW_FIELDS): the master writes its
+    # predictions, the realizing stages overwrite them, and the rows are
+    # frozen into the result once, after the run.
     rows: list[list] = []
     # Chunks dispatched but not yet announced complete or lost (deadlock
     # detection and the final drain).
@@ -547,13 +550,13 @@ def simulate_des(
         comp_start = env.now
         if tracer is not None:
             tracer.emit(comp_start, "comp_start", worker, msg.index, msg.size, msg.phase)
-        rows[msg.index][_COMP_START] = comp_start
+        rows[msg.index][ROW_COMP_START] = comp_start
 
     def comp_end(worker: int, msg: _ChunkMsg) -> None:
         comp_end = env.now
         if tracer is not None:
             tracer.emit(comp_end, "comp_end", worker, msg.index, msg.size, msg.phase)
-        rows[msg.index][_COMP_END] = comp_end
+        rows[msg.index][ROW_COMP_END] = comp_end
         completions.put(("done", worker, msg.index, msg.size, comp_end))
         if out:
             send_return(worker, msg, out * msg.size)
@@ -647,7 +650,7 @@ def simulate_des(
 
     def deliver_after(worker: int, msg: _ChunkMsg, t_lat: float) -> None:
         def deliver(_) -> None:
-            rows[msg.index][_ARRIVAL] = env.now
+            rows[msg.index][ROW_ARRIVAL] = env.now
             workers[worker].put(msg)
 
         after(t_lat, deliver)
@@ -691,7 +694,7 @@ def simulate_des(
                 tracer.emit(
                     send_end, "dispatch_end", worker, chunk=index, size=size, phase=phase
                 )
-            rows[index][_SEND_END] = send_end
+            rows[index][ROW_SEND_END] = send_end
             msg = _ChunkMsg(index=index, size=size, comp_time=comp_time, phase=phase)
             deliver_after(worker, msg, t_lat)
 
@@ -710,7 +713,7 @@ def simulate_des(
         if tracer is not None:
             tracer.emit(send_end, "dispatch_end", worker, chunk=index, size=size, phase=phase)
         if chunk_msg is not None:
-            rows[index][_SEND_END] = send_end
+            rows[index][ROW_SEND_END] = send_end
         if not terminal:
             return
         rmsg = _RelayMsg(
@@ -915,12 +918,12 @@ def simulate_des(
     env.process(master_proc())
     env.run()
 
-    makespan = max((row[_COMP_END] for row in rows if not row[_LOST]), default=0.0)
+    makespan = max((row[ROW_COMP_END] for row in rows if not row[ROW_LOST]), default=0.0)
     if returns:
         makespan = max(makespan, max(ret.received for ret in returns))
     return SimResult(
         makespan=makespan,
-        records=build_records(rows),
+        rows=tuple(map(tuple, rows)),
         platform=platform,
         total_work=total_work,
         scheduler_name=scheduler.name,

@@ -46,7 +46,6 @@ from repro.core.base import (
     MasterView,
     Scheduler,
 )
-from repro.core.chunks import build_records
 from repro.errors.faults import CrashClock, FaultModel, sample_run
 from repro.errors.models import ErrorModel
 from repro.obs.events import chunk_events, crash_events, decision_events
@@ -218,13 +217,13 @@ def simulate_fast(
     """Simulate one run with the specialized engine (see module docstring).
 
     ``collect_records=False`` enables the makespan-only mode used by the
-    sweep harness: no timeline rows are kept, no
-    :class:`~repro.core.chunks.DispatchRecord` objects are allocated and
-    the returned result carries an empty ``records`` tuple.  Otherwise the
-    loop keeps one raw row per chunk and
-    :func:`~repro.core.chunks.build_records` turns them into records once,
-    after the run.  The trajectory — and therefore the makespan and the
-    random-stream consumption — is identical in both modes.
+    sweep harness: no timeline rows are kept, so the returned result
+    carries empty ``rows`` and ``records``.  Otherwise the loop keeps one
+    raw row per chunk (:data:`~repro.core.chunks.ROW_FIELDS`) and the
+    result holds them as they are; it builds its
+    :class:`~repro.core.chunks.DispatchRecord` objects only when
+    ``records`` is read.  The trajectory — and therefore the makespan and
+    the random-stream consumption — is identical in both modes.
 
     ``faults`` enables fault injection: the model's
     :class:`~repro.errors.faults.FaultSchedule` is realized before the
@@ -272,7 +271,7 @@ def simulate_fast(
     # Min-heap of future completion times, for WAIT wake-ups.
     future_ends: list[float] = []
     # One raw timeline row per chunk, the DispatchRecord fields after
-    # ``index``; build_records turns them into records after the run.
+    # ``index`` (ROW_FIELDS); the result keeps them as they are.
     rows: list[tuple] = []
     num_dispatched = 0
     makespan = 0.0
@@ -373,7 +372,7 @@ def simulate_fast(
 
     return SimResult(
         makespan=makespan,
-        records=build_records(rows),
+        rows=tuple(rows),
         platform=platform,
         total_work=total_work,
         scheduler_name=scheduler.name,

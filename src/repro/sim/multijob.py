@@ -440,13 +440,12 @@ class PlatformHealth:
                 ct = self._plane.crash_time(w)
                 if ct <= horizon:
                     self._mark_dead(w, ct)
-        for r in result.records:
-            if r.lost:
-                w = workers[r.worker]
-                when = self._plane.crash_time(w) if self._plane is not None else None
-                if when is None or not math.isfinite(when):
-                    when = offset + r.loss_time
-                self._mark_dead(w, when)
+        for r in result.lost_records:
+            w = workers[r.worker]
+            when = self._plane.crash_time(w) if self._plane is not None else None
+            if when is None or not math.isfinite(when):
+                when = offset + r.loss_time
+            self._mark_dead(w, when)
 
 
 # -- job failure policies -----------------------------------------------------

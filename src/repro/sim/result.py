@@ -8,7 +8,17 @@ import math
 import typing
 
 from repro.core.base import Scheduler
-from repro.core.chunks import DispatchRecord, ReturnRecord
+from repro.core.chunks import (
+    ROW_COMP_END,
+    ROW_COMP_START,
+    ROW_LOST,
+    ROW_PHASE,
+    ROW_SIZE,
+    ROW_WORKER,
+    DispatchRecord,
+    ReturnRecord,
+    build_records,
+)
 from repro.errors.models import ErrorModel, NoError
 from repro.platform.spec import PlatformSpec
 
@@ -26,9 +36,12 @@ class SimResult:
         objective); chunks lost to worker crashes do not count.  On a
         star with result returns (``star:out=R``) it is the last result
         arrival at the master instead (see :attr:`compute_makespan`).
-    records:
-        One :class:`~repro.core.chunks.DispatchRecord` per chunk, in
-        dispatch order (including lost chunks, flagged ``lost=True``).
+    rows:
+        One timeline row per chunk, in dispatch order (including lost
+        chunks): the :class:`~repro.core.chunks.DispatchRecord` fields
+        after ``index``, laid out as
+        :data:`~repro.core.chunks.ROW_FIELDS`.  Empty for makespan-only
+        runs (``collect_records=False``).
     platform / total_work / scheduler_name / seed:
         Provenance of the run.
     work_lost:
@@ -44,10 +57,16 @@ class SimResult:
         One :class:`~repro.core.chunks.ReturnRecord` per delivered chunk,
         in link-release order, on stars with result returns; empty
         otherwise.
+
+    :attr:`records` turns the rows into
+    :class:`~repro.core.chunks.DispatchRecord` objects on first read.
+    The numeric members read the rows, and :attr:`lost_records` and
+    :meth:`worker_records` build only the records they return, so a job
+    stream's grants never build their full record tuples.
     """
 
     makespan: float
-    records: tuple[DispatchRecord, ...]
+    rows: tuple[tuple, ...]
     platform: PlatformSpec
     total_work: float
     scheduler_name: str
@@ -56,10 +75,23 @@ class SimResult:
     topology: str = "star"
     returns: tuple[ReturnRecord, ...] = ()
 
+    # The rows never change, so the records and the work sums (read per
+    # grant, job and stream by the stream layer) are derived once.
+    # (cached_property stores into the instance __dict__, which a frozen
+    # dataclass without slots keeps; equality and hashing see fields only.)
+    @functools.cached_property
+    def records(self) -> tuple[DispatchRecord, ...]:
+        """One record per chunk, in dispatch order, built on first read.
+
+        Record ``i`` is ``DispatchRecord(i, *rows[i])``; lost chunks are
+        flagged ``lost=True``.
+        """
+        return build_records(self.rows)
+
     @property
     def num_chunks(self) -> int:
         """How many chunks were dispatched."""
-        return len(self.records)
+        return len(self.rows)
 
     @property
     def compute_makespan(self) -> float:
@@ -69,34 +101,50 @@ class SimResult:
         """
         if not self.returns:
             return self.makespan
-        return max((r.comp_end for r in self.records if not r.lost), default=0.0)
+        return max(
+            (row[ROW_COMP_END] for row in self.rows if not row[ROW_LOST]), default=0.0
+        )
 
-    # The two work sums are read per grant, job and stream by the stream
-    # layer; a result's records never change, so each is summed once.
-    # (cached_property stores into the instance __dict__, which a frozen
-    # dataclass without slots keeps; equality and hashing see fields only.)
     @functools.cached_property
     def dispatched_work(self) -> float:
         """Total workload actually sent (delivered + lost)."""
-        return sum(r.size for r in self.records)
+        return sum(row[ROW_SIZE] for row in self.rows)
 
     @functools.cached_property
     def delivered_work(self) -> float:
         """Workload that reached a worker and finished computing."""
-        return sum(r.size for r in self.records if not r.lost)
+        return sum(row[ROW_SIZE] for row in self.rows if not row[ROW_LOST])
 
     @property
     def lost_records(self) -> tuple[DispatchRecord, ...]:
         """Records of chunks lost to worker crashes, in dispatch order."""
-        return tuple(r for r in self.records if r.lost)
+        return tuple(
+            DispatchRecord(i, *row) for i, row in enumerate(self.rows) if row[ROW_LOST]
+        )
 
     def worker_records(self, worker: int) -> list[DispatchRecord]:
         """Records for one worker, in dispatch order."""
-        return [r for r in self.records if r.worker == worker]
+        return [
+            DispatchRecord(i, *row)
+            for i, row in enumerate(self.rows)
+            if row[ROW_WORKER] == worker
+        ]
 
     def worker_busy_time(self, worker: int) -> float:
         """Total computation time of one worker."""
-        return sum(r.comp_time for r in self.worker_records(worker))
+        return sum(
+            row[ROW_COMP_END] - row[ROW_COMP_START]
+            for row in self.rows
+            if row[ROW_WORKER] == worker
+        )
+
+    def delivered_comp_times(self) -> typing.Iterator[float]:
+        """Computation time of each delivered chunk, in dispatch order."""
+        return (
+            row[ROW_COMP_END] - row[ROW_COMP_START]
+            for row in self.rows
+            if not row[ROW_LOST]
+        )
 
     def utilization(self) -> float:
         """Mean fraction of the makespan workers spent computing.
@@ -106,14 +154,15 @@ class SimResult:
         """
         if self.makespan == 0:
             return 0.0
-        busy = sum(r.comp_time for r in self.records if not r.lost)
+        busy = sum(self.delivered_comp_times())
         return busy / (self.platform.N * self.makespan)
 
     def phase_work(self) -> dict[str, float]:
         """Workload dispatched per scheduler phase label."""
         out: dict[str, float] = {}
-        for r in self.records:
-            out[r.phase] = out.get(r.phase, 0.0) + r.size
+        for row in self.rows:
+            phase = row[ROW_PHASE]
+            out[phase] = out.get(phase, 0.0) + row[ROW_SIZE]
         return out
 
 

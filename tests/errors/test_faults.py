@@ -127,9 +127,28 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="duplicate"):
             _spec_parser(grammar)(spec)
 
+    @pytest.mark.parametrize(
+        "grammar, spec",
+        [
+            ("fault", "crash:p=0.1,tmax=5,"),
+            ("fault", "crash:p=0.1,,tmax=5"),
+            ("arrival", "poisson:rate=0.05,jobs=5,work=200,"),
+            ("policy", "partitioned:parts=4,"),
+            ("failure", "retry:attempts=3,"),
+            ("topology", "chain:relay=sf,"),
+        ],
+    )
+    def test_empty_spec_items_rejected(self, grammar, spec):
+        # Every k=v grammar follows one rule: an empty body has no
+        # parameters, and otherwise no item may be empty.
+        with pytest.raises(ValueError, match="malformed"):
+            _spec_parser(grammar)(spec)
+        _spec_parser(grammar)(spec.replace(",,", ",").rstrip(","))
+
 
 def _spec_parser(grammar):
     """The parser of one ``k=v`` spec grammar."""
+    from repro.platform import make_topology
     from repro.sim import make_failure_policy, make_stream_policy
     from repro.workloads import make_arrival_process
 
@@ -138,6 +157,7 @@ def _spec_parser(grammar):
         "failure": make_failure_policy,
         "fault": make_fault_model,
         "arrival": make_arrival_process,
+        "topology": make_topology,
     }[grammar]
 
 

@@ -183,3 +183,22 @@ class TestSpecGrammar:
     def test_process_passes_through(self):
         p = PoissonArrivals(rate=0.1, jobs=2, work=10.0)
         assert make_arrival_process(p) is p
+
+
+@pytest.mark.parametrize(
+    "specs, axis",
+    [
+        (["poisson:rate=0.02,jobs=8,work=200", "poisson: rate = 0.05 ,jobs=8,work=200"],
+         (0.02, 0.05)),
+        (["poisson:rate=0.02,jobs=8,work=200", "bursty:bursts=2,size=3,gap=10,work=5"],
+         (0.0, 1.0)),
+        (["poisson:jobs=8,work=200", "poisson:rate=0.05,jobs=8,work=200"], (0.0, 1.0)),
+        (["poisson:rate=0.02,jobs=8,work=200,", "poisson:rate=0.05"], (0.0, 1.0)),
+    ],
+)
+def test_queueing_figure_axis_reads_poisson_rates(specs, axis):
+    # The figure's x-axis reads the rate through the shared k=v parser:
+    # rates when every spec is a well-formed Poisson spec, else indices.
+    from repro.experiments.queueing import _arrival_axis
+
+    assert _arrival_axis(specs) == axis

@@ -12,6 +12,11 @@ from repro.sim import simulate, validate_schedule
 W = 1000.0
 
 
+def _rows(records):
+    """The timeline rows of ``records``: each record's fields after ``index``."""
+    return tuple(dataclasses.astuple(r)[1:] for r in records)
+
+
 @pytest.fixture
 def result(paper_platform):
     return simulate(paper_platform, W, RUMR(known_error=0.3), NormalErrorModel(0.3), seed=5)
@@ -50,7 +55,7 @@ def test_validate_catches_link_overlap(paper_platform):
     bad_records = list(good.records)
     r = bad_records[1]
     bad_records[1] = dataclasses.replace(r, send_start=r.send_start - 1.0)
-    bad = dataclasses.replace(good, records=tuple(bad_records))
+    bad = dataclasses.replace(good, rows=_rows(bad_records))
     with pytest.raises(AssertionError, match="link overlap"):
         validate_schedule(bad)
 
@@ -60,7 +65,7 @@ def test_validate_catches_compute_before_arrival(paper_platform):
     bad_records = list(good.records)
     r = bad_records[0]
     bad_records[0] = dataclasses.replace(r, comp_start=r.arrival - 0.5)
-    bad = dataclasses.replace(good, records=tuple(bad_records))
+    bad = dataclasses.replace(good, rows=_rows(bad_records))
     with pytest.raises(AssertionError):
         validate_schedule(bad)
 
@@ -88,7 +93,7 @@ def test_validate_catches_port_overflow(paper_platform):
         bad_records[i] = dataclasses.replace(
             bad_records[i], send_start=bad_records[0].send_start
         )
-    bad = dataclasses.replace(good, records=tuple(bad_records))
+    bad = dataclasses.replace(good, rows=_rows(bad_records))
     with pytest.raises(AssertionError, match="link overlap"):
         validate_schedule(bad)
 
@@ -124,8 +129,8 @@ def test_work_sums_cached_without_changing_value_semantics(result):
     fresh = dataclasses.replace(result)
     assert "dispatched_work" not in fresh.__dict__
     assert fresh == result
-    # replace() recomputes from the new records.
-    half = dataclasses.replace(result, records=result.records[:1])
+    # replace() recomputes from the new rows.
+    half = dataclasses.replace(result, rows=result.rows[:1])
     assert half.dispatched_work == result.records[0].size
     assert half != result
     # Pickle round-trips to an equal result with the same sums.

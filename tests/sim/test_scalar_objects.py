@@ -1,16 +1,20 @@
 """The scalar engines' cheap objects: records, actions and fault streams.
 
-Both scalar engines keep raw timeline rows while they run and build every
-:class:`DispatchRecord` once per run (:func:`build_records`), sources
-return :class:`Dispatch` objects built by a cheap constructor, and the
-fault stream is derived only when something draws from it.  These tests
-pin that the cheap objects are indistinguishable from the dataclasses'
-own, and that skipping the fault stream changes no draw.
+Both scalar engines keep raw timeline rows while they run and hand them
+to the :class:`~repro.sim.result.SimResult`, which builds its
+:class:`DispatchRecord` objects on first read (:func:`build_records`)
+and answers its numeric members from the rows.  Sources return
+:class:`Dispatch` objects built by a cheap constructor, and the fault
+stream is derived only when something draws from it.  These tests pin
+that the cheap objects are indistinguishable from the dataclasses' own,
+that no record exists until someone reads them, and that skipping the
+fault stream changes no draw.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import pickle
 
@@ -22,7 +26,10 @@ from repro.core.base import Dispatch
 from repro.core.chunks import DispatchRecord, build_records
 from repro.errors import NormalErrorModel, faults
 from repro.errors.faults import CrashFaults, FaultModel, FaultSchedule, FrozenFaults
+from repro.platform import homogeneous_platform
 from repro.sim import simulate
+from repro.sim.multijob import simulate_stream
+from repro.workloads.arrivals import make_arrival_process
 
 ROWS = [
     (1, 2.5, 0.0, 1.0, 1.5, 1.5, 4.0, "rumr-phase1", False, -1.0),
@@ -185,3 +192,106 @@ def test_scalar_objects_seedsequence_seed_derives_fault_child_last(small_platfor
         by_int = simulate(*args, seed=21, faults=model)
         by_sequence = simulate(*args, seed=np.random.SeedSequence(21), faults=model)
         assert by_sequence.records == by_int.records
+
+
+def _live_records() -> int:
+    """How many :class:`DispatchRecord` objects are alive right now."""
+    gc.collect()
+    return sum(type(obj) is DispatchRecord for obj in gc.get_objects())
+
+
+def _assert_records_follow_rows(result):
+    assert len(result.records) == len(result.rows) == result.num_chunks
+    for i, record in enumerate(result.records):
+        assert record == DispatchRecord(i, *result.rows[i])
+
+
+@pytest.mark.parametrize("faults_spec", [None, "crash:p=0.3,tmax=60"], ids=["clean", "crash"])
+@pytest.mark.parametrize("engine", ["fast", "des"])
+def test_scalar_objects_records_on_demand_simulate(paper_platform, engine, faults_spec):
+    before = _live_records()
+    result = simulate(
+        paper_platform, 400.0, RUMR(known_error=0.3), NormalErrorModel(0.3),
+        seed=11, engine=engine, faults=faults_spec,
+    )
+    # Every numeric member answers from the rows.
+    assert result.dispatched_work > 0.0 and result.num_chunks > 0
+    result.utilization()
+    result.phase_work()
+    assert _live_records() == before
+    assert "records" not in result.__dict__
+    _assert_records_follow_rows(result)
+    assert _live_records() == before + result.num_chunks
+
+
+@pytest.mark.parametrize("faults_spec", [None, "crash:p=0.5,tmax=150"], ids=["clean", "crash"])
+@pytest.mark.parametrize(
+    "policy", ["fcfs", "partitioned:parts=2", "interleaved:slices=3"]
+)
+def test_scalar_objects_records_on_demand_stream(policy, faults_spec):
+    from repro.experiments.queueing import queueing_metrics
+
+    platform = homogeneous_platform(8, S=1.0, bandwidth_factor=1.6, cLat=0.1, nLat=0.1)
+    jobs = make_arrival_process("poisson:rate=0.05,jobs=6,work=200").generate(3)
+    before = _live_records()
+    stream = simulate_stream(
+        platform, jobs, "RUMR", 0.2, seed=3, policy=policy, faults=faults_spec,
+        failure_policy="resubmit",
+    )
+    metrics = queueing_metrics(stream)
+    assert (metrics.work_lost > 0.0) == (faults_spec is not None)
+    assert _live_records() == before
+    results = [result for rec in stream.jobs for result in rec.results]
+    assert all("records" not in result.__dict__ for result in results)
+    for result in results:
+        _assert_records_follow_rows(result)
+    assert _live_records() == before + sum(r.num_chunks for r in results)
+
+
+@pytest.mark.parametrize(
+    "faults_spec", [None, "crash:p=0.3,tmax=60", "spike:p=0.3,delay=2"],
+    ids=["clean", "crash", "spike"],
+)
+@pytest.mark.parametrize("topology", ["star", "chain:relay=sf", "star:out=0.3"])
+@pytest.mark.parametrize("engine", ["fast", "des"])
+def test_scalar_objects_records_on_demand_members_match_record_formulas(
+    paper_platform, engine, topology, faults_spec
+):
+    result = simulate(
+        paper_platform, 400.0, RUMR(known_error=0.3), NormalErrorModel(0.3),
+        seed=11, engine=engine, faults=faults_spec, topology=topology,
+    )
+    # Every member is read before the records exist, then checked bit for
+    # bit against its record-based formula.
+    members = (
+        result.num_chunks, result.dispatched_work, result.delivered_work,
+        result.compute_makespan, result.utilization(), result.phase_work(),
+        [result.worker_busy_time(w) for w in range(paper_platform.N)],
+        list(result.delivered_comp_times()), result.lost_records,
+        [result.worker_records(w) for w in range(paper_platform.N)],
+    )
+    assert "records" not in result.__dict__
+    records = result.records
+    phase_work: dict[str, float] = {}
+    for r in records:
+        phase_work[r.phase] = phase_work.get(r.phase, 0.0) + r.size
+    delivered = [r for r in records if not r.lost]
+    expected = (
+        len(records),
+        sum(r.size for r in records),
+        sum(r.size for r in delivered),
+        max((r.comp_end for r in delivered), default=0.0)
+        if result.returns else result.makespan,
+        sum(r.comp_time for r in delivered) / (paper_platform.N * result.makespan),
+        phase_work,
+        [
+            sum(r.comp_time for r in records if r.worker == w)
+            for w in range(paper_platform.N)
+        ],
+        [r.comp_time for r in delivered],
+        tuple(r for r in records if r.lost),
+        [[r for r in records if r.worker == w] for w in range(paper_platform.N)],
+    )
+    assert members == expected
+    assert (len(result.lost_records) > 0) == (faults_spec is not None and "crash" in faults_spec)
+    assert (len(result.returns) > 0) == (topology == "star:out=0.3")
