@@ -64,6 +64,7 @@ import numpy as np
 from repro.core.lockstep import ARRAY_OPS, SCALAR_OPS
 from repro.errors.rng import StateTable, spawn_rngs
 from repro.errors.rng import streams as rng_streams
+from repro.kvspec import parse_kv, take
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.platform.spec import PlatformSpec
@@ -1136,62 +1137,6 @@ def _fmt(value: float | int) -> str:
     return repr(f)
 
 
-def _parse_kv(body: str, kind: str, what: str = "fault") -> dict[str, float]:
-    """Parse a ``k=v,…`` spec body into finite numbers.
-
-    Shared by the fault, arrival, stream-policy and failure-policy
-    grammars; ``what`` names the grammar in error messages.  NaN and
-    infinities are rejected here, so no spec reaches a model (or an
-    ``int()`` coercion) with a non-finite parameter, and so is a key
-    given twice (``p=0.1,p=0.9`` would otherwise keep one silently).  An
-    empty body has no parameters; otherwise every comma-separated item
-    must be ``key=value`` (an empty item, as in ``p=0.1,`` or
-    ``p=0.1,,tmax=5``, is malformed).
-    """
-    out: dict[str, float] = {}
-    if not body.strip():
-        return out
-    for part in body.split(","):
-        part = part.strip()
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"malformed {what} parameter {part!r} in {kind!r} spec")
-        try:
-            number = float(value)
-        except ValueError:
-            raise ValueError(
-                f"{what} parameter {key!r} needs a number, got {value!r}"
-            ) from None
-        if not math.isfinite(number):
-            raise ValueError(f"{what} parameter {key!r} must be finite, got {value!r}")
-        if key in out:
-            raise ValueError(f"duplicate {what} parameter {key!r} in {kind!r} spec")
-        out[key] = number
-    return out
-
-
-def _take(
-    params: dict[str, float], kind: str, *names: str, what: str = "fault", **defaults
-) -> list[float]:
-    """Pop ``names`` (missing ones from ``defaults``); reject leftovers.
-
-    ``what`` names the grammar in error messages, as in :func:`_parse_kv`.
-    """
-    values = []
-    for name in names:
-        if name in params:
-            values.append(params.pop(name))
-        elif name in defaults:
-            values.append(defaults[name])
-        else:
-            raise ValueError(f"{what} spec {kind!r} is missing parameter {name!r}")
-    if params:
-        extra = ", ".join(sorted(params))
-        raise ValueError(f"unknown parameter(s) for {what} kind {kind!r}: {extra}")
-    return values
-
-
 def make_fault_model(spec: str | FaultModel) -> FaultModel:
     """Parse a fault spec string (see module docstring) into a model.
 
@@ -1209,23 +1154,23 @@ def make_fault_model(spec: str | FaultModel) -> FaultModel:
     kind = kind.strip()
     if not sep:
         raise ValueError(f"fault spec {spec!r} has no parameters (expected kind:k=v,…)")
-    params = _parse_kv(body, kind)
+    params = parse_kv(body, kind, "fault")
     if kind == "crash":
         if "worker" in params or "at" in params:
-            worker, at = _take(params, kind, "worker", "at")
+            worker, at = take(params, kind, "worker", "at", what="fault")
             if worker != int(worker):
                 raise ValueError(f"crash worker index must be integral, got {worker}")
             return CrashFaults(worker=int(worker), at=at)
-        p, tmax = _take(params, kind, "p", "tmax")
+        p, tmax = take(params, kind, "p", "tmax", what="fault")
         return CrashFaults(prob=p, tmax=tmax)
     if kind == "pause":
-        p, tmax, dur = _take(params, kind, "p", "tmax", "dur")
+        p, tmax, dur = take(params, kind, "p", "tmax", "dur", what="fault")
         return PauseFaults(prob=p, tmax=tmax, duration=dur)
     if kind == "slow":
-        p, tmax, factor = _take(params, kind, "p", "tmax", "factor")
+        p, tmax, factor = take(params, kind, "p", "tmax", "factor", what="fault")
         return SlowdownFaults(prob=p, tmax=tmax, factor=factor)
     if kind == "spike":
-        p, delay = _take(params, kind, "p", "delay")
+        p, delay = take(params, kind, "p", "delay", what="fault")
         return LinkSpikeFaults(prob=p, delay=delay)
     raise ValueError(
         f"unknown fault kind {kind!r}; available: crash, pause, slow, spike, none"

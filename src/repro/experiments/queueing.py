@@ -43,9 +43,9 @@ import dataclasses
 import json
 import typing
 
-from repro.errors.faults import _parse_kv
 from repro.experiments.figures import FigureResult
 from repro.sim.multijob import MultiJobResult, simulate_stream
+from repro.workloads.arrivals import PoissonArrivals, make_arrival_process
 
 if typing.TYPE_CHECKING:
     from repro.platform.spec import PlatformSpec
@@ -290,16 +290,15 @@ def _arrival_axis(arrival_specs: typing.Sequence[str]) -> tuple[float, ...]:
     otherwise the spec indices."""
     rates = []
     for spec in arrival_specs:
-        rate = None
-        kind, _, body = spec.partition(":")
-        if kind.strip() == "poisson":
+        process = None
+        if spec.partition(":")[0].strip() == "poisson":
             try:
-                rate = _parse_kv(body, "poisson", "arrival").get("rate")
+                process = make_arrival_process(spec)
             except ValueError:
-                rate = None
-        if rate is None:
+                pass
+        if not isinstance(process, PoissonArrivals):
             return tuple(float(i) for i in range(len(arrival_specs)))
-        rates.append(rate)
+        rates.append(process.rate)
     return tuple(rates)
 
 

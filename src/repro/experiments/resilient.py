@@ -26,8 +26,8 @@ Three cooperating pieces:
     :class:`~repro.obs.tracer.Tracer`.
 
 :class:`CheckpointStore`
-    Crash-safe incremental checkpoints: each completed platform shard is
-    flushed to ``<cache-dir>/partial/<key>/`` as an atomic
+    Crash-safe incremental checkpoints: each completed sweep unit's shard
+    is flushed to ``<cache-dir>/partial/<key>/`` as an atomic
     write-temp-then-``os.replace`` ``.npz`` carrying a content hash.  A
     killed sweep resumes from the surviving shards
     (``run_sweep(resume=True)`` / ``repro sweep --resume``); a corrupt

@@ -27,6 +27,16 @@ Likewise one :class:`~repro.sim.batch.FactorStreams` per sweep creates
 each cell seed's factor stream once for both passes.
 The routing is decided once per sweep (:func:`_engine_map`) and both
 passes run through one skeleton (:func:`_run_batch_pass`).
+
+Units: every route runs through one driver over *units* — an engine,
+the algorithm names it runs, and a range of platforms (:class:`_Unit`).
+A scalar route is one unit per platform holding every algorithm; a
+batch route is one whole-grid unit per batch engine with names
+(``static-batch``, then ``dynbatch``).  Each completed unit writes one
+checkpoint shard, ``<engine>-<start>-<stop>``, holding its ``names``
+and a ``(names, platforms, errors, repetitions)`` block, and resume
+follows one rule: a shard is trusted only if its names and shape match
+its unit's.
 All paths use *the same per-cell seeds*, so the cross-algorithm pairing
 is untouched.  The batch paths agree with the scalar engine bit for bit
 at every error: all engines consume the one perturbation sequence
@@ -40,11 +50,11 @@ Resilience: every cell executes under a
 engine-fallback ladder (batch engine → scalar engine), and finally
 quarantined as NaN with a :class:`~repro.experiments.resilient.
 CellFailure` ledger entry instead of aborting the sweep.  With a
-``checkpoint_dir``, each completed platform shard (and the lockstep
-pass) is flushed atomically so a killed sweep resumes from the last
-shard via ``resume=True``.  The process pool is supervised too: a
-``BrokenProcessPool`` restarts the pool once and degrades to in-process
-execution on a second break; a shard that overruns
+``checkpoint_dir``, each completed unit's shard is flushed atomically
+so a killed sweep resumes from its completed units via
+``resume=True``.  The process pool (scalar units only) is supervised
+too: a ``BrokenProcessPool`` restarts the pool once and degrades to
+in-process execution on a second break; a unit that overruns
 ``RetryPolicy.cell_timeout_s`` is abandoned (its worker killed) and
 recomputed in-process.  Because a retry re-runs the exact same seeded
 computation, any cell that eventually succeeds on its original engine is
@@ -52,7 +62,7 @@ bitwise identical to an unperturbed run; a scalar fallback yields
 exactly what ``batch_static=False`` would have.
 
 The runner is serial by default (the reproduction box has one core) but
-can fan platforms out over a process pool with ``n_jobs > 1`` (or
+can fan scalar units out over a process pool with ``n_jobs > 1`` (or
 ``n_jobs=-1`` for one worker per CPU).  The grid ships to pool workers
 once, through the pool initializer — not inside every task.
 """
@@ -182,7 +192,7 @@ def _engine_map(
     Static algorithms go to the whole-grid pass (``static-batch``), every
     other registry algorithm to the lockstep pass (``dynbatch``); with
     ``batch_static`` off, or on a grid the batch engines do not implement,
-    everything takes the ``scalar`` per-platform loop.  The engine names
+    everything takes ``scalar`` (one unit per platform).  The engine names
     are :class:`repro.obs.SweepStats`' routing keys.
     """
     if not (batch_static and _grid_supports_batch(grid)):
@@ -191,6 +201,40 @@ def _engine_map(
         a: "static-batch" if is_static_algorithm(a) else "dynbatch"
         for a in algorithms
     }
+
+
+class _Unit(typing.NamedTuple):
+    """One piece of a sweep: ``engine``'s cells of ``names`` over the
+    platforms ``rows`` (grid-global indices).  Each completed unit is one
+    checkpoint shard."""
+
+    engine: str
+    names: tuple[str, ...]
+    rows: range
+
+    @property
+    def shard(self) -> str:
+        return f"{self.engine}-{self.rows.start:05d}-{self.rows.stop:05d}"
+
+    @property
+    def span(self) -> slice:
+        return slice(self.rows.start, self.rows.stop)
+
+
+def _units(routes: dict[str, str], num_platforms: int) -> list[_Unit]:
+    """The sweep's units in run order: one per platform for the scalar
+    engine, then one whole-grid unit per batch engine that has names."""
+    names = {
+        engine: tuple(a for a, e in routes.items() if e == engine)
+        for engine in ("scalar", "static-batch", "dynbatch")
+    }
+    return [
+        _Unit("scalar", names["scalar"], range(p, p + 1))
+        for p in range(num_platforms) if names["scalar"]
+    ] + [
+        _Unit(engine, names[engine], range(num_platforms))
+        for engine in ("static-batch", "dynbatch") if names[engine]
+    ]
 
 
 #: Rows of cell seeds derived per :func:`_cell_seeds` block: enough to
@@ -250,30 +294,17 @@ def _scalar_cell(
     stars, stars with ports or result returns) run on the DES engine.
     """
     topo = _grid_topology(grid.topology)
+    if topo is not None and not topo.closed_form:
+        simulate = simulate_des
+    else:
+        simulate = partial(simulate_fast, collect_records=False)
     out = np.empty(len(seeds))
     for rep, seed in enumerate(seeds):
         model = make_error_model(grid.error_kind, error, mode=grid.error_mode)
-        if topo is not None and not topo.closed_form:
-            out[rep] = simulate_des(
-                platform,
-                grid.total_work,
-                scheduler,
-                model,
-                seed=seed,
-                faults=fault_model,
-                topology=topo,
-            ).makespan
-        else:
-            out[rep] = simulate_fast(
-                platform,
-                grid.total_work,
-                scheduler,
-                model,
-                seed=seed,
-                collect_records=False,
-                faults=fault_model,
-                topology=topo,
-            ).makespan
+        out[rep] = simulate(
+            platform, grid.total_work, scheduler, model,
+            seed=seed, faults=fault_model, topology=topo,
+        ).makespan
     return out
 
 
@@ -316,42 +347,35 @@ def _run_platform(
     grid: ExperimentGrid,
     point: PlatformPoint,
     p_idx: int,
-    algorithms: tuple[str, ...],
-    routes: dict[str, str],
+    names: tuple[str, ...],
     supervisor: CellSupervisor,
     stats=None,
 ) -> np.ndarray:
-    """Worker: the *scalar-engine* simulations for one platform.
+    """Worker: one platform's scalar-engine cells of ``names``.
 
-    Returns an array of shape (num_errors, repetitions, num_algorithms).
-    Only the algorithms ``routes`` (see :func:`_engine_map`) sends to
-    ``scalar`` run here; the other slots hold garbage until the caller's
-    batch passes overwrite them.  Every cell runs through ``supervisor``,
-    so no cell failure escapes this function.
+    Returns an array of shape (len(names), num_errors, repetitions).
+    Every cell runs through ``supervisor``, so no cell failure escapes
+    this function.
     """
     platform = point.build()
-    out = np.empty((len(grid.errors), grid.repetitions, len(algorithms)))
+    out = np.empty((len(names), len(grid.errors), grid.repetitions))
     fault_model = make_fault_model(grid.fault) if grid.has_faults else None
-    scalar = [i for i, a in enumerate(algorithms) if routes[a] == "scalar"]
     for e_idx in range(len(grid.errors)):
         seeds = _cell_seeds(grid, p_idx, e_idx)
-        for a_idx in scalar:
-            out[e_idx, :, a_idx] = _supervised_scalar_cell(
-                grid, platform, algorithms[a_idx], p_idx, e_idx, seeds,
+        for a_idx, name in enumerate(names):
+            out[a_idx, e_idx] = _supervised_scalar_cell(
+                grid, platform, name, p_idx, e_idx, seeds,
                 fault_model, supervisor, stats,
             )
     return out
 
 
-# Process-pool plumbing: the grid, platform list, algorithm tuple and
+# Process-pool plumbing: the grid, platform list, scalar names and
 # retry policy are shipped to each worker exactly once via the
 # initializer; tasks are then bare platform indices instead of fat
 # pickled tuples.
 _POOL_CTX: (
-    tuple[
-        ExperimentGrid, tuple[PlatformPoint, ...], tuple[str, ...],
-        dict[str, str], RetryPolicy,
-    ]
+    tuple[ExperimentGrid, tuple[PlatformPoint, ...], tuple[str, ...], RetryPolicy]
     | None
 ) = None
 
@@ -359,16 +383,15 @@ _POOL_CTX: (
 def _pool_init(
     grid: ExperimentGrid,
     platforms: tuple[PlatformPoint, ...],
-    algorithms: tuple[str, ...],
-    routes: dict[str, str],
+    names: tuple[str, ...],
     policy: RetryPolicy,
 ) -> None:
     global _POOL_CTX
-    _POOL_CTX = (grid, platforms, algorithms, routes, policy)
+    _POOL_CTX = (grid, platforms, names, policy)
 
 
 def _pool_task(p_idx: int):
-    """One platform shard in a pool worker.
+    """One platform's scalar unit in a pool worker.
 
     Runs under the worker's own :class:`CellSupervisor` (the parent's
     cannot cross the process boundary) and ships the block plus the
@@ -376,18 +399,16 @@ def _pool_task(p_idx: int):
     absorb.
     """
     assert _POOL_CTX is not None, "pool worker used without initializer"
-    grid, platforms, algorithms, routes, policy = _POOL_CTX
+    grid, platforms, names, policy = _POOL_CTX
     supervisor = CellSupervisor(policy=policy)
-    block = _run_platform(
-        grid, platforms[p_idx], p_idx, algorithms, routes, supervisor
-    )
+    block = _run_platform(grid, platforms[p_idx], p_idx, names, supervisor)
     return block, supervisor.ledger.entries, supervisor.counters()
 
 
 def _kill_pool_workers(pool) -> None:
     """Forcibly terminate a pool's worker processes.
 
-    Used when a shard overruns its timeout or the pool broke: a plain
+    Used when a unit overruns its timeout or the pool broke: a plain
     ``shutdown(wait=False)`` leaves hung workers alive, and the
     interpreter would join them at exit.  Reaches into the private
     process map — there is no public kill switch — and tolerates its
@@ -404,8 +425,7 @@ def _kill_pool_workers(pool) -> None:
 def _supervised_pool_run(
     grid: ExperimentGrid,
     platforms: tuple[PlatformPoint, ...],
-    algorithms: tuple[str, ...],
-    routes: dict[str, str],
+    names: tuple[str, ...],
     n_jobs: int,
     pending: list[int],
     policy: RetryPolicy,
@@ -413,14 +433,14 @@ def _supervised_pool_run(
     stats,
     on_block: typing.Callable[[int, np.ndarray], None],
 ) -> list[int]:
-    """Run platform shards on a supervised process pool.
+    """Run scalar units (one per platform) on a supervised process pool.
 
-    Shards are harvested in submission order; each waits at most
+    Units are harvested in submission order; each waits at most
     ``policy.cell_timeout_s`` from the moment it is polled.  A
-    ``BrokenProcessPool`` restarts the pool once (completed shards are
-    salvaged first); a second break, or any shard timeout, abandons the
-    pool — the returned list holds the shards still pending, which the
-    caller must run in-process.
+    ``BrokenProcessPool`` restarts the pool once (completed units are
+    salvaged first); a second break, or any unit timeout, abandons the
+    pool — the returned list holds the platforms still pending, which
+    the caller must run in-process.
     """
     import concurrent.futures
     from concurrent.futures.process import BrokenProcessPool
@@ -431,7 +451,7 @@ def _supervised_pool_run(
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(n_jobs, len(remaining)),
             initializer=_pool_init,
-            initargs=(grid, platforms, algorithms, routes, policy),
+            initargs=(grid, platforms, names, policy),
         )
         broken = timed_out = False
         futures: dict[int, concurrent.futures.Future] = {}
@@ -455,7 +475,7 @@ def _supervised_pool_run(
                 on_block(p_idx, block)
                 remaining.remove(p_idx)
             if broken or timed_out:
-                # Salvage shards that finished before the pool went down.
+                # Salvage units that finished before the pool went down.
                 for p_idx in list(remaining):
                     fut = futures.get(p_idx)
                     if fut is None or not fut.done() or fut.cancelled():
@@ -479,7 +499,7 @@ def _supervised_pool_run(
         if not remaining:
             break
         if timed_out:
-            # A hung shard cannot be preempted remotely; finish the rest
+            # A hung unit cannot be preempted remotely; finish the rest
             # in-process where the supervisor can at least bound retries.
             if stats is not None:
                 stats.pool_timeouts += 1
@@ -497,16 +517,12 @@ def _supervised_pool_run(
     return remaining
 
 
-# The global batch passes share one grow-only arena across every merged
-# lockstep call (and across sweeps in the same process, e.g. the fault
-# sweep's per-scenario runs): state tensors are reused instead of
-# reallocated per cell group.  Only the parent process touches it — the
-# platform pool runs scalar cells exclusively.
+# The batch units share one grow-only arena across every merged lockstep
+# call (and across sweeps in the same process, e.g. the fault sweep's
+# per-scenario runs): state tensors are reused instead of reallocated per
+# cell group.  Only the parent process touches it — the pool runs scalar
+# units exclusively.
 _SWEEP_ARENA = BatchArena()
-
-
-#: Checkpoint shard of each global batch pass.
-_PASS_SHARDS = {"static-batch": "staticgrid", "dynbatch": "lockstep"}
 
 
 #: A batch-pass cell's place in the tensors: (algorithm, platform index,
@@ -517,18 +533,20 @@ _Target = tuple[str, int, int, float]
 def _static_cells(
     grid: ExperimentGrid,
     platforms: tuple[PlatformPoint, ...],
-    names: list[str],
+    rows: range,
+    names: tuple[str, ...],
     fault_model,
     supervisor: CellSupervisor,
 ) -> typing.Iterator[tuple[_Target, "StaticCell | None"]]:
-    """The static pass's cells: plans solved and compiled once per
-    (platform, algorithm), shared by every error level and repetition.
+    """The static pass's cells over platforms ``rows``: plans solved and
+    compiled once per (platform, algorithm), shared by every error level
+    and repetition.
 
     A plan that fails to *solve* never enters the pass: its cells come
     out as ``None`` (counted as fallbacks) and take the scalar engine.
     """
-    for p_idx, point in enumerate(platforms):
-        platform = point.build()
+    for p_idx in rows:
+        platform = platforms[p_idx].build()
         plans: dict[str, typing.Any] = {}
         for name in names:
             scheduler = make_scheduler(name, 0.0)
@@ -557,12 +575,14 @@ def _static_cells(
 def _dynamic_cells(
     grid: ExperimentGrid,
     platforms: tuple[PlatformPoint, ...],
-    names: list[str],
+    rows: range,
+    names: tuple[str, ...],
     fault_model,
 ) -> typing.Iterator[tuple[_Target, DynamicCell]]:
-    """The lockstep pass's cells: one per (platform, error, algorithm)."""
-    for p_idx, point in enumerate(platforms):
-        platform = point.build()
+    """The lockstep pass's cells over platforms ``rows``: one per
+    (platform, error, algorithm)."""
+    for p_idx in rows:
+        platform = platforms[p_idx].build()
         for e_idx, error in enumerate(grid.errors):
             seeds = tuple(_cell_seeds(grid, p_idx, e_idx))
             magnitude = error if grid.error_kind != "none" else 0.0
@@ -581,24 +601,24 @@ def _dynamic_cells(
 def _run_batch_pass(
     grid: ExperimentGrid,
     platforms: tuple[PlatformPoint, ...],
-    engine: str,
-    names: list[str],
+    unit: _Unit,
     tensors: dict[str, np.ndarray],
     supervisor: CellSupervisor,
     stats=None,
     planes: FaultPlaneCache | None = None,
     streams: FactorStreams | None = None,
 ) -> None:
-    """Fill ``names``' tensors through one global batch pass of ``engine``.
+    """Fill a batch unit's rows of its names' tensors in one pass of its
+    engine.
 
-    Builds one cell per (platform, error, algorithm) with the *same*
-    per-cell seeds the scalar path would use — fault model included —
-    and hands the whole grid to one engine call: ``static-batch`` stacks
-    the cells into one tensor per plan-length class
+    Builds one cell per (platform, error, algorithm) of the unit with the
+    *same* per-cell seeds the scalar path would use — fault model
+    included — and hands them all to one engine call: ``static-batch``
+    stacks the cells into one tensor per plan-length class
     (:func:`simulate_static_cells`), ``dynbatch`` merges compatible cells
     into shared lockstep calls drawing their state from the sweep arena
     (:func:`simulate_dynamic_cells`).  Fault planes come from ``planes``
-    and factor streams from ``streams``, both shared by both passes.
+    and factor streams from ``streams``, both shared by both units.
 
     The merged call is retried per the supervisor's policy; if it keeps
     failing, the pass degrades to per-cell engine calls — the same
@@ -607,6 +627,7 @@ def _run_batch_pass(
     down every batch result.
     """
     fault_model = make_fault_model(grid.fault) if grid.has_faults else None
+    engine = unit.engine
     if engine == "static-batch":
         build = partial(_static_cells, supervisor=supervisor)
         simulate = partial(simulate_static_cells, mode=grid.error_mode)
@@ -615,7 +636,7 @@ def _run_batch_pass(
         simulate = partial(
             simulate_dynamic_cells, mode=grid.error_mode, arena=_SWEEP_ARENA
         )
-    entries = list(build(grid, platforms, names, fault_model))
+    entries = list(build(grid, platforms, unit.rows, unit.names, fault_model))
     targets = [target for target, cell in entries if cell is not None]
     cells = [cell for _, cell in entries if cell is not None]
     perf = {} if stats is not None else None
@@ -652,17 +673,18 @@ def _run_batch_pass(
         stats.absorb_fault_perf(perf)
 
 
-def _load_pass_shard(
-    ckpt: CheckpointStore, engine: str, names: list[str], shape: tuple[int, ...]
+def _load_unit(
+    ckpt: CheckpointStore, unit: _Unit, grid: ExperimentGrid
 ) -> np.ndarray | None:
-    """A batch pass's checkpointed ``(names, *shape)`` block, if it holds
-    exactly ``names``; ``None`` when absent or written for other names."""
-    shard = ckpt.load(_PASS_SHARDS[engine])
+    """A unit's checkpointed ``(names, rows, errors, repetitions)`` block,
+    or ``None`` when absent or written for other names or shape."""
+    shard = ckpt.load(unit.shard)
     if shard is None:
         return None
     stored = [str(n) for n in shard.get("names", np.array([]))]
     block = shard.get("block")
-    if stored != names or block is None or block.shape != (len(names), *shape):
+    shape = (len(unit.names), len(unit.rows), len(grid.errors), grid.repetitions)
+    if stored != list(unit.names) or block is None or block.shape != shape:
         return None
     return block
 
@@ -692,9 +714,12 @@ def run_sweep(
         Process-pool width; 1 (default) runs in-process, ``-1`` uses one
         worker per CPU.
     progress:
-        Optional callback ``(platforms_done, platforms_total)``.  The
-        done count is monotone even under retries, pool restarts and
-        resume — resumed shards are reported done up front.
+        Optional callback ``(platforms_done, platforms_total)``, called
+        after every unit, where a platform is done once every unit
+        covering it has completed.  Resumed units are reported in one
+        call up front.  The done count never decreases — even under
+        retries, pool restarts and resume — but may repeat (a static
+        unit completes no platform while its lockstep unit is open).
     batch_static:
         Route static algorithms through the whole-grid batch pass and
         every other algorithm through the lockstep pass (the default; see
@@ -712,15 +737,17 @@ def run_sweep(
         every cell (default: three attempts per ladder rung with
         exponential, deterministically jittered backoff).
     checkpoint_dir:
-        When given, completed platform shards (and the lockstep pass)
-        are flushed to ``<checkpoint_dir>/partial/<key>/`` as atomic,
-        content-hashed files; the directory is cleared once the sweep
+        When given, every completed unit's shard is flushed to
+        ``<checkpoint_dir>/partial/<key>/`` as an atomic,
+        content-hashed file; the directory is cleared once the sweep
         finishes.  :func:`~repro.experiments.cache.cached_sweep` passes
         its cache directory automatically.
     resume:
-        Load surviving checkpoint shards before running — only the
-        unfinished remainder is recomputed (``repro sweep --resume``).
-        Shards failing their content hash are discarded and recomputed.
+        Load surviving unit shards before running — only the
+        unfinished units are recomputed (``repro sweep --resume``).
+        Shards failing their content hash, or holding other names or
+        shape than their unit (another routing, an older format), are
+        ignored and their units recomputed.
     failures:
         Optional :class:`~repro.experiments.resilient.FailureLedger`
         receiving a :class:`CellFailure` entry per quarantined cell.
@@ -746,145 +773,111 @@ def run_sweep(
     tensors = {a: np.empty(shape) for a in algorithms}
 
     routes = _engine_map(grid, algorithms, batch_static)
-    passes = {
-        engine: [a for a in algorithms if routes[a] == engine]
-        for engine in _PASS_SHARDS
-    }
-    # Columns the per-platform loop is responsible for (the global batch
-    # passes overwrite the rest); checkpoint shards record this mask so a
-    # shard written under a different routing is never trusted for
-    # columns it did not actually compute.
-    loop_valid = np.array([routes[a] == "scalar" for a in algorithms], dtype=bool)
-    loop_algo_count = int(loop_valid.sum())
-    # When the global passes cover every algorithm — the normal case —
-    # the per-platform loop has nothing left to do; skip it (and the
-    # pool) entirely.
-    if not loop_algo_count:
-        n_jobs = 0
-
+    units = _units(routes, len(platforms))
     if stats is not None:
         num_cells = len(platforms) * len(grid.errors)
         for a in algorithms:
             stats.count_routing(routes[a], num_cells, grid.repetitions)
 
-    # -- checkpoint store and resume ---------------------------------------
     key = sweep_key(grid, algorithms)
     ckpt = (
         CheckpointStore(checkpoint_dir, f"sweep-{grid.name}-{key}")
         if checkpoint_dir is not None
         else None
     )
-    resumed_blocks: dict[int, np.ndarray] = {}
-    resumed_passes: dict[str, np.ndarray] = {}
-    if ckpt is not None and resume:
-        block_shape = (len(grid.errors), grid.repetitions, len(algorithms))
-        for p_idx in range(len(platforms)):
-            shard = ckpt.load(f"platform-{p_idx:05d}")
-            if shard is None:
-                continue
-            block, valid = shard.get("block"), shard.get("valid")
-            if (
-                block is None
-                or valid is None
-                or block.shape != block_shape
-                or valid.shape != (len(algorithms),)
-                or not np.all(valid.astype(bool) | ~loop_valid)
-            ):
-                continue
-            resumed_blocks[p_idx] = block
-        for engine, names in passes.items():
-            block = _load_pass_shard(ckpt, engine, names, shape) if names else None
-            if block is not None:
-                resumed_passes[engine] = block
-        if stats is not None:
-            stats.cells_resumed += (
-                len(resumed_blocks) * len(grid.errors) * loop_algo_count
-            )
-        # Quarantine records of resumed shards would otherwise be lost —
-        # their NaNs are being reused, so their ledger entries are too.
-        for entry in ckpt.load_ledger():
-            engine = routes.get(entry.algorithm, "scalar")
-            if engine in resumed_passes or (
-                engine == "scalar" and entry.platform_index in resumed_blocks
-            ):
-                ledger.add(entry)
 
-    # -- the per-platform loop ---------------------------------------------
-    total = len(platforms)
+    # Progress counts the platforms whose units have all completed.
+    open_units = np.zeros(len(platforms), dtype=np.int64)
+    for unit in units:
+        open_units[unit.span] += 1
     done = 0
 
-    def fill(p_idx: int, block: np.ndarray) -> None:
-        for a_idx, algo in enumerate(algorithms):
-            tensors[algo][p_idx] = block[:, :, a_idx]
+    def close(unit: _Unit) -> None:
+        nonlocal done
+        open_units[unit.span] -= 1
+        done += int(np.count_nonzero(open_units[unit.span] == 0))
+
+    def fill(unit: _Unit, block: np.ndarray) -> None:
+        for name, rows in zip(unit.names, block):
+            tensors[name][unit.span] = rows
+
+    def finish(unit: _Unit) -> None:
+        if ckpt is not None:
+            ckpt.save(
+                unit.shard,
+                names=np.array(unit.names),
+                block=np.stack([tensors[n][unit.span] for n in unit.names]),
+            )
+            ckpt.save_ledger(ledger)
+        close(unit)
+        if progress is not None:
+            progress(done, len(platforms))
+
+    # -- resume: trust a unit's shard only if it holds exactly its cells ----
+    pending = units
+    if ckpt is not None and resume:
+        pending, resumed = [], []
+        for unit in units:
+            block = _load_unit(ckpt, unit, grid)
+            if block is None:
+                pending.append(unit)
+                continue
+            fill(unit, block)
+            close(unit)
+            resumed.append(unit)
+            if stats is not None:
+                stats.cells_resumed += len(unit.names) * len(unit.rows) * len(grid.errors)
+        # Quarantine records of resumed units would otherwise be lost —
+        # their NaNs are being reused, so their ledger entries are too.
+        for entry in ckpt.load_ledger() if resumed else ():
+            if any(
+                entry.algorithm in u.names and entry.platform_index in u.rows
+                for u in resumed
+            ):
+                ledger.add(entry)
+        if resumed and progress is not None:
+            progress(done, len(platforms))
+
+    # -- scalar units, on the pool when asked ---------------------------------
+    scalar = {u.rows.start: u for u in pending if u.engine == "scalar"}
 
     def on_block(p_idx: int, block: np.ndarray) -> None:
-        nonlocal done
-        fill(p_idx, block)
-        if ckpt is not None:
-            ckpt.save(f"platform-{p_idx:05d}", block=block, valid=loop_valid)
-            ckpt.save_ledger(ledger)
-        done += 1
-        if progress is not None:
-            progress(done, total)
+        fill(scalar[p_idx], block[:, None])
+        finish(scalar[p_idx])
 
-    if n_jobs == 0:
-        done = total
-        if progress is not None:
-            progress(total, total)
-    else:
-        for p_idx, block in sorted(resumed_blocks.items()):
-            fill(p_idx, block)
-            done += 1
-        if resumed_blocks and progress is not None:
-            progress(done, total)
-        pending = [p for p in range(total) if p not in resumed_blocks]
-        if n_jobs > 1 and pending:
-            pending = _supervised_pool_run(
-                grid, platforms, algorithms, routes,
-                n_jobs, pending, policy, supervisor, stats, on_block,
-            )
-        for p_idx in pending:
-            block = _run_platform(
-                grid, platforms[p_idx], p_idx, algorithms, routes, supervisor,
-                stats=stats,
-            )
-            on_block(p_idx, block)
+    left = list(scalar)
+    if n_jobs > 1 and left:
+        left = _supervised_pool_run(
+            grid, platforms, scalar[left[0]].names, n_jobs, left, policy,
+            supervisor, stats, on_block,
+        )
+    for p_idx in left:
+        on_block(p_idx, _run_platform(
+            grid, platforms[p_idx], p_idx, scalar[p_idx].names, supervisor,
+            stats=stats,
+        ))
 
-    # -- the global batch passes: static whole-grid, then merged lockstep ---
-    # Both passes simulate every algorithm of a (platform, error) cell on
-    # the same seeds, so each fault plane is realized and each factor
-    # stream drawn once and shared; both stores die with this call.
-    planes = FaultPlaneCache() if grid.has_faults else None
+    # -- batch units: static, then merged lockstep ----------------------------
+    # Both simulate every algorithm of a (platform, error) cell on the same
+    # seeds, so each fault plane is realized and each factor stream drawn
+    # once and shared; both stores die with this call.
+    batch = [u for u in pending if u.engine != "scalar"]
+    planes = FaultPlaneCache() if grid.has_faults and batch else None
     if planes is not None:
         planes.expect(_grid_seeds(grid))
     streams = FactorStreams()
-    for engine, names in passes.items():
-        if not names:
-            continue
-        resumed = resumed_passes.get(engine)
-        if resumed is not None:
-            for i, name in enumerate(names):
-                tensors[name][...] = resumed[i]
-            if stats is not None:
-                stats.cells_resumed += len(names) * len(platforms) * len(grid.errors)
-            continue
+    for unit in batch:
         t0 = time.perf_counter()
         _run_batch_pass(
-            grid, platforms, engine, names, tensors, supervisor,
+            grid, platforms, unit, tensors, supervisor,
             stats=stats, planes=planes, streams=streams,
         )
         if stats is not None:
-            if engine == "static-batch":
+            if unit.engine == "static-batch":
                 stats.staticgrid_wall_s += time.perf_counter() - t0
             else:
                 stats.lockstep_wall_s += time.perf_counter() - t0
-        if ckpt is not None:
-            ckpt.save(
-                _PASS_SHARDS[engine],
-                block=np.stack([tensors[n] for n in names]),
-                names=np.array(names),
-            )
-            ckpt.save_ledger(ledger)
+        finish(unit)
 
     # -- completion: persist the ledger, clear the checkpoints --------------
     if ckpt is not None:

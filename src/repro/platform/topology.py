@@ -81,6 +81,7 @@ import functools
 import math
 import typing
 
+from repro.kvspec import parse_kv
 from repro.platform.spec import PlatformSpec, WorkerSpec
 
 __all__ = [
@@ -583,24 +584,6 @@ class SharedBandwidthTopology(Topology):
         return "sharedbw:" + ",".join(parts)
 
 
-def _parse_params(body: str, kind: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    body = body.strip()
-    if not body:
-        return params
-    for item in body.split(","):
-        key, sep, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise TopologyError(
-                f"malformed parameter {item!r} in topology spec kind {kind!r}"
-            )
-        if key in params:
-            raise TopologyError(f"duplicate parameter {key!r} in {kind!r} spec")
-        params[key] = value
-    return params
-
-
 def _take_int(params: dict[str, str], kind: str, name: str) -> int | None:
     raw = params.pop(name, None)
     if raw is None:
@@ -646,7 +629,7 @@ def make_topology(spec: "str | Topology | None") -> Topology:
         return StarTopology()
     kind, _, body = text.partition(":")
     kind = kind.strip().lower()
-    params = _parse_params(body, kind)
+    params = parse_kv(body, kind, "topology", TopologyError)
     if kind == "star":
         ports = _take_int(params, kind, "ports")
         out = _take_float(params, kind, "out")

@@ -88,8 +88,9 @@ import math
 import typing
 
 from repro.core.base import Scheduler
-from repro.errors.faults import FrozenFaults, StreamFaultSchedule, _parse_kv
+from repro.errors.faults import FrozenFaults, StreamFaultSchedule
 from repro.errors.rng import StateTable, child_seeds, stream_for
+from repro.kvspec import parse_kv, take
 from repro.obs.events import SimEvent, canonical_order, events_from_result
 from repro.platform.spec import PlatformSpec
 from repro.sim.result import SimResult
@@ -554,6 +555,13 @@ class ResubmitFailurePolicy(JobFailurePolicy):
         return True
 
 
+def _integral(what: str, name: str, value: float) -> int:
+    """A spec parameter that must be a whole number, as an ``int``."""
+    if value != int(value):
+        raise ValueError(f"{what} parameter {name!r} must be integral")
+    return int(value)
+
+
 def make_failure_policy(spec: "str | JobFailurePolicy") -> JobFailurePolicy:
     """Parse a failure-policy spec into a :class:`JobFailurePolicy`.
 
@@ -570,32 +578,25 @@ def make_failure_policy(spec: "str | JobFailurePolicy") -> JobFailurePolicy:
         )
     kind, _, body = spec.strip().partition(":")
     kind = kind.strip()
-    params = _parse_kv(body, kind, "failure-policy")
-
-    def _int(name: str, default: int) -> int:
-        raw = params.pop(name, float(default))
-        if raw != int(raw):
-            raise ValueError(f"failure-policy parameter {name!r} must be integral")
-        return int(raw)
+    what = "failure-policy"
+    params = parse_kv(body, kind, what)
     if kind == "drop":
-        if params:
-            raise ValueError(f"drop takes no parameters, got {sorted(params)}")
+        take(params, kind, what=what)
         return DropFailurePolicy()
     if kind == "retry":
-        policy: JobFailurePolicy = RetryFailurePolicy(
-            max_attempts=_int("attempts", 3),
-            backoff_base=params.pop("backoff", 1.0),
-            backoff_multiplier=params.pop("mult", 2.0),
-            jitter_fraction=params.pop("jitter", 0.25),
+        attempts, backoff, mult, jitter = take(
+            params, kind, "attempts", "backoff", "mult", "jitter", what=what,
+            attempts=3, backoff=1.0, mult=2.0, jitter=0.25,
         )
-        if params:
-            raise ValueError(f"unknown parameter(s) for retry: {sorted(params)}")
-        return policy
+        return RetryFailurePolicy(
+            max_attempts=_integral(what, "attempts", attempts),
+            backoff_base=backoff,
+            backoff_multiplier=mult,
+            jitter_fraction=jitter,
+        )
     if kind == "resubmit":
-        policy = ResubmitFailurePolicy(max_attempts=_int("attempts", 4))
-        if params:
-            raise ValueError(f"unknown parameter(s) for resubmit: {sorted(params)}")
-        return policy
+        (attempts,) = take(params, kind, "attempts", what=what, attempts=4)
+        return ResubmitFailurePolicy(max_attempts=_integral(what, "attempts", attempts))
     raise ValueError(
         f"unknown failure policy {kind!r}; available: drop, retry, resubmit"
     )
@@ -1014,25 +1015,16 @@ def make_stream_policy(spec: "str | StreamPolicy") -> StreamPolicy:
         raise TypeError(f"policy spec must be a string, got {type(spec).__name__}")
     kind, _, body = spec.strip().partition(":")
     kind = kind.strip()
-    params: dict[str, int] = {}
-    for key, number in _parse_kv(body, kind, "policy").items():
-        if number != int(number):
-            raise ValueError(f"policy parameter {key!r} must be integral")
-        params[key] = int(number)
+    params = parse_kv(body, kind, "policy")
     if kind == "fcfs":
-        if params:
-            raise ValueError(f"fcfs takes no parameters, got {sorted(params)}")
+        take(params, kind, what="policy")
         return FCFSPolicy()
     if kind == "partitioned":
-        parts = params.pop("parts", 2)
-        if params:
-            raise ValueError(f"unknown parameter(s) for partitioned: {sorted(params)}")
-        return PartitionedPolicy(parts=parts)
+        (parts,) = take(params, kind, "parts", what="policy", parts=2)
+        return PartitionedPolicy(parts=_integral("policy", "parts", parts))
     if kind == "interleaved":
-        slices = params.pop("slices", 4)
-        if params:
-            raise ValueError(f"unknown parameter(s) for interleaved: {sorted(params)}")
-        return InterleavedPolicy(slices=slices)
+        (slices,) = take(params, kind, "slices", what="policy", slices=4)
+        return InterleavedPolicy(slices=_integral("policy", "slices", slices))
     raise ValueError(
         f"unknown stream policy {kind!r}; available: fcfs, partitioned, interleaved"
     )

@@ -45,8 +45,8 @@ import typing
 
 import numpy as np
 
-from repro.errors.faults import _parse_kv, _take
 from repro.errors.rng import stream_for
+from repro.kvspec import parse_kv, take
 
 __all__ = [
     "JobArrival",
@@ -308,9 +308,9 @@ def make_arrival_process(spec: "str | ArrivalProcess") -> ArrivalProcess:
             raise ValueError(f"arrival trace file not found: {path!r}")
         with open(path, encoding="utf-8") as fh:
             return TraceArrivals(arrivals_from_jsonl(fh.read()))
-    params = _parse_kv(body, kind, "arrival")
+    params = parse_kv(body, kind, "arrival")
     if kind == "poisson":
-        rate, jobs, work, work_cv = _take(
+        rate, jobs, work, work_cv = take(
             params, kind, "rate", "jobs", "work", "work_cv", what="arrival",
             work_cv=0.0,
         )
@@ -318,7 +318,7 @@ def make_arrival_process(spec: "str | ArrivalProcess") -> ArrivalProcess:
             raise ValueError(f"poisson jobs must be integral, got {jobs}")
         return PoissonArrivals(rate=rate, jobs=int(jobs), work=work, work_cv=work_cv)
     if kind == "bursty":
-        bursts, size, gap, work, spread, work_cv = _take(
+        bursts, size, gap, work, spread, work_cv = take(
             params, kind, "bursts", "size", "gap", "work", "spread", "work_cv",
             what="arrival", spread=0.0, work_cv=0.0,
         )

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 import repro.experiments.runner as runner_mod
-from repro.experiments.config import smoke_grid
+from repro.experiments.config import smoke_grid, sweep_key
 from repro.experiments.resilient import (
     CellFailure,
     CellSupervisor,
@@ -540,7 +540,7 @@ class TestCheckpointsAndResume:
             run_sweep(grid, ALGOS, checkpoint_dir=tmp_path,
                       batch_static=False,
                       progress=interrupting)
-        shards = list(tmp_path.glob("partial/*/platform-*.npz"))
+        shards = list(tmp_path.glob("partial/*/scalar-*.npz"))
         assert len(shards) == 2
 
         recomputed = []
@@ -569,7 +569,7 @@ class TestCheckpointsAndResume:
         assert calls[0] == (2, 4) and calls[-1] == (4, 4)
         assert all(a <= b for (a, _), (b, _) in zip(calls, calls[1:]))
         # Clean completion clears the partial directory.
-        assert not list(tmp_path.glob("partial/*/platform-*.npz"))
+        assert not list(tmp_path.glob("partial/*/scalar-*.npz"))
 
     def test_corrupt_shard_is_recomputed(self, scalar_baseline, tmp_path):
         grid = chaos_grid()
@@ -582,7 +582,7 @@ class TestCheckpointsAndResume:
             run_sweep(grid, ALGOS, checkpoint_dir=tmp_path,
                       batch_static=False,
                       progress=interrupting)
-        shards = sorted(tmp_path.glob("partial/*/platform-*.npz"))
+        shards = sorted(tmp_path.glob("partial/*/scalar-*.npz"))
         shards[0].write_bytes(b"\x00garbage\x00" * 64)
 
         stats = SweepStats()
@@ -604,7 +604,7 @@ class TestCheckpointsAndResume:
         ledger entries.
 
         The poisoned static pass quarantines UMR's (0, 0) cell and
-        flushes the ``staticgrid`` shard + ledger; the sweep then dies
+        flushes the static unit's shard + ledger; the sweep then dies
         in the lockstep pass.  The resume trusts the shard, replays the
         ledger entry, and recomputes only the lockstep pass.
         """
@@ -654,6 +654,72 @@ class TestCheckpointsAndResume:
         (ledger_file,) = tmp_path.glob("failures-sweep-*.json")
         assert len(FailureLedger.from_json(ledger_file.read_text())) == 1
 
+    @pytest.mark.parametrize("fault", ["none", "crash:p=0.5,tmax=100"])
+    def test_batch_sweep_resumes_at_unit_granularity(self, fault, tmp_path,
+                                                     monkeypatch):
+        """A batch-routed sweep interrupted at its first progress call —
+        right after the static unit's shard lands — resumes that unit
+        from its shard and recomputes only the lockstep unit."""
+        grid = chaos_grid().restrict(fault=fault)
+        cold = run_sweep(grid, ALGOS)
+
+        def interrupting(done, total):
+            raise _Interrupt()
+
+        with pytest.raises(_Interrupt):
+            run_sweep(grid, ALGOS, checkpoint_dir=tmp_path,
+                      progress=interrupting)
+
+        def static_must_not_run(*args, **kwargs):
+            raise AssertionError("the static unit was recomputed")
+
+        monkeypatch.setattr(runner_mod, "simulate_static_cells",
+                            static_must_not_run)
+        stats = SweepStats()
+        result = run_sweep(grid, ALGOS, checkpoint_dir=tmp_path, resume=True,
+                           stats=stats)
+        assert_tensors_equal(cold, result)
+        # |static names| × P × E = 1 (UMR) × 4 × 2.
+        assert stats.cells_resumed == 1 * 4 * 2
+
+    @pytest.mark.parametrize("first_batch", [False, True])
+    def test_routing_swap_trusts_no_shard(self, first_batch, baseline,
+                                          scalar_baseline, tmp_path):
+        """A checkpoint written under one routing is never trusted for
+        the other: every unit is recomputed, bit for bit."""
+        grid = chaos_grid()
+
+        def interrupting(done, total):
+            if done >= 2 or first_batch:
+                raise _Interrupt()
+
+        with pytest.raises(_Interrupt):
+            run_sweep(grid, ALGOS, checkpoint_dir=tmp_path,
+                      batch_static=first_batch, progress=interrupting)
+        assert list(tmp_path.glob("partial/*/*.npz"))
+
+        stats = SweepStats()
+        result = run_sweep(grid, ALGOS, checkpoint_dir=tmp_path, resume=True,
+                           batch_static=not first_batch, stats=stats)
+        assert stats.cells_resumed == 0
+        assert_tensors_equal(scalar_baseline if first_batch else baseline,
+                             result)
+
+    def test_shard_holding_other_names_is_ignored(self, baseline, tmp_path):
+        """A shard under a unit's name is trusted only for the names it
+        holds: one written for other algorithms is recomputed over."""
+        grid = chaos_grid()
+        store = CheckpointStore(
+            tmp_path, f"sweep-{grid.name}-{sweep_key(grid, ALGOS)}"
+        )
+        store.save("static-batch-00000-00004", names=np.array(["MI-2"]),
+                   block=np.zeros((1, 4, 2, 3)))
+        stats = SweepStats()
+        result = run_sweep(grid, ALGOS, checkpoint_dir=tmp_path, resume=True,
+                           stats=stats)
+        assert stats.cells_resumed == 0
+        assert_tensors_equal(baseline, result)
+
     def test_sigkill_and_resume(self, scalar_baseline, tmp_path):
         """SIGKILL a sweep subprocess mid-run; resume recomputes only the
         unfinished shards and reproduces the tensor bitwise."""
@@ -683,7 +749,7 @@ run_sweep(grid, {ALGOS!r}, checkpoint_dir={str(tmp_path)!r},
         try:
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
-                if len(list(tmp_path.glob("partial/*/platform-*.npz"))) >= 1:
+                if len(list(tmp_path.glob("partial/*/scalar-*.npz"))) >= 1:
                     break
                 if proc.poll() is not None:
                     pytest.fail("sweep subprocess finished before the kill")
@@ -693,7 +759,7 @@ run_sweep(grid, {ALGOS!r}, checkpoint_dir={str(tmp_path)!r},
             proc.send_signal(signal.SIGKILL)
         finally:
             proc.wait(timeout=30)
-        survivors = list(tmp_path.glob("partial/*/platform-*.npz"))
+        survivors = list(tmp_path.glob("partial/*/scalar-*.npz"))
         assert survivors, "SIGKILL left no shards to resume from"
 
         stats = SweepStats()
@@ -821,6 +887,31 @@ class TestProgress:
         dones = [d for d, _ in calls]
         assert dones == sorted(dones)
         assert all(t == 4 for _, t in calls)
+
+    def test_batch_progress_waits_for_the_lockstep_unit(self, monkeypatch):
+        """On a batch-routed grid no platform is reported done before the
+        lockstep unit returns; a scalar grid reports one platform per
+        unit."""
+        grid = chaos_grid()
+        real = runner_mod.simulate_dynamic_cells
+        events = []
+
+        def lockstep(cells, mode="multiply", **kw):
+            out = real(cells, mode=mode, **kw)
+            events.append("lockstep returned")
+            return out
+
+        monkeypatch.setattr(runner_mod, "simulate_dynamic_cells", lockstep)
+        run_sweep(grid, ALGOS, progress=lambda d, t: events.append((d, t)))
+        assert events.index((4, 4)) > events.index("lockstep returned")
+        assert [e for e in events if e != "lockstep returned"] == [
+            (0, 4), (4, 4),
+        ]
+
+        calls = []
+        run_sweep(grid, ALGOS, batch_static=False,
+                  progress=lambda d, t: calls.append((d, t)))
+        assert calls == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_eta_progress_renders_and_terminates(self):
         stream = io.StringIO()
