@@ -325,7 +325,7 @@ class AdaptiveRUMRKernel(LockstepKernel):
             predicted = self._clat[r, w] + sz / self._speed[r, w]
             stats[r] = fold_interval(tuple(stats[r]), time - prev, predicted)
 
-    def decide(self, counts, action, worker, size, mask=None, ctx=None):
+    def decide(self, idle, action, worker, size, mask=None, ctx=None):
         if ctx is not None and ctx.notes:
             self._consume_notes(ctx.notes)
         if ctx is not None and ctx.losses:
@@ -367,14 +367,14 @@ class AdaptiveRUMRKernel(LockstepKernel):
             action[p1 & ~act] = DONE
             rows = np.flatnonzero(act)
             if rows.size:
-                pick, sz = self._plan.take(rows, counts, True)
+                pick, sz = self._plan.take(rows, idle, True)
                 action[rows] = DISPATCH
                 worker[rows] = pick
                 size[rows] = sz
                 self._dispatched[rows] += sz
         p2_mask = self._switched if mask is None else self._switched & mask
         if p2_mask.any():
-            self._phase2.decide(counts, action, worker, size, mask=p2_mask, ctx=ctx)
+            self._phase2.decide(idle, action, worker, size, mask=p2_mask, ctx=ctx)
 
 
 class AdaptiveRUMR(Scheduler):

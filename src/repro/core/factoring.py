@@ -233,13 +233,13 @@ class FactoringKernel(PoolKernel):
             factor_n = self._factor * n_live.astype(float)
         new_batch = disp & (self._batch_left == 0)
         if new_batch.any():
-            np.copyto(
+            np.putmask(
                 self._batch_size,
+                new_batch,
                 batch_chunk(ARRAY_OPS, self._remaining, factor_n, self._min_chunk),
-                where=new_batch,
             )
-            np.copyto(self._batch_left, n_live, where=new_batch)
-        self._batch_left[disp] -= 1
+            np.putmask(self._batch_left, new_batch, n_live)
+        np.putmask(self._batch_left, disp, self._batch_left - 1)
         return np.minimum(self._batch_size, self._remaining)
 
 

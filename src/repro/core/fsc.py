@@ -138,8 +138,8 @@ class FSCKernel(PoolKernel):
     def _sizes(self, disp, worker, n_live, crashed):
         return np.minimum(self._chunk, self._remaining)
 
-    def decide(self, counts, action, worker, size, mask=None, ctx=None):
-        super().decide(counts, action, worker, size, mask)
+    def decide(self, idle, action, worker, size, mask=None, ctx=None):
+        super().decide(idle, action, worker, size, mask)
 
 
 class FixedSizeChunking(Scheduler):

@@ -3,8 +3,8 @@
 The scalar engine asks a :class:`~repro.core.base.DispatchSource` one
 decision at a time.  A *lockstep kernel* answers the same question for R
 independent runs at once: given the master-observable state of every row
-(pending chunk counts per worker, as observed at each row's own clock),
-fill per-row ``action``/``worker``/``size`` arrays.  Rows proceed through
+(which workers are idle, as observed at each row's own clock), fill
+per-row ``action``/``worker``/``size`` arrays.  Rows proceed through
 their *own* trajectories — different rows may be in different rounds,
 batches, or phases — the kernel merely evaluates all of their next
 decisions in one pass of NumPy arithmetic.
@@ -32,14 +32,21 @@ rule reduces to "the lowest-index idle live worker, else wait":
 in the scalar sources.  FSC's idle scan and RUMR's out-of-order phase-1
 pick are the same rule.
 
+Worker sets travel as bit words: row ``r``'s set is ``words[r]``, a
+``(W,)`` run of uint64 words with ``W = ceil(n_max / 64)``
+(:func:`word_count`), worker ``i`` at bit ``i % 64`` of word ``i // 64``.
+The engine's idle set, the crash set and the plan's availability are
+all such words, so "the lowest-index idle live worker" is the lowest
+set bit of ``idle & ~crashed`` (:func:`lowest_bit`).
+
 Kernels are built from :class:`KernelSpec` objects (one per simulated
 cell) by :meth:`KernelSpec.make_kernel`; specs with equal ``group_key``
 may be merged into one kernel spanning many cells, padded to a common
-worker count.  Padded worker slots must be made unselectable by the
-*caller*: the engine reports a huge pending-chunk count for them, so
-they never look idle.  The same spec builds the cell's scalar source
-(:meth:`KernelSpec.source`), so each run's binding — phase split, plan
-rows, chunk floors — is derived once for both engines.  The control
+worker count.  Padded worker slots are never idle: the engine never
+sets their bits, so no kernel can select them.  The same spec builds
+the cell's scalar source (:meth:`KernelSpec.source`), so each run's
+binding — phase split, plan rows, chunk floors — is derived once for
+both engines.  The control
 flow is written once per engine: :class:`PoolKernel` is the lockstep
 step of every self-scheduled pool, and :class:`PlanCursor` is the scalar
 twin of :class:`PlanRounds`.
@@ -75,7 +82,6 @@ __all__ = [
     "DISPATCH",
     "WAIT_FOR_COMPLETION",
     "DONE",
-    "PAD_PENDING",
     "KernelSpec",
     "KernelStepContext",
     "LockstepKernel",
@@ -86,6 +92,10 @@ __all__ = [
     "drain_rows",
     "expand_rows",
     "first_idle",
+    "lowest_bit",
+    "pack_words",
+    "word_bits",
+    "word_count",
 ]
 
 #: Per-row action codes written into the engine's ``action`` array.
@@ -93,10 +103,8 @@ DISPATCH = 0
 WAIT_FOR_COMPLETION = 1
 DONE = 2
 
-#: Pending-chunk count reported for padded (nonexistent) worker slots.
-#: Large enough that a pad never looks idle or drained, small enough to
-#: stay exact in int64 arithmetic.
-PAD_PENDING = 1 << 40
+#: ``_BITS[i]`` is the uint64 with only bit ``i`` set.
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 #: The scalar sources' ops: ``where`` is a conditional expression (both
@@ -131,48 +139,75 @@ def expand_rows(values, reps, dtype=None) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=dtype), reps, axis=0)
 
 
-def first_idle(counts: np.ndarray, exclude: "np.ndarray | None" = None):
+def word_count(n_max: int) -> int:
+    """Words per row of a worker set over ``n_max`` workers."""
+    return -(-n_max // 64)
+
+
+def pack_words(mask: np.ndarray) -> np.ndarray:
+    """An ``(R, n)`` boolean worker mask as ``(R, word_count(n))`` words."""
+    rows, n = mask.shape
+    out = np.zeros((rows, word_count(n) * 8), dtype=np.uint8)
+    out[:, : -(-n // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def word_bits(workers: np.ndarray):
+    """``(word, bit)`` per worker: its word's index within the row and
+    the uint64 with only its bit set."""
+    return workers >> 6, _BITS[workers & 63]
+
+
+def lowest_bit(words: np.ndarray):
+    """Row-wise lowest set bit of ``(R, W)`` words, and whether any is set.
+
+    Returns ``(index, any_set)``; ``index`` is 0 on rows with no bit set.
+    The isolated low bit ``x & -x`` is a power of two, exact in float64,
+    so :func:`numpy.frexp`'s exponent is its index plus one (this avoids
+    ``np.bitwise_count``, which needs NumPy 2).
+    """
+    if words.shape[1] == 1:
+        word, base = words[:, 0], 0
+    else:
+        wi = (words != 0).argmax(axis=1)
+        word, base = words[np.arange(len(words)), wi], wi * 64
+    _, exp = np.frexp((word & -word).astype(np.float64))
+    return base + np.maximum(exp - 1, 0), word != 0
+
+
+def first_idle(idle: np.ndarray, exclude: "np.ndarray | None" = None):
     """Row-wise lowest-index idle worker, and whether the row has one.
 
-    A worker is idle when it has zero pending chunks and is not marked in
-    ``exclude`` (crashed workers, or workers without a planned chunk).
-    Returns ``(worker, any_idle)``; ``worker`` is 0 on rows without an
-    idle worker.  This is the ``(pending_chunks, pending_work, index)``
-    minimum at lookahead 1 (see the module docstring).
+    ``idle`` holds each row's idle workers as words; a worker counts
+    unless it is also set in ``exclude`` (crashed workers, or workers
+    without a planned chunk).  Returns ``(worker, any_idle)``; ``worker``
+    is 0 on rows without an idle worker.  This is the
+    ``(pending_chunks, pending_work, index)`` minimum at lookahead 1 (see
+    the module docstring).
     """
-    idle = counts == 0
-    if exclude is not None:
-        idle &= ~exclude
-    w = idle.argmax(axis=1)
-    return w, idle.reshape(-1)[np.arange(0, idle.size, idle.shape[1]) + w]
+    return lowest_bit(idle if exclude is None else idle & ~exclude)
 
 
-def drain_rows(counts: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+def drain_rows(idle: np.ndarray, real: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """The ``candidates`` rows with a chunk still pending on a real worker.
 
-    Only candidate rows are scanned — rows whose pool is empty, usually
-    a small share of the block.
+    ``real`` holds each row's real (unpadded) workers as words.
     """
-    out = np.zeros(candidates.shape, dtype=bool)
-    rows = np.flatnonzero(candidates)
-    if rows.size:
-        c = counts[rows]
-        out[rows] = ((c > 0) & (c < PAD_PENDING)).any(axis=1)
-    return out
+    return candidates & ((real & ~idle) != 0).any(axis=1)
 
 
 class PlanRounds:
     """Per-row cursor over precomputed plan rounds (RUMR's phase 1).
 
     Holds each row's dense ``(rounds, n_max)`` size plan, the current
-    round's availability mask, the number of chunks left in it, and the
-    round cursor.  :meth:`take` dispatches one chunk per given row —
-    the lowest-index worker with a chunk left in the row's round, or,
-    for out-of-order rows, the lowest-index such worker that is idle —
-    and reloads the next round only for rows whose round just emptied.
-    Plan rounds are never empty, so a reload always yields a chunk; one
-    trailing empty round lets a row step past its last round without a
-    bounds check.
+    round's availability as worker words, the number of chunks left in
+    it, and the round cursor.  :meth:`take` dispatches one chunk per
+    given row — the lowest-index worker with a chunk left in the row's
+    round, or, for out-of-order rows, the lowest-index such worker that
+    is idle — and reloads the next round only for rows whose round just
+    emptied.  Plan rounds are never empty, so a reload always yields a
+    chunk; one trailing empty round lets a row step past its last round
+    without a bounds check.
     """
 
     def __init__(self, specs, reps, n_max):
@@ -184,8 +219,9 @@ class PlanRounds:
         self._sizes = np.repeat(sizes, reps, axis=0)
         self.num_rounds = expand_rows([len(s.rounds) for s in specs], reps, np.int64)
         self.cursor = np.zeros(len(self.num_rounds), dtype=np.int64)
-        self._avail = self._sizes[:, 0] > 0.0
-        self._left = self._avail.sum(axis=1)
+        first = self._sizes[:, 0] > 0.0
+        self._avail = pack_words(first)
+        self._left = first.sum(axis=1)
 
     @property
     def active(self) -> np.ndarray:
@@ -199,21 +235,22 @@ class PlanRounds:
         self._avail = self._avail[keep]
         self._left = self._left[keep]
 
-    def take(self, rows, counts, ooo=None):
+    def take(self, rows, idle, ooo=None):
         """Pop one planned chunk per row; returns ``(worker, size)``.
 
-        ``ooo`` selects the rows that prefer an idle worker within the
-        round: per-row booleans, ``True`` for every row, or ``None`` for
-        none.
+        ``idle`` holds every row's idle workers as words.  ``ooo`` selects
+        the rows that prefer an idle worker within the round: per-row
+        booleans, ``True`` for every row, or ``None`` for none.
         """
         avail = self._avail[rows]
-        pick = avail.argmax(axis=1)
+        pick, _ = lowest_bit(avail)
         if ooo is not None:
-            idle, has_idle = first_idle(counts[rows], ~avail)
-            pick = np.where(has_idle & ooo, idle, pick)
+            first, has_idle = lowest_bit(idle[rows] & avail)
+            pick = np.where(has_idle & ooo, first, pick)
         m_max, n_max = self._sizes.shape[1:]
         sz = self._sizes.reshape(-1)[(rows * m_max + self.cursor[rows]) * n_max + pick]
-        self._avail.reshape(-1, copy=False)[rows * n_max + pick] = False
+        word, bit = word_bits(pick)
+        self._avail.reshape(-1, copy=False)[rows * avail.shape[1] + word] &= ~bit
         left = self._left[rows] - 1
         self._left[rows] = left
         done = rows[left == 0]
@@ -221,7 +258,7 @@ class PlanRounds:
             cur = self.cursor[done] + 1
             self.cursor[done] = cur
             avail = self._sizes[done, cur] > 0.0
-            self._avail[done] = avail
+            self._avail[done] = pack_words(avail)
             self._left[done] = avail.sum(axis=1)
         return pick, sz
 
@@ -289,9 +326,10 @@ class KernelStepContext:
 
     ``crashed`` is the (R, n_max) boolean mask of workers whose crash
     time lies at or before the row's current clock — exactly the scalar
-    view's ``crashed_workers()`` — and ``n_crashed`` its (R,) row count;
-    both are engine state, ``None`` when no row of the batch can crash,
-    and read-only to kernels.  ``losses`` lists newly observed lost
+    view's ``crashed_workers()`` — ``crashed_words`` the same set as
+    worker words, and ``n_crashed`` its (R,) row count; all three are
+    engine state, ``None`` when no row of the batch can crash, and
+    read-only to kernels.  ``losses`` lists newly observed lost
     chunks as ``(row, size)`` and ``notes`` newly observed completions
     as ``(row, time, worker, size)``; both are sorted by the scalar
     observation order ``(time, chunk_index)`` within each row, and each
@@ -300,6 +338,7 @@ class KernelStepContext:
     """
 
     crashed: "np.ndarray | None" = None
+    crashed_words: "np.ndarray | None" = None
     n_crashed: "np.ndarray | None" = None
     #: (R,) boolean — rows carrying any sampled fault schedule (the scalar
     #: view's ``faults_possible``); such rows drain their pending set
@@ -372,7 +411,7 @@ class LockstepKernel:
 
     def decide(
         self,
-        counts: np.ndarray,
+        idle: np.ndarray,
         action: np.ndarray,
         worker: np.ndarray,
         size: np.ndarray,
@@ -381,8 +420,8 @@ class LockstepKernel:
     ) -> None:
         """Write each row's next decision into the output arrays.
 
-        ``counts`` is the (R, n_max) observed pending-chunk matrix;
-        ``action``/``worker``/``size`` are (R,) outputs.  With ``mask``
+        ``idle`` holds each row's observed idle workers (no chunk
+        pending) as (R, W) worker words; ``action``/``worker``/``size`` are (R,) outputs.  With ``mask``
         (boolean (R,)), only masked rows are decided and mutated — used
         by composite kernels (RUMR's phase-2 tail) to delegate a row
         subset; rows outside the mask are left untouched.  ``ctx``
@@ -423,8 +462,8 @@ class PoolKernel(LockstepKernel):
     """
 
     def __init__(self, specs, reps, n_max):
-        del n_max
         self._n = expand_rows([s.n for s in specs], reps, dtype=np.int64)
+        self._real = pack_words(np.arange(n_max) < self._n[:, None])
         self._remaining = expand_rows([s.total_work for s in specs], reps, dtype=float)
         self._epsilon = expand_rows(
             [1e-12 * max(s.total_work, 1.0) for s in specs], reps, dtype=float
@@ -432,6 +471,7 @@ class PoolKernel(LockstepKernel):
 
     def compact(self, keep) -> None:
         self._n = self._n[keep]
+        self._real = self._real[keep]
         self._remaining = self._remaining[keep]
         self._epsilon = self._epsilon[keep]
 
@@ -445,11 +485,14 @@ class PoolKernel(LockstepKernel):
         """
         raise NotImplementedError
 
-    def decide(self, counts, action, worker, size, mask=None, ctx=None):
+    def decide(self, idle, action, worker, size, mask=None, ctx=None):
         n_crashed = None
         if ctx is not None:
-            for r, s in ctx.losses:
-                self._remaining[r] += s
+            if ctx.losses:
+                # ``add.at`` adds a repeated row's losses left to right, in
+                # list order: the scalar pool's ``+=`` sequence.
+                rows, sizes = zip(*ctx.losses)
+                np.add.at(self._remaining, np.asarray(rows), sizes)
             n_crashed = ctx.n_crashed
         fin = self._remaining <= self._epsilon
         if mask is None:
@@ -459,27 +502,27 @@ class PoolKernel(LockstepKernel):
             fin = mask & fin
         drain = None
         if ctx is not None and ctx.fault_rows is not None:
-            drain = drain_rows(counts, fin & ctx.fault_rows)
+            drain = drain_rows(idle, self._real, fin & ctx.fault_rows)
             fin = fin & ~drain
-        crashed = None
+        crashed = exclude = None
         n_live = self._n
         if n_crashed is not None and n_crashed.any():
-            crashed = ctx.crashed
+            crashed, exclude = ctx.crashed, ctx.crashed_words
             n_live = self._n - n_crashed
             dead = live & (n_live == 0)
             fin = fin | dead
             live = live & ~dead
-        w, idle = first_idle(counts, crashed)
-        disp = live & idle
-        wait = live & ~idle
+        w, has_idle = first_idle(idle, exclude)
+        disp = live & has_idle
+        wait = live & ~has_idle
         if drain is not None:
             wait = wait | drain
-        action[fin] = DONE
-        action[wait] = WAIT_FOR_COMPLETION
-        action[disp] = DISPATCH
-        worker[disp] = w[disp]
+        # ``putmask`` writes masked rows about twice as fast as a boolean
+        # index assignment.
+        np.putmask(action, fin, DONE)
+        np.putmask(action, wait, WAIT_FOR_COMPLETION)
+        np.putmask(action, disp, DISPATCH)
+        np.putmask(worker, disp, w)
         sz = self._sizes(disp, w, n_live, crashed)
-        size[disp] = sz[disp]
-        np.copyto(
-            self._remaining, np.maximum(0.0, self._remaining - sz), where=disp
-        )
+        np.putmask(size, disp, sz)
+        np.putmask(self._remaining, disp, np.maximum(0.0, self._remaining - sz))

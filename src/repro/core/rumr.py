@@ -437,7 +437,7 @@ class RUMRKernel(LockstepKernel):
         self._phase2.activate_rows(rows, pools, floors)
         self._armed[rows] = True
 
-    def decide(self, counts, action, worker, size, mask=None, ctx=None):
+    def decide(self, idle, action, worker, size, mask=None, ctx=None):
         plan = self._plan
         crashed = None
         if ctx is not None and ctx.n_crashed is not None:
@@ -475,7 +475,7 @@ class RUMRKernel(LockstepKernel):
         rows = np.flatnonzero(in_p1)
         if rows.size:
             pick, sz = plan.take(
-                rows, counts, self._ooo[rows] if self._any_ooo else None
+                rows, idle, self._ooo[rows] if self._any_ooo else None
             )
             action[rows] = DISPATCH
             worker[rows] = pick
@@ -483,7 +483,7 @@ class RUMRKernel(LockstepKernel):
             self._gross[rows] += sz
             self._left_p1[rows[~plan.active[rows]]] = True
         if p2_mask.any() or (ctx is not None and ctx.losses):
-            self._phase2.decide(counts, action, worker, size, mask=p2_mask, ctx=ctx)
+            self._phase2.decide(idle, action, worker, size, mask=p2_mask, ctx=ctx)
 
 
 class RUMR(Scheduler):

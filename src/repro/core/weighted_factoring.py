@@ -124,7 +124,7 @@ class WeightedFactoringKernel(PoolKernel):
 
     The size rules are the scalar source's :func:`weighted_chunk` and
     :func:`survivor_weight`.  Padded worker slots carry weight 0 and are
-    never selected (the caller reports them as maximally pending).  On
+    never selected (the engine never reports them idle).  On
     rows with observed crashes the fold sums the survivors' weights with
     the crashed and padded slots as exact ``+0.0`` terms, and ``n`` is
     the live count; the rest is the shared

@@ -759,17 +759,6 @@ class FaultStack:
         self._toc("crash", t0)
         return out
 
-    def crashes(self, rows: np.ndarray, now: np.ndarray):
-        """``(crashed, next)`` of ``rows`` at their clocks ``now``.
-
-        ``crashed`` marks each worker whose crash instant has passed
-        (``crash <= now``, as :class:`CrashClock`); ``next`` is each row's
-        earliest crash still ahead (``inf`` if none).
-        """
-        crash = self.crash_time[rows]
-        hit = crash <= now[:, None]
-        return hit, np.where(hit, _NEVER, crash).min(axis=1)
-
     def spikes(self, rows, cols) -> np.ndarray:
         """Extra link occupancy of dispatch ``cols`` of ``rows``.
 

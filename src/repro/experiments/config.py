@@ -295,11 +295,13 @@ def bench_grid() -> ExperimentGrid:
     """The smoke axes at paper-scale repetitions, for benchmarking.
 
     The smoke grid's 3 repetitions are fine for correctness checks but
-    understate the batch engines badly: a lockstep pass costs nearly the
-    same wall time at 3 repetitions as at 20 (its per-iteration cost is
-    dominated by fixed per-array-op overhead, not element count), while
-    the scalar engine scales linearly.  Benchmarking at 20 repetitions —
-    half the paper's 40 — measures the regime sweeps actually run in.
+    understate the batch engines badly, while the scalar engine scales
+    linearly.  A narrow lockstep call is overhead-bound: an iteration
+    costs about 0.19 ms at 256 rows or fewer, mostly fixed per-array-op
+    overhead.  At bench width it is element-bound: about 1.1 ms per
+    iteration at 3,200 rows (2-core Xeon KVM guest).  Benchmarking at 20
+    repetitions — half the paper's 40 — measures the regime sweeps
+    actually run in.
     """
     return dataclasses.replace(smoke_grid(), name="bench", repetitions=20)
 

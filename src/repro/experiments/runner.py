@@ -991,12 +991,13 @@ def eta_progress(stream=None) -> typing.Callable[[int, int], None]:
 
     def callback(done: int, total: int) -> None:
         elapsed = time.monotonic() - start
+        line = f"\r[{done}/{total} platforms] {elapsed:6.1f}s elapsed"
         rate = done / elapsed if elapsed > 0 else 0.0
-        remaining = (total - done) / rate if rate > 0 else float("inf")
-        stream.write(
-            f"\r[{done}/{total} platforms] {elapsed:6.1f}s elapsed, "
-            f"~{remaining:6.1f}s left "
-        )
+        if rate > 0:
+            # No estimate before the first unit completes: a batch-routed
+            # grid reports 0 done after its static unit.
+            line += f", ~{(total - done) / rate:6.1f}s left"
+        stream.write(line + " ")
         stream.flush()
         if done == total:
             stream.write("\n")

@@ -15,16 +15,17 @@ Per iteration, each a method of one explicit state object
 (:class:`_Lockstep`):
 
 1. **Observe.**  Pop every per-(row, worker) FIFO queue head whose
-   realized completion time has passed the row's clock, decrementing
-   the pending chunk counts.  Kernels need no pending *work*: every
-   lockstep dispatch goes to a worker with zero pending chunks, whose
-   pending work is exactly ``0.0`` (see :mod:`repro.core.lockstep`).
+   realized exit time has passed the row's clock; a pop that empties its
+   queue sets the worker's bit in the row's ``idle`` word.  Kernels need
+   no pending counts or pending *work*: every self-scheduled dispatch
+   goes to an idle worker, whose pending work is exactly ``0.0`` (see
+   :mod:`repro.core.lockstep`).
 2. **Contexts.**  Advance the crash state of rows whose clock passed
-   their next crash time, and collect the newly observable losses and
-   completions each kernel group must see.
+   their next crash time, and deliver from the event log the losses and
+   completions that became observable, the only events kernels read.
 3. **Decide.**  The merged :class:`~repro.core.lockstep.LockstepKernel`
-   fills per-row action/worker/size from the observed pending counts,
-   using the exact scalar worker choice and size formulas.
+   fills per-row action/worker/size from the idle words, using the
+   exact scalar worker choice and size formulas.
 4. **Retire.**  Rows that turned DONE are harvested; once half the rows
    have finished, the survivors are compacted to the front.
 5. **Apply.**  Dispatching rows advance through the standard timeline
@@ -36,9 +37,13 @@ Per iteration, each a method of one explicit state object
 
 The state is flat: every (row, worker) and (row, worker, slot) array is
 C-contiguous, and each step gathers and scatters through one
-``row * n_max + worker`` index into a 1-D alias of it rather than through
-2-D or 3-D fancy indexing.  The per-worker queues are rings that only
-hold outstanding chunks.
+``row * n_max + worker`` index into an alias of it rather than through
+2-D or 3-D fancy indexing.  The engine keeps only what kernels read and
+what the timeline arithmetic needs: the per-worker queues are rings of
+exit times that only hold outstanding chunks (they serve idleness and
+wake-ups), worker sets (idle, crashed) are bit words, and the events a
+kernel observes — every lost chunk, and every chunk of a row whose
+kernel wants completion notes — sit in one log of outstanding events.
 
 Equivalence contract (mirrors the static engine's): perturbation factors
 come from the same two spawned streams per seed, consumed in dispatch
@@ -52,14 +57,14 @@ call's :class:`~repro.errors.faults.FaultStack`, which applies the
 scalar fault semantics to each dispatch batch (duration stretch, link
 spikes, and the loss rule: a lost chunk leaves the pending set at its
 loss time, delivers no work, and never extends the makespan).
-Crash state is engine state: a ``crashed`` (rows × workers) mask, a
-per-row ``n_crashed`` count and a per-row ``next_crash`` time, updated
-only for rows whose clock has passed ``next_crash`` — a wait jump that
-crosses several crash times marks them all at once — and compacted with
-the rest of the rows.  Kernels observe faults through a
-:class:`~repro.core.lockstep.KernelStepContext`: that crash state plus
-newly observed losses and completions in the scalar view's
-``(time, chunk_index)`` order.  Every in-tree kernel family replays
+Crash state is engine state: a ``crashed`` (rows × workers) mask, the
+same set as ``crashed_words``, a per-row ``n_crashed`` count and a
+per-row ``next_crash`` time, updated only for rows whose clock has
+passed ``next_crash`` — a wait jump that crosses several crash times
+marks them all — and compacted with the rest of the rows.  Kernels
+observe faults through a :class:`~repro.core.lockstep.KernelStepContext`:
+that crash state plus newly observed losses and completions in the
+scalar view's ``(time, chunk_index)`` order.  Every in-tree kernel family replays
 crash recovery in lockstep; the exception path is
 :meth:`~repro.core.lockstep.KernelSpec.deferred_rows`, through which a
 spec routes the rare crash patterns it cannot express (e.g. RUMR's
@@ -90,10 +95,12 @@ from repro.core.base import DeadlockError, Scheduler
 from repro.core.lockstep import (
     DISPATCH,
     DONE,
-    PAD_PENDING,
     WAIT_FOR_COMPLETION,
     KernelStepContext,
     LockstepKernel,
+    pack_words,
+    word_bits,
+    word_count,
 )
 from repro.errors.faults import FaultModel, FaultPlaneCache, FaultStack
 from repro.errors.models import check_magnitude, make_error_model
@@ -109,12 +116,12 @@ __all__ = [
     "simulate_dynamic_cells",
 ]
 
-#: Row cap per lockstep call: bounds peak memory (queues are dense
-#: (rows × workers × capacity) arrays) while keeping calls wide enough
-#: to amortize the per-iteration overhead.  At N = 50 workers and the
-#: initial capacity of 8 slots the dense queues cost ~13 MB per float
-#: array at this cap — wide enough that a paper-scale (platform × error)
-#: sweep merges into a single pass per scheduler family.
+#: Row cap per lockstep call: bounds peak memory (the exit-time rings are
+#: one dense (rows × workers × capacity) array) while keeping calls wide
+#: enough to amortize the per-iteration overhead.  At N = 50 workers and
+#: the initial capacity of 8 slots the ring costs ~13 MB at this cap —
+#: wide enough that a paper-scale (platform × error) sweep merges into a
+#: single pass per scheduler family.
 MAX_ROWS = 4096
 
 #: Initial per-(row, worker) ring capacity (a power of two); doubled when
@@ -157,8 +164,8 @@ class BatchArena:
 
     A sweep makes many lockstep calls — one per merged batch per grid
     pass — and without reuse each call allocates ~20 dense arrays (the
-    (rows × workers × capacity) queue slabs dominating) only to free
-    them microseconds later.  The arena keeps one growable 1-D buffer
+    (rows × workers × capacity) ring of exit times dominating) only to
+    free them microseconds later.  The arena keeps one growable 1-D buffer
     per array role and hands out C-contiguous views of its leading
     prefix, re-initialized *in full* before use.  Contiguity holds
     whatever shape a previous call requested, so the engine may address
@@ -249,8 +256,15 @@ class _FactorBank:
         return self.comm.reshape(-1)[flat], self.comp.reshape(-1)[flat]
 
 
-#: Per-(row, worker) platform parameters, in ``WorkerSpec`` field order.
+#: Per-(row, worker) platform parameters, in ``WorkerSpec`` field order:
+#: the trailing axis of the engine's one ``wparams`` table.
 _WORKER_FIELDS = ("S", "B", "cLat", "nLat", "tLat")
+
+#: State arrays holding one ring slot per (row, worker, slot).
+_RINGS = ("q_end",)
+
+#: Columns of the event log, one row per outstanding observable event.
+_LOG_ROW, _LOG_END, _LOG_IDX, _LOG_WORKER, _LOG_SIZE, _LOG_LOST = range(6)
 
 
 class _Lockstep:
@@ -263,11 +277,15 @@ class _Lockstep:
     module docstring until no row is active.
 
     Layout: every piece of per-row state is one arena array registered
-    by :meth:`_state` — ``(R,)`` per row, ``(R, n_max)`` per (row,
-    worker), ``(R, n_max, cap)`` per queue slot.  Each multi-axis array
-    has a flat alias ``<name>_f``; a queue slot is ``pair * cap + slot``
-    in it.  Compaction and queue growth replace arrays; both rebuild the
-    aliases (:meth:`_reflatten`) so no alias outlives its array.
+    by :meth:`_state` — ``(R,)`` per row, ``(R, W)`` worker words,
+    ``(R, n_max)`` per (row, worker), the ``(R, n_max, 5)`` worker
+    parameter table, ``(R, n_max, cap)`` per ring slot.  Each multi-axis
+    array has an alias ``<name>_f`` indexed by ``row * n_max + worker``
+    (``row * W + word`` for words); a ring slot is ``pair * cap + slot``
+    in its fully flat alias.  Compaction and ring growth replace arrays;
+    both rebuild the aliases (:meth:`_reflatten`) so no alias outlives
+    its array.  The event log is not arena state: it holds only
+    outstanding events, and compaction remaps its row indices.
 
     Fault cells ride along: each cell's :class:`FaultPlane` comes from
     ``planes``, a :class:`~repro.errors.faults.FaultPlaneCache` that
@@ -325,8 +343,9 @@ class _Lockstep:
         for ci, cell in enumerate(cells):
             for j, w in enumerate(cell.platform.workers):
                 params[ci, j] = [getattr(w, name) for name in _WORKER_FIELDS]
-        for k, name in enumerate(_WORKER_FIELDS):
-            self._state(name, (rows, n))[:] = np.repeat(params[:, :, k], reps, axis=0)
+        self._state("wparams", (rows, n, len(_WORKER_FIELDS)))[:] = np.repeat(
+            params, reps, axis=0
+        )
         self._state("orig", (rows,), np.int64)[:] = np.arange(rows)
         cell_of_row = self._state("cell_of_row", (rows,), np.int64)
         cell_of_row[:] = np.repeat(np.arange(len(cells)), reps)
@@ -336,33 +355,45 @@ class _Lockstep:
         self._state("active", (rows,), bool, fill=True)
 
         notes_mode = any(s.wants_notes for s in specs)
+        # Worker sets are bit words (``repro.core.lockstep``), W per row.
+        words = self.words = word_count(n)
         self.faults = FaultStack(rows, n, alloc=arena.take, perf=perf)
         self.deferred: list = []
         self.defer_makespans: dict = {}
         if any(c.faults is not None for c in cells):
             self._realize_faults(specs, planes, mode)
-        # Losses exist only where crashes do: the collect machinery (chunk
-        # indices, loss flags, per-step contexts) is needed for crash rows
-        # and note-consuming kernels, not for pause/slowdown/spike rows —
-        # those kernels' end-of-run drain is makespan-neutral without
-        # losses, because the running makespan maximum is already complete
-        # at dispatch-apply time.
+        # Losses exist only where crashes do: the event log and per-step
+        # contexts are needed for crash rows and note-consuming kernels,
+        # not for pause/slowdown/spike rows — those kernels' end-of-run
+        # drain is makespan-neutral without losses, because the running
+        # makespan maximum is already complete at dispatch-apply time.
         if self.faults.any_crash:
-            # Crash state at each row's clock, advanced in :meth:`contexts`
-            # only for rows whose clock passed ``next_crash``.
+            # Crash state at each row's clock, as a mask (for the kernels'
+            # survivor arithmetic) and as words (for their worker choice),
+            # advanced in :meth:`contexts` only for rows whose clock passed
+            # ``next_crash``.  Each row's crash times are sorted once, with
+            # a trailing ``inf``, so ``n_crashed`` is also the cursor of the
+            # next crash.
+            crash_time = self.faults.crash_time
+            order = np.argsort(crash_time, axis=1, kind="stable")
+            self._state("crash_order", (rows, n), np.int32)[:] = order
+            crash_sorted = self._state("crash_sorted", (rows, n + 1), fill=np.inf)
+            crash_sorted[:, :n] = np.take_along_axis(crash_time, order, axis=1)
             self._state("crashed", (rows, n), bool, fill=False)
+            self._state("crashed_words", (rows, words), np.uint64, fill=0)
             self._state("n_crashed", (rows,), np.int64)
-            self._state("next_crash", (rows,))[:] = self.faults.crash_time.min(axis=1)
+            self._state("next_crash", (rows,))[:] = crash_sorted[:, 0]
         self.collect = self.faults.any_crash or notes_mode
         self.need_mask = bool(self.deferred)
 
-        # FIFO queues of realized completions, one ring per (row, worker):
-        # entry ``c`` (a running per-worker counter) sits in slot
-        # ``c & (cap - 1)``, so slots are reused once popped and ``cap``
-        # only has to hold the outstanding chunks, not every chunk ever
-        # sent.  The head element is mirrored into a dense ``head_end``
-        # array (inf for an empty queue) so the observe step never
-        # gathers from the slot arrays.
+        # FIFO queues of realized completion (or loss) times, one ring per
+        # (row, worker): entry ``c`` (a running per-worker counter) sits in
+        # slot ``c & (cap - 1)``, so slots are reused once popped and
+        # ``cap`` only has to hold the outstanding chunks, not every chunk
+        # ever sent.  The head element is mirrored into a dense
+        # ``head_end`` array (inf for an empty queue) so the observe step
+        # never gathers from the slot arrays.  The rings serve idleness
+        # and wake-ups only; what kernels observe travels in the log.
         cap = _INITIAL_SLOTS
         self._state("q_end", (rows, n, cap), fill=np.inf)
         self._state("q_head", (rows, n), np.int64)
@@ -373,26 +404,23 @@ class _Lockstep:
         # instead of scanning the full (rows × workers) head matrix.
         self._state("head_min", (rows,), fill=np.inf)
         if self.collect:
-            # Sizes, chunk indices and loss flags exist only for the
-            # notes and losses: the sizes travel in them, the indices give
-            # the scalar (time, chunk_index) event order, and loss flags
-            # mark entries announcing a LossNote instead of a completion.
-            self._state("q_size", (rows, n, cap))
-            self._state("head_size", (rows, n))
-            self._state("q_idx", (rows, n, cap), np.int64)
-            self._state("q_lost", (rows, n, cap), bool, fill=False)
-            self._state("head_idx", (rows, n), np.int64)
-            self._state("head_lost", (rows, n), bool, fill=False)
+            # The events kernels observe — every lost chunk, and every
+            # chunk of a row whose kernel wants notes — logged at dispatch
+            # as ``_LOG_*`` columns (indices are exact in float64) and
+            # delivered by :meth:`contexts` once the row's clock reaches
+            # the exit time.
+            self.log = np.empty((0, 6))
             wants_row = self._state("wants_row", (rows,), bool, fill=False)
             for _, sl, wants in self.kernels:
                 wants_row[sl] = wants
 
-        # Pending chunk counts are maintained incrementally (integers, so
-        # the running value is exact).  Padded worker slots report a huge
-        # pending count so no kernel ever sees them idle.
-        counts = self._state("counts", (rows, n), np.int64)
+        # Idle workers (no chunk pending), as words: a pop that empties a
+        # ring sets the worker's bit and a dispatch clears it.  Pad worker
+        # slots never get a bit, so no kernel ever sees them idle.
         n_per_row = np.repeat([c.platform.N for c in cells], reps)
-        counts[np.arange(n)[None, :] >= n_per_row[:, None]] = PAD_PENDING
+        self._state("idle", (rows, words), np.uint64)[:] = pack_words(
+            np.arange(n)[None, :] < n_per_row[:, None]
+        )
         self._state("busy", (rows, n))
         self._state("now", (rows,))
         self._state("kdisp", (rows,), np.int64)
@@ -479,94 +507,102 @@ class _Lockstep:
     def _reflatten(self) -> None:
         """Rebind every ``<name>_f`` alias to its array's current buffer.
 
+        An alias merges the (row, worker) axes into one; a ring is
+        flattened entirely, so slot ``s`` of pair ``f`` is ``f * cap + s``.
         ``copy=False`` makes a non-contiguous array fail loudly here
         instead of yielding an alias whose writes go nowhere.
         """
         for name in self._fields:
             array = getattr(self, name)
             if array.ndim > 1:
-                setattr(self, name + "_f", array.reshape(-1, copy=False))
+                shape = (-1,) if name in _RINGS else (-1,) + array.shape[2:]
+                setattr(self, name + "_f", array.reshape(shape, copy=False))
 
     # -- stages ---------------------------------------------------------------
-    def observe(self) -> list:
-        """Pop every queue head whose completion has passed its row's clock.
+    def observe(self) -> None:
+        """Pop every queue head whose exit time has passed its row's clock.
 
-        Only rows whose earliest outstanding completion (``head_min``) is
-        due take part.  One head per (row, worker) per pass, in FIFO
-        order.  Only a pair that just popped can pop again, so passes
-        after the first re-test just those pairs.
-        Returns the popped entries (when the kernels need notes or
-        losses) for :meth:`contexts`.
+        Only rows whose earliest outstanding exit (``head_min``) is due
+        take part.  One head per (row, worker) per pass, in FIFO order.
+        Only a pair that just popped can pop again, so passes after the
+        first re-test just those pairs.  A pop that empties its ring
+        marks the worker idle.
         """
-        pops: list = []
         now = self.now
         rdy = np.flatnonzero(self.head_min <= now)
         if not rdy.size:
-            return pops
-        n, collect = self.n, self.collect
+            return
+        n = self.n
         cap = self.q_end.shape[2]
+        # The ready rows' heads; ``pos`` indexes this copy, which is kept
+        # in step with ``head_end`` for the row minima below.
         block = self.head_end.take(rdy, axis=0)
-        due = np.flatnonzero(block <= now.take(rdy)[:, None])
-        lr, ww = np.divmod(due, n)
+        block_f = block.reshape(-1)
+        pos = np.flatnonzero(block <= now.take(rdy)[:, None])
+        lr, ww = np.divmod(pos, n)
         rr = rdy[lr]
         f = rr * n + ww
+        emptied = []
         while f.size:
-            self.counts_f[f] -= 1
-            if collect:
-                pops.append(
-                    (rr, ww, self.head_end_f[f], self.head_size_f[f],
-                     self.head_lost_f[f], self.head_idx_f[f])
-                )
             nh = self.q_head_f[f] + 1
             self.q_head_f[f] = nh
             has_more = nh < self.q_tail_f[f]
             slot = f * cap + (nh & (cap - 1))
             head_end = np.where(has_more, self.q_end_f[slot], np.inf)
             self.head_end_f[f] = head_end
-            if collect:
-                self.head_size_f[f] = np.where(has_more, self.q_size_f[slot], 0.0)
-                self.head_lost_f[f] = np.where(has_more, self.q_lost_f[slot], False)
-                self.head_idx_f[f] = np.where(has_more, self.q_idx_f[slot], 0)
+            block_f[pos] = head_end
+            emptied.append(f[~has_more])
             again = np.flatnonzero(head_end <= now[rr])
-            rr, ww, f = rr[again], ww[again], f[again]
+            rr, f, pos = rr[again], f[again], pos[again]
+        # One row can empty several rings of one word in a pass.
+        emptied = emptied[0] if len(emptied) == 1 else np.concatenate(emptied)
+        rr, ww = np.divmod(emptied, n)
+        word, bit = word_bits(ww)
+        np.bitwise_or.at(self.idle_f, rr * self.words + word, bit)
         # Row minima over the worker axis run much faster on the
         # worker-major copy (a reduction over the long axis).
-        block = self.head_end.take(rdy, axis=0)
         self.head_min[rdy] = np.ascontiguousarray(block.T).min(axis=0)
-        return pops
 
-    def contexts(self, pops) -> "list | None":
+    def contexts(self) -> "list | None":
         """Each group's step context: what a scalar view would report.
 
         That is the crash state at the row's clock plus the losses and
-        completions that just became observable, delivered in scalar
-        ``(time, chunk_index)`` order per row.
+        completions that just became observable — the logged events whose
+        exit time is at or before the row's clock — delivered in scalar
+        ``(time, chunk_index)`` order per row and dropped from the log.
+        A worker's exit times never decrease, so these are exactly the
+        events its ring pops.
         """
         if not self.collect:
             return None
         kernels, faults = self.kernels, self.faults
-        if faults.any_crash:
+        crash = faults.any_crash
+        if crash:
             self._advance_crashes()
         ctxs = [None] * len(kernels)
         for ki, (_, sl, wants) in enumerate(kernels):
             if faults.any_fault or wants:
                 ctxs[ki] = KernelStepContext(
-                    crashed=self.crashed[sl] if faults.any_crash else None,
-                    n_crashed=self.n_crashed[sl] if faults.any_crash else None,
+                    crashed=self.crashed[sl] if crash else None,
+                    crashed_words=self.crashed_words[sl] if crash else None,
+                    n_crashed=self.n_crashed[sl] if crash else None,
                     fault_rows=faults.fault_row[sl] if faults.any_fault else None,
                 )
-        if not pops:
+        log = self.log
+        if not len(log):
             return ctxs
-        prr, pww, pend, psz, plost, pidx = (np.concatenate(p) for p in zip(*pops))
-        sel = np.flatnonzero(plost | self.wants_row[prr])
-        if not sel.size:
+        row = log[:, _LOG_ROW].astype(np.int64)
+        due = log[:, _LOG_END] <= self.now[row]
+        if not due.any():
             return ctxs
-        # Stable sort of the kept events: the same order as sorting every
-        # pop and filtering afterwards.
-        sel = sel[np.lexsort((pidx[sel], pend[sel], prr[sel]))]
-        row = prr[sel]
+        # ``compress`` selects rows of a 2-D array about twice as fast as
+        # a boolean index.
+        self.log = log.compress(~due, axis=0)
+        ev, row = log.compress(due, axis=0), row[due]
+        order = np.lexsort((ev[:, _LOG_IDX], ev[:, _LOG_END], row))
+        ev, row = ev[order], row[order]
         group = self.kernel_of_row[row]
-        lost = plost[sel]
+        lost = ev[:, _LOG_LOST] != 0.0
         for ki, (_, sl, _) in enumerate(kernels):
             ctx = ctxs[ki]
             if ctx is None:
@@ -576,14 +612,15 @@ class _Lockstep:
                 continue
             local = row - sl.start
             hit = mine & lost
-            ctx.losses.extend(zip(local[hit].tolist(), psz[sel[hit]].tolist()))
+            ctx.losses.extend(zip(local[hit].tolist(), ev[hit, _LOG_SIZE].tolist()))
             hit = mine & ~lost
             if hit.any():
-                at = sel[hit]
                 ctx.notes.extend(
                     zip(
-                        local[hit].tolist(), pend[at].tolist(),
-                        pww[at].tolist(), psz[at].tolist(),
+                        local[hit].tolist(),
+                        ev[hit, _LOG_END].tolist(),
+                        ev[hit, _LOG_WORKER].astype(np.int64).tolist(),
+                        ev[hit, _LOG_SIZE].tolist(),
                     )
                 )
         return ctxs
@@ -594,18 +631,28 @@ class _Lockstep:
         A row's clock never moves back, so its crashed set only grows,
         and nothing changes until the clock passes ``next_crash``.
         """
+        n, width = self.n, self.n + 1
         due = np.flatnonzero(self.next_crash <= self.now)
-        if due.size:
-            hit, self.next_crash[due] = self.faults.crashes(due, self.now[due])
-            self.crashed[due] = hit
-            self.n_crashed[due] = hit.sum(axis=1)
+        # One crash per due row per pass, in crash-time order; a wait jump
+        # past several crash times takes several passes.
+        while due.size:
+            c = self.n_crashed[due]
+            w = self.crash_order_f[due * n + c]
+            self.crashed_f[due * n + w] = True
+            word, bit = word_bits(w)
+            self.crashed_words_f[due * self.words + word] |= bit
+            c += 1
+            self.n_crashed[due] = c
+            nxt = self.crash_sorted_f[due * width + c]
+            self.next_crash[due] = nxt
+            due = due[nxt <= self.now[due]]
 
     def decide(self, ctxs) -> None:
         """Each family's kernel fills its contiguous row slice."""
         for ki, (kernel, sl, _) in enumerate(self.kernels):
             if self.group_alive[ki]:
                 kernel.decide(
-                    self.counts[sl],
+                    self.idle[sl],
                     self.action[sl],
                     self.worker[sl],
                     self.size[sl],
@@ -659,6 +706,12 @@ class _Lockstep:
             self.group_alive[ki] = int(loc.size)
             start += loc.size
         self.kernels = kernels
+        if self.collect and len(self.log):
+            new_row = np.full(self.rows, -1)
+            new_row[keep] = np.arange(m)
+            row = new_row[self.log[:, _LOG_ROW].astype(np.int64)]
+            self.log = self.log.compress(row >= 0, axis=0)
+            self.log[:, _LOG_ROW] = row[row >= 0]
         for name in self._fields:
             array = getattr(self, name)
             array[:m] = array[keep]
@@ -707,9 +760,7 @@ class _Lockstep:
         f = disp * self.n + w
         self.bank.ensure(int(k.max()) + 1)
         comm, comp = self.bank.gather(disp, k)
-        w_s, w_b, w_cl, w_nl, w_tl = (
-            getattr(self, name + "_f")[f] for name in _WORKER_FIELDS
-        )
+        w_s, w_b, w_cl, w_nl, w_tl = self.wparams_f.take(f, axis=0).T
         # chunk/inf is +0.0, matching link_time's infinite-bandwidth branch
         # bit for bit; multiplying by an exact 1.0 factor (the zero-error
         # rows) is also a bitwise no-op.
@@ -753,19 +804,24 @@ class _Lockstep:
         # through the head it may have just installed.
         self.head_min[disp] = np.minimum(self.head_min[disp], head_end)
         if self.collect:
-            self.q_size_f[slot] = sz
-            self.head_size_f[f] = np.where(was_empty, sz, self.head_size_f[f])
-            self.q_idx_f[slot] = k
-            self.head_idx_f[f] = np.where(was_empty, k, self.head_idx_f[f])
+            logged = self.wants_row[disp]
             if lost is not None:
-                self.q_lost_f[slot] = lost
-                self.head_lost_f[f] = np.where(was_empty, lost, self.head_lost_f[f])
+                logged = logged | lost
+            sel = np.flatnonzero(logged)
+            if sel.size:
+                entries = np.array(
+                    [disp[sel], end_q[sel], k[sel], w[sel], sz[sel],
+                     np.zeros(sel.size) if lost is None else lost[sel]],
+                    dtype=float,
+                )
+                self.log = np.concatenate([self.log, entries.T])
         if self.row_tracers is not None:
             self._trace_dispatches(
                 disp, w, k, sz, now, send_end, comp_start, comp_end, end_q, lost
             )
         self.q_tail_f[f] = tail + 1
-        self.counts_f[f] += 1
+        word, bit = word_bits(w)
+        self.idle_f[disp * self.words + word] &= ~bit
         self.kdisp[disp] = k + 1
         self.now[disp] = send_end
 
@@ -778,10 +834,9 @@ class _Lockstep:
         other copy belongs to a counter that is not live, and is
         overwritten before it is ever read.
         """
-        for name in self._fields:
+        for name in _RINGS:
             ring = getattr(self, name)
-            if ring.ndim == 3:
-                setattr(self, name, np.concatenate([ring, ring], axis=2))
+            setattr(self, name, np.concatenate([ring, ring], axis=2))
         self._reflatten()
 
     def _trace_dispatches(
@@ -803,7 +858,8 @@ class _Lockstep:
     def run(self) -> list:
         """Step every row to completion; one makespan array per cell."""
         while self.n_active:
-            ctxs = self.contexts(self.observe())
+            self.observe()
+            ctxs = self.contexts()
             self.decide(ctxs)
             self.retire()
             if not self.n_active:

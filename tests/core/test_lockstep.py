@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.lockstep import PAD_PENDING, first_idle
+from repro.core.lockstep import first_idle, pack_words
 from repro.core.rumr import phase2_min_chunk, survivor_min_chunks
 from repro.platform import PlatformSpec, WorkerSpec
 
 
 @st.composite
 def pending_states(draw):
-    """(counts, works, crashed) with pad columns; idle workers hold 0.0 work."""
+    """(counts, works, crashed) with pad columns; idle workers hold 0.0 work.
+
+    Widths past 64 workers span two words.
+    """
     rows = draw(st.integers(1, 6))
-    n_max = draw(st.integers(1, 6))
+    n_max = draw(st.one_of(st.integers(1, 6), st.integers(62, 70)))
     n = draw(st.lists(st.integers(1, n_max), min_size=rows, max_size=rows))
     cells = st.integers(0, 2)
     counts = np.array(
@@ -30,7 +33,7 @@ def pending_states(draw):
         draw(st.lists(st.booleans(), min_size=rows * n_max, max_size=rows * n_max))
     ).reshape(rows, n_max)
     pad = np.arange(n_max)[None, :] >= np.array(n)[:, None]
-    counts[pad] = PAD_PENDING
+    counts[pad] = 1  # pad slots are never idle
     crashed[pad] = False
     works[counts == 0] = 0.0
     return counts, works, crashed, n
@@ -53,14 +56,14 @@ class TestFirstIdle:
     @given(pending_states())
     def test_equals_lexicographic_rule(self, state):
         counts, works, crashed, n = state
-        w, has_idle = first_idle(counts, crashed)
+        w, has_idle = first_idle(pack_words(counts == 0), pack_words(crashed))
         got = [int(w[r]) if has_idle[r] else None for r in range(len(counts))]
         assert got == lexicographic_pick(counts, works, crashed, n)
 
     @given(pending_states())
     def test_without_crashes_every_worker_counts(self, state):
         counts, works, _, n = state
-        w, has_idle = first_idle(counts)
+        w, has_idle = first_idle(pack_words(counts == 0))
         got = [int(w[r]) if has_idle[r] else None for r in range(len(counts))]
         none = np.zeros(counts.shape, dtype=bool)
         assert got == lexicographic_pick(counts, works, none, n)

@@ -47,3 +47,11 @@ def test_eta_progress_writes_and_terminates_line():
     out = stream.getvalue()
     assert "[1/4 platforms]" in out
     assert out.endswith("\n")
+
+
+def test_eta_progress_prints_no_estimate_before_a_rate_exists():
+    stream = io.StringIO()
+    eta_progress(stream)(0, 16)
+    out = stream.getvalue()
+    assert "[0/16 platforms]" in out
+    assert "left" not in out and "inf" not in out

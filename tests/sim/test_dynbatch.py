@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.lockstep import pack_words
 from repro.core.registry import make_scheduler
 from repro.errors import NormalErrorModel
 from repro.errors.faults import make_fault_model
@@ -254,14 +255,15 @@ class TestCrashState:
         seen = {"wait_jumps": 0, "compactions": 0}
 
         class Checked(dynbatch._Lockstep):
-            def contexts(self, pops):
+            def contexts(self):
                 if not self.faults.any_crash:
-                    return super().contexts(pops)
+                    return super().contexts()
                 before = self.n_crashed.copy()
                 waited = self.action == dynbatch.WAIT_FOR_COMPLETION
-                ctxs = super().contexts(pops)
+                ctxs = super().contexts()
                 expect = self.faults.crash_time <= self.now[:, None]
                 assert np.array_equal(self.crashed, expect)
+                assert np.array_equal(self.crashed_words, pack_words(expect))
                 assert np.array_equal(self.n_crashed, expect.sum(axis=1))
                 jumped = waited & (self.n_crashed - before >= 2)
                 seen["wait_jumps"] += int(jumped.sum())
