@@ -14,50 +14,39 @@ import typing
 # The priority classes live with the events (Timeout pushes itself); they
 # stay importable from here.
 from repro.des.events import NORMAL, URGENT, Event, EventError, Timeout
-from repro.des.process import Process
 
-__all__ = ["Environment", "EmptySchedule"]
-
-
-class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no events remain."""
+__all__ = ["Environment"]
 
 
 class Environment:
     """Execution environment for a discrete-event simulation.
 
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the simulation clock (default ``0.0``).
+    The clock starts at ``0.0``; :meth:`run` fires calendar entries until
+    none remain.
 
     Examples
     --------
     >>> env = Environment()
+    >>> seen = []
+    >>> env.timeout(1.0).callbacks.append(lambda event: seen.append(env.now))
     >>> def proc(env):
     ...     yield env.timeout(2.5)
-    ...     return "done"
-    >>> p = env.process(proc(env))
+    ...     seen.append(env.now)
+    >>> env.process(proc(env))
     >>> env.run()
-    >>> env.now
-    2.5
+    >>> seen
+    [1.0, 2.5]
     """
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
-        self._active_process: Process | None = None
 
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- factory helpers ---------------------------------------------------
     def event(self) -> Event:
@@ -68,9 +57,37 @@ class Environment:
         """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
-    def process(self, generator: typing.Generator) -> Process:
-        """Start a new process running ``generator``."""
-        return Process(self, generator)
+    def process(self, generator: typing.Generator) -> None:
+        """Run ``generator`` as a process, starting at the current time.
+
+        The generator yields pending or scheduled events and is resumed
+        with each one's value when it fires.  Its start is an entry at
+        ``(now, NORMAL)``; its end pushes nothing, and nothing can wait on
+        a process.  Yielding an event that has already fired raises
+        :class:`EventError`: its callbacks have run, so the process would
+        never resume.
+        """
+        if not hasattr(generator, "send"):
+            raise TypeError(f"{generator!r} is not a generator")
+        send = generator.send
+
+        def resume(event: Event) -> None:
+            try:
+                target = send(event._value)
+            except StopIteration:
+                return
+            if not isinstance(target, Event):
+                raise TypeError(
+                    f"process {generator!r} yielded {target!r}; "
+                    "processes must yield Event instances"
+                )
+            if target._state == Event.FIRED:
+                raise EventError(f"process {generator!r} waits on fired {target!r}")
+            target.callbacks.append(resume)
+
+        start = Event(self)
+        start.callbacks.append(resume)
+        start.succeed()
 
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
@@ -127,64 +144,19 @@ class Environment:
             step(None)
         return None
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Fire the next event, advancing the clock to its time."""
-        try:
-            when, _, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self._now = when
-        event._fire()
-
-    def run(self, until: "float | Event | None" = None) -> object:
-        """Run until the calendar drains, a deadline, or an event fires.
-
-        Parameters
-        ----------
-        until:
-            ``None``
-                run until no events remain.
-            a number
-                run until the clock reaches that time (events scheduled
-                exactly at the deadline do fire).
-            an :class:`Event`
-                run until that event fires and return its value; raises
-                ``RuntimeError`` if the calendar drains first.
-        """
-        if until is None:
-            # step() and Event._fire, inlined: this loop fires every event
-            # of a run.
-            queue = self._queue
-            pop = heapq.heappop
-            fired = Event.FIRED
-            while queue:
-                self._now, _, _, event = pop(queue)
-                if event._state == fired:
-                    raise EventError(f"{event!r} fired twice")
-                event._state = fired
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
-            return None
-        if isinstance(until, Event):
-            target = until
-            while not target.processed:
-                if not self._queue:
-                    raise RuntimeError(
-                        "simulation ended before the awaited event fired"
-                    )
-                self.step()
-            return target.value
-        deadline = float(until)
-        if deadline < self._now:
-            raise ValueError(f"deadline {deadline} is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= deadline:
-            self.step()
-        self._now = max(self._now, deadline) if not self._queue else deadline
-        return None
+    def run(self) -> None:
+        """Fire calendar entries in order until none remain."""
+        # This loop fires every event of a run.
+        queue = self._queue
+        pop = heapq.heappop
+        fired = Event.FIRED
+        while queue:
+            self._now, _, _, event = pop(queue)
+            if event._state == fired:
+                raise EventError(f"{event!r} fired twice")
+            event._state = fired
+            callbacks = event.callbacks
+            if callbacks:
+                event.callbacks = []
+                for callback in callbacks:
+                    callback(event)

@@ -1,9 +1,9 @@
 """Queued resources: a finite-capacity FIFO server and a message store.
 
-``Resource`` models mutually exclusive servers (the master's network
-interface is a ``Resource(capacity=1)``): processes ``yield resource.
-request()``, hold the grant while using the server, and must ``release`` it.
-``Store`` is an unbounded FIFO of items with blocking ``get``.
+``Resource`` models identical servers granted in FIFO order (the master
+ports of a star with ``ports`` or ``out``): a claim is an event that fires
+when granted, and the holder must ``release`` it.  ``Store`` is an
+unbounded FIFO of items with blocking ``get``.
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ class Resource:
         self._users: set[Request] = set()
         self._waiting: collections.deque[Request] = collections.deque()
 
-    @property
-    def count(self) -> int:
-        """Number of grants currently held."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a grant."""
-        return len(self._waiting)
-
     def request(self) -> Request:
         """Claim a server; the returned event fires when granted."""
         req = Request(self)
@@ -86,13 +76,6 @@ class Resource:
             # URGENT so a same-time release is observed before other events.
             self.env.schedule(nxt, priority=URGENT)
 
-    def cancel(self, request: Request) -> None:
-        """Withdraw a request that has not been granted yet."""
-        try:
-            self._waiting.remove(request)
-        except ValueError:
-            raise ValueError(f"{request!r} is not waiting on this resource") from None
-
 
 class Store:
     """An unbounded FIFO queue of items with blocking ``get``.
@@ -105,14 +88,6 @@ class Store:
         self.env = env
         self._items: collections.deque = collections.deque()
         self._getters: collections.deque[Event] = collections.deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """A snapshot of queued items (oldest first)."""
-        return tuple(self._items)
 
     def put(self, item: object) -> None:
         """Deposit ``item``, waking the oldest waiting getter if any."""

@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import typing
 
 from repro.errors.models import FACTOR_STREAM_FORMAT
@@ -122,7 +123,7 @@ class ExperimentGrid:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not self.total_work > 0:
+        if not 0 < self.total_work < math.inf:
             raise ValueError(f"total_work must be > 0, got {self.total_work}")
         if not self.Ns or not self.bandwidth_factors or not self.cLats or not self.nLats:
             raise ValueError("grid axes must be non-empty")

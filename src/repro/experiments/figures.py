@@ -183,16 +183,35 @@ def fault_figure(
     (0 = fault-free baseline) since specs are strings — the title lists
     the spec for each index so the chart stays self-describing.
     """
-    specs = results.fault_specs
+    return _scenario_figure(
+        results.fault_specs, results.algorithms,
+        lambda algo: fault_degradation(results, algo), title, "fault scenario index",
+        "makespan normalized to the fault-free run",
+    )
+
+
+def _scenario_figure(
+    specs: tuple[str, ...],
+    algorithms: tuple[str, ...],
+    metric: typing.Callable[[str], dict[str, float]],
+    title: str,
+    xlabel: str,
+    ylabel: str,
+) -> FigureResult:
+    """One series per algorithm of ``metric(algorithm)[spec]`` by spec index.
+
+    Specs are strings, so the x-axis is their index and the title lists
+    the spec for each index.
+    """
     legend = ", ".join(f"{i}={s}" for i, s in enumerate(specs))
     series = {}
-    for algo in results.algorithms:
-        degradation = fault_degradation(results, algo)
-        series[algo] = tuple(degradation[s] for s in specs)
+    for algo in algorithms:
+        values = metric(algo)
+        series[algo] = tuple(values[s] for s in specs)
     return FigureResult(
         title=f"{title} [{legend}]",
-        xlabel="fault scenario index",
-        ylabel="makespan normalized to the fault-free run",
+        xlabel=xlabel,
+        ylabel=ylabel,
         errors=tuple(float(i) for i in range(len(specs))),
         series=series,
     )

@@ -104,11 +104,23 @@ def fault_degradation(
     scheduler's value under crashes measures how much of the lost worker's
     throughput it manages to re-absorb.
     """
-    if baseline_spec not in results.sweeps:
-        raise ValueError(f"baseline fault spec {baseline_spec!r} not in results")
-    base = results.sweeps[baseline_spec].makespans[algorithm]
-    out: dict[str, float] = {}
-    for spec in results.fault_specs:
-        tensor = results.sweeps[spec].makespans[algorithm]
-        out[spec] = float((tensor / base).mean())
-    return out
+    return _scenario_degradation(
+        results.sweeps, results.fault_specs, algorithm, baseline_spec, "fault"
+    )
+
+
+def _scenario_degradation(
+    sweeps: dict[str, SweepResults],
+    specs: tuple[str, ...],
+    algorithm: str,
+    baseline_spec: str,
+    axis: str,
+) -> dict[str, float]:
+    """Per spec, the mean per-cell makespan ratio to ``baseline_spec``.
+
+    ``axis`` names the scenario axis in the error message.
+    """
+    if baseline_spec not in sweeps:
+        raise ValueError(f"baseline {axis} spec {baseline_spec!r} not in results")
+    base = sweeps[baseline_spec].makespans[algorithm]
+    return {spec: float((sweeps[spec].makespans[algorithm] / base).mean()) for spec in specs}

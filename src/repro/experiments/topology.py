@@ -21,7 +21,8 @@ import os
 import typing
 
 from repro.experiments.config import PAPER_ALGORITHMS, ExperimentGrid
-from repro.experiments.figures import FigureResult
+from repro.experiments.figures import FigureResult, _scenario_figure
+from repro.experiments.metrics import _scenario_degradation
 from repro.experiments.runner import SweepResults, _sweep_scenarios
 from repro.platform.topology import make_topology
 
@@ -120,14 +121,9 @@ def topology_degradation(
     """
     if baseline_spec is None:
         baseline_spec = _baseline_spec(results)
-    if baseline_spec not in results.sweeps:
-        raise ValueError(f"baseline topology spec {baseline_spec!r} not in results")
-    base = results.sweeps[baseline_spec].makespans[algorithm]
-    out: dict[str, float] = {}
-    for spec in results.topology_specs:
-        tensor = results.sweeps[spec].makespans[algorithm]
-        out[spec] = float((tensor / base).mean())
-    return out
+    return _scenario_degradation(
+        results.sweeps, results.topology_specs, algorithm, baseline_spec, "topology"
+    )
 
 
 def robustness_transfer(
@@ -163,18 +159,10 @@ def topology_figure(
     Values are each shape's error-robustness ratio (see
     :func:`robustness_transfer`).
     """
-    specs = results.topology_specs
-    legend = ", ".join(f"{i}={s}" for i, s in enumerate(specs))
-    series = {}
-    for algo in results.algorithms:
-        transfer = robustness_transfer(results, algo)
-        series[algo] = tuple(transfer[s] for s in specs)
-    return FigureResult(
-        title=f"{title} [{legend}]",
-        xlabel="topology index",
-        ylabel="max-error makespan normalized to the zero-error run",
-        errors=tuple(float(i) for i in range(len(specs))),
-        series=series,
+    return _scenario_figure(
+        results.topology_specs, results.algorithms,
+        lambda algo: robustness_transfer(results, algo), title, "topology index",
+        "max-error makespan normalized to the zero-error run",
     )
 
 

@@ -153,7 +153,7 @@ class DynamicCell:
                 "through the static batch engine instead"
             )
         check_magnitude(self.error)
-        if not self.total_work > 0:
+        if not 0 < self.total_work < math.inf:
             raise ValueError(f"total_work must be > 0, got {self.total_work}")
         if len(self.seeds) == 0:
             raise ValueError("a cell needs at least one seed")

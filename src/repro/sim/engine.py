@@ -12,8 +12,10 @@ callback servers on the DES kernel:
   to the master's completion inbox;
 * the scheduler only observes completion announcements, like a real master.
 
-The master and the per-worker crash watches are generator processes.
-Everything per chunk is kernel callbacks: the workers and relay links
+The master and the per-worker crash watches are generators on the
+kernel's process driver (:meth:`repro.des.Environment.process`): each
+costs a start entry at ``(now, NORMAL)`` and pushes nothing when it
+returns.  Everything per chunk is kernel callbacks: the workers and relay links
 are FIFO servers (a busy flag and a queue), and a chunk's short-lived
 stages -- its send on a ported star, its pipe tail and delivery, an
 in-flight loss announcement, its result return -- are chains of
@@ -187,8 +189,7 @@ class _Fifo:
     are the zero-delay steps of a process waiting on a ``Store`` inbox:
     ``URGENT`` when the item finds the server idle, ``NORMAL`` for a queued
     item (see :meth:`~repro.des.Environment.zero_delay`), so the server's
-    steps fire where that process's would, without a generator or a
-    termination entry.
+    steps fire where that process's would, without a generator.
     """
 
     __slots__ = ("env", "hold", "begin", "end", "queue", "busy", "item", "held")
@@ -316,7 +317,7 @@ class _SharedLink:
                 due.append(t.tid)
         assert best is not None
         # A watcher starts with the (now, NORMAL) entry a process start
-        # pushes, then sleeps on its timeout; it needs no termination entry.
+        # pushes, then sleeps on its timeout.
         env, version, due = self.env, self.version, tuple(due)
         env.timeout(0.0).callbacks.append(
             lambda _: env.timeout(best).callbacks.append(

@@ -217,7 +217,7 @@ def simulate(
     from repro.sim.engine import simulate_des
     from repro.sim.fastsim import simulate_fast
 
-    if not total_work > 0:
+    if not 0 < total_work < math.inf:
         raise ValueError(f"total_work must be > 0, got {total_work}")
     if error_model is None:
         error_model = NoError()

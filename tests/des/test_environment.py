@@ -1,17 +1,12 @@
-"""Tests for the DES environment: clock, calendar, run modes."""
+"""Tests for the DES environment: clock, calendar, run."""
 
 import pytest
 
-from repro.des import Environment, Event, Timeout
-from repro.des.environment import EmptySchedule
+from repro.des import Environment, Timeout
 
 
 def test_initial_time_defaults_to_zero():
     assert Environment().now == 0.0
-
-
-def test_initial_time_can_be_set():
-    assert Environment(initial_time=5.0).now == 5.0
 
 
 def test_timeout_advances_clock():
@@ -42,71 +37,6 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1.0)
-
-
-def test_step_on_empty_schedule_raises():
-    env = Environment()
-    with pytest.raises(EmptySchedule):
-        env.step()
-
-
-def test_run_until_time_stops_clock_at_deadline():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(10)
-
-    env.process(proc(env))
-    env.run(until=4.0)
-    assert env.now == 4.0
-
-
-def test_run_until_time_fires_events_at_deadline():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        yield env.timeout(4.0)
-        seen.append(env.now)
-
-    env.process(proc(env))
-    env.run(until=4.0)
-    assert seen == [4.0]
-
-
-def test_run_until_past_deadline_raises():
-    env = Environment()
-    env.run(until=2.0)
-    with pytest.raises(ValueError):
-        env.run(until=1.0)
-
-
-def test_run_until_event_returns_its_value():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1)
-        return 42
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == 42
-
-
-def test_run_until_event_never_firing_raises():
-    env = Environment()
-    orphan = env.event()
-    with pytest.raises(RuntimeError):
-        env.run(until=orphan)
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-
-
-def test_peek_empty_is_inf():
-    assert Environment().peek() == float("inf")
 
 
 def test_simultaneous_events_fire_in_schedule_order():
@@ -170,40 +100,20 @@ def test_timeout_carries_value():
     assert results == ["done"]
 
 
-def test_active_process_is_none_outside_execution():
-    env = Environment()
-    assert env.active_process is None
-
-    def proc(env):
-        assert env.active_process is not None
-        yield env.timeout(1)
-
-    env.process(proc(env))
-    env.run()
-    assert env.active_process is None
-
-
 def test_nested_process_spawning():
+    # A process can start others; each starts at the spawner's now.
     env = Environment()
     result = []
 
     def child(env, n):
         yield env.timeout(n)
-        return n * 2
+        result.append((env.now, n))
 
     def parent(env):
-        total = 0
         for n in (1, 2, 3):
-            total += yield env.process(child(env, n))
-        result.append((env.now, total))
+            env.process(child(env, n))
+            yield env.timeout(1)
 
     env.process(parent(env))
     env.run()
-    assert result == [(6.0, 12)]
-
-
-def test_event_value_requires_trigger():
-    env = Environment()
-    ev = Event(env)
-    with pytest.raises(Exception):
-        _ = ev.value
+    assert result == [(1.0, 1), (3.0, 2), (5.0, 3)]

@@ -1,16 +1,28 @@
-"""Tests for event primitives: success, failure, composition."""
+"""Tests for event primitives: firing, values, illegal transitions."""
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Event
+from repro.des import Environment, Event
 from repro.des.events import EventError
 
 
 def test_event_starts_pending():
     env = Environment()
     ev = Event(env)
-    assert not ev.triggered
-    assert not ev.processed
+    assert ev._state == Event.PENDING
+    assert env._sequence == 0
+
+
+def test_succeed_fires_callbacks_once_with_the_event():
+    env = Environment()
+    ev = Event(env)
+    seen = []
+    ev.callbacks.append(lambda event: seen.append((event is ev, event._value)))
+    ev.succeed(7)
+    assert ev._state == Event.SCHEDULED
+    env.run()
+    assert seen == [(True, 7)]
+    assert ev._state == Event.FIRED
 
 
 def test_succeed_twice_raises():
@@ -21,133 +33,10 @@ def test_succeed_twice_raises():
         ev.succeed(2)
 
 
-def test_fail_then_succeed_raises():
-    env = Environment()
-    ev = Event(env)
-    ev.fail(RuntimeError("boom"))
-    with pytest.raises(EventError):
-        ev.succeed()
-
-
-def test_fail_requires_exception_instance():
-    env = Environment()
-    ev = Event(env)
-    with pytest.raises(TypeError):
-        ev.fail("not an exception")
-
-
-def test_failed_event_raises_on_value_access():
-    env = Environment()
-    ev = Event(env)
-    ev.fail(RuntimeError("boom"))
-    env.run()
-    with pytest.raises(RuntimeError, match="boom"):
-        _ = ev.value
-
-
-def test_failed_event_throws_into_process():
-    env = Environment()
-    ev = Event(env)
-    caught = []
-
-    def proc(env):
-        try:
-            yield ev
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    env.process(proc(env))
-    ev.fail(RuntimeError("boom"))
-    env.run()
-    assert caught == ["boom"]
-
-
-def test_ok_property_after_processing():
+def test_event_scheduled_twice_raises_when_it_fires_again():
     env = Environment()
     ev = Event(env)
     ev.succeed()
-    env.run()
-    assert ev.ok
-
-
-def test_ok_before_processing_raises():
-    env = Environment()
-    ev = Event(env)
-    with pytest.raises(EventError):
-        _ = ev.ok
-
-
-def test_allof_waits_for_every_child():
-    env = Environment()
-    times = []
-
-    def proc(env):
-        t1 = env.timeout(1, value="a")
-        t2 = env.timeout(3, value="b")
-        result = yield AllOf(env, [t1, t2])
-        times.append((env.now, sorted(result.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert times == [(3.0, ["a", "b"])]
-
-
-def test_anyof_fires_on_first_child():
-    env = Environment()
-    times = []
-
-    def proc(env):
-        t1 = env.timeout(1, value="fast")
-        t2 = env.timeout(3, value="slow")
-        result = yield AnyOf(env, [t1, t2])
-        times.append((env.now, list(result.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert times == [(1.0, ["fast"])]
-
-
-def test_allof_empty_fires_immediately():
-    env = Environment()
-    cond = AllOf(env, [])
-    assert cond.triggered
-
-
-def test_allof_propagates_child_failure():
-    env = Environment()
-    ok = env.timeout(1)
-    bad = Event(env)
-    caught = []
-
-    def proc(env):
-        try:
-            yield AllOf(env, [ok, bad])
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    env.process(proc(env))
-    bad.fail(ValueError("child failed"))
-    env.run()
-    assert caught == ["child failed"]
-
-
-def test_condition_rejects_foreign_events():
-    env1, env2 = Environment(), Environment()
-    with pytest.raises(ValueError):
-        AllOf(env1, [env2.timeout(1)])
-
-
-def test_condition_with_already_fired_child():
-    env = Environment()
-    done = env.timeout(0)
-    env.run()
-    assert done.processed
-    seen = []
-
-    def proc(env):
-        result = yield AllOf(env, [done])
-        seen.append(list(result.values()))
-
-    env.process(proc(env))
-    env.run()
-    assert seen == [[None]]
+    env.schedule(ev, 1.0)
+    with pytest.raises(EventError, match="fired twice"):
+        env.run()

@@ -1,38 +1,35 @@
-"""Tests for generator processes: lifecycle, joining, interrupts."""
+"""Tests for the generator driver behind ``Environment.process``."""
 
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 from repro.des.events import EventError
 
 
-def test_process_is_alive_until_return():
+def test_process_start_is_one_entry_and_its_end_none():
     env = Environment()
 
     def proc(env):
         yield env.timeout(2)
 
-    p = env.process(proc(env))
-    assert p.is_alive
+    assert env.process(proc(env)) is None
+    assert env._sequence == 1  # the (now, NORMAL) start entry
     env.run()
-    assert not p.is_alive
-    assert p.processed
+    assert env.now == 2.0
+    assert env._sequence == 2  # plus the timeout; the return pushes nothing
 
 
-def test_process_return_value_via_join():
+def test_process_resumes_with_each_event_value():
     env = Environment()
+    got = []
 
-    def child(env):
-        yield env.timeout(1)
-        return "result"
+    def proc(env):
+        got.append((yield env.timeout(1, value="a")))
+        got.append((yield env.timeout(1, value="b")))
 
-    def parent(env, out):
-        out.append((yield env.process(child(env))))
-
-    out = []
-    env.process(parent(env, out))
+    env.process(proc(env))
     env.run()
-    assert out == ["result"]
+    assert got == ["a", "b"]
 
 
 def test_non_generator_rejected():
@@ -52,131 +49,29 @@ def test_yielding_non_event_raises():
         env.run()
 
 
-def test_interrupt_delivers_cause():
+def test_yielding_fired_event_raises():
+    # Its callbacks have run: without the check the process would never
+    # resume and the run would end quietly.
     env = Environment()
-    caught = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as exc:
-            caught.append((env.now, exc.cause))
-
-    def attacker(env, target):
-        yield env.timeout(3)
-        target.interrupt(cause="stop now")
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
+    done = env.timeout(0)
     env.run()
-    assert caught == [(3.0, "stop now")]
-
-
-def test_interrupt_detaches_from_waited_event():
-    env = Environment()
-    resumed = []
-
-    def victim(env):
-        try:
-            yield env.timeout(10)
-            resumed.append("timeout")
-        except Interrupt:
-            yield env.timeout(1)
-            resumed.append("post-interrupt")
-
-    def attacker(env, target):
-        yield env.timeout(2)
-        target.interrupt()
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    env.run()
-    # The original timeout must not resume the process a second time.
-    assert resumed == ["post-interrupt"]
-    assert env.now == 10.0  # the stale timeout still fires, harmlessly
-
-
-def test_interrupt_terminated_process_raises():
-    env = Environment()
 
     def proc(env):
-        yield env.timeout(1)
-
-    p = env.process(proc(env))
-    env.run()
-    with pytest.raises(EventError):
-        p.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-    errors = []
-
-    def proc(env):
-        me = env.active_process
-        try:
-            me.interrupt()
-        except EventError as exc:
-            errors.append(str(exc))
-        yield env.timeout(1)
+        yield done
 
     env.process(proc(env))
-    env.run()
-    assert len(errors) == 1
+    with pytest.raises(EventError, match="fired"):
+        env.run()
 
 
-def test_unhandled_interrupt_fails_process():
+def test_exception_in_process_propagates_from_run():
     env = Environment()
 
-    def victim(env):
-        yield env.timeout(100)
-
-    def attacker(env, target):
+    def proc(env):
         yield env.timeout(1)
-        target.interrupt("die")
+        raise RuntimeError("boom")
 
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    env.run()
-    assert target.processed
-    with pytest.raises(Interrupt):
-        _ = target.value
-
-
-def test_two_processes_can_join_same_process():
-    env = Environment()
-    results = []
-
-    def worker(env):
-        yield env.timeout(5)
-        return "done"
-
-    def waiter(env, target, tag):
-        value = yield target
-        results.append((tag, env.now, value))
-
-    target = env.process(worker(env))
-    env.process(waiter(env, target, "w1"))
-    env.process(waiter(env, target, "w2"))
-    env.run()
-    assert results == [("w1", 5.0, "done"), ("w2", 5.0, "done")]
-
-
-def test_join_already_finished_process():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0)
-        return 7
-
-    p = env.process(quick(env))
-    env.run()
-
-    results = []
-
-    def late_joiner(env):
-        results.append((yield p))
-
-    env.process(late_joiner(env))
-    env.run()
-    assert results == [7]
+    env.process(proc(env))
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    assert env.now == 1.0

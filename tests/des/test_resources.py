@@ -14,9 +14,14 @@ def test_resource_capacity_must_be_positive():
 def test_immediate_grant_when_free():
     env = Environment()
     res = Resource(env)
-    req = res.request()
-    assert req.triggered
-    assert res.count == 1
+    granted = []
+    for tag in ("a", "b"):
+        res.request().callbacks.append(
+            lambda req, tag=tag: granted.append((tag, env.now, req._value is req))
+        )
+    env.run()
+    # The free server grants at once; the second claim waits for a release.
+    assert granted == [("a", 0.0, True)]
 
 
 def test_queueing_respects_fifo():
@@ -66,36 +71,6 @@ def test_release_foreign_request_raises():
     req = other.request()
     with pytest.raises(ValueError):
         res.release(req)
-
-
-def test_cancel_waiting_request():
-    env = Environment()
-    res = Resource(env)
-    first = res.request()
-    second = res.request()
-    assert res.queue_length == 1
-    res.cancel(second)
-    assert res.queue_length == 0
-    res.release(first)
-    assert not second.triggered
-
-
-def test_cancel_granted_request_raises():
-    env = Environment()
-    res = Resource(env)
-    req = res.request()
-    with pytest.raises(ValueError):
-        res.cancel(req)
-
-
-def test_queue_length_tracks_waiters():
-    env = Environment()
-    res = Resource(env)
-    res.request()
-    res.request()
-    res.request()
-    assert res.count == 1
-    assert res.queue_length == 2
 
 
 def test_store_put_get_order():
@@ -152,13 +127,3 @@ def test_store_multiple_getters_fifo():
     env.process(producer(env))
     env.run()
     assert got == [("first", 1), ("second", 2)]
-
-
-def test_store_len_and_items_snapshot():
-    env = Environment()
-    store = Store(env)
-    assert len(store) == 0
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-    assert store.items == (1, 2)

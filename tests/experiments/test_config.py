@@ -1,5 +1,7 @@
 """Tests for experiment grids."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.config import (
@@ -92,6 +94,11 @@ class TestGridMechanics:
             )
         with pytest.raises(ValueError):
             smoke_grid().restrict(repetitions=0)
+
+    @pytest.mark.parametrize("total_work", (0.0, float("inf"), float("nan")))
+    def test_total_work_must_be_finite_and_positive(self, total_work):
+        with pytest.raises(ValueError, match="total_work must be > 0"):
+            dataclasses.replace(smoke_grid(), total_work=total_work)
 
     @pytest.mark.parametrize("kind", ("star", "chain"))
     @pytest.mark.parametrize("n", (7, 10))

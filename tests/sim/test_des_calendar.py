@@ -21,8 +21,13 @@ run fell from 5.70 to 2.26 pushes per chunk and the chain from 21.97 to
 10.02 (6.94 of which are relay-hop holds).  What a chunk still costs is
 its link time, one hold per relay hop and its computation; the rest are
 the master's wake-ups after ``WAIT`` and the steps that tie with another
-entry at their instant.  These tests keep the removed entries from coming
-back.
+entry at their instant.
+
+The master and the crash watches are the only generators left.  The
+kernel's process driver pushes their start entry and nothing when they
+return; a ``Process`` event also pushed a termination entry that fired
+with no callbacks, one per run on the runs below (5 per row).  These
+tests keep the removed entries from coming back.
 """
 
 import repro.sim.engine as engine
@@ -63,11 +68,11 @@ def _pushes_and_chunks(monkeypatch, make_scheduler, topology=None) -> tuple[int,
 #: topology -> (scheduler, chunks, push bound, pushes per chunk before the
 #: callback FIFOs).  The bounds are the counts at the time of writing.
 ROWS = {
-    "star": (_rumr, 810, 1828, 5.70),
-    "chain:relay=sf": (_rumr, 310, 3105, 21.97),
-    "tree:fanout=4": (_rumr, 310, 1070, 8.74),
-    "star:ports=2,out=0.3": (_rumr, 810, 8202, 11.52),
-    "sharedbw:cap=40": (Factoring, 660, 5349, 10.00),
+    "star": (_rumr, 810, 1823, 5.70),
+    "chain:relay=sf": (_rumr, 310, 3100, 21.97),
+    "tree:fanout=4": (_rumr, 310, 1065, 8.74),
+    "star:ports=2,out=0.3": (_rumr, 810, 8197, 11.52),
+    "sharedbw:cap=40": (Factoring, 660, 5344, 10.00),
 }
 
 

@@ -318,6 +318,17 @@ class TestValidation:
                 seeds=SEEDS,
             )
 
+    @pytest.mark.parametrize("total_work", (float("inf"), float("nan")))
+    def test_non_finite_work_rejected(self, hom_platform, total_work):
+        with pytest.raises(ValueError, match="total_work must be > 0"):
+            DynamicCell(
+                platform=hom_platform,
+                scheduler=make_scheduler("Factoring", 0.0),
+                total_work=total_work,
+                error=0.0,
+                seeds=SEEDS,
+            )
+
     def test_empty_seeds_rejected(self, hom_platform):
         with pytest.raises(ValueError, match="at least one seed"):
             DynamicCell(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import Factoring
 from repro.core.base import WAIT, Dispatch, DispatchSource, DeadlockError, Scheduler, StaticPlanSource
 from repro.errors import NoError
 from repro.platform import PlatformSpec, WorkerSpec
@@ -176,6 +177,13 @@ class TestErrorHandling:
     def test_nonpositive_work_rejected(self):
         with pytest.raises(ValueError):
             simulate(single_worker(), 0.0, ListScheduler([]))
+
+    @pytest.mark.parametrize("engine", ("fast", "des"))
+    @pytest.mark.parametrize("total_work", (float("inf"), float("-inf"), float("nan")))
+    def test_non_finite_work_rejected(self, engine, total_work):
+        # Infinite work used to run as makespan 0 with no chunks.
+        with pytest.raises(ValueError, match="total_work must be > 0"):
+            simulate(single_worker(), total_work, Factoring(), engine=engine)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
